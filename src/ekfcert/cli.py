@@ -177,12 +177,11 @@ def _hessian_bounds(cfg: dict, entry, traj: FilterTrajectory) -> HessianBounds:
     if hes.get("radius") is None:
         raise ConfigurationError(
             "config needs hessian.radius (or explicit hessian.kappa_A/kappa_C)")
-    stride = max(1, len(traj.times) // int(hes.get("centers", 25)))
-    path = [(traj.states[k], float(traj.times[k]))
-            for k in range(0, len(traj.times), stride)]
+    path = [(traj.states[k], float(traj.times[k])) for k in range(len(traj.times))]
     return estimate_hessian_bounds(
         entry.model, path, float(hes["radius"]),
         safety=float(hes.get("safety", 1.1)),
+        max_centers=int(hes.get("centers", 25)),
         seed=int(cfg.get("seed", 0)))
 
 

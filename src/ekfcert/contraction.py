@@ -16,25 +16,31 @@ the results into a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .model import HessianBounds, SystemModel, eval_jacobians, tilde_matrices
+from .model import (HessianBounds, SystemModel, _unit_directions, eval_jacobians,
+                    tilde_matrices)
 
 # slack allowed when deciding lambda_max(S) <= 0 in floating point
 PSD_TOL_SCALE = 1e-9
 
 
-def psd_tolerance(S: np.ndarray) -> float:
-    """Absolute slack below which lambda_max(S) still counts as <= 0."""
-    return PSD_TOL_SCALE * (1.0 + float(np.linalg.norm(S, 2)))
+def _negative_semidefinite(S: np.ndarray) -> np.ndarray:
+    """Verdict lambda_max(S) <= tol for one (n, n) matrix or a stack of them.
+
+    The slack is PSD_TOL_SCALE * (1 + ||S||_2); for the symmetrized S the
+    spectral norm is max |lambda|, read off the same ``eigvalsh`` call.
+    """
+    S = 0.5 * (S + S.swapaxes(-1, -2))
+    lam = np.linalg.eigvalsh(S)
+    return lam[..., -1] <= PSD_TOL_SCALE * (1.0 + np.abs(lam).max(axis=-1))
 
 
 def is_negative_semidefinite(S: np.ndarray) -> bool:
-    S = 0.5 * (S + S.T)
-    return float(np.linalg.eigvalsh(S)[-1]) <= psd_tolerance(S)
+    return bool(_negative_semidefinite(np.asarray(S, dtype=float)))
 
 
 @dataclass
@@ -65,22 +71,22 @@ class ContractionCertificate:
     kappa_sampled: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "zeta_plus": self.zeta_plus,
-            "rho": self.rho,
-            "p_lo": self.p_lo,
-            "p_hi": self.p_hi,
-            "q_lo": self.q_lo,
-            "r_lo": self.r_lo,
-            "alpha": self.alpha,
-            "kappa_A": self.kappa_A,
-            "kappa_C": self.kappa_C,
-            "basin_euclid": self.basin_euclid,
-            "envelope_factor": self.envelope_factor,
-            "grid_verified": self.grid_verified,
-            "kappa_sampled": self.kappa_sampled,
-        }
+        return asdict(self)
+
+
+def _contraction_matrices(Ah: np.ndarray, Ch: np.ndarray, Az: np.ndarray,
+                          Cz: np.ndarray, P: np.ndarray, Q: np.ndarray,
+                          R: np.ndarray) -> np.ndarray:
+    """M for probe Jacobians (Az, Cz), single or stacked, against (Ah, Ch)."""
+    Atil = Az - Ah
+    Ctil = Cz - Ch
+    CtP = Ctil @ P
+    CzP = Cz @ P
+    M = (P @ Atil.swapaxes(-1, -2) + Atil @ P
+         + CtP.swapaxes(-1, -2) @ np.linalg.solve(R, CtP)
+         - CzP.swapaxes(-1, -2) @ np.linalg.solve(R, CzP)
+         - Q)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def contraction_matrix(model: SystemModel, z: np.ndarray, xhat: np.ndarray,
@@ -93,19 +99,9 @@ def contraction_matrix(model: SystemModel, z: np.ndarray, xhat: np.ndarray,
     M + 2 gamma P on a region therefore certifies contraction at rate
     gamma there. The result is exactly symmetrized.
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    xhat = np.asarray(xhat, dtype=float).reshape(-1)
     Az, Cz = eval_jacobians(model, z, t)
     Ah, Ch = eval_jacobians(model, xhat, t)
-    Atil = Az - Ah
-    Ctil = Cz - Ch
-    CtP = Ctil @ P
-    CzP = Cz @ P
-    M = (P @ Atil.T + Atil @ P
-         + CtP.T @ np.linalg.solve(R, CtP)
-         - CzP.T @ np.linalg.solve(R, CzP)
-         - Q)
-    return 0.5 * (M + M.T)
+    return _contraction_matrices(Ah, Ch, Az, Cz, P, Q, R)
 
 
 def check_contraction_inequality(model: SystemModel, z: np.ndarray, xhat: np.ndarray,
@@ -122,17 +118,6 @@ def check_contraction_inequality(model: SystemModel, z: np.ndarray, xhat: np.nda
     return is_negative_semidefinite(M + 2.0 * gamma * P)
 
 
-def _probe_directions(dim: int, direction_samples: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    axes = np.vstack([np.eye(dim), -np.eye(dim)])
-    if direction_samples <= 0:
-        return axes
-    raw = rng.standard_normal((direction_samples, dim))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return np.vstack([axes, raw / norms])
-
-
 def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
                      Q: np.ndarray, R: np.ndarray, gamma: float, t: float,
                      direction_samples: int = 64, *, r_max: float = 1e6,
@@ -141,22 +126,48 @@ def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
 
     Bisects over the radius, testing the contraction inequality at
     xhat + r u for the signed coordinate axes plus ``direction_samples``
-    seeded random unit directions. The value is a sampled over-approximation of the true
-    radius: the inequality is only verified on the probed directions, and
-    the search assumes the pass set is an interval. Returns ``r_max``
-    when even the largest radius passes (linear systems) and 0.0 when the
-    center itself fails.
+    seeded random unit directions (the axes alone in one dimension, where
+    they are the only unit vectors). The value is a sampled
+    over-approximation of the true radius: the inequality is only verified
+    on the probed directions, and the search assumes the pass set is an
+    interval. Returns ``r_max`` when even the largest radius passes
+    (linear systems) and 0.0 when the center itself fails.
+
+    The Jacobians at xhat are evaluated once. Each bisection step first
+    retests the direction that failed at the previous failing step and
+    stops there if it fails again; otherwise it evaluates the probe
+    Jacobians of every direction, in order, and decides all of them with
+    one batched ``solve`` against R and one batched ``eigvalsh``. A probe
+    whose Jacobian evaluation raises :class:`ModelEvaluationError` may
+    therefore surface at a step where a per-probe loop would already have
+    stopped at an earlier failing direction.
     """
+    if gamma < 0.0:
+        raise ConfigurationError(f"gamma must be nonnegative, got {gamma}")
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
     rng = np.random.default_rng(seed)
-    dirs = _probe_directions(len(xhat), direction_samples, rng)
+    dirs = _unit_directions(len(xhat), direction_samples, rng)
+    Ah, Ch = eval_jacobians(model, xhat, t)
+
+    def passes(points: np.ndarray) -> np.ndarray:
+        jac = [eval_jacobians(model, z, t) for z in points]
+        M = _contraction_matrices(Ah, Ch, np.array([A for A, _ in jac]),
+                                  np.array([C for _, C in jac]), P, Q, R)
+        return _negative_semidefinite(M + 2.0 * gamma * P)
+
+    last_failed = None
 
     def holds(r: float) -> bool:
-        return all(check_contraction_inequality(model, xhat + r * u, xhat,
-                                                P, Q, R, gamma, t)
-                   for u in dirs)
+        nonlocal last_failed
+        if last_failed is not None and not passes(xhat + r * dirs[[last_failed]])[0]:
+            return False
+        ok = passes(xhat + r * dirs)
+        if ok.all():
+            return True
+        last_failed = int(np.argmin(ok))
+        return False
 
-    if not check_contraction_inequality(model, xhat, xhat, P, Q, R, gamma, t):
+    if not passes(xhat[None])[0]:
         return 0.0
     if holds(r_max):
         return r_max

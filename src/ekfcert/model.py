@@ -226,21 +226,34 @@ def hessian_tensor(model: SystemModel, x: np.ndarray, t: float,
     return H
 
 
+def _tensor_norms(H: np.ndarray, output_directions: np.ndarray) -> np.ndarray:
+    """Sampled tensor norms of a stack of (m, n, n) tensors, shape (N,).
+
+    All N x d contractions sum_k w_k H[k] are formed by one stacked matrix
+    product, whose per-direction rounding matches ``np.tensordot(w, H[i],
+    axes=1)`` bit for bit, and their spectra come from one stacked
+    ``eigvalsh``.
+    """
+    N, m, n, _ = H.shape
+    W = np.asarray(output_directions, dtype=float).reshape(-1, 1, m)
+    S = (W @ H.reshape(N, 1, m, n * n)).reshape(N, len(W), n, n)
+    if S.size == 0:
+        return np.zeros(N)
+    S = 0.5 * (S + S.swapaxes(-1, -2))
+    return np.abs(np.linalg.eigvalsh(S)).max(axis=(1, 2))
+
+
 def tensor_norm(H: np.ndarray, output_directions: np.ndarray) -> float:
     """Euclidean-induced norm of a (m, n, n) bilinear tensor, sampled.
 
     The exact norm is max over unit output directions w of the spectral
     norm of sum_k w_k H[k]; here the maximum runs over the supplied sample
     of directions only, so the value is a lower approximation. For m = 1
-    the coordinate directions make it exact.
+    the coordinate directions make it exact. All directions are evaluated
+    at once: one stacked product forms the symmetrized matrices and one
+    batched ``eigvalsh`` takes their spectra.
     """
-    best = 0.0
-    for w in output_directions:
-        S = np.tensordot(w, H, axes=1)
-        S = 0.5 * (S + S.T)
-        lam = np.abs(np.linalg.eigvalsh(S)).max() if S.size else 0.0
-        best = max(best, float(lam))
-    return best
+    return float(_tensor_norms(np.asarray(H, dtype=float)[None], output_directions)[0])
 
 
 def _unit_directions(dim: int, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -275,8 +288,9 @@ def estimate_hessian_bounds(model: SystemModel,
     Parameters
     ----------
     center_path : sequence of (x, t)
-        Points the ball is centered on; long paths are subsampled to at
-        most ``max_centers`` entries.
+        Points the ball is centered on; long paths are subsampled at the
+        stride len(center_path) // max_centers. The tensor norms of all
+        sample points around one center are taken in one batched call.
     radius : float
         Ball radius alpha. Must be positive and finite.
     safety : float
@@ -286,6 +300,8 @@ def estimate_hessian_bounds(model: SystemModel,
         raise ConfigurationError(f"sampling radius must be positive and finite, got {radius}")
     if len(center_path) == 0:
         raise ConfigurationError("center_path must contain at least one point")
+    if max_centers < 1:
+        raise ConfigurationError(f"max_centers must be positive, got {max_centers}")
     rng = np.random.default_rng(seed)
 
     n, p = model.state_dim, model.output_dim
@@ -301,12 +317,14 @@ def estimate_hessian_bounds(model: SystemModel,
     kappa_c = 0.0
     for xc, t in centers:
         xc = np.asarray(xc, dtype=float).reshape(-1)
-        for r in radii:
-            points = [xc] if r == 0.0 else [xc + r * u for u in state_dirs]
-            for x in points:
-                Hf = hessian_tensor(model, x, t, "dynamics")
-                Hh = hessian_tensor(model, x, t, "output")
-                kappa_a = max(kappa_a, tensor_norm(Hf, out_dirs_f))
-                kappa_c = max(kappa_c, tensor_norm(Hh, out_dirs_h))
+        points = [x for r in radii
+                  for x in ([xc] if r == 0.0 else [xc + r * u for u in state_dirs])]
+        Hf, Hh = [], []
+        for x in points:
+            Hf.append(hessian_tensor(model, x, t, "dynamics"))
+            Hh.append(hessian_tensor(model, x, t, "output"))
+        # batched per centre, not per path, so memory stays flat in the path length
+        kappa_a = max(kappa_a, float(_tensor_norms(np.array(Hf), out_dirs_f).max()))
+        kappa_c = max(kappa_c, float(_tensor_norms(np.array(Hh), out_dirs_h).max()))
     return HessianBounds(alpha=radius, kappa_A=safety * kappa_a,
                          kappa_C=safety * kappa_c, sampled=True)

@@ -51,3 +51,17 @@ def cubic_rig():
     traj = ek.integrate_ekf(fc, y)
     return {"entry": entry, "model": entry.model, "fc": fc, "x0": x0,
             "state": state, "y": y, "traj": traj}
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """One-element list counting np.linalg.eigvalsh calls while the test runs."""
+    calls = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls[0] += 1
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ekfcert import model
 from ekfcert.cli import main
 
 
@@ -169,6 +170,27 @@ def test_certify_sampled_curvature(tmp_path):
     # estimate path stays in |x| <= 0.3, so sup of 6 eps |x| over the
     # unit tube lies between 0.6 and 0.78
     assert 0.6 <= cert["kappa_A"] <= 0.79
+
+
+def test_certify_sampled_curvature_uses_requested_centers(tmp_path, monkeypatch):
+    times = set()
+    hessian_tensor = model.hessian_tensor
+
+    def recording(m, x, t, which):
+        times.add(t)
+        return hessian_tensor(m, x, t, which)
+
+    monkeypatch.setattr(model, "hessian_tensor", recording)
+    cfg = cubic_cfg()
+    cfg["hessian"] = {"radius": 1.0, "centers": 50}
+    rc = main(["certify", "--config", write_cfg(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    # 2001 filter nodes at stride 2001 // 50 = 40
+    assert len(times) == 51
+    cfg["hessian"]["centers"] = 0
+    assert main(["certify", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 def test_certify_rejects_gamma_above_cap(tmp_path):

@@ -369,3 +369,71 @@ def test_certified_radius_implies_inequality(cubic_rig):
         assert ek.check_contraction_inequality(model, z, xhat,
                                                traj.covariances[k],
                                                cfg.Q, cfg.R, cert.gamma, t)
+
+
+def _radius_loop(model, xhat, P, Q, R, gamma, t, direction_samples=64, seed=0):
+    """Per-probe reference bisection: every probe checked on its own, in order."""
+    dim = len(xhat)
+    dirs = np.vstack([np.eye(dim), -np.eye(dim)])
+    if direction_samples > 0:
+        raw = np.random.default_rng(seed).standard_normal((direction_samples, dim))
+        dirs = np.vstack([dirs, raw / np.linalg.norm(raw, axis=1, keepdims=True)])
+
+    def holds(r):
+        return all(ek.check_contraction_inequality(model, xhat + r * u, xhat,
+                                                   P, Q, R, gamma, t) for u in dirs)
+
+    if not ek.check_contraction_inequality(model, xhat, xhat, P, Q, R, gamma, t):
+        return 0.0
+    lo, hi = 0.0, 1e6
+    if holds(hi):
+        return hi
+    while hi - lo > 1e-6 * max(lo, 1e-12):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
+@pytest.fixture(scope="module")
+def vdp_run():
+    entry = ek.make("vanderpol-pos", mu=0.15)
+    fc = ek.FilterConfig(model=entry.model, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
+                         x0=np.array([0.3, 0.2]), horizon=4.0, step=0.01)
+    _, y = ek.integrate_truth(entry.model, np.array([0.34, 0.2]), fc.horizon, fc.step)
+    traj = ek.integrate_ekf(fc, y)
+    rep = ek.covariance_bounds_report(traj)
+    return traj, rep["q_lo"] / (4.0 * rep["p_hi"])
+
+
+@pytest.mark.parametrize("k", [0, 200, 400])
+def test_empirical_radius_matches_per_probe_loop_vanderpol(vdp_run, k):
+    traj, gamma = vdp_run
+    cfg = traj.config
+    args = (cfg.model, traj.states[k], traj.covariances[k], cfg.Q, cfg.R, gamma,
+            float(traj.times[k]))
+    r = ek.empirical_radius(*args, seed=3)
+    assert 0.0 < r < 1e6
+    assert r == _radius_loop(*args, seed=3)
+
+
+@pytest.mark.parametrize("samples", [0, 64])
+def test_empirical_radius_matches_per_probe_loop_scalar(samples):
+    # in 1-D the reference adds `samples` random +-1 probes the axes already cover
+    args = (_cubic_model(), np.array([0.2]), np.array([[0.8]]), np.eye(1), np.eye(1),
+            0.1, 0.0, samples)
+    r = ek.empirical_radius(*args)
+    assert 0.0 < r < 1e6
+    assert r == _radius_loop(*args)
+
+
+def test_empirical_radius_eigvalsh_calls_independent_of_directions(vdp_run, eigvalsh_calls):
+    traj, gamma = vdp_run
+    cfg = traj.config
+    for samples in (8, 64):
+        eigvalsh_calls[0] = 0
+        r = ek.empirical_radius(cfg.model, traj.states[100], traj.covariances[100],
+                                cfg.Q, cfg.R, gamma, 1.0, direction_samples=samples)
+        # the centre, then at most two batched calls per radius tested: r_max
+        # and each bisection step down to width rel_tol * r
+        steps = math.ceil(math.log2(1e6 / (1e-6 * r))) + 1
+        assert eigvalsh_calls[0] <= 1 + 2 * (1 + steps)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ekfcert as ek
-from ekfcert.model import CBRT_EPS
+from ekfcert.model import CBRT_EPS, _unit_directions
 
 
 def _scalar_model(f, h=None, jac_a=None, jac_c=None, fd_step=None):
@@ -158,3 +160,52 @@ def test_hessian_bounds_rejects_bad_radius():
         ek.estimate_hessian_bounds(model, [(np.zeros(1), 0.0)], 0.0)
     with pytest.raises(ek.ConfigurationError):
         ek.estimate_hessian_bounds(model, [], 1.0)
+
+
+def _tensor_norm_loop(H, dirs):
+    """Per-direction reference: one contraction and one eigvalsh per w."""
+    best = 0.0
+    for w in dirs:
+        S = np.tensordot(w, H, axes=1)
+        S = 0.5 * (S + S.T)
+        best = max(best, float(np.abs(np.linalg.eigvalsh(S)).max()))
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 4), n=st.integers(1, 4), d=st.integers(0, 40),
+       scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+def test_tensor_norm_matches_per_direction_loop(m, n, d, scale, seed):
+    rng = np.random.default_rng(seed)
+    H = scale * rng.standard_normal((m, n, n))
+    dirs = rng.standard_normal((d, m))
+    assert ek.tensor_norm(H, dirs) == _tensor_norm_loop(H, dirs)
+
+
+def test_hessian_bounds_match_per_point_loop():
+    model = ek.make("vanderpol-pos", mu=0.15).model
+    path = [(np.array([0.3, 0.2]), 0.0), (np.array([-0.5, 1.0]), 1.0)]
+    hb = ek.estimate_hessian_bounds(model, path, 0.5, seed=4)
+    rng = np.random.default_rng(4)
+    state_dirs = _unit_directions(2, 32, rng)
+    out_f = _unit_directions(2, 32, rng)
+    out_h = _unit_directions(1, 32, rng)
+    ka = kc = 0.0
+    for xc, t in path:
+        for r in np.linspace(0.0, 0.5, 5):
+            for x in [xc] if r == 0.0 else [xc + r * u for u in state_dirs]:
+                ka = max(ka, _tensor_norm_loop(ek.hessian_tensor(model, x, t, "dynamics"), out_f))
+                kc = max(kc, _tensor_norm_loop(ek.hessian_tensor(model, x, t, "output"), out_h))
+    assert (hb.kappa_A, hb.kappa_C) == (1.1 * ka, 1.1 * kc)
+
+
+def test_hessian_bounds_eigvalsh_calls_independent_of_directions(eigvalsh_calls):
+    model = ek.make("vanderpol-pos", mu=0.15).model
+    path = [(np.array([0.3, 0.2]), 0.1 * k) for k in range(3)]
+    counts = []
+    for samples in (8, 64):
+        eigvalsh_calls[0] = 0
+        ek.estimate_hessian_bounds(model, path, 0.5, output_direction_samples=samples)
+        counts.append(eigvalsh_calls[0])
+    # one stacked call per centre for f and one for h
+    assert counts == [2 * len(path), 2 * len(path)]
