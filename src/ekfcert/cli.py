@@ -23,7 +23,6 @@ from .ekf import FilterConfig, FilterTrajectory, covariance_bounds_report, integ
 from .errors import (ConfigurationError, CovarianceBoundViolation,
                      DivergenceError, EkfCertError, PreconditionError)
 from .model import HessianBounds, estimate_hessian_bounds
-from .ode import TimeSeries
 from .sim import (Disturbance, envelope_check, integrate_truth, perturbed_run,
                   twin_decay)
 

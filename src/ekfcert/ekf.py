@@ -15,17 +15,44 @@ bounds p_lo I <= P(t) <= p_hi I holding along the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, CovarianceBoundViolation, DivergenceError
 from .model import SystemModel, eval_jacobians
-from .ode import TimeSeries, as_signal, rk4_step, time_grid
+from .ode import TimeSeries, as_signal, interp, rk4_step, time_grid
 
 # states beyond this magnitude are treated as numerical blow-up
 DIVERGENCE_LIMIT = 1e12
+
+Flow = Callable[[float, np.ndarray], np.ndarray]
+
+
+def integrate(rhs: Flow, y0: np.ndarray, grid: np.ndarray, guard: Flow) -> np.ndarray:
+    """The package's one RK4 driver; returns the (len(grid), len(y0)) nodes.
+
+    ``guard(t, y)`` checks each new node, raises on failure and returns the
+    node to store and continue from. ``rk4_step`` must stay a global of this
+    module: perfbench/probe.py replaces it to stop a run at its first step.
+    """
+    nodes = np.empty((len(grid), len(y0)))
+    nodes[0] = y = y0
+    for k in range(len(grid) - 1):
+        y = guard(grid[k + 1], rk4_step(rhs, grid[k], y, grid[k + 1] - grid[k]))
+        nodes[k + 1] = y
+    return nodes
+
+
+def divergence_guard(what: str) -> Flow:
+    """Guard that raises DivergenceError naming ``what`` and the node time
+    at a non-finite node or one of norm above DIVERGENCE_LIMIT."""
+    def guard(t: float, y: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(y)) or np.linalg.norm(y) > DIVERGENCE_LIMIT:
+            raise DivergenceError(f"{what} diverged at t={t:.6g}", time=float(t))
+        return y
+    return guard
 
 
 def _check_spd(M: np.ndarray, name: str, dim: int, allow_zero: bool = False) -> np.ndarray:
@@ -155,30 +182,13 @@ class FilterTrajectory:
     p_hi: float
 
     def state_at(self, t: float) -> np.ndarray:
-        return _interp_path(self.times, self.states, t)
+        return interp(self.times, self.states, t)
 
     def cov_at(self, t: float) -> np.ndarray:
-        flat = _interp_path(self.times, self.covariances.reshape(len(self.times), -1), t)
-        n = self.config.model.state_dim
-        return flat.reshape(n, n)
+        return interp(self.times, self.covariances, t)
 
     def gain_at(self, t: float) -> np.ndarray:
-        flat = _interp_path(self.times, self.gains.reshape(len(self.times), -1), t)
-        n = self.config.model.state_dim
-        return flat.reshape(n, self.config.model.output_dim)
-
-    def state_series(self) -> TimeSeries:
-        return TimeSeries(self.times, self.states)
-
-
-def _interp_path(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
-    i = np.searchsorted(times, t)
-    if i <= 0:
-        return values[0].copy()
-    if i >= len(times):
-        return values[-1].copy()
-    w = (t - times[i - 1]) / (times[i] - times[i - 1])
-    return (1.0 - w) * values[i - 1] + w * values[i]
+        return interp(self.times, self.gains, t)
 
 
 def integrate_ekf(config: FilterConfig,
@@ -220,33 +230,27 @@ def integrate_ekf(config: FilterConfig,
         dP = riccati_rhs(P, A, C, config.Q, config.R, config.N, config.beta)
         return np.concatenate([dx, dP.ravel()])
 
-    m = len(grid)
-    states = np.empty((m, n))
-    covs = np.empty((m, n, n))
-    states[0] = config.x0
-    covs[0] = config.P0
+    estimate_guard = divergence_guard("estimate")
 
-    stacked = np.concatenate([config.x0, config.P0.ravel()])
-    for k in range(m - 1):
-        h = grid[k + 1] - grid[k]
-        stacked = rk4_step(rhs, grid[k], stacked, h)
+    def guard(t: float, stacked: np.ndarray) -> np.ndarray:
         xhat = stacked[:n]
         P = stacked[n:].reshape(n, n)
         P = 0.5 * (P + P.T)
-        t_next = grid[k + 1]
-        if not np.all(np.isfinite(xhat)) or np.linalg.norm(xhat) > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"estimate diverged at t={t_next:.6g}", time=float(t_next))
+        estimate_guard(t, xhat)
         if not np.all(np.isfinite(P)):
-            raise DivergenceError(f"covariance diverged at t={t_next:.6g}", time=float(t_next))
+            raise DivergenceError(f"covariance diverged at t={t:.6g}", time=float(t))
         try:
             np.linalg.cholesky(P)
         except np.linalg.LinAlgError:
             raise CovarianceBoundViolation(
-                f"covariance lost positive definiteness at t={t_next:.6g}",
-                time=float(t_next)) from None
-        stacked = np.concatenate([xhat, P.ravel()])
-        states[k + 1] = xhat
-        covs[k + 1] = P
+                f"covariance lost positive definiteness at t={t:.6g}",
+                time=float(t)) from None
+        return np.concatenate([xhat, P.ravel()])
+
+    m = len(grid)
+    nodes = integrate(rhs, np.concatenate([config.x0, config.P0.ravel()]), grid, guard)
+    states = nodes[:, :n]
+    covs = nodes[:, n:].reshape(m, n, n)
 
     gains = np.empty((m, n, model.output_dim))
     for k in range(m):

@@ -1,8 +1,10 @@
 """Fixed-step integration primitives and time-gridded signals.
 
-All integrations in this package use the classical 4th-order Runge-Kutta
-scheme on a uniform grid. Gains and measurements recorded on a grid are
-re-evaluated between grid points by linear interpolation with clamped ends.
+All integrations take classical RK4 steps on a uniform grid through the one
+driver ``ekf.integrate``, which sits in ``ekf.py`` because the benchmark's
+set-up probe (perfbench/probe.py) stops a run by replacing
+``ekfcert.ekf.rk4_step``. Node series are re-evaluated between grid points
+by ``interp``: linear interpolation with clamped ends.
 """
 
 from __future__ import annotations
@@ -61,21 +63,21 @@ class TimeSeries:
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ConfigurationError("times must be strictly increasing")
 
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
     def at(self, t: float) -> np.ndarray:
         """Linear interpolation at t, clamped to the grid range."""
-        times = self.times
-        if len(times) == 1:
-            return self.values[0]
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        i = min(max(i, 0), len(times) - 2)
-        t0, t1 = times[i], times[i + 1]
-        w = (t - t0) / (t1 - t0)
-        w = min(max(w, 0.0), 1.0)
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        return interp(self.times, self.values, t)
+
+
+def interp(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
+    """Linear interpolation at t, clamped to the grid range; inputs are not checked."""
+    if len(times) == 1:
+        return values[0]
+    i = int(np.searchsorted(times, t, side="right")) - 1
+    i = min(max(i, 0), len(times) - 2)
+    t0, t1 = times[i], times[i + 1]
+    w = (t - t0) / (t1 - t0)
+    w = min(max(w, 0.0), 1.0)
+    return (1.0 - w) * values[i] + w * values[i + 1]
 
 
 def as_signal(source) -> Callable[[float], np.ndarray]:

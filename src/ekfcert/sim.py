@@ -18,12 +18,10 @@ from typing import Callable
 import numpy as np
 
 from .contraction import ContractionCertificate, contraction_matrix
-from .ekf import FilterTrajectory, kalman_gain
-from .errors import ConfigurationError, DivergenceError, PreconditionError
+from .ekf import FilterTrajectory, divergence_guard, integrate
+from .errors import ConfigurationError, PreconditionError
 from .model import SystemModel, eval_jacobians
-from .ode import TimeSeries, as_signal, rk4_step, time_grid
-
-DIVERGENCE_LIMIT = 1e12
+from .ode import TimeSeries, as_signal, time_grid
 
 # absolute slack when comparing a near-zero steady radius against a zero ball
 BALL_TOL = 1e-8
@@ -59,8 +57,6 @@ class ExperimentRun:
     """
 
     times: np.ndarray
-    truth: TimeSeries | None
-    measurements: np.ndarray | None
     virtual_trajs: list
     weighted_dist: np.ndarray | None
     euclid_dist: np.ndarray | None
@@ -114,29 +110,13 @@ def integrate_truth(model: SystemModel, x0: np.ndarray, horizon: float,
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     grid = time_grid(horizon, step)
-    states = np.empty((len(grid), model.state_dim))
-    states[0] = x0
-    x = x0
-    for k in range(len(grid) - 1):
-        x = rk4_step(lambda t, s: model.f(s, t), grid[k], x, grid[k + 1] - grid[k])
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"truth diverged at t={grid[k + 1]:.6g}",
-                                  time=float(grid[k + 1]))
-        states[k + 1] = x
+    states = integrate(lambda t, s: model.f(s, t), x0, grid, divergence_guard("truth"))
     traj = TimeSeries(grid, states)
 
     def y(t: float) -> np.ndarray:
         return model.h(traj.at(t), t)
 
     return traj, y
-
-
-def _gain_signal(gain_schedule, n: int, p: int) -> Callable[[float], np.ndarray]:
-    if callable(gain_schedule):
-        return lambda t: np.asarray(gain_schedule(t), dtype=float).reshape(n, p)
-    if isinstance(gain_schedule, TimeSeries):
-        return lambda t: gain_schedule.at(t).reshape(n, p)
-    raise ConfigurationError("gain_schedule must be callable or a TimeSeries")
 
 
 def integrate_virtual(model: SystemModel, gain_schedule, measurements,
@@ -150,12 +130,13 @@ def integrate_virtual(model: SystemModel, gain_schedule, measurements,
     flow.
     """
     z0 = np.asarray(z0, dtype=float).reshape(-1)
-    K = _gain_signal(gain_schedule, model.state_dim, model.output_dim)
+    gain = as_signal(gain_schedule)
     y = as_signal(measurements)
     b_worst = 0.0
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        dz = model.f(z, t) - K(t) @ (model.h(z, t) - y(t))
+        K = np.asarray(gain(t), dtype=float).reshape(model.state_dim, model.output_dim)
+        dz = model.f(z, t) - K @ (model.h(z, t) - y(t))
         if disturbance is not None:
             bv = np.asarray(disturbance.b(z, t), dtype=float).reshape(-1)
             nonlocal b_worst
@@ -164,15 +145,7 @@ def integrate_virtual(model: SystemModel, gain_schedule, measurements,
         return dz
 
     grid = time_grid(horizon, step)
-    states = np.empty((len(grid), model.state_dim))
-    states[0] = z0
-    z = z0
-    for k in range(len(grid) - 1):
-        z = rk4_step(rhs, grid[k], z, grid[k + 1] - grid[k])
-        if not np.all(np.isfinite(z)) or np.linalg.norm(z) > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"virtual state diverged at t={grid[k + 1]:.6g}",
-                                  time=float(grid[k + 1]))
-        states[k + 1] = z
+    states = integrate(rhs, z0, grid, divergence_guard("virtual state"))
     if disturbance is not None and b_worst > disturbance.b_max * (1.0 + 1e-9) + 1e-300:
         raise PreconditionError(
             f"disturbance bound violated: observed {b_worst:.6g} > b_max {disturbance.b_max:.6g}")
@@ -236,8 +209,7 @@ def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
         info["gamma"] = certificate.gamma
         # decade-fit slack of 10% on the certified rate 2 gamma
         info["rate_pass"] = bool(math.isnan(rate) or rate >= 2.0 * certificate.gamma * 0.9)
-    return ExperimentRun(times=z1.times, truth=None, measurements=None,
-                         virtual_trajs=[z1.values, z2.values],
+    return ExperimentRun(times=z1.times, virtual_trajs=[z1.values, z2.values],
                          weighted_dist=weighted, euclid_dist=euclid,
                          fitted_rate=rate, info=info)
 
@@ -309,9 +281,8 @@ def perturbed_run(model: SystemModel, filter_run: FilterTrajectory,
         "gamma": gamma,
         "factor": factor,
     }
-    return ExperimentRun(times=z.times, truth=None, measurements=None,
-                         virtual_trajs=[z.values], weighted_dist=weighted,
-                         euclid_dist=euclid,
+    return ExperimentRun(times=z.times, virtual_trajs=[z.values],
+                         weighted_dist=weighted, euclid_dist=euclid,
                          fitted_rate=fit_exponential_rate(z.times, weighted),
                          info=info)
 
@@ -352,16 +323,9 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
 
     grid = time_grid(horizon, step)
     m = len(grid)
-    zs = np.empty((m, n))
-    dzs = np.empty((m, n))
-    zs[0], dzs[0] = z0, dz0
-    s = np.concatenate([z0, dz0])
-    for k in range(m - 1):
-        s = rk4_step(rhs, grid[k], s, grid[k + 1] - grid[k])
-        if not np.all(np.isfinite(s)):
-            raise DivergenceError(f"variational state diverged at t={grid[k + 1]:.6g}",
-                                  time=float(grid[k + 1]))
-        zs[k + 1], dzs[k + 1] = s[:n], s[n:]
+    nodes = integrate(rhs, np.concatenate([z0, dz0]), grid,
+                      divergence_guard("variational state"))
+    zs, dzs = nodes[:, :n], nodes[:, n:]
 
     Q, R = filter_run.config.Q, filter_run.config.R
     covs = _covariances_on(filter_run, grid)
