@@ -3,7 +3,9 @@
 Every command reads one JSON config file, runs deterministically (fixed-step
 integration, seeded sampling), writes CSV traces plus a summary JSON that
 embeds the resolved config, and signals its result through the exit code:
-0 all checks passed, 1 a check failed, 2 the configuration was invalid.
+0 all checks passed, 1 a check or the run failed, 2 the configuration was
+invalid. A run that diverges or loses positive definiteness still writes
+summary.json, with status "failed".
 """
 
 from __future__ import annotations
@@ -113,11 +115,12 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list, columns: list) -> None:
-    columns = [np.asarray(c, dtype=float) for c in columns]
+def _write_csv(path: Path, columns: dict) -> None:
+    """One column per entry of ``columns``, headed by its key, in order."""
+    values = [np.asarray(c, dtype=float) for c in columns.values()]
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*values):
             fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
 
 
@@ -191,46 +194,31 @@ def _certificate(cfg: dict, entry, traj: FilterTrajectory) -> ContractionCertifi
     return make_certificate(report, hess, None if gamma is None else float(gamma))
 
 
-def _trajectory_csv(path: Path, traj: FilterTrajectory) -> None:
+def _trajectory_columns(traj: FilterTrajectory) -> dict:
     n = traj.config.model.state_dim
     p = traj.config.model.output_dim
-    header = ["t"]
-    columns = [traj.times]
+    columns = {"t": traj.times}
     for i in range(n):
-        header.append(f"xhat_{i}")
-        columns.append(traj.states[:, i])
+        columns[f"xhat_{i}"] = traj.states[:, i]
     for i in range(n):
         for j in range(i, n):
-            header.append(f"P_{i}{j}")
-            columns.append(traj.covariances[:, i, j])
+            columns[f"P_{i}{j}"] = traj.covariances[:, i, j]
     for i in range(n):
         for j in range(p):
-            header.append(f"K_{i}{j}")
-            columns.append(traj.gains[:, i, j])
-    _write_csv(path, header, columns)
+            columns[f"K_{i}{j}"] = traj.gains[:, i, j]
+    return columns
 
 
-def cmd_simulate(cfg: dict, out: Path) -> int:
-    try:
-        entry, fconfig, truth, traj = _prepare_run(cfg)
-    except (DivergenceError, CovarianceBoundViolation) as exc:
-        _write_json(out / "summary.json", {
-            "command": "simulate", "config": cfg, "status": "failed",
-            "failure": str(exc), "failure_time": exc.time})
-        print(f"simulate: failed at t={exc.time:.6g}: {exc}", file=sys.stderr)
-        return 1
+def cmd_simulate(cfg: dict) -> tuple[dict, bool, dict | None]:
+    entry, fconfig, truth, traj = _prepare_run(cfg)
     report = covariance_bounds_report(traj)
-    _trajectory_csv(out / "trajectory.csv", traj)
-    _write_json(out / "summary.json", {
-        "command": "simulate", "config": cfg, "status": "ok",
-        "report": report, "system": entry.name})
     print(f"simulate: p_lo={report['p_lo']:.6g} p_hi={report['p_hi']:.6g} "
           f"q_lo={report['q_lo']:.6g}")
-    print(f"wrote {out / 'trajectory.csv'} and {out / 'summary.json'}")
-    return 0 if report["positive_definite"] else 1
+    return ({"report": report, "system": entry.name}, report["positive_definite"],
+            _trajectory_columns(traj))
 
 
-def cmd_certify(cfg: dict, out: Path) -> int:
+def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
     entry, fconfig, truth, traj = _prepare_run(cfg)
     cert = _certificate(cfg, entry, traj)
     seed = int(cfg.get("seed", 0))
@@ -241,21 +229,18 @@ def cmd_certify(cfg: dict, out: Path) -> int:
                               direction_samples=int(cfg.get("direction_samples", 64)),
                               seed=seed)
              for k in idx]
-    _write_csv(out / "radius.csv", ["t", "r_empirical", "zeta_plus"],
-               [traj.times[idx], radii, np.full(len(idx), cert.zeta_plus)])
-    _write_json(out / "summary.json", {
-        "command": "certify", "config": cfg, "status": "ok",
+    print(f"certify: gamma={cert.gamma:.6g} zeta_plus={cert.zeta_plus:.6g} "
+          f"rho={cert.rho:.6g} basin_euclid={cert.basin_euclid:.6g}")
+    fields = {
         "certificate": cert.as_dict(),
         "report": covariance_bounds_report(traj),
         "radius_series": [{"t": float(traj.times[k]), "r_empirical": float(r)}
-                          for k, r in zip(idx, radii)]})
-    print(f"certify: gamma={cert.gamma:.6g} zeta_plus={cert.zeta_plus:.6g} "
-          f"rho={cert.rho:.6g} basin_euclid={cert.basin_euclid:.6g}")
-    print(f"wrote {out / 'radius.csv'} and {out / 'summary.json'}")
-    return 0
+                          for k, r in zip(idx, radii)]}
+    return fields, True, {"t": traj.times[idx], "r_empirical": radii,
+                          "zeta_plus": np.full(len(idx), cert.zeta_plus)}
 
 
-def cmd_compare(cfg: dict, out: Path) -> int:
+def cmd_compare(cfg: dict) -> tuple[dict, bool, dict | None]:
     comp = _section(cfg, "compare")
     for key in ("p_lo", "p_hi", "q_lo", "r_lo", "kappa_A", "kappa_C"):
         if key not in comp:
@@ -275,13 +260,10 @@ def cmd_compare(cfg: dict, out: Path) -> int:
     for key, label in labels.items():
         print(f"{label:<22}{cell(rows['lyapunov'][key]):>16}"
               f"{cell(rows['contraction'][key]):>16}{cell(rows['ratio'][key]):>16}")
-    _write_json(out / "summary.json", {
-        "command": "compare", "config": cfg, "status": "ok", "table": rows})
-    print(f"wrote {out / 'summary.json'}")
-    return 0
+    return {"table": rows}, True, None
 
 
-def cmd_twin(cfg: dict, out: Path) -> int:
+def cmd_twin(cfg: dict) -> tuple[dict, bool, dict | None]:
     entry, fconfig, truth, traj = _prepare_run(cfg)
     cert = _certificate(cfg, entry, traj)
     twin_cfg = _section(cfg, "twin")
@@ -292,22 +274,18 @@ def cmd_twin(cfg: dict, out: Path) -> int:
                      _matrix(twin_cfg["z1_0"], "twin.z1_0").reshape(-1),
                      _matrix(twin_cfg["z2_0"], "twin.z2_0").reshape(-1),
                      certificate=cert)
-    _write_csv(out / "twin.csv", ["t", "dist_w", "dist_e"],
-               [run.times, run.weighted_dist, run.euclid_dist])
     # the rate guarantee only binds when both starts are inside the basin
     passed = run.info["rate_pass"] or not run.info["within_basin"]
-    _write_json(out / "summary.json", {
-        "command": "twin", "config": cfg, "status": "ok",
-        "certificate": cert.as_dict(), "info": run.info,
-        "fitted_rate": run.fitted_rate, "passed": passed})
     print(f"twin: fitted_rate={run.fitted_rate:.6g} threshold="
           f"{2.0 * cert.gamma * 0.9:.6g} within_basin={run.info['within_basin']} "
           f"pass={passed}")
-    print(f"wrote {out / 'twin.csv'} and {out / 'summary.json'}")
-    return 0 if passed else 1
+    fields = {"certificate": cert.as_dict(), "info": run.info,
+              "fitted_rate": run.fitted_rate, "passed": passed}
+    return fields, passed, {"t": run.times, "dist_w": run.weighted_dist,
+                            "dist_e": run.euclid_dist}
 
 
-def cmd_perturb(cfg: dict, out: Path) -> int:
+def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
     entry, fconfig, truth, traj = _prepare_run(cfg)
     pert = _section(cfg, "perturb")
     vec = _matrix(pert.get("vector", np.zeros(entry.model.state_dim)),
@@ -325,63 +303,70 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
     gamma = cfg.get("gamma")
     run = perturbed_run(entry.model, traj, dist, z0,
                         gamma=None if gamma is None else float(gamma))
-    _write_csv(out / "perturb.csv", ["t", "dist_w", "dist_e"],
-               [run.times, run.weighted_dist, run.euclid_dist])
     passed = run.info["within_standard"]
-    _write_json(out / "summary.json", {
-        "command": "perturb", "config": cfg, "status": "ok",
-        "info": run.info, "passed": passed})
     print(f"perturb: steady_radius={run.info['steady_radius']:.6g} "
           f"ball_standard={run.info['ball_standard']:.6g} "
           f"ball_printed={run.info['ball_printed']:.6g} pass={passed}")
-    print(f"wrote {out / 'perturb.csv'} and {out / 'summary.json'}")
-    return 0 if passed else 1
+    return {"info": run.info, "passed": passed}, passed, {
+        "t": run.times, "dist_w": run.weighted_dist, "dist_e": run.euclid_dist}
 
 
-def cmd_envelope(cfg: dict, out: Path) -> int:
+def cmd_envelope(cfg: dict) -> tuple[dict, bool, dict | None]:
     entry, fconfig, truth, traj = _prepare_run(cfg)
     cert = _certificate(cfg, entry, traj)
     report = envelope_check(traj, truth, cert)
-    _write_csv(out / "envelope.csv", ["t", "error", "envelope", "margin"],
-               [report.times, report.error, report.envelope, report.margins])
-    _write_json(out / "summary.json", {
-        "command": "envelope", "config": cfg, "status": "ok",
-        "certificate": cert.as_dict(),
-        "worst_margin": report.worst_margin, "worst_time": report.worst_time,
-        "initial_error": report.initial_error,
-        "within_basin": report.within_basin, "passed": report.passed})
     print(f"envelope: worst_margin={report.worst_margin:.6g} at "
           f"t={report.worst_time:.6g} within_basin={report.within_basin} "
           f"pass={report.passed}")
-    print(f"wrote {out / 'envelope.csv'} and {out / 'summary.json'}")
-    return 0 if report.passed else 1
+    fields = {"certificate": cert.as_dict(),
+              "worst_margin": report.worst_margin, "worst_time": report.worst_time,
+              "initial_error": report.initial_error,
+              "within_basin": report.within_basin, "passed": report.passed}
+    return fields, report.passed, {"t": report.times, "error": report.error,
+                                   "envelope": report.envelope,
+                                   "margin": report.margins}
 
 
+# command -> (handler, CSV file name). A handler runs its computation, prints its
+# one result line and returns (summary fields, passed, CSV columns or None).
 _HANDLERS = {
-    "simulate": cmd_simulate,
-    "certify": cmd_certify,
-    "compare": cmd_compare,
-    "twin": cmd_twin,
-    "perturb": cmd_perturb,
-    "envelope": cmd_envelope,
+    "simulate": (cmd_simulate, "trajectory.csv"),
+    "certify": (cmd_certify, "radius.csv"),
+    "compare": (cmd_compare, None),
+    "twin": (cmd_twin, "twin.csv"),
+    "perturb": (cmd_perturb, "perturb.csv"),
+    "envelope": (cmd_envelope, "envelope.csv"),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, csv_name = _HANDLERS[args.command]
     try:
         cfg = _load_config(args.config)
         _apply_overrides(cfg, args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.command](cfg, out)
+        try:
+            fields, passed, columns = handler(cfg)
+            fields["status"] = "ok"
+        except (DivergenceError, CovarianceBoundViolation) as exc:
+            # a failed run writes summary.json only, with the failure and its time
+            when = "" if exc.time is None else f" at t={exc.time:.6g}"
+            print(f"{args.command}: failed{when}: {exc}", file=sys.stderr)
+            fields = {"status": "failed", "failure": str(exc), "failure_time": exc.time}
+            passed, columns = False, None
+        written = []
+        if columns is not None:
+            written.append(out / csv_name)
+            _write_csv(written[-1], columns)
+        written.append(out / "summary.json")
+        _write_json(written[-1], {"command": args.command, "config": cfg, **fields})
+        print("wrote " + " and ".join(str(path) for path in written))
+        return 0 if passed else 1
     except (ConfigurationError, PreconditionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, CovarianceBoundViolation) as exc:
-        when = "" if exc.time is None else f" at t={exc.time:.6g}"
-        print(f"run failed{when}: {exc}", file=sys.stderr)
-        return 1
     except EkfCertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,9 @@ from .model import (HessianBounds, SystemModel, _unit_directions, eval_jacobians
 
 # slack allowed when deciding lambda_max(S) <= 0 in floating point
 PSD_TOL_SCALE = 1e-9
+RADIUS_MAX = 1e6          # empirical_radius bisects over [0, RADIUS_MAX] ...
+RADIUS_REL_TOL = 1e-6     # ... down to a bracket width of RADIUS_REL_TOL * r
+OUTPUT_CHECK_TIMES = 50   # filter nodes linear_output_check visits at most
 
 
 def _negative_semidefinite(S: np.ndarray) -> np.ndarray:
@@ -120,8 +123,7 @@ def check_contraction_inequality(model: SystemModel, z: np.ndarray, xhat: np.nda
 
 def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
                      Q: np.ndarray, R: np.ndarray, gamma: float, t: float,
-                     direction_samples: int = 64, *, r_max: float = 1e6,
-                     rel_tol: float = 1e-6, seed: int = 0) -> float:
+                     direction_samples: int = 64, *, seed: int = 0) -> float:
     """Largest sampled radius around xhat on which the inequality holds.
 
     Bisects over the radius, testing the contraction inequality at
@@ -130,7 +132,7 @@ def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
     they are the only unit vectors). The value is a sampled
     over-approximation of the true radius: the inequality is only verified
     on the probed directions, and the search assumes the pass set is an
-    interval. Returns ``r_max`` when even the largest radius passes
+    interval. Returns RADIUS_MAX when even that radius passes
     (linear systems) and 0.0 when the center itself fails.
 
     The Jacobians at xhat are evaluated once. Each bisection step first
@@ -169,11 +171,11 @@ def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
 
     if not passes(xhat[None])[0]:
         return 0.0
-    if holds(r_max):
-        return r_max
-    lo, hi = 0.0, r_max
+    if holds(RADIUS_MAX):
+        return RADIUS_MAX
+    lo, hi = 0.0, RADIUS_MAX
     for _ in range(200):
-        if hi - lo <= rel_tol * max(lo, 1e-12):
+        if hi - lo <= RADIUS_REL_TOL * max(lo, 1e-12):
             break
         mid = 0.5 * (lo + hi)
         if holds(mid):
@@ -267,13 +269,13 @@ def make_certificate(bounds: dict, hess: HessianBounds,
 
 
 def linear_output_check(model: SystemModel, traj, sample_states,
-                        gamma: float, time_samples: int = 50) -> dict:
+                        gamma: float) -> dict:
     """Linear-output contraction test over sampled states and times.
 
     For a linear output map the inequality reduces to
     lambda_max(Atil P + P Atil^T) <= q_lo - 2 gamma p_hi. The check
     runs over every state in ``sample_states`` against up to
-    ``time_samples`` nodes of the filter run and reports the worst margin
+    OUTPUT_CHECK_TIMES nodes of the filter run and reports the worst margin
     (threshold minus left side; negative means failure).
 
     Raises
@@ -286,7 +288,7 @@ def linear_output_check(model: SystemModel, traj, sample_states,
     p_hi = traj.p_hi
     threshold = q_lo - 2.0 * gamma * p_hi
     idx = np.unique(np.linspace(0, len(traj.times) - 1,
-                                min(time_samples, len(traj.times))).astype(int))
+                                min(OUTPUT_CHECK_TIMES, len(traj.times))).astype(int))
     sample_states = [np.asarray(z, dtype=float).reshape(-1) for z in sample_states]
 
     worst = float("inf")

@@ -20,6 +20,7 @@ from .errors import ConfigurationError, ModelEvaluationError
 EPS = np.finfo(float).eps
 CBRT_EPS = EPS ** (1.0 / 3.0)     # near-optimal step for first-order central differences
 QUARTIC_EPS = EPS ** 0.25         # near-optimal step for direct second differences
+RADIAL_SAMPLES = 5                # radii from 0 to the tube radius in estimate_hessian_bounds
 
 
 @dataclass
@@ -103,23 +104,24 @@ def _default_step(x: np.ndarray, base: float) -> float:
     return base * max(1.0, float(np.linalg.norm(x)))
 
 
-def _fd_jacobian(func: Callable[[np.ndarray, float], np.ndarray],
-                 x: np.ndarray, t: float, out_dim: int, step: float) -> np.ndarray:
+def _central_differences(g: Callable[[np.ndarray, float], np.ndarray],
+                         x: np.ndarray, t: float, step: float) -> np.ndarray:
+    """(g(x + step e_i, t) - g(x - step e_i, t)) / (2 step), stacked on axis 1."""
     n = len(x)
-    J = np.empty((out_dim, n))
+    columns = []
     for i in range(n):
         e = np.zeros(n)
         e[i] = step
-        J[:, i] = (func(x + e, t) - func(x - e, t)) / (2.0 * step)
-    return J
+        columns.append((g(x + e, t) - g(x - e, t)) / (2.0 * step))
+    return np.stack(columns, axis=1)
 
 
-def eval_jacobians(model: SystemModel, x: np.ndarray, t: float,
-                   fd_step: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def eval_jacobians(model: SystemModel, x: np.ndarray,
+                   t: float) -> tuple[np.ndarray, np.ndarray]:
     """Jacobians (A, C) of the drift and output maps at (x, t).
 
     Analytic callbacks are used when the model provides them; otherwise
-    central finite differences with step ``fd_step`` (default
+    central finite differences with step ``model.fd_step`` (default
     cbrt(eps) * max(1, ||x||)).
 
     Raises
@@ -130,7 +132,7 @@ def eval_jacobians(model: SystemModel, x: np.ndarray, t: float,
     x = np.asarray(x, dtype=float).reshape(-1)
     if not np.all(np.isfinite(x)):
         raise ModelEvaluationError(f"state contains non-finite entries: {x}")
-    step = fd_step if fd_step is not None else model.fd_step
+    step = model.fd_step
     if step is None:
         step = _default_step(x, CBRT_EPS)
 
@@ -138,12 +140,12 @@ def eval_jacobians(model: SystemModel, x: np.ndarray, t: float,
         A = np.asarray(model.jacobian_A(x, t), dtype=float).reshape(model.state_dim,
                                                                     model.state_dim)
     else:
-        A = _fd_jacobian(model.f, x, t, model.state_dim, step)
+        A = _central_differences(model.f, x, t, step)
     if model.jacobian_C is not None:
         C = np.asarray(model.jacobian_C(x, t), dtype=float).reshape(model.output_dim,
                                                                     model.state_dim)
     else:
-        C = _fd_jacobian(model.h, x, t, model.output_dim, step)
+        C = _central_differences(model.h, x, t, step)
 
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(C))):
         raise ModelEvaluationError(f"Jacobian evaluation produced non-finite entries at t={t}")
@@ -160,25 +162,6 @@ def tilde_matrices(model: SystemModel, z: np.ndarray, xhat: np.ndarray,
     Az, Cz = eval_jacobians(model, z, t)
     Ah, Ch = eval_jacobians(model, xhat, t)
     return Az - Ah, Cz - Ch
-
-
-def _hessian_from_jacobian(jac: Callable[[np.ndarray, float], np.ndarray],
-                           x: np.ndarray, t: float, out_dim: int,
-                           step: float) -> np.ndarray:
-    """Second-derivative tensor by central differences of an analytic Jacobian.
-
-    Exact (bit-for-bit zero) for state-independent Jacobians, which keeps
-    linear systems at kappa = 0.
-    """
-    n = len(x)
-    H = np.empty((out_dim, n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        Jp = np.asarray(jac(x + e, t), dtype=float).reshape(out_dim, n)
-        Jm = np.asarray(jac(x - e, t), dtype=float).reshape(out_dim, n)
-        H[:, i, :] = (Jp - Jm) / (2.0 * step)
-    return 0.5 * (H + H.transpose(0, 2, 1))
 
 
 def _hessian_from_values(func: Callable[[np.ndarray, float], np.ndarray],
@@ -218,7 +201,13 @@ def hessian_tensor(model: SystemModel, x: np.ndarray, t: float,
     else:
         raise ConfigurationError(f"unknown map selector {which!r}")
     if jac is not None:
-        H = _hessian_from_jacobian(jac, x, t, out_dim, _default_step(x, CBRT_EPS))
+        # central differences of an analytic Jacobian are exact (bit-for-bit
+        # zero) for state-independent Jacobians, which keeps linear systems
+        # at kappa = 0
+        H = _central_differences(
+            lambda z, s: np.asarray(jac(z, s), dtype=float).reshape(out_dim, len(x)),
+            x, t, _default_step(x, CBRT_EPS))
+        H = 0.5 * (H + H.transpose(0, 2, 1))
     else:
         H = _hessian_from_values(func, x, t, out_dim, _default_step(x, QUARTIC_EPS))
     if not np.all(np.isfinite(H)):
@@ -272,7 +261,6 @@ def estimate_hessian_bounds(model: SystemModel,
                             radius: float,
                             *,
                             safety: float = 1.1,
-                            radial_samples: int = 5,
                             direction_samples: int = 32,
                             output_direction_samples: int = 32,
                             max_centers: int = 25,
@@ -280,8 +268,9 @@ def estimate_hessian_bounds(model: SystemModel,
     """Sampled suprema of the second-derivative tensor norms over a tube.
 
     Evaluates the Hessians of f and h on a grid of points within ``radius``
-    of the given (state, time) path, takes the largest sampled tensor norm
-    and inflates it by ``safety``. The result is an empirical bound, not a
+    of the given (state, time) path (each centre plus RADIAL_SAMPLES - 1
+    evenly spaced shells of sampled directions), takes the largest sampled
+    tensor norm and inflates it by ``safety``. The result is an empirical bound, not a
     certified supremum; callers with analytic bounds should construct
     :class:`HessianBounds` directly.
 
@@ -311,7 +300,7 @@ def estimate_hessian_bounds(model: SystemModel,
 
     stride = max(1, len(center_path) // max_centers)
     centers = list(center_path)[::stride]
-    radii = np.linspace(0.0, radius, radial_samples)
+    radii = np.linspace(0.0, radius, RADIAL_SAMPLES)
 
     kappa_a = 0.0
     kappa_c = 0.0

@@ -21,10 +21,12 @@ from .contraction import ContractionCertificate, contraction_matrix
 from .ekf import FilterTrajectory, divergence_guard, integrate
 from .errors import ConfigurationError, PreconditionError
 from .model import SystemModel, eval_jacobians
-from .ode import TimeSeries, as_signal, time_grid
+from .ode import TimeSeries, as_signal, interp, time_grid
 
 # absolute slack when comparing a near-zero steady radius against a zero ball
 BALL_TOL = 1e-8
+FIT_WINDOW = (0.1, 0.9)   # fractions of the horizon fit_exponential_rate fits over
+FIT_FLOOR = 1e-12         # numerical zero: the log of smaller values would swamp the fit
 
 
 @dataclass
@@ -81,19 +83,18 @@ class EnvelopeReport:
     factor: float
 
 
-def fit_exponential_rate(times: np.ndarray, values: np.ndarray,
-                         window: tuple = (0.1, 0.9),
-                         floor: float = 1e-12) -> float:
+def fit_exponential_rate(times: np.ndarray, values: np.ndarray) -> float:
     """Least-squares exponential decay rate of a positive series.
 
-    Fits log(values) ~ a - rate * t over the window [w0*T, w1*T], skipping
-    entries at or below ``floor`` (numerical zeros whose log would swamp
-    the fit). Returns NaN when fewer than two usable points remain.
+    Fits log(values) ~ a - rate * t over the window FIT_WINDOW of the
+    horizon T, skipping entries at or below FIT_FLOOR. Returns NaN when
+    fewer than two usable points remain.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     T = times[-1]
-    mask = (times >= window[0] * T) & (times <= window[1] * T) & (values > floor)
+    mask = ((times >= FIT_WINDOW[0] * T) & (times <= FIT_WINDOW[1] * T)
+            & (values > FIT_FLOOR))
     if mask.sum() < 2:
         return float("nan")
     slope = np.polyfit(times[mask], np.log(values[mask]), 1)[0]
@@ -152,10 +153,12 @@ def integrate_virtual(model: SystemModel, gain_schedule, measurements,
     return TimeSeries(grid, states)
 
 
-def _covariances_on(traj: FilterTrajectory, times: np.ndarray) -> np.ndarray:
-    if len(times) == len(traj.times) and np.array_equal(times, traj.times):
-        return traj.covariances
-    return np.stack([traj.cov_at(float(t)) for t in times])
+def _resample(node_times: np.ndarray, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """A node series at ``times``: the nodes themselves on the same grid,
+    else one ``interp`` per point."""
+    if len(times) == len(node_times) and np.array_equal(times, node_times):
+        return nodes
+    return np.stack([interp(node_times, nodes, float(t)) for t in times])
 
 
 def _weighted_sq(covs: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -193,7 +196,7 @@ def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
                            z1_0, horizon, step)
     z2 = integrate_virtual(model, filter_run.gain_at, filter_run.measurement_signal,
                            z2_0, horizon, step)
-    covs = _covariances_on(filter_run, z1.times)
+    covs = _resample(filter_run.times, filter_run.covariances, z1.times)
     delta = z1.values - z2.values
     weighted = _weighted_sq(covs, delta)
     euclid = np.linalg.norm(delta, axis=1)
@@ -223,7 +226,7 @@ def envelope_check(filter_run: FilterTrajectory, truth: TimeSeries,
     apply; membership is reported, and the check proceeds either way.
     """
     times = filter_run.times
-    truth_states = np.stack([truth.at(float(t)) for t in times])
+    truth_states = _resample(truth.times, truth.values, times)
     err = np.linalg.norm(filter_run.states - truth_states, axis=1)
     e0 = float(err[0])
     env = certificate.envelope_factor * e0 * np.exp(-certificate.gamma * times)
@@ -239,8 +242,7 @@ def envelope_check(filter_run: FilterTrajectory, truth: TimeSeries,
 
 
 def perturbed_run(model: SystemModel, filter_run: FilterTrajectory,
-                  disturbance: Disturbance, z0: np.ndarray,
-                  horizon: float | None = None, *,
+                  disturbance: Disturbance, z0: np.ndarray, *,
                   certificate: ContractionCertificate | None = None,
                   gamma: float | None = None) -> ExperimentRun:
     """Virtual trajectory with additive disturbance; steady-state ball.
@@ -249,21 +251,20 @@ def perturbed_run(model: SystemModel, filter_run: FilterTrajectory,
     ||z - xhat|| over the trailing third of the horizon, compared against
     two candidate ball radii: sqrt(p_hi/p_lo) * gamma * b_max and
     sqrt(p_hi/p_lo) * b_max / gamma. Only the second (the standard
-    gain/rate form) drives the pass flag; both are reported.
+    gain/rate form) drives the pass flag; both are reported. The run covers
+    the filter run's horizon.
     """
-    if horizon is None:
-        horizon = float(filter_run.times[-1])
     if gamma is None:
         gamma = (certificate.gamma if certificate is not None
                  else filter_run.config.q_lo / (4.0 * filter_run.p_hi))
     if gamma <= 0.0:
         raise ConfigurationError(f"gamma must be positive, got {gamma}")
     z = integrate_virtual(model, filter_run.gain_at, filter_run.measurement_signal,
-                          z0, horizon, filter_run.config.step, disturbance=disturbance)
-    xhat = np.stack([filter_run.state_at(float(t)) for t in z.times])
-    delta = z.values - xhat
+                          z0, float(filter_run.times[-1]), filter_run.config.step,
+                          disturbance=disturbance)
+    delta = z.values - _resample(filter_run.times, filter_run.states, z.times)
     euclid = np.linalg.norm(delta, axis=1)
-    covs = _covariances_on(filter_run, z.times)
+    covs = _resample(filter_run.times, filter_run.covariances, z.times)
     weighted = _weighted_sq(covs, delta)
 
     tail = z.times >= (2.0 / 3.0) * z.times[-1]
@@ -288,8 +289,7 @@ def perturbed_run(model: SystemModel, filter_run: FilterTrajectory,
 
 
 def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
-                          z0: np.ndarray, horizon: float | None = None, *,
-                          step: float | None = None,
+                          z0: np.ndarray, *, step: float | None = None,
                           dz0: np.ndarray | None = None) -> float:
     """Consistency of d/dt(dz^T P^{-1} dz) with dz^T P^{-1} M P^{-1} dz.
 
@@ -298,10 +298,9 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     length numerically in time, and compares it at every interior grid
     node against the quadratic form of the contraction matrix. Returns
     the maximum absolute deviation relative to the largest magnitude of
-    the quadratic form (the two sides agree up to O(step^2)).
+    the quadratic form (the two sides agree up to O(step^2)). The run
+    covers the filter run's horizon.
     """
-    if horizon is None:
-        horizon = float(filter_run.times[-1])
     if step is None:
         step = filter_run.config.step
     n = model.state_dim
@@ -321,19 +320,19 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
         zdot = model.f(z, t) - Kt @ (model.h(z, t) - y(t))
         return np.concatenate([zdot, dzdot])
 
-    grid = time_grid(horizon, step)
+    grid = time_grid(float(filter_run.times[-1]), step)
     m = len(grid)
     nodes = integrate(rhs, np.concatenate([z0, dz0]), grid,
                       divergence_guard("variational state"))
     zs, dzs = nodes[:, :n], nodes[:, n:]
 
     Q, R = filter_run.config.Q, filter_run.config.R
-    covs = _covariances_on(filter_run, grid)
+    covs = _resample(filter_run.times, filter_run.covariances, grid)
+    xhats = _resample(filter_run.times, filter_run.states, grid)
     w = _weighted_sq(covs, dzs)
     quad = np.empty(m)
     for k in range(m):
-        M = contraction_matrix(model, zs[k], filter_run.state_at(float(grid[k])),
-                               covs[k], Q, R, float(grid[k]))
+        M = contraction_matrix(model, zs[k], xhats[k], covs[k], Q, R, float(grid[k]))
         sk = np.linalg.solve(covs[k], dzs[k])
         quad[k] = sk @ (M @ sk)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ekfcert import model
+from ekfcert import cli, model
 from ekfcert.cli import main
 
 
@@ -281,3 +281,55 @@ def test_override_flags_are_embedded(tmp_path):
     rc = main(["simulate", "--config", write_cfg(tmp_path, scalar_cfg(), "c2.json"),
                "--out", str(out), "--inflation-n", str(tmp_path / "absent.txt")])
     assert rc == 2
+
+
+TRAJECTORY_COMMANDS = ["simulate", "certify", "twin", "perturb", "envelope"]
+
+
+def test_every_trajectory_command_writes_the_failure_summary(tmp_path, capsys):
+    # Q ~ 0 with a large P0 drives P through zero at the first step
+    cfg = scalar_cfg(horizon=1.0, step=0.2, twin={"z1_0": [0.8], "z2_0": [0.3]})
+    cfg["filter"]["Q"] = [[1e-12]]
+    cfg["filter"]["P0"] = [[10.0]]
+    path = write_cfg(tmp_path, cfg)
+    keys = set()
+    for cmd in TRAJECTORY_COMMANDS:
+        out = tmp_path / cmd
+        assert main([cmd, "--config", path, "--out", str(out)]) == 1, cmd
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json"], cmd
+        summary = read_summary(out)
+        keys.add(tuple(sorted(summary)))
+        assert summary["command"] == cmd
+        assert summary["status"] == "failed"
+        assert summary["failure_time"] == pytest.approx(0.2)
+        assert "positive definiteness" in summary["failure"]
+        assert capsys.readouterr().err.startswith(f"{cmd}: failed at t=0.2: ")
+    assert keys == {("command", "config", "failure", "failure_time", "status")}
+
+
+# the ekfcert.cli globals the benchmark's tracing wraps in spans
+TRACED_CLI_NAMES = ["integrate_truth", "integrate_ekf", "estimate_hessian_bounds",
+                    "empirical_radius", "twin_decay", "perturbed_run", "envelope_check"]
+
+
+def test_commands_call_the_traced_module_globals(tmp_path, monkeypatch):
+    calls = dict.fromkeys(TRACED_CLI_NAMES, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in TRACED_CLI_NAMES:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    cfg = cubic_cfg(horizon=1.0, step=0.01, radius_times=2, direction_samples=2,
+                    twin={"z1_0": [0.3], "z2_0": [-0.2]},
+                    perturb={"type": "const", "vector": [0.01]})
+    declared = write_cfg(tmp_path, cfg)
+    cfg["hessian"] = {"radius": 0.5, "centers": 2}
+    sampled = write_cfg(tmp_path, cfg, "sampled.json")
+    for cmd, path in [("simulate", declared), ("certify", sampled), ("twin", declared),
+                      ("perturb", declared), ("envelope", declared)]:
+        assert main([cmd, "--config", path, "--out", str(tmp_path / cmd)]) == 0, cmd
+    assert all(calls.values()), calls

@@ -208,3 +208,26 @@ def test_bounds_report_on_decaying_covariance(scalar_rig):
     assert rep["p_lo"] == pytest.approx(1.0, abs=1e-6)
     assert rep["ratio"] == pytest.approx(rep["p_hi"] / rep["p_lo"])
     assert rep["q_lo"] == 1.0 and rep["r_lo"] == 1.0
+
+
+def test_covariance_stays_exactly_symmetric_without_resymmetrizing():
+    # integrate_ekf relies on this: P0 is symmetrized once, riccati_rhs
+    # returns an exactly symmetric dP, and RK4 combines stages elementwise
+    rng = np.random.default_rng(5)
+    P0 = np.array([[1.3, 0.4, 0.1], [0.4, 0.7, -0.2], [0.1, -0.2, 0.9]])
+    Q = np.array([[1.0, 0.3, 0.0], [0.3, 0.6, 0.1], [0.0, 0.1, 0.8]])
+    R = np.array([[0.7, 0.2], [0.2, 0.5]])
+    N = 0.01 * np.eye(3)
+    for _ in range(20):
+        A, C = rng.standard_normal((3, 3)), rng.standard_normal((2, 3))
+        dP = ek.riccati_rhs(P0, A, C, Q, R, N, 0.01)
+        assert np.array_equal(dP, dP.T)
+    model = ek.SystemModel(
+        state_dim=3, output_dim=2,
+        dynamics=lambda x, t: np.array([x[1], -x[0] - 0.3 * x[1] ** 3, -x[2] + x[0] * x[1]]),
+        output=lambda x, t: np.array([x[0] + 0.1 * x[2] ** 2, np.sin(x[1])]))
+    fc = ek.FilterConfig(model=model, Q=Q, R=R, P0=P0, x0=np.array([0.3, 0.2, -0.1]),
+                         horizon=2.0, step=0.01, beta=0.01, N=N)
+    truth, y = ek.integrate_truth(model, np.array([0.4, 0.1, 0.0]), 2.0, fc.step)
+    covs = ek.integrate_ekf(fc, y).covariances
+    assert np.array_equal(covs, covs.transpose(0, 2, 1))

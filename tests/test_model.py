@@ -209,3 +209,70 @@ def test_hessian_bounds_eigvalsh_calls_independent_of_directions(eigvalsh_calls)
         counts.append(eigvalsh_calls[0])
     # one stacked call per centre for f and one for h
     assert counts == [2 * len(path), 2 * len(path)]
+
+
+def _old_fd_jacobian(func, x, t, out_dim, step):
+    n = len(x)
+    J = np.empty((out_dim, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = step
+        J[:, i] = (func(x + e, t) - func(x - e, t)) / (2.0 * step)
+    return J
+
+
+def _old_hessian_from_jacobian(jac, x, t, out_dim, step):
+    n = len(x)
+    H = np.empty((out_dim, n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = step
+        Jp = np.asarray(jac(x + e, t), dtype=float).reshape(out_dim, n)
+        Jm = np.asarray(jac(x - e, t), dtype=float).reshape(out_dim, n)
+        H[:, i, :] = (Jp - Jm) / (2.0 * step)
+    return 0.5 * (H + H.transpose(0, 2, 1))
+
+
+def _ad_hoc_plant(analytic: bool) -> ek.SystemModel:
+    def f(x, t):
+        return np.array([x[1] * x[2], np.sin(x[0]) - t * x[2], x[0] ** 3])
+
+    def h(x, t):
+        return np.array([x[0] * x[1], np.exp(0.1 * x[2])])
+
+    def jac_a(x, t):
+        return np.array([[0.0, x[2], x[1]], [np.cos(x[0]), 0.0, -t],
+                         [3.0 * x[0] ** 2, 0.0, 0.0]])
+
+    def jac_c(x, t):
+        return np.array([[x[1], x[0], 0.0], [0.0, 0.0, 0.1 * np.exp(0.1 * x[2])]])
+
+    return ek.SystemModel(state_dim=3, output_dim=2, dynamics=f, output=h,
+                          jacobian_A=jac_a if analytic else None,
+                          jacobian_C=jac_c if analytic else None,
+                          fd_step=None if analytic else 1e-5)
+
+
+def test_central_differences_match_the_former_per_map_loops():
+    rng = np.random.default_rng(11)
+    plants = ([e.model for e in ek.registry()]
+              + [_ad_hoc_plant(analytic=True), _ad_hoc_plant(analytic=False)])
+    for model in plants:
+        n, p = model.state_dim, model.output_dim
+        bare = ek.SystemModel(state_dim=n, output_dim=p, dynamics=model.dynamics,
+                              output=model.output, fd_step=model.fd_step)
+        for _ in range(200):
+            x = rng.uniform(-2.0, 2.0, size=n)
+            t = float(rng.uniform(0.0, 5.0))
+            step = CBRT_EPS * max(1.0, float(np.linalg.norm(x)))
+            fd_step = step if bare.fd_step is None else bare.fd_step
+            A, C = ek.eval_jacobians(bare, x, t)
+            assert np.array_equal(A, _old_fd_jacobian(bare.f, x, t, n, fd_step))
+            assert np.array_equal(C, _old_fd_jacobian(bare.h, x, t, p, fd_step))
+            if model.jacobian_A is not None:
+                assert np.array_equal(
+                    ek.hessian_tensor(model, x, t, "dynamics"),
+                    _old_hessian_from_jacobian(model.jacobian_A, x, t, n, step))
+                assert np.array_equal(
+                    ek.hessian_tensor(model, x, t, "output"),
+                    _old_hessian_from_jacobian(model.jacobian_C, x, t, p, step))

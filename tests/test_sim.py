@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ekfcert as ek
+from ekfcert import sim
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +276,27 @@ def test_fit_rate_window_excludes_edges():
     v[t < 1.0] = 50.0
     v[t > 9.0] = 50.0
     assert ek.fit_exponential_rate(t, v) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_node_series_on_the_filter_grid_are_read_without_interpolation(
+        scalar_rig, equilibrium_rig, monkeypatch):
+    calls = []
+    interp = sim.interp
+
+    def counting(times, values, t):
+        calls.append(t)
+        return interp(times, values, t)
+
+    monkeypatch.setattr(sim, "interp", counting)
+    traj, truth = scalar_rig["traj"], scalar_rig["truth"]
+    report = ek.envelope_check(traj, truth, _flat_cert(traj))
+    assert np.array_equal(report.error, np.abs(traj.states - truth.values)[:, 0])
+    traj = equilibrium_rig["traj"]
+    dist = ek.Disturbance(b=lambda x, t: np.full(1, 0.01), b_max=0.01)
+    run = ek.perturbed_run(equilibrium_rig["model"], traj, dist, np.array([0.4]))
+    assert np.array_equal(run.euclid_dist, np.abs(run.virtual_trajs[0] - traj.states)[:, 0])
+    assert calls == []
+    # a shorter twin run ends off the filter grid, so its covariances are resampled
+    twin = ek.twin_decay(equilibrium_rig["model"], traj, np.array([0.7]),
+                         np.array([0.5]), horizon=4.0)
+    assert len(calls) == len(twin.times)
