@@ -16,7 +16,7 @@ from .ekf import (FilterConfig, FilterTrajectory, covariance_bounds_report,
                   integrate_ekf, kalman_gain, riccati_rhs)
 from .errors import (ConfigurationError, CovarianceBoundViolation,
                      DivergenceError, EkfCertError, ModelEvaluationError,
-                     PreconditionError)
+                     PreconditionError, RunFailure)
 from .model import (HessianBounds, SystemModel, estimate_hessian_bounds,
                     eval_jacobians, hessian_tensor, tensor_norm, tilde_matrices)
 from .ode import TimeSeries, as_signal, rk4_step, time_grid
@@ -35,7 +35,7 @@ __all__ = [
     "FilterConfig", "FilterTrajectory", "covariance_bounds_report",
     "integrate_ekf", "kalman_gain", "riccati_rhs",
     "ConfigurationError", "CovarianceBoundViolation", "DivergenceError",
-    "EkfCertError", "ModelEvaluationError", "PreconditionError",
+    "EkfCertError", "ModelEvaluationError", "PreconditionError", "RunFailure",
     "HessianBounds", "SystemModel", "estimate_hessian_bounds", "eval_jacobians",
     "hessian_tensor", "tensor_norm", "tilde_matrices",
     "TimeSeries", "as_signal", "rk4_step", "time_grid",

@@ -4,8 +4,8 @@ Every command reads one JSON config file, runs deterministically (fixed-step
 integration, seeded sampling), writes CSV traces plus a summary JSON that
 embeds the resolved config, and signals its result through the exit code:
 0 all checks passed, 1 a check or the run failed, 2 the configuration was
-invalid. A run that diverges or loses positive definiteness still writes
-summary.json, with status "failed".
+invalid. A run that diverges, loses positive definiteness or meets
+non-finite model output still writes summary.json, with status "failed".
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from . import bench
 from .contraction import (ContractionCertificate, compare_analyses,
                           empirical_radius, make_certificate)
 from .ekf import FilterConfig, FilterTrajectory, covariance_bounds_report, integrate_ekf
-from .errors import (ConfigurationError, CovarianceBoundViolation,
-                     DivergenceError, EkfCertError, PreconditionError)
+from .errors import ConfigurationError, PreconditionError, RunFailure
 from .model import HessianBounds, estimate_hessian_bounds
 from .sim import (Disturbance, envelope_check, integrate_truth, perturbed_run,
                   twin_decay)
@@ -187,8 +186,7 @@ def _hessian_bounds(cfg: dict, entry, traj: FilterTrajectory) -> HessianBounds:
         seed=int(cfg.get("seed", 0)))
 
 
-def _certificate(cfg: dict, entry, traj: FilterTrajectory) -> ContractionCertificate:
-    report = covariance_bounds_report(traj)
+def _certificate(cfg: dict, entry, traj: FilterTrajectory, report) -> ContractionCertificate:
     hess = _hessian_bounds(cfg, entry, traj)
     gamma = cfg.get("gamma")
     return make_certificate(report, hess, None if gamma is None else float(gamma))
@@ -220,7 +218,8 @@ def cmd_simulate(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
     entry, fconfig, truth, traj = _prepare_run(cfg)
-    cert = _certificate(cfg, entry, traj)
+    report = covariance_bounds_report(traj)
+    cert = _certificate(cfg, entry, traj, report)
     seed = int(cfg.get("seed", 0))
     samples = int(cfg.get("radius_times", 9))
     idx = np.unique(np.linspace(0, len(traj.times) - 1, samples).astype(int))
@@ -233,7 +232,7 @@ def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
           f"rho={cert.rho:.6g} basin_euclid={cert.basin_euclid:.6g}")
     fields = {
         "certificate": cert.as_dict(),
-        "report": covariance_bounds_report(traj),
+        "report": report,
         "radius_series": [{"t": float(traj.times[k]), "r_empirical": float(r)}
                           for k, r in zip(idx, radii)]}
     return fields, True, {"t": traj.times[idx], "r_empirical": radii,
@@ -265,7 +264,7 @@ def cmd_compare(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 def cmd_twin(cfg: dict) -> tuple[dict, bool, dict | None]:
     entry, fconfig, truth, traj = _prepare_run(cfg)
-    cert = _certificate(cfg, entry, traj)
+    cert = _certificate(cfg, entry, traj, covariance_bounds_report(traj))
     twin_cfg = _section(cfg, "twin")
     for key in ("z1_0", "z2_0"):
         if key not in twin_cfg:
@@ -313,7 +312,7 @@ def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 def cmd_envelope(cfg: dict) -> tuple[dict, bool, dict | None]:
     entry, fconfig, truth, traj = _prepare_run(cfg)
-    cert = _certificate(cfg, entry, traj)
+    cert = _certificate(cfg, entry, traj, covariance_bounds_report(traj))
     report = envelope_check(traj, truth, cert)
     print(f"envelope: worst_margin={report.worst_margin:.6g} at "
           f"t={report.worst_time:.6g} within_basin={report.within_basin} "
@@ -350,10 +349,9 @@ def main(argv=None) -> int:
         try:
             fields, passed, columns = handler(cfg)
             fields["status"] = "ok"
-        except (DivergenceError, CovarianceBoundViolation) as exc:
+        except RunFailure as exc:
             # a failed run writes summary.json only, with the failure and its time
-            when = "" if exc.time is None else f" at t={exc.time:.6g}"
-            print(f"{args.command}: failed{when}: {exc}", file=sys.stderr)
+            print(f"{args.command}: failed at t={exc.time:.6g}: {exc}", file=sys.stderr)
             fields = {"status": "failed", "failure": str(exc), "failure_time": exc.time}
             passed, columns = False, None
         written = []
@@ -367,9 +365,6 @@ def main(argv=None) -> int:
     except (ConfigurationError, PreconditionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except EkfCertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

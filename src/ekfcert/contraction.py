@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .model import (HessianBounds, SystemModel, _unit_directions, eval_jacobians,
-                    tilde_matrices)
+from .model import (HessianBounds, SystemModel, _stacked_jacobians, _unit_directions,
+                    eval_jacobians)
 
 # slack allowed when deciding lambda_max(S) <= 0 in floating point
 PSD_TOL_SCALE = 1e-9
@@ -152,9 +152,8 @@ def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
     Ah, Ch = eval_jacobians(model, xhat, t)
 
     def passes(points: np.ndarray) -> np.ndarray:
-        jac = [eval_jacobians(model, z, t) for z in points]
-        M = _contraction_matrices(Ah, Ch, np.array([A for A, _ in jac]),
-                                  np.array([C for _, C in jac]), P, Q, R)
+        Az, Cz = _stacked_jacobians(model, points, t)
+        M = _contraction_matrices(Ah, Ch, Az, Cz, P, Q, R)
         return _negative_semidefinite(M + 2.0 * gamma * P)
 
     last_failed = None
@@ -284,30 +283,29 @@ def linear_output_check(model: SystemModel, traj, sample_states,
         If the output Jacobian varies across the sampled states, i.e. the
         output map is not linear.
     """
-    q_lo = traj.config.q_lo
-    p_hi = traj.p_hi
-    threshold = q_lo - 2.0 * gamma * p_hi
+    threshold = traj.config.q_lo - 2.0 * gamma * traj.p_hi
     idx = np.unique(np.linspace(0, len(traj.times) - 1,
                                 min(OUTPUT_CHECK_TIMES, len(traj.times))).astype(int))
-    sample_states = [np.asarray(z, dtype=float).reshape(-1) for z in sample_states]
+    states = np.asarray(sample_states, dtype=float).reshape(-1, model.state_dim)
 
     worst = float("inf")
     worst_time = None
     for k in idx:
         t = float(traj.times[k])
-        xhat = traj.states[k]
         P = traj.covariances[k]
-        _, Ch = eval_jacobians(model, xhat, t)
-        for z in sample_states:
-            Atil, Ctil = tilde_matrices(model, z, xhat, t)
-            if np.linalg.norm(Ctil) > PSD_TOL_SCALE * (1.0 + np.linalg.norm(Ch)):
-                raise PreconditionError(
-                    "output map is not linear: output Jacobian varies across states")
-            S = Atil @ P + P @ Atil.T
-            margin = threshold - float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
-            if margin < worst:
-                worst = margin
-                worst_time = t
+        Ah, Ch = eval_jacobians(model, traj.states[k], t)
+        Az, Cz = _stacked_jacobians(model, states, t)
+        Ctil_norms = np.linalg.norm(Cz - Ch, axis=(1, 2))
+        if np.any(Ctil_norms > PSD_TOL_SCALE * (1.0 + np.linalg.norm(Ch))):
+            raise PreconditionError(
+                "output map is not linear: output Jacobian varies across states")
+        Atil = Az - Ah
+        S = Atil @ P + P @ Atil.swapaxes(-1, -2)
+        lam_max = np.linalg.eigvalsh(0.5 * (S + S.swapaxes(-1, -2)))[:, -1]
+        margin = float((threshold - lam_max).min(initial=np.inf))
+        if margin < worst:
+            worst = margin
+            worst_time = t
     tol = PSD_TOL_SCALE * (1.0 + abs(threshold))
     return {
         "passed": bool(worst >= -tol),
@@ -315,7 +313,7 @@ def linear_output_check(model: SystemModel, traj, sample_states,
         "worst_time": worst_time,
         "threshold": threshold,
         "gamma": gamma,
-        "states_sampled": len(sample_states),
+        "states_sampled": len(states),
         "times_sampled": int(len(idx)),
     }
 

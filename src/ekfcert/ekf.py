@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, CovarianceBoundViolation, DivergenceError
-from .model import SystemModel, eval_jacobians
+from .model import SystemModel, _stacked_jacobians, eval_jacobians
 from .ode import TimeSeries, as_signal, interp, rk4_step, time_grid
 
 # states beyond this magnitude are treated as numerical blow-up
@@ -142,8 +142,8 @@ class FilterConfig:
 
 
 def kalman_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Gain K = P C^T R^{-1}, computed via a linear solve instead of inverting R."""
-    return np.linalg.solve(R, C @ P).T
+    """Gain K = P C^T R^{-1} by a linear solve, for one (P, C) pair or for stacks of them."""
+    return np.linalg.solve(R, C @ P).swapaxes(-1, -2)
 
 
 def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
@@ -241,22 +241,16 @@ def integrate_ekf(config: FilterConfig,
                 time=float(t)) from None
         return stacked
 
-    m = len(grid)
     nodes = integrate(rhs, np.concatenate([config.x0, config.P0.ravel()]), grid, guard)
     states = nodes[:, :n]
-    covs = nodes[:, n:].reshape(m, n, n)
+    covs = nodes[:, n:].reshape(-1, n, n)
 
-    gains = np.empty((m, n, model.output_dim))
-    for k in range(m):
-        _, C = eval_jacobians(model, states[k], float(grid[k]))
-        gains[k] = kalman_gain(covs[k], C, config.R)
-
+    _, Cs = _stacked_jacobians(model, states, grid)
+    gains = kalman_gain(covs, Cs, config.R)
     eigs = np.linalg.eigvalsh(covs)
-    p_lo = float(eigs[:, 0].min())
-    p_hi = float(eigs[:, -1].max())
     return FilterTrajectory(times=grid, states=states, covariances=covs,
                             gains=gains, config=config, measurement_signal=y,
-                            p_lo=p_lo, p_hi=p_hi)
+                            p_lo=float(eigs[:, 0].min()), p_hi=float(eigs[:, -1].max()))
 
 
 def covariance_bounds_report(traj: FilterTrajectory) -> dict:

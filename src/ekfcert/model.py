@@ -131,7 +131,7 @@ def eval_jacobians(model: SystemModel, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if not np.all(np.isfinite(x)):
-        raise ModelEvaluationError(f"state contains non-finite entries: {x}")
+        raise ModelEvaluationError(f"state contains non-finite entries: {x}", time=float(t))
     step = model.fd_step
     if step is None:
         step = _default_step(x, CBRT_EPS)
@@ -148,7 +148,19 @@ def eval_jacobians(model: SystemModel, x: np.ndarray,
         C = _central_differences(model.h, x, t, step)
 
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(C))):
-        raise ModelEvaluationError(f"Jacobian evaluation produced non-finite entries at t={t}")
+        raise ModelEvaluationError(f"Jacobian evaluation produced non-finite entries at t={t}",
+                                   time=float(t))
+    return A, C
+
+
+def _stacked_jacobians(model: SystemModel, points: np.ndarray,
+                       times) -> tuple[np.ndarray, np.ndarray]:
+    """eval_jacobians at each row of the (N, n) ``points`` and its time, stacked
+    into (N, n, n) and (N, p, n) arrays; ``times`` is one time or N times."""
+    A = np.empty((len(points), model.state_dim, model.state_dim))
+    C = np.empty((len(points), model.output_dim, model.state_dim))
+    for k, (x, t) in enumerate(zip(points, np.broadcast_to(times, len(points)))):
+        A[k], C[k] = eval_jacobians(model, x, float(t))
     return A, C
 
 
@@ -211,7 +223,7 @@ def hessian_tensor(model: SystemModel, x: np.ndarray, t: float,
     else:
         H = _hessian_from_values(func, x, t, out_dim, _default_step(x, QUARTIC_EPS))
     if not np.all(np.isfinite(H)):
-        raise ModelEvaluationError(f"Hessian sample non-finite at t={t}")
+        raise ModelEvaluationError(f"Hessian sample non-finite at t={t}", time=float(t))
     return H
 
 

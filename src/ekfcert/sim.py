@@ -17,10 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .contraction import ContractionCertificate, contraction_matrix
+from .contraction import ContractionCertificate, _contraction_matrices
 from .ekf import FilterTrajectory, divergence_guard, integrate
 from .errors import ConfigurationError, PreconditionError
-from .model import SystemModel, eval_jacobians
+from .model import SystemModel, _stacked_jacobians, eval_jacobians
 from .ode import TimeSeries, as_signal, interp, time_grid
 
 # absolute slack when comparing a near-zero steady radius against a zero ball
@@ -161,9 +161,10 @@ def _resample(node_times: np.ndarray, nodes: np.ndarray, times: np.ndarray) -> n
     return np.stack([interp(node_times, nodes, float(t)) for t in times])
 
 
-def _weighted_sq(covs: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def _weighted_sq(covs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted squared lengths delta_k^T P_k^{-1} delta_k and the solves P_k^{-1} delta_k."""
     sol = np.linalg.solve(covs, delta[:, :, None])[:, :, 0]
-    return np.einsum("ij,ij->i", delta, sol)
+    return np.einsum("ij,ij->i", delta, sol), sol
 
 
 def _in_weighted_basin(traj: FilterTrajectory, z0: np.ndarray,
@@ -198,7 +199,7 @@ def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
                            z2_0, horizon, step)
     covs = _resample(filter_run.times, filter_run.covariances, z1.times)
     delta = z1.values - z2.values
-    weighted = _weighted_sq(covs, delta)
+    weighted, _ = _weighted_sq(covs, delta)
     euclid = np.linalg.norm(delta, axis=1)
     rate = fit_exponential_rate(z1.times, weighted)
     info: dict = {
@@ -265,7 +266,7 @@ def perturbed_run(model: SystemModel, filter_run: FilterTrajectory,
     delta = z.values - _resample(filter_run.times, filter_run.states, z.times)
     euclid = np.linalg.norm(delta, axis=1)
     covs = _resample(filter_run.times, filter_run.covariances, z.times)
-    weighted = _weighted_sq(covs, delta)
+    weighted, _ = _weighted_sq(covs, delta)
 
     tail = z.times >= (2.0 / 3.0) * z.times[-1]
     steady = float(euclid[tail].max())
@@ -300,6 +301,7 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     the maximum absolute deviation relative to the largest magnitude of
     the quadratic form (the two sides agree up to O(step^2)). The run
     covers the filter run's horizon.
+    One stacked solve S = P^{-1} dz serves both dz^T S and the form S^T M S.
     """
     if step is None:
         step = filter_run.config.step
@@ -321,20 +323,18 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
         return np.concatenate([zdot, dzdot])
 
     grid = time_grid(float(filter_run.times[-1]), step)
-    m = len(grid)
     nodes = integrate(rhs, np.concatenate([z0, dz0]), grid,
                       divergence_guard("variational state"))
     zs, dzs = nodes[:, :n], nodes[:, n:]
 
-    Q, R = filter_run.config.Q, filter_run.config.R
     covs = _resample(filter_run.times, filter_run.covariances, grid)
     xhats = _resample(filter_run.times, filter_run.states, grid)
-    w = _weighted_sq(covs, dzs)
-    quad = np.empty(m)
-    for k in range(m):
-        M = contraction_matrix(model, zs[k], xhats[k], covs[k], Q, R, float(grid[k]))
-        sk = np.linalg.solve(covs[k], dzs[k])
-        quad[k] = sk @ (M @ sk)
+    w, S = _weighted_sq(covs, dzs)
+    Az, Cz = _stacked_jacobians(model, zs, grid)
+    Ah, Ch = _stacked_jacobians(model, xhats, grid)
+    M = _contraction_matrices(Ah, Ch, Az, Cz, covs, filter_run.config.Q, filter_run.config.R)
+    # a stacked matmul, not einsum, keeps each node's rounding that of S_k @ (M_k @ S_k)
+    quad = (S[:, None, :] @ (M @ S[:, :, None]))[:, 0, 0]
 
     h = grid[1] - grid[0]
     dw = (w[2:] - w[:-2]) / (2.0 * h)

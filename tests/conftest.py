@@ -65,3 +65,17 @@ def eigvalsh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     return calls
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """One-element list counting np.linalg.solve calls while the test runs."""
+    calls = [0]
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls[0] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls

@@ -307,6 +307,24 @@ def test_every_trajectory_command_writes_the_failure_summary(tmp_path, capsys):
     assert keys == {("command", "config", "failure", "failure_time", "status")}
 
 
+def test_non_finite_model_output_writes_the_failure_summary(tmp_path, capsys):
+    # from xhat0 = 1e8 the cubic drift overflows the Jacobian within the
+    # first RK4 step, at its last stage t = 0.05
+    cfg = cubic_cfg(horizon=2.0, step=0.05, twin={"z1_0": [0.1], "z2_0": [-0.1]})
+    cfg["filter"]["xhat0"] = [1e8]
+    path = write_cfg(tmp_path, cfg)
+    for cmd in TRAJECTORY_COMMANDS:
+        out = tmp_path / cmd
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([cmd, "--config", path, "--out", str(out)]) == 1, cmd
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json"], cmd
+        summary = read_summary(out)
+        assert summary["status"] == "failed"
+        assert summary["failure_time"] == 0.05
+        assert "non-finite" in summary["failure"]
+        assert capsys.readouterr().err.startswith(f"{cmd}: failed at t=0.05: ")
+
+
 # the ekfcert.cli globals the benchmark's tracing wraps in spans
 TRACED_CLI_NAMES = ["integrate_truth", "integrate_ekf", "estimate_hessian_bounds",
                     "empirical_radius", "twin_decay", "perturbed_run", "envelope_check"]

@@ -269,6 +269,51 @@ def test_linear_output_check_rejects_nonlinear_output():
         ek.linear_output_check(model, traj, [np.array([1.5])], 0.1)
 
 
+def _ref_linear_output_check(model, traj, sample_states, gamma):
+    """The per-node, per-state loop linear_output_check ran before it stacked
+    the sample states: (worst margin, its time)."""
+    threshold = traj.config.q_lo - 2.0 * gamma * traj.p_hi
+    idx = np.unique(np.linspace(0, len(traj.times) - 1,
+                                min(50, len(traj.times))).astype(int))
+    worst, worst_time = float("inf"), None
+    for k in idx:
+        t = float(traj.times[k])
+        P = traj.covariances[k]
+        for z in sample_states:
+            Atil, _ = ek.tilde_matrices(model, z, traj.states[k], t)
+            S = Atil @ P + P @ Atil.T
+            margin = threshold - float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
+            if margin < worst:
+                worst, worst_time = margin, t
+    return worst, worst_time
+
+
+LINEAR_OUTPUT_RIGS = {
+    "vanderpol-pos": dict(Q=np.eye(2), P0=np.eye(2), x0=[0.34, 0.2], xhat0=[0.3, 0.2]),
+    "ltv-linear": dict(Q=np.array([[1.0, 0.2], [0.2, 0.5]]),
+                       P0=np.array([[1.0, 0.3], [0.3, 0.8]]),
+                       x0=[0.3, 0.1], xhat0=[0.5, -0.2]),
+    "cubic-scalar": dict(Q=np.eye(1), P0=np.array([[0.5]]), x0=[0.3], xhat0=[0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_OUTPUT_RIGS))
+def test_linear_output_check_matches_per_state_loop(name):
+    spec = LINEAR_OUTPUT_RIGS[name]
+    model = ek.make(name).model
+    fc = ek.FilterConfig(model=model, Q=spec["Q"], R=np.array([[0.7]]), P0=spec["P0"],
+                         x0=np.array(spec["xhat0"]), horizon=3.0, step=0.01)
+    _, y = ek.integrate_truth(model, np.array(spec["x0"]), fc.horizon, fc.step)
+    traj = ek.integrate_ekf(fc, y)
+    gamma = fc.q_lo / (4.0 * traj.p_hi)
+    rng = np.random.default_rng(11)
+    states = list(traj.states[0] + rng.uniform(-0.8, 0.8, size=(7, model.state_dim)))
+    rep = ek.linear_output_check(model, traj, states, gamma)
+    assert (rep["worst_margin"], rep["worst_time"]) == _ref_linear_output_check(
+        model, traj, states, gamma)
+    assert rep["states_sampled"] == 7
+
+
 def test_compare_analyses_unit_parameters():
     out = ek.compare_analyses(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, c_hi=1.0)
     assert out["lyapunov"]["rate"] == pytest.approx(0.25)

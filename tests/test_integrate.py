@@ -262,6 +262,25 @@ def test_virtual_matches_reference_loop(rig, disturbed):
     assert b_worst > 0.0 if disturbed else b_worst == 0.0
 
 
+def test_gain_pass_matches_reference_loop():
+    """Stacked gains equal the per-node loop on a finite-difference plant
+    with three states, two outputs and a non-diagonal R."""
+    model = ek.SystemModel(
+        state_dim=3, output_dim=2,
+        dynamics=lambda x, t: np.array([x[1], -x[0] - 0.2 * x[1] + 0.1 * x[2] ** 2,
+                                        -0.5 * x[2] + 0.3 * math.sin(x[0] + t)]),
+        output=lambda x, t: np.array([x[0] + 0.1 * x[1] ** 2, x[0] * x[2]]))
+    fc = ek.FilterConfig(model=model, Q=np.eye(3), R=np.array([[1.0, 0.3], [0.3, 0.5]]),
+                         P0=np.eye(3) + 0.2, x0=np.array([0.5, -0.2, 0.3]),
+                         horizon=2.0, step=0.01)
+    run = ek.integrate_ekf(fc, lambda t: np.array([math.cos(t), 0.1 * t]))
+    gains = np.empty((len(run.times), 3, 2))
+    for k in range(len(run.times)):
+        _, C = eval_jacobians(model, run.states[k], float(run.times[k]))
+        gains[k] = np.linalg.solve(fc.R, C @ run.covariances[k]).T
+    assert np.array_equal(run.gains, gains)
+
+
 @pytest.mark.parametrize("refine", [1, 2])
 def test_variational_validator_matches_reference_loop(rig, refine):
     run = rig["run"]

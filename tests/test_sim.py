@@ -236,6 +236,15 @@ def test_variational_zero_direction(scalar_rig):
     assert dev == 0.0
 
 
+def test_variational_validator_solve_count_is_independent_of_nodes(scalar_rig, solve_calls):
+    # one stacked solve for P^{-1} dz plus the two of the stacked contraction matrices
+    for step in (0.024, 0.012):
+        solve_calls[0] = 0
+        ek.variational_validator(scalar_rig["model"], scalar_rig["traj"], np.array([0.7]),
+                                 step=step)
+        assert solve_calls[0] == 3, step
+
+
 def test_variational_deviation_shrinks_with_step():
     entry = ek.make("cubic-scalar", eps=0.1)
     devs = []
