@@ -37,12 +37,14 @@ def integrate(rhs: Flow, y0: np.ndarray, grid: np.ndarray, guard: Flow) -> np.nd
     ``guard(t, y)`` checks each new node, raises on failure and returns the
     node to store and continue from. ``rk4_step`` must stay a global of this
     module: perfbench/probe.py replaces it to stop a run at its first step.
+    Overflow warnings are off: the guards report non-finite values as failures.
     """
     nodes = np.empty((len(grid), len(y0)))
     nodes[0] = y = y0
-    for k in range(len(grid) - 1):
-        y = guard(grid[k + 1], rk4_step(rhs, grid[k], y, grid[k + 1] - grid[k]))
-        nodes[k + 1] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(grid) - 1):
+            y = guard(grid[k + 1], rk4_step(rhs, grid[k], y, grid[k + 1] - grid[k]))
+            nodes[k + 1] = y
     return nodes
 
 
@@ -50,7 +52,7 @@ def divergence_guard(what: str) -> Flow:
     """Guard that raises DivergenceError naming ``what`` and the node time
     at a non-finite node or one of norm above DIVERGENCE_LIMIT."""
     def guard(t: float, y: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(y)) or np.linalg.norm(y) > DIVERGENCE_LIMIT:
+        if not np.isfinite(y).all() or np.linalg.norm(y) > DIVERGENCE_LIMIT:
             raise DivergenceError(f"{what} diverged at t={t:.6g}", time=float(t))
         return y
     return guard
@@ -231,7 +233,7 @@ def integrate_ekf(config: FilterConfig,
     def guard(t: float, stacked: np.ndarray) -> np.ndarray:
         estimate_guard(t, stacked[:n])
         P = stacked[n:].reshape(n, n)
-        if not np.all(np.isfinite(P)):
+        if not np.isfinite(P).all():
             raise DivergenceError(f"covariance diverged at t={t:.6g}", time=float(t))
         try:
             np.linalg.cholesky(P)

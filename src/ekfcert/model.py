@@ -27,6 +27,10 @@ RADIAL_SAMPLES = 5                # radii from 0 to the tube radius in estimate_
 class SystemModel:
     """A deterministic plant dx/dt = f(x, t) with measured output y = h(x, t).
 
+    Each callback takes one state and one time. Stacked evaluation on many
+    points calls it once per point, in row order, and writes each result
+    into a preallocated array, so results must have the stated shapes.
+
     Parameters
     ----------
     state_dim, output_dim : int
@@ -100,20 +104,68 @@ class HessianBounds:
             raise ConfigurationError("kappa bounds must be nonnegative")
 
 
-def _default_step(x: np.ndarray, base: float) -> float:
-    return base * max(1.0, float(np.linalg.norm(x)))
+def _evaluate(func: Callable[[np.ndarray, float], np.ndarray], X: np.ndarray,
+              times: np.ndarray, steps: np.ndarray, offsets: np.ndarray,
+              shape: tuple) -> np.ndarray:
+    """func at x + s u for each row x of X (time t, step s) and offset row u,
+    once per point in row order, into a preallocated (N, len(offsets), *shape)
+    array. Signed zeros in the offsets keep each point bit-equal to a per-point
+    loop's x + e, x - e, x + ei - ej, ...; the offset -0.0 leaves x as it is."""
+    points = (X[:, None, :] + steps[:, None, None] * offsets).reshape(-1, X.shape[1])
+    out = np.empty((len(points), *shape))
+    for k, x in enumerate(points):
+        out[k] = func(x, times[k // len(offsets)])
+    return out.reshape(len(X), len(offsets), *shape)
 
 
-def _central_differences(g: Callable[[np.ndarray, float], np.ndarray],
-                         x: np.ndarray, t: float, step: float) -> np.ndarray:
-    """(g(x + step e_i, t) - g(x - step e_i, t)) / (2 step), stacked on axis 1."""
-    n = len(x)
-    columns = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        columns.append((g(x + e, t) - g(x - e, t)) / (2.0 * step))
-    return np.stack(columns, axis=1)
+def _central_differences(func, X: np.ndarray, times: np.ndarray, steps: np.ndarray,
+                         shape: tuple) -> np.ndarray:
+    """(func(x + s e_i, t) - func(x - s e_i, t)) / (2 s) per row x and step s,
+    shape (N, shape[0], n, *shape[1:]): the index i sits on axis 2."""
+    n = X.shape[1]
+    E = np.eye(n)
+    V = _evaluate(func, X, times, steps, np.concatenate((E, -E)), shape)
+    return ((V[:, :n] - V[:, n:]).T / (2.0 * steps)).T.swapaxes(1, 2)
+
+
+def _second_differences(func, X: np.ndarray, times: np.ndarray, steps: np.ndarray,
+                        out_dim: int) -> np.ndarray:
+    """Second-derivative tensors (N, out_dim, n, n) by direct second differences."""
+    n = X.shape[1]
+    E, (I, J) = np.eye(n), np.nonzero(np.triu(np.ones((n, n), dtype=bool), 1))
+    mixed = np.stack([E[I] + E[J], E[I] - E[J], -E[I] + E[J], -E[I] - E[J]], axis=1)
+    V = _evaluate(func, X, times, steps,
+                  np.vstack([-np.zeros((1, n)), E, -E, mixed.reshape(-1, n)]), (out_dim,))
+    # Python's float power: s * s rounds differently for about 1 in 2 400 steps
+    sq = np.array([s ** 2 for s in steps.tolist()])[:, None, None]
+    H = np.empty((len(X), out_dim, n, n))
+    D, M = V[:, 1:2 * n + 1], V[:, 2 * n + 1:]
+    H[:, :, range(n), range(n)] = ((D[:, :n] - 2.0 * V[:, :1] + D[:, n:]) / sq).swapaxes(1, 2)
+    H[:, :, I, J] = H[:, :, J, I] = (
+        (M[:, 0::4] - M[:, 1::4] - M[:, 2::4] + M[:, 3::4]) / (4.0 * sq)).swapaxes(1, 2)
+    return H
+
+
+def _stacked(points, times, evaluate, message: str, state_message: str) -> tuple:
+    """``evaluate(X, T, scale)`` on the leading finite rows X of ``points``, their
+    times (one time or one per row) and scale = max(1, ||x||), the
+    finite-difference step per unit base, without overflow warnings. The
+    first row whose state or values are non-finite raises ModelEvaluationError."""
+    X = np.asarray(points, dtype=float)
+    T = np.broadcast_to(times, len(X))   # a view: no per-row objects for long stacks
+    good = len(X) if np.isfinite(X).all() else int(np.isfinite(X).all(axis=1).argmin())
+    Xg = X[:good]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the stacked dot rounds ||x|| as np.linalg.norm(x) does for each row;
+        # np.linalg.norm(X, axis=1) does not
+        norms = np.sqrt((Xg[:, None, :] @ Xg[:, :, None])[:, 0, 0])
+        stacks = evaluate(Xg, T[:good], np.maximum(1.0, norms))
+    if good < len(X) or not all(np.isfinite(S).all() for S in stacks):
+        k = next((k for k in range(good) if not all(np.isfinite(S[k]).all() for S in stacks)),
+                 good)
+        text = message if k < good else state_message
+        raise ModelEvaluationError(text.format(x=X[k], t=T[k]), time=float(T[k]))
+    return stacks
 
 
 def eval_jacobians(model: SystemModel, x: np.ndarray,
@@ -122,32 +174,21 @@ def eval_jacobians(model: SystemModel, x: np.ndarray,
 
     Analytic callbacks are used when the model provides them; otherwise
     central finite differences with step ``model.fd_step`` (default
-    cbrt(eps) * max(1, ||x||)).
+    cbrt(eps) * max(1, ||x||)), computed as a one-row stack.
 
     Raises
     ------
     ModelEvaluationError
-        If either Jacobian contains a non-finite entry.
+        If x or either Jacobian contains a non-finite entry.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(x)):
-        raise ModelEvaluationError(f"state contains non-finite entries: {x}", time=float(t))
-    step = model.fd_step
-    if step is None:
-        step = _default_step(x, CBRT_EPS)
-
-    if model.jacobian_A is not None:
-        A = np.asarray(model.jacobian_A(x, t), dtype=float).reshape(model.state_dim,
-                                                                    model.state_dim)
-    else:
-        A = _central_differences(model.f, x, t, step)
-    if model.jacobian_C is not None:
-        C = np.asarray(model.jacobian_C(x, t), dtype=float).reshape(model.output_dim,
-                                                                    model.state_dim)
-    else:
-        C = _central_differences(model.h, x, t, step)
-
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(C))):
+    if model.jacobian_A is None or model.jacobian_C is None or not np.isfinite(x).all():
+        A, C = _stacked_jacobians(model, x[None], t)
+        return A[0], C[0]
+    n, p = model.state_dim, model.output_dim
+    A = np.asarray(model.jacobian_A(x, t), dtype=float).reshape(n, n)
+    C = np.asarray(model.jacobian_C(x, t), dtype=float).reshape(p, n)
+    if not (np.isfinite(A).all() and np.isfinite(C).all()):
         raise ModelEvaluationError(f"Jacobian evaluation produced non-finite entries at t={t}",
                                    time=float(t))
     return A, C
@@ -155,13 +196,21 @@ def eval_jacobians(model: SystemModel, x: np.ndarray,
 
 def _stacked_jacobians(model: SystemModel, points: np.ndarray,
                        times) -> tuple[np.ndarray, np.ndarray]:
-    """eval_jacobians at each row of the (N, n) ``points`` and its time, stacked
-    into (N, n, n) and (N, p, n) arrays; ``times`` is one time or N times."""
-    A = np.empty((len(points), model.state_dim, model.state_dim))
-    C = np.empty((len(points), model.output_dim, model.state_dim))
-    for k, (x, t) in enumerate(zip(points, np.broadcast_to(times, len(points)))):
-        A[k], C[k] = eval_jacobians(model, x, float(t))
-    return A, C
+    """eval_jacobians at each row of the (N, n) ``points`` and its time (one
+    time or N), as (N, n, n) and (N, p, n) stacks: one pass over the
+    callbacks, then steps, differences and checks once per stack."""
+    n, p = model.state_dim, model.output_dim
+
+    def evaluate(X, T, scale):
+        steps = CBRT_EPS * scale if model.fd_step is None else np.full(len(X), model.fd_step)
+        return tuple(_evaluate(jac, X, T, steps, -np.zeros((1, n)), (m, n))[:, 0]
+                     if jac is not None
+                     else _central_differences(func, X, T, steps, (m,))
+                     for jac, func, m in [(model.jacobian_A, model.dynamics, n),
+                                          (model.jacobian_C, model.output, p)])
+    return _stacked(points, times, evaluate,
+                    "Jacobian evaluation produced non-finite entries at t={t}",
+                    "state contains non-finite entries: {x}")
 
 
 def tilde_matrices(model: SystemModel, z: np.ndarray, xhat: np.ndarray,
@@ -176,25 +225,27 @@ def tilde_matrices(model: SystemModel, z: np.ndarray, xhat: np.ndarray,
     return Az - Ah, Cz - Ch
 
 
-def _hessian_from_values(func: Callable[[np.ndarray, float], np.ndarray],
-                         x: np.ndarray, t: float, out_dim: int,
-                         step: float) -> np.ndarray:
-    """Second-derivative tensor by direct second differences of f or h."""
-    n = len(x)
-    H = np.empty((out_dim, n, n))
-    f0 = func(x, t)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        H[:, i, i] = (func(x + ei, t) - 2.0 * f0 + func(x - ei, t)) / step ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            mixed = (func(x + ei + ej, t) - func(x + ei - ej, t)
-                     - func(x - ei + ej, t) + func(x - ei - ej, t)) / (4.0 * step ** 2)
-            H[:, i, j] = mixed
-            H[:, j, i] = mixed
-    return H
+def _stacked_hessians(model: SystemModel, points: np.ndarray, t: float,
+                      which: str) -> np.ndarray:
+    """hessian_tensor at each row of the (N, n) ``points`` at time t, as an
+    (N, m, n, n) stack; callbacks, steps and checks as in _stacked_jacobians."""
+    if which == "dynamics":
+        jac, func, out_dim = model.jacobian_A, model.dynamics, model.state_dim
+    elif which == "output":
+        jac, func, out_dim = model.jacobian_C, model.output, model.output_dim
+    else:
+        raise ConfigurationError(f"unknown map selector {which!r}")
+
+    def evaluate(X, T, scale):
+        if jac is None:
+            return (_second_differences(func, X, T, QUARTIC_EPS * scale, out_dim),)
+        # central differences of an analytic Jacobian are exact (bit-for-bit
+        # zero) for state-independent Jacobians, which keeps linear systems
+        # at kappa = 0
+        H = _central_differences(jac, X, T, CBRT_EPS * scale, (out_dim, model.state_dim))
+        return (0.5 * (H + H.swapaxes(-1, -2)),)
+    message = "Hessian sample non-finite at t={t}"
+    return _stacked(points, t, evaluate, message, message)[0]
 
 
 def hessian_tensor(model: SystemModel, x: np.ndarray, t: float,
@@ -203,28 +254,9 @@ def hessian_tensor(model: SystemModel, x: np.ndarray, t: float,
 
     Shape (m, n, n) where m is the dimension of the differentiated map.
     Differentiates the analytic Jacobian when the model carries one,
-    otherwise falls back to second differences of the map itself.
+    otherwise takes second differences of the map itself; a one-row stack.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if which == "dynamics":
-        jac, func, out_dim = model.jacobian_A, model.f, model.state_dim
-    elif which == "output":
-        jac, func, out_dim = model.jacobian_C, model.h, model.output_dim
-    else:
-        raise ConfigurationError(f"unknown map selector {which!r}")
-    if jac is not None:
-        # central differences of an analytic Jacobian are exact (bit-for-bit
-        # zero) for state-independent Jacobians, which keeps linear systems
-        # at kappa = 0
-        H = _central_differences(
-            lambda z, s: np.asarray(jac(z, s), dtype=float).reshape(out_dim, len(x)),
-            x, t, _default_step(x, CBRT_EPS))
-        H = 0.5 * (H + H.transpose(0, 2, 1))
-    else:
-        H = _hessian_from_values(func, x, t, out_dim, _default_step(x, QUARTIC_EPS))
-    if not np.all(np.isfinite(H)):
-        raise ModelEvaluationError(f"Hessian sample non-finite at t={t}", time=float(t))
-    return H
+    return _stacked_hessians(model, np.asarray(x, dtype=float).reshape(1, -1), t, which)[0]
 
 
 def _tensor_norms(H: np.ndarray, output_directions: np.ndarray) -> np.ndarray:
@@ -318,14 +350,10 @@ def estimate_hessian_bounds(model: SystemModel,
     kappa_c = 0.0
     for xc, t in centers:
         xc = np.asarray(xc, dtype=float).reshape(-1)
-        points = [x for r in radii
-                  for x in ([xc] if r == 0.0 else [xc + r * u for u in state_dirs])]
-        Hf, Hh = [], []
-        for x in points:
-            Hf.append(hessian_tensor(model, x, t, "dynamics"))
-            Hh.append(hessian_tensor(model, x, t, "output"))
-        # batched per centre, not per path, so memory stays flat in the path length
-        kappa_a = max(kappa_a, float(_tensor_norms(np.array(Hf), out_dirs_f).max()))
-        kappa_c = max(kappa_c, float(_tensor_norms(np.array(Hh), out_dirs_h).max()))
+        points = np.vstack([xc] + [xc + r * state_dirs for r in radii[1:]])
+        # one stacked evaluation per centre and map, so memory stays flat in the path length
+        Hf, Hh = (_stacked_hessians(model, points, t, which) for which in ("dynamics", "output"))
+        kappa_a = max(kappa_a, float(_tensor_norms(Hf, out_dirs_f).max()))
+        kappa_c = max(kappa_c, float(_tensor_norms(Hh, out_dirs_h).max()))
     return HessianBounds(alpha=radius, kappa_A=safety * kappa_a,
                          kappa_C=safety * kappa_c, sampled=True)

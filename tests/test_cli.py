@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -174,13 +175,13 @@ def test_certify_sampled_curvature(tmp_path):
 
 def test_certify_sampled_curvature_uses_requested_centers(tmp_path, monkeypatch):
     times = set()
-    hessian_tensor = model.hessian_tensor
+    stacked_hessians = model._stacked_hessians
 
-    def recording(m, x, t, which):
+    def recording(m, points, t, which):
         times.add(t)
-        return hessian_tensor(m, x, t, which)
+        return stacked_hessians(m, points, t, which)
 
-    monkeypatch.setattr(model, "hessian_tensor", recording)
+    monkeypatch.setattr(model, "_stacked_hessians", recording)
     cfg = cubic_cfg()
     cfg["hessian"] = {"radius": 1.0, "centers": 50}
     rc = main(["certify", "--config", write_cfg(tmp_path, cfg),
@@ -351,3 +352,18 @@ def test_commands_call_the_traced_module_globals(tmp_path, monkeypatch):
                       ("perturb", declared), ("envelope", declared)]:
         assert main([cmd, "--config", path, "--out", str(tmp_path / cmd)]) == 0, cmd
     assert all(calls.values()), calls
+
+
+def test_failed_runs_print_one_stderr_line_and_no_warnings(tmp_path, capsys):
+    # the overflow of test_non_finite_model_output_writes_the_failure_summary,
+    # without a caller-side np.errstate: the library scopes its own
+    cfg = cubic_cfg(horizon=2.0, step=0.05, twin={"z1_0": [0.1], "z2_0": [-0.1]})
+    cfg["filter"]["xhat0"] = [1e8]
+    path = write_cfg(tmp_path, cfg)
+    for cmd in TRAJECTORY_COMMANDS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([cmd, "--config", path, "--out", str(tmp_path / cmd)]) == 1, cmd
+        assert [str(w.message) for w in caught] == [], cmd
+        assert capsys.readouterr().err.splitlines() == [
+            f"{cmd}: failed at t=0.05: Jacobian evaluation produced non-finite entries at t=0.05"]

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ekfcert as ek
-from ekfcert.model import CBRT_EPS, _unit_directions
+from ekfcert.model import (CBRT_EPS, QUARTIC_EPS, _stacked_hessians, _stacked_jacobians,
+                           _unit_directions)
 
 
 def _scalar_model(f, h=None, jac_a=None, jac_c=None, fd_step=None):
@@ -276,3 +277,192 @@ def test_central_differences_match_the_former_per_map_loops():
                 assert np.array_equal(
                     ek.hessian_tensor(model, x, t, "output"),
                     _old_hessian_from_jacobian(model.jacobian_C, x, t, p, step))
+
+
+# Per-point reference paths: inline copies of eval_jacobians and hessian_tensor
+# as they were before stacked evaluation, one callback round per point.
+
+def _ref_step(x, base):
+    return base * max(1.0, float(np.linalg.norm(x)))
+
+
+def _ref_central_differences(g, x, t, step):
+    columns = []
+    for i in range(len(x)):
+        e = np.zeros(len(x))
+        e[i] = step
+        columns.append((g(x + e, t) - g(x - e, t)) / (2.0 * step))
+    return np.stack(columns, axis=1)
+
+
+def _ref_eval_jacobians(model, x, t):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(x)):
+        raise ek.ModelEvaluationError(f"state contains non-finite entries: {x}", time=float(t))
+    step = model.fd_step
+    if step is None:
+        step = _ref_step(x, CBRT_EPS)
+    n, p = model.state_dim, model.output_dim
+    if model.jacobian_A is not None:
+        A = np.asarray(model.jacobian_A(x, t), dtype=float).reshape(n, n)
+    else:
+        A = _ref_central_differences(model.f, x, t, step)
+    if model.jacobian_C is not None:
+        C = np.asarray(model.jacobian_C(x, t), dtype=float).reshape(p, n)
+    else:
+        C = _ref_central_differences(model.h, x, t, step)
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(C))):
+        raise ek.ModelEvaluationError(
+            f"Jacobian evaluation produced non-finite entries at t={t}", time=float(t))
+    return A, C
+
+
+def _ref_hessian_tensor(model, x, t, which):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    n = len(x)
+    if which == "dynamics":
+        jac, func, m = model.jacobian_A, model.f, model.state_dim
+    else:
+        jac, func, m = model.jacobian_C, model.h, model.output_dim
+    if jac is not None:
+        H = _ref_central_differences(
+            lambda z, s: np.asarray(jac(z, s), dtype=float).reshape(m, n),
+            x, t, _ref_step(x, CBRT_EPS))
+        return 0.5 * (H + H.transpose(0, 2, 1))
+    step = _ref_step(x, QUARTIC_EPS)
+    H = np.empty((m, n, n))
+    f0 = func(x, t)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = step
+        H[:, i, i] = (func(x + ei, t) - 2.0 * f0 + func(x - ei, t)) / step ** 2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = step
+            mixed = (func(x + ei + ej, t) - func(x + ei - ej, t)
+                     - func(x - ei + ej, t) + func(x - ei - ej, t)) / (4.0 * step ** 2)
+            H[:, i, j] = mixed
+            H[:, j, i] = mixed
+    return H
+
+
+def _oracle_plants():
+    """Registry plants, their finite-difference-only twins with the default
+    step, and the two 3-state ad-hoc plants (analytic; FD-only with fd_step)."""
+    plants = [e.model for e in ek.registry()]
+    bare = [ek.SystemModel(state_dim=m.state_dim, output_dim=m.output_dim,
+                           dynamics=m.dynamics, output=m.output) for m in plants]
+    return plants + bare + [_ad_hoc_plant(analytic=True), _ad_hoc_plant(analytic=False)]
+
+
+def _oracle_points(rng, n, count):
+    # norms spread over [1e-2, 1e2], so the step rule max(1, ||x||) takes both branches
+    X = rng.standard_normal((count, n))
+    X *= (10.0 ** rng.uniform(-2.0, 2.0, (count, 1))) / np.linalg.norm(X, axis=1, keepdims=True)
+    X[0] = 0.0
+    X[1, 0] = -0.0
+    return X
+
+
+def test_stacked_jacobians_match_the_per_point_path():
+    rng = np.random.default_rng(21)
+    for model in _oracle_plants():
+        X = _oracle_points(rng, model.state_dim, 150)
+        times = rng.uniform(0.0, 5.0, len(X))
+        A, C = _stacked_jacobians(model, X, times)
+        for k, x in enumerate(X):
+            A_ref, C_ref = _ref_eval_jacobians(model, x, float(times[k]))
+            assert np.array_equal(A[k], A_ref) and np.array_equal(C[k], C_ref)
+            A1, C1 = ek.eval_jacobians(model, x, float(times[k]))
+            assert np.array_equal(A1, A_ref) and np.array_equal(C1, C_ref)
+
+
+def test_stacked_hessians_match_the_per_point_path():
+    rng = np.random.default_rng(22)
+    for model in _oracle_plants():
+        X = _oracle_points(rng, model.state_dim, 150)
+        for which in ("dynamics", "output"):
+            H = _stacked_hessians(model, X, 1.3, which)
+            for k, x in enumerate(X):
+                H_ref = _ref_hessian_tensor(model, x, 1.3, which)
+                assert np.array_equal(H[k], H_ref)
+                assert np.array_equal(ek.hessian_tensor(model, x, 1.3, which), H_ref)
+
+
+def test_hessian_bounds_of_finite_difference_plant_match_per_point_loop():
+    model = _ad_hoc_plant(analytic=False)
+    path = [(np.array([0.3, -0.2, 0.5]), 0.0), (np.array([1.5, 0.4, -2.0]), 0.7)]
+    hb = ek.estimate_hessian_bounds(model, path, 0.5, direction_samples=8,
+                                    output_direction_samples=8, seed=3)
+    rng = np.random.default_rng(3)
+    state_dirs = _unit_directions(3, 8, rng)
+    out_f = _unit_directions(3, 8, rng)
+    out_h = _unit_directions(2, 8, rng)
+    ka = kc = 0.0
+    for xc, t in path:
+        for r in np.linspace(0.0, 0.5, 5):
+            for x in [xc] if r == 0.0 else [xc + r * u for u in state_dirs]:
+                ka = max(ka, _tensor_norm_loop(_ref_hessian_tensor(model, x, t, "dynamics"), out_f))
+                kc = max(kc, _tensor_norm_loop(_ref_hessian_tensor(model, x, t, "output"), out_h))
+    assert (hb.kappa_A, hb.kappa_C) == (1.1 * ka, 1.1 * kc)
+
+
+def _recording_plant(seen, analytic=True):
+    """2-state plant whose Jacobian is non-finite for x[0] > 50; every state a
+    callback receives is appended to ``seen``."""
+    def dyn(x, t):
+        seen.append(x.copy())
+        return np.array([x[1], np.inf if x[0] > 50.0 else -x[0]])
+
+    def jac_a(x, t):
+        seen.append(x.copy())
+        return np.array([[0.0, 1.0], [np.nan if x[0] > 50.0 else -1.0, 0.0]])
+
+    return ek.SystemModel(state_dim=2, output_dim=1, dynamics=dyn,
+                          output=lambda x, t: x[:1].copy(),
+                          jacobian_A=jac_a if analytic else None,
+                          jacobian_C=lambda x, t: np.array([[1.0, 0.0]]))
+
+
+def _failure(fn):
+    with pytest.raises(ek.ModelEvaluationError) as info:
+        fn()
+    return str(info.value), info.value.time
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+@pytest.mark.parametrize("bad_jacobian_row, bad_state_row", [(2, 5), (5, 2)])
+def test_stacked_jacobians_fail_at_the_first_row_like_the_per_point_loop(
+        analytic, bad_jacobian_row, bad_state_row):
+    X = np.tile([0.5, -0.3], (8, 1))
+    X[bad_jacobian_row, 0] = 60.0
+    X[bad_state_row, 1] = np.nan
+    times = 0.1 * np.arange(8)
+    seen = []
+    model = _recording_plant(seen, analytic)
+
+    def loop():
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, t in zip(X, times):
+                _ref_eval_jacobians(model, x, float(t))
+
+    expected = _failure(loop)
+    seen.clear()
+    assert _failure(lambda: _stacked_jacobians(model, X, times)) == expected
+    assert seen and np.isfinite(seen).all()
+    first = min(bad_jacobian_row, bad_state_row)
+    assert expected[1] == times[first]
+
+
+def test_stacked_hessians_fail_at_the_first_non_finite_row():
+    seen = []
+    model = _recording_plant(seen, analytic=False)
+    X = np.tile([0.5, -0.3], (6, 1))
+    X[1, 0] = 60.0
+    X[3, 1] = np.inf
+    message, time = _failure(lambda: _stacked_hessians(model, X, 0.4, "dynamics"))
+    assert (message, time) == ("Hessian sample non-finite at t=0.4", 0.4)
+    assert seen and np.isfinite(seen).all()
+    seen.clear()
+    assert _failure(lambda: ek.hessian_tensor(model, X[3], 0.4, "dynamics")) == (message, time)
+    assert seen == []
