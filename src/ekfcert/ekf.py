@@ -32,14 +32,14 @@ Flow = Callable[[float, np.ndarray], np.ndarray]
 
 
 def integrate(rhs: Flow, y0: np.ndarray, grid: np.ndarray, guard: Flow) -> np.ndarray:
-    """The package's one RK4 driver; returns the (len(grid), len(y0)) nodes.
+    """The package's one RK4 driver; returns the (len(grid), *y0.shape) nodes.
 
     ``guard(t, y)`` checks each new node, raises on failure and returns the
     node to store and continue from. ``rk4_step`` must stay a global of this
     module: perfbench/probe.py replaces it to stop a run at its first step.
     Overflow warnings are off: the guards report non-finite values as failures.
     """
-    nodes = np.empty((len(grid), len(y0)))
+    nodes = np.empty((len(grid), *y0.shape))
     nodes[0] = y = y0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(grid) - 1):
@@ -50,10 +50,12 @@ def integrate(rhs: Flow, y0: np.ndarray, grid: np.ndarray, guard: Flow) -> np.nd
 
 def divergence_guard(what: str) -> Flow:
     """Guard that raises DivergenceError naming ``what`` and the node time
-    at a non-finite node or one of norm above DIVERGENCE_LIMIT."""
+    at a non-finite node or one of norm above DIVERGENCE_LIMIT. Each row of
+    a stacked (B, n) node is checked on its own, as it would be alone."""
     def guard(t: float, y: np.ndarray) -> np.ndarray:
-        if not np.isfinite(y).all() or np.linalg.norm(y) > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"{what} diverged at t={t:.6g}", time=float(t))
+        for row in (y,) if y.ndim == 1 else y:
+            if not np.isfinite(row).all() or np.linalg.norm(row) > DIVERGENCE_LIMIT:
+                raise DivergenceError(f"{what} diverged at t={t:.6g}", time=float(t))
         return y
     return guard
 
@@ -163,7 +165,7 @@ def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
 
 @dataclass
 class FilterTrajectory:
-    """A completed filter run: node values plus interpolating accessors.
+    """A completed filter run: node values plus the interpolated gain schedule.
 
     ``states`` has shape (m, n) and ``covariances`` (m, n, n) over the m
     grid nodes in ``times``. The originating configuration and measurement
@@ -179,12 +181,6 @@ class FilterTrajectory:
     measurement_signal: Callable[[float], np.ndarray]
     p_lo: float
     p_hi: float
-
-    def state_at(self, t: float) -> np.ndarray:
-        return interp(self.times, self.states, t)
-
-    def cov_at(self, t: float) -> np.ndarray:
-        return interp(self.times, self.covariances, t)
 
     def gain_at(self, t: float) -> np.ndarray:
         return interp(self.times, self.gains, t)

@@ -10,6 +10,7 @@ of the certifier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -104,18 +105,23 @@ class HessianBounds:
             raise ConfigurationError("kappa bounds must be nonnegative")
 
 
-def _evaluate(func: Callable[[np.ndarray, float], np.ndarray], X: np.ndarray,
-              times: np.ndarray, steps: np.ndarray, offsets: np.ndarray,
-              shape: tuple) -> np.ndarray:
-    """func at x + s u for each row x of X (time t, step s) and offset row u,
-    once per point in row order, into a preallocated (N, len(offsets), *shape)
-    array. Signed zeros in the offsets keep each point bit-equal to a per-point
-    loop's x + e, x - e, x + ei - ej, ...; the offset -0.0 leaves x as it is."""
-    points = (X[:, None, :] + steps[:, None, None] * offsets).reshape(-1, X.shape[1])
-    out = np.empty((len(points), *shape))
-    for k, x in enumerate(points):
-        out[k] = func(x, times[k // len(offsets)])
-    return out.reshape(len(X), len(offsets), *shape)
+def _evaluate(func: Callable[[np.ndarray, float], np.ndarray], points: np.ndarray,
+              times: np.ndarray, shape: tuple) -> np.ndarray:
+    """func at every point of the (N, ..., n) ``points``, those of row i at
+    times[i], once per point in row order, into a preallocated (N, ..., *shape)
+    array."""
+    per_row = math.prod(points.shape[1:-1])
+    out = np.empty((len(points) * per_row, *shape))
+    for k, x in enumerate(points.reshape(-1, points.shape[-1])):
+        out[k] = func(x, times[k // per_row])
+    return out.reshape(*points.shape[:-1], *shape)
+
+
+def _step_scale(X: np.ndarray) -> np.ndarray:
+    """max(1, ||x||) per row: the finite-difference step per unit base. The
+    stacked dot rounds ||x|| as np.linalg.norm(x) does for each row;
+    np.linalg.norm(X, axis=1) does not."""
+    return np.maximum(1.0, np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0]))
 
 
 def _central_differences(func, X: np.ndarray, times: np.ndarray, steps: np.ndarray,
@@ -124,7 +130,8 @@ def _central_differences(func, X: np.ndarray, times: np.ndarray, steps: np.ndarr
     shape (N, shape[0], n, *shape[1:]): the index i sits on axis 2."""
     n = X.shape[1]
     E = np.eye(n)
-    V = _evaluate(func, X, times, steps, np.concatenate((E, -E)), shape)
+    V = _evaluate(func, X[:, None, :] + steps[:, None, None] * np.concatenate((E, -E)),
+                  times, shape)
     return ((V[:, :n] - V[:, n:]).T / (2.0 * steps)).T.swapaxes(1, 2)
 
 
@@ -134,8 +141,10 @@ def _second_differences(func, X: np.ndarray, times: np.ndarray, steps: np.ndarra
     n = X.shape[1]
     E, (I, J) = np.eye(n), np.nonzero(np.triu(np.ones((n, n), dtype=bool), 1))
     mixed = np.stack([E[I] + E[J], E[I] - E[J], -E[I] + E[J], -E[I] - E[J]], axis=1)
-    V = _evaluate(func, X, times, steps,
-                  np.vstack([-np.zeros((1, n)), E, -E, mixed.reshape(-1, n)]), (out_dim,))
+    # the offset -0.0 keeps the centre bit-equal to x, and signed zeros keep every
+    # point bit-equal to a per-point loop's x + e, x - e, x + ei - ej, ...
+    offsets = np.vstack([-np.zeros((1, n)), E, -E, mixed.reshape(-1, n)])
+    V = _evaluate(func, X[:, None, :] + steps[:, None, None] * offsets, times, (out_dim,))
     # Python's float power: s * s rounds differently for about 1 in 2 400 steps
     sq = np.array([s ** 2 for s in steps.tolist()])[:, None, None]
     H = np.empty((len(X), out_dim, n, n))
@@ -147,19 +156,15 @@ def _second_differences(func, X: np.ndarray, times: np.ndarray, steps: np.ndarra
 
 
 def _stacked(points, times, evaluate, message: str, state_message: str) -> tuple:
-    """``evaluate(X, T, scale)`` on the leading finite rows X of ``points``, their
-    times (one time or one per row) and scale = max(1, ||x||), the
-    finite-difference step per unit base, without overflow warnings. The
-    first row whose state or values are non-finite raises ModelEvaluationError."""
+    """``evaluate(X, T)`` on the leading finite rows X of ``points`` and their
+    times (one time or one per row), without overflow warnings. The first row
+    whose state or values are non-finite raises ModelEvaluationError."""
     X = np.asarray(points, dtype=float)
     T = np.broadcast_to(times, len(X))   # a view: no per-row objects for long stacks
     good = len(X) if np.isfinite(X).all() else int(np.isfinite(X).all(axis=1).argmin())
     Xg = X[:good]
     with np.errstate(over="ignore", invalid="ignore"):
-        # the stacked dot rounds ||x|| as np.linalg.norm(x) does for each row;
-        # np.linalg.norm(X, axis=1) does not
-        norms = np.sqrt((Xg[:, None, :] @ Xg[:, :, None])[:, 0, 0])
-        stacks = evaluate(Xg, T[:good], np.maximum(1.0, norms))
+        stacks = evaluate(Xg, T[:good])
     if good < len(X) or not all(np.isfinite(S).all() for S in stacks):
         k = next((k for k in range(good) if not all(np.isfinite(S[k]).all() for S in stacks)),
                  good)
@@ -198,13 +203,15 @@ def _stacked_jacobians(model: SystemModel, points: np.ndarray,
                        times) -> tuple[np.ndarray, np.ndarray]:
     """eval_jacobians at each row of the (N, n) ``points`` and its time (one
     time or N), as (N, n, n) and (N, p, n) stacks: one pass over the
-    callbacks, then steps, differences and checks once per stack."""
+    callbacks, then steps, differences and checks once per stack. Analytic
+    Jacobians see the rows themselves; only finite differences take steps."""
     n, p = model.state_dim, model.output_dim
 
-    def evaluate(X, T, scale):
-        steps = CBRT_EPS * scale if model.fd_step is None else np.full(len(X), model.fd_step)
-        return tuple(_evaluate(jac, X, T, steps, -np.zeros((1, n)), (m, n))[:, 0]
-                     if jac is not None
+    def evaluate(X, T):
+        if model.jacobian_A is None or model.jacobian_C is None:
+            steps = (CBRT_EPS * _step_scale(X) if model.fd_step is None
+                     else np.full(len(X), model.fd_step))
+        return tuple(_evaluate(jac, X, T, (m, n)) if jac is not None
                      else _central_differences(func, X, T, steps, (m,))
                      for jac, func, m in [(model.jacobian_A, model.dynamics, n),
                                           (model.jacobian_C, model.output, p)])
@@ -236,7 +243,8 @@ def _stacked_hessians(model: SystemModel, points: np.ndarray, t: float,
     else:
         raise ConfigurationError(f"unknown map selector {which!r}")
 
-    def evaluate(X, T, scale):
+    def evaluate(X, T):
+        scale = _step_scale(X)
         if jac is None:
             return (_second_differences(func, X, T, QUARTIC_EPS * scale, out_dim),)
         # central differences of an analytic Jacobian are exact (bit-for-bit

@@ -3,8 +3,8 @@
 All integrations take classical RK4 steps on a uniform grid through the one
 driver ``ekf.integrate``, which sits in ``ekf.py`` because the benchmark's
 set-up probe (perfbench/probe.py) stops a run by replacing
-``ekfcert.ekf.rk4_step``. Node series are re-evaluated between grid points
-by ``interp``: linear interpolation with clamped ends.
+``ekfcert.ekf.rk4_step``. Virtual copies are rows of one run on the filter's
+grid; ``interp`` (linear, clamped ends) serves the RK4 stages between nodes.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 The virtual system dz/dt = f(z,t) - K(t)(h(z,t) - y(t)) has both the true
 state and the filter estimate as particular solutions, so every statement
 about the filter's convergence is a statement about pairs of its
-trajectories. This module integrates the truth, re-integrates virtual
-copies under the filter's frozen gain schedule, measures weighted and
-Euclidean inter-trajectory distances, fits decay rates, and checks the
-certified error envelope and disturbance ball.
+trajectories. This module integrates the truth, integrates virtual copies
+as rows of one RK4 run on the filter's grid under its gain schedule,
+measures weighted and Euclidean inter-trajectory distances, fits decay
+rates, and checks the certified error envelope and disturbance ball.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .contraction import ContractionCertificate, _contraction_matrices
 from .ekf import FilterTrajectory, divergence_guard, integrate
 from .errors import ConfigurationError, PreconditionError
 from .model import SystemModel, _stacked_jacobians, eval_jacobians
-from .ode import TimeSeries, as_signal, interp, time_grid
+from .ode import TimeSeries, time_grid
 
 # absolute slack when comparing a near-zero steady radius against a zero ball
 BALL_TOL = 1e-8
@@ -47,21 +47,19 @@ class Disturbance:
 
 @dataclass
 class ExperimentRun:
-    """Record of one trajectory experiment.
+    """Record of one trajectory experiment on the filter run's grid.
 
-    ``virtual_trajs`` holds the integrated virtual states, one (m, n)
-    array per trajectory. ``weighted_dist`` is the squared weighted
-    distance d^T P(t)^{-1} d per grid node between the designated pair
-    (the two twins, or the virtual state and the estimate);
-    ``euclid_dist`` is the plain norm ||d||. ``fitted_rate`` is the
-    least-squares exponential rate of the weighted series. ``info``
-    carries experiment-specific scalars (pass flags, radii, margins).
+    ``weighted_dist`` is the squared weighted distance d^T P(t)^{-1} d per
+    grid node between the designated pair (the two twins, or the virtual
+    state and the estimate); ``euclid_dist`` is the plain norm ||d||.
+    ``fitted_rate`` is the least-squares exponential rate of the weighted
+    series. ``info`` carries experiment-specific scalars (pass flags, radii,
+    margins).
     """
 
     times: np.ndarray
-    virtual_trajs: list
-    weighted_dist: np.ndarray | None
-    euclid_dist: np.ndarray | None
+    weighted_dist: np.ndarray
+    euclid_dist: np.ndarray
     fitted_rate: float
     info: dict = field(default_factory=dict)
 
@@ -120,45 +118,50 @@ def integrate_truth(model: SystemModel, x0: np.ndarray, horizon: float,
     return traj, y
 
 
-def integrate_virtual(model: SystemModel, gain_schedule, measurements,
-                      z0: np.ndarray, horizon: float, step: float,
-                      disturbance: Disturbance | None = None) -> TimeSeries:
-    """Integrate the virtual system under a frozen gain schedule.
+def _virtual_flow(model: SystemModel, filter_run: FilterTrajectory, Z,
+                  t: float) -> tuple[list, np.ndarray]:
+    """f(z,t) - K(t)(h(z,t) - y(t)) for each row z of the stack Z, as a list,
+    and K(t). K and y are read once; each row runs the operations of a single copy."""
+    K = filter_run.gain_at(t)
+    y = filter_run.measurement_signal(t)
+    dZ = []
+    for z in Z:   # a loop, not a comprehension: no extra frame per RK4 stage
+        dZ.append(model.f(z, t) - K @ (model.h(z, t) - y))
+    return dZ, K
 
-    dz/dt = f(z,t) - K(t)(h(z,t) - y(t)) [+ b(z,t)], with K and y
-    interpolated between their grid nodes when given as series. The truth
-    and the filter estimate are particular solutions of the undisturbed
-    flow.
+
+def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
+                      disturbance: Disturbance | None = None) -> np.ndarray:
+    """Integrate virtual copies of the filter, one per row of the (B, n) ``starts``.
+
+    dz/dt = f(z,t) - K(t)(h(z,t) - y(t)) [+ b(z,t)], with the gain and
+    measurement signal of the completed filter run, as one RK4 run on its
+    grid; returns the (m, B, n) nodes. Each row is checked by the divergence
+    guard on its own, so a run stops where its first row would fail alone.
+    The truth and the filter estimate are particular solutions of the
+    undisturbed flow.
     """
-    z0 = np.asarray(z0, dtype=float).reshape(-1)
-    gain = as_signal(gain_schedule)
-    y = as_signal(measurements)
+    Z0 = np.asarray(starts, dtype=float)
+    if Z0.ndim != 2 or Z0.shape[1] != model.state_dim:
+        raise ConfigurationError(
+            f"virtual starts must have shape (B, {model.state_dim}), got {Z0.shape}")
     b_worst = 0.0
 
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        K = np.asarray(gain(t), dtype=float).reshape(model.state_dim, model.output_dim)
-        dz = model.f(z, t) - K @ (model.h(z, t) - y(t))
+    def rhs(t: float, Z: np.ndarray) -> np.ndarray:
+        dZ, _ = _virtual_flow(model, filter_run, Z, t)
         if disturbance is not None:
-            bv = np.asarray(disturbance.b(z, t), dtype=float).reshape(-1)
             nonlocal b_worst
-            b_worst = max(b_worst, float(np.linalg.norm(bv)))
-            dz = dz + bv
-        return dz
+            for b, z in enumerate(Z):
+                bv = np.asarray(disturbance.b(z, t), dtype=float).reshape(-1)
+                b_worst = max(b_worst, float(np.linalg.norm(bv)))
+                dZ[b] = dZ[b] + bv
+        return np.array(dZ)
 
-    grid = time_grid(horizon, step)
-    states = integrate(rhs, z0, grid, divergence_guard("virtual state"))
+    nodes = integrate(rhs, Z0, filter_run.times, divergence_guard("virtual state"))
     if disturbance is not None and b_worst > disturbance.b_max * (1.0 + 1e-9) + 1e-300:
         raise PreconditionError(
             f"disturbance bound violated: observed {b_worst:.6g} > b_max {disturbance.b_max:.6g}")
-    return TimeSeries(grid, states)
-
-
-def _resample(node_times: np.ndarray, nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """A node series at ``times``: the nodes themselves on the same grid,
-    else one ``interp`` per point."""
-    if len(times) == len(node_times) and np.array_equal(times, node_times):
-        return nodes
-    return np.stack([interp(node_times, nodes, float(t)) for t in times])
+    return nodes
 
 
 def _weighted_sq(covs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,34 +180,27 @@ def _in_weighted_basin(traj: FilterTrajectory, z0: np.ndarray,
 
 
 def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
-               z1_0: np.ndarray, z2_0: np.ndarray,
-               horizon: float | None = None, *,
+               z1_0: np.ndarray, z2_0: np.ndarray, *,
                certificate: ContractionCertificate | None = None) -> ExperimentRun:
     """Two virtual trajectories under the filter's gain; distance decay.
 
-    Both twins use the gain schedule and measurement signal of the
-    completed filter run. The weighted squared distance
-    (z1-z2)^T P(t)^{-1} (z1-z2) should decay at rate 2 gamma inside the
-    certified region; its fitted rate is returned in the run. When a
-    certificate is supplied, membership of both initial points in the
-    weighted basin (d^T P(0)^{-1} d <= rho^2/p_hi) is recorded in
-    info["within_basin"]; an outside start is flagged, not fatal.
+    The twins are the two rows of one virtual run on the filter's grid. The
+    weighted squared distance (z1-z2)^T P(t)^{-1} (z1-z2) should decay at
+    rate 2 gamma inside the certified region; its fitted rate is returned
+    in the run. When a certificate is supplied, membership of both initial
+    points in the weighted basin (d^T P(0)^{-1} d <= rho^2/p_hi) is
+    recorded in info["within_basin"]; an outside start is flagged, not
+    fatal.
     """
-    if horizon is None:
-        horizon = float(filter_run.times[-1])
-    step = filter_run.config.step
-    z1 = integrate_virtual(model, filter_run.gain_at, filter_run.measurement_signal,
-                           z1_0, horizon, step)
-    z2 = integrate_virtual(model, filter_run.gain_at, filter_run.measurement_signal,
-                           z2_0, horizon, step)
-    covs = _resample(filter_run.times, filter_run.covariances, z1.times)
-    delta = z1.values - z2.values
-    weighted, _ = _weighted_sq(covs, delta)
+    times = filter_run.times
+    Z = integrate_virtual(model, filter_run, [np.ravel(z1_0), np.ravel(z2_0)])
+    delta = Z[:, 0] - Z[:, 1]
+    weighted, _ = _weighted_sq(filter_run.covariances, delta)
     euclid = np.linalg.norm(delta, axis=1)
-    rate = fit_exponential_rate(z1.times, weighted)
+    rate = fit_exponential_rate(times, weighted)
     info: dict = {
         "fitted_rate_weighted": rate,
-        "fitted_rate_euclid": fit_exponential_rate(z1.times, euclid),
+        "fitted_rate_euclid": fit_exponential_rate(times, euclid),
     }
     if certificate is not None:
         inside = (_in_weighted_basin(filter_run, z1_0, certificate)
@@ -213,8 +209,7 @@ def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
         info["gamma"] = certificate.gamma
         # decade-fit slack of 10% on the certified rate 2 gamma
         info["rate_pass"] = bool(math.isnan(rate) or rate >= 2.0 * certificate.gamma * 0.9)
-    return ExperimentRun(times=z1.times, virtual_trajs=[z1.values, z2.values],
-                         weighted_dist=weighted, euclid_dist=euclid,
+    return ExperimentRun(times=times, weighted_dist=weighted, euclid_dist=euclid,
                          fitted_rate=rate, info=info)
 
 
@@ -224,11 +219,13 @@ def envelope_check(filter_run: FilterTrajectory, truth: TimeSeries,
 
     The envelope is envelope_factor * ||e(0)|| * exp(-gamma t). The
     initial error must lie inside basin_euclid for the certificate to
-    apply; membership is reported, and the check proceeds either way.
+    apply; membership is reported, and the check proceeds either way. The
+    truth must be sampled on the filter run's grid.
     """
     times = filter_run.times
-    truth_states = _resample(truth.times, truth.values, times)
-    err = np.linalg.norm(filter_run.states - truth_states, axis=1)
+    if not np.array_equal(truth.times, times):
+        raise ConfigurationError("the truth series must lie on the filter run's grid")
+    err = np.linalg.norm(filter_run.states - truth.values, axis=1)
     e0 = float(err[0])
     env = certificate.envelope_factor * e0 * np.exp(-certificate.gamma * times)
     margins = env - err
@@ -244,7 +241,6 @@ def envelope_check(filter_run: FilterTrajectory, truth: TimeSeries,
 
 def perturbed_run(model: SystemModel, filter_run: FilterTrajectory,
                   disturbance: Disturbance, z0: np.ndarray, *,
-                  certificate: ContractionCertificate | None = None,
                   gamma: float | None = None) -> ExperimentRun:
     """Virtual trajectory with additive disturbance; steady-state ball.
 
@@ -252,23 +248,20 @@ def perturbed_run(model: SystemModel, filter_run: FilterTrajectory,
     ||z - xhat|| over the trailing third of the horizon, compared against
     two candidate ball radii: sqrt(p_hi/p_lo) * gamma * b_max and
     sqrt(p_hi/p_lo) * b_max / gamma. Only the second (the standard
-    gain/rate form) drives the pass flag; both are reported. The run covers
-    the filter run's horizon.
+    gain/rate form) drives the pass flag; both are reported. ``gamma``
+    defaults to q_lo / (4 p_hi). The run is one virtual row on the filter's grid.
     """
     if gamma is None:
-        gamma = (certificate.gamma if certificate is not None
-                 else filter_run.config.q_lo / (4.0 * filter_run.p_hi))
+        gamma = filter_run.config.q_lo / (4.0 * filter_run.p_hi)
     if gamma <= 0.0:
         raise ConfigurationError(f"gamma must be positive, got {gamma}")
-    z = integrate_virtual(model, filter_run.gain_at, filter_run.measurement_signal,
-                          z0, float(filter_run.times[-1]), filter_run.config.step,
-                          disturbance=disturbance)
-    delta = z.values - _resample(filter_run.times, filter_run.states, z.times)
+    times = filter_run.times
+    z = integrate_virtual(model, filter_run, [np.ravel(z0)], disturbance)[:, 0]
+    delta = z - filter_run.states
     euclid = np.linalg.norm(delta, axis=1)
-    covs = _resample(filter_run.times, filter_run.covariances, z.times)
-    weighted, _ = _weighted_sq(covs, delta)
+    weighted, _ = _weighted_sq(filter_run.covariances, delta)
 
-    tail = z.times >= (2.0 / 3.0) * z.times[-1]
+    tail = times >= (2.0 / 3.0) * times[-1]
     steady = float(euclid[tail].max())
     factor = math.sqrt(filter_run.p_hi / filter_run.p_lo)
     ball_standard = factor * disturbance.b_max / gamma
@@ -283,55 +276,46 @@ def perturbed_run(model: SystemModel, filter_run: FilterTrajectory,
         "gamma": gamma,
         "factor": factor,
     }
-    return ExperimentRun(times=z.times, virtual_trajs=[z.values],
-                         weighted_dist=weighted, euclid_dist=euclid,
-                         fitted_rate=fit_exponential_rate(z.times, weighted),
+    return ExperimentRun(times=times, weighted_dist=weighted, euclid_dist=euclid,
+                         fitted_rate=fit_exponential_rate(times, weighted),
                          info=info)
 
 
 def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
-                          z0: np.ndarray, *, step: float | None = None,
-                          dz0: np.ndarray | None = None) -> float:
+                          z0: np.ndarray, *, dz0: np.ndarray | None = None) -> float:
     """Consistency of d/dt(dz^T P^{-1} dz) with dz^T P^{-1} M P^{-1} dz.
 
     Propagates a variational state along the linearized virtual flow
-    dz' = (A(z,t) - K(t) C(z,t)) dz, differentiates the weighted squared
-    length numerically in time, and compares it at every interior grid
-    node against the quadratic form of the contraction matrix. Returns
+    dz' = (A(z,t) - K(t) C(z,t)) dz next to its virtual row z on the
+    filter's grid, differentiates the weighted squared length numerically
+    in time, and compares it at every interior grid node against the
+    quadratic form of the contraction matrix. Returns
     the maximum absolute deviation relative to the largest magnitude of
-    the quadratic form (the two sides agree up to O(step^2)). The run
-    covers the filter run's horizon.
+    the quadratic form (the two sides agree up to O(step^2)).
     One stacked solve S = P^{-1} dz serves both dz^T S and the form S^T M S.
     """
-    if step is None:
-        step = filter_run.config.step
     n = model.state_dim
     z0 = np.asarray(z0, dtype=float).reshape(-1)
     if dz0 is None:
         dz0 = np.ones(n) / math.sqrt(n)
     else:
         dz0 = np.asarray(dz0, dtype=float).reshape(-1)
-    K = filter_run.gain_at
-    y = filter_run.measurement_signal
 
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
         z, dz = s[:n], s[n:]
         A, C = eval_jacobians(model, z, t)
-        Kt = K(t)
-        dzdot = (A - Kt @ C) @ dz
-        zdot = model.f(z, t) - Kt @ (model.h(z, t) - y(t))
-        return np.concatenate([zdot, dzdot])
+        (zdot,), K = _virtual_flow(model, filter_run, (z,), t)
+        return np.concatenate([zdot, (A - K @ C) @ dz])
 
-    grid = time_grid(float(filter_run.times[-1]), step)
+    grid = filter_run.times
     nodes = integrate(rhs, np.concatenate([z0, dz0]), grid,
                       divergence_guard("variational state"))
     zs, dzs = nodes[:, :n], nodes[:, n:]
 
-    covs = _resample(filter_run.times, filter_run.covariances, grid)
-    xhats = _resample(filter_run.times, filter_run.states, grid)
+    covs = filter_run.covariances
     w, S = _weighted_sq(covs, dzs)
     Az, Cz = _stacked_jacobians(model, zs, grid)
-    Ah, Ch = _stacked_jacobians(model, xhats, grid)
+    Ah, Ch = _stacked_jacobians(model, filter_run.states, grid)
     M = _contraction_matrices(Ah, Ch, Az, Cz, covs, filter_run.config.Q, filter_run.config.R)
     # a stacked matmul, not einsum, keeps each node's rounding that of S_k @ (M_k @ S_k)
     quad = (S[:, None, :] @ (M @ S[:, :, None]))[:, 0, 0]

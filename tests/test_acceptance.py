@@ -19,6 +19,7 @@ from ekfcert.contraction import (compare_analyses, empirical_radius,
                                  inflation_rate_gain, linear_output_check,
                                  make_certificate, zeta_plus)
 from ekfcert.model import HessianBounds, estimate_hessian_bounds
+from ekfcert.ode import interp
 from ekfcert.sim import (Disturbance, envelope_check, integrate_truth,
                          perturbed_run, twin_decay, variational_validator)
 
@@ -108,7 +109,7 @@ def test_03_time_varying_linear_convergence():
     final_err = float(np.linalg.norm(traj.states[-1] - state(horizon, x0)))
 
     twin = twin_decay(model, traj, x0 + np.array([0.5, 0.0]),
-                      x0 - np.array([0.5, 0.0]), horizon=12.0)
+                      x0 - np.array([0.5, 0.0]))
     rate = twin.info["fitted_rate_weighted"]
     ok = (gamma * horizon >= 15.0 and final_err <= 1e-6
           and rate >= 2.0 * gamma * 0.9)
@@ -167,7 +168,7 @@ def test_05_scalar_pipeline_end_to_end(scalar_rig):
     ok_env = env.passed and env.worst_margin >= 0.0
 
     dist = Disturbance(b=lambda z, t: np.array([0.01]), b_max=0.01)
-    pert = perturbed_run(model, traj, dist, np.array([0.4]), certificate=cert)
+    pert = perturbed_run(model, traj, dist, np.array([0.4]), gamma=cert.gamma)
     steady = pert.info["steady_radius"]
     ok_pert = (abs(steady - 0.01) <= 0.05 * 0.01
                and pert.info["within_standard"]
@@ -298,8 +299,8 @@ def test_09_sampled_radius_dominates_analytic_radius(cubic_rig):
                                                   kappa_C=0.0))
     margins = []
     for t in np.linspace(0.0, float(traj.times[-1]), 9):
-        r_emp = empirical_radius(cubic_rig["model"], traj.state_at(float(t)),
-                                 traj.cov_at(float(t)), fc.Q, fc.R,
+        xhat, P = (interp(traj.times, v, float(t)) for v in (traj.states, traj.covariances))
+        r_emp = empirical_radius(cubic_rig["model"], xhat, P, fc.Q, fc.R,
                                  cert.gamma, float(t), direction_samples=16)
         margins.append(r_emp - cert.zeta_plus)
     ok = all(m >= -1e-9 * cert.zeta_plus for m in margins)

@@ -6,6 +6,7 @@ interpolators the package used before every flow went through
 reproduce its reference bit for bit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import ekfcert as ek
 import ekfcert.ekf
 from ekfcert.model import eval_jacobians
+from ekfcert.ode import interp
 
 LIMIT = 1e12
 
@@ -239,8 +241,9 @@ def test_accessors_match_reference_interpolation(rig):
     probes = np.concatenate([run.times, mids[::7], [-1.0, run.times[-1] + 1.0]])
     for t in probes:
         t = float(t)
-        assert np.array_equal(run.state_at(t), _ref_interp_path(run.times, run.states, t))
-        assert np.array_equal(run.cov_at(t), _ref_interp_path(
+        assert np.array_equal(interp(run.times, run.states, t),
+                              _ref_interp_path(run.times, run.states, t))
+        assert np.array_equal(interp(run.times, run.covariances, t), _ref_interp_path(
             run.times, run.covariances.reshape(m, -1), t).reshape(run.covariances.shape[1:]))
         assert np.array_equal(run.gain_at(t), _ref_gain(run)(t))
 
@@ -254,11 +257,10 @@ def test_virtual_matches_reference_loop(rig, disturbed):
         vec = np.full(n, 0.01)
         dist = ek.Disturbance(b=lambda z, t: vec * math.sin(2.0 * t),
                               b_max=float(np.linalg.norm(vec)))
-    new = ek.integrate_virtual(rig["model"], run.gain_at, run.measurement_signal,
-                               rig["z0"], spec["horizon"], spec["step"], disturbance=dist)
+    new = ek.integrate_virtual(rig["model"], run, [rig["z0"]], dist)
     states, b_worst = _ref_virtual(rig["model"], _ref_gain(run), run.measurement_signal,
                                    rig["z0"], spec["horizon"], spec["step"], dist)
-    assert np.array_equal(new.values, states)
+    assert np.array_equal(new[:, 0], states)
     assert b_worst > 0.0 if disturbed else b_worst == 0.0
 
 
@@ -283,9 +285,11 @@ def test_gain_pass_matches_reference_loop():
 
 @pytest.mark.parametrize("refine", [1, 2])
 def test_variational_validator_matches_reference_loop(rig, refine):
-    run = rig["run"]
+    """On the rig's filter run and on one with the step refined."""
     step = rig["spec"]["step"] / refine
-    new = ek.variational_validator(rig["model"], run, rig["z0"], step=step)
+    run = rig["run"] if refine == 1 else ek.integrate_ekf(
+        dataclasses.replace(rig["fc"], step=step), rig["y"])
+    new = ek.variational_validator(rig["model"], run, rig["z0"])
     assert new == _ref_validator(rig["model"], run, rig["z0"], step)
 
 
@@ -337,12 +341,11 @@ def test_truth_guard_reports_first_failing_node():
 
 def test_virtual_guard_reports_first_failing_node():
     model, z0 = _blowup_model(), np.array([3.0])
-    grid = ek.time_grid(0.2, 0.01)
+    run = _zero_gain_run(0.2, 0.01)
     with np.errstate(over="ignore", invalid="ignore"):
-        t_fail = _first_failing_node(lambda t, s: model.f(s, t), z0, grid)
+        t_fail = _first_failing_node(lambda t, s: model.f(s, t), z0, run.times)
         with pytest.raises(ek.DivergenceError) as info:
-            ek.integrate_virtual(model, lambda t: np.zeros((1, 1)),
-                                 lambda t: np.zeros(1), z0, 0.2, 0.01)
+            ek.integrate_virtual(model, run, [z0])
     _assert_divergence(info, "virtual state", t_fail)
 
 
@@ -405,8 +408,8 @@ def test_every_integrator_steps_through_the_ekf_module_global(monkeypatch, scala
                             [0.4]),
         "integrate_ekf": (lambda: ek.integrate_ekf(scalar_rig["fc"], scalar_rig["y"]),
                           [0.5, 2.0]),
-        "integrate_virtual": (lambda: ek.integrate_virtual(
-            model, run.gain_at, run.measurement_signal, np.array([0.1]), 1.0, 0.01), [0.1]),
+        "integrate_virtual": (lambda: ek.integrate_virtual(model, run, [[0.1], [0.2]]),
+                              [[0.1], [0.2]]),
         "variational_validator": (lambda: ek.variational_validator(
             model, run, np.array([0.1])), [0.1, 1.0]),
     }

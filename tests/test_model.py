@@ -377,6 +377,26 @@ def test_stacked_jacobians_match_the_per_point_path():
             assert np.array_equal(A1, A_ref) and np.array_equal(C1, C_ref)
 
 
+def test_analytic_jacobian_stacks_take_no_finite_difference_steps(monkeypatch):
+    """Analytic callbacks get the rows themselves: no norms, steps or offset
+    points are formed, and the results still equal the per-point path."""
+    def no_steps(X):
+        raise AssertionError("finite-difference step scale computed")
+
+    monkeypatch.setattr(ek.model, "_step_scale", no_steps)
+    rng = np.random.default_rng(23)
+    for model in [e.model for e in ek.registry()] + [_ad_hoc_plant(analytic=True)]:
+        X = _oracle_points(rng, model.state_dim, 40)
+        A, C = _stacked_jacobians(model, X, 0.7)
+        for k, x in enumerate(X):
+            A_ref, C_ref = _ref_eval_jacobians(model, x, 0.7)
+            assert np.array_equal(A[k], A_ref) and np.array_equal(C[k], C_ref)
+    bare = ek.SystemModel(state_dim=model.state_dim, output_dim=model.output_dim,
+                          dynamics=model.dynamics, output=model.output)
+    with pytest.raises(AssertionError, match="step scale"):
+        _stacked_jacobians(bare, X, 0.7)
+
+
 def test_stacked_hessians_match_the_per_point_path():
     rng = np.random.default_rng(22)
     for model in _oracle_plants():

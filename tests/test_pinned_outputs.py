@@ -1,10 +1,13 @@
-"""The benchmark's pinned output hashes, checked by the test suite.
+"""The benchmark's pinned outputs, checked by the test suite.
 
-Runs the ``certify-vdp-sampled`` certify operation and the
-``variational-cubic`` integrate_ekf operation of perfbench/workloads.py once
-at the reference seed and compares their output file hashes with
-perfbench/reference.json, so a change that moves a single bit of these
-outputs fails here and not only in the benchmark. Both files are only read.
+Runs operations of perfbench/workloads.py once at the reference seed and
+compares their outputs with perfbench/reference.json: the output file
+hashes of the ``certify-vdp-sampled`` certify operation, of the four
+``trajectories-vdp-declared`` operations and of the ``variational-cubic``
+integrate_ekf operation, and the exact deviations of the two
+``variational-cubic`` validator operations. A change that moves a single
+bit of these outputs fails here and not only in the benchmark. Both files
+are only read.
 """
 
 import importlib.util
@@ -25,15 +28,35 @@ def workloads():
     return module
 
 
-@pytest.mark.parametrize("workload, op", [("certify-vdp-sampled", "certify"),
-                                          ("variational-cubic", "integrate_ekf")])
-def test_operation_reproduces_the_pinned_file_hashes(workloads, tmp_path, workload, op):
+def _run(workloads, tmp_path, workload: str, *names: str):
+    """Run the named operations of the workload in order at the reference
+    seed; returns the reference entry and the last operation's result."""
     reference = json.loads((PERFBENCH / "reference.json").read_text())["workloads"][workload]
     wl = workloads.WORKLOADS[workload]
     wl.prepare(tmp_path, reference["seed"])
-    _, call, collect = next(o for o in wl.ops() if o[0] == op)
-    result = workloads.OpResult(op)
-    collect(result, call(workloads.api()))
-    assert result.problems == []
+    ops = {name: (call, collect) for name, call, collect in wl.ops()}
+    for name in names:
+        call, collect = ops[name]
+        result = workloads.OpResult(name)
+        collect(result, call(workloads.api()))
+        assert result.problems == [], name
+    return reference, result
+
+
+@pytest.mark.parametrize("workload, op", [
+    ("certify-vdp-sampled", "certify"),
+    ("variational-cubic", "integrate_ekf"),
+    *[("trajectories-vdp-declared", op) for op in ("simulate", "twin", "perturb", "envelope")],
+])
+def test_operation_reproduces_the_pinned_file_hashes(workloads, tmp_path, workload, op):
+    reference, result = _run(workloads, tmp_path, workload, op)
     assert result.files and result.files == {
         key: digest for key, digest in reference["files"].items() if key.startswith(op + "/")}
+
+
+@pytest.mark.parametrize("op", ["validator_truth", "validator_seeded"])
+def test_validator_reproduces_the_pinned_deviation(workloads, tmp_path, op):
+    # a validator operation reads the filter run of the integrate_ekf operation
+    reference, result = _run(workloads, tmp_path, "variational-cubic", "integrate_ekf", op)
+    key = f"{op}.deviation"
+    assert result.values == {key: reference["values"][key]}

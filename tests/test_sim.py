@@ -1,10 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import ekfcert as ek
-from ekfcert import sim
 
 
 @pytest.fixture(scope="module")
@@ -59,49 +59,27 @@ def test_truth_matches_closed_form_flow():
 def test_estimate_solves_virtual_flow(scalar_rig, cubic_rig):
     for rig in (scalar_rig, cubic_rig):
         traj = rig["traj"]
-        z = ek.integrate_virtual(rig["model"], traj.gain_at,
-                                 traj.measurement_signal, traj.states[0],
-                                 float(traj.times[-1]), traj.config.step)
+        z = ek.integrate_virtual(rig["model"], traj, [traj.states[0]])
+        assert z.shape == (len(traj.times), 1, 1)
         scale = 1.0 + float(np.abs(traj.states).max())
-        assert float(np.abs(z.values - traj.states).max()) <= 1e-4 * scale
+        assert float(np.abs(z[:, 0] - traj.states).max()) <= 1e-4 * scale
 
 
 def test_virtual_closed_form_at_equilibrium(equilibrium_rig):
     traj = equilibrium_rig["traj"]
-    z = ek.integrate_virtual(equilibrium_rig["model"], traj.gain_at,
-                             traj.measurement_signal, np.array([1.4]),
-                             4.0, traj.config.step)
+    z = ek.integrate_virtual(equilibrium_rig["model"], traj, [[1.4]])
     # constant unit gain turns the virtual flow into dz = -(z - 0.4)
-    assert abs((z.values[-1, 0] - 0.4) - math.exp(-4.0)) < 1e-9
-
-
-def test_virtual_gain_series_matches_callable(equilibrium_rig):
-    traj = equilibrium_rig["traj"]
-    series = ek.TimeSeries(traj.times, traj.gains.reshape(len(traj.times), -1))
-    a = ek.integrate_virtual(equilibrium_rig["model"], traj.gain_at,
-                             traj.measurement_signal, np.array([0.7]),
-                             3.0, traj.config.step)
-    b = ek.integrate_virtual(equilibrium_rig["model"], series,
-                             traj.measurement_signal, np.array([0.7]),
-                             3.0, traj.config.step)
-    assert np.array_equal(a.values, b.values)
-
-
-def test_virtual_rejects_bad_gain_schedule(equilibrium_rig):
-    traj = equilibrium_rig["traj"]
-    with pytest.raises(ek.ConfigurationError):
-        ek.integrate_virtual(equilibrium_rig["model"], np.eye(1),
-                             traj.measurement_signal, np.zeros(1), 1.0, 0.01)
+    k = len(traj.times) // 3
+    assert abs((z[k, 0, 0] - 0.4) - math.exp(-float(traj.times[k]))) < 1e-9
 
 
 def test_twin_identical_starts_stay_identical(scalar_rig):
     run = ek.twin_decay(scalar_rig["model"], scalar_rig["traj"],
-                        np.array([0.7]), np.array([0.7]), horizon=4.0)
+                        np.array([0.7]), np.array([0.7]))
     assert np.all(run.weighted_dist == 0.0)
     assert np.all(run.euclid_dist == 0.0)
     assert math.isnan(run.fitted_rate)
-    assert run.times[-1] == 4.0
-    assert len(run.virtual_trajs) == 2
+    assert run.times is scalar_rig["traj"].times
 
 
 def test_twin_rate_matches_equilibrium_gain(scalar_rig):
@@ -122,7 +100,7 @@ def test_twin_outside_basin_is_flagged(scalar_rig):
     traj = scalar_rig["traj"]
     cert = _flat_cert(traj, alpha=0.01)
     run = ek.twin_decay(scalar_rig["model"], traj, np.array([0.8]),
-                        np.array([0.5]), horizon=4.0, certificate=cert)
+                        np.array([0.5]), certificate=cert)
     assert not run.info["within_basin"]
 
 
@@ -217,7 +195,7 @@ def test_perturbed_uses_certificate_gamma(equilibrium_rig):
     cert = _flat_cert(traj)
     dist = ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=0.1)
     run = ek.perturbed_run(equilibrium_rig["model"], traj, dist,
-                           np.array([0.4]), certificate=cert)
+                           np.array([0.4]), gamma=cert.gamma)
     assert run.info["gamma"] == cert.gamma
     run = ek.perturbed_run(equilibrium_rig["model"], traj, dist,
                            np.array([0.4]), gamma=0.125)
@@ -238,10 +216,11 @@ def test_variational_zero_direction(scalar_rig):
 
 def test_variational_validator_solve_count_is_independent_of_nodes(scalar_rig, solve_calls):
     # one stacked solve for P^{-1} dz plus the two of the stacked contraction matrices
+    fc = scalar_rig["fc"]
     for step in (0.024, 0.012):
+        traj = ek.integrate_ekf(dataclasses.replace(fc, step=step), scalar_rig["y"])
         solve_calls[0] = 0
-        ek.variational_validator(scalar_rig["model"], scalar_rig["traj"], np.array([0.7]),
-                                 step=step)
+        ek.variational_validator(scalar_rig["model"], traj, np.array([0.7]))
         assert solve_calls[0] == 3, step
 
 
@@ -288,24 +267,77 @@ def test_fit_rate_window_excludes_edges():
 
 
 def test_node_series_on_the_filter_grid_are_read_without_interpolation(
-        scalar_rig, equilibrium_rig, monkeypatch):
-    calls = []
-    interp = sim.interp
-
-    def counting(times, values, t):
-        calls.append(t)
-        return interp(times, values, t)
-
-    monkeypatch.setattr(sim, "interp", counting)
+        scalar_rig, equilibrium_rig):
     traj, truth = scalar_rig["traj"], scalar_rig["truth"]
     report = ek.envelope_check(traj, truth, _flat_cert(traj))
     assert np.array_equal(report.error, np.abs(traj.states - truth.values)[:, 0])
     traj = equilibrium_rig["traj"]
     dist = ek.Disturbance(b=lambda x, t: np.full(1, 0.01), b_max=0.01)
     run = ek.perturbed_run(equilibrium_rig["model"], traj, dist, np.array([0.4]))
-    assert np.array_equal(run.euclid_dist, np.abs(run.virtual_trajs[0] - traj.states)[:, 0])
-    assert calls == []
-    # a shorter twin run ends off the filter grid, so its covariances are resampled
-    twin = ek.twin_decay(equilibrium_rig["model"], traj, np.array([0.7]),
-                         np.array([0.5]), horizon=4.0)
-    assert len(calls) == len(twin.times)
+    z = ek.integrate_virtual(equilibrium_rig["model"], traj, [[0.4]], dist)[:, 0]
+    assert np.array_equal(run.euclid_dist, np.abs(z - traj.states)[:, 0])
+
+
+def test_envelope_rejects_truth_off_the_filter_grid(scalar_rig):
+    traj, truth = scalar_rig["traj"], scalar_rig["truth"]
+    cert = _flat_cert(traj)
+    for times in (truth.times[:-1], truth.times * (1.0 + 1e-12)):
+        other = ek.TimeSeries(times, truth.values[:len(times)])
+        with pytest.raises(ek.ConfigurationError, match="filter run's grid"):
+            ek.envelope_check(traj, other, cert)
+
+
+def test_stacked_twin_run_equals_two_single_row_runs(scalar_rig, cubic_rig):
+    for rig, starts in ((scalar_rig, [[0.8], [0.2]]), (cubic_rig, [[0.5], [-0.4]])):
+        model, traj = rig["model"], rig["traj"]
+        both = ek.integrate_virtual(model, traj, starts)
+        for b, start in enumerate(starts):
+            assert np.array_equal(both[:, b], ek.integrate_virtual(model, traj, [start])[:, 0])
+        run = ek.twin_decay(model, traj, np.array(starts[0]), np.array(starts[1]))
+        assert np.array_equal(run.euclid_dist, np.abs(both[:, 0] - both[:, 1])[:, 0])
+
+
+def test_virtual_starts_must_match_the_state_dimension(scalar_rig):
+    model, traj = ek.make("vanderpol-pos").model, scalar_rig["traj"]
+    for starts in ([0.1, 0.2], [[0.1, 0.2, 0.3]], np.zeros((1, 2, 1))):
+        with pytest.raises(ek.ConfigurationError, match=r"shape \(B, 2\)"):
+            ek.integrate_virtual(model, traj, starts)
+    with pytest.raises(ek.ConfigurationError):
+        ek.twin_decay(model, traj, np.zeros(3), np.zeros(3))
+
+
+def _free_rows_rig(rate):
+    """Zero-gain run of dx/dt = rate * x (two states, zero output) on [0, 1]."""
+    model = ek.SystemModel(state_dim=2, output_dim=1,
+                           dynamics=lambda x, t: rate * x,
+                           output=lambda x, t: np.zeros(1))
+    fc = ek.FilterConfig(model=ek.make("scalar-riccati").model, Q=np.eye(1), R=np.eye(1),
+                         P0=np.eye(1), x0=np.zeros(1), horizon=1.0, step=0.01)
+    run = ek.integrate_ekf(fc, lambda t: np.zeros(1))
+    run.gains = np.zeros((len(run.times), 2, 1))
+    return model, run
+
+
+def test_divergence_guard_checks_each_row_on_its_own():
+    # two rows of norm 0.8e12 stack to a vector of norm 1.13e12, above the limit
+    model, run = _free_rows_rig(0.0)
+    row = np.full(2, 0.8e12 / math.sqrt(2.0))
+    assert np.linalg.norm(np.concatenate([row, row])) > ek.ekf.DIVERGENCE_LIMIT
+    nodes = ek.integrate_virtual(model, run, [row, row])
+    assert np.all(nodes == row)
+
+
+def test_a_diverging_row_stops_the_run_at_its_single_run_time():
+    # growing as e^{40 t}, a row of norm 0.07 crosses 1e12 near t = 0.76 and
+    # one of norm 1e-6 stays below it up to t = 1
+    model, run = _free_rows_rig(40.0)
+    starts = [[1e-6, 0.0], [0.05, 0.05]]
+    with pytest.raises(ek.DivergenceError) as single:
+        ek.integrate_virtual(model, run, [starts[1]])
+    assert 0.0 < single.value.time < 1.0
+    ek.integrate_virtual(model, run, [starts[0]])
+    for order in (starts, starts[::-1]):
+        with pytest.raises(ek.DivergenceError) as info:
+            ek.integrate_virtual(model, run, order)
+        assert info.value.time == single.value.time
+        assert str(info.value) == f"virtual state diverged at t={single.value.time:.6g}"
