@@ -211,7 +211,8 @@ def zeta_plus(kappa_A: float, kappa_C: float, p_hi: float, q_lo: float,
         return math.sqrt(slack * r_lo) / (p_hi * kappa_C)
     a = (p_hi ** 2 / r_lo) * kappa_C ** 2
     b = 2.0 * p_hi * kappa_A
-    return (-b + math.sqrt(b * b + 4.0 * a * slack)) / (2.0 * a)
+    # the root (-b + sqrt(b^2 + 4 a slack)) / (2a) without its cancellation for small a
+    return 2.0 * slack / (b + math.sqrt(b * b + 4.0 * a * slack))
 
 
 def make_certificate(bounds: dict, hess: HessianBounds,

@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, CovarianceBoundViolation, DivergenceError
-from .model import SystemModel, _stacked_jacobians, eval_jacobians
-from .ode import TimeSeries, as_signal, interp, rk4_step, time_grid
+from .model import SystemModel, eval_jacobians
+from .ode import TimeSeries, as_signal, rk4_step, stage_table, time_grid
 
 # states beyond this magnitude are treated as numerical blow-up
 DIVERGENCE_LIMIT = 1e12
@@ -165,12 +165,14 @@ def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
 
 @dataclass
 class FilterTrajectory:
-    """A completed filter run: node values plus the interpolated gain schedule.
+    """A completed filter run: node values, gains and the measured outputs it read.
 
-    ``states`` has shape (m, n) and ``covariances`` (m, n, n) over the m
-    grid nodes in ``times``. The originating configuration and measurement
-    signal are kept so downstream consumers (virtual system, certifier)
-    can re-derive gains and innovations without re-integrating.
+    ``states`` has shape (m, n), ``covariances`` (m, n, n) and ``gains``
+    (m, n, p) over the m grid nodes in ``times``. ``stage_outputs`` (2m - 1, p)
+    holds the measured output y at the distinct RK4 stage times of the run,
+    in the rows of ``ode.stage_table(times)``. The configuration is kept so
+    downstream consumers (virtual system, certifier) can re-derive gains and
+    innovations without re-integrating.
     """
 
     times: np.ndarray
@@ -178,12 +180,9 @@ class FilterTrajectory:
     covariances: np.ndarray
     gains: np.ndarray
     config: FilterConfig
-    measurement_signal: Callable[[float], np.ndarray]
+    stage_outputs: np.ndarray
     p_lo: float
     p_hi: float
-
-    def gain_at(self, t: float) -> np.ndarray:
-        return interp(self.times, self.gains, t)
 
 
 def integrate_ekf(config: FilterConfig,
@@ -195,7 +194,8 @@ def integrate_ekf(config: FilterConfig,
     config : FilterConfig
     measurements : TimeSeries or callable t -> (p,) array
         Measured output. A TimeSeries is interpolated linearly between its
-        nodes; a callable is evaluated exactly at the integrator stages.
+        nodes; a callable is evaluated exactly at the integrator stages,
+        once per distinct stage time, so it must depend on t only.
 
     Returns
     -------
@@ -212,15 +212,26 @@ def integrate_ekf(config: FilterConfig,
     """
     y = as_signal(measurements)
     model = config.model
-    n = model.state_dim
+    n, p = model.state_dim, model.output_dim
     grid = time_grid(config.horizon, config.step)
+    stage_times, read_stage = stage_table(grid)
+    outputs = np.empty((len(stage_times), p))
+    gains = np.empty((len(grid), n, p))
+    filled = -1   # the last stage-table row whose output has been read
 
     def rhs(t: float, stacked: np.ndarray) -> np.ndarray:
+        nonlocal filled
+        stage, row = read_stage(t)
+        if row > filled:
+            outputs[row] = y(t)
+            filled = row
         xhat = stacked[:n]
         P = stacked[n:].reshape(n, n)
         A, C = eval_jacobians(model, xhat, t)
         K = kalman_gain(P, C, config.R)
-        dx = model.f(xhat, t) - K @ (model.h(xhat, t) - y(t))
+        if stage == 0:   # a step's first stage runs at its node's state
+            gains[row >> 1] = K
+        dx = model.f(xhat, t) - K @ (model.h(xhat, t) - outputs[row])
         dP = riccati_rhs(P, A, C, config.Q, config.R, config.N, config.beta)
         return np.concatenate([dx, dP.ravel()])
 
@@ -243,11 +254,11 @@ def integrate_ekf(config: FilterConfig,
     states = nodes[:, :n]
     covs = nodes[:, n:].reshape(-1, n, n)
 
-    _, Cs = _stacked_jacobians(model, states, grid)
-    gains = kalman_gain(covs, Cs, config.R)
+    _, C = eval_jacobians(model, states[-1], grid[-1])
+    gains[-1] = kalman_gain(covs[-1], C, config.R)
     eigs = np.linalg.eigvalsh(covs)
     return FilterTrajectory(times=grid, states=states, covariances=covs,
-                            gains=gains, config=config, measurement_signal=y,
+                            gains=gains, config=config, stage_outputs=outputs,
                             p_lo=float(eigs[:, 0].min()), p_hi=float(eigs[:, -1].max()))
 
 

@@ -4,11 +4,14 @@ All integrations take classical RK4 steps on a uniform grid through the one
 driver ``ekf.integrate``, which sits in ``ekf.py`` because the benchmark's
 set-up probe (perfbench/probe.py) stops a run by replacing
 ``ekfcert.ekf.rk4_step``. Virtual copies are rows of one run on the filter's
-grid; ``interp`` (linear, clamped ends) serves the RK4 stages between nodes.
+grid; values they share with the filter at the RK4 stages are stored once
+per distinct stage time (``stage_table``), and ``interp`` (linear, clamped
+ends) fills such tables between nodes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,6 +44,38 @@ def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray],
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# stage-table row of each rk4_step stage, counted from row 2k of step k
+_STAGE_ROWS = (0, 1, 1, 2)
+
+
+def stage_table(grid: np.ndarray) -> tuple[np.ndarray, Callable[[float], tuple[int, int]]]:
+    """The 2m - 1 distinct RK4 stage times on ``grid`` and a reader of stage calls.
+
+    Row 2k is the node t_k and row 2k+1 the midpoint t_k + h_k/2, with
+    h_k = t_{k+1} - t_k as ``integrate`` forms it, so stages 1 to 4 of step k
+    read rows 2k, 2k+1, 2k+1 and 2k+2 (t_k + h_k equals t_{k+1} exactly on
+    ``time_grid`` grids). The reader maps the successive right-hand-side
+    calls of one RK4 run on ``grid`` to (stage, row), stage 0 to 3. It
+    checks each call's time against its row's, so a stepping scheme that
+    does not match raises instead of reading a wrong row.
+    """
+    times = np.empty(2 * len(grid) - 1)
+    times[0::2] = grid
+    times[1::2] = grid[:-1] + 0.5 * (grid[1:] - grid[:-1])
+    calls = itertools.count()
+
+    def read(t: float) -> tuple[int, int]:
+        j = next(calls)
+        stage = j & 3
+        row = 2 * (j >> 2) + _STAGE_ROWS[stage]
+        if t != times[row]:
+            raise RuntimeError(f"RK4 stage {stage + 1} at t={float(t)!r} does not match "
+                               f"stage-table row {row} at t={float(times[row])!r}")
+        return stage, row
+
+    return times, read
+
+
 @dataclass
 class TimeSeries:
     """Values sampled on an increasing time grid, linearly interpolated.
@@ -68,10 +103,20 @@ class TimeSeries:
         return interp(self.times, self.values, t)
 
 
-def interp(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
-    """Linear interpolation at t, clamped to the grid range; inputs are not checked."""
+def interp(times: np.ndarray, values: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """Linear interpolation at t, clamped to the grid range; inputs are not checked.
+
+    For a 1-d array of times on a grid of two or more nodes the result
+    stacks, time by time, the bits of the scalar form: the same interval,
+    weight, clamp and arithmetic.
+    """
     if len(times) == 1:
         return values[0]
+    if np.ndim(t):
+        i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+        w = np.clip((t - times[i]) / (times[i + 1] - times[i]), 0.0, 1.0)
+        w = w.reshape(-1, *(1,) * (values.ndim - 1))
+        return (1.0 - w) * values[i] + w * values[i + 1]
     i = int(np.searchsorted(times, t, side="right")) - 1
     i = min(max(i, 0), len(times) - 2)
     t0, t1 = times[i], times[i + 1]

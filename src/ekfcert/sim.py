@@ -21,7 +21,7 @@ from .contraction import ContractionCertificate, _contraction_matrices
 from .ekf import FilterTrajectory, divergence_guard, integrate
 from .errors import ConfigurationError, PreconditionError
 from .model import SystemModel, _stacked_jacobians, eval_jacobians
-from .ode import TimeSeries, time_grid
+from .ode import TimeSeries, interp, stage_table, time_grid
 
 # absolute slack when comparing a near-zero steady radius against a zero ball
 BALL_TOL = 1e-8
@@ -108,6 +108,8 @@ def integrate_truth(model: SystemModel, x0: np.ndarray, horizon: float,
     signal is exactly the interpolated output.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape != (model.state_dim,):
+        raise ConfigurationError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
     grid = time_grid(horizon, step)
     states = integrate(lambda t, s: model.f(s, t), x0, grid, divergence_guard("truth"))
     traj = TimeSeries(grid, states)
@@ -118,25 +120,38 @@ def integrate_truth(model: SystemModel, x0: np.ndarray, horizon: float,
     return traj, y
 
 
-def _virtual_flow(model: SystemModel, filter_run: FilterTrajectory, Z,
-                  t: float) -> tuple[list, np.ndarray]:
-    """f(z,t) - K(t)(h(z,t) - y(t)) for each row z of the stack Z, as a list,
-    and K(t). K and y are read once; each row runs the operations of a single copy."""
-    K = filter_run.gain_at(t)
-    y = filter_run.measurement_signal(t)
+def _stage_inputs(filter_run: FilterTrajectory) -> Callable[[float], tuple]:
+    """Reader of (K, y) at successive RK4 stages on the filter run's grid: the
+    gains interpolated onto the stage times in one call (per run, since
+    ``filter_run.gains`` may have changed) and the outputs the filter read there."""
+    times, read_stage = stage_table(filter_run.times)
+    gains = interp(filter_run.times, filter_run.gains, times)
+    outputs = filter_run.stage_outputs
+
+    def at(t: float) -> tuple[np.ndarray, np.ndarray]:
+        row = read_stage(t)[1]
+        return gains[row], outputs[row]
+
+    return at
+
+
+def _virtual_flow(model: SystemModel, K: np.ndarray, y: np.ndarray, Z, t: float) -> list:
+    """f(z,t) - K(h(z,t) - y) for each row z of the stack Z, as a list; each
+    row runs the operations of a single copy."""
     dZ = []
     for z in Z:   # a loop, not a comprehension: no extra frame per RK4 stage
         dZ.append(model.f(z, t) - K @ (model.h(z, t) - y))
-    return dZ, K
+    return dZ
 
 
 def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
                       disturbance: Disturbance | None = None) -> np.ndarray:
     """Integrate virtual copies of the filter, one per row of the (B, n) ``starts``.
 
-    dz/dt = f(z,t) - K(t)(h(z,t) - y(t)) [+ b(z,t)], with the gain and
-    measurement signal of the completed filter run, as one RK4 run on its
-    grid; returns the (m, B, n) nodes. Each row is checked by the divergence
+    dz/dt = f(z,t) - K(t)(h(z,t) - y(t)) [+ b(z,t)], with the gains and
+    measured outputs of the completed filter run at its RK4 stage times
+    (the measurement is not evaluated again), as one RK4 run on its grid;
+    returns the (m, B, n) nodes. Each row is checked by the divergence
     guard on its own, so a run stops where its first row would fail alone.
     The truth and the filter estimate are particular solutions of the
     undisturbed flow.
@@ -146,9 +161,10 @@ def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
         raise ConfigurationError(
             f"virtual starts must have shape (B, {model.state_dim}), got {Z0.shape}")
     b_worst = 0.0
+    stage_inputs = _stage_inputs(filter_run)
 
     def rhs(t: float, Z: np.ndarray) -> np.ndarray:
-        dZ, _ = _virtual_flow(model, filter_run, Z, t)
+        dZ = _virtual_flow(model, *stage_inputs(t), Z, t)
         if disturbance is not None:
             nonlocal b_worst
             for b, z in enumerate(Z):
@@ -300,11 +316,13 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
         dz0 = np.ones(n) / math.sqrt(n)
     else:
         dz0 = np.asarray(dz0, dtype=float).reshape(-1)
+    stage_inputs = _stage_inputs(filter_run)
 
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
         z, dz = s[:n], s[n:]
         A, C = eval_jacobians(model, z, t)
-        (zdot,), K = _virtual_flow(model, filter_run, (z,), t)
+        K, y = stage_inputs(t)
+        (zdot,) = _virtual_flow(model, K, y, (z,), t)
         return np.concatenate([zdot, (A - K @ C) @ dz])
 
     grid = filter_run.times

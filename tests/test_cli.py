@@ -121,6 +121,19 @@ def test_config_error_paths(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+def test_wrong_length_truth_start_is_a_configuration_error(tmp_path, capsys):
+    cfg = {"system": {"name": "vanderpol-pos"},
+           "filter": {"Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]],
+                      "P0": [[1.0, 0.0], [0.0, 1.0]], "xhat0": [0.3, 0.2]},
+           "truth": {"x0": [0.34, 0.2, 0.1]},
+           "horizon": 1.0}
+    rc = main(["simulate", "--config", write_cfg(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "configuration error: x0 must have shape (2,), got (3,)\n")
+
+
 def test_twin_runs_are_deterministic(tmp_path):
     cfg = scalar_cfg(twin={"z1_0": [0.8], "z2_0": [0.3]})
     path = write_cfg(tmp_path, cfg)

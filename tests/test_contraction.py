@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import random_spd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ekfcert as ek
 
@@ -179,6 +181,87 @@ def test_zeta_plus_rejects_out_of_range_gamma():
         ek.zeta_plus(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ek.ConfigurationError):
         ek.zeta_plus(1.0, 1.0, -1.0, 1.0, 1.0, 0.1)
+
+
+_KAPPA = st.one_of(st.just(0.0), st.floats(1e-12, 1e3))
+_WEIGHT = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ka=_KAPPA, kc=_KAPPA, p_hi=_WEIGHT, q_lo=_WEIGHT, r_lo=_WEIGHT,
+       g1=st.floats(0.0, 1.0), g2=st.floats(0.0, 1.0), grow=st.floats(1.0, 100.0))
+def test_zeta_plus_solves_its_quadratic_and_is_monotone(ka, kc, p_hi, q_lo, r_lo,
+                                                        g1, g2, grow):
+    """The root of (p_hi^2/r_lo) kC^2 z^2 + 2 p_hi kA z = q_lo - 2 gamma p_hi,
+    non-increasing in gamma and in each kappa."""
+    cap = q_lo / (2.0 * p_hi)
+    g1, g2 = sorted((g1 * cap, g2 * cap))
+    z = ek.zeta_plus(ka, kc, p_hi, q_lo, r_lo, g1)
+    if ka == 0.0 and kc == 0.0:
+        assert z == math.inf
+        return
+    slack = max(q_lo - 2.0 * g1 * p_hi, 0.0)
+    quad, lin = (p_hi ** 2 / r_lo) * kc ** 2 * z ** 2, 2.0 * p_hi * ka * z
+    assert z >= 0.0
+    assert abs(quad + lin - slack) <= 1e-12 * slack
+    tol = 1.0 + 1e-12
+    assert ek.zeta_plus(ka, kc, p_hi, q_lo, r_lo, g2) <= z * tol
+    assert ek.zeta_plus(ka * grow, kc, p_hi, q_lo, r_lo, g1) <= z * tol
+    assert ek.zeta_plus(ka, kc * grow, p_hi, q_lo, r_lo, g1) <= z * tol
+
+
+def test_zeta_plus_keeps_its_precision_for_a_small_output_curvature():
+    """kappa_C = 1e-6 barely bends the linear root slack / (2 p_hi kappa_A) =
+    0.4; the textbook quadratic formula lost four digits to cancellation here."""
+    z = ek.zeta_plus(1.0, 1e-6, 1.0, 1.0, 1.0, 0.1)
+    assert z == pytest.approx(0.4 - 8e-14, rel=1e-14)
+    assert ek.zeta_plus(1.0, 1e-170, 1.0, 1.0, 1.0, 0.1) == 0.4
+
+
+def _spd(seed: int, n: int) -> np.ndarray:
+    return random_spd(np.random.default_rng(seed), n, lo=0.1, hi=5.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["vanderpol-pos", "cubic-scalar", "ltv-linear",
+                             "scalar-riccati"]),
+       seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 10.0))
+def test_contraction_matrix_is_symmetric(name, seed, t):
+    model = ek.make(name).model
+    n, p = model.state_dim, model.output_dim
+    rng = np.random.default_rng(seed)
+    z, xhat = rng.uniform(-3.0, 3.0, size=(2, n))
+    M = ek.contraction_matrix(model, z, xhat, _spd(seed, n), _spd(seed + 1, n),
+                              _spd(seed + 2, p), t)
+    assert np.array_equal(M, M.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["ltv-linear", "scalar-riccati"]),
+       seed=st.integers(0, 2 ** 32 - 1), t=st.floats(0.0, 10.0))
+def test_contraction_matrix_offsets_vanish_on_linear_plants(name, seed, t):
+    """Linear dynamics and output: Atil = Ctil = 0, so M is the same at every
+    probe state, bit for bit."""
+    model = ek.make(name).model
+    n, p = model.state_dim, model.output_dim
+    rng = np.random.default_rng(seed)
+    z, xhat = rng.uniform(-1e3, 1e3, size=(2, n))
+    P, Q, R = _spd(seed, n), _spd(seed + 1, n), _spd(seed + 2, p)
+    assert np.array_equal(ek.contraction_matrix(model, z, xhat, P, Q, R, t),
+                          ek.contraction_matrix(model, xhat, xhat, P, Q, R, t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p_lo=_WEIGHT, spread=st.floats(1.0, 1e3), q_lo=_WEIGHT, r_lo=_WEIGHT,
+       over=st.floats(1.0 + 1e-9, 1e3), under=st.floats(0.0, 1.0))
+def test_make_certificate_rejects_gamma_above_its_cap(p_lo, spread, q_lo, r_lo,
+                                                       over, under):
+    bounds = _bounds(p_lo, p_lo * spread, q_lo, r_lo)
+    hess = ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=1.0)
+    cap = q_lo / (2.0 * bounds["p_hi"])
+    with pytest.raises(ek.ConfigurationError, match="outside"):
+        ek.make_certificate(bounds, hess, gamma=over * cap)
+    assert ek.make_certificate(bounds, hess, gamma=under * cap).gamma == under * cap
 
 
 def _bounds(p_lo, p_hi, q_lo=1.0, r_lo=1.0):

@@ -128,7 +128,7 @@ def test_interpolators_hit_nodes_exactly(scalar_rig):
     t = float(traj.times[k])
     assert np.array_equal(interp(traj.times, traj.states, t), traj.states[k])
     assert np.array_equal(interp(traj.times, traj.covariances, t), traj.covariances[k])
-    assert np.array_equal(traj.gain_at(t), traj.gains[k])
+    assert np.array_equal(interp(traj.times, traj.gains, t), traj.gains[k])
 
 
 def test_covariance_loss_is_reported_with_time():

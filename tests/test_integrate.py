@@ -11,11 +11,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ekfcert as ek
 import ekfcert.ekf
+from ekfcert import sim
 from ekfcert.model import eval_jacobians
-from ekfcert.ode import interp
+from ekfcert.ode import interp, stage_table
 
 LIMIT = 1e12
 
@@ -132,13 +135,12 @@ def _ref_ekf(config, y):
     return states, covs, gains, float(eigs[:, 0].min()), float(eigs[:, -1].max())
 
 
-def _ref_validator(model, run, z0, step):
+def _ref_validator(model, run, y, z0, step):
     """Finiteness-only guard, and every accessor through ``_ref_interp_path``."""
     n = model.state_dim
     times = run.times
     K = lambda t: _ref_interp_path(times, run.gains.reshape(len(times), -1),
                                    t).reshape(n, model.output_dim)
-    y = run.measurement_signal
     dz0 = np.ones(n) / math.sqrt(n)
 
     def rhs(t, s):
@@ -183,23 +185,39 @@ def _ref_validator(model, run, z0, step):
 
 # ------------------------------------------------------------------- rigs
 
+def _dense_output_plant():
+    """Two states and one output y = x0 + 0.37 x1: with both entries of C
+    nonzero, C P and (P C^T)^T may round differently, so the gain and the
+    Riccati term must each keep their own solve."""
+    return ek.SystemModel(
+        state_dim=2, output_dim=1,
+        dynamics=lambda x, t: np.array([x[1], -x[0] - 0.3 * x[1] + 0.2 * x[0] ** 3]),
+        output=lambda x, t: np.array([x[0] + 0.37 * x[1]]),
+        jacobian_A=lambda x, t: np.array([[0.0, 1.0], [-1.0 + 0.6 * x[0] ** 2, -0.3]]),
+        jacobian_C=lambda x, t: np.array([[1.0, 0.37]]))
+
+
 RIGS = {
-    "vanderpol-pos": dict(params={"mu": 0.15}, x0=[0.34, 0.2], xhat0=[0.3, 0.2],
-                          z0=[0.28, 0.19], horizon=3.0, step=0.01),
-    "cubic-scalar": dict(params={"eps": 0.1}, x0=[0.3], xhat0=[0.0], z0=[-0.2],
-                         horizon=3.0, step=0.01),
+    "vanderpol-pos": dict(plant=lambda: ek.make("vanderpol-pos", mu=0.15).model,
+                          x0=[0.34, 0.2], xhat0=[0.3, 0.2], z0=[0.28, 0.19],
+                          horizon=3.0, step=0.01),
+    "cubic-scalar": dict(plant=lambda: ek.make("cubic-scalar", eps=0.1).model,
+                         x0=[0.3], xhat0=[0.0], z0=[-0.2], horizon=3.0, step=0.01),
+    "dense-output": dict(plant=_dense_output_plant, x0=[0.34, 0.2], xhat0=[0.3, 0.2],
+                         z0=[0.28, 0.19], horizon=3.0, step=0.01,
+                         P0=[[1.0, 0.3], [0.3, 0.8]]),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(RIGS))
 def rig(request):
     spec = RIGS[request.param]
-    model = ek.make(request.param, **spec["params"]).model
+    model = spec["plant"]()
     n = model.state_dim
     x0 = np.array(spec["x0"])
     truth, y = ek.integrate_truth(model, x0, spec["horizon"], spec["step"])
     fc = ek.FilterConfig(model=model, Q=np.eye(n), R=np.eye(model.output_dim),
-                         P0=np.eye(n), x0=np.array(spec["xhat0"]),
+                         P0=np.array(spec.get("P0", np.eye(n))), x0=np.array(spec["xhat0"]),
                          horizon=spec["horizon"], step=spec["step"])
     return {"model": model, "x0": x0, "z0": np.array(spec["z0"]), "spec": spec,
             "truth": truth, "y": y, "fc": fc, "run": ek.integrate_ekf(fc, y)}
@@ -245,7 +263,7 @@ def test_accessors_match_reference_interpolation(rig):
                               _ref_interp_path(run.times, run.states, t))
         assert np.array_equal(interp(run.times, run.covariances, t), _ref_interp_path(
             run.times, run.covariances.reshape(m, -1), t).reshape(run.covariances.shape[1:]))
-        assert np.array_equal(run.gain_at(t), _ref_gain(run)(t))
+        assert np.array_equal(interp(run.times, run.gains, t), _ref_gain(run)(t))
 
 
 @pytest.mark.parametrize("disturbed", [False, True])
@@ -258,7 +276,7 @@ def test_virtual_matches_reference_loop(rig, disturbed):
         dist = ek.Disturbance(b=lambda z, t: vec * math.sin(2.0 * t),
                               b_max=float(np.linalg.norm(vec)))
     new = ek.integrate_virtual(rig["model"], run, [rig["z0"]], dist)
-    states, b_worst = _ref_virtual(rig["model"], _ref_gain(run), run.measurement_signal,
+    states, b_worst = _ref_virtual(rig["model"], _ref_gain(run), rig["y"],
                                    rig["z0"], spec["horizon"], spec["step"], dist)
     assert np.array_equal(new[:, 0], states)
     assert b_worst > 0.0 if disturbed else b_worst == 0.0
@@ -290,7 +308,101 @@ def test_variational_validator_matches_reference_loop(rig, refine):
     run = rig["run"] if refine == 1 else ek.integrate_ekf(
         dataclasses.replace(rig["fc"], step=step), rig["y"])
     new = ek.variational_validator(rig["model"], run, rig["z0"])
-    assert new == _ref_validator(rig["model"], run, rig["z0"], step)
+    assert new == _ref_validator(rig["model"], run, rig["y"], rig["z0"], step)
+
+
+# ------------------------------------------------------------ stage table
+
+def _counting(fn, calls):
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+    return counted
+
+
+def test_the_measurement_is_read_once_per_stage_time(rig):
+    """The filter reads y at the 2m - 1 distinct stage times; the virtual runs
+    reuse what it read and never call the measurement."""
+    model, calls = rig["model"], [0]
+    run = ek.integrate_ekf(rig["fc"], _counting(rig["y"], calls))
+    m = len(run.times)
+    assert calls[0] == 2 * m - 1
+    times, _ = stage_table(run.times)
+    for row in range(0, 2 * m - 1, 37):
+        assert np.array_equal(run.stage_outputs[row], rig["y"](times[row]))
+    n = model.state_dim
+    calls[0] = 0
+    ek.integrate_virtual(model, run, [rig["z0"]])
+    ek.twin_decay(model, run, rig["z0"], rig["x0"])
+    ek.perturbed_run(model, run, ek.Disturbance(b=lambda z, t: np.full(n, 0.01),
+                                                b_max=0.01 * math.sqrt(n)), rig["z0"])
+    ek.variational_validator(model, run, rig["z0"])
+    assert calls[0] == 0
+
+
+def test_the_filter_evaluates_jacobians_at_its_stages_and_last_node_only(rig, solve_calls):
+    """4 (m - 1) stage evaluations plus one at the last node: a step's first
+    stage hands its gain to the run, so no separate gain pass remains. The
+    gain and the Riccati term keep one solve each per stage."""
+    calls = [0]
+    model = dataclasses.replace(rig["model"],
+                                jacobian_A=_counting(rig["model"].jacobian_A, calls))
+    run = ek.integrate_ekf(dataclasses.replace(rig["fc"], model=model), rig["y"])
+    m = len(run.times)
+    assert calls[0] == 4 * (m - 1) + 1
+    assert solve_calls[0] == 2 * 4 * (m - 1) + 1
+    assert np.array_equal(run.gains, rig["run"].gains)
+
+
+def test_stage_table_gains_equal_scalar_interpolation(rig):
+    """Bit for bit, signed zeros included: the table the virtual runs read
+    holds at each stage time what the scalar ``interp`` gives there."""
+    run = rig["run"]
+    gains = run.gains.copy()
+    gains[::3, 0] = -0.0
+    gains[1::7] = -0.0
+    gains[-1] = -0.0
+    times, _ = stage_table(run.times)
+    table = interp(run.times, gains, times)
+    assert table.shape == (len(times), *gains.shape[1:])
+    for row, t in enumerate(times):
+        assert table[row].tobytes() == interp(run.times, gains, float(t)).tobytes()
+    read = sim._stage_inputs(dataclasses.replace(run, gains=gains))
+    for k in range(len(run.times) - 1):
+        t, h = run.times[k], run.times[k + 1] - run.times[k]
+        for row, ts in zip((2 * k, 2 * k + 1, 2 * k + 1, 2 * k + 2),
+                           (t, t + 0.5 * h, t + 0.5 * h, t + h)):
+            K, y = read(ts)
+            assert K.tobytes() == interp(run.times, gains, ts).tobytes()
+            assert np.array_equal(y, run.stage_outputs[row])
+
+
+@settings(max_examples=300, deadline=None)
+@given(horizon=st.floats(1e-3, 1e4), steps=st.integers(1, 4000),
+       jitter=st.floats(0.8, 1.2))
+def test_a_full_step_lands_on_the_next_node(horizon, steps, jitter):
+    """t_k + (t_{k+1} - t_k) == t_{k+1} on every ``time_grid`` grid, so the
+    fourth RK4 stage of step k and the first of step k + 1 share a row."""
+    grid = ek.time_grid(horizon, jitter * horizon / steps)
+    assert np.array_equal(grid[:-1] + np.diff(grid), grid[1:])
+
+
+def test_a_stage_time_off_its_row_raises(monkeypatch, scalar_rig):
+    _, read = stage_table(ek.time_grid(1.0, 0.25))
+    assert read(0.0) == (0, 0)
+    assert read(0.125) == (1, 1)
+    with pytest.raises(RuntimeError, match="RK4 stage 3 at t=0.25 does not match"):
+        read(0.25)
+
+    def heun_step(rhs, t, y, h):
+        k1 = rhs(t, y)
+        return y + 0.5 * h * (k1 + rhs(t + h, y + h * k1))
+
+    monkeypatch.setattr(ekfcert.ekf, "rk4_step", heun_step)
+    with pytest.raises(RuntimeError, match="RK4 stage 2"):
+        ek.integrate_ekf(scalar_rig["fc"], scalar_rig["y"])
+    with pytest.raises(RuntimeError, match="RK4 stage 2"):
+        ek.integrate_virtual(scalar_rig["model"], scalar_rig["traj"], [[0.1]])
 
 
 # ----------------------------------------------------------------- guards
@@ -377,7 +489,7 @@ def test_variational_guard_stops_finite_runs_beyond_the_limit():
                            jacobian_C=lambda x, t: np.zeros((1, 1)))
     run = _zero_gain_run(1.0, 0.01)
     z0 = np.ones(1)
-    assert math.isfinite(_ref_validator(model, run, z0, 0.01))
+    assert math.isfinite(_ref_validator(model, run, lambda t: np.zeros(1), z0, 0.01))
     t_fail = _first_failing_node(lambda t, s: 30.0 * s, np.array([1.0, 1.0]), run.times)
     assert 0.9 < t_fail < 1.0
     with pytest.raises(ek.DivergenceError) as info:
