@@ -10,16 +10,16 @@ perturbed trajectories.
 from .bench import BenchmarkEntry, make, register, registry
 from .contraction import (ContractionCertificate, check_contraction_inequality,
                           compare_analyses, contraction_matrix, empirical_radius,
-                          inflation_rate_gain, is_negative_semidefinite,
-                          linear_output_check, make_certificate, zeta_plus)
+                          inflation_rate_gain, linear_output_check, make_certificate,
+                          zeta_plus)
 from .ekf import (FilterConfig, FilterTrajectory, covariance_bounds_report,
                   integrate_ekf, kalman_gain, riccati_rhs)
 from .errors import (ConfigurationError, CovarianceBoundViolation,
                      DivergenceError, EkfCertError, ModelEvaluationError,
                      PreconditionError, RunFailure)
 from .model import (HessianBounds, SystemModel, estimate_hessian_bounds,
-                    eval_jacobians, hessian_tensor, tensor_norm, tilde_matrices)
-from .ode import TimeSeries, as_signal, rk4_step, time_grid
+                    eval_jacobians, hessian_tensor, tensor_norm)
+from .ode import TimeSeries, rk4_step, time_grid
 from .sim import (Disturbance, EnvelopeReport, ExperimentRun, envelope_check,
                   fit_exponential_rate, integrate_truth, integrate_virtual,
                   perturbed_run, twin_decay, variational_validator)
@@ -30,15 +30,14 @@ __all__ = [
     "BenchmarkEntry", "make", "register", "registry",
     "ContractionCertificate", "check_contraction_inequality", "compare_analyses",
     "contraction_matrix", "empirical_radius", "inflation_rate_gain",
-    "is_negative_semidefinite", "linear_output_check", "make_certificate",
-    "zeta_plus",
+    "linear_output_check", "make_certificate", "zeta_plus",
     "FilterConfig", "FilterTrajectory", "covariance_bounds_report",
     "integrate_ekf", "kalman_gain", "riccati_rhs",
     "ConfigurationError", "CovarianceBoundViolation", "DivergenceError",
     "EkfCertError", "ModelEvaluationError", "PreconditionError", "RunFailure",
     "HessianBounds", "SystemModel", "estimate_hessian_bounds", "eval_jacobians",
-    "hessian_tensor", "tensor_norm", "tilde_matrices",
-    "TimeSeries", "as_signal", "rk4_step", "time_grid",
+    "hessian_tensor", "tensor_norm",
+    "TimeSeries", "rk4_step", "time_grid",
     "Disturbance", "EnvelopeReport", "ExperimentRun", "envelope_check",
     "fit_exponential_rate", "integrate_truth", "integrate_virtual",
     "perturbed_run", "twin_decay", "variational_validator",

@@ -11,6 +11,7 @@ non-finite model output still writes summary.json, with status "failed".
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -24,8 +25,8 @@ from .contraction import (ContractionCertificate, compare_analyses,
 from .ekf import FilterConfig, FilterTrajectory, covariance_bounds_report, integrate_ekf
 from .errors import ConfigurationError, PreconditionError, RunFailure
 from .model import HessianBounds, estimate_hessian_bounds
-from .sim import (Disturbance, envelope_check, integrate_truth, perturbed_run,
-                  twin_decay)
+from .sim import (RATE_SLACK, Disturbance, envelope_check, integrate_truth,
+                  perturbed_run, twin_decay)
 
 FLOAT_FMT = "%.17g"
 
@@ -142,6 +143,7 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def _prepare_run(cfg: dict):
+    """The registry name of the configured system, its truth run and the filter run."""
     sys_cfg = _section(cfg, "system")
     if "name" not in sys_cfg:
         raise ConfigurationError("config needs system.name")
@@ -166,10 +168,10 @@ def _prepare_run(cfg: dict):
     x0 = _matrix(_section(cfg, "truth").get("x0", fil["xhat0"]), "truth.x0").reshape(-1)
     truth, y = integrate_truth(entry.model, x0, fconfig.horizon, fconfig.step)
     traj = integrate_ekf(fconfig, y)
-    return entry, fconfig, truth, traj
+    return entry.name, truth, traj
 
 
-def _hessian_bounds(cfg: dict, entry, traj: FilterTrajectory) -> HessianBounds:
+def _hessian_bounds(cfg: dict, traj: FilterTrajectory) -> HessianBounds:
     hes = _section(cfg, "hessian")
     if hes.get("kappa_A") is not None and hes.get("kappa_C") is not None:
         alpha = float(hes.get("alpha", "inf"))
@@ -180,14 +182,14 @@ def _hessian_bounds(cfg: dict, entry, traj: FilterTrajectory) -> HessianBounds:
             "config needs hessian.radius (or explicit hessian.kappa_A/kappa_C)")
     path = [(traj.states[k], float(traj.times[k])) for k in range(len(traj.times))]
     return estimate_hessian_bounds(
-        entry.model, path, float(hes["radius"]),
+        traj.config.model, path, float(hes["radius"]),
         safety=float(hes.get("safety", 1.1)),
         max_centers=int(hes.get("centers", 25)),
         seed=int(cfg.get("seed", 0)))
 
 
-def _certificate(cfg: dict, entry, traj: FilterTrajectory, report) -> ContractionCertificate:
-    hess = _hessian_bounds(cfg, entry, traj)
+def _certificate(cfg: dict, traj: FilterTrajectory, report) -> ContractionCertificate:
+    hess = _hessian_bounds(cfg, traj)
     gamma = cfg.get("gamma")
     return make_certificate(report, hess, None if gamma is None else float(gamma))
 
@@ -208,30 +210,32 @@ def _trajectory_columns(traj: FilterTrajectory) -> dict:
 
 
 def cmd_simulate(cfg: dict) -> tuple[dict, bool, dict | None]:
-    entry, fconfig, truth, traj = _prepare_run(cfg)
+    system, _, traj = _prepare_run(cfg)
     report = covariance_bounds_report(traj)
     print(f"simulate: p_lo={report['p_lo']:.6g} p_hi={report['p_hi']:.6g} "
           f"q_lo={report['q_lo']:.6g}")
-    return ({"report": report, "system": entry.name}, report["positive_definite"],
+    return ({"report": report, "system": system}, report["positive_definite"],
             _trajectory_columns(traj))
 
 
 def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
-    entry, fconfig, truth, traj = _prepare_run(cfg)
-    report = covariance_bounds_report(traj)
-    cert = _certificate(cfg, entry, traj, report)
-    seed = int(cfg.get("seed", 0))
     samples = int(cfg.get("radius_times", 9))
+    if samples < 0:
+        raise ConfigurationError(f"radius_times must be >= 0, got {samples}")
+    _, _, traj = _prepare_run(cfg)
+    report = covariance_bounds_report(traj)
+    cert = _certificate(cfg, traj, report)
+    seed = int(cfg.get("seed", 0))
     idx = np.unique(np.linspace(0, len(traj.times) - 1, samples).astype(int))
-    radii = [empirical_radius(entry.model, traj.states[k], traj.covariances[k],
-                              fconfig.Q, fconfig.R, cert.gamma, float(traj.times[k]),
+    radii = [empirical_radius(traj.config.model, traj.states[k], traj.covariances[k],
+                              traj.config.Q, traj.config.R, cert.gamma, float(traj.times[k]),
                               direction_samples=int(cfg.get("direction_samples", 64)),
                               seed=seed)
              for k in idx]
     print(f"certify: gamma={cert.gamma:.6g} zeta_plus={cert.zeta_plus:.6g} "
           f"rho={cert.rho:.6g} basin_euclid={cert.basin_euclid:.6g}")
     fields = {
-        "certificate": cert.as_dict(),
+        "certificate": dataclasses.asdict(cert),
         "report": report,
         "radius_series": [{"t": float(traj.times[k]), "r_empirical": float(r)}
                           for k, r in zip(idx, radii)]}
@@ -263,31 +267,32 @@ def cmd_compare(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_twin(cfg: dict) -> tuple[dict, bool, dict | None]:
-    entry, fconfig, truth, traj = _prepare_run(cfg)
-    cert = _certificate(cfg, entry, traj, covariance_bounds_report(traj))
+    _, _, traj = _prepare_run(cfg)
+    cert = _certificate(cfg, traj, covariance_bounds_report(traj))
     twin_cfg = _section(cfg, "twin")
     for key in ("z1_0", "z2_0"):
         if key not in twin_cfg:
             raise ConfigurationError(f"config needs twin.{key}")
-    run = twin_decay(entry.model, traj,
+    run = twin_decay(traj.config.model, traj,
                      _matrix(twin_cfg["z1_0"], "twin.z1_0").reshape(-1),
                      _matrix(twin_cfg["z2_0"], "twin.z2_0").reshape(-1),
                      certificate=cert)
     # the rate guarantee only binds when both starts are inside the basin
     passed = run.info["rate_pass"] or not run.info["within_basin"]
     print(f"twin: fitted_rate={run.fitted_rate:.6g} threshold="
-          f"{2.0 * cert.gamma * 0.9:.6g} within_basin={run.info['within_basin']} "
+          f"{2.0 * cert.gamma * RATE_SLACK:.6g} within_basin={run.info['within_basin']} "
           f"pass={passed}")
-    fields = {"certificate": cert.as_dict(), "info": run.info,
+    fields = {"certificate": dataclasses.asdict(cert), "info": run.info,
               "fitted_rate": run.fitted_rate, "passed": passed}
     return fields, passed, {"t": run.times, "dist_w": run.weighted_dist,
                             "dist_e": run.euclid_dist}
 
 
 def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
-    entry, fconfig, truth, traj = _prepare_run(cfg)
+    _, _, traj = _prepare_run(cfg)
+    model = traj.config.model
     pert = _section(cfg, "perturb")
-    vec = _matrix(pert.get("vector", np.zeros(entry.model.state_dim)),
+    vec = _matrix(pert.get("vector", np.zeros(model.state_dim)),
                   "perturb.vector").reshape(-1)
     kind = pert.get("type", "const")
     if kind == "const":
@@ -298,9 +303,9 @@ def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
                            b_max=float(np.linalg.norm(vec)))
     else:
         raise ConfigurationError(f"unknown perturb.type {kind!r}")
-    z0 = _matrix(pert.get("z0", fconfig.x0), "perturb.z0").reshape(-1)
+    z0 = _matrix(pert.get("z0", traj.config.x0), "perturb.z0").reshape(-1)
     gamma = cfg.get("gamma")
-    run = perturbed_run(entry.model, traj, dist, z0,
+    run = perturbed_run(model, traj, dist, z0,
                         gamma=None if gamma is None else float(gamma))
     passed = run.info["within_standard"]
     print(f"perturb: steady_radius={run.info['steady_radius']:.6g} "
@@ -311,13 +316,13 @@ def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_envelope(cfg: dict) -> tuple[dict, bool, dict | None]:
-    entry, fconfig, truth, traj = _prepare_run(cfg)
-    cert = _certificate(cfg, entry, traj, covariance_bounds_report(traj))
+    _, truth, traj = _prepare_run(cfg)
+    cert = _certificate(cfg, traj, covariance_bounds_report(traj))
     report = envelope_check(traj, truth, cert)
     print(f"envelope: worst_margin={report.worst_margin:.6g} at "
           f"t={report.worst_time:.6g} within_basin={report.within_basin} "
           f"pass={report.passed}")
-    fields = {"certificate": cert.as_dict(),
+    fields = {"certificate": dataclasses.asdict(cert),
               "worst_margin": report.worst_margin, "worst_time": report.worst_time,
               "initial_error": report.initial_error,
               "within_basin": report.within_basin, "passed": report.passed}

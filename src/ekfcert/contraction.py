@@ -16,7 +16,7 @@ the results into a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +40,6 @@ def _negative_semidefinite(S: np.ndarray) -> np.ndarray:
     S = 0.5 * (S + S.swapaxes(-1, -2))
     lam = np.linalg.eigvalsh(S)
     return lam[..., -1] <= PSD_TOL_SCALE * (1.0 + np.abs(lam).max(axis=-1))
-
-
-def is_negative_semidefinite(S: np.ndarray) -> bool:
-    return bool(_negative_semidefinite(np.asarray(S, dtype=float)))
 
 
 @dataclass
@@ -72,9 +68,6 @@ class ContractionCertificate:
     envelope_factor: float
     grid_verified: bool = True
     kappa_sampled: bool = False
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _contraction_matrices(Ah: np.ndarray, Ch: np.ndarray, Az: np.ndarray,
@@ -118,7 +111,7 @@ def check_contraction_inequality(model: SystemModel, z: np.ndarray, xhat: np.nda
     if gamma < 0.0:
         raise ConfigurationError(f"gamma must be nonnegative, got {gamma}")
     M = contraction_matrix(model, z, xhat, P, Q, R, t)
-    return is_negative_semidefinite(M + 2.0 * gamma * P)
+    return bool(_negative_semidefinite(M + 2.0 * gamma * P))
 
 
 def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
@@ -191,7 +184,7 @@ def zeta_plus(kappa_A: float, kappa_C: float, p_hi: float, q_lo: float,
     The root is the analytic contraction-region radius. Degenerate cases:
     kappa_C = 0 reduces to the linear equation, kappa_A = 0 to a pure
     square root, and both zero means the inequality holds at every radius,
-    returned as +inf.
+    returned as +inf; so is a root whose denominator underflows to 0.
     """
     if p_hi <= 0.0 or q_lo <= 0.0 or r_lo <= 0.0:
         raise ConfigurationError("p_hi, q_lo, r_lo must be positive")
@@ -203,28 +196,24 @@ def zeta_plus(kappa_A: float, kappa_C: float, p_hi: float, q_lo: float,
             f"gamma must lie in [0, q_lo/(2 p_hi)] = [0, {q_lo / (2.0 * p_hi):.6g}], "
             f"got {gamma}")
     slack = max(slack, 0.0)
-    if kappa_A == 0.0 and kappa_C == 0.0:
-        return float("inf")
     if kappa_C == 0.0:
-        return slack / (2.0 * p_hi * kappa_A)
+        return _over(slack, 2.0 * p_hi * kappa_A)
     if kappa_A == 0.0:
-        return math.sqrt(slack * r_lo) / (p_hi * kappa_C)
+        return _over(math.sqrt(slack * r_lo), p_hi * kappa_C)
     a = (p_hi ** 2 / r_lo) * kappa_C ** 2
     b = 2.0 * p_hi * kappa_A
     # the root (-b + sqrt(b^2 + 4 a slack)) / (2a) without its cancellation for small a
-    return 2.0 * slack / (b + math.sqrt(b * b + 4.0 * a * slack))
+    return _over(2.0 * slack, b + math.sqrt(b * b + 4.0 * a * slack))
 
 
 def make_certificate(bounds: dict, hess: HessianBounds,
-                     gamma: float | None = None, *,
-                     r_lo: float | None = None) -> ContractionCertificate:
+                     gamma: float | None = None) -> ContractionCertificate:
     """Assemble a certificate from covariance bounds and curvature bounds.
 
     Parameters
     ----------
     bounds : dict
-        Covariance bounds report with keys p_lo, p_hi, q_lo and, unless
-        ``r_lo`` is passed separately, r_lo.
+        Covariance bounds report with keys p_lo, p_hi, q_lo and r_lo.
     hess : HessianBounds
         Curvature bounds kappa_A, kappa_C valid on the radius-alpha ball.
     gamma : float, optional
@@ -234,16 +223,13 @@ def make_certificate(bounds: dict, hess: HessianBounds,
     Raises
     ------
     ConfigurationError
-        If p_lo <= 0 (no certificate without a positive covariance floor),
-        if r_lo is unavailable, or if gamma is out of range.
+        If a bound is missing, if p_lo <= 0 (no certificate without a
+        positive covariance floor), or if gamma is out of range.
     """
-    p_lo = float(bounds["p_lo"])
-    p_hi = float(bounds["p_hi"])
-    q_lo = float(bounds["q_lo"])
-    if r_lo is None:
-        if "r_lo" not in bounds:
-            raise ConfigurationError("r_lo missing from bounds report; pass r_lo=")
-        r_lo = float(bounds["r_lo"])
+    try:
+        p_lo, p_hi, q_lo, r_lo = (float(bounds[k]) for k in ("p_lo", "p_hi", "q_lo", "r_lo"))
+    except KeyError as exc:
+        raise ConfigurationError(f"{exc.args[0]} missing from bounds report") from None
     if p_lo <= 0.0:
         raise ConfigurationError(
             f"certification refused: covariance floor p_lo = {p_lo:.3e} is not positive")
@@ -260,12 +246,10 @@ def make_certificate(bounds: dict, hess: HessianBounds,
     basin = rho * math.sqrt(p_lo / p_hi)
     return ContractionCertificate(
         gamma=float(gamma), zeta_plus=float(zeta), rho=float(rho),
-        p_lo=p_lo, p_hi=p_hi, q_lo=q_lo, r_lo=float(r_lo),
+        p_lo=p_lo, p_hi=p_hi, q_lo=q_lo, r_lo=r_lo,
         alpha=float(hess.alpha), kappa_A=float(hess.kappa_A),
         kappa_C=float(hess.kappa_C), basin_euclid=float(basin),
-        envelope_factor=float(math.sqrt(p_hi / p_lo)),
-        grid_verified=bool(bounds.get("grid_verified", True)),
-        kappa_sampled=hess.sampled)
+        envelope_factor=float(math.sqrt(p_hi / p_lo)), kappa_sampled=hess.sampled)
 
 
 def linear_output_check(model: SystemModel, traj, sample_states,
@@ -333,20 +317,17 @@ def compare_analyses(p_lo: float, p_hi: float, q_lo: float, r_lo: float,
         if v <= 0.0:
             raise ConfigurationError(f"{name} must be positive, got {v}")
 
-    def over(num: float, den: float) -> float:
-        return num / den if den > 0.0 else float("inf")
-
     lyap = {
         "rate": q_lo * p_lo / (4.0 * p_hi ** 2),
-        "basin_kappa_C0": over((p_lo / p_hi) * q_lo, 4.0 * kappa_A * p_hi),
-        "basin_kappa_A0": (over(q_lo * r_lo, 4.0 * c_hi * kappa_C * p_hi ** 2)
+        "basin_kappa_C0": _over((p_lo / p_hi) * q_lo, 4.0 * kappa_A * p_hi),
+        "basin_kappa_A0": (_over(q_lo * r_lo, 4.0 * c_hi * kappa_C * p_hi ** 2)
                            if c_hi is not None else None),
     }
     contr = {
         "rate": q_lo / (4.0 * p_hi),
-        "basin_kappa_C0": over(math.sqrt(p_lo / p_hi) * q_lo, 4.0 * kappa_A * p_hi),
-        "basin_kappa_A0": over(math.sqrt(q_lo * p_lo * r_lo),
-                               kappa_C * p_hi ** 1.5 * math.sqrt(2.0)),
+        "basin_kappa_C0": _over(math.sqrt(p_lo / p_hi) * q_lo, 4.0 * kappa_A * p_hi),
+        "basin_kappa_A0": _over(math.sqrt(q_lo * p_lo * r_lo),
+                                kappa_C * p_hi ** 1.5 * math.sqrt(2.0)),
     }
     ratios = {
         "rate": contr["rate"] / lyap["rate"],
@@ -355,6 +336,11 @@ def compare_analyses(p_lo: float, p_hi: float, q_lo: float, r_lo: float,
                            if lyap["basin_kappa_A0"] is not None else None),
     }
     return {"lyapunov": lyap, "contraction": contr, "ratio": ratios}
+
+
+def _over(num: float, den: float) -> float:
+    """num / den, or +inf when den is not positive (a zero or underflowed bound)."""
+    return num / den if den > 0.0 else float("inf")
 
 
 def _safe_ratio(a: float, b: float) -> float:
@@ -374,9 +360,9 @@ def inflation_rate_gain(M: np.ndarray, P: np.ndarray, N: np.ndarray,
     M = np.asarray(M, dtype=float)
     P = np.asarray(P, dtype=float)
     N = np.asarray(N, dtype=float)
-    if not is_negative_semidefinite(M + 2.0 * gamma * P):
+    if not _negative_semidefinite(M + 2.0 * gamma * P):
         raise PreconditionError("M + 2 gamma P is not negative semidefinite")
     n_lo = float(np.linalg.eigvalsh(0.5 * (N + N.T))[0])
     p_hi = float(np.linalg.eigvalsh(0.5 * (P + P.T))[-1])
     S = (M - 2.0 * N) + 2.0 * (gamma + n_lo / p_hi) * P
-    return is_negative_semidefinite(S)
+    return bool(_negative_semidefinite(S))

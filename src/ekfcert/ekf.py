@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, CovarianceBoundViolation, DivergenceError
 from .model import SystemModel, eval_jacobians
-from .ode import TimeSeries, as_signal, rk4_step, stage_table, time_grid
+from .ode import TimeSeries, rk4_step, stage_table, time_grid
 
 # states beyond this magnitude are treated as numerical blow-up
 DIVERGENCE_LIMIT = 1e12
@@ -168,7 +168,8 @@ class FilterTrajectory:
     """A completed filter run: node values, gains and the measured outputs it read.
 
     ``states`` has shape (m, n), ``covariances`` (m, n, n) and ``gains``
-    (m, n, p) over the m grid nodes in ``times``. ``stage_outputs`` (2m - 1, p)
+    (m, n, p) over the m grid nodes in ``times``; the first two are views of
+    the integrated (m, n + 1, n) rows [xhat; P]. ``stage_outputs`` (2m - 1, p)
     holds the measured output y at the distinct RK4 stage times of the run,
     in the rows of ``ode.stage_table(times)``. The configuration is kept so
     downstream consumers (virtual system, certifier) can re-derive gains and
@@ -193,9 +194,10 @@ def integrate_ekf(config: FilterConfig,
     ----------
     config : FilterConfig
     measurements : TimeSeries or callable t -> (p,) array
-        Measured output. A TimeSeries is interpolated linearly between its
-        nodes; a callable is evaluated exactly at the integrator stages,
-        once per distinct stage time, so it must depend on t only.
+        Measured output (a scalar is accepted when p = 1). A TimeSeries is
+        interpolated linearly between its nodes; a callable is evaluated
+        exactly at the integrator stages, once per distinct stage time, so
+        it must depend on t only.
 
     Returns
     -------
@@ -203,6 +205,8 @@ def integrate_ekf(config: FilterConfig,
 
     Raises
     ------
+    ConfigurationError
+        If a measurement does not have p entries.
     DivergenceError
         If the estimate leaves the ball of radius 1e12 or becomes
         non-finite; the exception carries the first offending time.
@@ -210,7 +214,10 @@ def integrate_ekf(config: FilterConfig,
         If the integrated covariance loses positive definiteness; the
         exception carries the first offending time.
     """
-    y = as_signal(measurements)
+    y = measurements.at if isinstance(measurements, TimeSeries) else measurements
+    if not callable(y):
+        raise ConfigurationError(
+            f"expected a TimeSeries or a callable signal, got {type(y).__name__}")
     model = config.model
     n, p = model.state_dim, model.output_dim
     grid = time_grid(config.horizon, config.step)
@@ -219,40 +226,42 @@ def integrate_ekf(config: FilterConfig,
     gains = np.empty((len(grid), n, p))
     filled = -1   # the last stage-table row whose output has been read
 
-    def rhs(t: float, stacked: np.ndarray) -> np.ndarray:
+    def rhs(t: float, state: np.ndarray) -> np.ndarray:
         nonlocal filled
         stage, row = read_stage(t)
         if row > filled:
-            outputs[row] = y(t)
+            y_t = np.asarray(y(t), dtype=float)
+            if y_t.size != p:
+                raise ConfigurationError(f"measurement at t={t:.6g} has shape "
+                                         f"{y_t.shape}, expected ({p},)")
+            outputs[row] = y_t.reshape(p)
             filled = row
-        xhat = stacked[:n]
-        P = stacked[n:].reshape(n, n)
+        xhat, P = state[0], state[1:]
         A, C = eval_jacobians(model, xhat, t)
         K = kalman_gain(P, C, config.R)
         if stage == 0:   # a step's first stage runs at its node's state
             gains[row >> 1] = K
         dx = model.f(xhat, t) - K @ (model.h(xhat, t) - outputs[row])
         dP = riccati_rhs(P, A, C, config.Q, config.R, config.N, config.beta)
-        return np.concatenate([dx, dP.ravel()])
+        return np.concatenate((dx[None], dP))
 
     estimate_guard = divergence_guard("estimate")
 
-    def guard(t: float, stacked: np.ndarray) -> np.ndarray:
-        estimate_guard(t, stacked[:n])
-        P = stacked[n:].reshape(n, n)
-        if not np.isfinite(P).all():
+    def guard(t: float, state: np.ndarray) -> np.ndarray:
+        estimate_guard(t, state[0])
+        if not np.isfinite(state[1:]).all():
             raise DivergenceError(f"covariance diverged at t={t:.6g}", time=float(t))
         try:
-            np.linalg.cholesky(P)
+            np.linalg.cholesky(state[1:])
         except np.linalg.LinAlgError:
             raise CovarianceBoundViolation(
                 f"covariance lost positive definiteness at t={t:.6g}",
                 time=float(t)) from None
-        return stacked
+        return state
 
-    nodes = integrate(rhs, np.concatenate([config.x0, config.P0.ravel()]), grid, guard)
-    states = nodes[:, :n]
-    covs = nodes[:, n:].reshape(-1, n, n)
+    # the state is the rows [xhat; P] of one (n + 1, n) array
+    nodes = integrate(rhs, np.vstack((config.x0, config.P0)), grid, guard)
+    states, covs = nodes[:, 0], nodes[:, 1:]
 
     _, C = eval_jacobians(model, states[-1], grid[-1])
     gains[-1] = kalman_gain(covs[-1], C, config.R)

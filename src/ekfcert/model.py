@@ -220,18 +220,6 @@ def _stacked_jacobians(model: SystemModel, points: np.ndarray,
                     "state contains non-finite entries: {x}")
 
 
-def tilde_matrices(model: SystemModel, z: np.ndarray, xhat: np.ndarray,
-                   t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobian offsets (A(z,t) - A(xhat,t), C(z,t) - C(xhat,t)).
-
-    These offsets vanish identically for linear systems and are
-    antisymmetric under swapping the two evaluation points.
-    """
-    Az, Cz = eval_jacobians(model, z, t)
-    Ah, Ch = eval_jacobians(model, xhat, t)
-    return Az - Ah, Cz - Ch
-
-
 def _stacked_hessians(model: SystemModel, points: np.ndarray, t: float,
                       which: str) -> np.ndarray:
     """hessian_tensor at each row of the (N, n) ``points`` at time t, as an

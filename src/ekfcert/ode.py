@@ -124,12 +124,3 @@ def interp(times: np.ndarray, values: np.ndarray, t: float | np.ndarray) -> np.n
     w = min(max(w, 0.0), 1.0)
     return (1.0 - w) * values[i] + w * values[i + 1]
 
-
-def as_signal(source) -> Callable[[float], np.ndarray]:
-    """Adapt a TimeSeries or a plain callable t -> value to a callable."""
-    if isinstance(source, TimeSeries):
-        return source.at
-    if callable(source):
-        return source
-    raise ConfigurationError(
-        f"expected a TimeSeries or a callable signal, got {type(source).__name__}")

@@ -27,11 +27,12 @@ from .ode import TimeSeries, interp, stage_table, time_grid
 BALL_TOL = 1e-8
 FIT_WINDOW = (0.1, 0.9)   # fractions of the horizon fit_exponential_rate fits over
 FIT_FLOOR = 1e-12         # numerical zero: the log of smaller values would swamp the fit
+RATE_SLACK = 0.9          # twin_decay passes a fitted rate >= RATE_SLACK * 2 gamma
 
 
 @dataclass
 class Disturbance:
-    """Additive state disturbance b(x, t) with a declared uniform bound.
+    """Additive state disturbance b(x, t), an (n,) array, with a declared uniform bound.
 
     ``b_max`` must dominate ||b(x,t)|| at every point a run evaluates;
     violations observed during integration raise PreconditionError.
@@ -169,6 +170,9 @@ def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
             nonlocal b_worst
             for b, z in enumerate(Z):
                 bv = np.asarray(disturbance.b(z, t), dtype=float).reshape(-1)
+                if bv.shape != z.shape:
+                    raise ConfigurationError(
+                        f"disturbance returned shape {bv.shape}, expected {z.shape}")
                 b_worst = max(b_worst, float(np.linalg.norm(bv)))
                 dZ[b] = dZ[b] + bv
         return np.array(dZ)
@@ -188,11 +192,9 @@ def _weighted_sq(covs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _in_weighted_basin(traj: FilterTrajectory, z0: np.ndarray,
                        cert: ContractionCertificate) -> bool:
-    d = np.asarray(z0, dtype=float).reshape(-1) - traj.states[0]
-    w = float(d @ np.linalg.solve(traj.covariances[0], d))
-    if not math.isfinite(cert.rho):
-        return True
-    return w <= cert.rho ** 2 / cert.p_hi * (1.0 + 1e-12)
+    d = np.asarray(z0, dtype=float).reshape(1, -1) - traj.states[:1]
+    w = _weighted_sq(traj.covariances[:1], d)[0][0]
+    return not math.isfinite(cert.rho) or bool(w <= cert.rho ** 2 / cert.p_hi * (1.0 + 1e-12))
 
 
 def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
@@ -223,8 +225,7 @@ def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
                   and _in_weighted_basin(filter_run, z2_0, certificate))
         info["within_basin"] = inside
         info["gamma"] = certificate.gamma
-        # decade-fit slack of 10% on the certified rate 2 gamma
-        info["rate_pass"] = bool(math.isnan(rate) or rate >= 2.0 * certificate.gamma * 0.9)
+        info["rate_pass"] = bool(math.isnan(rate) or rate >= 2.0 * certificate.gamma * RATE_SLACK)
     return ExperimentRun(times=times, weighted_dist=weighted, euclid_dist=euclid,
                          fitted_rate=rate, info=info)
 

@@ -39,6 +39,18 @@ def cubic_cfg(**extra):
     return cfg
 
 
+def vdp_cfg(**extra):
+    cfg = {
+        "system": {"name": "vanderpol-pos"},
+        "filter": {"Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]],
+                   "P0": [[1.0, 0.0], [0.0, 1.0]], "xhat0": [0.3, 0.2]},
+        "truth": {"x0": [0.34, 0.2]},
+        "horizon": 1.0,
+    }
+    cfg.update(extra)
+    return cfg
+
+
 def read_summary(out):
     with open(out / "summary.json") as fh:
         return json.load(fh)
@@ -122,16 +134,80 @@ def test_config_error_paths(tmp_path):
 
 
 def test_wrong_length_truth_start_is_a_configuration_error(tmp_path, capsys):
-    cfg = {"system": {"name": "vanderpol-pos"},
-           "filter": {"Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]],
-                      "P0": [[1.0, 0.0], [0.0, 1.0]], "xhat0": [0.3, 0.2]},
-           "truth": {"x0": [0.34, 0.2, 0.1]},
-           "horizon": 1.0}
+    cfg = vdp_cfg(truth={"x0": [0.34, 0.2, 0.1]})
     rc = main(["simulate", "--config", write_cfg(tmp_path, cfg),
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == (
         "configuration error: x0 must have shape (2,), got (3,)\n")
+
+
+@pytest.mark.parametrize("vector", [[0.01], [0.01, 0.01, 0.01]])
+def test_perturb_vector_must_have_one_entry_per_state(tmp_path, capsys, vector):
+    cfg = vdp_cfg(perturb={"type": "const", "vector": vector})
+    rc = main(["perturb", "--config", write_cfg(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: disturbance returned shape ({len(vector)},), expected (2,)\n")
+
+
+def test_negative_radius_times_is_a_configuration_error(tmp_path, capsys):
+    rc = main(["certify", "--config", write_cfg(tmp_path, scalar_cfg(radius_times=-1)),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "configuration error: radius_times must be >= 0, got -1\n"
+
+
+def test_certify_with_an_underflowing_output_curvature_has_an_infinite_zeta_plus(tmp_path):
+    """p_hi * kappa_C underflows to 0, so the analytic radius is +inf."""
+    cfg = scalar_cfg(horizon=1.0, hessian={"kappa_A": 0.0, "kappa_C": 5e-324})
+    cfg["filter"]["Q"] = [[0.01]]
+    cfg["filter"]["P0"] = [[0.1]]
+    out = tmp_path / "out"
+    assert main(["certify", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    cert = read_summary(out)["certificate"]
+    assert cert["zeta_plus"] == cert["rho"] == "inf"
+    header, data = read_csv(out / "radius.csv")
+    assert header == ["t", "r_empirical", "zeta_plus"]
+    assert np.all(data[:, 2] == np.inf)
+
+
+def _strict_json(path):
+    """summary.json parsed with NaN and Infinity literals refused."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON literal {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_twin_with_identical_starts_writes_nan_rates_as_strings(tmp_path):
+    cfg = scalar_cfg(horizon=2.0, twin={"z1_0": [0.8], "z2_0": [0.8]})
+    out = tmp_path / "out"
+    assert main(["twin", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = _strict_json(out / "summary.json")
+    assert summary["fitted_rate"] == "nan"
+    assert summary["info"]["fitted_rate_weighted"] == "nan"
+    assert summary["info"]["fitted_rate_euclid"] == "nan"
+    assert summary["info"]["rate_pass"] and summary["passed"]
+    _, data = read_csv(out / "twin.csv")
+    assert np.all(data[:, 1:] == 0.0)
+
+
+def test_twin_with_an_unbounded_certificate_is_within_the_basin(tmp_path):
+    """Zero kappas and no alpha certify every radius: rho is +inf, so any
+    pair of starts lies in the basin."""
+    cfg = {"system": {"name": "ltv-linear"},
+           "filter": {"Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]],
+                      "P0": [[1.0, 0.0], [0.0, 1.0]], "xhat0": [0.5, -0.2]},
+           "truth": {"x0": [0.3, 0.1]},
+           "horizon": 2.0,
+           "hessian": {"kappa_A": 0.0, "kappa_C": 0.0},
+           "twin": {"z1_0": [50.0, -40.0], "z2_0": [-30.0, 20.0]}}
+    out = tmp_path / "out"
+    assert main(["twin", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = _strict_json(out / "summary.json")
+    assert summary["certificate"]["alpha"] == summary["certificate"]["rho"] == "inf"
+    assert summary["info"]["within_basin"] is True
 
 
 def test_twin_runs_are_deterministic(tmp_path):

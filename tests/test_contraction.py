@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,20 @@ def test_contraction_matrix_at_center():
     M = ek.contraction_matrix(model, np.zeros(1), np.zeros(1),
                               np.eye(1), np.eye(1), np.eye(1), 0.0)
     assert M[0, 0] == pytest.approx(-2.0, abs=1e-14)
+
+
+def test_contraction_matrix_has_no_offset_terms_at_the_estimate():
+    """z = xhat: Atil = Ctil = 0 bit for bit, so M = -P C^T R^-1 C P - Q."""
+    model = ek.make("vanderpol-pos").model
+    rng = np.random.default_rng(7)
+    P, Q = random_spd(rng, 2), random_spd(rng, 2)
+    R = np.array([[0.7]])
+    x = np.array([0.7, -0.2])
+    _, C = ek.eval_jacobians(model, x, 0.0)
+    CP = C @ P
+    expected = -(CP.T @ np.linalg.solve(R, CP)) - Q
+    assert np.array_equal(ek.contraction_matrix(model, x, x, P, Q, R, 0.0),
+                          0.5 * (expected + expected.T))
 
 
 def test_contraction_matrix_linear_system_any_probe():
@@ -70,7 +85,8 @@ def test_contraction_matrix_matches_jacobian_assembly():
         t = float(rng.uniform(0, 3))
         M = ek.contraction_matrix(model, z, xh, P, Q, R, t)
         Az, Cz = ek.eval_jacobians(model, z, t)
-        Atil, Ctil = ek.tilde_matrices(model, z, xh, t)
+        Ah, Ch = ek.eval_jacobians(model, xh, t)
+        Atil, Ctil = Az - Ah, Cz - Ch
         raw = (P @ Atil.T + Atil @ P
                + P @ Ctil.T @ np.linalg.solve(R, Ctil @ P)
                - P @ Cz.T @ np.linalg.solve(R, Cz @ P) - Q)
@@ -218,6 +234,13 @@ def test_zeta_plus_keeps_its_precision_for_a_small_output_curvature():
     assert ek.zeta_plus(1.0, 1e-170, 1.0, 1.0, 1.0, 0.1) == 0.4
 
 
+@pytest.mark.parametrize("kappa_A, kappa_C", [(0.0, 0.0), (0.0, 1e-320), (1e-320, 0.0),
+                                              (1e-320, 1e-320)])
+def test_zeta_plus_is_infinite_when_its_denominator_underflows(kappa_A, kappa_C):
+    """p_hi * kappa underflows to 0: the root is +inf, as for kappas exactly 0."""
+    assert ek.zeta_plus(kappa_A, kappa_C, 1e-5, 1.0, 1.0, 0.0) == math.inf
+
+
 def _spd(seed: int, n: int) -> np.ndarray:
     return random_spd(np.random.default_rng(seed), n, lo=0.1, hi=5.0)
 
@@ -277,7 +300,7 @@ def test_make_certificate_unit_example():
     assert cert.basin_euclid == pytest.approx(0.25)
     assert cert.envelope_factor == pytest.approx(1.0)
     assert not cert.kappa_sampled
-    d = cert.as_dict()
+    d = dataclasses.asdict(cert)
     assert d["rho"] == cert.rho and d["gamma"] == cert.gamma
 
 
@@ -302,11 +325,12 @@ def test_make_certificate_rejects_bad_inputs():
         ek.make_certificate(_bounds(0.0, 1.0), hess)
     with pytest.raises(ek.ConfigurationError):
         ek.make_certificate(_bounds(1.0, 1.0), hess, gamma=0.6)
-    with pytest.raises(ek.ConfigurationError):
-        ek.make_certificate({"p_lo": 1.0, "p_hi": 1.0, "q_lo": 1.0}, hess)
-    cert = ek.make_certificate({"p_lo": 1.0, "p_hi": 1.0, "q_lo": 1.0}, hess,
-                               r_lo=2.0)
-    assert cert.r_lo == 2.0
+    for key in ("p_lo", "p_hi", "q_lo", "r_lo"):
+        bounds = _bounds(1.0, 1.0)
+        del bounds[key]
+        with pytest.raises(ek.ConfigurationError, match=f"^{key} missing from bounds report$"):
+            ek.make_certificate(bounds, hess)
+    assert ek.make_certificate(_bounds(1.0, 1.0, r_lo=2.0), hess).r_lo == 2.0
 
 
 @pytest.fixture(scope="module")
@@ -363,7 +387,8 @@ def _ref_linear_output_check(model, traj, sample_states, gamma):
         t = float(traj.times[k])
         P = traj.covariances[k]
         for z in sample_states:
-            Atil, _ = ek.tilde_matrices(model, z, traj.states[k], t)
+            Atil = (ek.eval_jacobians(model, z, t)[0]
+                    - ek.eval_jacobians(model, traj.states[k], t)[0])
             S = Atil @ P + P @ Atil.T
             margin = threshold - float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
             if margin < worst:

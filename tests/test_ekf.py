@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,43 @@ def test_covariance_stays_exactly_symmetric_without_resymmetrizing():
     truth, y = ek.integrate_truth(model, np.array([0.4, 0.1, 0.0]), 2.0, fc.step)
     covs = ek.integrate_ekf(fc, y).covariances
     assert np.array_equal(covs, covs.transpose(0, 2, 1))
+
+
+def test_a_measurement_must_have_one_entry_per_output():
+    model = ek.SystemModel(state_dim=2, output_dim=2,
+                           dynamics=lambda x, t: -x, output=lambda x, t: x.copy())
+    fc = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(2), P0=np.eye(2),
+                         x0=np.zeros(2), horizon=1.0, step=0.1)
+    for value, shape in (([0.1], "(1,)"), ([0.1, 0.2, 0.3], "(3,)"), (0.1, "()")):
+        with pytest.raises(ek.ConfigurationError, match=re.escape(
+                f"measurement at t=0 has shape {shape}, expected (2,)")):
+            ek.integrate_ekf(fc, lambda t: np.asarray(value))
+    scalar = ek.make("scalar-riccati").model
+    fc = ek.FilterConfig(model=scalar, Q=np.eye(1), R=np.eye(1), P0=np.eye(1),
+                         x0=np.zeros(1), horizon=1.0, step=0.1)
+    by_scalar = ek.integrate_ekf(fc, lambda t: 0.4)
+    by_array = ek.integrate_ekf(fc, _const_y(0.4))
+    assert np.array_equal(by_scalar.states, by_array.states)
+    assert np.array_equal(by_scalar.stage_outputs, by_array.stage_outputs)
+    with pytest.raises(ek.ConfigurationError, match="callable signal, got list"):
+        ek.integrate_ekf(fc, [0.4])
+
+
+@pytest.mark.parametrize("horizon, step, message", [
+    (0.0, 0.1, "horizon must be positive"), (-1.0, 0.1, "horizon must be positive"),
+    (float("nan"), 0.1, "horizon must be positive"), (1.0, 0.0, "step must be positive"),
+    (1.0, -0.1, "step must be positive")])
+def test_time_grid_rejects_bad_input(horizon, step, message):
+    with pytest.raises(ek.ConfigurationError, match=message):
+        ek.time_grid(horizon, step)
+
+
+@pytest.mark.parametrize("times, values, message", [
+    ([], np.zeros((0, 1)), "nonempty 1-d"),
+    ([[0.0, 1.0]], np.zeros((1, 1)), "nonempty 1-d"),
+    ([0.0, 1.0], np.zeros((3, 1)), "one entry per time"),
+    ([0.0, 1.0, 1.0], np.zeros((3, 1)), "strictly increasing"),
+    ([0.0, 2.0, 1.0], np.zeros((3, 1)), "strictly increasing")])
+def test_timeseries_rejects_bad_input(times, values, message):
+    with pytest.raises(ek.ConfigurationError, match=message):
+        ek.TimeSeries(times, values)

@@ -519,7 +519,7 @@ def test_every_integrator_steps_through_the_ekf_module_global(monkeypatch, scala
         "integrate_truth": (lambda: ek.integrate_truth(model, np.array([0.4]), 1.0, 0.01),
                             [0.4]),
         "integrate_ekf": (lambda: ek.integrate_ekf(scalar_rig["fc"], scalar_rig["y"]),
-                          [0.5, 2.0]),
+                          [[0.5], [2.0]]),
         "integrate_virtual": (lambda: ek.integrate_virtual(model, run, [[0.1], [0.2]]),
                               [[0.1], [0.2]]),
         "variational_validator": (lambda: ek.variational_validator(

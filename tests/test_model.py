@@ -57,40 +57,28 @@ def test_analytic_jacobians_agree_with_finite_differences():
             assert np.linalg.norm(C - C_fd) <= 10.0 * step
 
 
-def test_tilde_matrices_vanish_at_identical_points():
-    model = ek.make("vanderpol-pos").model
-    x = np.array([0.7, -0.2])
-    At, Ct = ek.tilde_matrices(model, x, x, 0.0)
-    assert np.all(At == 0.0)
-    assert np.all(Ct == 0.0)
-
-
 def test_tilde_matrices_vanish_for_linear_dynamics():
+    """Linear plant: Atil = Ctil = 0 bit for bit at distant points, so the
+    contraction matrix is the offset-free -(C P)^T R^-1 C P - Q exactly."""
     model = ek.make("ltv-linear").model
-    At, Ct = ek.tilde_matrices(model, np.array([5.0, 1.0]),
-                               np.array([-2.0, 0.3]), 1.2)
-    assert np.all(At == 0.0)
-    assert np.all(Ct == 0.0)
+    P, Q, R = np.array([[2.0, 0.3], [0.3, 1.0]]), np.eye(2), np.array([[0.7]])
+    z, xh = np.array([5.0, 1.0]), np.array([-2.0, 0.3])
+    _, C = ek.eval_jacobians(model, xh, 1.2)
+    CP = C @ P
+    expected = -(CP.T @ np.linalg.solve(R, CP)) - Q
+    assert np.array_equal(ek.contraction_matrix(model, z, xh, P, Q, R, 1.2),
+                          0.5 * (expected + expected.T))
 
 
 def test_tilde_matrices_cubic_hand_value():
     m = _scalar_model(lambda x: x ** 3,
                       jac_a=lambda x, t: np.array([[3.0 * x[0] ** 2]]),
                       jac_c=lambda x, t: np.ones((1, 1)))
-    At, _ = ek.tilde_matrices(m, np.array([1.0]), np.array([0.0]), 0.0)
-    assert abs(At[0, 0] - 3.0) < 1e-12
-
-
-def test_tilde_matrices_antisymmetric():
-    model = ek.make("vanderpol-pos").model
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        z = rng.uniform(-2, 2, size=2)
-        xh = rng.uniform(-2, 2, size=2)
-        A1, C1 = ek.tilde_matrices(model, z, xh, 0.4)
-        A2, C2 = ek.tilde_matrices(model, xh, z, 0.4)
-        assert np.array_equal(A1, -A2)
-        assert np.array_equal(C1, -C2)
+    # P = R = 1, Q = 0, Ctil = 0: M = 2 Atil - 1, with Atil = 3 z^2 - 0 = 3
+    M = ek.contraction_matrix(m, np.array([1.0]), np.array([0.0]),
+                              np.eye(1), np.zeros((1, 1)), np.eye(1), 0.0)
+    At = 0.5 * (M[0, 0] + 1.0)
+    assert abs(At - 3.0) < 1e-12
 
 
 def test_hessian_tensor_vanderpol_entries():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -304,6 +305,22 @@ def test_virtual_starts_must_match_the_state_dimension(scalar_rig):
             ek.integrate_virtual(model, traj, starts)
     with pytest.raises(ek.ConfigurationError):
         ek.twin_decay(model, traj, np.zeros(3), np.zeros(3))
+
+
+def test_a_disturbance_must_return_one_entry_per_state():
+    """A (1,) value is not broadcast over two states, and a (3,) one is
+    rejected before it reaches the state."""
+    model = ek.make("ltv-linear").model
+    fc = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
+                         x0=np.zeros(2), horizon=0.5, step=0.05)
+    traj = ek.integrate_ekf(fc, lambda t: np.zeros(1))
+    for value in ([0.01], [0.01, 0.01, 0.01]):
+        dist = ek.Disturbance(b=lambda z, t: np.array(value), b_max=0.1)
+        with pytest.raises(ek.ConfigurationError, match=re.escape(
+                f"disturbance returned shape ({len(value)},), expected (2,)")):
+            ek.integrate_virtual(model, traj, [[0.1, 0.2]], dist)
+        with pytest.raises(ek.ConfigurationError):
+            ek.perturbed_run(model, traj, dist, np.array([0.1, 0.2]))
 
 
 def _free_rows_rig(rate):
