@@ -133,6 +133,14 @@ def _matrix(value, name: str) -> np.ndarray:
         raise ConfigurationError(f"config field {name} is not numeric: {exc}") from None
 
 
+def _number(value, name: str, kind: type = float):
+    """``kind(value)`` for the numeric config field ``name``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"config field {name} is not a number: {value!r}") from None
+
+
 def _section(cfg: dict, name: str) -> dict:
     value = cfg.get(name)
     if value is None:
@@ -161,9 +169,9 @@ def _prepare_run(cfg: dict):
         R=_matrix(fil["R"], "filter.R"),
         P0=_matrix(fil["P0"], "filter.P0"),
         x0=_matrix(fil["xhat0"], "filter.xhat0").reshape(-1),
-        horizon=float(cfg["horizon"]),
-        step=None if cfg.get("step") is None else float(cfg["step"]),
-        beta=float(fil.get("beta", 0.0)),
+        horizon=_number(cfg["horizon"], "horizon"),
+        step=None if cfg.get("step") is None else _number(cfg["step"], "step"),
+        beta=_number(fil.get("beta", 0.0), "filter.beta"),
         N=None if N is None else _matrix(N, "filter.N"))
     x0 = _matrix(_section(cfg, "truth").get("x0", fil["xhat0"]), "truth.x0").reshape(-1)
     truth, y = integrate_truth(entry.model, x0, fconfig.horizon, fconfig.step)
@@ -174,24 +182,25 @@ def _prepare_run(cfg: dict):
 def _hessian_bounds(cfg: dict, traj: FilterTrajectory) -> HessianBounds:
     hes = _section(cfg, "hessian")
     if hes.get("kappa_A") is not None and hes.get("kappa_C") is not None:
-        alpha = float(hes.get("alpha", "inf"))
-        return HessianBounds(alpha=alpha, kappa_A=float(hes["kappa_A"]),
-                             kappa_C=float(hes["kappa_C"]), sampled=False)
+        return HessianBounds(alpha=_number(hes.get("alpha", "inf"), "hessian.alpha"),
+                             kappa_A=_number(hes["kappa_A"], "hessian.kappa_A"),
+                             kappa_C=_number(hes["kappa_C"], "hessian.kappa_C"),
+                             sampled=False)
     if hes.get("radius") is None:
         raise ConfigurationError(
             "config needs hessian.radius (or explicit hessian.kappa_A/kappa_C)")
     path = [(traj.states[k], float(traj.times[k])) for k in range(len(traj.times))]
     return estimate_hessian_bounds(
-        traj.config.model, path, float(hes["radius"]),
-        safety=float(hes.get("safety", 1.1)),
-        max_centers=int(hes.get("centers", 25)),
-        seed=int(cfg.get("seed", 0)))
+        traj.config.model, path, _number(hes["radius"], "hessian.radius"),
+        safety=_number(hes.get("safety", 1.1), "hessian.safety"),
+        max_centers=_number(hes.get("centers", 25), "hessian.centers", int),
+        seed=_number(cfg.get("seed", 0), "seed", int))
 
 
 def _certificate(cfg: dict, traj: FilterTrajectory, report) -> ContractionCertificate:
     hess = _hessian_bounds(cfg, traj)
     gamma = cfg.get("gamma")
-    return make_certificate(report, hess, None if gamma is None else float(gamma))
+    return make_certificate(report, hess, None if gamma is None else _number(gamma, "gamma"))
 
 
 def _trajectory_columns(traj: FilterTrajectory) -> dict:
@@ -219,18 +228,18 @@ def cmd_simulate(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
-    samples = int(cfg.get("radius_times", 9))
+    samples = _number(cfg.get("radius_times", 9), "radius_times", int)
     if samples < 0:
         raise ConfigurationError(f"radius_times must be >= 0, got {samples}")
+    seed = _number(cfg.get("seed", 0), "seed", int)
+    directions = _number(cfg.get("direction_samples", 64), "direction_samples", int)
     _, _, traj = _prepare_run(cfg)
     report = covariance_bounds_report(traj)
     cert = _certificate(cfg, traj, report)
-    seed = int(cfg.get("seed", 0))
     idx = np.unique(np.linspace(0, len(traj.times) - 1, samples).astype(int))
     radii = [empirical_radius(traj.config.model, traj.states[k], traj.covariances[k],
                               traj.config.Q, traj.config.R, cert.gamma, float(traj.times[k]),
-                              direction_samples=int(cfg.get("direction_samples", 64)),
-                              seed=seed)
+                              direction_samples=directions, seed=seed)
              for k in idx]
     print(f"certify: gamma={cert.gamma:.6g} zeta_plus={cert.zeta_plus:.6g} "
           f"rho={cert.rho:.6g} basin_euclid={cert.basin_euclid:.6g}")
@@ -245,14 +254,13 @@ def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 def cmd_compare(cfg: dict) -> tuple[dict, bool, dict | None]:
     comp = _section(cfg, "compare")
+    values = []
     for key in ("p_lo", "p_hi", "q_lo", "r_lo", "kappa_A", "kappa_C"):
         if key not in comp:
             raise ConfigurationError(f"config needs compare.{key}")
+        values.append(_number(comp[key], f"compare.{key}"))
     c_hi = comp.get("c_hi")
-    rows = compare_analyses(float(comp["p_lo"]), float(comp["p_hi"]),
-                            float(comp["q_lo"]), float(comp["r_lo"]),
-                            float(comp["kappa_A"]), float(comp["kappa_C"]),
-                            None if c_hi is None else float(c_hi))
+    rows = compare_analyses(*values, None if c_hi is None else _number(c_hi, "compare.c_hi"))
     labels = {"rate": "rate", "basin_kappa_C0": "basin (kappa_C = 0)",
               "basin_kappa_A0": "basin (kappa_A = 0)"}
 
@@ -298,7 +306,7 @@ def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
     if kind == "const":
         dist = Disturbance(b=lambda x, t: vec, b_max=float(np.linalg.norm(vec)))
     elif kind == "sin":
-        freq = float(pert.get("freq", 1.0))
+        freq = _number(pert.get("freq", 1.0), "perturb.freq")
         dist = Disturbance(b=lambda x, t: vec * math.sin(freq * t),
                            b_max=float(np.linalg.norm(vec)))
     else:
@@ -306,7 +314,7 @@ def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
     z0 = _matrix(pert.get("z0", traj.config.x0), "perturb.z0").reshape(-1)
     gamma = cfg.get("gamma")
     run = perturbed_run(model, traj, dist, z0,
-                        gamma=None if gamma is None else float(gamma))
+                        gamma=None if gamma is None else _number(gamma, "gamma"))
     passed = run.info["within_standard"]
     print(f"perturb: steady_radius={run.info['steady_radius']:.6g} "
           f"ball_standard={run.info['ball_standard']:.6g} "

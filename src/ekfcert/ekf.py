@@ -8,6 +8,8 @@ fixed-step fourth-order Runge-Kutta scheme:
 
 with A, C the Jacobians of f and h along the estimate. The 2N and 2 beta P
 terms are optional inflation of the covariance flow; both default to off.
+R is constant, so a run forms R^{-1} once, with 2N and 2 beta, and every
+RK4 stage applies it as a matrix product in the gain and the Riccati term.
 P stays exactly symmetric (its start and the Riccati right-hand side are
 symmetrized) and is checked for positive definiteness after every step,
 since every guarantee downstream is conditioned on uniform bounds
@@ -145,22 +147,37 @@ class FilterConfig:
         return float(np.linalg.eigvalsh(self.R)[0])
 
 
+def _gain(P: np.ndarray, C: np.ndarray, Rinv: np.ndarray) -> np.ndarray:
+    """K = P C^T R^{-1} = (R^{-1} (C P))^T, for one (P, C) pair or for stacks of them."""
+    return (Rinv @ (C @ P)).swapaxes(-1, -2)
+
+
+def _riccati(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
+             Rinv: np.ndarray, N2: np.ndarray | None, beta2: float) -> np.ndarray:
+    """A P + P A^T + Q - (P C^T) R^{-1} (P C^T)^T [+ 2N] [+ 2 beta P], symmetrized;
+    takes R^{-1}, 2N (or None) and 2 beta."""
+    PCt = P @ C.T
+    dP = A @ P + P @ A.T + Q - PCt @ (Rinv @ PCt.T)
+    if N2 is not None:
+        dP = dP + N2
+    if beta2 != 0.0:
+        dP = dP + beta2 * P
+    return 0.5 * (dP + dP.T)
+
+
 def kalman_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Gain K = P C^T R^{-1} by a linear solve, for one (P, C) pair or for stacks of them."""
-    return np.linalg.solve(R, C @ P).swapaxes(-1, -2)
+    """Gain K = P C^T R^{-1}, for one (P, C) pair or for stacks of them; inverts R
+    on each call (a filter run inverts it once)."""
+    return _gain(P, C, np.linalg.inv(R))
 
 
 def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
                 R: np.ndarray, N: np.ndarray | None = None,
                 beta: float = 0.0) -> np.ndarray:
-    """Right-hand side of the (optionally inflated) Riccati flow, symmetrized."""
-    PCt = P @ C.T
-    dP = A @ P + P @ A.T + Q - PCt @ np.linalg.solve(R, PCt.T)
-    if N is not None:
-        dP = dP + 2.0 * N
-    if beta != 0.0:
-        dP = dP + 2.0 * beta * P
-    return 0.5 * (dP + dP.T)
+    """Right-hand side of the (optionally inflated) Riccati flow, symmetrized;
+    inverts R on each call (a filter run inverts it once)."""
+    return _riccati(P, A, C, Q, np.linalg.inv(R), None if N is None else 2.0 * N,
+                    2.0 * beta)
 
 
 @dataclass
@@ -225,6 +242,7 @@ def integrate_ekf(config: FilterConfig,
     outputs = np.empty((len(stage_times), p))
     gains = np.empty((len(grid), n, p))
     filled = -1   # the last stage-table row whose output has been read
+    Q, Rinv, N2, beta2 = config.Q, np.linalg.inv(config.R), 2.0 * config.N, 2.0 * config.beta
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         nonlocal filled
@@ -238,11 +256,11 @@ def integrate_ekf(config: FilterConfig,
             filled = row
         xhat, P = state[0], state[1:]
         A, C = eval_jacobians(model, xhat, t)
-        K = kalman_gain(P, C, config.R)
+        K = _gain(P, C, Rinv)
         if stage == 0:   # a step's first stage runs at its node's state
             gains[row >> 1] = K
         dx = model.f(xhat, t) - K @ (model.h(xhat, t) - outputs[row])
-        dP = riccati_rhs(P, A, C, config.Q, config.R, config.N, config.beta)
+        dP = _riccati(P, A, C, Q, Rinv, N2, beta2)
         return np.concatenate((dx[None], dP))
 
     estimate_guard = divergence_guard("estimate")
@@ -264,7 +282,7 @@ def integrate_ekf(config: FilterConfig,
     states, covs = nodes[:, 0], nodes[:, 1:]
 
     _, C = eval_jacobians(model, states[-1], grid[-1])
-    gains[-1] = kalman_gain(covs[-1], C, config.R)
+    gains[-1] = _gain(covs[-1], C, Rinv)
     eigs = np.linalg.eigvalsh(covs)
     return FilterTrajectory(times=grid, states=states, covariances=covs,
                             gains=gains, config=config, stage_outputs=outputs,

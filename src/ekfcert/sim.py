@@ -157,7 +157,11 @@ def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
     The truth and the filter estimate are particular solutions of the
     undisturbed flow.
     """
-    Z0 = np.asarray(starts, dtype=float)
+    try:
+        Z0 = np.asarray(starts, dtype=float)
+    except (TypeError, ValueError) as exc:   # ragged or non-numeric rows
+        raise ConfigurationError(
+            f"virtual starts must have shape (B, {model.state_dim}): {exc}") from None
     if Z0.ndim != 2 or Z0.shape[1] != model.state_dim:
         raise ConfigurationError(
             f"virtual starts must have shape (B, {model.state_dim}), got {Z0.shape}")

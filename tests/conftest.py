@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -54,28 +55,17 @@ def cubic_rig():
 
 
 @pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """One-element list counting np.linalg.eigvalsh calls while the test runs."""
-    calls = [0]
-    eigvalsh = np.linalg.eigvalsh
+def linalg_calls(monkeypatch):
+    """Counter of np.linalg calls by function name ("eigvalsh", "solve",
+    "inv") while the test runs; clear it to restart the count."""
+    calls = collections.Counter()
 
-    def counting(a):
-        calls[0] += 1
-        return eigvalsh(a)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    return calls
-
-
-@pytest.fixture
-def solve_calls(monkeypatch):
-    """One-element list counting np.linalg.solve calls while the test runs."""
-    calls = [0]
-    solve = np.linalg.solve
-
-    def counting(a, b):
-        calls[0] += 1
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    for name in ("eigvalsh", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return calls

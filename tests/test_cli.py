@@ -152,6 +152,66 @@ def test_perturb_vector_must_have_one_entry_per_state(tmp_path, capsys, vector):
         f"configuration error: disturbance returned shape ({len(vector)},), expected (2,)\n")
 
 
+def test_ragged_twin_starts_are_a_configuration_error(tmp_path, capsys):
+    cfg = vdp_cfg(hessian={"kappa_A": 0.5, "kappa_C": 0.0},
+                  twin={"z1_0": [0.3, 0.2, 0.1], "z2_0": [0.1, 0.1]})
+    out = tmp_path / "out"
+    assert main(["twin", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: virtual starts must have shape (B, 2)")
+    assert err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+
+
+def _sampled_cfg(**extra):
+    return cubic_cfg(hessian={"radius": 0.5}, **extra)
+
+
+def _sin_perturb_cfg(**extra):
+    return scalar_cfg(perturb={"type": "sin", "vector": [0.01]}, **extra)
+
+
+def _compare_cfg(**extra):
+    cfg = {"compare": {"p_lo": 1.0, "p_hi": 1.0, "q_lo": 1.0, "r_lo": 1.0,
+                       "kappa_A": 1.0, "kappa_C": 1.0, "c_hi": 1.0}}
+    cfg.update(extra)
+    return cfg
+
+
+@pytest.mark.parametrize("command, make_cfg, key", [
+    ("simulate", scalar_cfg, "horizon"),
+    ("simulate", scalar_cfg, "step"),
+    ("simulate", scalar_cfg, "filter.beta"),
+    ("certify", scalar_cfg, "gamma"),
+    ("perturb", scalar_cfg, "gamma"),
+    ("certify", scalar_cfg, "seed"),
+    ("certify", _sampled_cfg, "seed"),
+    ("certify", scalar_cfg, "radius_times"),
+    ("certify", scalar_cfg, "direction_samples"),
+    ("certify", scalar_cfg, "hessian.kappa_A"),
+    ("certify", scalar_cfg, "hessian.kappa_C"),
+    ("certify", scalar_cfg, "hessian.alpha"),
+    ("certify", _sampled_cfg, "hessian.radius"),
+    ("certify", _sampled_cfg, "hessian.safety"),
+    ("certify", _sampled_cfg, "hessian.centers"),
+    ("perturb", _sin_perturb_cfg, "perturb.freq"),
+] + [("compare", _compare_cfg, f"compare.{key}")
+     for key in ("p_lo", "p_hi", "q_lo", "r_lo", "kappa_A", "kappa_C", "c_hi")])
+def test_a_non_numeric_config_value_is_a_configuration_error(tmp_path, capsys,
+                                                              command, make_cfg, key):
+    cfg = make_cfg(horizon=1.0)
+    *sections, field = key.split(".")
+    node = cfg
+    for name in sections:
+        node = node[name]
+    node[field] = "abc"
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: config field {key} is not a number: 'abc'\n")
+    assert not (out / "summary.json").exists()
+
+
 def test_negative_radius_times_is_a_configuration_error(tmp_path, capsys):
     rc = main(["certify", "--config", write_cfg(tmp_path, scalar_cfg(radius_times=-1)),
                "--out", str(tmp_path / "out")])
