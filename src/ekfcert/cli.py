@@ -133,12 +133,18 @@ def _matrix(value, name: str) -> np.ndarray:
         raise ConfigurationError(f"config field {name} is not numeric: {exc}") from None
 
 
-def _number(value, name: str, kind: type = float):
-    """``kind(value)`` for the numeric config field ``name``."""
+def _number(value, name: str, kind: type = float, minimum=None):
+    """``kind(value)`` for the numeric config field ``name``, at least ``minimum``
+    if given; an int field takes integral floats such as 9.0 but not 2.7."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"config field {name} is not a number: {value!r}") from None
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigurationError(f"config field {name} is not an integer: {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {number}")
+    return number
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -194,7 +200,7 @@ def _hessian_bounds(cfg: dict, traj: FilterTrajectory) -> HessianBounds:
         traj.config.model, path, _number(hes["radius"], "hessian.radius"),
         safety=_number(hes.get("safety", 1.1), "hessian.safety"),
         max_centers=_number(hes.get("centers", 25), "hessian.centers", int),
-        seed=_number(cfg.get("seed", 0), "seed", int))
+        seed=_number(cfg.get("seed", 0), "seed", int, 0))
 
 
 def _certificate(cfg: dict, traj: FilterTrajectory, report) -> ContractionCertificate:
@@ -228,10 +234,8 @@ def cmd_simulate(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
-    samples = _number(cfg.get("radius_times", 9), "radius_times", int)
-    if samples < 0:
-        raise ConfigurationError(f"radius_times must be >= 0, got {samples}")
-    seed = _number(cfg.get("seed", 0), "seed", int)
+    samples = _number(cfg.get("radius_times", 9), "radius_times", int, 0)
+    seed = _number(cfg.get("seed", 0), "seed", int, 0)   # numpy's generators reject negative seeds
     directions = _number(cfg.get("direction_samples", 64), "direction_samples", int)
     _, _, traj = _prepare_run(cfg)
     report = covariance_bounds_report(traj)

@@ -14,6 +14,12 @@ P stays exactly symmetric (its start and the Riccati right-hand side are
 symmetrized) and is checked for positive definiteness after every step,
 since every guarantee downstream is conditioned on uniform bounds
 p_lo I <= P(t) <= p_hi I holding along the run.
+
+A stage with analytic Jacobians checks its state, calls each raw model
+callback once and checks its (n + 1, n) derivative; a node gets one finiteness
+check, its estimate norm and a Cholesky factorization. A failed check re-runs
+the checked stage (eval_jacobians, SystemModel.f, SystemModel.h) or the
+per-part node guard, which name the failure with its type, message and time.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, CovarianceBoundViolation, DivergenceError
-from .model import SystemModel, eval_jacobians
+from .model import SystemModel, _finite, _jacobian_stage, _raw_callbacks, eval_jacobians
 from .ode import TimeSeries, rk4_step, stage_table, time_grid
 
 # states beyond this magnitude are treated as numerical blow-up
@@ -243,6 +249,7 @@ def integrate_ekf(config: FilterConfig,
     gains = np.empty((len(grid), n, p))
     filled = -1   # the last stage-table row whose output has been read
     Q, Rinv, N2, beta2 = config.Q, np.linalg.inv(config.R), 2.0 * config.N, 2.0 * config.beta
+    raw = _raw_callbacks(model)
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         nonlocal filled
@@ -254,21 +261,26 @@ def integrate_ekf(config: FilterConfig,
                                          f"{y_t.shape}, expected ({p},)")
             outputs[row] = y_t.reshape(p)
             filled = row
-        xhat, P = state[0], state[1:]
-        A, C = eval_jacobians(model, xhat, t)
-        K = _gain(P, C, Rinv)
-        if stage == 0:   # a step's first stage runs at its node's state
-            gains[row >> 1] = K
-        dx = model.f(xhat, t) - K @ (model.h(xhat, t) - outputs[row])
-        dP = _riccati(P, A, C, Q, Rinv, N2, beta2)
-        return np.concatenate((dx[None], dP))
+        P = state[1:]
+
+        def derivative(A, C, f, h):
+            K = _gain(P, C, Rinv)
+            if stage == 0:   # a step's first stage runs at its node's state
+                gains[row >> 1] = K
+            dx = f - K @ (h - outputs[row])
+            return np.concatenate((dx[None], _riccati(P, A, C, Q, Rinv, N2, beta2)))
+
+        return _jacobian_stage(model, raw, state[0], t, state, derivative)
 
     estimate_guard = divergence_guard("estimate")
 
     def guard(t: float, state: np.ndarray) -> np.ndarray:
-        estimate_guard(t, state[0])
-        if not np.isfinite(state[1:]).all():
-            raise DivergenceError(f"covariance diverged at t={t:.6g}", time=float(t))
+        # one check per node; a node that fails it runs the per-part checks,
+        # which name the failure (or pass a finite node whose squares overflow)
+        if not (_finite(state) and np.linalg.norm(state[0]) <= DIVERGENCE_LIMIT):
+            estimate_guard(t, state[0])
+            if not np.isfinite(state[1:]).all():
+                raise DivergenceError(f"covariance diverged at t={t:.6g}", time=float(t))
         try:
             np.linalg.cholesky(state[1:])
         except np.linalg.LinAlgError:

@@ -30,7 +30,10 @@ class SystemModel:
 
     Each callback takes one state and one time. Stacked evaluation on many
     points calls it once per point, in row order, and writes each result
-    into a preallocated array, so results must have the stated shapes.
+    into a preallocated array, so results must have the stated shapes. An
+    RK4 stage uses a result that is a float64 ndarray of the stated shape as
+    returned; any other result is converted and checked as by ``f``, ``h``
+    and ``eval_jacobians``.
 
     Parameters
     ----------
@@ -197,6 +200,59 @@ def eval_jacobians(model: SystemModel, x: np.ndarray,
         raise ModelEvaluationError(f"Jacobian evaluation produced non-finite entries at t={t}",
                                    time=float(t))
     return A, C
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, from its sum of squares: squares
+    that overflow read as non-finite too, which only costs the checked path."""
+    return math.isfinite(np.vdot(a, a))
+
+
+_FLOAT64 = np.dtype(float)
+
+
+def _raw_callbacks(model: SystemModel, names: Sequence[str] = (
+        "jacobian_A", "jacobian_C", "dynamics", "output")) -> Callable | None:
+    """``raw(x, t)``: one call of each callback ``names``, in order, or None when
+    one is absent (finite-difference Jacobians). ``raw`` returns the results
+    unchanged when each is a float64 ndarray of its declared shape, else None,
+    also when a callback raises: the caller then re-runs the checked path
+    (eval_jacobians, SystemModel.f and .h), which converts or names the failure.
+    """
+    n, p = model.state_dim, model.output_dim
+    shapes = {"jacobian_A": (n, n), "jacobian_C": (p, n), "dynamics": (n,), "output": (p,)}
+    calls = [(getattr(model, name), shapes[name]) for name in names]
+    if any(func is None for func, _ in calls):
+        return None
+
+    def raw(x: np.ndarray, t: float) -> list | None:
+        values = []
+        try:
+            for func, shape in calls:
+                v = func(x, t)
+                if type(v) is not np.ndarray or v.dtype is not _FLOAT64 or v.shape != shape:
+                    return None
+                values.append(v)
+        except Exception:   # the checked path calls it again and raises what it always did
+            return None
+        return values
+    return raw
+
+
+def _jacobian_stage(model: SystemModel, raw: Callable | None, x: np.ndarray, t: float,
+                    state: np.ndarray, derivative: Callable) -> np.ndarray:
+    """``derivative(A, C, f, h)`` at (x, t) for an RK4 stage whose state is
+    ``state``: from ``raw = _raw_callbacks(model)`` when ``state`` and the
+    derivative are finite, else from the checked path, which raises or returns
+    what the stage did before, so a failure keeps its type, message and time."""
+    if raw is not None and _finite(state):
+        values = raw(x, t)
+        if values is not None:
+            d = derivative(*values)
+            if _finite(d):
+                return d
+    A, C = eval_jacobians(model, x, t)
+    return derivative(A, C, model.f(x, t), model.h(x, t))
 
 
 def _stacked_jacobians(model: SystemModel, points: np.ndarray,

@@ -7,6 +7,10 @@ trajectories. This module integrates the truth, integrates virtual copies
 as rows of one RK4 run on the filter's grid under its gain schedule,
 measures weighted and Euclidean inter-trajectory distances, fits decay
 rates, and checks the certified error envelope and disturbance ball.
+
+The truth, the virtual rows and the validator call the raw model callbacks
+once per stage; they fall back to the checked SystemModel.f and .h (the
+validator also to eval_jacobians, on a non-finite stage) as the filter does.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from .contraction import ContractionCertificate, _contraction_matrices
 from .ekf import FilterTrajectory, divergence_guard, integrate
 from .errors import ConfigurationError, PreconditionError
-from .model import SystemModel, _stacked_jacobians, eval_jacobians
+from .model import SystemModel, _jacobian_stage, _raw_callbacks, _stacked_jacobians
 from .ode import TimeSeries, interp, stage_table, time_grid
 
 # absolute slack when comparing a near-zero steady radius against a zero ball
@@ -106,17 +110,24 @@ def integrate_truth(model: SystemModel, x0: np.ndarray, horizon: float,
 
     Returns the state trajectory and a callable y(t) = h(x(t), t) where
     x(t) interpolates the trajectory linearly; for linear output maps the
-    signal is exactly the interpolated output.
+    signal is exactly the interpolated output. The interpolated states at the
+    RK4 stage times of the grid are tabled once (``interp`` stacks the bits
+    of its scalar form), so y reads them there; other times interpolate.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (model.state_dim,):
         raise ConfigurationError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
     grid = time_grid(horizon, step)
-    states = integrate(lambda t, s: model.f(s, t), x0, grid, divergence_guard("truth"))
+    raw = _raw_callbacks(model, ("dynamics",))
+    states = integrate(lambda t, s: (raw(s, t) or (model.f(s, t),))[0], x0, grid,
+                       divergence_guard("truth"))
     traj = TimeSeries(grid, states)
+    times = stage_table(grid)[0]
+    table = interp(grid, states, times)
 
     def y(t: float) -> np.ndarray:
-        return model.h(traj.at(t), t)
+        i = np.searchsorted(times, t)
+        return model.h(table[i] if i < len(times) and times[i] == t else traj.at(t), t)
 
     return traj, y
 
@@ -134,15 +145,6 @@ def _stage_inputs(filter_run: FilterTrajectory) -> Callable[[float], tuple]:
         return gains[row], outputs[row]
 
     return at
-
-
-def _virtual_flow(model: SystemModel, K: np.ndarray, y: np.ndarray, Z, t: float) -> list:
-    """f(z,t) - K(h(z,t) - y) for each row z of the stack Z, as a list; each
-    row runs the operations of a single copy."""
-    dZ = []
-    for z in Z:   # a loop, not a comprehension: no extra frame per RK4 stage
-        dZ.append(model.f(z, t) - K @ (model.h(z, t) - y))
-    return dZ
 
 
 def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
@@ -167,9 +169,14 @@ def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
             f"virtual starts must have shape (B, {model.state_dim}), got {Z0.shape}")
     b_worst = 0.0
     stage_inputs = _stage_inputs(filter_run)
+    raw = _raw_callbacks(model, ("dynamics", "output"))
 
     def rhs(t: float, Z: np.ndarray) -> np.ndarray:
-        dZ = _virtual_flow(model, *stage_inputs(t), Z, t)
+        K, y = stage_inputs(t)
+        dZ = []
+        for z in Z:   # each row runs the operations of a single copy
+            f, h = raw(z, t) or (model.f(z, t), model.h(z, t))
+            dZ.append(f - K @ (h - y))
         if disturbance is not None:
             nonlocal b_worst
             for b, z in enumerate(Z):
@@ -322,13 +329,13 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     else:
         dz0 = np.asarray(dz0, dtype=float).reshape(-1)
     stage_inputs = _stage_inputs(filter_run)
+    raw = _raw_callbacks(model)
 
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
         z, dz = s[:n], s[n:]
-        A, C = eval_jacobians(model, z, t)
         K, y = stage_inputs(t)
-        (zdot,) = _virtual_flow(model, K, y, (z,), t)
-        return np.concatenate([zdot, (A - K @ C) @ dz])
+        return _jacobian_stage(model, raw, z, t, s, lambda A, C, f, h: np.concatenate(
+            [f - K @ (h - y), (A - K @ C) @ dz]))
 
     grid = filter_run.times
     nodes = integrate(rhs, np.concatenate([z0, dz0]), grid,

@@ -212,6 +212,56 @@ def test_a_non_numeric_config_value_is_a_configuration_error(tmp_path, capsys,
     assert not (out / "summary.json").exists()
 
 
+COUNT_FIELDS = [
+    (scalar_cfg, "radius_times"),
+    (scalar_cfg, "direction_samples"),
+    (scalar_cfg, "seed"),
+    (_sampled_cfg, "seed"),
+    (_sampled_cfg, "hessian.centers"),
+]
+
+
+def _certify_with(tmp_path, make_cfg, key, value, out):
+    cfg = make_cfg(horizon=1.0, radius_times=3)
+    *sections, field = key.split(".")
+    node = cfg
+    for name in sections:
+        node = node[name]
+    node[field] = value
+    return main(["certify", "--config", write_cfg(tmp_path, cfg, f"{out.name}.json"),
+                 "--out", str(out)])
+
+
+@pytest.mark.parametrize("make_cfg, key", COUNT_FIELDS)
+def test_a_fractional_count_is_a_configuration_error(tmp_path, capsys, make_cfg, key):
+    out = tmp_path / "out"
+    assert _certify_with(tmp_path, make_cfg, key, 2.7, out) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: config field {key} is not an integer: 2.7\n")
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("make_cfg, key", COUNT_FIELDS)
+def test_an_integral_float_count_runs_as_the_integer(tmp_path, make_cfg, key):
+    as_int, as_float = tmp_path / "int", tmp_path / "float"
+    assert _certify_with(tmp_path, make_cfg, key, 2, as_int) == 0
+    assert _certify_with(tmp_path, make_cfg, key, 2.0, as_float) == 0
+    assert (as_int / "radius.csv").read_bytes() == (as_float / "radius.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["certify", "twin"])
+@pytest.mark.parametrize("from_flag", [False, True])
+def test_a_negative_seed_is_a_configuration_error(tmp_path, capsys, command, from_flag):
+    cfg = _sampled_cfg(horizon=1.0, twin={"z1_0": [0.1], "z2_0": [-0.1]})
+    if not from_flag:
+        cfg["seed"] = -1
+    out = tmp_path / "out"
+    argv = [command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+    assert main(argv + (["--seed", "-1"] if from_flag else [])) == 2
+    assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -1\n"
+    assert not (out / "summary.json").exists()
+
+
 def test_negative_radius_times_is_a_configuration_error(tmp_path, capsys):
     rc = main(["certify", "--config", write_cfg(tmp_path, scalar_cfg(radius_times=-1)),
                "--out", str(tmp_path / "out")])

@@ -150,13 +150,13 @@ def _ref_ekf(config, y):
     return states, covs, gains, float(eigs[:, 0].min()), float(eigs[:, -1].max())
 
 
-def _ref_validator(model, run, y, z0, step):
+def _ref_validator(model, run, y, z0, step, dz0=None):
     """Finiteness-only guard, and every accessor through ``_ref_interp_path``."""
     n = model.state_dim
     times = run.times
     K = lambda t: _ref_interp_path(times, run.gains.reshape(len(times), -1),
                                    t).reshape(n, model.output_dim)
-    dz0 = np.ones(n) / math.sqrt(n)
+    dz0 = np.ones(n) / math.sqrt(n) if dz0 is None else dz0
 
     def rhs(t, s):
         z, dz = s[:n], s[n:]
@@ -545,6 +545,38 @@ def test_variational_guard_stops_finite_runs_beyond_the_limit():
     _assert_divergence(info, "variational state", t_fail)
 
 
+def _unobserved_plant(rate, jacobian):
+    """dx/dt = rate x with a zero output map and the declared Jacobian
+    ``jacobian``: P then grows as exp(2 jacobian t) without a gain."""
+    return ek.SystemModel(state_dim=1, output_dim=1,
+                          dynamics=lambda x, t: rate * x,
+                          output=lambda x, t: np.zeros(1),
+                          jacobian_A=lambda x, t: np.array([[jacobian]]),
+                          jacobian_C=lambda x, t: np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("rate, jacobian, horizon, message", [
+    (30.0, 30.0, 1.0, "estimate diverged at t=0.93"),     # e^30 > 1e12, every node finite
+    (0.0, 1000.0, 1.0, "covariance diverged at t=0.78"),  # P overflows
+    (0.0, 400.0, 1.0, None),                              # P ~ 1e247: its square overflows
+])
+def test_the_filter_guard_names_failures_as_the_reference_loop(rate, jacobian, horizon,
+                                                                 message):
+    """The one check per node sends every failing node, and a finite node
+    whose squares overflow, through the per-part checks of the reference."""
+    fc = ek.FilterConfig(model=_unobserved_plant(rate, jacobian), Q=np.eye(1),
+                         R=np.eye(1), P0=np.eye(1), x0=np.ones(1), horizon=horizon,
+                         step=0.01)
+    y = lambda t: np.zeros(1)
+    expected = _outcome(lambda: _ref_ekf(fc, y)[:3])
+    new = _outcome(lambda: _filter_arrays(fc, y))
+    assert new == expected
+    if message is None:
+        assert isinstance(new, list)
+    else:
+        assert new[:2] == (ek.DivergenceError, message)
+
+
 # -------------------------------------------------------------- probe seam
 
 class _FirstStep(Exception):
@@ -580,3 +612,174 @@ def test_every_integrator_steps_through_the_ekf_module_global(monkeypatch, scala
         assert len(calls) == 1, name
         assert calls[0][0] == 0.0, name
         assert np.array_equal(calls[0][1], y0), name
+
+
+# -------------------------------------------------------- fast stage path
+
+def _checked_twin(model):
+    """The plant with every callback returning a Python list: no result is a
+    float64 array, so every stage runs the checked path."""
+    def listed(fn):
+        return lambda x, t: fn(x, t).tolist()
+
+    return dataclasses.replace(model, dynamics=listed(model.dynamics),
+                               output=listed(model.output),
+                               jacobian_A=listed(model.jacobian_A),
+                               jacobian_C=listed(model.jacobian_C))
+
+
+def _every_flow(model, x0, xhat0, z0, horizon=3.0, step=0.01):
+    """Truth, filter, twin rows, perturbed row and validator deviation on ``model``."""
+    n = model.state_dim
+    truth, y = ek.integrate_truth(model, x0, horizon, step)
+    fc = ek.FilterConfig(model=model, Q=np.eye(n), R=np.eye(model.output_dim),
+                         P0=np.eye(n), x0=xhat0, horizon=horizon, step=step)
+    run = ek.integrate_ekf(fc, y)
+    dist = ek.Disturbance(b=lambda z, t: np.full(n, 0.01 * math.sin(2.0 * t)),
+                          b_max=0.01 * math.sqrt(n))
+    return {"truth": truth.values, "states": run.states, "covariances": run.covariances,
+            "gains": run.gains, "twins": ek.integrate_virtual(model, run, [z0, x0]),
+            "perturbed": ek.integrate_virtual(model, run, [z0], dist),
+            "deviation": np.array(ek.variational_validator(model, run, z0))}
+
+
+@pytest.mark.parametrize("entry", ek.registry(), ids=lambda e: e.name)
+def test_the_fast_stage_equals_the_checked_path_on_every_registry_plant(entry, monkeypatch):
+    """Each registry plant runs every flow without one checked evaluation of
+    f; its checked twin runs them all checked. Every output is bit-equal."""
+    checked = [0]
+    monkeypatch.setattr(ek.SystemModel, "f", _counting(ek.SystemModel.f, checked))
+    n = entry.model.state_dim
+    x0, xhat0, z0 = np.full(n, 0.34), np.full(n, 0.3), np.full(n, 0.28)
+    fast = _every_flow(entry.model, x0, xhat0, z0)
+    assert checked[0] == 0
+    slow = _every_flow(_checked_twin(entry.model), x0, xhat0, z0)
+    assert checked[0] > 0
+    for name, value in fast.items():
+        assert value.tobytes() == slow[name].tobytes(), name
+
+
+@pytest.mark.parametrize("entry", ek.registry(), ids=lambda e: e.name)
+def test_the_truth_measurement_equals_the_interpolated_output(entry):
+    """y(t) = h(x(t), t) bit for bit at every RK4 stage time, where it reads
+    the tabled states, and off them, where it interpolates."""
+    model = entry.model
+    truth, y = ek.integrate_truth(model, np.full(model.state_dim, 0.34), 3.0, 0.01)
+    times, _ = stage_table(truth.times)
+    off = np.concatenate([times[:-1] + 0.3 * np.diff(times), [-0.1, 3.1]])
+    for t in np.concatenate([times, off]):
+        t = float(t)
+        assert y(t).tobytes() == model.h(truth.at(t), t).tobytes()
+
+
+FAULT_T = 0.25   # the faults start at the midpoint stage of the third step
+
+
+def _faulty_plant(callback, fault, seen=None):
+    """dx/dt = -diag(1, 0.5) x with y = x, at rest from the origin; from t =
+    FAULT_T on, ``callback`` returns ``fault`` of its result. P stays diagonal
+    and the innovation zero, so a bad entry meets zeros wherever it can.
+    Every state a callback receives is appended to ``seen``."""
+    good = {"dynamics": lambda x, t: np.array([-x[0], -0.5 * x[1]]),
+            "output": lambda x, t: x.copy(),
+            "jacobian_A": lambda x, t: np.array([[-1.0, 0.0], [0.0, -0.5]]),
+            "jacobian_C": lambda x, t: np.eye(2)}
+    fn = good[callback]
+    good[callback] = lambda x, t: fault(fn(x, t)) if t >= FAULT_T else fn(x, t)
+
+    def recorded(fn):
+        def call(x, t):
+            if seen is not None:
+                seen.append(x.copy())
+            return fn(x, t)
+        return call
+
+    return ek.SystemModel(state_dim=2, output_dim=2,
+                          **{name: recorded(fn) for name, fn in good.items()})
+
+
+def _set_entry(index, value):
+    def fault(v):
+        v = v.copy()
+        v[index] = value
+        return v
+    return fault
+
+
+SHAPE_FAULTS = {
+    "(n, 1)": lambda v: v.ravel()[:2].reshape(2, 1),
+    "(n + 1,)": lambda v: np.append(v.ravel()[:2], 0.0),
+    "scalar": lambda v: float(v.flat[0]),
+}
+FAULTS = (
+    [(jac, f"{value} at {index}", _set_entry(index, value))
+     for jac in ("jacobian_A", "jacobian_C") for value in (np.nan, np.inf)
+     for index in [(0, 0), (0, 1), (1, 0), (1, 1)]]
+    + [(func, f"{value} at {index}", _set_entry(index, value))
+       for func in ("dynamics", "output") for value in (np.nan, np.inf) for index in (0, 1)]
+    + [(func, shape, fault) for func in ("dynamics", "output", "jacobian_A", "jacobian_C")
+       for shape, fault in SHAPE_FAULTS.items()])
+
+
+def _filter_arrays(fc, y):
+    run = ek.integrate_ekf(fc, y)
+    return run.states, run.covariances, run.gains
+
+
+def _outcome(fn):
+    """The arrays fn() returns, or the type, message and time of what it raises."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [np.asarray(v).tobytes() for v in fn()]
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "time", None))
+
+
+@pytest.mark.parametrize("callback, what, fault", FAULTS,
+                         ids=[f"{c}-{w}" for c, w, _ in FAULTS])
+def test_a_faulty_callback_fails_as_on_the_checked_path(callback, what, fault):
+    """Every flow stops with the type, message and time of the reference
+    loops, which evaluate every stage on the checked path, or finishes with
+    their values when the checked path accepts the result. The callbacks of
+    the filter and the validator never see a non-finite state."""
+    seen = []
+    model, zero = _faulty_plant(callback, fault, seen), np.zeros(2)
+    y = lambda t: np.zeros(2)
+    fc = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(2), P0=np.diag([1.0, 2.0]),
+                         x0=zero, horizon=1.0, step=0.1)
+    run = ek.integrate_ekf(dataclasses.replace(fc, model=_faulty_plant(callback, lambda v: v)), y)
+    e0 = np.array([1.0, 0.0])   # dz keeps a zero entry along the diagonal flow
+    flows = {
+        "filter": (lambda: _filter_arrays(fc, y), lambda: _ref_ekf(fc, y)[:3]),
+        "truth": (lambda: (ek.integrate_truth(model, zero, 1.0, 0.1)[0].values,),
+                  lambda: _ref_truth(model, zero, 1.0, 0.1)[1:]),
+        "virtual": (lambda: (ek.integrate_virtual(model, run, [zero])[:, 0],),
+                    lambda: _ref_virtual(model, _ref_gain(run), y, zero, 1.0, 0.1)[:1]),
+        "validator": (lambda: (ek.variational_validator(model, run, zero, dz0=e0),),
+                      lambda: (_ref_validator(model, run, y, zero, 0.1, e0),)),
+    }
+    for name, (new, ref) in flows.items():
+        expected = _outcome(ref)
+        seen.clear()
+        assert _outcome(new) == expected, name
+        assert name in ("truth", "virtual") or np.isfinite(seen).all(), name
+        if isinstance(expected, tuple) and expected[2] is not None:
+            assert expected[2] >= FAULT_T, name
+
+
+def test_a_callback_raising_after_a_bad_jacobian_fails_as_on_the_checked_path():
+    """The checked path stops at the bad Jacobian before it calls f, so the
+    fast path must not let f's own exception through."""
+    def raising(x, t):
+        if t >= FAULT_T:
+            raise RuntimeError("dynamics undefined here")
+        return np.array([-x[0], -0.5 * x[1]])
+
+    model = dataclasses.replace(_faulty_plant("jacobian_A", _set_entry((0, 1), np.nan)),
+                                dynamics=raising)
+    fc = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(2), P0=np.eye(2),
+                         x0=np.zeros(2), horizon=1.0, step=0.1)
+    y = lambda t: np.zeros(2)
+    expected = _outcome(lambda: _ref_ekf(fc, y)[:3])
+    assert expected[0] is ek.ModelEvaluationError
+    assert _outcome(lambda: _filter_arrays(fc, y)) == expected
