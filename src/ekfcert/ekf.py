@@ -15,11 +15,12 @@ symmetrized) and is checked for positive definiteness after every step,
 since every guarantee downstream is conditioned on uniform bounds
 p_lo I <= P(t) <= p_hi I holding along the run.
 
-A stage with analytic Jacobians checks its state, calls each raw model
-callback once and checks its (n + 1, n) derivative; a node gets one finiteness
-check, its estimate norm and a Cholesky factorization. A failed check re-runs
-the checked stage (eval_jacobians, SystemModel.f, SystemModel.h) or the
-per-part node guard, which name the failure with its type, message and time.
+A stage calls each model callback once (model._jacobian_stage). With
+analytic Jacobians and a finite state it checks A and C for finiteness only
+when its (n + 1, n) derivative is not finite, which a non-finite entry of
+either makes it, so it fails as eval_jacobians would. A node gets one
+finiteness check, its estimate norm and a Cholesky factorization; a node that
+fails the first two runs the per-part checks, which name the failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, CovarianceBoundViolation, DivergenceError
-from .model import SystemModel, _finite, _jacobian_stage, _raw_callbacks, eval_jacobians
+from .model import SystemModel, _finite, _jacobian_stage, eval_jacobians
 from .ode import TimeSeries, rk4_step, stage_table, time_grid
 
 # states beyond this magnitude are treated as numerical blow-up
@@ -249,7 +250,6 @@ def integrate_ekf(config: FilterConfig,
     gains = np.empty((len(grid), n, p))
     filled = -1   # the last stage-table row whose output has been read
     Q, Rinv, N2, beta2 = config.Q, np.linalg.inv(config.R), 2.0 * config.N, 2.0 * config.beta
-    raw = _raw_callbacks(model)
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         nonlocal filled
@@ -270,7 +270,7 @@ def integrate_ekf(config: FilterConfig,
             dx = f - K @ (h - outputs[row])
             return np.concatenate((dx[None], _riccati(P, A, C, Q, Rinv, N2, beta2)))
 
-        return _jacobian_stage(model, raw, state[0], t, state, derivative)
+        return _jacobian_stage(model, state[0], t, state, derivative)
 
     estimate_guard = divergence_guard("estimate")
 

@@ -24,16 +24,24 @@ QUARTIC_EPS = EPS ** 0.25         # near-optimal step for direct second differen
 RADIAL_SAMPLES = 5                # radii from 0 to the tube radius in estimate_hessian_bounds
 
 
+_FLOAT64 = np.dtype(float)
+
+
+def _as_returned(v, shape: tuple) -> bool:
+    """Whether the callback result ``v`` is a float64 ndarray of ``shape``,
+    which needs no conversion."""
+    return type(v) is np.ndarray and v.dtype is _FLOAT64 and v.shape == shape
+
+
 @dataclass
 class SystemModel:
     """A deterministic plant dx/dt = f(x, t) with measured output y = h(x, t).
 
     Each callback takes one state and one time. Stacked evaluation on many
     points calls it once per point, in row order, and writes each result
-    into a preallocated array, so results must have the stated shapes. An
-    RK4 stage uses a result that is a float64 ndarray of the stated shape as
-    returned; any other result is converted and checked as by ``f``, ``h``
-    and ``eval_jacobians``.
+    into a preallocated array, so results must have the stated shapes. ``f``,
+    ``h`` and ``eval_jacobians`` use a result that is a float64 ndarray of the
+    stated shape as returned, and convert and check anything else.
 
     Parameters
     ----------
@@ -70,14 +78,20 @@ class SystemModel:
             raise ConfigurationError("state_dim and output_dim must be positive")
 
     def f(self, x: np.ndarray, t: float) -> np.ndarray:
-        y = np.asarray(self.dynamics(np.asarray(x, dtype=float), t), dtype=float).reshape(-1)
+        y = self.dynamics(np.asarray(x, dtype=float), t)
+        if _as_returned(y, (self.state_dim,)):
+            return y
+        y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape != (self.state_dim,):
             raise ConfigurationError(
                 f"dynamics returned shape {y.shape}, expected ({self.state_dim},)")
         return y
 
     def h(self, x: np.ndarray, t: float) -> np.ndarray:
-        y = np.asarray(self.output(np.asarray(x, dtype=float), t), dtype=float).reshape(-1)
+        y = self.output(np.asarray(x, dtype=float), t)
+        if _as_returned(y, (self.output_dim,)):
+            return y
+        y = np.asarray(y, dtype=float).reshape(-1)
         if y.shape != (self.output_dim,):
             raise ConfigurationError(
                 f"output returned shape {y.shape}, expected ({self.output_dim},)")
@@ -193,66 +207,57 @@ def eval_jacobians(model: SystemModel, x: np.ndarray,
     if model.jacobian_A is None or model.jacobian_C is None or not np.isfinite(x).all():
         A, C = _stacked_jacobians(model, x[None], t)
         return A[0], C[0]
+    A, C = _analytic_jacobians(model, x, t)
+    _check_jacobians(A, C, t)
+    return A, C
+
+
+def _analytic_jacobians(model: SystemModel, x: np.ndarray,
+                        t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The analytic (A, C) at (x, t) as float arrays, not yet checked for
+    finiteness (_check_jacobians)."""
     n, p = model.state_dim, model.output_dim
-    A = np.asarray(model.jacobian_A(x, t), dtype=float).reshape(n, n)
-    C = np.asarray(model.jacobian_C(x, t), dtype=float).reshape(p, n)
+    A = model.jacobian_A(x, t)
+    if not _as_returned(A, (n, n)):
+        A = np.asarray(A, dtype=float).reshape(n, n)
+    C = model.jacobian_C(x, t)
+    if not _as_returned(C, (p, n)):
+        C = np.asarray(C, dtype=float).reshape(p, n)
+    return A, C
+
+
+def _check_jacobians(A: np.ndarray, C: np.ndarray, t: float) -> None:
     if not (np.isfinite(A).all() and np.isfinite(C).all()):
         raise ModelEvaluationError(f"Jacobian evaluation produced non-finite entries at t={t}",
                                    time=float(t))
-    return A, C
 
 
 def _finite(a: np.ndarray) -> bool:
     """Whether every entry of ``a`` is finite, from its sum of squares: squares
-    that overflow read as non-finite too, which only costs the checked path."""
+    that overflow read as non-finite too, which only costs the full check."""
     return math.isfinite(np.vdot(a, a))
 
 
-_FLOAT64 = np.dtype(float)
-
-
-def _raw_callbacks(model: SystemModel, names: Sequence[str] = (
-        "jacobian_A", "jacobian_C", "dynamics", "output")) -> Callable | None:
-    """``raw(x, t)``: one call of each callback ``names``, in order, or None when
-    one is absent (finite-difference Jacobians). ``raw`` returns the results
-    unchanged when each is a float64 ndarray of its declared shape, else None,
-    also when a callback raises: the caller then re-runs the checked path
-    (eval_jacobians, SystemModel.f and .h), which converts or names the failure.
-    """
-    n, p = model.state_dim, model.output_dim
-    shapes = {"jacobian_A": (n, n), "jacobian_C": (p, n), "dynamics": (n,), "output": (p,)}
-    calls = [(getattr(model, name), shapes[name]) for name in names]
-    if any(func is None for func, _ in calls):
-        return None
-
-    def raw(x: np.ndarray, t: float) -> list | None:
-        values = []
-        try:
-            for func, shape in calls:
-                v = func(x, t)
-                if type(v) is not np.ndarray or v.dtype is not _FLOAT64 or v.shape != shape:
-                    return None
-                values.append(v)
-        except Exception:   # the checked path calls it again and raises what it always did
-            return None
-        return values
-    return raw
-
-
-def _jacobian_stage(model: SystemModel, raw: Callable | None, x: np.ndarray, t: float,
-                    state: np.ndarray, derivative: Callable) -> np.ndarray:
+def _jacobian_stage(model: SystemModel, x: np.ndarray, t: float, state: np.ndarray,
+                    derivative: Callable) -> np.ndarray:
     """``derivative(A, C, f, h)`` at (x, t) for an RK4 stage whose state is
-    ``state``: from ``raw = _raw_callbacks(model)`` when ``state`` and the
-    derivative are finite, else from the checked path, which raises or returns
-    what the stage did before, so a failure keeps its type, message and time."""
-    if raw is not None and _finite(state):
-        values = raw(x, t)
-        if values is not None:
-            d = derivative(*values)
-            if _finite(d):
-                return d
-    A, C = eval_jacobians(model, x, t)
-    return derivative(A, C, model.f(x, t), model.h(x, t))
+    ``state``, calling each callback once. The stage returns or raises what
+    eval_jacobians, SystemModel.f and .h called in that order would give. With
+    analytic Jacobians and a finite state, A and C are checked only when the
+    stage raises or its derivative is not finite, which a non-finite entry of
+    A or C makes it."""
+    if model.jacobian_A is None or model.jacobian_C is None or not _finite(state):
+        A, C = eval_jacobians(model, x, t)
+        return derivative(A, C, model.f(x, t), model.h(x, t))
+    A, C = _analytic_jacobians(model, x, t)
+    try:
+        d = derivative(A, C, model.f(x, t), model.h(x, t))
+    except Exception:
+        _check_jacobians(A, C, t)   # the checked path stops here before calling f
+        raise
+    if not _finite(d):
+        _check_jacobians(A, C, t)
+    return d
 
 
 def _stacked_jacobians(model: SystemModel, points: np.ndarray,

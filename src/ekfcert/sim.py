@@ -8,9 +8,9 @@ as rows of one RK4 run on the filter's grid under its gain schedule,
 measures weighted and Euclidean inter-trajectory distances, fits decay
 rates, and checks the certified error envelope and disturbance ball.
 
-The truth, the virtual rows and the validator call the raw model callbacks
-once per stage; they fall back to the checked SystemModel.f and .h (the
-validator also to eval_jacobians, on a non-finite stage) as the filter does.
+The validator's RK4 stage checks Jacobians as the filter's does
+(model._jacobian_stage); the truth and the virtual rows call SystemModel.f
+and .h, which use a float64 callback result of the declared shape as returned.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .contraction import ContractionCertificate, _contraction_matrices
 from .ekf import FilterTrajectory, divergence_guard, integrate
 from .errors import ConfigurationError, PreconditionError
-from .model import SystemModel, _jacobian_stage, _raw_callbacks, _stacked_jacobians
+from .model import SystemModel, _jacobian_stage, _stacked_jacobians
 from .ode import TimeSeries, interp, stage_table, time_grid
 
 # absolute slack when comparing a near-zero steady radius against a zero ball
@@ -112,18 +112,18 @@ def integrate_truth(model: SystemModel, x0: np.ndarray, horizon: float,
     x(t) interpolates the trajectory linearly; for linear output maps the
     signal is exactly the interpolated output. The interpolated states at the
     RK4 stage times of the grid are tabled once (``interp`` stacks the bits
-    of its scalar form), so y reads them there; other times interpolate.
+    of its scalar form) and y reads them there; other times interpolate.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (model.state_dim,):
         raise ConfigurationError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
     grid = time_grid(horizon, step)
-    raw = _raw_callbacks(model, ("dynamics",))
-    states = integrate(lambda t, s: (raw(s, t) or (model.f(s, t),))[0], x0, grid,
-                       divergence_guard("truth"))
+    states = integrate(lambda t, s: model.f(s, t), x0, grid, divergence_guard("truth"))
     traj = TimeSeries(grid, states)
     times = stage_table(grid)[0]
-    table = interp(grid, states, times)
+    table = np.empty((len(times), model.state_dim))
+    for a in range(0, len(times), 256):   # in blocks: no temporary as large as the table
+        table[a:a + 256] = interp(grid, states, times[a:a + 256])
 
     def y(t: float) -> np.ndarray:
         i = np.searchsorted(times, t)
@@ -169,14 +169,12 @@ def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
             f"virtual starts must have shape (B, {model.state_dim}), got {Z0.shape}")
     b_worst = 0.0
     stage_inputs = _stage_inputs(filter_run)
-    raw = _raw_callbacks(model, ("dynamics", "output"))
 
     def rhs(t: float, Z: np.ndarray) -> np.ndarray:
         K, y = stage_inputs(t)
         dZ = []
         for z in Z:   # each row runs the operations of a single copy
-            f, h = raw(z, t) or (model.f(z, t), model.h(z, t))
-            dZ.append(f - K @ (h - y))
+            dZ.append(model.f(z, t) - K @ (model.h(z, t) - y))
         if disturbance is not None:
             nonlocal b_worst
             for b, z in enumerate(Z):
@@ -329,12 +327,11 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     else:
         dz0 = np.asarray(dz0, dtype=float).reshape(-1)
     stage_inputs = _stage_inputs(filter_run)
-    raw = _raw_callbacks(model)
 
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
         z, dz = s[:n], s[n:]
         K, y = stage_inputs(t)
-        return _jacobian_stage(model, raw, z, t, s, lambda A, C, f, h: np.concatenate(
+        return _jacobian_stage(model, z, t, s, lambda A, C, f, h: np.concatenate(
             [f - K @ (h - y), (A - K @ C) @ dz]))
 
     grid = filter_run.times

@@ -616,16 +616,29 @@ def test_every_integrator_steps_through_the_ekf_module_global(monkeypatch, scala
 
 # -------------------------------------------------------- fast stage path
 
+CALLBACKS = ("dynamics", "output", "jacobian_A", "jacobian_C")
+
+
 def _checked_twin(model):
     """The plant with every callback returning a Python list: no result is a
-    float64 array, so every stage runs the checked path."""
+    float64 array, so f, h and eval_jacobians convert and check every one."""
     def listed(fn):
         return lambda x, t: fn(x, t).tolist()
 
-    return dataclasses.replace(model, dynamics=listed(model.dynamics),
-                               output=listed(model.output),
-                               jacobian_A=listed(model.jacobian_A),
-                               jacobian_C=listed(model.jacobian_C))
+    return dataclasses.replace(model, **{name: listed(getattr(model, name))
+                                         for name in CALLBACKS})
+
+
+def _counted(model, counts):
+    """The plant with each callback call counted in ``counts[name]``."""
+    def counted(name, fn):
+        def call(x, t):
+            counts[name] += 1
+            return fn(x, t)
+        return call
+
+    return dataclasses.replace(model, **{name: counted(name, getattr(model, name))
+                                         for name in CALLBACKS})
 
 
 def _every_flow(model, x0, xhat0, z0, horizon=3.0, step=0.01):
@@ -644,19 +657,25 @@ def _every_flow(model, x0, xhat0, z0, horizon=3.0, step=0.01):
 
 
 @pytest.mark.parametrize("entry", ek.registry(), ids=lambda e: e.name)
-def test_the_fast_stage_equals_the_checked_path_on_every_registry_plant(entry, monkeypatch):
-    """Each registry plant runs every flow without one checked evaluation of
-    f; its checked twin runs them all checked. Every output is bit-equal."""
-    checked = [0]
-    monkeypatch.setattr(ek.SystemModel, "f", _counting(ek.SystemModel.f, checked))
+def test_array_and_list_callbacks_give_the_same_flows_with_one_call_per_stage(entry):
+    """Each registry plant and its checked twin give bit-equal outputs on
+    every flow, and every callback runs once per RK4 stage and row on both:
+    stages = 4 m on the m steps of each of the truth, the filter, the two
+    twin rows, the perturbed row and the validator; h also once per distinct
+    stage time (2 m + 1) for the measurement; the Jacobians also at the
+    filter's last node and, for the validator's deviation, at its m + 1
+    nodes and the filter's."""
     n = entry.model.state_dim
     x0, xhat0, z0 = np.full(n, 0.34), np.full(n, 0.3), np.full(n, 0.28)
-    fast = _every_flow(entry.model, x0, xhat0, z0)
-    assert checked[0] == 0
-    slow = _every_flow(_checked_twin(entry.model), x0, xhat0, z0)
-    assert checked[0] > 0
+    fast_counts, slow_counts = dict.fromkeys(CALLBACKS, 0), dict.fromkeys(CALLBACKS, 0)
+    fast = _every_flow(_counted(entry.model, fast_counts), x0, xhat0, z0)
+    slow = _every_flow(_counted(_checked_twin(entry.model), slow_counts), x0, xhat0, z0)
     for name, value in fast.items():
         assert value.tobytes() == slow[name].tobytes(), name
+    stages = 4 * 300
+    expected = {"dynamics": 6 * stages, "output": 5 * stages + 2 * 300 + 1,
+                "jacobian_A": 2 * stages + 1 + 2 * 301, "jacobian_C": 2 * stages + 1 + 2 * 301}
+    assert fast_counts == slow_counts == expected
 
 
 @pytest.mark.parametrize("entry", ek.registry(), ids=lambda e: e.name)

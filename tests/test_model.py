@@ -474,3 +474,34 @@ def test_stacked_hessians_fail_at_the_first_non_finite_row():
     seen.clear()
     assert _failure(lambda: ek.hessian_tensor(model, X[3], 0.4, "dynamics")) == (message, time)
     assert seen == []
+
+
+@pytest.mark.parametrize("result, used_as_returned", [
+    (np.array([0.5, -1.0]), True),
+    ([0.5, -1.0], False),
+    (np.array([[0.5], [-1.0]]), False),
+    (np.array([0.5, -1.0], dtype=np.float32), False),
+    (np.array([1, -1]), False),
+])
+def test_f_and_h_use_a_float64_result_of_the_declared_shape_as_returned(result,
+                                                                        used_as_returned):
+    """f and h hand back the callback's own float64 (n,) array and convert
+    any other result of n entries to one."""
+    model = ek.SystemModel(state_dim=2, output_dim=2, dynamics=lambda x, t: result,
+                           output=lambda x, t: result)
+    for y in (model.f(np.zeros(2), 0.0), model.h(np.zeros(2), 0.0)):
+        assert (y is result) == used_as_returned
+        assert y.dtype == np.float64 and y.shape == (2,)
+        assert np.array_equal(y, np.asarray(result, dtype=float).reshape(-1))
+
+
+@pytest.mark.parametrize("result", [np.zeros(3), np.zeros(1), np.zeros((2, 2))])
+def test_f_and_h_reject_a_float64_result_of_another_size(result):
+    """A float64 array of another size is not taken as returned."""
+    model = ek.SystemModel(state_dim=2, output_dim=2, dynamics=lambda x, t: result,
+                           output=lambda x, t: result)
+    shape = rf"\({result.size},\), expected \(2,\)"
+    with pytest.raises(ek.ConfigurationError, match="dynamics returned shape " + shape):
+        model.f(np.zeros(2), 0.0)
+    with pytest.raises(ek.ConfigurationError, match="output returned shape " + shape):
+        model.h(np.zeros(2), 0.0)
