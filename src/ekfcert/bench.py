@@ -33,8 +33,7 @@ def _scalar_riccati() -> BenchmarkEntry:
         dynamics=lambda x, t: np.zeros(1),
         output=lambda x, t: x.copy(),
         jacobian_A=lambda x, t: np.zeros((1, 1)),
-        jacobian_C=lambda x, t: np.ones((1, 1)),
-        name="scalar-riccati")
+        jacobian_C=lambda x, t: np.ones((1, 1)))
     analytic = {
         # for dx/dt = 0, y = x: dP/dt = q - P^2/r has equilibrium sqrt(qr)
         "equilibrium_p": lambda q, r: math.sqrt(q * r),
@@ -66,8 +65,7 @@ def _ltv_linear(omega0: float = 1.0, omega_mod: float = 0.5,
         dynamics=dyn,
         output=lambda x, t: C @ x,
         jacobian_A=jac_a,
-        jacobian_C=lambda x, t: C.copy(),
-        name="ltv-linear")
+        jacobian_C=lambda x, t: C.copy())
 
     def theta(t: float) -> float:
         return omega0 * t + omega_mod * (1.0 - math.cos(freq * t)) / freq
@@ -105,8 +103,7 @@ def _vanderpol_pos(mu: float = 0.15) -> BenchmarkEntry:
         dynamics=dyn,
         output=lambda x, t: C @ x,
         jacobian_A=jac_a,
-        jacobian_C=lambda x, t: C.copy(),
-        name="vanderpol-pos")
+        jacobian_C=lambda x, t: C.copy())
     analytic = {
         # max over the radius-alpha circle of the one nonzero Hessian slice
         # [[-2 mu x2, -2 mu x1], [-2 mu x1, 0]] peaks at 4 mu alpha / sqrt(3)
@@ -128,8 +125,7 @@ def _cubic_scalar(eps: float = 0.1) -> BenchmarkEntry:
         dynamics=dyn,
         output=lambda x, t: x.copy(),
         jacobian_A=lambda x, t: np.array([[-1.0 + 3.0 * eps * x[0] ** 2]]),
-        jacobian_C=lambda x, t: np.ones((1, 1)),
-        name="cubic-scalar")
+        jacobian_C=lambda x, t: np.ones((1, 1)))
     def state(t: float, x0) -> np.ndarray:
         # Bernoulli substitution u = x^-2 turns the flow into u' = 2u - 2 eps
         x0 = float(np.asarray(x0, dtype=float).reshape(-1)[0])

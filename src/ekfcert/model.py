@@ -27,21 +27,31 @@ RADIAL_SAMPLES = 5                # radii from 0 to the tube radius in estimate_
 _FLOAT64 = np.dtype(float)
 
 
-def _as_returned(v, shape: tuple) -> bool:
-    """Whether the callback result ``v`` is a float64 ndarray of ``shape``,
-    which needs no conversion."""
-    return type(v) is np.ndarray and v.dtype is _FLOAT64 and v.shape == shape
+def _call(func: Callable, x: np.ndarray, t: float, shape: tuple, what: str) -> np.ndarray:
+    """``func(x, t)`` as a float64 ndarray of ``shape``: the result itself when
+    it is one, else its entries converted and reshaped. A result with another
+    number of entries raises ConfigurationError naming the callback ``what``."""
+    v = func(x, t)
+    if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.shape == shape:
+        return v
+    v = np.asarray(v, dtype=float)
+    if v.size != math.prod(shape):
+        raise ConfigurationError(f"{what} returned shape {(v.size,)}, expected {shape}")
+    return v.reshape(shape)
 
 
 @dataclass
 class SystemModel:
     """A deterministic plant dx/dt = f(x, t) with measured output y = h(x, t).
 
-    Each callback takes one state and one time. Stacked evaluation on many
-    points calls it once per point, in row order, and writes each result
-    into a preallocated array, so results must have the stated shapes. ``f``,
-    ``h`` and ``eval_jacobians`` use a result that is a float64 ndarray of the
-    stated shape as returned, and convert and check anything else.
+    Each callback takes one state and one time and returns the shape stated
+    below. Every result enters the package through one reader: a float64
+    ndarray of that shape is used as returned, any other result with as many
+    entries is converted and reshaped, and a result with another number of
+    entries is a ConfigurationError naming the callback. Stacked evaluation
+    on many points calls a callback once per point, in row order, reads its
+    first result so and writes the others into a preallocated array as
+    returned, so every result of a stack must have the shape of the first.
 
     Parameters
     ----------
@@ -49,19 +59,14 @@ class SystemModel:
         Dimensions n and p of the state and output vectors.
     dynamics : callable (x, t) -> (n,) array
         Drift field f. Must be evaluable for every finite state an
-        experiment supplies.
+        experiment supplies; no flow hands it a non-finite state.
     output : callable (x, t) -> (p,) array
         Output map h.
     jacobian_A : callable (x, t) -> (n, n) array, optional
-        Analytic Jacobian of f with respect to x. Finite differences are
-        used when omitted.
+        Analytic Jacobian of f with respect to x. Central finite differences
+        with step cbrt(eps) * max(1, ||x||) are used when omitted.
     jacobian_C : callable (x, t) -> (p, n) array, optional
         Analytic Jacobian of h with respect to x.
-    fd_step : float, optional
-        Override for the finite-difference step. Default is
-        cbrt(eps) * max(1, ||x||), chosen per evaluation point.
-    name : str
-        Identifier used by the benchmark registry and the CLI.
     """
 
     state_dim: int
@@ -70,32 +75,16 @@ class SystemModel:
     output: Callable[[np.ndarray, float], np.ndarray]
     jacobian_A: Callable[[np.ndarray, float], np.ndarray] | None = None
     jacobian_C: Callable[[np.ndarray, float], np.ndarray] | None = None
-    fd_step: float | None = None
-    name: str = ""
 
     def __post_init__(self):
         if self.state_dim < 1 or self.output_dim < 1:
             raise ConfigurationError("state_dim and output_dim must be positive")
 
     def f(self, x: np.ndarray, t: float) -> np.ndarray:
-        y = self.dynamics(np.asarray(x, dtype=float), t)
-        if _as_returned(y, (self.state_dim,)):
-            return y
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if y.shape != (self.state_dim,):
-            raise ConfigurationError(
-                f"dynamics returned shape {y.shape}, expected ({self.state_dim},)")
-        return y
+        return _call(self.dynamics, np.asarray(x, dtype=float), t, (self.state_dim,), "dynamics")
 
     def h(self, x: np.ndarray, t: float) -> np.ndarray:
-        y = self.output(np.asarray(x, dtype=float), t)
-        if _as_returned(y, (self.output_dim,)):
-            return y
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if y.shape != (self.output_dim,):
-            raise ConfigurationError(
-                f"output returned shape {y.shape}, expected ({self.output_dim},)")
-        return y
+        return _call(self.output, np.asarray(x, dtype=float), t, (self.output_dim,), "output")
 
 
 @dataclass
@@ -123,14 +112,16 @@ class HessianBounds:
 
 
 def _evaluate(func: Callable[[np.ndarray, float], np.ndarray], points: np.ndarray,
-              times: np.ndarray, shape: tuple) -> np.ndarray:
+              times: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     """func at every point of the (N, ..., n) ``points``, those of row i at
     times[i], once per point in row order, into a preallocated (N, ..., *shape)
-    array."""
+    array. The first result is read by _call; the others are written as
+    returned."""
     per_row = math.prod(points.shape[1:-1])
     out = np.empty((len(points) * per_row, *shape))
     for k, x in enumerate(points.reshape(-1, points.shape[-1])):
-        out[k] = func(x, times[k // per_row])
+        t = times[k // per_row]
+        out[k] = func(x, t) if k else _call(func, x, t, shape, what)
     return out.reshape(*points.shape[:-1], *shape)
 
 
@@ -142,18 +133,18 @@ def _step_scale(X: np.ndarray) -> np.ndarray:
 
 
 def _central_differences(func, X: np.ndarray, times: np.ndarray, steps: np.ndarray,
-                         shape: tuple) -> np.ndarray:
+                         shape: tuple, what: str) -> np.ndarray:
     """(func(x + s e_i, t) - func(x - s e_i, t)) / (2 s) per row x and step s,
     shape (N, shape[0], n, *shape[1:]): the index i sits on axis 2."""
     n = X.shape[1]
     E = np.eye(n)
     V = _evaluate(func, X[:, None, :] + steps[:, None, None] * np.concatenate((E, -E)),
-                  times, shape)
+                  times, shape, what)
     return ((V[:, :n] - V[:, n:]).T / (2.0 * steps)).T.swapaxes(1, 2)
 
 
 def _second_differences(func, X: np.ndarray, times: np.ndarray, steps: np.ndarray,
-                        out_dim: int) -> np.ndarray:
+                        out_dim: int, what: str) -> np.ndarray:
     """Second-derivative tensors (N, out_dim, n, n) by direct second differences."""
     n = X.shape[1]
     E, (I, J) = np.eye(n), np.nonzero(np.triu(np.ones((n, n), dtype=bool), 1))
@@ -161,7 +152,7 @@ def _second_differences(func, X: np.ndarray, times: np.ndarray, steps: np.ndarra
     # the offset -0.0 keeps the centre bit-equal to x, and signed zeros keep every
     # point bit-equal to a per-point loop's x + e, x - e, x + ei - ej, ...
     offsets = np.vstack([-np.zeros((1, n)), E, -E, mixed.reshape(-1, n)])
-    V = _evaluate(func, X[:, None, :] + steps[:, None, None] * offsets, times, (out_dim,))
+    V = _evaluate(func, X[:, None, :] + steps[:, None, None] * offsets, times, (out_dim,), what)
     # Python's float power: s * s rounds differently for about 1 in 2 400 steps
     sq = np.array([s ** 2 for s in steps.tolist()])[:, None, None]
     H = np.empty((len(X), out_dim, n, n))
@@ -195,8 +186,8 @@ def eval_jacobians(model: SystemModel, x: np.ndarray,
     """Jacobians (A, C) of the drift and output maps at (x, t).
 
     Analytic callbacks are used when the model provides them; otherwise
-    central finite differences with step ``model.fd_step`` (default
-    cbrt(eps) * max(1, ||x||)), computed as a one-row stack.
+    central finite differences with step cbrt(eps) * max(1, ||x||),
+    computed as a one-row stack.
 
     Raises
     ------
@@ -217,13 +208,8 @@ def _analytic_jacobians(model: SystemModel, x: np.ndarray,
     """The analytic (A, C) at (x, t) as float arrays, not yet checked for
     finiteness (_check_jacobians)."""
     n, p = model.state_dim, model.output_dim
-    A = model.jacobian_A(x, t)
-    if not _as_returned(A, (n, n)):
-        A = np.asarray(A, dtype=float).reshape(n, n)
-    C = model.jacobian_C(x, t)
-    if not _as_returned(C, (p, n)):
-        C = np.asarray(C, dtype=float).reshape(p, n)
-    return A, C
+    return (_call(model.jacobian_A, x, t, (n, n), "jacobian_A"),
+            _call(model.jacobian_C, x, t, (p, n), "jacobian_C"))
 
 
 def _check_jacobians(A: np.ndarray, C: np.ndarray, t: float) -> None:
@@ -270,12 +256,12 @@ def _stacked_jacobians(model: SystemModel, points: np.ndarray,
 
     def evaluate(X, T):
         if model.jacobian_A is None or model.jacobian_C is None:
-            steps = (CBRT_EPS * _step_scale(X) if model.fd_step is None
-                     else np.full(len(X), model.fd_step))
-        return tuple(_evaluate(jac, X, T, (m, n)) if jac is not None
-                     else _central_differences(func, X, T, steps, (m,))
-                     for jac, func, m in [(model.jacobian_A, model.dynamics, n),
-                                          (model.jacobian_C, model.output, p)])
+            steps = CBRT_EPS * _step_scale(X)
+        return tuple(_evaluate(getattr(model, jac), X, T, (m, n), jac)
+                     if getattr(model, jac) is not None
+                     else _central_differences(getattr(model, func), X, T, steps, (m,), func)
+                     for jac, func, m in [("jacobian_A", "dynamics", n),
+                                          ("jacobian_C", "output", p)])
     return _stacked(points, times, evaluate,
                     "Jacobian evaluation produced non-finite entries at t={t}",
                     "state contains non-finite entries: {x}")
@@ -286,20 +272,22 @@ def _stacked_hessians(model: SystemModel, points: np.ndarray, t: float,
     """hessian_tensor at each row of the (N, n) ``points`` at time t, as an
     (N, m, n, n) stack; callbacks, steps and checks as in _stacked_jacobians."""
     if which == "dynamics":
-        jac, func, out_dim = model.jacobian_A, model.dynamics, model.state_dim
+        jac_name, out_dim = "jacobian_A", model.state_dim
     elif which == "output":
-        jac, func, out_dim = model.jacobian_C, model.output, model.output_dim
+        jac_name, out_dim = "jacobian_C", model.output_dim
     else:
         raise ConfigurationError(f"unknown map selector {which!r}")
+    jac, func = getattr(model, jac_name), getattr(model, which)
 
     def evaluate(X, T):
         scale = _step_scale(X)
         if jac is None:
-            return (_second_differences(func, X, T, QUARTIC_EPS * scale, out_dim),)
+            return (_second_differences(func, X, T, QUARTIC_EPS * scale, out_dim, which),)
         # central differences of an analytic Jacobian are exact (bit-for-bit
         # zero) for state-independent Jacobians, which keeps linear systems
         # at kappa = 0
-        H = _central_differences(jac, X, T, CBRT_EPS * scale, (out_dim, model.state_dim))
+        H = _central_differences(jac, X, T, CBRT_EPS * scale, (out_dim, model.state_dim),
+                                 jac_name)
         return (0.5 * (H + H.swapaxes(-1, -2)),)
     message = "Hessian sample non-finite at t={t}"
     return _stacked(points, t, evaluate, message, message)[0]

@@ -104,23 +104,14 @@ class TimeSeries:
 
 
 def interp(times: np.ndarray, values: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-    """Linear interpolation at t, clamped to the grid range; inputs are not checked.
-
-    For a 1-d array of times on a grid of two or more nodes the result
-    stacks, time by time, the bits of the scalar form: the same interval,
-    weight, clamp and arithmetic.
-    """
+    """Linear interpolation at t, a time or a 1-d array of times, clamped to
+    the grid range; inputs are not checked. An array of times stacks the
+    values at each, bit for bit."""
     if len(times) == 1:
         return values[0]
-    if np.ndim(t):
-        i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
-        w = np.clip((t - times[i]) / (times[i + 1] - times[i]), 0.0, 1.0)
-        w = w.reshape(-1, *(1,) * (values.ndim - 1))
-        return (1.0 - w) * values[i] + w * values[i + 1]
-    i = int(np.searchsorted(times, t, side="right")) - 1
-    i = min(max(i, 0), len(times) - 2)
-    t0, t1 = times[i], times[i + 1]
-    w = (t - t0) / (t1 - t0)
-    w = min(max(w, 0.0), 1.0)
-    return (1.0 - w) * values[i] + w * values[i + 1]
-
+    ts = np.reshape(t, -1)
+    i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
+    w = np.clip((ts - times[i]) / (times[i + 1] - times[i]), 0.0, 1.0)
+    w = w.reshape(-1, *(1,) * (values.ndim - 1))
+    v = (1.0 - w) * values[i] + w * values[i + 1]
+    return v if np.ndim(t) else v[0]

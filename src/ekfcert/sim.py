@@ -9,8 +9,9 @@ measures weighted and Euclidean inter-trajectory distances, fits decay
 rates, and checks the certified error envelope and disturbance ball.
 
 The validator's RK4 stage checks Jacobians as the filter's does
-(model._jacobian_stage); the truth and the virtual rows call SystemModel.f
-and .h, which use a float64 callback result of the declared shape as returned.
+(model._jacobian_stage). A truth or virtual stage whose state fails
+model._finite returns a NaN derivative without calling a callback, so no
+callback sees a non-finite state and the node guard names the failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .contraction import ContractionCertificate, _contraction_matrices
 from .ekf import FilterTrajectory, divergence_guard, integrate
 from .errors import ConfigurationError, PreconditionError
-from .model import SystemModel, _jacobian_stage, _stacked_jacobians
+from .model import SystemModel, _finite, _jacobian_stage, _stacked_jacobians
 from .ode import TimeSeries, interp, stage_table, time_grid
 
 # absolute slack when comparing a near-zero steady radius against a zero ball
@@ -118,7 +119,8 @@ def integrate_truth(model: SystemModel, x0: np.ndarray, horizon: float,
     if x0.shape != (model.state_dim,):
         raise ConfigurationError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
     grid = time_grid(horizon, step)
-    states = integrate(lambda t, s: model.f(s, t), x0, grid, divergence_guard("truth"))
+    states = integrate(lambda t, s: model.f(s, t) if _finite(s) else np.full_like(s, np.nan),
+                       x0, grid, divergence_guard("truth"))
     traj = TimeSeries(grid, states)
     times = stage_table(grid)[0]
     table = np.empty((len(times), model.state_dim))
@@ -172,6 +174,8 @@ def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
 
     def rhs(t: float, Z: np.ndarray) -> np.ndarray:
         K, y = stage_inputs(t)
+        if not _finite(Z):
+            return np.full_like(Z, np.nan)
         dZ = []
         for z in Z:   # each row runs the operations of a single copy
             dZ.append(model.f(z, t) - K @ (model.h(z, t) - y))

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ekfcert import cli, model
+import ekfcert as ek
+from ekfcert import bench, cli, model
 from ekfcert.cli import main
 
 
@@ -150,6 +151,25 @@ def test_perturb_vector_must_have_one_entry_per_state(tmp_path, capsys, vector):
     assert rc == 2
     assert capsys.readouterr().err == (
         f"configuration error: disturbance returned shape ({len(vector)},), expected (2,)\n")
+
+
+def test_a_registered_plant_with_a_wrong_sized_jacobian_is_a_configuration_error(
+        tmp_path, capsys):
+    def factory():
+        entry = ek.make("vanderpol-pos")
+        entry.model.jacobian_A = lambda x, t: np.array([0.0, 1.0])
+        return entry
+
+    ek.register("flat-jacobian-vdp", factory)
+    try:
+        cfg = vdp_cfg(system={"name": "flat-jacobian-vdp"})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    finally:
+        bench._FACTORIES.pop("flat-jacobian-vdp", None)
+    assert capsys.readouterr().err == (
+        "configuration error: jacobian_A returned shape (2,), expected (2, 2)\n")
+    assert not (out / "summary.json").exists()
 
 
 def test_ragged_twin_starts_are_a_configuration_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ reproduce its reference bit for bit.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -290,6 +291,28 @@ def test_accessors_match_reference_interpolation(rig):
         assert np.array_equal(interp(run.times, run.gains, t), _ref_gain(run)(t))
 
 
+@pytest.mark.parametrize("shape", [(), (2,), (2, 3)])
+def test_interp_at_one_time_equals_the_scalar_reference(shape):
+    """A single time, inside, outside or on the nodes, or non-finite, gives
+    the bits of ``_ref_series_at``, signed zeros and infinities included. A
+    NaN is compared as NaN: when both terms of the sum are NaN, numpy's scalar
+    and array additions return different operands, so its sign may differ."""
+    rng = np.random.default_rng(5)
+    times = np.array([0.0, 0.5, 1.25, 2.0])
+    values = rng.standard_normal((len(times), *shape))
+    values.flat[::3] = -0.0
+    values.flat[1::5] = 0.0
+    values.flat[-2:] = [np.inf, np.nan]
+    probes = np.concatenate([times, 0.5 * (times[1:] + times[:-1]), rng.uniform(-1.0, 3.0, 40),
+                             [-0.0, -1.0, 3.0, np.nan, np.inf, -np.inf]])
+    with np.errstate(invalid="ignore"):
+        for t, v in itertools.product(probes.tolist(), (values, values[:1])):
+            ref, got = (np.asarray(fn(times[:len(v)], v, t)) for fn in (_ref_series_at, interp))
+            assert got.shape == ref.shape
+            assert np.where(np.isnan(got), np.nan, got).tobytes() == \
+                np.where(np.isnan(ref), np.nan, ref).tobytes(), t
+
+
 @pytest.mark.parametrize("disturbed", [False, True])
 def test_virtual_matches_reference_loop(rig, disturbed):
     run, spec = rig["run"], rig["spec"]
@@ -404,7 +427,8 @@ def test_the_filter_evaluates_jacobians_at_its_stages_and_last_node_only(rig, li
 
 def test_stage_table_gains_equal_scalar_interpolation(rig):
     """Bit for bit, signed zeros included: the table the virtual runs read
-    holds at each stage time what the scalar ``interp`` gives there."""
+    holds at each stage time what the scalar reference ``_ref_series_at``
+    gives there."""
     run = rig["run"]
     gains = run.gains.copy()
     gains[::3, 0] = -0.0
@@ -414,14 +438,14 @@ def test_stage_table_gains_equal_scalar_interpolation(rig):
     table = interp(run.times, gains, times)
     assert table.shape == (len(times), *gains.shape[1:])
     for row, t in enumerate(times):
-        assert table[row].tobytes() == interp(run.times, gains, float(t)).tobytes()
+        assert table[row].tobytes() == _ref_series_at(run.times, gains, float(t)).tobytes()
     read = sim._stage_inputs(dataclasses.replace(run, gains=gains))
     for k in range(len(run.times) - 1):
         t, h = run.times[k], run.times[k + 1] - run.times[k]
         for row, ts in zip((2 * k, 2 * k + 1, 2 * k + 1, 2 * k + 2),
                            (t, t + 0.5 * h, t + 0.5 * h, t + h)):
             K, y = read(ts)
-            assert K.tobytes() == interp(run.times, gains, ts).tobytes()
+            assert K.tobytes() == _ref_series_at(run.times, gains, ts).tobytes()
             assert np.array_equal(y, run.stage_outputs[row])
 
 
@@ -759,8 +783,8 @@ def _outcome(fn):
 def test_a_faulty_callback_fails_as_on_the_checked_path(callback, what, fault):
     """Every flow stops with the type, message and time of the reference
     loops, which evaluate every stage on the checked path, or finishes with
-    their values when the checked path accepts the result. The callbacks of
-    the filter and the validator never see a non-finite state."""
+    their values when the checked path accepts the result. No callback sees
+    a non-finite state."""
     seen = []
     model, zero = _faulty_plant(callback, fault, seen), np.zeros(2)
     y = lambda t: np.zeros(2)
@@ -781,9 +805,36 @@ def test_a_faulty_callback_fails_as_on_the_checked_path(callback, what, fault):
         expected = _outcome(ref)
         seen.clear()
         assert _outcome(new) == expected, name
-        assert name in ("truth", "virtual") or np.isfinite(seen).all(), name
+        assert np.isfinite(seen).all(), name
         if isinstance(expected, tuple) and expected[2] is not None:
             assert expected[2] >= FAULT_T, name
+
+
+def test_truth_and_virtual_runs_stop_at_the_guard_without_a_non_finite_callback():
+    """A dynamics that returns NaN from FAULT_T on, with callbacks and a
+    disturbance that raise on a non-finite state: the truth and the virtual
+    runs stop with the node guard's error at the end of the faulty step,
+    calling none of them on the non-finite stage states within it."""
+    def strict(fn):
+        def call(x, t):
+            if not np.isfinite(x).all():
+                raise RuntimeError("callback called with a non-finite state")
+            return fn(x, t)
+        return call
+
+    nan = _faulty_plant("dynamics", lambda v: np.full_like(v, np.nan))
+    model = dataclasses.replace(nan, dynamics=strict(nan.dynamics), output=strict(nan.output))
+    fc = ek.FilterConfig(model=_faulty_plant("dynamics", lambda v: v), Q=np.eye(2),
+                         R=np.eye(2), P0=np.diag([1.0, 2.0]), x0=np.zeros(2),
+                         horizon=1.0, step=0.1)
+    run = ek.integrate_ekf(fc, lambda t: np.zeros(2))
+    dist = ek.Disturbance(b=strict(lambda z, t: np.zeros(2)), b_max=0.0)
+    t = run.times[3]
+    for what, flow in [
+            ("truth", lambda: ek.integrate_truth(model, np.zeros(2), 1.0, 0.1)),
+            ("virtual state", lambda: ek.integrate_virtual(model, run, [np.zeros(2)])),
+            ("virtual state", lambda: ek.integrate_virtual(model, run, [np.zeros(2)] * 2, dist))]:
+        assert _outcome(flow) == (ek.DivergenceError, f"{what} diverged at t=0.3", t)
 
 
 def test_a_callback_raising_after_a_bad_jacobian_fails_as_on_the_checked_path():

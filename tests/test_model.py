@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,12 @@ from ekfcert.model import (CBRT_EPS, QUARTIC_EPS, _stacked_hessians, _stacked_ja
                            _unit_directions)
 
 
-def _scalar_model(f, h=None, jac_a=None, jac_c=None, fd_step=None):
+def _scalar_model(f, h=None, jac_a=None, jac_c=None):
     return ek.SystemModel(
         state_dim=1, output_dim=1,
         dynamics=lambda x, t: np.atleast_1d(f(x[0])),
         output=(lambda x, t: np.atleast_1d(h(x[0]))) if h else (lambda x, t: x.copy()),
-        jacobian_A=jac_a, jacobian_C=jac_c, fd_step=fd_step)
+        jacobian_A=jac_a, jacobian_C=jac_c)
 
 
 def test_jacobian_of_square_map():
@@ -36,7 +38,7 @@ def test_linear_jacobian_exact_on_analytic_path():
 
 
 def test_sine_fd_matches_cosine():
-    m = _scalar_model(np.sin, fd_step=1e-5)
+    m = _scalar_model(np.sin)
     A, _ = ek.eval_jacobians(m, np.array([0.0]), 0.0)
     assert abs(A[0, 0] - 1.0) < 1e-8
 
@@ -238,8 +240,7 @@ def _ad_hoc_plant(analytic: bool) -> ek.SystemModel:
 
     return ek.SystemModel(state_dim=3, output_dim=2, dynamics=f, output=h,
                           jacobian_A=jac_a if analytic else None,
-                          jacobian_C=jac_c if analytic else None,
-                          fd_step=None if analytic else 1e-5)
+                          jacobian_C=jac_c if analytic else None)
 
 
 def test_central_differences_match_the_former_per_map_loops():
@@ -249,15 +250,14 @@ def test_central_differences_match_the_former_per_map_loops():
     for model in plants:
         n, p = model.state_dim, model.output_dim
         bare = ek.SystemModel(state_dim=n, output_dim=p, dynamics=model.dynamics,
-                              output=model.output, fd_step=model.fd_step)
+                              output=model.output)
         for _ in range(200):
             x = rng.uniform(-2.0, 2.0, size=n)
             t = float(rng.uniform(0.0, 5.0))
             step = CBRT_EPS * max(1.0, float(np.linalg.norm(x)))
-            fd_step = step if bare.fd_step is None else bare.fd_step
             A, C = ek.eval_jacobians(bare, x, t)
-            assert np.array_equal(A, _old_fd_jacobian(bare.f, x, t, n, fd_step))
-            assert np.array_equal(C, _old_fd_jacobian(bare.h, x, t, p, fd_step))
+            assert np.array_equal(A, _old_fd_jacobian(bare.f, x, t, n, step))
+            assert np.array_equal(C, _old_fd_jacobian(bare.h, x, t, p, step))
             if model.jacobian_A is not None:
                 assert np.array_equal(
                     ek.hessian_tensor(model, x, t, "dynamics"),
@@ -287,9 +287,7 @@ def _ref_eval_jacobians(model, x, t):
     x = np.asarray(x, dtype=float).reshape(-1)
     if not np.all(np.isfinite(x)):
         raise ek.ModelEvaluationError(f"state contains non-finite entries: {x}", time=float(t))
-    step = model.fd_step
-    if step is None:
-        step = _ref_step(x, CBRT_EPS)
+    step = _ref_step(x, CBRT_EPS)
     n, p = model.state_dim, model.output_dim
     if model.jacobian_A is not None:
         A = np.asarray(model.jacobian_A(x, t), dtype=float).reshape(n, n)
@@ -336,7 +334,7 @@ def _ref_hessian_tensor(model, x, t, which):
 
 def _oracle_plants():
     """Registry plants, their finite-difference-only twins with the default
-    step, and the two 3-state ad-hoc plants (analytic; FD-only with fd_step)."""
+    step, and the two 3-state ad-hoc plants (analytic; FD-only)."""
     plants = [e.model for e in ek.registry()]
     bare = [ek.SystemModel(state_dim=m.state_dim, output_dim=m.output_dim,
                            dynamics=m.dynamics, output=m.output) for m in plants]
@@ -505,3 +503,48 @@ def test_f_and_h_reject_a_float64_result_of_another_size(result):
         model.f(np.zeros(2), 0.0)
     with pytest.raises(ek.ConfigurationError, match="output returned shape " + shape):
         model.h(np.zeros(2), 0.0)
+
+
+def _wrong_jacobian_cases():
+    """vanderpol-pos (n = 2, p = 1) with one Jacobian callback of the wrong
+    size, and every entry point that reads it."""
+    vdp = ek.make("vanderpol-pos").model
+    x, eye = np.array([0.3, 0.2]), np.eye(2)
+    fc = ek.FilterConfig(model=vdp, Q=eye, R=np.eye(1), P0=eye, x0=x, horizon=1.0, step=0.1)
+    run = ek.integrate_ekf(fc, lambda t: np.zeros(1))
+    calls = {
+        "eval_jacobians": lambda m, which: ek.eval_jacobians(m, x, 0.0),
+        "integrate_ekf": lambda m, which: ek.integrate_ekf(
+            dataclasses.replace(fc, model=m), lambda t: np.zeros(1)),
+        "variational_validator": lambda m, which: ek.variational_validator(m, run, x),
+        "_stacked_jacobians": lambda m, which: _stacked_jacobians(m, np.tile(x, (3, 1)), 0.0),
+        "hessian_tensor": lambda m, which: ek.hessian_tensor(m, x, 0.0, which),
+        "empirical_radius": lambda m, which: ek.empirical_radius(
+            m, x, eye, eye, np.eye(1), 0.1, 0.0),
+    }
+    faults = [("jacobian_A", np.array([0.0, 1.0]), "dynamics", r"\(2,\), expected \(2, 2\)"),
+              ("jacobian_C", np.zeros(3), "output", r"\(3,\), expected \(1, 2\)")]
+    return [pytest.param(dataclasses.replace(vdp, **{name: lambda x, t, v=value: v}), which,
+                         call, f"{name} returned shape {shape}", id=f"{name}-{label}")
+            for name, value, which, shape in faults for label, call in calls.items()]
+
+
+@pytest.mark.parametrize("model, which, call, message", _wrong_jacobian_cases())
+def test_a_jacobian_of_another_size_is_a_configuration_error(model, which, call, message):
+    """Every reader of an analytic Jacobian names the callback and both shapes,
+    on the one-point, stage and stacked paths alike."""
+    with pytest.raises(ek.ConfigurationError, match=message):
+        call(model, which)
+
+
+@pytest.mark.parametrize("which", ["dynamics", "output"])
+def test_finite_differences_of_a_map_of_another_size_name_the_map(which):
+    """The stacked finite-difference paths read a map's first result as f and h do."""
+    model = ek.SystemModel(state_dim=2, output_dim=2, **{
+        "dynamics": lambda x, t: x.copy(), "output": lambda x, t: x.copy(),
+        which: lambda x, t: np.zeros(3)})
+    message = rf"{which} returned shape \(3,\), expected \(2,\)"
+    for call in (lambda: ek.eval_jacobians(model, np.ones(2), 0.0),
+                 lambda: ek.hessian_tensor(model, np.ones(2), 0.0, which)):
+        with pytest.raises(ek.ConfigurationError, match=message):
+            call()
