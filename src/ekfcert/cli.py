@@ -134,15 +134,17 @@ def _matrix(value, name: str) -> np.ndarray:
 
 
 def _number(value, name: str, kind: type = float, minimum=None):
-    """``kind(value)`` for the numeric config field ``name``, at least ``minimum``
-    if given; an int field takes integral floats such as 9.0 but not 2.7."""
+    """``kind(value)``, not NaN, for the numeric config field ``name``, at least
+    ``minimum`` if given; an int field takes integral floats such as 9.0 but not 2.7."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"config field {name} is not a number: {value!r}") from None
+        number = math.nan
+    if math.isnan(number):
+        raise ConfigurationError(f"config field {name} is not a number: {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigurationError(f"config field {name} is not an integer: {value!r}")
-    if minimum is not None and number < minimum:
+    if minimum is not None and not number >= minimum:
         raise ConfigurationError(f"{name} must be >= {minimum}, got {number}")
     return number
 

@@ -108,7 +108,7 @@ def check_contraction_inequality(model: SystemModel, z: np.ndarray, xhat: np.nda
     This is the pointwise contraction inequality; gamma must be
     nonnegative.
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise ConfigurationError(f"gamma must be nonnegative, got {gamma}")
     M = contraction_matrix(model, z, xhat, P, Q, R, t)
     return bool(_negative_semidefinite(M + 2.0 * gamma * P))
@@ -137,7 +137,7 @@ def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
     therefore surface at a step where a per-probe loop would already have
     stopped at an earlier failing direction.
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise ConfigurationError(f"gamma must be nonnegative, got {gamma}")
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
     rng = np.random.default_rng(seed)
@@ -186,12 +186,12 @@ def zeta_plus(kappa_A: float, kappa_C: float, p_hi: float, q_lo: float,
     square root, and both zero means the inequality holds at every radius,
     returned as +inf; so is a root whose denominator underflows to 0.
     """
-    if p_hi <= 0.0 or q_lo <= 0.0 or r_lo <= 0.0:
+    if not (p_hi > 0.0 and q_lo > 0.0 and r_lo > 0.0):
         raise ConfigurationError("p_hi, q_lo, r_lo must be positive")
-    if kappa_A < 0.0 or kappa_C < 0.0:
+    if not (kappa_A >= 0.0 and kappa_C >= 0.0):
         raise ConfigurationError("kappa bounds must be nonnegative")
     slack = q_lo - 2.0 * gamma * p_hi
-    if gamma < 0.0 or slack < -PSD_TOL_SCALE * q_lo:
+    if not (gamma >= 0.0 and slack >= -PSD_TOL_SCALE * q_lo):
         raise ConfigurationError(
             f"gamma must lie in [0, q_lo/(2 p_hi)] = [0, {q_lo / (2.0 * p_hi):.6g}], "
             f"got {gamma}")
@@ -314,7 +314,7 @@ def compare_analyses(p_lo: float, p_hi: float, q_lo: float, r_lo: float,
     Ratio cells divide row two by row one.
     """
     for name, v in (("p_lo", p_lo), ("p_hi", p_hi), ("q_lo", q_lo), ("r_lo", r_lo)):
-        if v <= 0.0:
+        if not v > 0.0:
             raise ConfigurationError(f"{name} must be positive, got {v}")
 
     lyap = {

@@ -25,6 +25,7 @@ fails the first two runs the per-part checks, which name the failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError, CovarianceBoundViolation, DivergenceError
 from .model import SystemModel, _finite, _jacobian_stage, eval_jacobians
-from .ode import TimeSeries, rk4_step, stage_table, time_grid
+from .ode import TimeSeries, interp, rk4_step, stage_table, time_grid
 
 # states beyond this magnitude are treated as numerical blow-up
 DIVERGENCE_LIMIT = 1e12
@@ -60,11 +61,14 @@ def integrate(rhs: Flow, y0: np.ndarray, grid: np.ndarray, guard: Flow) -> np.nd
 def divergence_guard(what: str) -> Flow:
     """Guard that raises DivergenceError naming ``what`` and the node time
     at a non-finite node or one of norm above DIVERGENCE_LIMIT. Each row of
-    a stacked (B, n) node is checked on its own, as it would be alone."""
+    a stacked (B, n) node is checked on its own, as it would be alone. A node
+    passes on one check when its sum of squares is at most DIVERGENCE_LIMIT^2
+    / 4 (no row can then exceed the limit, whatever the rounding)."""
     def guard(t: float, y: np.ndarray) -> np.ndarray:
-        for row in (y,) if y.ndim == 1 else y:
-            if not np.isfinite(row).all() or np.linalg.norm(row) > DIVERGENCE_LIMIT:
-                raise DivergenceError(f"{what} diverged at t={t:.6g}", time=float(t))
+        if not np.vdot(y, y) <= 0.25 * DIVERGENCE_LIMIT ** 2:
+            for row in (y,) if y.ndim == 1 else y:
+                if not np.isfinite(row).all() or np.linalg.norm(row) > DIVERGENCE_LIMIT:
+                    raise DivergenceError(f"{what} diverged at t={t:.6g}", time=float(t))
         return y
     return guard
 
@@ -132,14 +136,14 @@ class FilterConfig:
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if self.x0.shape != (n,):
             raise ConfigurationError(f"x0 must have shape ({n},), got {self.x0.shape}")
-        if not self.horizon > 0.0:
-            raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
         if self.step is None:
             self.step = self.horizon / 2000.0
         if not 0.0 < self.step <= self.horizon:
             raise ConfigurationError(f"step must lie in (0, horizon], got {self.step}")
-        if self.beta < 0.0:
-            raise ConfigurationError(f"beta must be nonnegative, got {self.beta}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ConfigurationError(f"beta must be nonnegative and finite, got {self.beta}")
         if self.N is None:
             self.N = np.zeros((n, n))
         else:
@@ -219,9 +223,9 @@ def integrate_ekf(config: FilterConfig,
     config : FilterConfig
     measurements : TimeSeries or callable t -> (p,) array
         Measured output (a scalar is accepted when p = 1). A TimeSeries is
-        interpolated linearly between its nodes; a callable is evaluated
-        exactly at the integrator stages, once per distinct stage time, so
-        it must depend on t only.
+        interpolated linearly between its nodes, at every stage time before
+        the run; a callable is evaluated exactly at the integrator stages,
+        once per distinct stage time, so it must depend on t only.
 
     Returns
     -------
@@ -238,24 +242,31 @@ def integrate_ekf(config: FilterConfig,
         If the integrated covariance loses positive definiteness; the
         exception carries the first offending time.
     """
-    y = measurements.at if isinstance(measurements, TimeSeries) else measurements
-    if not callable(y):
-        raise ConfigurationError(
-            f"expected a TimeSeries or a callable signal, got {type(y).__name__}")
     model = config.model
     n, p = model.state_dim, model.output_dim
     grid = time_grid(config.horizon, config.step)
     stage_times, read_stage = stage_table(grid)
-    outputs = np.empty((len(stage_times), p))
+    if isinstance(measurements, TimeSeries):
+        shape = measurements.values.shape[1:]
+        if math.prod(shape) != p:
+            raise ConfigurationError(f"measurement at t=0 has shape {shape}, expected ({p},)")
+        # interp stacks the bits of measurements.at at each stage time
+        outputs = interp(measurements.times, measurements.values, stage_times).reshape(-1, p)
+        filled = len(outputs) - 1   # the last stage-table row whose output has been read
+    elif callable(measurements):
+        outputs = np.empty((len(stage_times), p))
+        filled = -1
+    else:
+        raise ConfigurationError(
+            f"expected a TimeSeries or a callable signal, got {type(measurements).__name__}")
     gains = np.empty((len(grid), n, p))
-    filled = -1   # the last stage-table row whose output has been read
     Q, Rinv, N2, beta2 = config.Q, np.linalg.inv(config.R), 2.0 * config.N, 2.0 * config.beta
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         nonlocal filled
         stage, row = read_stage(t)
         if row > filled:
-            y_t = np.asarray(y(t), dtype=float)
+            y_t = np.asarray(measurements(t), dtype=float)
             if y_t.size != p:
                 raise ConfigurationError(f"measurement at t={t:.6g} has shape "
                                          f"{y_t.shape}, expected ({p},)")

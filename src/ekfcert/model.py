@@ -45,13 +45,12 @@ class SystemModel:
     """A deterministic plant dx/dt = f(x, t) with measured output y = h(x, t).
 
     Each callback takes one state and one time and returns the shape stated
-    below. Every result enters the package through one reader: a float64
-    ndarray of that shape is used as returned, any other result with as many
-    entries is converted and reshaped, and a result with another number of
-    entries is a ConfigurationError naming the callback. Stacked evaluation
-    on many points calls a callback once per point, in row order, reads its
-    first result so and writes the others into a preallocated array as
-    returned, so every result of a stack must have the shape of the first.
+    below. Every result, single or stacked, enters the package through one
+    reader: a float64 ndarray of that shape is used as returned, any other
+    result with as many entries is converted and reshaped, and a result with
+    another number of entries is a ConfigurationError naming the callback.
+    Stacked evaluation on many points calls a callback once per point, in
+    row order.
 
     Parameters
     ----------
@@ -107,7 +106,7 @@ class HessianBounds:
     def __post_init__(self):
         if not self.alpha > 0.0:
             raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
-        if self.kappa_A < 0.0 or self.kappa_C < 0.0:
+        if not (self.kappa_A >= 0.0 and self.kappa_C >= 0.0):
             raise ConfigurationError("kappa bounds must be nonnegative")
 
 
@@ -115,13 +114,11 @@ def _evaluate(func: Callable[[np.ndarray, float], np.ndarray], points: np.ndarra
               times: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     """func at every point of the (N, ..., n) ``points``, those of row i at
     times[i], once per point in row order, into a preallocated (N, ..., *shape)
-    array. The first result is read by _call; the others are written as
-    returned."""
+    array. Every result is read by _call."""
     per_row = math.prod(points.shape[1:-1])
     out = np.empty((len(points) * per_row, *shape))
     for k, x in enumerate(points.reshape(-1, points.shape[-1])):
-        t = times[k // per_row]
-        out[k] = func(x, t) if k else _call(func, x, t, shape, what)
+        out[k] = _call(func, x, times[k // per_row], shape, what)
     return out.reshape(*points.shape[:-1], *shape)
 
 
@@ -183,33 +180,17 @@ def _stacked(points, times, evaluate, message: str, state_message: str) -> tuple
 
 def eval_jacobians(model: SystemModel, x: np.ndarray,
                    t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians (A, C) of the drift and output maps at (x, t).
-
-    Analytic callbacks are used when the model provides them; otherwise
-    central finite differences with step cbrt(eps) * max(1, ||x||),
-    computed as a one-row stack.
+    """Jacobians (A, C) of the drift and output maps at (x, t), a one-row
+    _stacked_jacobians: the analytic callbacks when the model provides them,
+    otherwise central finite differences with step cbrt(eps) * max(1, ||x||).
 
     Raises
     ------
     ModelEvaluationError
         If x or either Jacobian contains a non-finite entry.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if model.jacobian_A is None or model.jacobian_C is None or not np.isfinite(x).all():
-        A, C = _stacked_jacobians(model, x[None], t)
-        return A[0], C[0]
-    A, C = _analytic_jacobians(model, x, t)
-    _check_jacobians(A, C, t)
-    return A, C
-
-
-def _analytic_jacobians(model: SystemModel, x: np.ndarray,
-                        t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The analytic (A, C) at (x, t) as float arrays, not yet checked for
-    finiteness (_check_jacobians)."""
-    n, p = model.state_dim, model.output_dim
-    return (_call(model.jacobian_A, x, t, (n, n), "jacobian_A"),
-            _call(model.jacobian_C, x, t, (p, n), "jacobian_C"))
+    A, C = _stacked_jacobians(model, np.asarray(x, dtype=float).reshape(1, -1), t)
+    return A[0], C[0]
 
 
 def _check_jacobians(A: np.ndarray, C: np.ndarray, t: float) -> None:
@@ -235,7 +216,9 @@ def _jacobian_stage(model: SystemModel, x: np.ndarray, t: float, state: np.ndarr
     if model.jacobian_A is None or model.jacobian_C is None or not _finite(state):
         A, C = eval_jacobians(model, x, t)
         return derivative(A, C, model.f(x, t), model.h(x, t))
-    A, C = _analytic_jacobians(model, x, t)
+    n, p = model.state_dim, model.output_dim
+    A = _call(model.jacobian_A, x, t, (n, n), "jacobian_A")
+    C = _call(model.jacobian_C, x, t, (p, n), "jacobian_C")
     try:
         d = derivative(A, C, model.f(x, t), model.h(x, t))
     except Exception:
@@ -380,6 +363,8 @@ def estimate_hessian_bounds(model: SystemModel,
         raise ConfigurationError("center_path must contain at least one point")
     if max_centers < 1:
         raise ConfigurationError(f"max_centers must be positive, got {max_centers}")
+    if not 0.0 <= safety < math.inf:
+        raise ConfigurationError(f"safety must be nonnegative and finite, got {safety}")
     rng = np.random.default_rng(seed)
 
     n, p = model.state_dim, model.output_dim

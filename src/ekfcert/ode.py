@@ -26,8 +26,8 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
     The realized step is horizon/n with n = round(horizon/step), so the grid
     always lands exactly on the horizon.
     """
-    if not horizon > 0.0:
-        raise ConfigurationError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < horizon < np.inf:
+        raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
     if not step > 0.0:
         raise ConfigurationError(f"step must be positive, got {step}")
     n = max(1, int(round(horizon / step)))
@@ -93,7 +93,9 @@ class TimeSeries:
         self.values = np.asarray(self.values, dtype=float)
         if self.times.ndim != 1 or len(self.times) < 1:
             raise ConfigurationError("times must be a nonempty 1-d array")
-        if len(self.values) != len(self.times):
+        if not np.isfinite(self.times).all():
+            raise ConfigurationError("times must be finite")
+        if self.values.ndim < 1 or len(self.values) != len(self.times):
             raise ConfigurationError("values must have one entry per time")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ConfigurationError("times must be strictly increasing")
@@ -107,11 +109,12 @@ def interp(times: np.ndarray, values: np.ndarray, t: float | np.ndarray) -> np.n
     """Linear interpolation at t, a time or a 1-d array of times, clamped to
     the grid range; inputs are not checked. An array of times stacks the
     values at each, bit for bit."""
-    if len(times) == 1:
-        return values[0]
     ts = np.reshape(t, -1)
-    i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
-    w = np.clip((ts - times[i]) / (times[i + 1] - times[i]), 0.0, 1.0)
-    w = w.reshape(-1, *(1,) * (values.ndim - 1))
-    v = (1.0 - w) * values[i] + w * values[i + 1]
+    if len(times) == 1:   # a constant
+        v = values[np.zeros(len(ts), dtype=int)]
+    else:
+        i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
+        w = np.clip((ts - times[i]) / (times[i + 1] - times[i]), 0.0, 1.0)
+        w = w.reshape(-1, *(1,) * (values.ndim - 1))
+        v = (1.0 - w) * values[i] + w * values[i + 1]
     return v if np.ndim(t) else v[0]

@@ -25,7 +25,7 @@ import numpy as np
 from .contraction import ContractionCertificate, _contraction_matrices
 from .ekf import FilterTrajectory, divergence_guard, integrate
 from .errors import ConfigurationError, PreconditionError
-from .model import SystemModel, _finite, _jacobian_stage, _stacked_jacobians
+from .model import SystemModel, _call, _finite, _jacobian_stage, _stacked_jacobians
 from .ode import TimeSeries, interp, stage_table, time_grid
 
 # absolute slack when comparing a near-zero steady radius against a zero ball
@@ -47,8 +47,8 @@ class Disturbance:
     b_max: float
 
     def __post_init__(self):
-        if self.b_max < 0.0:
-            raise ConfigurationError(f"b_max must be nonnegative, got {self.b_max}")
+        if not 0.0 <= self.b_max < math.inf:
+            raise ConfigurationError(f"b_max must be nonnegative and finite, got {self.b_max}")
 
 
 @dataclass
@@ -182,10 +182,7 @@ def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
         if disturbance is not None:
             nonlocal b_worst
             for b, z in enumerate(Z):
-                bv = np.asarray(disturbance.b(z, t), dtype=float).reshape(-1)
-                if bv.shape != z.shape:
-                    raise ConfigurationError(
-                        f"disturbance returned shape {bv.shape}, expected {z.shape}")
+                bv = _call(disturbance.b, z, t, z.shape, "disturbance")
                 b_worst = max(b_worst, float(np.linalg.norm(bv)))
                 dZ[b] = dZ[b] + bv
         return np.array(dZ)
@@ -283,8 +280,8 @@ def perturbed_run(model: SystemModel, filter_run: FilterTrajectory,
     """
     if gamma is None:
         gamma = filter_run.config.q_lo / (4.0 * filter_run.p_hi)
-    if gamma <= 0.0:
-        raise ConfigurationError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise ConfigurationError(f"gamma must be positive and finite, got {gamma}")
     times = filter_run.times
     z = integrate_virtual(model, filter_run, [np.ravel(z0)], disturbance)[:, 0]
     delta = z - filter_run.states

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -229,6 +230,32 @@ def test_a_non_numeric_config_value_is_a_configuration_error(tmp_path, capsys,
     assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"configuration error: config field {key} is not a number: 'abc'\n")
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command, cfg, flags, message", [
+    ("envelope", scalar_cfg(horizon=1.0, hessian={"kappa_A": math.nan, "kappa_C": 0.0}), [],
+     "config field hessian.kappa_A is not a number: nan"),
+    ("certify", cubic_cfg(horizon=1.0, hessian={"radius": 0.5, "safety": math.nan}), [],
+     "config field hessian.safety is not a number: nan"),
+    ("simulate", scalar_cfg(horizon=math.inf), [], "horizon must be positive and finite, got inf"),
+    ("simulate", scalar_cfg(horizon=1.0), ["--beta", "nan"],
+     "config field filter.beta is not a number: nan"),
+    ("simulate", scalar_cfg(horizon=1.0), ["--beta", "inf"],
+     "beta must be nonnegative and finite, got inf"),
+    ("perturb", scalar_cfg(horizon=1.0), ["--gamma", "nan"],
+     "config field gamma is not a number: nan"),
+    ("perturb", scalar_cfg(horizon=1.0), ["--gamma", "inf"],
+     "gamma must be positive and finite, got inf"),
+    ("perturb", scalar_cfg(horizon=1.0, perturb={"vector": [math.nan]}), [],
+     "b_max must be nonnegative and finite, got nan"),
+])
+def test_a_nan_or_infinite_config_value_is_a_configuration_error(tmp_path, capsys, command,
+                                                                  cfg, flags, message):
+    out = tmp_path / "out"
+    argv = [command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+    assert main(argv + flags) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (out / "summary.json").exists()
 
 

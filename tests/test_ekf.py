@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -274,3 +275,48 @@ def test_time_grid_rejects_bad_input(horizon, step, message):
 def test_timeseries_rejects_bad_input(times, values, message):
     with pytest.raises(ek.ConfigurationError, match=message):
         ek.TimeSeries(times, values)
+
+
+def _scalar_config(**override):
+    return ek.FilterConfig(**{**dict(model=ek.make("scalar-riccati").model, Q=np.eye(1),
+                                     R=np.eye(1), P0=np.eye(1), x0=np.zeros(1),
+                                     horizon=0.2, step=0.05), **override})
+
+
+def _small_run():
+    return ek.integrate_ekf(_scalar_config(), lambda t: np.zeros(1))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ek.time_grid(math.inf, 0.1), "horizon must be positive and finite"),
+    (lambda: _scalar_config(horizon=math.inf), "horizon must be positive and finite"),
+    (lambda: _scalar_config(beta=math.nan), "beta must be nonnegative and finite"),
+    (lambda: _scalar_config(beta=math.inf), "beta must be nonnegative and finite"),
+    (lambda: ek.TimeSeries([0.0], 5.0), "one entry per time"),
+    (lambda: ek.TimeSeries([math.nan], [[1.0]]), "times must be finite"),
+    (lambda: ek.TimeSeries([0.0, math.inf], [[1.0], [2.0]]), "times must be finite"),
+    (lambda: ek.HessianBounds(alpha=1.0, kappa_A=math.nan, kappa_C=0.0), "kappa bounds"),
+    (lambda: ek.HessianBounds(alpha=1.0, kappa_A=0.0, kappa_C=math.nan), "kappa bounds"),
+    (lambda: ek.estimate_hessian_bounds(ek.make("cubic-scalar").model, [(np.zeros(1), 0.0)],
+                                        1.0, safety=math.nan), "safety must be nonnegative"),
+    (lambda: ek.zeta_plus(math.nan, 0.0, 1.0, 1.0, 1.0, 0.1), "kappa bounds"),
+    (lambda: ek.zeta_plus(0.0, 0.0, math.nan, 1.0, 1.0, 0.1), "must be positive"),
+    (lambda: ek.zeta_plus(0.1, 0.1, 1.0, 1.0, 1.0, math.nan), "gamma must lie"),
+    (lambda: ek.empirical_radius(ek.make("scalar-riccati").model, np.zeros(1), np.eye(1),
+                                 np.eye(1), np.eye(1), math.nan, 0.0), "gamma must be"),
+    (lambda: ek.compare_analyses(math.nan, 1.0, 1.0, 1.0, 1.0, 1.0), "p_lo must be positive"),
+    (lambda: ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=math.nan), "b_max must be"),
+    (lambda: ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=math.inf), "b_max must be"),
+    (lambda: ek.perturbed_run(ek.make("scalar-riccati").model, _small_run(),
+                              ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=0.0),
+                              np.zeros(1), gamma=math.nan), "gamma must be positive"),
+])
+def test_a_nan_or_infinite_input_is_rejected_where_it_enters(make, message):
+    with pytest.raises(ek.ConfigurationError, match=message):
+        make()
+
+
+def test_an_infinite_radius_or_curvature_bound_stays_valid():
+    hess = ek.HessianBounds(alpha=math.inf, kappa_A=math.inf, kappa_C=math.inf)
+    cert = ek.make_certificate({"p_lo": 1.0, "p_hi": 1.0, "q_lo": 1.0, "r_lo": 1.0}, hess)
+    assert (cert.alpha, cert.zeta_plus, cert.rho) == (math.inf, 0.0, 0.0)

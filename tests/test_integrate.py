@@ -313,6 +313,38 @@ def test_interp_at_one_time_equals_the_scalar_reference(shape):
                 np.where(np.isnan(ref), np.nan, ref).tobytes(), t
 
 
+def test_interp_of_one_node_stacks_its_value_at_an_array_of_times():
+    values = np.array([[0.5, -0.0]])
+    got = interp(np.array([0.0]), values, np.array([-1.0, 0.0, 2.0]))
+    assert got.shape == (3, 2)
+    assert got.tobytes() == np.repeat(values, 3, axis=0).tobytes()
+    assert interp(np.array([0.0]), values, 2.0).tobytes() == values[0].tobytes()
+
+
+def test_a_timeseries_measurement_is_tabled_by_one_stacked_interp(rig, monkeypatch):
+    """The filter reads a TimeSeries at every stage time before the run: its
+    stage outputs are the bits of series.at there, signed zeros included, its
+    flows equal the run driven by series.at, and no stage calls series.at."""
+    model, truth, fc = rig["model"], rig["truth"], rig["fc"]
+    outputs = np.array([model.h(x, t) for t, x in zip(truth.times, truth.values)])
+    outputs[::4] = -0.0
+    times, _ = stage_table(truth.times)
+    for series in (ek.TimeSeries(truth.times[::3], outputs[::3]),   # nodes between the stages
+                   ek.TimeSeries(truth.times[:1], outputs[1:2])):    # one node: a constant
+        expected = np.array([series.at(float(t)) for t in times])
+        by_callable = ek.integrate_ekf(fc, series.at)
+        with monkeypatch.context() as patch:
+            patch.setattr(ek.TimeSeries, "at", _no_stage_read)
+            run = ek.integrate_ekf(fc, series)
+        assert run.stage_outputs.tobytes() == expected.tobytes()
+        for name in ("states", "covariances", "gains"):
+            assert np.array_equal(getattr(run, name), getattr(by_callable, name))
+
+
+def _no_stage_read(series, t):
+    raise AssertionError(f"TimeSeries.at({t}) called during the run")
+
+
 @pytest.mark.parametrize("disturbed", [False, True])
 def test_virtual_matches_reference_loop(rig, disturbed):
     run, spec = rig["run"], rig["spec"]
@@ -511,6 +543,31 @@ def _zero_gain_run(horizon, step):
 def _assert_divergence(info, what, t_fail):
     assert info.value.time == t_fail
     assert str(info.value) == f"{what} diverged at t={t_fail:.6g}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(norms=st.lists(st.floats(0.45, 1.05), min_size=1, max_size=4), n=st.integers(1, 3),
+       flat=st.booleans(), fault=st.sampled_from([None, np.nan, np.inf]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_divergence_guard_passes_a_node_as_its_per_row_checks(norms, n, flat, fault, seed):
+    """Rows of norms near 1e12, some at exactly the limit, some past it or
+    non-finite: the guard passes a node exactly when every row passes the
+    reference checks, and otherwise names the node time."""
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((len(norms), n))
+    Y *= (LIMIT * np.array(norms) / np.linalg.norm(Y, axis=1))[:, None]
+    if fault is not None:
+        Y.flat[rng.integers(Y.size)] = fault
+    node = Y[0] if flat else Y
+    passes = all(np.isfinite(r).all() and np.linalg.norm(r) <= LIMIT for r in np.atleast_2d(node))
+    guard = ek.ekf.divergence_guard("node")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if passes:
+            assert guard(0.25, node) is node
+        else:
+            with pytest.raises(ek.DivergenceError) as info:
+                guard(0.25, node)
+            _assert_divergence(info, "node", 0.25)
 
 
 def test_truth_guard_reports_first_failing_node():

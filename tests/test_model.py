@@ -539,7 +539,7 @@ def test_a_jacobian_of_another_size_is_a_configuration_error(model, which, call,
 
 @pytest.mark.parametrize("which", ["dynamics", "output"])
 def test_finite_differences_of_a_map_of_another_size_name_the_map(which):
-    """The stacked finite-difference paths read a map's first result as f and h do."""
+    """The stacked finite-difference paths read a map's results as f and h do."""
     model = ek.SystemModel(state_dim=2, output_dim=2, **{
         "dynamics": lambda x, t: x.copy(), "output": lambda x, t: x.copy(),
         which: lambda x, t: np.zeros(3)})
@@ -548,3 +548,38 @@ def test_finite_differences_of_a_map_of_another_size_name_the_map(which):
                  lambda: ek.hessian_tensor(model, np.ones(2), 0.0, which)):
         with pytest.raises(ek.ConfigurationError, match=message):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, x: ek.eval_jacobians(m, x, 0.4),
+    lambda m, x: _stacked_jacobians(m, np.vstack((x, -x, 2.0 * x)), 0.4),
+    lambda m, x: tuple(ek.hessian_tensor(m, x, 0.4, which) for which in ("dynamics", "output")),
+], ids=["eval_jacobians", "_stacked_jacobians", "hessian_tensor"])
+def test_a_finite_difference_plant_returning_columns_equals_its_flat_twin(call):
+    """Every result of a stack is read by the one reader, so maps returning
+    (n, 1) and (p, 1) columns give the bits of their (n,) and (p,) twins."""
+    vdp = ek.make("vanderpol-pos").model
+    flat = ek.SystemModel(state_dim=2, output_dim=1, dynamics=vdp.dynamics, output=vdp.output)
+    column = ek.SystemModel(state_dim=2, output_dim=1,
+                            dynamics=lambda x, t: vdp.dynamics(x, t).reshape(-1, 1),
+                            output=lambda x, t: vdp.output(x, t).reshape(-1, 1))
+    x = np.array([0.3, 0.2])
+    for got, want in zip(call(column, x), call(flat, x)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: _stacked_jacobians(m, np.array([[0.3, 0.2], [-0.3, 0.2]]), 0.0),
+    lambda m: ek.hessian_tensor(m, np.array([0.0, 0.2]), 0.0, "dynamics"),
+    lambda m: ek.empirical_radius(m, np.array([0.3, 0.2]), np.eye(2), np.eye(2), np.eye(1),
+                                  0.1, 0.0),
+], ids=["_stacked_jacobians", "hessian_tensor", "empirical_radius"])
+def test_a_later_result_of_another_size_is_a_configuration_error(call):
+    """A jacobian_A that returns (2, 2) for x[0] >= 0 and (2,) after: the later
+    rows of a stack are read as the first, not broadcast into (2, 2)."""
+    vdp = ek.make("vanderpol-pos").model
+    mixed = dataclasses.replace(
+        vdp, jacobian_A=lambda x, t: np.array([1.0, 0.0]) if x[0] < 0.0 else np.eye(2))
+    with pytest.raises(ek.ConfigurationError,
+                       match=r"^jacobian_A returned shape \(2,\), expected \(2, 2\)$"):
+        call(mixed)
