@@ -24,10 +24,11 @@ class BenchmarkEntry:
     model: SystemModel
     analytic: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
-    notes: str = ""
 
 
 def _scalar_riccati() -> BenchmarkEntry:
+    """Constant scalar plant with direct measurement; every filter quantity
+    has a closed form."""
     model = SystemModel(
         state_dim=1, output_dim=1,
         dynamics=lambda x, t: np.zeros(1),
@@ -43,13 +44,12 @@ def _scalar_riccati() -> BenchmarkEntry:
         "kappa_A": lambda alpha: 0.0,
         "kappa_C": lambda alpha: 0.0,
     }
-    return BenchmarkEntry(name="scalar-riccati", model=model, analytic=analytic,
-                          notes="constant scalar plant with direct measurement; "
-                                "every filter quantity has a closed form")
+    return BenchmarkEntry(name="scalar-riccati", model=model, analytic=analytic)
 
 
 def _ltv_linear(omega0: float = 1.0, omega_mod: float = 0.5,
                 freq: float = 1.0) -> BenchmarkEntry:
+    """Time-varying linear rotation with position output; exact flow available."""
     def a(t: float) -> float:
         return omega0 + omega_mod * math.sin(freq * t)
 
@@ -84,12 +84,11 @@ def _ltv_linear(omega0: float = 1.0, omega_mod: float = 0.5,
     }
     return BenchmarkEntry(name="ltv-linear", model=model, analytic=analytic,
                           params={"omega0": omega0, "omega_mod": omega_mod,
-                                  "freq": freq},
-                          notes="time-varying linear rotation with position "
-                                "output; exact flow available")
+                                  "freq": freq})
 
 
 def _vanderpol_pos(mu: float = 0.15) -> BenchmarkEntry:
+    """Oscillator with linear position output; output curvature vanishes identically."""
     def dyn(x, t):
         return np.array([x[1], mu * (1.0 - x[0] ** 2) * x[1] - x[0]])
 
@@ -111,12 +110,12 @@ def _vanderpol_pos(mu: float = 0.15) -> BenchmarkEntry:
         "kappa_C": lambda alpha: 0.0,
     }
     return BenchmarkEntry(name="vanderpol-pos", model=model, analytic=analytic,
-                          params={"mu": mu},
-                          notes="oscillator with linear position output; "
-                                "output curvature vanishes identically")
+                          params={"mu": mu})
 
 
 def _cubic_scalar(eps: float = 0.1) -> BenchmarkEntry:
+    """Scalar plant with cubic nonlinearity and direct measurement; curvature
+    bound 6*eps*alpha."""
     def dyn(x, t):
         return -x + eps * x ** 3
 
@@ -143,9 +142,7 @@ def _cubic_scalar(eps: float = 0.1) -> BenchmarkEntry:
         "state": state,
     }
     return BenchmarkEntry(name="cubic-scalar", model=model, analytic=analytic,
-                          params={"eps": eps},
-                          notes="scalar plant with cubic nonlinearity and "
-                                "direct measurement; curvature bound 6*eps*alpha")
+                          params={"eps": eps})
 
 
 _FACTORIES = {

@@ -124,91 +124,91 @@ def _write_csv(path: Path, columns: dict) -> None:
             fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
 
 
-def _matrix(value, name: str) -> np.ndarray:
+_REQUIRED = object()
+
+
+def _read(cfg: dict, path: str, kind: type = float, default=_REQUIRED, minimum=None):
+    """The config value at the dotted ``path`` as ``kind``, the one reader of
+    config values. An absent key and a JSON null read as ``default``, else
+    "config needs <path>". A float or int is a number, not NaN, at least
+    ``minimum`` if given (an int takes 9.0 but not 2.7); an np.ndarray is a
+    numeric array, and a str or dict value must be one."""
+    *sections, key = path.split(".")
+    node = cfg
+    for name in sections:
+        node = {} if node.get(name) is None else node[name]
+        if not isinstance(node, dict):
+            raise ConfigurationError(f"config section {name!r} must be an object")
+    value = node.get(key)
     if value is None:
-        raise ConfigurationError(f"config field {name} is required")
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"config field {name} is not numeric: {exc}") from None
-
-
-def _number(value, name: str, kind: type = float, minimum=None):
-    """``kind(value)``, not NaN, for the numeric config field ``name``, at least
-    ``minimum`` if given; an int field takes integral floats such as 9.0 but not 2.7."""
+        if default is _REQUIRED:
+            raise ConfigurationError(f"config needs {path}")
+        return default
+    if kind is np.ndarray:
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"config field {path} is not numeric: {exc}") from None
+    if kind in (str, dict):
+        if not isinstance(value, kind):
+            raise ConfigurationError(
+                f"config field {path} must be {'a string' if kind is str else 'an object'}")
+        return value
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if math.isnan(number):
-        raise ConfigurationError(f"config field {name} is not a number: {value!r}")
+        raise ConfigurationError(f"config field {path} is not a number: {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigurationError(f"config field {name} is not an integer: {value!r}")
+        raise ConfigurationError(f"config field {path} is not an integer: {value!r}")
     if minimum is not None and not number >= minimum:
-        raise ConfigurationError(f"{name} must be >= {minimum}, got {number}")
+        raise ConfigurationError(f"{path} must be >= {minimum}, got {number}")
     return number
-
-
-def _section(cfg: dict, name: str) -> dict:
-    value = cfg.get(name)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"config section {name!r} must be an object")
-    return value
 
 
 def _prepare_run(cfg: dict):
     """The registry name of the configured system, its truth run and the filter run."""
-    sys_cfg = _section(cfg, "system")
-    if "name" not in sys_cfg:
-        raise ConfigurationError("config needs system.name")
-    entry = bench.make(sys_cfg["name"], **sys_cfg.get("params", {}))
-    fil = _section(cfg, "filter")
-    for key in ("Q", "R", "P0", "xhat0"):
-        if key not in fil:
-            raise ConfigurationError(f"config needs filter.{key}")
-    if "horizon" not in cfg:
-        raise ConfigurationError("config needs horizon")
-    N = fil.get("N")
+    name = _read(cfg, "system.name", str)
+    params = _read(cfg, "system.params", dict, {})
+    entry = bench.make(name, **{key: _read(cfg, f"system.params.{key}") for key in params})
     fconfig = FilterConfig(
         model=entry.model,
-        Q=_matrix(fil["Q"], "filter.Q"),
-        R=_matrix(fil["R"], "filter.R"),
-        P0=_matrix(fil["P0"], "filter.P0"),
-        x0=_matrix(fil["xhat0"], "filter.xhat0").reshape(-1),
-        horizon=_number(cfg["horizon"], "horizon"),
-        step=None if cfg.get("step") is None else _number(cfg["step"], "step"),
-        beta=_number(fil.get("beta", 0.0), "filter.beta"),
-        N=None if N is None else _matrix(N, "filter.N"))
-    x0 = _matrix(_section(cfg, "truth").get("x0", fil["xhat0"]), "truth.x0").reshape(-1)
+        Q=_read(cfg, "filter.Q", np.ndarray),
+        R=_read(cfg, "filter.R", np.ndarray),
+        P0=_read(cfg, "filter.P0", np.ndarray),
+        x0=_read(cfg, "filter.xhat0", np.ndarray),
+        horizon=_read(cfg, "horizon"),
+        step=_read(cfg, "step", default=None),
+        beta=_read(cfg, "filter.beta", default=0.0),
+        N=_read(cfg, "filter.N", np.ndarray, None))
+    x0 = _read(cfg, "truth.x0", np.ndarray, fconfig.x0)
     truth, y = integrate_truth(entry.model, x0, fconfig.horizon, fconfig.step)
     traj = integrate_ekf(fconfig, y)
     return entry.name, truth, traj
 
 
 def _hessian_bounds(cfg: dict, traj: FilterTrajectory) -> HessianBounds:
-    hes = _section(cfg, "hessian")
-    if hes.get("kappa_A") is not None and hes.get("kappa_C") is not None:
-        return HessianBounds(alpha=_number(hes.get("alpha", "inf"), "hessian.alpha"),
-                             kappa_A=_number(hes["kappa_A"], "hessian.kappa_A"),
-                             kappa_C=_number(hes["kappa_C"], "hessian.kappa_C"),
-                             sampled=False)
-    if hes.get("radius") is None:
+    kappa_A = _read(cfg, "hessian.kappa_A", default=None)
+    kappa_C = _read(cfg, "hessian.kappa_C", default=None)
+    if kappa_A is not None and kappa_C is not None:
+        return HessianBounds(alpha=_read(cfg, "hessian.alpha", default=math.inf),
+                             kappa_A=kappa_A, kappa_C=kappa_C, sampled=False)
+    radius = _read(cfg, "hessian.radius", default=None)
+    if radius is None:
         raise ConfigurationError(
             "config needs hessian.radius (or explicit hessian.kappa_A/kappa_C)")
     path = [(traj.states[k], float(traj.times[k])) for k in range(len(traj.times))]
     return estimate_hessian_bounds(
-        traj.config.model, path, _number(hes["radius"], "hessian.radius"),
-        safety=_number(hes.get("safety", 1.1), "hessian.safety"),
-        max_centers=_number(hes.get("centers", 25), "hessian.centers", int),
-        seed=_number(cfg.get("seed", 0), "seed", int, 0))
+        traj.config.model, path, radius,
+        safety=_read(cfg, "hessian.safety", default=1.1),
+        max_centers=_read(cfg, "hessian.centers", int, 25),
+        seed=_read(cfg, "seed", int, 0, minimum=0))
 
 
 def _certificate(cfg: dict, traj: FilterTrajectory, report) -> ContractionCertificate:
     hess = _hessian_bounds(cfg, traj)
-    gamma = cfg.get("gamma")
-    return make_certificate(report, hess, None if gamma is None else _number(gamma, "gamma"))
+    return make_certificate(report, hess, _read(cfg, "gamma", default=None))
 
 
 def _trajectory_columns(traj: FilterTrajectory) -> dict:
@@ -236,9 +236,9 @@ def cmd_simulate(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
-    samples = _number(cfg.get("radius_times", 9), "radius_times", int, 0)
-    seed = _number(cfg.get("seed", 0), "seed", int, 0)   # numpy's generators reject negative seeds
-    directions = _number(cfg.get("direction_samples", 64), "direction_samples", int)
+    samples = _read(cfg, "radius_times", int, 9, minimum=0)
+    seed = _read(cfg, "seed", int, 0, minimum=0)   # numpy's generators reject negative seeds
+    directions = _read(cfg, "direction_samples", int, 64)
     _, _, traj = _prepare_run(cfg)
     report = covariance_bounds_report(traj)
     cert = _certificate(cfg, traj, report)
@@ -259,14 +259,9 @@ def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_compare(cfg: dict) -> tuple[dict, bool, dict | None]:
-    comp = _section(cfg, "compare")
-    values = []
-    for key in ("p_lo", "p_hi", "q_lo", "r_lo", "kappa_A", "kappa_C"):
-        if key not in comp:
-            raise ConfigurationError(f"config needs compare.{key}")
-        values.append(_number(comp[key], f"compare.{key}"))
-    c_hi = comp.get("c_hi")
-    rows = compare_analyses(*values, None if c_hi is None else _number(c_hi, "compare.c_hi"))
+    values = [_read(cfg, f"compare.{key}")
+              for key in ("p_lo", "p_hi", "q_lo", "r_lo", "kappa_A", "kappa_C")]
+    rows = compare_analyses(*values, _read(cfg, "compare.c_hi", default=None))
     labels = {"rate": "rate", "basin_kappa_C0": "basin (kappa_C = 0)",
               "basin_kappa_A0": "basin (kappa_A = 0)"}
 
@@ -283,14 +278,8 @@ def cmd_compare(cfg: dict) -> tuple[dict, bool, dict | None]:
 def cmd_twin(cfg: dict) -> tuple[dict, bool, dict | None]:
     _, _, traj = _prepare_run(cfg)
     cert = _certificate(cfg, traj, covariance_bounds_report(traj))
-    twin_cfg = _section(cfg, "twin")
-    for key in ("z1_0", "z2_0"):
-        if key not in twin_cfg:
-            raise ConfigurationError(f"config needs twin.{key}")
-    run = twin_decay(traj.config.model, traj,
-                     _matrix(twin_cfg["z1_0"], "twin.z1_0").reshape(-1),
-                     _matrix(twin_cfg["z2_0"], "twin.z2_0").reshape(-1),
-                     certificate=cert)
+    run = twin_decay(traj.config.model, traj, _read(cfg, "twin.z1_0", np.ndarray),
+                     _read(cfg, "twin.z2_0", np.ndarray), certificate=cert)
     # the rate guarantee only binds when both starts are inside the basin
     passed = run.info["rate_pass"] or not run.info["within_basin"]
     print(f"twin: fitted_rate={run.fitted_rate:.6g} threshold="
@@ -305,22 +294,20 @@ def cmd_twin(cfg: dict) -> tuple[dict, bool, dict | None]:
 def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
     _, _, traj = _prepare_run(cfg)
     model = traj.config.model
-    pert = _section(cfg, "perturb")
-    vec = _matrix(pert.get("vector", np.zeros(model.state_dim)),
-                  "perturb.vector").reshape(-1)
-    kind = pert.get("type", "const")
+    vec = _read(cfg, "perturb.vector", np.ndarray, np.zeros(model.state_dim)).reshape(-1)
+    kind = _read(cfg, "perturb.type", str, "const")
     if kind == "const":
         dist = Disturbance(b=lambda x, t: vec, b_max=float(np.linalg.norm(vec)))
     elif kind == "sin":
-        freq = _number(pert.get("freq", 1.0), "perturb.freq")
+        freq = _read(cfg, "perturb.freq", default=1.0)
+        if not math.isfinite(freq):
+            raise ConfigurationError(f"perturb.freq must be finite, got {freq}")
         dist = Disturbance(b=lambda x, t: vec * math.sin(freq * t),
                            b_max=float(np.linalg.norm(vec)))
     else:
         raise ConfigurationError(f"unknown perturb.type {kind!r}")
-    z0 = _matrix(pert.get("z0", traj.config.x0), "perturb.z0").reshape(-1)
-    gamma = cfg.get("gamma")
-    run = perturbed_run(model, traj, dist, z0,
-                        gamma=None if gamma is None else _number(gamma, "gamma"))
+    run = perturbed_run(model, traj, dist, _read(cfg, "perturb.z0", np.ndarray, traj.config.x0),
+                        gamma=_read(cfg, "gamma", default=None))
     passed = run.info["within_standard"]
     print(f"perturb: steady_radius={run.info['steady_radius']:.6g} "
           f"ball_standard={run.info['ball_standard']:.6g} "

@@ -310,12 +310,17 @@ def compare_analyses(p_lo: float, p_hi: float, q_lo: float, r_lo: float,
 
     The Lyapunov row needs an output-Jacobian bound ``c_hi`` for its
     kappa_A = 0 basin; when c_hi is omitted that cell is None. The
-    second row never uses c_hi. Zero kappa entries yield +inf basins.
+    second row never uses c_hi. Zero kappa entries yield +inf basins; the
+    kappas must be nonnegative (+inf included) and the other bounds positive.
     Ratio cells divide row two by row one.
     """
-    for name, v in (("p_lo", p_lo), ("p_hi", p_hi), ("q_lo", q_lo), ("r_lo", r_lo)):
-        if not v > 0.0:
+    for name, v in (("p_lo", p_lo), ("p_hi", p_hi), ("q_lo", q_lo), ("r_lo", r_lo),
+                    ("c_hi", c_hi)):
+        if v is not None and not v > 0.0:   # only c_hi may be omitted
             raise ConfigurationError(f"{name} must be positive, got {v}")
+    if not (kappa_A >= 0.0 and kappa_C >= 0.0):
+        raise ConfigurationError(
+            f"kappa_A and kappa_C must be nonnegative, got {kappa_A} and {kappa_C}")
 
     lyap = {
         "rate": q_lo * p_lo / (4.0 * p_hi ** 2),

@@ -18,9 +18,9 @@ p_lo I <= P(t) <= p_hi I holding along the run.
 A stage calls each model callback once (model._jacobian_stage). With
 analytic Jacobians and a finite state it checks A and C for finiteness only
 when its (n + 1, n) derivative is not finite, which a non-finite entry of
-either makes it, so it fails as eval_jacobians would. A node gets one
-finiteness check, its estimate norm and a Cholesky factorization; a node that
-fails the first two runs the per-part checks, which name the failure.
+either makes it, so it fails as eval_jacobians would. A node gets the
+estimate's divergence guard, a finiteness check of P and a Cholesky
+factorization.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, CovarianceBoundViolation, DivergenceError
-from .model import SystemModel, _finite, _jacobian_stage, eval_jacobians
+from .model import SystemModel, _finite, _jacobian_stage, _state, eval_jacobians
 from .ode import TimeSeries, interp, rk4_step, stage_table, time_grid
 
 # states beyond this magnitude are treated as numerical blow-up
@@ -77,6 +77,8 @@ def _check_spd(M: np.ndarray, name: str, dim: int, allow_zero: bool = False) -> 
     M = np.asarray(M, dtype=float)
     if M.shape != (dim, dim):
         raise ConfigurationError(f"{name} must have shape ({dim}, {dim}), got {M.shape}")
+    if not np.isfinite(M).all():
+        raise ConfigurationError(f"{name} must be finite, got {M.tolist()}")
     if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):
         raise ConfigurationError(f"{name} must be symmetric")
     lam = np.linalg.eigvalsh(M)
@@ -99,14 +101,14 @@ class FilterConfig:
     model : SystemModel
         Plant whose state is estimated.
     Q : (n, n) array
-        Process noise weight, symmetric positive definite. Its smallest
+        Process noise weight, finite symmetric positive definite. Its smallest
         eigenvalue is the q_lo entering every certificate.
     R : (p, p) array
-        Measurement noise weight, symmetric positive definite.
+        Measurement noise weight, finite symmetric positive definite.
     P0 : (n, n) array
-        Initial covariance, symmetric positive definite.
+        Initial covariance, finite symmetric positive definite.
     x0 : (n,) array
-        Initial estimate.
+        Initial estimate, finite.
     horizon : float
         Integration horizon T > 0; the run covers [0, T].
     step : float, optional
@@ -114,7 +116,7 @@ class FilterConfig:
     beta : float
         Rate of the exponential covariance inflation term 2 beta P.
     N : (n, n) array, optional
-        Constant additive inflation, symmetric positive semidefinite.
+        Constant additive inflation, finite symmetric positive semidefinite.
         Omitted means zero.
     """
 
@@ -133,9 +135,7 @@ class FilterConfig:
         self.Q = _check_spd(self.Q, "Q", n)
         self.R = _check_spd(self.R, "R", p)
         self.P0 = _check_spd(self.P0, "P0", n)
-        self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        if self.x0.shape != (n,):
-            raise ConfigurationError(f"x0 must have shape ({n},), got {self.x0.shape}")
+        self.x0 = _state(self.x0, n, "x0")
         if not 0.0 < self.horizon < math.inf:
             raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
         if self.step is None:
@@ -286,12 +286,10 @@ def integrate_ekf(config: FilterConfig,
     estimate_guard = divergence_guard("estimate")
 
     def guard(t: float, state: np.ndarray) -> np.ndarray:
-        # one check per node; a node that fails it runs the per-part checks,
-        # which name the failure (or pass a finite node whose squares overflow)
-        if not (_finite(state) and np.linalg.norm(state[0]) <= DIVERGENCE_LIMIT):
-            estimate_guard(t, state[0])
-            if not np.isfinite(state[1:]).all():
-                raise DivergenceError(f"covariance diverged at t={t:.6g}", time=float(t))
+        estimate_guard(t, state[0])
+        # the full check only for a P whose squares overflow or are not finite
+        if not (_finite(state[1:]) or np.isfinite(state[1:]).all()):
+            raise DivergenceError(f"covariance diverged at t={t:.6g}", time=float(t))
         try:
             np.linalg.cholesky(state[1:])
         except np.linalg.LinAlgError:

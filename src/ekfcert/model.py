@@ -193,10 +193,15 @@ def eval_jacobians(model: SystemModel, x: np.ndarray,
     return A[0], C[0]
 
 
-def _check_jacobians(A: np.ndarray, C: np.ndarray, t: float) -> None:
-    if not (np.isfinite(A).all() and np.isfinite(C).all()):
-        raise ModelEvaluationError(f"Jacobian evaluation produced non-finite entries at t={t}",
-                                   time=float(t))
+def _state(value, n: int, what: str) -> np.ndarray:
+    """The state vector ``what`` as a float (n,) array, flattened; another
+    number of entries or a non-finite entry is a ConfigurationError."""
+    x = np.asarray(value, dtype=float).reshape(-1)
+    if x.shape != (n,):
+        raise ConfigurationError(f"{what} must have shape ({n},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ConfigurationError(f"{what} must be finite, got {x.tolist()}")
+    return x
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -212,7 +217,7 @@ def _jacobian_stage(model: SystemModel, x: np.ndarray, t: float, state: np.ndarr
     eval_jacobians, SystemModel.f and .h called in that order would give. With
     analytic Jacobians and a finite state, A and C are checked only when the
     stage raises or its derivative is not finite, which a non-finite entry of
-    A or C makes it."""
+    A or C makes it: then eval_jacobians runs at (x, t) to name the failure."""
     if model.jacobian_A is None or model.jacobian_C is None or not _finite(state):
         A, C = eval_jacobians(model, x, t)
         return derivative(A, C, model.f(x, t), model.h(x, t))
@@ -222,10 +227,10 @@ def _jacobian_stage(model: SystemModel, x: np.ndarray, t: float, state: np.ndarr
     try:
         d = derivative(A, C, model.f(x, t), model.h(x, t))
     except Exception:
-        _check_jacobians(A, C, t)   # the checked path stops here before calling f
+        eval_jacobians(model, x, t)   # the checked path stops there before calling f
         raise
     if not _finite(d):
-        _check_jacobians(A, C, t)
+        eval_jacobians(model, x, t)
     return d
 
 

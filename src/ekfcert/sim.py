@@ -25,7 +25,7 @@ import numpy as np
 from .contraction import ContractionCertificate, _contraction_matrices
 from .ekf import FilterTrajectory, divergence_guard, integrate
 from .errors import ConfigurationError, PreconditionError
-from .model import SystemModel, _call, _finite, _jacobian_stage, _stacked_jacobians
+from .model import SystemModel, _call, _finite, _jacobian_stage, _stacked_jacobians, _state
 from .ode import TimeSeries, interp, stage_table, time_grid
 
 # absolute slack when comparing a near-zero steady radius against a zero ball
@@ -115,9 +115,7 @@ def integrate_truth(model: SystemModel, x0: np.ndarray, horizon: float,
     RK4 stage times of the grid are tabled once (``interp`` stacks the bits
     of its scalar form) and y reads them there; other times interpolate.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape != (model.state_dim,):
-        raise ConfigurationError(f"x0 must have shape ({model.state_dim},), got {x0.shape}")
+    x0 = _state(x0, model.state_dim, "x0")
     grid = time_grid(horizon, step)
     states = integrate(lambda t, s: model.f(s, t) if _finite(s) else np.full_like(s, np.nan),
                        x0, grid, divergence_guard("truth"))
@@ -151,7 +149,7 @@ def _stage_inputs(filter_run: FilterTrajectory) -> Callable[[float], tuple]:
 
 def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
                       disturbance: Disturbance | None = None) -> np.ndarray:
-    """Integrate virtual copies of the filter, one per row of the (B, n) ``starts``.
+    """Integrate virtual copies of the filter, one per row of the finite (B, n) ``starts``.
 
     dz/dt = f(z,t) - K(t)(h(z,t) - y(t)) [+ b(z,t)], with the gains and
     measured outputs of the completed filter run at its RK4 stage times
@@ -169,6 +167,8 @@ def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
     if Z0.ndim != 2 or Z0.shape[1] != model.state_dim:
         raise ConfigurationError(
             f"virtual starts must have shape (B, {model.state_dim}), got {Z0.shape}")
+    if not np.isfinite(Z0).all():
+        raise ConfigurationError(f"virtual starts must be finite, got {Z0.tolist()}")
     b_worst = 0.0
     stage_inputs = _stage_inputs(filter_run)
 
@@ -322,11 +322,8 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     One stacked solve S = P^{-1} dz serves both dz^T S and the form S^T M S.
     """
     n = model.state_dim
-    z0 = np.asarray(z0, dtype=float).reshape(-1)
-    if dz0 is None:
-        dz0 = np.ones(n) / math.sqrt(n)
-    else:
-        dz0 = np.asarray(dz0, dtype=float).reshape(-1)
+    z0 = _state(z0, n, "z0")
+    dz0 = np.ones(n) / math.sqrt(n) if dz0 is None else _state(dz0, n, "dz0")
     stage_inputs = _stage_inputs(filter_run)
 
     def rhs(t: float, s: np.ndarray) -> np.ndarray:

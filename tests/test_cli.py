@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ekfcert as ek
 from ekfcert import bench, cli, model
@@ -249,6 +255,32 @@ def test_a_non_numeric_config_value_is_a_configuration_error(tmp_path, capsys,
      "gamma must be positive and finite, got inf"),
     ("perturb", scalar_cfg(horizon=1.0, perturb={"vector": [math.nan]}), [],
      "b_max must be nonnegative and finite, got nan"),
+    ("simulate", scalar_cfg(horizon=1.0, system={"name": "scalar-riccati", "params": [1, 2]}),
+     [], "config field system.params must be an object"),
+    ("simulate", scalar_cfg(horizon=1.0, system={"name": ["vanderpol-pos"]}), [],
+     "config field system.name must be a string"),
+    ("simulate", scalar_cfg(horizon=1.0, system={"name": "cubic-scalar", "params": {"eps": "x"}}),
+     [], "config field system.params.eps is not a number: 'x'"),
+    ("simulate", scalar_cfg(horizon=1.0, filter={"Q": [[1.0]], "R": [[1.0]], "P0": [[2.0]],
+                                                 "xhat0": [math.nan]}), [],
+     "x0 must be finite, got [nan]"),
+    ("simulate", scalar_cfg(horizon=1.0, filter={"Q": [[math.inf]], "R": [[1.0]],
+                                                 "P0": [[2.0]], "xhat0": [0.5]}), [],
+     "Q must be finite, got [[inf]]"),
+    ("simulate", scalar_cfg(horizon=1.0, filter={"Q": None, "R": [[1.0]], "P0": [[2.0]],
+                                                 "xhat0": [0.5]}), [],
+     "config needs filter.Q"),
+    ("simulate", scalar_cfg(horizon=1.0, truth={"x0": [math.nan]}), [],
+     "x0 must be finite, got [nan]"),
+    ("twin", scalar_cfg(horizon=1.0, twin={"z1_0": [math.nan], "z2_0": [0.1]}), [],
+     "virtual starts must be finite, got [[nan], [0.1]]"),
+    ("perturb", scalar_cfg(horizon=1.0, perturb={"type": "sin", "vector": [0.01],
+                                                 "freq": math.inf}), [],
+     "perturb.freq must be finite, got inf"),
+    ("compare", {"compare": dict(_compare_cfg()["compare"], kappa_A=-1.0)}, [],
+     "kappa_A and kappa_C must be nonnegative, got -1.0 and 1.0"),
+    ("compare", {"compare": dict(_compare_cfg()["compare"], c_hi=-2.0)}, [],
+     "c_hi must be positive, got -2.0"),
 ])
 def test_a_nan_or_infinite_config_value_is_a_configuration_error(tmp_path, capsys, command,
                                                                   cfg, flags, message):
@@ -613,3 +645,48 @@ def test_failed_runs_print_one_stderr_line_and_no_warnings(tmp_path, capsys):
         assert [str(w.message) for w in caught] == [], cmd
         assert capsys.readouterr().err.splitlines() == [
             f"{cmd}: failed at t=0.05: Jacobian evaluation produced non-finite entries at t=0.05"]
+
+
+# the config example of the README, on a short horizon
+README_CFG = {
+    "system": {"name": "cubic-scalar", "params": {"eps": 0.1}},
+    "filter": {"Q": [[1.0]], "R": [[1.0]], "P0": [[0.5]], "xhat0": [0.0]},
+    "truth": {"x0": [0.3]},
+    "horizon": 0.1,
+    "step": 0.01,
+    "hessian": {"kappa_A": 0.78, "kappa_C": 0.0, "alpha": 1.0},
+    "twin": {"z1_0": [0.3], "z2_0": [-0.2]},
+    "perturb": {"type": "const", "vector": [0.01]},
+}
+
+
+def _leaves(node, path=()):
+    """The key paths of every number and string in a JSON tree."""
+    if not isinstance(node, (dict, list)):
+        return [path]
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(sorted(cli._HANDLERS)), path=st.sampled_from(_leaves(README_CFG)),
+       value=st.sampled_from([math.nan, math.inf, -math.inf, -1, "abc", [1.0, 2.0], {"a": 1.0}]))
+def test_any_bad_config_leaf_ends_in_an_exit_code_and_one_configuration_line(command, path,
+                                                                              value):
+    """main returns 0, 1 or 2 and raises nothing, and exit 2 writes exactly one
+    "configuration error:" line, whichever leaf of the README config is bad."""
+    cfg = copy.deepcopy(README_CFG)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        with open(f"{tmp}/cfg.json", "w") as fh:
+            json.dump(cfg, fh)
+        rc = main([command, "--config", f"{tmp}/cfg.json", "--out", f"{tmp}/out"])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error: "), lines

@@ -305,6 +305,19 @@ def _small_run():
     (lambda: ek.empirical_radius(ek.make("scalar-riccati").model, np.zeros(1), np.eye(1),
                                  np.eye(1), np.eye(1), math.nan, 0.0), "gamma must be"),
     (lambda: ek.compare_analyses(math.nan, 1.0, 1.0, 1.0, 1.0, 1.0), "p_lo must be positive"),
+    (lambda: ek.compare_analyses(1.0, 1.0, 1.0, 1.0, -1.0, 1.0), "kappa_A and kappa_C must be"),
+    (lambda: ek.compare_analyses(1.0, 1.0, 1.0, 1.0, 1.0, math.nan), "kappa_A and kappa_C must be"),
+    (lambda: ek.compare_analyses(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -2.0), "c_hi must be positive"),
+    (lambda: ek.compare_analyses(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, math.nan), "c_hi must be positive"),
+    (lambda: _scalar_config(Q=np.array([[math.inf]])), "Q must be finite"),
+    (lambda: _scalar_config(N=np.array([[math.inf]])), "N must be finite"),
+    (lambda: _scalar_config(x0=np.array([math.nan])), "x0 must be finite"),
+    (lambda: ek.integrate_truth(ek.make("scalar-riccati").model, np.array([math.nan]), 0.2, 0.05),
+     "x0 must be finite"),
+    (lambda: ek.integrate_virtual(ek.make("scalar-riccati").model, _small_run(),
+                                  [[0.1], [math.inf]]), "virtual starts must be finite"),
+    (lambda: ek.variational_validator(ek.make("scalar-riccati").model, _small_run(),
+                                      np.array([math.nan])), "z0 must be finite"),
     (lambda: ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=math.nan), "b_max must be"),
     (lambda: ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=math.inf), "b_max must be"),
     (lambda: ek.perturbed_run(ek.make("scalar-riccati").model, _small_run(),

@@ -306,6 +306,11 @@ def test_virtual_starts_must_match_the_state_dimension(scalar_rig):
             ek.integrate_virtual(model, traj, starts)
     with pytest.raises(ek.ConfigurationError):
         ek.twin_decay(model, traj, np.zeros(3), np.zeros(3))
+    # the validator's start and tangent: not numpy's matmul error
+    for z0, dz0, what in ((np.zeros(3), None, "z0"), (np.zeros(2), np.ones(3), "dz0")):
+        with pytest.raises(ek.ConfigurationError,
+                           match=re.escape(f"{what} must have shape (2,), got (3,)")):
+            ek.variational_validator(model, traj, z0, dz0=dz0)
 
 
 def test_a_disturbance_must_return_one_entry_per_state():
