@@ -77,15 +77,17 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
         cfg["seed"] = args.seed
     if args.gamma is not None:
         cfg["gamma"] = args.gamma
+    if args.beta is not None or args.inflation_n is not None:
+        cfg["filter"] = _section(cfg, ["filter"])
     if args.beta is not None:
-        cfg.setdefault("filter", {})["beta"] = args.beta
+        cfg["filter"]["beta"] = args.beta
     if args.inflation_n is not None:
         try:
             N = np.loadtxt(args.inflation_n, ndmin=2)
         except (OSError, ValueError) as exc:
             raise ConfigurationError(
                 f"cannot read inflation matrix {args.inflation_n}: {exc}") from None
-        cfg.setdefault("filter", {})["N"] = N.tolist()
+        cfg["filter"]["N"] = N.tolist()
 
 
 def _jsonable(obj):
@@ -101,11 +103,7 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
+        return f if math.isfinite(f) else str(f)   # "nan", "inf" or "-inf"
     return obj
 
 
@@ -127,36 +125,48 @@ def _write_csv(path: Path, columns: dict) -> None:
 _REQUIRED = object()
 
 
-def _read(cfg: dict, path: str, kind: type = float, default=_REQUIRED, minimum=None):
-    """The config value at the dotted ``path`` as ``kind``, the one reader of
-    config values. An absent key and a JSON null read as ``default``, else
-    "config needs <path>". A float or int is a number, not NaN, at least
-    ``minimum`` if given (an int takes 9.0 but not 2.7); an np.ndarray is a
-    numeric array, and a str or dict value must be one."""
-    *sections, key = path.split(".")
+def _section(cfg: dict, names: list[str]) -> dict:
+    """The config section at the nested keys ``names``, a new {} if absent or null."""
     node = cfg
-    for name in sections:
+    for name in names:
         node = {} if node.get(name) is None else node[name]
         if not isinstance(node, dict):
             raise ConfigurationError(f"config section {name!r} must be an object")
-    value = node.get(key)
+    return node
+
+
+def _numeric(value) -> bool:
+    """Whether ``value`` is a number or nested lists of numbers (not true, false or a string)."""
+    return all(map(_numeric, value)) if isinstance(value, list) else type(value) in (int, float)
+
+
+def _read(cfg: dict, path: str, kind: type = float, default=_REQUIRED, minimum=None):
+    """The config value at the dotted ``path`` as ``kind``, the one reader of
+    config values. An absent key and a JSON null read as ``default``, else
+    "config needs <path>". A float or int is a number (not a string or a
+    boolean), not NaN, at least ``minimum`` if given (an int takes 9.0 but not
+    2.7); an np.ndarray has such numbers as entries; a str or dict must be one."""
+    *sections, key = path.split(".")
+    value = _section(cfg, sections).get(key)
     if value is None:
         if default is _REQUIRED:
             raise ConfigurationError(f"config needs {path}")
         return default
     if kind is np.ndarray:
         try:
-            return np.asarray(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"config field {path} is not numeric: {exc}") from None
+            if _numeric(value):
+                return np.asarray(value, dtype=float)
+        except (ValueError, OverflowError):   # ragged lists, huge integers
+            pass
+        raise ConfigurationError(f"config field {path} is not numeric: {value!r}")
     if kind in (str, dict):
         if not isinstance(value, kind):
             raise ConfigurationError(
                 f"config field {path} must be {'a string' if kind is str else 'an object'}")
         return value
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
+        number = kind(value) if type(value) in (int, float) else math.nan
+    except (ValueError, OverflowError):   # int(nan), int(inf), huge integers
         number = math.nan
     if math.isnan(number):
         raise ConfigurationError(f"config field {path} is not a number: {value!r}")
@@ -214,16 +224,10 @@ def _certificate(cfg: dict, traj: FilterTrajectory, report) -> ContractionCertif
 def _trajectory_columns(traj: FilterTrajectory) -> dict:
     n = traj.config.model.state_dim
     p = traj.config.model.output_dim
-    columns = {"t": traj.times}
-    for i in range(n):
-        columns[f"xhat_{i}"] = traj.states[:, i]
-    for i in range(n):
-        for j in range(i, n):
-            columns[f"P_{i}{j}"] = traj.covariances[:, i, j]
-    for i in range(n):
-        for j in range(p):
-            columns[f"K_{i}{j}"] = traj.gains[:, i, j]
-    return columns
+    return {"t": traj.times,
+            **{f"xhat_{i}": traj.states[:, i] for i in range(n)},
+            **{f"P_{i}{j}": traj.covariances[:, i, j] for i in range(n) for j in range(i, n)},
+            **{f"K_{i}{j}": traj.gains[:, i, j] for i in range(n) for j in range(p)}}
 
 
 def cmd_simulate(cfg: dict) -> tuple[dict, bool, dict | None]:

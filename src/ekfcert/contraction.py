@@ -289,8 +289,7 @@ def linear_output_check(model: SystemModel, traj, sample_states,
         lam_max = np.linalg.eigvalsh(0.5 * (S + S.swapaxes(-1, -2)))[:, -1]
         margin = float((threshold - lam_max).min(initial=np.inf))
         if margin < worst:
-            worst = margin
-            worst_time = t
+            worst, worst_time = margin, t
     tol = PSD_TOL_SCALE * (1.0 + abs(threshold))
     return {
         "passed": bool(worst >= -tol),
@@ -362,9 +361,7 @@ def inflation_rate_gain(M: np.ndarray, P: np.ndarray, N: np.ndarray,
     (M - 2N) + 2 (gamma + n_lo/p_hi) P <= 0 with n_lo = lambda_min(N) and
     p_hi = lambda_max(P).
     """
-    M = np.asarray(M, dtype=float)
-    P = np.asarray(P, dtype=float)
-    N = np.asarray(N, dtype=float)
+    M, P, N = (np.asarray(a, dtype=float) for a in (M, P, N))
     if not _negative_semidefinite(M + 2.0 * gamma * P):
         raise PreconditionError("M + 2 gamma P is not negative semidefinite")
     n_lo = float(np.linalg.eigvalsh(0.5 * (N + N.T))[0])

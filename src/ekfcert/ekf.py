@@ -144,10 +144,8 @@ class FilterConfig:
             raise ConfigurationError(f"step must lie in (0, horizon], got {self.step}")
         if not 0.0 <= self.beta < math.inf:
             raise ConfigurationError(f"beta must be nonnegative and finite, got {self.beta}")
-        if self.N is None:
-            self.N = np.zeros((n, n))
-        else:
-            self.N = _check_spd(self.N, "N", n, allow_zero=True)
+        self.N = (np.zeros((n, n)) if self.N is None
+                  else _check_spd(self.N, "N", n, allow_zero=True))
 
     @property
     def q_lo(self) -> float:
@@ -158,17 +156,23 @@ class FilterConfig:
         return float(np.linalg.eigvalsh(self.R)[0])
 
 
-def _gain(P: np.ndarray, C: np.ndarray, Rinv: np.ndarray) -> np.ndarray:
-    """K = P C^T R^{-1} = (R^{-1} (C P))^T, for one (P, C) pair or for stacks of them."""
-    return (Rinv @ (C @ P)).swapaxes(-1, -2)
+def _product(n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """An n-state run's 2-D stage product: ``ndarray.dot``, half the cost of ``@`` here with
+    its bits, but ``@`` at n = 1, where .dot keeps the sign of an exact-zero (1, 1) product."""
+    return np.matmul if n == 1 else np.ndarray.dot
+
+
+def _gain(P: np.ndarray, C: np.ndarray, Rinv: np.ndarray, dot: Callable) -> np.ndarray:
+    """K = P C^T R^{-1} = (R^{-1} (C P))^T for one (P, C) pair, through the 2-D product ``dot``."""
+    return dot(Rinv, dot(C, P)).T
 
 
 def _riccati(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
-             Rinv: np.ndarray, N2: np.ndarray | None, beta2: float) -> np.ndarray:
+             Rinv: np.ndarray, N2: np.ndarray | None, beta2: float, dot: Callable) -> np.ndarray:
     """A P + P A^T + Q - (P C^T) R^{-1} (P C^T)^T [+ 2N] [+ 2 beta P], symmetrized;
-    takes R^{-1}, 2N (or None) and 2 beta."""
-    PCt = P @ C.T
-    dP = A @ P + P @ A.T + Q - PCt @ (Rinv @ PCt.T)
+    takes R^{-1}, 2N (or None), 2 beta and the 2-D product ``dot``."""
+    PCt = dot(P, C.T)
+    dP = dot(A, P) + dot(P, A.T) + Q - dot(PCt, dot(Rinv, PCt.T))
     if N2 is not None:
         dP = dP + N2
     if beta2 != 0.0:
@@ -179,7 +183,7 @@ def _riccati(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
 def kalman_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Gain K = P C^T R^{-1}, for one (P, C) pair or for stacks of them; inverts R
     on each call (a filter run inverts it once)."""
-    return _gain(P, C, np.linalg.inv(R))
+    return (np.linalg.inv(R) @ (C @ P)).swapaxes(-1, -2)
 
 
 def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
@@ -188,7 +192,7 @@ def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
     """Right-hand side of the (optionally inflated) Riccati flow, symmetrized;
     inverts R on each call (a filter run inverts it once)."""
     return _riccati(P, A, C, Q, np.linalg.inv(R), None if N is None else 2.0 * N,
-                    2.0 * beta)
+                    2.0 * beta, np.matmul)
 
 
 @dataclass
@@ -261,6 +265,7 @@ def integrate_ekf(config: FilterConfig,
             f"expected a TimeSeries or a callable signal, got {type(measurements).__name__}")
     gains = np.empty((len(grid), n, p))
     Q, Rinv, N2, beta2 = config.Q, np.linalg.inv(config.R), 2.0 * config.N, 2.0 * config.beta
+    dot = _product(n)
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         nonlocal filled
@@ -275,11 +280,11 @@ def integrate_ekf(config: FilterConfig,
         P = state[1:]
 
         def derivative(A, C, f, h):
-            K = _gain(P, C, Rinv)
+            K = _gain(P, C, Rinv, dot)
             if stage == 0:   # a step's first stage runs at its node's state
                 gains[row >> 1] = K
-            dx = f - K @ (h - outputs[row])
-            return np.concatenate((dx[None], _riccati(P, A, C, Q, Rinv, N2, beta2)))
+            dx = f - dot(K, h - outputs[row])
+            return np.concatenate((dx[None], _riccati(P, A, C, Q, Rinv, N2, beta2, dot)))
 
         return _jacobian_stage(model, state[0], t, state, derivative)
 
@@ -303,7 +308,7 @@ def integrate_ekf(config: FilterConfig,
     states, covs = nodes[:, 0], nodes[:, 1:]
 
     _, C = eval_jacobians(model, states[-1], grid[-1])
-    gains[-1] = _gain(covs[-1], C, Rinv)
+    gains[-1] = _gain(covs[-1], C, Rinv, dot)
     eigs = np.linalg.eigvalsh(covs)
     return FilterTrajectory(times=grid, states=states, covariances=covs,
                             gains=gains, config=config, stage_outputs=outputs,

@@ -259,12 +259,10 @@ def _stacked_hessians(model: SystemModel, points: np.ndarray, t: float,
                       which: str) -> np.ndarray:
     """hessian_tensor at each row of the (N, n) ``points`` at time t, as an
     (N, m, n, n) stack; callbacks, steps and checks as in _stacked_jacobians."""
-    if which == "dynamics":
-        jac_name, out_dim = "jacobian_A", model.state_dim
-    elif which == "output":
-        jac_name, out_dim = "jacobian_C", model.output_dim
-    else:
+    if which not in ("dynamics", "output"):
         raise ConfigurationError(f"unknown map selector {which!r}")
+    jac_name, out_dim = (("jacobian_A", model.state_dim) if which == "dynamics"
+                         else ("jacobian_C", model.output_dim))
     jac, func = getattr(model, jac_name), getattr(model, which)
 
     def evaluate(X, T):

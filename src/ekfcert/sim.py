@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .contraction import ContractionCertificate, _contraction_matrices
-from .ekf import FilterTrajectory, divergence_guard, integrate
+from .ekf import FilterTrajectory, _product, divergence_guard, integrate
 from .errors import ConfigurationError, PreconditionError
 from .model import SystemModel, _call, _finite, _jacobian_stage, _stacked_jacobians, _state
 from .ode import TimeSeries, interp, stage_table, time_grid
@@ -113,7 +113,9 @@ def integrate_truth(model: SystemModel, x0: np.ndarray, horizon: float,
     x(t) interpolates the trajectory linearly; for linear output maps the
     signal is exactly the interpolated output. The interpolated states at the
     RK4 stage times of the grid are tabled once (``interp`` stacks the bits
-    of its scalar form) and y reads them there; other times interpolate.
+    of its scalar form) and y reads them there, trying the row after the last
+    one read before a search (a filter run reads them in order); other times
+    interpolate.
     """
     x0 = _state(x0, model.state_dim, "x0")
     grid = time_grid(horizon, step)
@@ -125,9 +127,15 @@ def integrate_truth(model: SystemModel, x0: np.ndarray, horizon: float,
     for a in range(0, len(times), 256):   # in blocks: no temporary as large as the table
         table[a:a + 256] = interp(grid, states, times[a:a + 256])
 
+    after = 0   # the table row after the last one read
+
     def y(t: float) -> np.ndarray:
-        i = np.searchsorted(times, t)
-        return model.h(table[i] if i < len(times) and times[i] == t else traj.at(t), t)
+        nonlocal after
+        i = after if after < len(times) and times[after] == t else np.searchsorted(times, t)
+        if i < len(times) and times[i] == t:
+            after = i + 1
+            return model.h(table[i], t)
+        return model.h(traj.at(t), t)
 
     return traj, y
 
@@ -171,14 +179,14 @@ def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
         raise ConfigurationError(f"virtual starts must be finite, got {Z0.tolist()}")
     b_worst = 0.0
     stage_inputs = _stage_inputs(filter_run)
+    dot = _product(model.state_dim)
 
     def rhs(t: float, Z: np.ndarray) -> np.ndarray:
         K, y = stage_inputs(t)
         if not _finite(Z):
             return np.full_like(Z, np.nan)
-        dZ = []
-        for z in Z:   # each row runs the operations of a single copy
-            dZ.append(model.f(z, t) - K @ (model.h(z, t) - y))
+        # each row runs the operations of a single copy
+        dZ = [model.f(z, t) - dot(K, model.h(z, t) - y) for z in Z]
         if disturbance is not None:
             nonlocal b_worst
             for b, z in enumerate(Z):
@@ -325,12 +333,13 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     z0 = _state(z0, n, "z0")
     dz0 = np.ones(n) / math.sqrt(n) if dz0 is None else _state(dz0, n, "dz0")
     stage_inputs = _stage_inputs(filter_run)
+    dot = _product(n)
 
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
         z, dz = s[:n], s[n:]
         K, y = stage_inputs(t)
         return _jacobian_stage(model, z, t, s, lambda A, C, f, h: np.concatenate(
-            [f - K @ (h - y), (A - K @ C) @ dz]))
+            [f - dot(K, h - y), dot(A - dot(K, C), dz)]))
 
     grid = filter_run.times
     nodes = integrate(rhs, np.concatenate([z0, dz0]), grid,

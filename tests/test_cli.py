@@ -562,6 +562,55 @@ def test_override_flags_are_embedded(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--beta", "0.1"), ("--inflation-n", "N.txt")])
+@pytest.mark.parametrize("section, message", [
+    ([1], "config section 'filter' must be an object"),
+    ("Q", "config section 'filter' must be an object"),
+    (None, "config needs filter.Q"),
+])
+def test_an_override_into_a_filter_section_that_is_not_an_object_is_a_configuration_error(
+        tmp_path, capsys, flag, value, section, message):
+    (tmp_path / "N.txt").write_text("0.05\n")
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", write_cfg(tmp_path, scalar_cfg(filter=section)),
+            "--out", str(out), flag, str(tmp_path / value) if flag == "--inflation-n" else value]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command, make_cfg, key, value, message", [
+    ("simulate", scalar_cfg, "horizon", "1e0", "config field horizon is not a number: '1e0'"),
+    ("simulate", scalar_cfg, "step", True, "config field step is not a number: True"),
+    ("simulate", scalar_cfg, "filter.beta", False,
+     "config field filter.beta is not a number: False"),
+    ("certify", scalar_cfg, "seed", True, "config field seed is not a number: True"),
+    ("certify", scalar_cfg, "radius_times", "3", "config field radius_times is not a number: '3'"),
+    ("certify", _sampled_cfg, "hessian.centers", True,
+     "config field hessian.centers is not a number: True"),
+    ("simulate", scalar_cfg, "filter.P0", [[True]],
+     "config field filter.P0 is not numeric: [[True]]"),
+    ("simulate", scalar_cfg, "filter.Q", [["2"]], "config field filter.Q is not numeric: [['2']]"),
+    ("simulate", scalar_cfg, "truth.x0", ["0.4"], "config field truth.x0 is not numeric: ['0.4']"),
+    ("simulate", cubic_cfg, "system.params.eps", True,
+     "config field system.params.eps is not a number: True"),
+    ("simulate", cubic_cfg, "system.params.eps", "0.1",
+     "config field system.params.eps is not a number: '0.1'"),
+])
+def test_a_string_or_boolean_number_is_a_configuration_error(tmp_path, capsys, command,
+                                                             make_cfg, key, value, message):
+    cfg = make_cfg(horizon=1.0)
+    *sections, field = key.split(".")
+    node = cfg
+    for name in sections:
+        node = node[name]
+    node[field] = value
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (out / "summary.json").exists()
+
+
 TRAJECTORY_COMMANDS = ["simulate", "certify", "twin", "perturb", "envelope"]
 
 

@@ -7,6 +7,8 @@ import pytest
 import ekfcert as ek
 from ekfcert.ode import interp
 
+from conftest import random_spd
+
 
 def _const_y(value):
     arr = np.atleast_1d(np.asarray(value, dtype=float))
@@ -333,3 +335,51 @@ def test_an_infinite_radius_or_curvature_bound_stays_valid():
     hess = ek.HessianBounds(alpha=math.inf, kappa_A=math.inf, kappa_C=math.inf)
     cert = ek.make_certificate({"p_lo": 1.0, "p_hi": 1.0, "q_lo": 1.0, "r_lo": 1.0}, hess)
     assert (cert.alpha, cert.zeta_plus, cert.rho) == (math.inf, 0.0, 0.0)
+
+
+def _signed(rng, shape):
+    """Normal draws with exact +0.0 and -0.0 entries mixed in."""
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < 0.3] = 0.0
+    x[rng.random(shape) < 0.3] *= -1.0
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_stage_products_give_the_bits_of_matmul(n, p):
+    # operands laid out as the stages hold them: P a view of the [x; P] state
+    # rows, dz of the [z; dz] validator state, K and y rows of the run's tables
+    from ekfcert.ekf import _gain, _product, _riccati
+    rng = np.random.default_rng(1000 * n + p)
+    dot = _product(n)
+    for _ in range(200):
+        state, s = _signed(rng, (n + 1, n)), _signed(rng, 2 * n)
+        P, dz = state[1:], s[n:]
+        A, C, Q, N2 = (_signed(rng, shape) for shape in [(n, n), (p, n), (n, n), (n, n)])
+        Rinv = _signed(rng, (p, p))
+        K, y = _signed(rng, (3, n, p))[1], _signed(rng, (3, p))[1]
+        f, h = _signed(rng, n), _signed(rng, p)
+        beta2 = float(rng.choice([0.0, 0.3]))
+        PCt = P @ C.T
+        dP = A @ P + P @ A.T + Q - PCt @ (Rinv @ PCt.T) + N2
+        if beta2:
+            dP = dP + beta2 * P
+        assert _riccati(P, A, C, Q, Rinv, N2, beta2, dot).tobytes() == (
+            0.5 * (dP + dP.T)).tobytes()
+        assert _gain(P, C, Rinv, dot).tobytes() == (Rinv @ (C @ P)).T.tobytes()
+        assert (f - dot(K, h - y)).tobytes() == (f - K @ (h - y)).tobytes()
+        assert dot(A - dot(K, C), dz).tobytes() == ((A - K @ C) @ dz).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_kalman_gain_of_a_stack_is_each_pair_gain_bit_for_bit(n, p):
+    rng = np.random.default_rng(10 * n + p)
+    Ps = np.array([random_spd(rng, n) for _ in range(5)])
+    Cs = _signed(rng, (5, p, n))
+    R = random_spd(rng, p)
+    Ks = ek.kalman_gain(Ps, Cs, R)
+    assert Ks.shape == (5, n, p)
+    for b in range(5):
+        assert Ks[b].tobytes() == ek.kalman_gain(Ps[b], Cs[b], R).tobytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ekfcert as ek
+from ekfcert.ode import stage_table
 
 
 @pytest.fixture(scope="module")
@@ -364,3 +365,47 @@ def test_a_diverging_row_stops_the_run_at_its_single_run_time():
             ek.integrate_virtual(model, run, order)
         assert info.value.time == single.value.time
         assert str(info.value) == f"virtual state diverged at t={single.value.time:.6g}"
+
+
+@pytest.mark.parametrize("name", ["cubic-scalar", "ltv-linear", "scalar-riccati", "vanderpol-pos"])
+def test_whole_runs_give_the_bits_of_matmul_stages(monkeypatch, name):
+    # zero, -0.0 and nonzero starts under a zero measurement; the references
+    # run every 2-D stage product through @
+    from ekfcert import ekf, sim
+    model = ek.make(name).model
+    n, p = model.state_dim, model.output_dim
+    starts = [np.zeros(n), np.full(n, -0.0), np.linspace(0.3, -0.2, n)]
+
+    def runs():
+        out = []
+        for x0 in starts:
+            fc = ek.FilterConfig(model=model, Q=np.eye(n), R=np.eye(p), P0=np.eye(n),
+                                 x0=x0, horizon=0.5, step=0.01)
+            traj = ek.integrate_ekf(fc, lambda t: np.zeros(p))
+            out += [traj.states, traj.covariances, traj.gains, traj.stage_outputs,
+                    ek.integrate_virtual(model, traj, starts),
+                    np.array(ek.variational_validator(model, traj, x0))]
+            truth, y = ek.integrate_truth(model, x0, 0.5, 0.01)
+            out += [truth.values] + [y(t) for t in stage_table(truth.times)[0]]
+        return [a.tobytes() for a in out]
+
+    changed = runs()
+    for module in (ekf, sim):
+        monkeypatch.setattr(module, "_product", lambda n: np.matmul)
+    assert changed == runs()
+
+
+def test_truth_signal_reads_its_table_in_any_order(monkeypatch):
+    model = ek.make("vanderpol-pos").model
+    truth, y = ek.integrate_truth(model, np.array([0.3, -0.1]), 0.5, 0.01)
+    times = stage_table(truth.times)[0]
+    searches = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searches.append(a) or search(*a, **k))
+    in_order = [y(t) for t in times]   # as a filter run reads it: no search
+    assert searches == []
+    for t, value in zip(times, in_order):
+        assert value.tobytes() == model.h(truth.at(t), t).tobytes()
+    # repeated, backwards, off the table and past both ends
+    for t in list(times[:5]) + list(times[::-7]) + [0.0123, 0.25, 0.2501, -1.0, 2.0]:
+        assert y(t).tobytes() == model.h(truth.at(t), t).tobytes()
