@@ -29,6 +29,7 @@ from .sim import (RATE_SLACK, Disturbance, envelope_check, integrate_truth,
                   perturbed_run, twin_decay)
 
 FLOAT_FMT = "%.17g"
+MAX_COUNT = 10 ** 6   # largest radius_times, direction_samples and hessian.centers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,13 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="ekfcert_out", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the sampling seed")
-        p.add_argument("--gamma", type=float, default=None,
-                       help="override the contraction rate")
-        p.add_argument("--beta", type=float, default=None,
-                       help="override the exponential covariance inflation rate")
-        p.add_argument("--inflation-n", default=None, metavar="PATH",
-                       help="whitespace-separated matrix file for the additive "
-                            "covariance inflation N")
     return parser
 
 
@@ -70,24 +64,6 @@ def _load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root must be a JSON object")
     return cfg
-
-
-def _apply_overrides(cfg: dict, args: argparse.Namespace) -> None:
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.gamma is not None:
-        cfg["gamma"] = args.gamma
-    if args.beta is not None or args.inflation_n is not None:
-        cfg["filter"] = _section(cfg, ["filter"])
-    if args.beta is not None:
-        cfg["filter"]["beta"] = args.beta
-    if args.inflation_n is not None:
-        try:
-            N = np.loadtxt(args.inflation_n, ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ConfigurationError(
-                f"cannot read inflation matrix {args.inflation_n}: {exc}") from None
-        cfg["filter"]["N"] = N.tolist()
 
 
 def _jsonable(obj):
@@ -140,12 +116,14 @@ def _numeric(value) -> bool:
     return all(map(_numeric, value)) if isinstance(value, list) else type(value) in (int, float)
 
 
-def _read(cfg: dict, path: str, kind: type = float, default=_REQUIRED, minimum=None):
+def _read(cfg: dict, path: str, kind: type = float, default=_REQUIRED, minimum=None,
+          maximum=None):
     """The config value at the dotted ``path`` as ``kind``, the one reader of
     config values. An absent key and a JSON null read as ``default``, else
     "config needs <path>". A float or int is a number (not a string or a
-    boolean), not NaN, at least ``minimum`` if given (an int takes 9.0 but not
-    2.7); an np.ndarray has such numbers as entries; a str or dict must be one."""
+    boolean), not NaN, at least ``minimum`` and at most ``maximum`` if given
+    (an int takes 9.0 but not 2.7); an np.ndarray has such numbers as entries;
+    a str or dict must be one."""
     *sections, key = path.split(".")
     value = _section(cfg, sections).get(key)
     if value is None:
@@ -174,6 +152,8 @@ def _read(cfg: dict, path: str, kind: type = float, default=_REQUIRED, minimum=N
         raise ConfigurationError(f"config field {path} is not an integer: {value!r}")
     if minimum is not None and not number >= minimum:
         raise ConfigurationError(f"{path} must be >= {minimum}, got {number}")
+    if maximum is not None and not number <= maximum:
+        raise ConfigurationError(f"{path} must be <= {maximum}, got {value!r}")
     return number
 
 
@@ -212,7 +192,7 @@ def _hessian_bounds(cfg: dict, traj: FilterTrajectory) -> HessianBounds:
     return estimate_hessian_bounds(
         traj.config.model, path, radius,
         safety=_read(cfg, "hessian.safety", default=1.1),
-        max_centers=_read(cfg, "hessian.centers", int, 25),
+        max_centers=_read(cfg, "hessian.centers", int, 25, maximum=MAX_COUNT),
         seed=_read(cfg, "seed", int, 0, minimum=0))
 
 
@@ -240,9 +220,9 @@ def cmd_simulate(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
-    samples = _read(cfg, "radius_times", int, 9, minimum=0)
+    samples = _read(cfg, "radius_times", int, 9, minimum=0, maximum=MAX_COUNT)
     seed = _read(cfg, "seed", int, 0, minimum=0)   # numpy's generators reject negative seeds
-    directions = _read(cfg, "direction_samples", int, 64)
+    directions = _read(cfg, "direction_samples", int, 64, minimum=0, maximum=MAX_COUNT)
     _, _, traj = _prepare_run(cfg)
     report = covariance_bounds_report(traj)
     cert = _certificate(cfg, traj, report)
@@ -284,11 +264,12 @@ def cmd_twin(cfg: dict) -> tuple[dict, bool, dict | None]:
     cert = _certificate(cfg, traj, covariance_bounds_report(traj))
     run = twin_decay(traj.config.model, traj, _read(cfg, "twin.z1_0", np.ndarray),
                      _read(cfg, "twin.z2_0", np.ndarray), certificate=cert)
-    # the rate guarantee only binds when both starts are inside the basin
-    passed = run.info["rate_pass"] or not run.info["within_basin"]
+    # the rate guarantee only binds when both starts are inside the basin; a NaN
+    # rate (rate_pass None: twins that never separate) is no signal, not a pass
+    passed = run.info["rate_pass"] is True or not run.info["within_basin"]
     print(f"twin: fitted_rate={run.fitted_rate:.6g} threshold="
           f"{2.0 * cert.gamma * RATE_SLACK:.6g} within_basin={run.info['within_basin']} "
-          f"pass={passed}")
+          f"pass={passed}" + (" (no signal)" if run.info["rate_pass"] is None else ""))
     fields = {"certificate": dataclasses.asdict(cert), "info": run.info,
               "fitted_rate": run.fitted_rate, "passed": passed}
     return fields, passed, {"t": run.times, "dist_w": run.weighted_dist,
@@ -353,9 +334,13 @@ def main(argv=None) -> int:
     handler, csv_name = _HANDLERS[args.command]
     try:
         cfg = _load_config(args.config)
-        _apply_overrides(cfg, args)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot create output directory {out}: {exc}") from None
         try:
             fields, passed, columns = handler(cfg)
             fields["status"] = "ok"

@@ -310,13 +310,15 @@ def compare_analyses(p_lo: float, p_hi: float, q_lo: float, r_lo: float,
     The Lyapunov row needs an output-Jacobian bound ``c_hi`` for its
     kappa_A = 0 basin; when c_hi is omitted that cell is None. The
     second row never uses c_hi. Zero kappa entries yield +inf basins; the
-    kappas must be nonnegative (+inf included) and the other bounds positive.
-    Ratio cells divide row two by row one.
+    kappas must be nonnegative (+inf included), the other bounds positive and
+    p_hi at least p_lo. Ratio cells divide row two by row one.
     """
     for name, v in (("p_lo", p_lo), ("p_hi", p_hi), ("q_lo", q_lo), ("r_lo", r_lo),
                     ("c_hi", c_hi)):
         if v is not None and not v > 0.0:   # only c_hi may be omitted
             raise ConfigurationError(f"{name} must be positive, got {v}")
+    if p_hi < p_lo:
+        raise ConfigurationError(f"p_hi must be >= p_lo, got p_lo={p_lo} and p_hi={p_hi}")
     if not (kappa_A >= 0.0 and kappa_C >= 0.0):
         raise ConfigurationError(
             f"kappa_A and kappa_C must be nonnegative, got {kappa_A} and {kappa_C}")

@@ -26,14 +26,14 @@ factorization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, CovarianceBoundViolation, DivergenceError
 from .model import SystemModel, _finite, _jacobian_stage, _state, eval_jacobians
-from .ode import TimeSeries, interp, rk4_step, stage_table, time_grid
+from .ode import TimeSeries, rk4_step, stage_table, time_grid
 
 # states beyond this magnitude are treated as numerical blow-up
 DIVERGENCE_LIMIT = 1e12
@@ -73,7 +73,10 @@ def divergence_guard(what: str) -> Flow:
     return guard
 
 
-def _check_spd(M: np.ndarray, name: str, dim: int, allow_zero: bool = False) -> np.ndarray:
+def _check_spd(M: np.ndarray, name: str, dim: int,
+               allow_zero: bool = False) -> tuple[np.ndarray, float]:
+    """``M`` symmetrized and its smallest eigenvalue, after the shape, finiteness,
+    symmetry and definiteness checks."""
     M = np.asarray(M, dtype=float)
     if M.shape != (dim, dim):
         raise ConfigurationError(f"{name} must have shape ({dim}, {dim}), got {M.shape}")
@@ -81,6 +84,7 @@ def _check_spd(M: np.ndarray, name: str, dim: int, allow_zero: bool = False) -> 
         raise ConfigurationError(f"{name} must be finite, got {M.tolist()}")
     if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):
         raise ConfigurationError(f"{name} must be symmetric")
+    M = 0.5 * (M + M.T)
     lam = np.linalg.eigvalsh(M)
     if allow_zero:
         if lam[0] < -1e-12 * max(1.0, lam[-1]):
@@ -89,7 +93,7 @@ def _check_spd(M: np.ndarray, name: str, dim: int, allow_zero: bool = False) -> 
     elif lam[0] <= 0.0:
         raise ConfigurationError(f"{name} must be positive definite, "
                                  f"min eigenvalue {lam[0]:.3e}")
-    return 0.5 * (M + M.T)
+    return M, float(lam[0])
 
 
 @dataclass
@@ -129,12 +133,14 @@ class FilterConfig:
     step: float | None = None
     beta: float = 0.0
     N: np.ndarray | None = None
+    q_lo: float = field(init=False)   # smallest eigenvalues of Q and R
+    r_lo: float = field(init=False)
 
     def __post_init__(self):
         n, p = self.model.state_dim, self.model.output_dim
-        self.Q = _check_spd(self.Q, "Q", n)
-        self.R = _check_spd(self.R, "R", p)
-        self.P0 = _check_spd(self.P0, "P0", n)
+        self.Q, self.q_lo = _check_spd(self.Q, "Q", n)
+        self.R, self.r_lo = _check_spd(self.R, "R", p)
+        self.P0 = _check_spd(self.P0, "P0", n)[0]
         self.x0 = _state(self.x0, n, "x0")
         if not 0.0 < self.horizon < math.inf:
             raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
@@ -145,15 +151,7 @@ class FilterConfig:
         if not 0.0 <= self.beta < math.inf:
             raise ConfigurationError(f"beta must be nonnegative and finite, got {self.beta}")
         self.N = (np.zeros((n, n)) if self.N is None
-                  else _check_spd(self.N, "N", n, allow_zero=True))
-
-    @property
-    def q_lo(self) -> float:
-        return float(np.linalg.eigvalsh(self.Q)[0])
-
-    @property
-    def r_lo(self) -> float:
-        return float(np.linalg.eigvalsh(self.R)[0])
+                  else _check_spd(self.N, "N", n, allow_zero=True)[0])
 
 
 def _product(n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -203,7 +201,9 @@ class FilterTrajectory:
     (m, n, p) over the m grid nodes in ``times``; the first two are views of
     the integrated (m, n + 1, n) rows [xhat; P]. ``stage_outputs`` (2m - 1, p)
     holds the measured output y at the distinct RK4 stage times of the run,
-    in the rows of ``ode.stage_table(times)``. The configuration is kept so
+    in the rows of ``ode.stage_table(times)``. ``p_lo`` and ``p_hi`` are the
+    smallest and largest eigenvalues of P over the nodes, first reached at
+    ``t_at_p_lo`` and ``t_at_p_hi``. The configuration is kept so
     downstream consumers (virtual system, certifier) can re-derive gains and
     innovations without re-integrating.
     """
@@ -216,6 +216,8 @@ class FilterTrajectory:
     stage_outputs: np.ndarray
     p_lo: float
     p_hi: float
+    t_at_p_lo: float
+    t_at_p_hi: float
 
 
 def integrate_ekf(config: FilterConfig,
@@ -226,10 +228,10 @@ def integrate_ekf(config: FilterConfig,
     ----------
     config : FilterConfig
     measurements : TimeSeries or callable t -> (p,) array
-        Measured output (a scalar is accepted when p = 1). A TimeSeries is
-        interpolated linearly between its nodes, at every stage time before
-        the run; a callable is evaluated exactly at the integrator stages,
-        once per distinct stage time, so it must depend on t only.
+        Measured output (a scalar is accepted when p = 1), evaluated exactly
+        at the integrator stages, once per distinct stage time, so it must
+        depend on t only. A TimeSeries is read as ``series.at``, linearly
+        interpolated between its nodes.
 
     Returns
     -------
@@ -251,18 +253,12 @@ def integrate_ekf(config: FilterConfig,
     grid = time_grid(config.horizon, config.step)
     stage_times, read_stage = stage_table(grid)
     if isinstance(measurements, TimeSeries):
-        shape = measurements.values.shape[1:]
-        if math.prod(shape) != p:
-            raise ConfigurationError(f"measurement at t=0 has shape {shape}, expected ({p},)")
-        # interp stacks the bits of measurements.at at each stage time
-        outputs = interp(measurements.times, measurements.values, stage_times).reshape(-1, p)
-        filled = len(outputs) - 1   # the last stage-table row whose output has been read
-    elif callable(measurements):
-        outputs = np.empty((len(stage_times), p))
-        filled = -1
-    else:
+        measurements = measurements.at
+    if not callable(measurements):
         raise ConfigurationError(
             f"expected a TimeSeries or a callable signal, got {type(measurements).__name__}")
+    outputs = np.empty((len(stage_times), p))
+    filled = -1   # the last stage-table row whose output has been read
     gains = np.empty((len(grid), n, p))
     Q, Rinv, N2, beta2 = config.Q, np.linalg.inv(config.R), 2.0 * config.N, 2.0 * config.beta
     dot = _product(n)
@@ -310,31 +306,29 @@ def integrate_ekf(config: FilterConfig,
     _, C = eval_jacobians(model, states[-1], grid[-1])
     gains[-1] = _gain(covs[-1], C, Rinv, dot)
     eigs = np.linalg.eigvalsh(covs)
+    lo, hi = int(np.argmin(eigs[:, 0])), int(np.argmax(eigs[:, -1]))
     return FilterTrajectory(times=grid, states=states, covariances=covs,
                             gains=gains, config=config, stage_outputs=outputs,
-                            p_lo=float(eigs[:, 0].min()), p_hi=float(eigs[:, -1].max()))
+                            p_lo=float(eigs[lo, 0]), p_hi=float(eigs[hi, -1]),
+                            t_at_p_lo=float(grid[lo]), t_at_p_hi=float(grid[hi]))
 
 
 def covariance_bounds_report(traj: FilterTrajectory) -> dict:
-    """Empirical covariance bounds over the run's grid nodes.
+    """Empirical covariance bounds over the run's grid nodes, read from the run.
 
     Returns a dict with the observed eigenvalue range of P(t), the
     conditioning ratio p_hi / p_lo, and where the extremes occurred. These
     are grid-level observations, not a proof that the bounds hold between
     nodes.
     """
-    eigs = np.linalg.eigvalsh(traj.covariances)
-    lo_idx = int(np.argmin(eigs[:, 0]))
-    hi_idx = int(np.argmax(eigs[:, -1]))
-    p_lo = float(eigs[lo_idx, 0])
-    p_hi = float(eigs[hi_idx, -1])
+    p_lo, p_hi = traj.p_lo, traj.p_hi
     return {
         "p_lo": p_lo,
         "p_hi": p_hi,
         "ratio": p_hi / p_lo if p_lo > 0.0 else float("inf"),
         "positive_definite": bool(p_lo > 0.0),
-        "t_at_p_lo": float(traj.times[lo_idx]),
-        "t_at_p_hi": float(traj.times[hi_idx]),
+        "t_at_p_lo": traj.t_at_p_lo,
+        "t_at_p_hi": traj.t_at_p_hi,
         "q_lo": traj.config.q_lo,
         "r_lo": traj.config.r_lo,
     }

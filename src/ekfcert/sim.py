@@ -243,7 +243,8 @@ def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
                   and _in_weighted_basin(filter_run, z2_0, certificate))
         info["within_basin"] = inside
         info["gamma"] = certificate.gamma
-        info["rate_pass"] = bool(math.isnan(rate) or rate >= 2.0 * certificate.gamma * RATE_SLACK)
+        info["rate_pass"] = (None if math.isnan(rate)   # no signal
+                             else bool(rate >= 2.0 * certificate.gamma * RATE_SLACK))
     return ExperimentRun(times=times, weighted_dist=weighted, euclid_dist=euclid,
                          fitted_rate=rate, info=info)
 

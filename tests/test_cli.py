@@ -239,54 +239,55 @@ def test_a_non_numeric_config_value_is_a_configuration_error(tmp_path, capsys,
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("command, cfg, flags, message", [
-    ("envelope", scalar_cfg(horizon=1.0, hessian={"kappa_A": math.nan, "kappa_C": 0.0}), [],
+def _scalar_filter(**extra):
+    return dict(scalar_cfg()["filter"], **extra)
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("envelope", scalar_cfg(horizon=1.0, hessian={"kappa_A": math.nan, "kappa_C": 0.0}),
      "config field hessian.kappa_A is not a number: nan"),
-    ("certify", cubic_cfg(horizon=1.0, hessian={"radius": 0.5, "safety": math.nan}), [],
+    ("certify", cubic_cfg(horizon=1.0, hessian={"radius": 0.5, "safety": math.nan}),
      "config field hessian.safety is not a number: nan"),
-    ("simulate", scalar_cfg(horizon=math.inf), [], "horizon must be positive and finite, got inf"),
-    ("simulate", scalar_cfg(horizon=1.0), ["--beta", "nan"],
+    ("simulate", scalar_cfg(horizon=math.inf), "horizon must be positive and finite, got inf"),
+    ("simulate", scalar_cfg(horizon=1.0, filter=_scalar_filter(beta=math.nan)),
      "config field filter.beta is not a number: nan"),
-    ("simulate", scalar_cfg(horizon=1.0), ["--beta", "inf"],
+    ("simulate", scalar_cfg(horizon=1.0, filter=_scalar_filter(beta=math.inf)),
      "beta must be nonnegative and finite, got inf"),
-    ("perturb", scalar_cfg(horizon=1.0), ["--gamma", "nan"],
-     "config field gamma is not a number: nan"),
-    ("perturb", scalar_cfg(horizon=1.0), ["--gamma", "inf"],
+    ("perturb", scalar_cfg(horizon=1.0, gamma=math.nan), "config field gamma is not a number: nan"),
+    ("perturb", scalar_cfg(horizon=1.0, gamma=math.inf),
      "gamma must be positive and finite, got inf"),
-    ("perturb", scalar_cfg(horizon=1.0, perturb={"vector": [math.nan]}), [],
+    ("perturb", scalar_cfg(horizon=1.0, perturb={"vector": [math.nan]}),
      "b_max must be nonnegative and finite, got nan"),
     ("simulate", scalar_cfg(horizon=1.0, system={"name": "scalar-riccati", "params": [1, 2]}),
-     [], "config field system.params must be an object"),
-    ("simulate", scalar_cfg(horizon=1.0, system={"name": ["vanderpol-pos"]}), [],
+     "config field system.params must be an object"),
+    ("simulate", scalar_cfg(horizon=1.0, system={"name": ["vanderpol-pos"]}),
      "config field system.name must be a string"),
     ("simulate", scalar_cfg(horizon=1.0, system={"name": "cubic-scalar", "params": {"eps": "x"}}),
-     [], "config field system.params.eps is not a number: 'x'"),
-    ("simulate", scalar_cfg(horizon=1.0, filter={"Q": [[1.0]], "R": [[1.0]], "P0": [[2.0]],
-                                                 "xhat0": [math.nan]}), [],
+     "config field system.params.eps is not a number: 'x'"),
+    ("simulate", scalar_cfg(horizon=1.0, filter=_scalar_filter(xhat0=[math.nan])),
      "x0 must be finite, got [nan]"),
-    ("simulate", scalar_cfg(horizon=1.0, filter={"Q": [[math.inf]], "R": [[1.0]],
-                                                 "P0": [[2.0]], "xhat0": [0.5]}), [],
+    ("simulate", scalar_cfg(horizon=1.0, filter=_scalar_filter(Q=[[math.inf]])),
      "Q must be finite, got [[inf]]"),
-    ("simulate", scalar_cfg(horizon=1.0, filter={"Q": None, "R": [[1.0]], "P0": [[2.0]],
-                                                 "xhat0": [0.5]}), [],
+    ("simulate", scalar_cfg(horizon=1.0, filter=_scalar_filter(Q=None)),
      "config needs filter.Q"),
-    ("simulate", scalar_cfg(horizon=1.0, truth={"x0": [math.nan]}), [],
+    ("simulate", scalar_cfg(horizon=1.0, truth={"x0": [math.nan]}),
      "x0 must be finite, got [nan]"),
-    ("twin", scalar_cfg(horizon=1.0, twin={"z1_0": [math.nan], "z2_0": [0.1]}), [],
+    ("twin", scalar_cfg(horizon=1.0, twin={"z1_0": [math.nan], "z2_0": [0.1]}),
      "virtual starts must be finite, got [[nan], [0.1]]"),
     ("perturb", scalar_cfg(horizon=1.0, perturb={"type": "sin", "vector": [0.01],
-                                                 "freq": math.inf}), [],
+                                                 "freq": math.inf}),
      "perturb.freq must be finite, got inf"),
-    ("compare", {"compare": dict(_compare_cfg()["compare"], kappa_A=-1.0)}, [],
+    ("compare", {"compare": dict(_compare_cfg()["compare"], kappa_A=-1.0)},
      "kappa_A and kappa_C must be nonnegative, got -1.0 and 1.0"),
-    ("compare", {"compare": dict(_compare_cfg()["compare"], c_hi=-2.0)}, [],
+    ("compare", {"compare": dict(_compare_cfg()["compare"], c_hi=-2.0)},
      "c_hi must be positive, got -2.0"),
+    ("compare", {"compare": dict(_compare_cfg()["compare"], p_lo=3.0)},
+     "p_hi must be >= p_lo, got p_lo=3.0 and p_hi=1.0"),
 ])
 def test_a_nan_or_infinite_config_value_is_a_configuration_error(tmp_path, capsys, command,
-                                                                  cfg, flags, message):
+                                                                  cfg, message):
     out = tmp_path / "out"
-    argv = [command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
-    assert main(argv + flags) == 2
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (out / "summary.json").exists()
 
@@ -348,6 +349,51 @@ def test_negative_radius_times_is_a_configuration_error(tmp_path, capsys):
     assert capsys.readouterr().err == "configuration error: radius_times must be >= 0, got -1\n"
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the run was reached")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("radius_times", 1e300, "radius_times must be <= 1000000, got 1e+300"),
+    ("radius_times", cli.MAX_COUNT + 1, "radius_times must be <= 1000000, got 1000001"),
+    ("direction_samples", 10 ** 9, "direction_samples must be <= 1000000, got 1000000000"),
+    ("direction_samples", -1, "direction_samples must be >= 0, got -1"),
+])
+def test_a_count_out_of_its_bounds_is_a_configuration_error_before_the_run(
+        tmp_path, capsys, monkeypatch, key, value, message):
+    """The counts are read before the plant is built, so nothing is allocated."""
+    monkeypatch.setattr(bench, "make", _unreachable)
+    out = tmp_path / "out"
+    assert main(["certify", "--config", write_cfg(tmp_path, scalar_cfg(**{key: value})),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {message}\n"
+    assert captured.out == ""
+    assert not (out / "summary.json").exists()
+
+
+def test_too_many_hessian_centers_is_a_configuration_error(tmp_path, capsys):
+    cfg = _sampled_cfg(horizon=1.0)
+    cfg["hessian"]["centers"] = cli.MAX_COUNT + 1
+    out = tmp_path / "out"
+    assert main(["certify", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: hessian.centers must be <= 1000000, got 1000001\n")
+    assert not (out / "summary.json").exists()
+
+
+def test_an_output_directory_that_cannot_be_created_is_a_configuration_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile, afile / "below"):
+        assert main(["simulate", "--config", write_cfg(tmp_path, scalar_cfg(horizon=1.0)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot create output directory {out}: ")
+        assert err.count("\n") == 1
+    assert afile.read_text() == ""
+
+
 def test_certify_with_an_underflowing_output_curvature_has_an_infinite_zeta_plus(tmp_path):
     """p_hi * kappa_C underflows to 0, so the analytic radius is +inf."""
     cfg = scalar_cfg(horizon=1.0, hessian={"kappa_A": 0.0, "kappa_C": 5e-324})
@@ -369,15 +415,17 @@ def _strict_json(path):
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
-def test_twin_with_identical_starts_writes_nan_rates_as_strings(tmp_path):
+def test_twin_with_identical_starts_writes_nan_rates_as_strings(tmp_path, capsys):
+    """Twins that never separate give no rate: no signal, which is not a pass."""
     cfg = scalar_cfg(horizon=2.0, twin={"z1_0": [0.8], "z2_0": [0.8]})
     out = tmp_path / "out"
-    assert main(["twin", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert main(["twin", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    assert "within_basin=True pass=False (no signal)\n" in capsys.readouterr().out
     summary = _strict_json(out / "summary.json")
     assert summary["fitted_rate"] == "nan"
     assert summary["info"]["fitted_rate_weighted"] == "nan"
     assert summary["info"]["fitted_rate_euclid"] == "nan"
-    assert summary["info"]["rate_pass"] and summary["passed"]
+    assert summary["info"]["rate_pass"] is None and summary["passed"] is False
     _, data = read_csv(out / "twin.csv")
     assert np.all(data[:, 1:] == 0.0)
 
@@ -473,8 +521,8 @@ def test_certify_sampled_curvature_uses_requested_centers(tmp_path, monkeypatch)
 
 
 def test_certify_rejects_gamma_above_cap(tmp_path):
-    rc = main(["certify", "--config", write_cfg(tmp_path, cubic_cfg()),
-               "--out", str(tmp_path / "out"), "--gamma", "10.0"])
+    rc = main(["certify", "--config", write_cfg(tmp_path, cubic_cfg(gamma=10.0)),
+               "--out", str(tmp_path / "out")])
     assert rc == 2
 
 
@@ -545,35 +593,43 @@ def test_perturb_sinusoidal_and_bad_type(tmp_path):
     assert rc == 2
 
 
-def test_override_flags_are_embedded(tmp_path):
-    n_file = tmp_path / "N.txt"
-    n_file.write_text("0.05\n")
+def test_the_seed_override_is_embedded(tmp_path):
     out = tmp_path / "out"
-    rc = main(["simulate", "--config", write_cfg(tmp_path, scalar_cfg()),
-               "--out", str(out), "--seed", "7", "--beta", "0.02",
-               "--inflation-n", str(n_file)])
+    rc = main(["simulate", "--config", write_cfg(tmp_path, scalar_cfg(seed=3)),
+               "--out", str(out), "--seed", "7"])
     assert rc == 0
-    cfg = read_summary(out)["config"]
-    assert cfg["seed"] == 7
-    assert cfg["filter"]["beta"] == 0.02
-    assert cfg["filter"]["N"] == [[0.05]]
-    rc = main(["simulate", "--config", write_cfg(tmp_path, scalar_cfg(), "c2.json"),
-               "--out", str(out), "--inflation-n", str(tmp_path / "absent.txt")])
-    assert rc == 2
+    assert read_summary(out)["config"]["seed"] == 7
 
 
-@pytest.mark.parametrize("flag, value", [("--beta", "0.1"), ("--inflation-n", "N.txt")])
+@pytest.mark.parametrize("flag", ["--gamma", "--beta", "--inflation-n"])
+def test_the_removed_override_flags_are_usage_errors(tmp_path, capsys, flag):
+    """gamma, filter.beta and filter.N are read from the config only."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", write_cfg(tmp_path, scalar_cfg()), "--out", str(out),
+              flag, "0.1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+def test_every_command_takes_only_the_config_the_output_directory_and_the_seed(command):
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+    assert options == {"-h", "--help", "--config", "--out", "--seed"}
+
+
 @pytest.mark.parametrize("section, message", [
     ([1], "config section 'filter' must be an object"),
     ("Q", "config section 'filter' must be an object"),
     (None, "config needs filter.Q"),
 ])
-def test_an_override_into_a_filter_section_that_is_not_an_object_is_a_configuration_error(
-        tmp_path, capsys, flag, value, section, message):
-    (tmp_path / "N.txt").write_text("0.05\n")
+def test_a_filter_section_that_is_not_an_object_is_a_configuration_error(
+        tmp_path, capsys, section, message):
     out = tmp_path / "out"
     argv = ["simulate", "--config", write_cfg(tmp_path, scalar_cfg(filter=section)),
-            "--out", str(out), flag, str(tmp_path / value) if flag == "--inflation-n" else value]
+            "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (out / "summary.json").exists()

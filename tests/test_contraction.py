@@ -453,6 +453,16 @@ def test_compare_analyses_degenerate_cells():
         ek.compare_analyses(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
+def test_compare_analyses_rejects_p_hi_below_p_lo_as_make_certificate_does():
+    with pytest.raises(ek.ConfigurationError, match=r"p_hi must be >= p_lo, got p_lo=3\.0 "
+                                                    r"and p_hi=1\.0"):
+        ek.compare_analyses(3.0, 1.0, 1.0, 1.0, 1.0, 1.0, c_hi=1.0)
+    with pytest.raises(ek.ConfigurationError, match="p_hi < p_lo"):
+        ek.make_certificate({"p_lo": 3.0, "p_hi": 1.0, "q_lo": 1.0, "r_lo": 1.0},
+                            ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=1.0))
+    assert ek.compare_analyses(2.0, 2.0, 1.0, 1.0, 1.0, 1.0)["ratio"]["rate"] == 1.0
+
+
 def test_inflation_rate_gain_equality_slack():
     P = 2.0 * np.eye(2)
     gamma = 0.3

@@ -204,6 +204,32 @@ def test_timeseries_measurements_match_callable():
     assert np.max(np.abs(t_series.covariances - t_callable.covariances)) < 1e-12
 
 
+@pytest.mark.parametrize("entry", ek.registry(), ids=lambda e: e.name)
+def test_the_bounds_report_is_read_from_the_run_without_an_eigen_solve(entry, linalg_calls):
+    """The run's one eigvalsh over its covariances gives p_lo, p_hi and their
+    node times; the report equals, float for float, one recomputed from that
+    stack and from Q and R."""
+    n, p = entry.model.state_dim, entry.model.output_dim
+    rng = np.random.default_rng(3)
+    fc = ek.FilterConfig(model=entry.model, Q=random_spd(rng, n), R=random_spd(rng, p),
+                         P0=random_spd(rng, n, 1.0, 3.0), x0=np.full(n, 0.3),
+                         horizon=3.0, step=0.01)
+    _, y = ek.integrate_truth(entry.model, np.full(n, 0.34), 3.0, fc.step)
+    traj = ek.integrate_ekf(fc, y)
+    linalg_calls.clear()
+    report = ek.covariance_bounds_report(traj)
+    assert linalg_calls["eigvalsh"] == 0
+    eigs = np.linalg.eigvalsh(traj.covariances)
+    lo, hi = int(np.argmin(eigs[:, 0])), int(np.argmax(eigs[:, -1]))
+    p_lo, p_hi = float(eigs[lo, 0]), float(eigs[hi, -1])
+    expected = {"p_lo": p_lo, "p_hi": p_hi, "ratio": p_hi / p_lo, "positive_definite": True,
+                "t_at_p_lo": float(traj.times[lo]), "t_at_p_hi": float(traj.times[hi]),
+                "q_lo": float(np.linalg.eigvalsh(fc.Q)[0]),
+                "r_lo": float(np.linalg.eigvalsh(fc.R)[0])}
+    assert {k: (type(v), v) for k, v in report.items()} == {
+        k: (type(v), v) for k, v in expected.items()}
+
+
 def test_bounds_report_on_decaying_covariance(scalar_rig):
     traj = scalar_rig["traj"]
     rep = ek.covariance_bounds_report(traj)
