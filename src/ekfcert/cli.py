@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .contraction import (ContractionCertificate, compare_analyses,
-                          empirical_radius, make_certificate)
+from .contraction import compare_analyses, empirical_radius, make_certificate
 from .ekf import FilterConfig, FilterTrajectory, covariance_bounds_report, integrate_ekf
 from .errors import ConfigurationError, PreconditionError, RunFailure
 from .model import HessianBounds, estimate_hessian_bounds
@@ -178,27 +177,27 @@ def _prepare_run(cfg: dict):
     return entry.name, truth, traj
 
 
-def _hessian_bounds(cfg: dict, traj: FilterTrajectory) -> HessianBounds:
+def _certified_run(cfg: dict) -> tuple:
+    """_prepare_run's truth and filter runs, their bounds report and certificate
+    (declared or sampled curvature bounds); hessian.*, gamma and seed are read first."""
     kappa_A = _read(cfg, "hessian.kappa_A", default=None)
     kappa_C = _read(cfg, "hessian.kappa_C", default=None)
-    if kappa_A is not None and kappa_C is not None:
-        return HessianBounds(alpha=_read(cfg, "hessian.alpha", default=math.inf),
-                             kappa_A=kappa_A, kappa_C=kappa_C, sampled=False)
-    radius = _read(cfg, "hessian.radius", default=None)
-    if radius is None:
-        raise ConfigurationError(
-            "config needs hessian.radius (or explicit hessian.kappa_A/kappa_C)")
-    path = [(traj.states[k], float(traj.times[k])) for k in range(len(traj.times))]
-    return estimate_hessian_bounds(
-        traj.config.model, path, radius,
-        safety=_read(cfg, "hessian.safety", default=1.1),
-        max_centers=_read(cfg, "hessian.centers", int, 25, maximum=MAX_COUNT),
-        seed=_read(cfg, "seed", int, 0, minimum=0))
-
-
-def _certificate(cfg: dict, traj: FilterTrajectory, report) -> ContractionCertificate:
-    hess = _hessian_bounds(cfg, traj)
-    return make_certificate(report, hess, _read(cfg, "gamma", default=None))
+    hess = None if kappa_A is None or kappa_C is None else HessianBounds(
+        alpha=_read(cfg, "hessian.alpha", default=math.inf), kappa_A=kappa_A, kappa_C=kappa_C)
+    if hess is None:
+        radius = _read(cfg, "hessian.radius", default=None)
+        if radius is None:
+            raise ConfigurationError(
+                "config needs hessian.radius (or explicit hessian.kappa_A/kappa_C)")
+        options = {"safety": _read(cfg, "hessian.safety", default=1.1),
+                   "max_centers": _read(cfg, "hessian.centers", int, 25, maximum=MAX_COUNT),
+                   "seed": _read(cfg, "seed", int, 0, minimum=0)}
+    gamma = _read(cfg, "gamma", default=None)
+    _, truth, traj = _prepare_run(cfg)
+    report = covariance_bounds_report(traj)
+    hess = hess or estimate_hessian_bounds(
+        traj.config.model, list(zip(traj.states, traj.times)), radius, **options)
+    return truth, traj, report, make_certificate(report, hess, gamma)
 
 
 def _trajectory_columns(traj: FilterTrajectory) -> dict:
@@ -223,9 +222,7 @@ def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
     samples = _read(cfg, "radius_times", int, 9, minimum=0, maximum=MAX_COUNT)
     seed = _read(cfg, "seed", int, 0, minimum=0)   # numpy's generators reject negative seeds
     directions = _read(cfg, "direction_samples", int, 64, minimum=0, maximum=MAX_COUNT)
-    _, _, traj = _prepare_run(cfg)
-    report = covariance_bounds_report(traj)
-    cert = _certificate(cfg, traj, report)
+    _, traj, report, cert = _certified_run(cfg)
     idx = np.unique(np.linspace(0, len(traj.times) - 1, samples).astype(int))
     radii = [empirical_radius(traj.config.model, traj.states[k], traj.covariances[k],
                               traj.config.Q, traj.config.R, cert.gamma, float(traj.times[k]),
@@ -260,10 +257,9 @@ def cmd_compare(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_twin(cfg: dict) -> tuple[dict, bool, dict | None]:
-    _, _, traj = _prepare_run(cfg)
-    cert = _certificate(cfg, traj, covariance_bounds_report(traj))
-    run = twin_decay(traj.config.model, traj, _read(cfg, "twin.z1_0", np.ndarray),
-                     _read(cfg, "twin.z2_0", np.ndarray), certificate=cert)
+    starts = _read(cfg, "twin.z1_0", np.ndarray), _read(cfg, "twin.z2_0", np.ndarray)
+    _, traj, _, cert = _certified_run(cfg)
+    run = twin_decay(traj.config.model, traj, *starts, certificate=cert)
     # the rate guarantee only binds when both starts are inside the basin; a NaN
     # rate (rate_pass None: twins that never separate) is no signal, not a pass
     passed = run.info["rate_pass"] is True or not run.info["within_basin"]
@@ -277,22 +273,22 @@ def cmd_twin(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
+    vec = _read(cfg, "perturb.vector", np.ndarray, None)
+    kind = _read(cfg, "perturb.type", str, "const")
+    if kind not in ("const", "sin"):
+        raise ConfigurationError(f"unknown perturb.type {kind!r}")
+    freq = _read(cfg, "perturb.freq", default=1.0) if kind == "sin" else 0.0
+    if not math.isfinite(freq):
+        raise ConfigurationError(f"perturb.freq must be finite, got {freq}")
+    z0 = _read(cfg, "perturb.z0", np.ndarray, None)
+    gamma = _read(cfg, "gamma", default=None)
     _, _, traj = _prepare_run(cfg)
     model = traj.config.model
-    vec = _read(cfg, "perturb.vector", np.ndarray, np.zeros(model.state_dim)).reshape(-1)
-    kind = _read(cfg, "perturb.type", str, "const")
-    if kind == "const":
-        dist = Disturbance(b=lambda x, t: vec, b_max=float(np.linalg.norm(vec)))
-    elif kind == "sin":
-        freq = _read(cfg, "perturb.freq", default=1.0)
-        if not math.isfinite(freq):
-            raise ConfigurationError(f"perturb.freq must be finite, got {freq}")
-        dist = Disturbance(b=lambda x, t: vec * math.sin(freq * t),
-                           b_max=float(np.linalg.norm(vec)))
-    else:
-        raise ConfigurationError(f"unknown perturb.type {kind!r}")
-    run = perturbed_run(model, traj, dist, _read(cfg, "perturb.z0", np.ndarray, traj.config.x0),
-                        gamma=_read(cfg, "gamma", default=None))
+    vec = np.zeros(model.state_dim) if vec is None else vec.reshape(-1)
+    dist = Disturbance(b=(lambda x, t: vec) if kind == "const"
+                       else (lambda x, t: vec * math.sin(freq * t)),
+                       b_max=float(np.linalg.norm(vec)))
+    run = perturbed_run(model, traj, dist, traj.config.x0 if z0 is None else z0, gamma=gamma)
     passed = run.info["within_standard"]
     print(f"perturb: steady_radius={run.info['steady_radius']:.6g} "
           f"ball_standard={run.info['ball_standard']:.6g} "
@@ -302,8 +298,7 @@ def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_envelope(cfg: dict) -> tuple[dict, bool, dict | None]:
-    _, truth, traj = _prepare_run(cfg)
-    cert = _certificate(cfg, traj, covariance_bounds_report(traj))
+    truth, traj, _, cert = _certified_run(cfg)
     report = envelope_check(traj, truth, cert)
     print(f"envelope: worst_margin={report.worst_margin:.6g} at "
           f"t={report.worst_time:.6g} within_basin={report.within_basin} "
@@ -349,13 +344,15 @@ def main(argv=None) -> int:
             print(f"{args.command}: failed at t={exc.time:.6g}: {exc}", file=sys.stderr)
             fields = {"status": "failed", "failure": str(exc), "failure_time": exc.time}
             passed, columns = False, None
-        written = []
-        if columns is not None:
-            written.append(out / csv_name)
-            _write_csv(written[-1], columns)
-        written.append(out / "summary.json")
-        _write_json(written[-1], {"command": args.command, "config": cfg, **fields})
-        print("wrote " + " and ".join(str(path) for path in written))
+        files = [] if columns is None else [(out / csv_name, _write_csv, columns)]
+        files.append((out / "summary.json", _write_json,
+                      {"command": args.command, "config": cfg, **fields}))
+        for path, write, content in files:
+            try:
+                write(path, content)
+            except OSError as exc:
+                raise ConfigurationError(f"cannot write {path}: {exc}") from None
+        print("wrote " + " and ".join(str(path) for path, _, _ in files))
         return 0 if passed else 1
     except (ConfigurationError, PreconditionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

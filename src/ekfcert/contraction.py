@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .model import (HessianBounds, SystemModel, _stacked_jacobians, _unit_directions,
+from .model import (HessianBounds, SystemModel, _stacked_jacobians, _state, _unit_directions,
                     eval_jacobians)
 
 # slack allowed when deciding lambda_max(S) <= 0 in floating point
@@ -95,8 +95,8 @@ def contraction_matrix(model: SystemModel, z: np.ndarray, xhat: np.ndarray,
     M + 2 gamma P on a region therefore certifies contraction at rate
     gamma there. The result is exactly symmetrized.
     """
-    Az, Cz = eval_jacobians(model, z, t)
-    Ah, Ch = eval_jacobians(model, xhat, t)
+    Az, Cz = eval_jacobians(model, _state(z, model.state_dim, "z"), t)
+    Ah, Ch = eval_jacobians(model, _state(xhat, model.state_dim, "xhat"), t)
     return _contraction_matrices(Ah, Ch, Az, Cz, P, Q, R)
 
 
@@ -139,7 +139,7 @@ def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
     """
     if not gamma >= 0.0:
         raise ConfigurationError(f"gamma must be nonnegative, got {gamma}")
-    xhat = np.asarray(xhat, dtype=float).reshape(-1)
+    xhat = _state(xhat, model.state_dim, "xhat")
     rng = np.random.default_rng(seed)
     dirs = _unit_directions(len(xhat), direction_samples, rng)
     Ah, Ch = eval_jacobians(model, xhat, t)
@@ -206,6 +206,17 @@ def zeta_plus(kappa_A: float, kappa_C: float, p_hi: float, q_lo: float,
     return _over(2.0 * slack, b + math.sqrt(b * b + 4.0 * a * slack))
 
 
+def _rate(gamma: float | None, q_lo: float, p_hi: float) -> float:
+    """gamma, q_lo / (4 p_hi) if None; outside [0, q_lo / (2 p_hi)] a ConfigurationError."""
+    cap = q_lo / (2.0 * p_hi)
+    if gamma is None:
+        gamma = q_lo / (4.0 * p_hi)
+    if not 0.0 <= gamma <= cap * (1.0 + 1e-12):
+        raise ConfigurationError(
+            f"gamma = {gamma:.6g} outside [0, q_lo/(2 p_hi)] = [0, {cap:.6g}]")
+    return gamma
+
+
 def make_certificate(bounds: dict, hess: HessianBounds,
                      gamma: float | None = None) -> ContractionCertificate:
     """Assemble a certificate from covariance bounds and curvature bounds.
@@ -235,12 +246,7 @@ def make_certificate(bounds: dict, hess: HessianBounds,
             f"certification refused: covariance floor p_lo = {p_lo:.3e} is not positive")
     if p_hi < p_lo:
         raise ConfigurationError("bounds report has p_hi < p_lo")
-    cap = q_lo / (2.0 * p_hi)
-    if gamma is None:
-        gamma = q_lo / (4.0 * p_hi)
-    if not 0.0 <= gamma <= cap * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"gamma = {gamma:.6g} outside [0, q_lo/(2 p_hi)] = [0, {cap:.6g}]")
+    gamma = _rate(gamma, q_lo, p_hi)
     zeta = zeta_plus(hess.kappa_A, hess.kappa_C, p_hi, q_lo, r_lo, gamma)
     rho = min(hess.alpha, zeta)
     basin = rho * math.sqrt(p_lo / p_hi)
@@ -271,7 +277,8 @@ def linear_output_check(model: SystemModel, traj, sample_states,
     threshold = traj.config.q_lo - 2.0 * gamma * traj.p_hi
     idx = np.unique(np.linspace(0, len(traj.times) - 1,
                                 min(OUTPUT_CHECK_TIMES, len(traj.times))).astype(int))
-    states = np.asarray(sample_states, dtype=float).reshape(-1, model.state_dim)
+    states = np.array([_state(x, model.state_dim, f"sample_states[{i}]")
+                       for i, x in enumerate(sample_states)]).reshape(-1, model.state_dim)
 
     worst = float("inf")
     worst_time = None

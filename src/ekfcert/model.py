@@ -194,9 +194,16 @@ def eval_jacobians(model: SystemModel, x: np.ndarray,
 
 
 def _state(value, n: int, what: str) -> np.ndarray:
-    """The state vector ``what`` as a float (n,) array, flattened; another
-    number of entries or a non-finite entry is a ConfigurationError."""
-    x = np.asarray(value, dtype=float).reshape(-1)
+    """The state vector ``what`` as a float (n,) array, flattened, read at every entry
+    point; a value that is not an array of real numbers (a string, ragged rows),
+    another number of entries or a non-finite entry is a ConfigurationError."""
+    try:
+        x = np.asarray(value)
+    except (TypeError, ValueError):   # ragged rows
+        x = None
+    if x is None or x.dtype.kind not in "iuf":
+        raise ConfigurationError(f"{what} must be numeric, got {value!r}")
+    x = x.astype(float, copy=False).reshape(-1)
     if x.shape != (n,):
         raise ConfigurationError(f"{what} must have shape ({n},), got {x.shape}")
     if not np.isfinite(x).all():
@@ -376,13 +383,13 @@ def estimate_hessian_bounds(model: SystemModel,
     out_dirs_h = _unit_directions(p, output_direction_samples, rng)
 
     stride = max(1, len(center_path) // max_centers)
-    centers = list(center_path)[::stride]
+    centers = [(_state(x, n, f"center_path[{k}]"), t)
+               for k, (x, t) in enumerate(center_path) if k % stride == 0]
     radii = np.linspace(0.0, radius, RADIAL_SAMPLES)
 
     kappa_a = 0.0
     kappa_c = 0.0
     for xc, t in centers:
-        xc = np.asarray(xc, dtype=float).reshape(-1)
         points = np.vstack([xc] + [xc + r * state_dirs for r in radii[1:]])
         # one stacked evaluation per centre and map, so memory stays flat in the path length
         Hf, Hh = (_stacked_hessians(model, points, t, which) for which in ("dynamics", "output"))

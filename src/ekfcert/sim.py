@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contraction import ContractionCertificate, _contraction_matrices
+from .contraction import ContractionCertificate, _contraction_matrices, _rate
 from .ekf import FilterTrajectory, _product, divergence_guard, integrate
 from .errors import ConfigurationError, PreconditionError
 from .model import SystemModel, _call, _finite, _jacobian_stage, _stacked_jacobians, _state
@@ -112,10 +112,9 @@ def integrate_truth(model: SystemModel, x0: np.ndarray, horizon: float,
     Returns the state trajectory and a callable y(t) = h(x(t), t) where
     x(t) interpolates the trajectory linearly; for linear output maps the
     signal is exactly the interpolated output. The interpolated states at the
-    RK4 stage times of the grid are tabled once (``interp`` stacks the bits
-    of its scalar form) and y reads them there, trying the row after the last
-    one read before a search (a filter run reads them in order); other times
-    interpolate.
+    RK4 stage times of the grid are tabled once and y reads the row after the
+    last one read when t is its time, as a filter run reads them; other times
+    interpolate, with the same bits (``interp`` stacks those of its scalar form).
     """
     x0 = _state(x0, model.state_dim, "x0")
     grid = time_grid(horizon, step)
@@ -131,10 +130,9 @@ def integrate_truth(model: SystemModel, x0: np.ndarray, horizon: float,
 
     def y(t: float) -> np.ndarray:
         nonlocal after
-        i = after if after < len(times) and times[after] == t else np.searchsorted(times, t)
-        if i < len(times) and times[i] == t:
-            after = i + 1
-            return model.h(table[i], t)
+        if after < len(times) and times[after] == t:
+            after += 1
+            return model.h(table[after - 1], t)
         return model.h(traj.at(t), t)
 
     return traj, y
@@ -157,7 +155,7 @@ def _stage_inputs(filter_run: FilterTrajectory) -> Callable[[float], tuple]:
 
 def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
                       disturbance: Disturbance | None = None) -> np.ndarray:
-    """Integrate virtual copies of the filter, one per row of the finite (B, n) ``starts``.
+    """Integrate virtual copies of the filter, one per state of the B >= 1 ``starts``.
 
     dz/dt = f(z,t) - K(t)(h(z,t) - y(t)) [+ b(z,t)], with the gains and
     measured outputs of the completed filter run at its RK4 stage times
@@ -167,19 +165,14 @@ def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
     The truth and the filter estimate are particular solutions of the
     undisturbed flow.
     """
-    try:
-        Z0 = np.asarray(starts, dtype=float)
-    except (TypeError, ValueError) as exc:   # ragged or non-numeric rows
-        raise ConfigurationError(
-            f"virtual starts must have shape (B, {model.state_dim}): {exc}") from None
-    if Z0.ndim != 2 or Z0.shape[1] != model.state_dim:
-        raise ConfigurationError(
-            f"virtual starts must have shape (B, {model.state_dim}), got {Z0.shape}")
-    if not np.isfinite(Z0).all():
-        raise ConfigurationError(f"virtual starts must be finite, got {Z0.tolist()}")
+    n = model.state_dim
+    Z0 = np.array([_state(z, n, f"starts[{b}]")
+                   for b, z in enumerate(starts if np.iterable(starts) else [])])
+    if not len(Z0):
+        raise ConfigurationError(f"starts must hold at least one state, got {starts!r}")
     b_worst = 0.0
     stage_inputs = _stage_inputs(filter_run)
-    dot = _product(model.state_dim)
+    dot = _product(n)
 
     def rhs(t: float, Z: np.ndarray) -> np.ndarray:
         K, y = stage_inputs(t)
@@ -208,13 +201,6 @@ def _weighted_sq(covs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.einsum("ij,ij->i", delta, sol), sol
 
 
-def _in_weighted_basin(traj: FilterTrajectory, z0: np.ndarray,
-                       cert: ContractionCertificate) -> bool:
-    d = np.asarray(z0, dtype=float).reshape(1, -1) - traj.states[:1]
-    w = _weighted_sq(traj.covariances[:1], d)[0][0]
-    return not math.isfinite(cert.rho) or bool(w <= cert.rho ** 2 / cert.p_hi * (1.0 + 1e-12))
-
-
 def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
                z1_0: np.ndarray, z2_0: np.ndarray, *,
                certificate: ContractionCertificate | None = None) -> ExperimentRun:
@@ -228,8 +214,9 @@ def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
     recorded in info["within_basin"]; an outside start is flagged, not
     fatal.
     """
+    z1_0, z2_0 = _state(z1_0, model.state_dim, "z1_0"), _state(z2_0, model.state_dim, "z2_0")
     times = filter_run.times
-    Z = integrate_virtual(model, filter_run, [np.ravel(z1_0), np.ravel(z2_0)])
+    Z = integrate_virtual(model, filter_run, [z1_0, z2_0])
     delta = Z[:, 0] - Z[:, 1]
     weighted, _ = _weighted_sq(filter_run.covariances, delta)
     euclid = np.linalg.norm(delta, axis=1)
@@ -239,9 +226,9 @@ def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
         "fitted_rate_euclid": fit_exponential_rate(times, euclid),
     }
     if certificate is not None:
-        inside = (_in_weighted_basin(filter_run, z1_0, certificate)
-                  and _in_weighted_basin(filter_run, z2_0, certificate))
-        info["within_basin"] = inside
+        w = _weighted_sq(filter_run.covariances[[0, 0]], Z[0] - filter_run.states[0])[0]
+        info["within_basin"] = not math.isfinite(certificate.rho) or bool(
+            (w <= certificate.rho ** 2 / certificate.p_hi * (1.0 + 1e-12)).all())
         info["gamma"] = certificate.gamma
         info["rate_pass"] = (None if math.isnan(rate)   # no signal
                              else bool(rate >= 2.0 * certificate.gamma * RATE_SLACK))
@@ -285,14 +272,15 @@ def perturbed_run(model: SystemModel, filter_run: FilterTrajectory,
     two candidate ball radii: sqrt(p_hi/p_lo) * gamma * b_max and
     sqrt(p_hi/p_lo) * b_max / gamma. Only the second (the standard
     gain/rate form) drives the pass flag; both are reported. ``gamma``
-    defaults to q_lo / (4 p_hi). The run is one virtual row on the filter's grid.
+    defaults to q_lo / (4 p_hi); the ball divides by it, so it must lie in
+    (0, q_lo / (2 p_hi)]. The run is one virtual row on the filter's grid.
     """
-    if gamma is None:
-        gamma = filter_run.config.q_lo / (4.0 * filter_run.p_hi)
-    if not 0.0 < gamma < math.inf:
-        raise ConfigurationError(f"gamma must be positive and finite, got {gamma}")
+    if gamma is not None and not gamma > 0.0:
+        raise ConfigurationError(f"gamma must be positive, got {gamma}")
+    gamma = _rate(gamma, filter_run.config.q_lo, filter_run.p_hi)
+    z0 = _state(z0, model.state_dim, "z0")
     times = filter_run.times
-    z = integrate_virtual(model, filter_run, [np.ravel(z0)], disturbance)[:, 0]
+    z = integrate_virtual(model, filter_run, [z0], disturbance)[:, 0]
     delta = z - filter_run.states
     euclid = np.linalg.norm(delta, axis=1)
     weighted, _ = _weighted_sq(filter_run.covariances, delta)

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 
@@ -184,9 +185,8 @@ def test_ragged_twin_starts_are_a_configuration_error(tmp_path, capsys):
                   twin={"z1_0": [0.3, 0.2, 0.1], "z2_0": [0.1, 0.1]})
     out = tmp_path / "out"
     assert main(["twin", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: virtual starts must have shape (B, 2)")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        "configuration error: z1_0 must have shape (2,), got (3,)\n")
     assert not (out / "summary.json").exists()
 
 
@@ -255,7 +255,7 @@ def _scalar_filter(**extra):
      "beta must be nonnegative and finite, got inf"),
     ("perturb", scalar_cfg(horizon=1.0, gamma=math.nan), "config field gamma is not a number: nan"),
     ("perturb", scalar_cfg(horizon=1.0, gamma=math.inf),
-     "gamma must be positive and finite, got inf"),
+     "gamma = inf outside [0, q_lo/(2 p_hi)] = [0, 0.25]"),
     ("perturb", scalar_cfg(horizon=1.0, perturb={"vector": [math.nan]}),
      "b_max must be nonnegative and finite, got nan"),
     ("simulate", scalar_cfg(horizon=1.0, system={"name": "scalar-riccati", "params": [1, 2]}),
@@ -273,7 +273,7 @@ def _scalar_filter(**extra):
     ("simulate", scalar_cfg(horizon=1.0, truth={"x0": [math.nan]}),
      "x0 must be finite, got [nan]"),
     ("twin", scalar_cfg(horizon=1.0, twin={"z1_0": [math.nan], "z2_0": [0.1]}),
-     "virtual starts must be finite, got [[nan], [0.1]]"),
+     "z1_0 must be finite, got [nan]"),
     ("perturb", scalar_cfg(horizon=1.0, perturb={"type": "sin", "vector": [0.01],
                                                  "freq": math.inf}),
      "perturb.freq must be finite, got inf"),
@@ -392,6 +392,78 @@ def test_an_output_directory_that_cannot_be_created_is_a_configuration_error(tmp
         assert err.startswith(f"configuration error: cannot create output directory {out}: ")
         assert err.count("\n") == 1
     assert afile.read_text() == ""
+
+
+def test_an_output_file_that_cannot_be_written_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "summary.json").mkdir(parents=True)
+    assert main(["simulate", "--config", write_cfg(tmp_path, scalar_cfg(horizon=1.0)),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: cannot write {out / 'summary.json'}: ")
+    assert captured.err.count("\n") == 1
+    assert "wrote" not in captured.out
+    assert (out / "trajectory.csv").is_file()   # written before the summary failed
+
+
+def _with(make_cfg, key, value, **extra):
+    cfg = make_cfg(horizon=1.0, **extra)
+    *sections, field = key.split(".")
+    node = cfg
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[field] = value
+    return cfg
+
+
+def _kappa_free():
+    return scalar_cfg(horizon=1.0, hessian={}, twin=_SCALAR_TWINS)
+
+
+_SCALAR_TWINS = {"z1_0": [0.3], "z2_0": [0.1]}
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("certify", _with(_sampled_cfg, "hessian.centers", 10 ** 7),
+     "hessian.centers must be <= 1000000, got 10000000"),
+    *[(command, _kappa_free(), "config needs hessian.radius (or explicit hessian.kappa_A/kappa_C)")
+      for command in ("certify", "twin", "envelope")],
+    ("certify", _with(_sampled_cfg, "hessian.safety", "x"),
+     "config field hessian.safety is not a number: 'x'"),
+    *[(command, _with(scalar_cfg, "gamma", "x", twin=_SCALAR_TWINS),
+       "config field gamma is not a number: 'x'")
+      for command in ("certify", "twin", "perturb", "envelope")],
+    ("twin", _with(scalar_cfg, "twin.z1_0", "x"), "config field twin.z1_0 is not numeric: 'x'"),
+    ("perturb", _with(scalar_cfg, "perturb.type", "ramp"), "unknown perturb.type 'ramp'"),
+    ("perturb", _with(_sin_perturb_cfg, "perturb.freq", math.inf),
+     "perturb.freq must be finite, got inf"),
+    ("perturb", _with(scalar_cfg, "perturb.z0", "x"), "config field perturb.z0 is not numeric: 'x'"),
+])
+def test_every_config_value_is_read_before_the_first_integration(tmp_path, capsys, monkeypatch,
+                                                                command, cfg, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the truth run started before the config was read")
+
+    monkeypatch.setattr(cli, "integrate_truth", no_run)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (out / "summary.json").exists()
+
+
+def test_perturb_refuses_a_rate_above_the_certificate_cap_as_twin_does(tmp_path, capsys):
+    cfg = vdp_cfg(gamma=10, hessian={"kappa_A": 0.5, "kappa_C": 0.0},
+                  twin={"z1_0": [0.3, 0.2], "z2_0": [0.1, 0.1]})
+    path = write_cfg(tmp_path, cfg)
+    errors = []
+    for command in ("twin", "perturb"):
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 2, command
+        errors.append(capsys.readouterr().err)
+        assert not (out / "summary.json").exists()
+    assert errors[0] == errors[1]
+    assert re.fullmatch(r"configuration error: gamma = 10 outside \[0, q_lo/\(2 p_hi\)\] = "
+                        r"\[0, [0-9.e-]+\]\n", errors[1])
 
 
 def test_certify_with_an_underflowing_output_curvature_has_an_infinite_zeta_plus(tmp_path):

@@ -343,7 +343,7 @@ def _small_run():
     (lambda: ek.integrate_truth(ek.make("scalar-riccati").model, np.array([math.nan]), 0.2, 0.05),
      "x0 must be finite"),
     (lambda: ek.integrate_virtual(ek.make("scalar-riccati").model, _small_run(),
-                                  [[0.1], [math.inf]]), "virtual starts must be finite"),
+                                  [[0.1], [math.inf]]), re.escape("starts[1] must be finite")),
     (lambda: ek.variational_validator(ek.make("scalar-riccati").model, _small_run(),
                                       np.array([math.nan])), "z0 must be finite"),
     (lambda: ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=math.nan), "b_max must be"),

@@ -299,12 +299,27 @@ def test_stacked_twin_run_equals_two_single_row_runs(scalar_rig, cubic_rig):
         assert np.array_equal(run.euclid_dist, np.abs(both[:, 0] - both[:, 1])[:, 0])
 
 
-def test_virtual_starts_must_match_the_state_dimension(scalar_rig):
-    model, traj = ek.make("vanderpol-pos").model, scalar_rig["traj"]
-    for starts in ([0.1, 0.2], [[0.1, 0.2, 0.3]], np.zeros((1, 2, 1)),
-                   [[0.3, 0.2, 0.1], [0.1, 0.1]], [[0.3, 0.2], [0.1]], [[0.3, 0.2], "ab"]):
-        with pytest.raises(ek.ConfigurationError, match=r"shape \(B, 2\)"):
+def _vdp_run():
+    model = ek.make("vanderpol-pos").model
+    config = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
+                             x0=np.array([0.3, 0.2]), horizon=0.2, step=0.05)
+    return model, ek.integrate_ekf(config, lambda t: np.array([0.3]))
+
+
+def test_virtual_starts_must_match_the_state_dimension():
+    model, traj = _vdp_run()
+    for starts, message in [([0.1, 0.2], "starts[0] must have shape (2,), got (1,)"),
+                            ([[0.1, 0.2, 0.3]], "starts[0] must have shape (2,), got (3,)"),
+                            ([[0.3, 0.2, 0.1], [0.1, 0.1]], "starts[0] must have shape (2,)"),
+                            ([[0.3, 0.2], [0.1]], "starts[1] must have shape (2,), got (1,)"),
+                            ([[0.3, 0.2], "ab"], "starts[1] must be numeric, got 'ab'"),
+                            ([], "starts must hold at least one state, got []"),
+                            (0.5, "starts must hold at least one state, got 0.5")]:
+        with pytest.raises(ek.ConfigurationError, match=re.escape(message)):
             ek.integrate_virtual(model, traj, starts)
+    # a (1, 2, 1) stack is one start, flattened as x0 is
+    assert np.array_equal(ek.integrate_virtual(model, traj, np.zeros((1, 2, 1))),
+                          ek.integrate_virtual(model, traj, np.zeros((1, 2))))
     with pytest.raises(ek.ConfigurationError):
         ek.twin_decay(model, traj, np.zeros(3), np.zeros(3))
     # the validator's start and tangent: not numpy's matmul error
@@ -312,6 +327,27 @@ def test_virtual_starts_must_match_the_state_dimension(scalar_rig):
         with pytest.raises(ek.ConfigurationError,
                            match=re.escape(f"{what} must have shape (2,), got (3,)")):
             ek.variational_validator(model, traj, z0, dz0=dz0)
+
+
+def test_perturbed_run_takes_the_rates_a_certificate_takes_but_zero():
+    model, traj = _vdp_run()
+    quiet = ek.Disturbance(b=lambda x, t: np.zeros(2), b_max=0.0)
+    bounds = ek.covariance_bounds_report(traj)
+    hess = ek.HessianBounds(alpha=1.0, kappa_A=0.0, kappa_C=0.0)
+    cap = traj.config.q_lo / (2.0 * traj.p_hi)
+    for gamma in (10.0, math.inf, 1.5 * cap):
+        with pytest.raises(ek.ConfigurationError, match=re.escape(
+                f"gamma = {gamma:.6g} outside [0, q_lo/(2 p_hi)] = [0, {cap:.6g}]")) as refused:
+            ek.perturbed_run(model, traj, quiet, traj.config.x0, gamma=gamma)
+        with pytest.raises(ek.ConfigurationError) as certified:
+            ek.make_certificate(bounds, hess, gamma)
+        assert str(refused.value) == str(certified.value)
+    for gamma in (0.0, -1.0, math.nan):   # the ball divides by gamma
+        with pytest.raises(ek.ConfigurationError, match="gamma must be positive"):
+            ek.perturbed_run(model, traj, quiet, traj.config.x0, gamma=gamma)
+    assert ek.perturbed_run(model, traj, quiet, traj.config.x0, gamma=cap).info["gamma"] == cap
+    default = ek.perturbed_run(model, traj, quiet, traj.config.x0).info["gamma"]
+    assert default == ek.make_certificate(bounds, hess).gamma
 
 
 def test_a_disturbance_must_return_one_entry_per_state():
