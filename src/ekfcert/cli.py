@@ -23,8 +23,8 @@ from . import bench
 from .contraction import compare_analyses, empirical_radius, make_certificate
 from .ekf import FilterConfig, FilterTrajectory, covariance_bounds_report, integrate_ekf
 from .errors import ConfigurationError, PreconditionError, RunFailure
-from .model import HessianBounds, estimate_hessian_bounds
-from .sim import (RATE_SLACK, Disturbance, envelope_check, integrate_truth,
+from .model import HessianBounds, _scalar, _scalars, estimate_hessian_bounds
+from .sim import (BALL_RATE_RULE, RATE_SLACK, Disturbance, envelope_check, integrate_truth,
                   perturbed_run, twin_decay)
 
 FLOAT_FMT = "%.17g"
@@ -177,9 +177,15 @@ def _prepare_run(cfg: dict):
     return entry.name, truth, traj
 
 
+def _gamma(cfg: dict, rule: str | None = None) -> float | None:
+    """The config's gamma or None, checked before the run but for its cap, which needs it."""
+    gamma = _read(cfg, "gamma", default=None)
+    return gamma if gamma is None else _scalar(gamma, "gamma", rule)
+
+
 def _certified_run(cfg: dict) -> tuple:
-    """_prepare_run's truth and filter runs, their bounds report and certificate
-    (declared or sampled curvature bounds); hessian.*, gamma and seed are read first."""
+    """_prepare_run's truth and filter runs, their bounds report and certificate (declared
+    or sampled curvature bounds); hessian.*, gamma and seed are read and checked first."""
     kappa_A = _read(cfg, "hessian.kappa_A", default=None)
     kappa_C = _read(cfg, "hessian.kappa_C", default=None)
     hess = None if kappa_A is None or kappa_C is None else HessianBounds(
@@ -189,14 +195,15 @@ def _certified_run(cfg: dict) -> tuple:
         if radius is None:
             raise ConfigurationError(
                 "config needs hessian.radius (or explicit hessian.kappa_A/kappa_C)")
-        options = {"safety": _read(cfg, "hessian.safety", default=1.1),
-                   "max_centers": _read(cfg, "hessian.centers", int, 25, maximum=MAX_COUNT),
-                   "seed": _read(cfg, "seed", int, 0, minimum=0)}
-    gamma = _read(cfg, "gamma", default=None)
+        options = _scalars(
+            radius=radius, safety=_read(cfg, "hessian.safety", default=1.1),
+            max_centers=_read(cfg, "hessian.centers", int, 25, maximum=MAX_COUNT),
+            seed=_read(cfg, "seed", int, 0, minimum=0))
+    gamma = _gamma(cfg)
     _, truth, traj = _prepare_run(cfg)
     report = covariance_bounds_report(traj)
     hess = hess or estimate_hessian_bounds(
-        traj.config.model, list(zip(traj.states, traj.times)), radius, **options)
+        traj.config.model, list(zip(traj.states, traj.times)), **options)
     return truth, traj, report, make_certificate(report, hess, gamma)
 
 
@@ -281,7 +288,7 @@ def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
     if not math.isfinite(freq):
         raise ConfigurationError(f"perturb.freq must be finite, got {freq}")
     z0 = _read(cfg, "perturb.z0", np.ndarray, None)
-    gamma = _read(cfg, "gamma", default=None)
+    gamma = _gamma(cfg, BALL_RATE_RULE)
     _, _, traj = _prepare_run(cfg)
     model = traj.config.model
     vec = np.zeros(model.state_dim) if vec is None else vec.reshape(-1)

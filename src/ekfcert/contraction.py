@@ -16,13 +16,14 @@ the results into a certificate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .model import (HessianBounds, SystemModel, _stacked_jacobians, _state, _unit_directions,
-                    eval_jacobians)
+from .model import (HessianBounds, SystemModel, _scalar, _scalars, _stacked_jacobians, _state,
+                    _unit_directions, eval_jacobians)
 
 # slack allowed when deciding lambda_max(S) <= 0 in floating point
 PSD_TOL_SCALE = 1e-9
@@ -106,10 +107,9 @@ def check_contraction_inequality(model: SystemModel, z: np.ndarray, xhat: np.nda
     """True iff M + 2 gamma P is negative semidefinite at the probe point.
 
     This is the pointwise contraction inequality; gamma must be
-    nonnegative.
+    nonnegative and finite.
     """
-    if not gamma >= 0.0:
-        raise ConfigurationError(f"gamma must be nonnegative, got {gamma}")
+    gamma = _scalar(gamma, "gamma")
     M = contraction_matrix(model, z, xhat, P, Q, R, t)
     return bool(_negative_semidefinite(M + 2.0 * gamma * P))
 
@@ -137,8 +137,8 @@ def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
     therefore surface at a step where a per-probe loop would already have
     stopped at an earlier failing direction.
     """
-    if not gamma >= 0.0:
-        raise ConfigurationError(f"gamma must be nonnegative, got {gamma}")
+    gamma, direction_samples, seed = _scalars(gamma=gamma, direction_samples=direction_samples,
+                                              seed=seed).values()
     xhat = _state(xhat, model.state_dim, "xhat")
     rng = np.random.default_rng(seed)
     dirs = _unit_directions(len(xhat), direction_samples, rng)
@@ -184,18 +184,12 @@ def zeta_plus(kappa_A: float, kappa_C: float, p_hi: float, q_lo: float,
     The root is the analytic contraction-region radius. Degenerate cases:
     kappa_C = 0 reduces to the linear equation, kappa_A = 0 to a pure
     square root, and both zero means the inequality holds at every radius,
-    returned as +inf; so is a root whose denominator underflows to 0.
+    returned as +inf; so is a root whose denominator underflows to 0. The
+    bounds are read as make_certificate reads them, and gamma under its cap.
     """
-    if not (p_hi > 0.0 and q_lo > 0.0 and r_lo > 0.0):
-        raise ConfigurationError("p_hi, q_lo, r_lo must be positive")
-    if not (kappa_A >= 0.0 and kappa_C >= 0.0):
-        raise ConfigurationError("kappa bounds must be nonnegative")
-    slack = q_lo - 2.0 * gamma * p_hi
-    if not (gamma >= 0.0 and slack >= -PSD_TOL_SCALE * q_lo):
-        raise ConfigurationError(
-            f"gamma must lie in [0, q_lo/(2 p_hi)] = [0, {q_lo / (2.0 * p_hi):.6g}], "
-            f"got {gamma}")
-    slack = max(slack, 0.0)
+    p_hi, q_lo, r_lo, kappa_A, kappa_C = _spectral_bounds(
+        p_hi=p_hi, q_lo=q_lo, r_lo=r_lo, kappa_A=kappa_A, kappa_C=kappa_C).values()
+    slack = max(q_lo - 2.0 * _rate(gamma, q_lo, p_hi) * p_hi, 0.0)
     if kappa_C == 0.0:
         return _over(slack, 2.0 * p_hi * kappa_A)
     if kappa_A == 0.0:
@@ -206,14 +200,23 @@ def zeta_plus(kappa_A: float, kappa_C: float, p_hi: float, q_lo: float,
     return _over(2.0 * slack, b + math.sqrt(b * b + 4.0 * a * slack))
 
 
-def _rate(gamma: float | None, q_lo: float, p_hi: float) -> float:
-    """gamma, q_lo / (4 p_hi) if None; outside [0, q_lo / (2 p_hi)] a ConfigurationError."""
-    cap = q_lo / (2.0 * p_hi)
-    if gamma is None:
-        gamma = q_lo / (4.0 * p_hi)
-    if not 0.0 <= gamma <= cap * (1.0 + 1e-12):
+def _spectral_bounds(**bounds) -> dict:
+    """The given bounds (p_lo, p_hi, q_lo, r_lo, kappa_A, kappa_C, each optional) read by
+    _scalar, in order, with p_hi at least p_lo when both are given."""
+    bounds = _scalars(**bounds)
+    if "p_lo" in bounds and bounds["p_hi"] < bounds["p_lo"]:
         raise ConfigurationError(
-            f"gamma = {gamma:.6g} outside [0, q_lo/(2 p_hi)] = [0, {cap:.6g}]")
+            f"p_hi must be >= p_lo, got p_lo={bounds['p_lo']} and p_hi={bounds['p_hi']}")
+    return bounds
+
+
+def _rate(gamma: float | None, q_lo: float, p_hi: float, rule: str | None = None) -> float:
+    """gamma read by _scalar (under ``rule`` if given), q_lo / (4 p_hi) if None; above
+    the cap q_lo / (2 p_hi) a ConfigurationError. The one cap on every rate."""
+    cap = q_lo / (2.0 * p_hi)
+    gamma = q_lo / (4.0 * p_hi) if gamma is None else _scalar(gamma, "gamma", rule)
+    if gamma > cap * (1.0 + 1e-12):
+        raise ConfigurationError(f"gamma = {gamma!r} outside [0, q_lo/(2 p_hi)] = [0, {cap!r}]")
     return gamma
 
 
@@ -234,28 +237,26 @@ def make_certificate(bounds: dict, hess: HessianBounds,
     Raises
     ------
     ConfigurationError
-        If a bound is missing, if p_lo <= 0 (no certificate without a
-        positive covariance floor), or if gamma is out of range.
+        If a bound is missing or not finite, if p_lo <= 0 (no certificate
+        without a positive covariance floor), p_hi < p_lo or gamma out of range.
     """
     try:
-        p_lo, p_hi, q_lo, r_lo = (float(bounds[k]) for k in ("p_lo", "p_hi", "q_lo", "r_lo"))
+        p_lo, p_hi, q_lo, r_lo = (bounds[k] for k in ("p_lo", "p_hi", "q_lo", "r_lo"))
     except KeyError as exc:
         raise ConfigurationError(f"{exc.args[0]} missing from bounds report") from None
-    if p_lo <= 0.0:
+    if isinstance(p_lo, numbers.Real) and p_lo <= 0.0:
         raise ConfigurationError(
             f"certification refused: covariance floor p_lo = {p_lo:.3e} is not positive")
-    if p_hi < p_lo:
-        raise ConfigurationError("bounds report has p_hi < p_lo")
+    p_lo, p_hi, q_lo, r_lo = _spectral_bounds(p_lo=p_lo, p_hi=p_hi, q_lo=q_lo,
+                                              r_lo=r_lo).values()
     gamma = _rate(gamma, q_lo, p_hi)
     zeta = zeta_plus(hess.kappa_A, hess.kappa_C, p_hi, q_lo, r_lo, gamma)
     rho = min(hess.alpha, zeta)
-    basin = rho * math.sqrt(p_lo / p_hi)
     return ContractionCertificate(
-        gamma=float(gamma), zeta_plus=float(zeta), rho=float(rho),
-        p_lo=p_lo, p_hi=p_hi, q_lo=q_lo, r_lo=r_lo,
-        alpha=float(hess.alpha), kappa_A=float(hess.kappa_A),
-        kappa_C=float(hess.kappa_C), basin_euclid=float(basin),
-        envelope_factor=float(math.sqrt(p_hi / p_lo)), kappa_sampled=hess.sampled)
+        gamma=gamma, zeta_plus=zeta, rho=rho, p_lo=p_lo, p_hi=p_hi, q_lo=q_lo, r_lo=r_lo,
+        alpha=hess.alpha, kappa_A=hess.kappa_A, kappa_C=hess.kappa_C,
+        basin_euclid=rho * math.sqrt(p_lo / p_hi), envelope_factor=math.sqrt(p_hi / p_lo),
+        kappa_sampled=hess.sampled)
 
 
 def linear_output_check(model: SystemModel, traj, sample_states,
@@ -274,6 +275,7 @@ def linear_output_check(model: SystemModel, traj, sample_states,
         If the output Jacobian varies across the sampled states, i.e. the
         output map is not linear.
     """
+    gamma = _scalar(gamma, "gamma")
     threshold = traj.config.q_lo - 2.0 * gamma * traj.p_hi
     idx = np.unique(np.linspace(0, len(traj.times) - 1,
                                 min(OUTPUT_CHECK_TIMES, len(traj.times))).astype(int))
@@ -316,19 +318,13 @@ def compare_analyses(p_lo: float, p_hi: float, q_lo: float, r_lo: float,
 
     The Lyapunov row needs an output-Jacobian bound ``c_hi`` for its
     kappa_A = 0 basin; when c_hi is omitted that cell is None. The
-    second row never uses c_hi. Zero kappa entries yield +inf basins; the
-    kappas must be nonnegative (+inf included), the other bounds positive and
-    p_hi at least p_lo. Ratio cells divide row two by row one.
+    second row never uses c_hi. Zero kappa entries yield +inf basins. The
+    bounds are read as make_certificate reads them, and c_hi when given as
+    positive (+inf included). Ratio cells divide row two by row one.
     """
-    for name, v in (("p_lo", p_lo), ("p_hi", p_hi), ("q_lo", q_lo), ("r_lo", r_lo),
-                    ("c_hi", c_hi)):
-        if v is not None and not v > 0.0:   # only c_hi may be omitted
-            raise ConfigurationError(f"{name} must be positive, got {v}")
-    if p_hi < p_lo:
-        raise ConfigurationError(f"p_hi must be >= p_lo, got p_lo={p_lo} and p_hi={p_hi}")
-    if not (kappa_A >= 0.0 and kappa_C >= 0.0):
-        raise ConfigurationError(
-            f"kappa_A and kappa_C must be nonnegative, got {kappa_A} and {kappa_C}")
+    p_lo, p_hi, q_lo, r_lo, kappa_A, kappa_C = _spectral_bounds(
+        p_lo=p_lo, p_hi=p_hi, q_lo=q_lo, r_lo=r_lo, kappa_A=kappa_A, kappa_C=kappa_C).values()
+    c_hi = c_hi if c_hi is None else _scalar(c_hi, "c_hi")
 
     lyap = {
         "rate": q_lo * p_lo / (4.0 * p_hi ** 2),
@@ -371,6 +367,7 @@ def inflation_rate_gain(M: np.ndarray, P: np.ndarray, N: np.ndarray,
     p_hi = lambda_max(P).
     """
     M, P, N = (np.asarray(a, dtype=float) for a in (M, P, N))
+    gamma = _scalar(gamma, "gamma")
     if not _negative_semidefinite(M + 2.0 * gamma * P):
         raise PreconditionError("M + 2 gamma P is not negative semidefinite")
     n_lo = float(np.linalg.eigvalsh(0.5 * (N + N.T))[0])

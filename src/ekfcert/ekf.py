@@ -25,14 +25,14 @@ factorization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, CovarianceBoundViolation, DivergenceError
-from .model import SystemModel, _finite, _jacobian_stage, _state, eval_jacobians
+from .model import (SystemModel, _finite, _jacobian_stage, _scalar, _scalars, _state,
+                    eval_jacobians)
 from .ode import TimeSeries, rk4_step, stage_table, time_grid
 
 # states beyond this magnitude are treated as numerical blow-up
@@ -114,11 +114,12 @@ class FilterConfig:
     x0 : (n,) array
         Initial estimate, finite.
     horizon : float
-        Integration horizon T > 0; the run covers [0, T].
+        Integration horizon T, positive and finite; the run covers [0, T].
     step : float, optional
-        Fixed integrator step. Defaults to horizon / 2000.
+        Fixed integrator step in (0, T]. Defaults to horizon / 2000.
     beta : float
-        Rate of the exponential covariance inflation term 2 beta P.
+        Rate of the exponential covariance inflation term 2 beta P,
+        nonnegative and finite.
     N : (n, n) array, optional
         Constant additive inflation, finite symmetric positive semidefinite.
         Omitted means zero.
@@ -142,14 +143,11 @@ class FilterConfig:
         self.R, self.r_lo = _check_spd(self.R, "R", p)
         self.P0 = _check_spd(self.P0, "P0", n)[0]
         self.x0 = _state(self.x0, n, "x0")
-        if not 0.0 < self.horizon < math.inf:
-            raise ConfigurationError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.step is None:
-            self.step = self.horizon / 2000.0
-        if not 0.0 < self.step <= self.horizon:
-            raise ConfigurationError(f"step must lie in (0, horizon], got {self.step}")
-        if not 0.0 <= self.beta < math.inf:
-            raise ConfigurationError(f"beta must be nonnegative and finite, got {self.beta}")
+        self.horizon, self.beta = _scalars(horizon=self.horizon, beta=self.beta).values()
+        self.step = self.horizon / 2000.0 if self.step is None else _scalar(self.step, "step")
+        if self.step > self.horizon:
+            raise ConfigurationError(
+                f"step must be at most horizon = {self.horizon!r}, got {self.step!r}")
         self.N = (np.zeros((n, n)) if self.N is None
                   else _check_spd(self.N, "N", n, allow_zero=True)[0])
 

@@ -11,6 +11,7 @@ of the certifier.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -76,8 +77,8 @@ class SystemModel:
     jacobian_C: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.state_dim < 1 or self.output_dim < 1:
-            raise ConfigurationError("state_dim and output_dim must be positive")
+        self.state_dim, self.output_dim = _scalars(state_dim=self.state_dim,
+                                                   output_dim=self.output_dim).values()
 
     def f(self, x: np.ndarray, t: float) -> np.ndarray:
         return _call(self.dynamics, np.asarray(x, dtype=float), t, (self.state_dim,), "dynamics")
@@ -104,10 +105,8 @@ class HessianBounds:
     sampled: bool = False
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
-        if not (self.kappa_A >= 0.0 and self.kappa_C >= 0.0):
-            raise ConfigurationError("kappa bounds must be nonnegative")
+        self.alpha, self.kappa_A, self.kappa_C = _scalars(
+            alpha=self.alpha, kappa_A=self.kappa_A, kappa_C=self.kappa_C).values()
 
 
 def _evaluate(func: Callable[[np.ndarray, float], np.ndarray], points: np.ndarray,
@@ -191,6 +190,44 @@ def eval_jacobians(model: SystemModel, x: np.ndarray,
     """
     A, C = _stacked_jacobians(model, np.asarray(x, dtype=float).reshape(1, -1), t)
     return A[0], C[0]
+
+
+# the rule of every scalar argument of the package, by name, which _scalar applies;
+# a rule that does not say "finite" or "integer" allows +inf
+_RULES = {
+    **dict.fromkeys(["horizon", "step", "radius", "p_lo", "p_hi", "q_lo", "r_lo"],
+                    "positive and finite"),
+    **dict.fromkeys(["beta", "b_max", "gamma", "safety"], "nonnegative and finite"),
+    **dict.fromkeys(["alpha", "c_hi"], "positive"),
+    **dict.fromkeys(["kappa_A", "kappa_C"], "nonnegative"),
+    **dict.fromkeys(["state_dim", "output_dim", "max_centers"], "a positive integer"),
+    **dict.fromkeys(["direction_samples", "output_direction_samples", "seed"],
+                    "a nonnegative integer"),
+}
+
+
+def _scalar(value, what: str, rule: str | None = None):
+    """The scalar argument ``what`` under ``rule`` (default ``_RULES[what]``), read at every
+    entry point: a real number, not a boolean or a string, that is positive or nonnegative,
+    finite unless the rule allows +inf, and whole for an integer rule, returned as a float
+    (an int for an integer rule); else a ConfigurationError "<what> must be <rule>, got <value>"."""
+    rule = rule or _RULES[what]
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:   # an int beyond the float range
+        x = math.inf if value > 0 else -math.inf
+    integer = rule.endswith("integer")
+    if not ((x >= 0.0 if "nonnegative" in rule else x > 0.0)
+            and ((isinstance(value, numbers.Integral) or x.is_integer()) if integer
+                 else math.isfinite(x) or not rule.endswith("finite"))):
+        raise ConfigurationError(f"{what} must be {rule}, got {value if real else repr(value)}")
+    return int(value) if integer else x
+
+
+def _scalars(**values) -> dict:
+    """Each keyword value read by _scalar under its name's rule, in order."""
+    return {what: _scalar(value, what) for what, value in values.items()}
 
 
 def _state(value, n: int, what: str) -> np.ndarray:
@@ -365,16 +402,14 @@ def estimate_hessian_bounds(model: SystemModel,
     radius : float
         Ball radius alpha. Must be positive and finite.
     safety : float
-        Multiplicative inflation applied to the sampled maxima.
+        Multiplicative inflation applied to the sampled maxima, nonnegative and finite.
     """
-    if not np.isfinite(radius) or radius <= 0.0:
-        raise ConfigurationError(f"sampling radius must be positive and finite, got {radius}")
+    radius, safety, direction_samples, output_direction_samples, max_centers, seed = (
+        _scalars(radius=radius, safety=safety, direction_samples=direction_samples,
+                 output_direction_samples=output_direction_samples, max_centers=max_centers,
+                 seed=seed).values())
     if len(center_path) == 0:
         raise ConfigurationError("center_path must contain at least one point")
-    if max_centers < 1:
-        raise ConfigurationError(f"max_centers must be positive, got {max_centers}")
-    if not 0.0 <= safety < math.inf:
-        raise ConfigurationError(f"safety must be nonnegative and finite, got {safety}")
     rng = np.random.default_rng(seed)
 
     n, p = model.state_dim, model.output_dim

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
+from .model import _scalars
 
 
 def time_grid(horizon: float, step: float) -> np.ndarray:
@@ -26,12 +27,9 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
     The realized step is horizon/n with n = round(horizon/step), so the grid
     always lands exactly on the horizon.
     """
-    if not 0.0 < horizon < np.inf:
-        raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
-    if not step > 0.0:
-        raise ConfigurationError(f"step must be positive, got {step}")
+    horizon, step = _scalars(horizon=horizon, step=step).values()
     n = max(1, int(round(horizon / step)))
-    return np.linspace(0.0, float(horizon), n + 1)
+    return np.linspace(0.0, horizon, n + 1)
 
 
 def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray],

@@ -25,7 +25,8 @@ import numpy as np
 from .contraction import ContractionCertificate, _contraction_matrices, _rate
 from .ekf import FilterTrajectory, _product, divergence_guard, integrate
 from .errors import ConfigurationError, PreconditionError
-from .model import SystemModel, _call, _finite, _jacobian_stage, _stacked_jacobians, _state
+from .model import (SystemModel, _call, _finite, _jacobian_stage, _scalar, _stacked_jacobians,
+                    _state)
 from .ode import TimeSeries, interp, stage_table, time_grid
 
 # absolute slack when comparing a near-zero steady radius against a zero ball
@@ -33,6 +34,7 @@ BALL_TOL = 1e-8
 FIT_WINDOW = (0.1, 0.9)   # fractions of the horizon fit_exponential_rate fits over
 FIT_FLOOR = 1e-12         # numerical zero: the log of smaller values would swamp the fit
 RATE_SLACK = 0.9          # twin_decay passes a fitted rate >= RATE_SLACK * 2 gamma
+BALL_RATE_RULE = "positive and finite"   # perturbed_run's gamma: its ball divides by it
 
 
 @dataclass
@@ -47,8 +49,7 @@ class Disturbance:
     b_max: float
 
     def __post_init__(self):
-        if not 0.0 <= self.b_max < math.inf:
-            raise ConfigurationError(f"b_max must be nonnegative and finite, got {self.b_max}")
+        self.b_max = _scalar(self.b_max, "b_max")
 
 
 @dataclass
@@ -275,9 +276,7 @@ def perturbed_run(model: SystemModel, filter_run: FilterTrajectory,
     defaults to q_lo / (4 p_hi); the ball divides by it, so it must lie in
     (0, q_lo / (2 p_hi)]. The run is one virtual row on the filter's grid.
     """
-    if gamma is not None and not gamma > 0.0:
-        raise ConfigurationError(f"gamma must be positive, got {gamma}")
-    gamma = _rate(gamma, filter_run.config.q_lo, filter_run.p_hi)
+    gamma = _rate(gamma, filter_run.config.q_lo, filter_run.p_hi, BALL_RATE_RULE)
     z0 = _state(z0, model.state_dim, "z0")
     times = filter_run.times
     z = integrate_virtual(model, filter_run, [z0], disturbance)[:, 0]

@@ -255,7 +255,7 @@ def _scalar_filter(**extra):
      "beta must be nonnegative and finite, got inf"),
     ("perturb", scalar_cfg(horizon=1.0, gamma=math.nan), "config field gamma is not a number: nan"),
     ("perturb", scalar_cfg(horizon=1.0, gamma=math.inf),
-     "gamma = inf outside [0, q_lo/(2 p_hi)] = [0, 0.25]"),
+     "gamma must be positive and finite, got inf"),
     ("perturb", scalar_cfg(horizon=1.0, perturb={"vector": [math.nan]}),
      "b_max must be nonnegative and finite, got nan"),
     ("simulate", scalar_cfg(horizon=1.0, system={"name": "scalar-riccati", "params": [1, 2]}),
@@ -278,11 +278,15 @@ def _scalar_filter(**extra):
                                                  "freq": math.inf}),
      "perturb.freq must be finite, got inf"),
     ("compare", {"compare": dict(_compare_cfg()["compare"], kappa_A=-1.0)},
-     "kappa_A and kappa_C must be nonnegative, got -1.0 and 1.0"),
+     "kappa_A must be nonnegative, got -1.0"),
     ("compare", {"compare": dict(_compare_cfg()["compare"], c_hi=-2.0)},
      "c_hi must be positive, got -2.0"),
     ("compare", {"compare": dict(_compare_cfg()["compare"], p_lo=3.0)},
      "p_hi must be >= p_lo, got p_lo=3.0 and p_hi=1.0"),
+    ("compare", {"compare": dict(_compare_cfg()["compare"], p_hi=math.inf)},
+     "p_hi must be positive and finite, got inf"),
+    ("compare", {"compare": dict(_compare_cfg()["compare"], r_lo=math.inf)},
+     "r_lo must be positive and finite, got inf"),
 ])
 def test_a_nan_or_infinite_config_value_is_a_configuration_error(tmp_path, capsys, command,
                                                                   cfg, message):
@@ -438,6 +442,18 @@ _SCALAR_TWINS = {"z1_0": [0.3], "z2_0": [0.1]}
     ("perturb", _with(_sin_perturb_cfg, "perturb.freq", math.inf),
      "perturb.freq must be finite, got inf"),
     ("perturb", _with(scalar_cfg, "perturb.z0", "x"), "config field perturb.z0 is not numeric: 'x'"),
+    *[("certify", _with(_sampled_cfg, "hessian.radius", radius),
+       f"radius must be positive and finite, got {float(radius)}")
+      for radius in (-1, 0, math.inf)],
+    ("certify", _with(_sampled_cfg, "hessian.centers", 0),
+     "max_centers must be a positive integer, got 0"),
+    *[("certify", _with(_sampled_cfg, "hessian.safety", safety),
+       f"safety must be nonnegative and finite, got {float(safety)}")
+      for safety in (-1, math.inf)],
+    *[(command, _with(scalar_cfg, "gamma", gamma, twin=_SCALAR_TWINS),
+       f"gamma must be {'positive' if command == 'perturb' else 'nonnegative'} and finite, "
+       f"got {float(gamma)}")
+      for command in ("certify", "twin", "perturb", "envelope") for gamma in (-1, math.inf)],
 ])
 def test_every_config_value_is_read_before_the_first_integration(tmp_path, capsys, monkeypatch,
                                                                 command, cfg, message):
@@ -462,7 +478,7 @@ def test_perturb_refuses_a_rate_above_the_certificate_cap_as_twin_does(tmp_path,
         errors.append(capsys.readouterr().err)
         assert not (out / "summary.json").exists()
     assert errors[0] == errors[1]
-    assert re.fullmatch(r"configuration error: gamma = 10 outside \[0, q_lo/\(2 p_hi\)\] = "
+    assert re.fullmatch(r"configuration error: gamma = 10\.0 outside \[0, q_lo/\(2 p_hi\)\] = "
                         r"\[0, [0-9.e-]+\]\n", errors[1])
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,20 @@ def test_make_certificate_rejects_gamma_above_its_cap(p_lo, spread, q_lo, r_lo,
     assert ek.make_certificate(bounds, hess, gamma=under * cap).gamma == under * cap
 
 
+def test_the_gamma_cap_message_tells_a_refused_gamma_from_its_cap():
+    bounds, cap = _bounds(1.0, 1.0), 0.5
+    hess = ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=1.0)
+    for refuse in (lambda g: ek.make_certificate(bounds, hess, g),
+                   lambda g: ek.zeta_plus(1.0, 1.0, 1.0, 1.0, 1.0, g)):
+        with pytest.raises(ek.ConfigurationError) as refused:
+            refuse(cap * (1.0 + 1e-11))
+        shown = re.fullmatch(r"gamma = (\S+) outside \[0, q_lo/\(2 p_hi\)\] = \[0, (\S+)\]",
+                             str(refused.value))
+        assert shown and float(shown[1]) == cap * (1.0 + 1e-11) and float(shown[2]) == cap
+    # zeta_plus applies make_certificate's cap, not a wider slack of its own
+    assert ek.zeta_plus(1.0, 1.0, 1.0, 1.0, 1.0, cap * (1.0 + 1e-13)) == 0.0
+
+
 def _bounds(p_lo, p_hi, q_lo=1.0, r_lo=1.0):
     return {"p_lo": p_lo, "p_hi": p_hi, "q_lo": q_lo, "r_lo": r_lo}
 
@@ -454,10 +469,10 @@ def test_compare_analyses_degenerate_cells():
 
 
 def test_compare_analyses_rejects_p_hi_below_p_lo_as_make_certificate_does():
-    with pytest.raises(ek.ConfigurationError, match=r"p_hi must be >= p_lo, got p_lo=3\.0 "
-                                                    r"and p_hi=1\.0"):
+    message = r"^p_hi must be >= p_lo, got p_lo=3\.0 and p_hi=1\.0$"
+    with pytest.raises(ek.ConfigurationError, match=message):
         ek.compare_analyses(3.0, 1.0, 1.0, 1.0, 1.0, 1.0, c_hi=1.0)
-    with pytest.raises(ek.ConfigurationError, match="p_hi < p_lo"):
+    with pytest.raises(ek.ConfigurationError, match=message):
         ek.make_certificate({"p_lo": 3.0, "p_hi": 1.0, "q_lo": 1.0, "r_lo": 1.0},
                             ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=1.0))
     assert ek.compare_analyses(2.0, 2.0, 1.0, 1.0, 1.0, 1.0)["ratio"]["rate"] == 1.0

@@ -323,18 +323,22 @@ def _small_run():
     (lambda: ek.TimeSeries([0.0], 5.0), "one entry per time"),
     (lambda: ek.TimeSeries([math.nan], [[1.0]]), "times must be finite"),
     (lambda: ek.TimeSeries([0.0, math.inf], [[1.0], [2.0]]), "times must be finite"),
-    (lambda: ek.HessianBounds(alpha=1.0, kappa_A=math.nan, kappa_C=0.0), "kappa bounds"),
-    (lambda: ek.HessianBounds(alpha=1.0, kappa_A=0.0, kappa_C=math.nan), "kappa bounds"),
+    (lambda: ek.HessianBounds(alpha=1.0, kappa_A=math.nan, kappa_C=0.0),
+     "kappa_A must be nonnegative, got nan"),
+    (lambda: ek.HessianBounds(alpha=1.0, kappa_A=0.0, kappa_C=math.nan),
+     "kappa_C must be nonnegative, got nan"),
     (lambda: ek.estimate_hessian_bounds(ek.make("cubic-scalar").model, [(np.zeros(1), 0.0)],
                                         1.0, safety=math.nan), "safety must be nonnegative"),
-    (lambda: ek.zeta_plus(math.nan, 0.0, 1.0, 1.0, 1.0, 0.1), "kappa bounds"),
+    (lambda: ek.zeta_plus(math.nan, 0.0, 1.0, 1.0, 1.0, 0.1), "kappa_A must be nonnegative"),
     (lambda: ek.zeta_plus(0.0, 0.0, math.nan, 1.0, 1.0, 0.1), "must be positive"),
-    (lambda: ek.zeta_plus(0.1, 0.1, 1.0, 1.0, 1.0, math.nan), "gamma must lie"),
+    (lambda: ek.zeta_plus(0.1, 0.1, 1.0, 1.0, 1.0, math.nan),
+     "gamma must be nonnegative and finite"),
     (lambda: ek.empirical_radius(ek.make("scalar-riccati").model, np.zeros(1), np.eye(1),
                                  np.eye(1), np.eye(1), math.nan, 0.0), "gamma must be"),
     (lambda: ek.compare_analyses(math.nan, 1.0, 1.0, 1.0, 1.0, 1.0), "p_lo must be positive"),
-    (lambda: ek.compare_analyses(1.0, 1.0, 1.0, 1.0, -1.0, 1.0), "kappa_A and kappa_C must be"),
-    (lambda: ek.compare_analyses(1.0, 1.0, 1.0, 1.0, 1.0, math.nan), "kappa_A and kappa_C must be"),
+    (lambda: ek.compare_analyses(1.0, 1.0, 1.0, 1.0, -1.0, 1.0), "kappa_A must be nonnegative"),
+    (lambda: ek.compare_analyses(1.0, 1.0, 1.0, 1.0, 1.0, math.nan),
+     "kappa_C must be nonnegative"),
     (lambda: ek.compare_analyses(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -2.0), "c_hi must be positive"),
     (lambda: ek.compare_analyses(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, math.nan), "c_hi must be positive"),
     (lambda: _scalar_config(Q=np.array([[math.inf]])), "Q must be finite"),

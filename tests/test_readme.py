@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import ekfcert as ek
-from ekfcert import cli
+from ekfcert import cli, model
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -31,3 +31,10 @@ def test_the_cli_usage_names_exactly_the_parser_options():
         assert set(re.findall(r"--[a-z][a-z-]*", usage)) == options, command
     listed = re.findall(r"^- `(\w+)`:", README.split("\n## CLI\n", 1)[1], re.M)
     assert listed == list(cli._HANDLERS)
+
+
+def test_the_scalar_rules_table_is_the_readers_table():
+    rows = re.findall(r"^\| ([a-z ,+]+) \| (`.+`) \|$", README, re.M)
+    table = {name: rule.removesuffix(", +inf allowed")
+             for rule, names in rows for name in re.findall(r"`(\w+)`", names)}
+    assert table == model._RULES

@@ -1,0 +1,184 @@
+"""Every public entry point reads its scalar arguments through one reader.
+
+A bound, rate, radius, count or seed that breaks its rule (NaN, an infinity
+where the rule wants a finite value, a negative, a zero where it wants a
+positive value, a fraction where it wants a whole number, a boolean or a
+string) is a ConfigurationError that names the argument. The boundary values
+of each rule are accepted: 0 where it is nonnegative, +inf where README
+allows it (alpha, the kappas and c_hi).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ekfcert as ek
+
+MODEL = ek.make("vanderpol-pos").model   # n = 2, linear output
+N = MODEL.state_dim
+P, Q, R = np.array([[1.0, 0.2], [0.2, 0.8]]), np.eye(2), np.eye(1)
+GOOD = np.array([0.3, 0.2])
+RUN = ek.integrate_ekf(ek.FilterConfig(model=MODEL, Q=Q, R=R, P0=P, x0=GOOD,
+                                       horizon=0.2, step=0.05), lambda t: np.array([0.3]))
+QUIET = ek.Disturbance(b=lambda x, t: np.zeros(N), b_max=0.0)
+BOUNDS = {"p_lo": 0.5, "p_hi": 1.0, "q_lo": 1.0, "r_lo": 1.0}
+HESS = ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=1.0)
+SPECTRAL = dict(BOUNDS, kappa_A=1.0, kappa_C=1.0)
+
+POS_FIN, NONNEG_FIN = "positive and finite", "nonnegative and finite"
+POS, NONNEG = "positive", "nonnegative"   # +inf included
+POS_INT, NONNEG_INT = "a positive integer", "a nonnegative integer"
+RULES = {POS_FIN, NONNEG_FIN, POS, NONNEG, POS_INT, NONNEG_INT}
+
+
+def _config(**override):
+    return ek.FilterConfig(**{**dict(model=MODEL, Q=Q, R=R, P0=P, x0=GOOD, horizon=0.2,
+                                     step=0.05), **override})
+
+
+def _hessian_bounds(**override):
+    return ek.estimate_hessian_bounds(MODEL, [(GOOD, 0.0)], **{
+        **dict(radius=0.1, direction_samples=2, output_direction_samples=2), **override})
+
+
+def _radius(**override):
+    return ek.empirical_radius(MODEL, GOOD, P, Q, R, **{
+        **dict(gamma=0.1, t=0.0, direction_samples=2), **override})
+
+
+# (entry point, argument, its rule, call with the value v at that argument)
+ENTRY_POINTS = [
+    ("time_grid", "horizon", POS_FIN, lambda v: ek.time_grid(v, 0.05)),
+    ("time_grid", "step", POS_FIN, lambda v: ek.time_grid(1.0, v)),
+    ("FilterConfig", "horizon", POS_FIN, lambda v: _config(horizon=v, step=None)),
+    ("FilterConfig", "step", POS_FIN, lambda v: _config(step=v)),
+    ("FilterConfig", "beta", NONNEG_FIN, lambda v: _config(beta=v)),
+    ("integrate_truth", "horizon", POS_FIN, lambda v: ek.integrate_truth(MODEL, GOOD, v, 0.05)),
+    ("integrate_truth", "step", POS_FIN, lambda v: ek.integrate_truth(MODEL, GOOD, 0.2, v)),
+    ("SystemModel", "state_dim", POS_INT,
+     lambda v: ek.SystemModel(v, 1, MODEL.dynamics, MODEL.output)),
+    ("SystemModel", "output_dim", POS_INT,
+     lambda v: ek.SystemModel(2, v, MODEL.dynamics, MODEL.output)),
+    ("HessianBounds", "alpha", POS, lambda v: ek.HessianBounds(alpha=v, kappa_A=1.0, kappa_C=1.0)),
+    ("HessianBounds", "kappa_A", NONNEG,
+     lambda v: ek.HessianBounds(alpha=1.0, kappa_A=v, kappa_C=1.0)),
+    ("HessianBounds", "kappa_C", NONNEG,
+     lambda v: ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=v)),
+    ("estimate_hessian_bounds", "radius", POS_FIN, lambda v: _hessian_bounds(radius=v)),
+    ("estimate_hessian_bounds", "safety", NONNEG_FIN, lambda v: _hessian_bounds(safety=v)),
+    ("estimate_hessian_bounds", "direction_samples", NONNEG_INT,
+     lambda v: _hessian_bounds(direction_samples=v)),
+    ("estimate_hessian_bounds", "output_direction_samples", NONNEG_INT,
+     lambda v: _hessian_bounds(output_direction_samples=v)),
+    ("estimate_hessian_bounds", "max_centers", POS_INT, lambda v: _hessian_bounds(max_centers=v)),
+    ("estimate_hessian_bounds", "seed", NONNEG_INT, lambda v: _hessian_bounds(seed=v)),
+    ("empirical_radius", "gamma", NONNEG_FIN, lambda v: _radius(gamma=v)),
+    ("empirical_radius", "direction_samples", NONNEG_INT, lambda v: _radius(direction_samples=v)),
+    ("empirical_radius", "seed", NONNEG_INT, lambda v: _radius(seed=v)),
+    ("check_contraction_inequality", "gamma", NONNEG_FIN,
+     lambda v: ek.check_contraction_inequality(MODEL, GOOD, GOOD, P, Q, R, v, 0.0)),
+    ("linear_output_check", "gamma", NONNEG_FIN,
+     lambda v: ek.linear_output_check(MODEL, RUN, [GOOD], v)),
+    ("inflation_rate_gain", "gamma", NONNEG_FIN,
+     lambda v: ek.inflation_rate_gain(-np.eye(2), P, 0.1 * np.eye(2), v)),
+    *[("zeta_plus", name, rule, lambda v, i=i: ek.zeta_plus(
+        *[v if j == i else a for j, a in enumerate((1.0, 1.0, 1.0, 1.0, 1.0, 0.1))]))
+      for i, (name, rule) in enumerate([("kappa_A", NONNEG), ("kappa_C", NONNEG),
+                                        ("p_hi", POS_FIN), ("q_lo", POS_FIN),
+                                        ("r_lo", POS_FIN), ("gamma", NONNEG_FIN)])],
+    *[("make_certificate", name, POS_FIN,
+       lambda v, name=name: ek.make_certificate(dict(BOUNDS, **{name: v}), HESS))
+      for name in BOUNDS],
+    ("make_certificate", "gamma", NONNEG_FIN, lambda v: ek.make_certificate(BOUNDS, HESS, v)),
+    *[("compare_analyses", name, rule,
+       lambda v, name=name: ek.compare_analyses(**dict(SPECTRAL, **{name: v})))
+      for name, rule in [("p_lo", POS_FIN), ("p_hi", POS_FIN), ("q_lo", POS_FIN),
+                         ("r_lo", POS_FIN), ("kappa_A", NONNEG), ("kappa_C", NONNEG)]],
+    ("compare_analyses", "c_hi", POS, lambda v: ek.compare_analyses(**SPECTRAL, c_hi=v)),
+    ("Disturbance", "b_max", NONNEG_FIN, lambda v: ek.Disturbance(b=QUIET.b, b_max=v)),
+    ("perturbed_run", "gamma", POS_FIN,
+     lambda v: ek.perturbed_run(MODEL, RUN, QUIET, GOOD, gamma=v)),
+]
+IDS = [f"{entry}-{name}" for entry, name, _, _ in ENTRY_POINTS]
+
+# (values, the rules they break)
+BAD = [
+    (st.just(math.nan), RULES),
+    (st.just(-math.inf), RULES),
+    (st.just(math.inf), {POS_FIN, NONNEG_FIN, POS_INT, NONNEG_INT}),
+    (st.floats(-1e6, -1e-6) | st.integers(-10 ** 6, -1), RULES),
+    (st.sampled_from([0, 0.0]), {POS_FIN, POS, POS_INT}),
+    (st.floats(0.01, 100.0).filter(lambda x: not x.is_integer()), {POS_INT, NONNEG_INT}),
+    (st.just(True), RULES),
+    (st.just("1"), RULES),
+]
+
+
+def _breaking(rule):
+    return st.one_of([values for values, breaks in BAD if rule in breaks])
+
+
+@pytest.mark.parametrize("entry, name, rule, call", ENTRY_POINTS, ids=IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_scalar_that_breaks_its_rule_is_a_configuration_error_naming_it(entry, name, rule,
+                                                                           call, data):
+    value = data.draw(_breaking(rule))
+    with pytest.raises(ek.ConfigurationError) as refused:
+        call(value)
+    message = str(refused.value)
+    if entry == "make_certificate" and name == "p_lo" and message.startswith("certification"):
+        # a floor at or below zero is make_certificate's own refusal, which names p_lo
+        assert value <= 0.0 and " p_lo = " in message
+    else:
+        shown = repr(value) if isinstance(value, str) else str(value)
+        assert message == f"{name} must be {rule}, got {shown}"
+
+
+BOUNDARY = [(entry, name, call, value) for entry, name, rule, call in ENTRY_POINTS
+            for value in ([0, 0.0] if rule.startswith(("nonnegative", "a nonnegative")) else [])
+            + ([math.inf] if rule in (POS, NONNEG) else [])]
+
+
+@pytest.mark.parametrize("entry, name, call, value", BOUNDARY,
+                         ids=[f"{e}-{n}-{v}" for e, n, _, v in BOUNDARY])
+def test_the_boundary_of_each_rule_is_accepted(entry, name, call, value):
+    call(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ek.make_certificate(dict(BOUNDS, p_lo=math.nan), HESS),
+     "p_lo must be positive and finite, got nan"),
+    (lambda: ek.make_certificate(dict(BOUNDS, r_lo=math.inf), HESS),
+     "r_lo must be positive and finite, got inf"),
+    (lambda: ek.make_certificate(dict(BOUNDS, p_hi=math.inf), HESS),
+     "p_hi must be positive and finite, got inf"),
+    (lambda: _radius(seed=-1), "seed must be a nonnegative integer, got -1"),
+    (lambda: _hessian_bounds(seed=-1), "seed must be a nonnegative integer, got -1"),
+    (lambda: _hessian_bounds(max_centers=2.5), "max_centers must be a positive integer, got 2.5"),
+    (lambda: _hessian_bounds(max_centers=math.nan),
+     "max_centers must be a positive integer, got nan"),
+    (lambda: _hessian_bounds(direction_samples=-3),
+     "direction_samples must be a nonnegative integer, got -3"),
+    (lambda: _radius(gamma=math.inf), "gamma must be nonnegative and finite, got inf"),
+    (lambda: ek.check_contraction_inequality(MODEL, GOOD, GOOD, P, Q, R, math.inf, 0.0),
+     "gamma must be nonnegative and finite, got inf"),
+    (lambda: ek.inflation_rate_gain(-np.eye(2), P, np.eye(2), -1.0),
+     "gamma must be nonnegative and finite, got -1.0"),
+    (lambda: ek.time_grid(1.0, math.inf), "step must be positive and finite, got inf"),
+    (lambda: ek.zeta_plus(0.0, 0.0, 1.0, 1.0, 1.0, 0.5 + 1e-11),
+     "gamma = 0.50000000001 outside [0, q_lo/(2 p_hi)] = [0, 0.5]"),
+])
+def test_each_reproduced_gap_is_refused_naming_its_argument(call, message):
+    with pytest.raises(ek.ConfigurationError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+def test_an_integral_count_reads_as_the_integer():
+    assert (_hessian_bounds(max_centers=2.0, seed=3.0).kappa_A
+            == _hessian_bounds(max_centers=2, seed=3).kappa_A)
+    assert _radius(direction_samples=4.0, seed=np.int64(2)) == _radius(direction_samples=4, seed=2)
