@@ -23,9 +23,10 @@ from . import bench
 from .contraction import compare_analyses, empirical_radius, make_certificate
 from .ekf import FilterConfig, FilterTrajectory, covariance_bounds_report, integrate_ekf
 from .errors import ConfigurationError, PreconditionError, RunFailure
-from .model import HessianBounds, _scalar, _scalars, estimate_hessian_bounds
-from .sim import (BALL_RATE_RULE, RATE_SLACK, Disturbance, envelope_check, integrate_truth,
-                  perturbed_run, twin_decay)
+from .model import HessianBounds, _scalar, _scalars, _state, estimate_hessian_bounds
+# integrate_truth is not called here, but stays bound: perfbench/tracing.py wraps it by name
+from .sim import (BALL_RATE_RULE, RATE_SLACK, Disturbance, envelope_check,
+                  integrate_truth, perturbed_run, twin_decay)
 
 FLOAT_FMT = "%.17g"
 MAX_COUNT = 10 ** 6   # largest radius_times, direction_samples and hessian.centers
@@ -156,8 +157,10 @@ def _read(cfg: dict, path: str, kind: type = float, default=_REQUIRED, minimum=N
     return number
 
 
-def _prepare_run(cfg: dict):
-    """The registry name of the configured system, its truth run and the filter run."""
+def _prepare_run(cfg: dict, starts: dict | None = None, disturbance: Disturbance | None = None):
+    """The registry name of the configured system and its one filter run on the truth
+    start, with virtual rows from ``starts`` (name -> start, each read as a state of that
+    name) under ``disturbance``."""
     name = _read(cfg, "system.name", str)
     params = _read(cfg, "system.params", dict, {})
     entry = bench.make(name, **{key: _read(cfg, f"system.params.{key}") for key in params})
@@ -172,9 +175,9 @@ def _prepare_run(cfg: dict):
         beta=_read(cfg, "filter.beta", default=0.0),
         N=_read(cfg, "filter.N", np.ndarray, None))
     x0 = _read(cfg, "truth.x0", np.ndarray, fconfig.x0)
-    truth, y = integrate_truth(entry.model, x0, fconfig.horizon, fconfig.step)
-    traj = integrate_ekf(fconfig, y)
-    return entry.name, truth, traj
+    rows = None if starts is None else [_state(z, entry.model.state_dim, name)
+                                        for name, z in starts.items()]
+    return entry.name, integrate_ekf(fconfig, x0=x0, starts=rows, disturbance=disturbance)
 
 
 def _gamma(cfg: dict, rule: str | None = None) -> float | None:
@@ -183,9 +186,9 @@ def _gamma(cfg: dict, rule: str | None = None) -> float | None:
     return gamma if gamma is None else _scalar(gamma, "gamma", rule)
 
 
-def _certified_run(cfg: dict) -> tuple:
-    """_prepare_run's truth and filter runs, their bounds report and certificate (declared
-    or sampled curvature bounds); hessian.*, gamma and seed are read and checked first."""
+def _certified_run(cfg: dict, starts: dict | None = None) -> tuple:
+    """_prepare_run's filter run, its bounds report and certificate (declared or sampled
+    curvature bounds); hessian.*, gamma and seed are read and checked first."""
     kappa_A = _read(cfg, "hessian.kappa_A", default=None)
     kappa_C = _read(cfg, "hessian.kappa_C", default=None)
     hess = None if kappa_A is None or kappa_C is None else HessianBounds(
@@ -200,11 +203,11 @@ def _certified_run(cfg: dict) -> tuple:
             max_centers=_read(cfg, "hessian.centers", int, 25, maximum=MAX_COUNT),
             seed=_read(cfg, "seed", int, 0, minimum=0))
     gamma = _gamma(cfg)
-    _, truth, traj = _prepare_run(cfg)
+    _, traj = _prepare_run(cfg, starts)
     report = covariance_bounds_report(traj)
     hess = hess or estimate_hessian_bounds(
         traj.config.model, list(zip(traj.states, traj.times)), **options)
-    return truth, traj, report, make_certificate(report, hess, gamma)
+    return traj, report, make_certificate(report, hess, gamma)
 
 
 def _trajectory_columns(traj: FilterTrajectory) -> dict:
@@ -217,7 +220,7 @@ def _trajectory_columns(traj: FilterTrajectory) -> dict:
 
 
 def cmd_simulate(cfg: dict) -> tuple[dict, bool, dict | None]:
-    system, _, traj = _prepare_run(cfg)
+    system, traj = _prepare_run(cfg)
     report = covariance_bounds_report(traj)
     print(f"simulate: p_lo={report['p_lo']:.6g} p_hi={report['p_hi']:.6g} "
           f"q_lo={report['q_lo']:.6g}")
@@ -229,7 +232,7 @@ def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
     samples = _read(cfg, "radius_times", int, 9, minimum=0, maximum=MAX_COUNT)
     seed = _read(cfg, "seed", int, 0, minimum=0)   # numpy's generators reject negative seeds
     directions = _read(cfg, "direction_samples", int, 64, minimum=0, maximum=MAX_COUNT)
-    _, traj, report, cert = _certified_run(cfg)
+    traj, report, cert = _certified_run(cfg)
     idx = np.unique(np.linspace(0, len(traj.times) - 1, samples).astype(int))
     radii = [empirical_radius(traj.config.model, traj.states[k], traj.covariances[k],
                               traj.config.Q, traj.config.R, cert.gamma, float(traj.times[k]),
@@ -264,9 +267,9 @@ def cmd_compare(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_twin(cfg: dict) -> tuple[dict, bool, dict | None]:
-    starts = _read(cfg, "twin.z1_0", np.ndarray), _read(cfg, "twin.z2_0", np.ndarray)
-    _, traj, _, cert = _certified_run(cfg)
-    run = twin_decay(traj.config.model, traj, *starts, certificate=cert)
+    starts = {name: _read(cfg, f"twin.{name}", np.ndarray) for name in ("z1_0", "z2_0")}
+    traj, _, cert = _certified_run(cfg, starts)
+    run = twin_decay(traj.config.model, traj, *starts.values(), certificate=cert)
     # the rate guarantee only binds when both starts are inside the basin; a NaN
     # rate (rate_pass None: twins that never separate) is no signal, not a pass
     passed = run.info["rate_pass"] is True or not run.info["within_basin"]
@@ -287,15 +290,16 @@ def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
     freq = _read(cfg, "perturb.freq", default=1.0) if kind == "sin" else 0.0
     if not math.isfinite(freq):
         raise ConfigurationError(f"perturb.freq must be finite, got {freq}")
+    # the disturbed copy starts at the estimate's start unless perturb.z0 is given
     z0 = _read(cfg, "perturb.z0", np.ndarray, None)
+    z0 = _read(cfg, "filter.xhat0", np.ndarray) if z0 is None else z0
+    vec = np.zeros(z0.size) if vec is None else vec.reshape(-1)
     gamma = _gamma(cfg, BALL_RATE_RULE)
-    _, _, traj = _prepare_run(cfg)
-    model = traj.config.model
-    vec = np.zeros(model.state_dim) if vec is None else vec.reshape(-1)
     dist = Disturbance(b=(lambda x, t: vec) if kind == "const"
                        else (lambda x, t: vec * math.sin(freq * t)),
                        b_max=float(np.linalg.norm(vec)))
-    run = perturbed_run(model, traj, dist, traj.config.x0 if z0 is None else z0, gamma=gamma)
+    _, traj = _prepare_run(cfg, {"z0": z0}, dist)
+    run = perturbed_run(traj.config.model, traj, dist, z0, gamma=gamma)
     passed = run.info["within_standard"]
     print(f"perturb: steady_radius={run.info['steady_radius']:.6g} "
           f"ball_standard={run.info['ball_standard']:.6g} "
@@ -305,8 +309,8 @@ def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_envelope(cfg: dict) -> tuple[dict, bool, dict | None]:
-    truth, traj, _, cert = _certified_run(cfg)
-    report = envelope_check(traj, truth, cert)
+    traj, _, cert = _certified_run(cfg)
+    report = envelope_check(traj, cert)
     print(f"envelope: worst_margin={report.worst_margin:.6g} at "
           f"t={report.worst_time:.6g} within_basin={report.within_basin} "
           f"pass={report.passed}")

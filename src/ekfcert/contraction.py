@@ -184,8 +184,10 @@ def zeta_plus(kappa_A: float, kappa_C: float, p_hi: float, q_lo: float,
     The root is the analytic contraction-region radius. Degenerate cases:
     kappa_C = 0 reduces to the linear equation, kappa_A = 0 to a pure
     square root, and both zero means the inequality holds at every radius,
-    returned as +inf; so is a root whose denominator underflows to 0. The
-    bounds are read as make_certificate reads them, and gamma under its cap.
+    returned as +inf; so is a root whose denominator underflows to 0. With
+    both kappas positive, a zero right-hand side (gamma at its cap) has the
+    root 0, an infinite kappa_C included. The bounds are read as
+    make_certificate reads them, and gamma under its cap.
     """
     p_hi, q_lo, r_lo, kappa_A, kappa_C = _spectral_bounds(
         p_hi=p_hi, q_lo=q_lo, r_lo=r_lo, kappa_A=kappa_A, kappa_C=kappa_C).values()
@@ -194,6 +196,8 @@ def zeta_plus(kappa_A: float, kappa_C: float, p_hi: float, q_lo: float,
         return _over(slack, 2.0 * p_hi * kappa_A)
     if kappa_A == 0.0:
         return _over(math.sqrt(slack * r_lo), p_hi * kappa_C)
+    if slack == 0.0:   # not _over(0, NaN): a = inf makes 4 a slack NaN
+        return 0.0
     a = (p_hi ** 2 / r_lo) * kappa_C ** 2
     b = 2.0 * p_hi * kappa_A
     # the root (-b + sqrt(b^2 + 4 a slack)) / (2a) without its cancellation for small a
@@ -319,6 +323,8 @@ def compare_analyses(p_lo: float, p_hi: float, q_lo: float, r_lo: float,
     The Lyapunov row needs an output-Jacobian bound ``c_hi`` for its
     kappa_A = 0 basin; when c_hi is omitted that cell is None. The
     second row never uses c_hi. Zero kappa entries yield +inf basins. The
+    Lyapunov rate q_lo p_lo / (4 p_hi^2) of tiny bounds underflows to 0 (or
+    its denominator does): that cell and its ratio are then None too. The
     bounds are read as make_certificate reads them, and c_hi when given as
     positive (+inf included). Ratio cells divide row two by row one.
     """
@@ -326,8 +332,9 @@ def compare_analyses(p_lo: float, p_hi: float, q_lo: float, r_lo: float,
         p_lo=p_lo, p_hi=p_hi, q_lo=q_lo, r_lo=r_lo, kappa_A=kappa_A, kappa_C=kappa_C).values()
     c_hi = c_hi if c_hi is None else _scalar(c_hi, "c_hi")
 
+    rate = _over(q_lo * p_lo, 4.0 * p_hi ** 2)
     lyap = {
-        "rate": q_lo * p_lo / (4.0 * p_hi ** 2),
+        "rate": rate if 0.0 < rate < math.inf else None,
         "basin_kappa_C0": _over((p_lo / p_hi) * q_lo, 4.0 * kappa_A * p_hi),
         "basin_kappa_A0": (_over(q_lo * r_lo, 4.0 * c_hi * kappa_C * p_hi ** 2)
                            if c_hi is not None else None),
@@ -339,7 +346,7 @@ def compare_analyses(p_lo: float, p_hi: float, q_lo: float, r_lo: float,
                                 kappa_C * p_hi ** 1.5 * math.sqrt(2.0)),
     }
     ratios = {
-        "rate": contr["rate"] / lyap["rate"],
+        "rate": contr["rate"] / lyap["rate"] if lyap["rate"] is not None else None,
         "basin_kappa_C0": _safe_ratio(contr["basin_kappa_C0"], lyap["basin_kappa_C0"]),
         "basin_kappa_A0": (_safe_ratio(contr["basin_kappa_A0"], lyap["basin_kappa_A0"])
                            if lyap["basin_kappa_A0"] is not None else None),

@@ -1,4 +1,4 @@
-"""Continuous-time extended Kalman filter driven by a measurement signal.
+"""Continuous-time extended Kalman filter, run on measured data or on a simulated truth.
 
 The estimate and the Riccati covariance are integrated jointly with a
 fixed-step fourth-order Runge-Kutta scheme:
@@ -15,12 +15,20 @@ symmetrized) and is checked for positive definiteness after every step,
 since every guarantee downstream is conditioned on uniform bounds
 p_lo I <= P(t) <= p_hi I holding along the run.
 
+A run on a simulated truth integrates one state, the rows
+[xhat; P; x; z_1 ... z_B]: each RK4 stage reads y = h(x, t) at the truth
+row's own stage state and applies its gain K to the estimate and to every
+virtual row dz/dt = f(z, t) - K (h(z, t) - y) [+ b(z, t)], of which the
+truth and the estimate are particular solutions.
+
 A stage calls each model callback once (model._jacobian_stage). With
 analytic Jacobians and a finite state it checks A and C for finiteness only
 when its (n + 1, n) derivative is not finite, which a non-finite entry of
-either makes it, so it fails as eval_jacobians would. A node gets the
-estimate's divergence guard, a finiteness check of P and a Cholesky
-factorization.
+either makes it, so it fails as eval_jacobians would. Truth or virtual rows
+that are not finite get a NaN derivative without a callback; a non-finite
+truth makes the whole stage NaN, so the node guard, which checks the truth
+row first, names it. A node gets the divergence guard of each row, a
+finiteness check of P and a Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -30,8 +38,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, CovarianceBoundViolation, DivergenceError
-from .model import (SystemModel, _finite, _jacobian_stage, _scalar, _scalars, _state,
+from .errors import (ConfigurationError, CovarianceBoundViolation, DivergenceError,
+                     PreconditionError)
+from .model import (SystemModel, _call, _finite, _jacobian_stage, _scalar, _scalars, _state,
                     eval_jacobians)
 from .ode import TimeSeries, rk4_step, stage_table, time_grid
 
@@ -193,17 +202,29 @@ def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
 
 @dataclass
 class FilterTrajectory:
-    """A completed filter run: node values, gains and the measured outputs it read.
+    """A completed filter run: node values, gains and the outputs it read.
 
     ``states`` has shape (m, n), ``covariances`` (m, n, n) and ``gains``
     (m, n, p) over the m grid nodes in ``times``; the first two are views of
-    the integrated (m, n + 1, n) rows [xhat; P]. ``stage_outputs`` (2m - 1, p)
-    holds the measured output y at the distinct RK4 stage times of the run,
-    in the rows of ``ode.stage_table(times)``. ``p_lo`` and ``p_hi`` are the
-    smallest and largest eigenvalues of P over the nodes, first reached at
-    ``t_at_p_lo`` and ``t_at_p_hi``. The configuration is kept so
-    downstream consumers (virtual system, certifier) can re-derive gains and
-    innovations without re-integrating.
+    the integrated rows [xhat; P]. ``truth`` (m, n) holds the truth nodes of
+    a run on a truth start, ``virtual`` (m, B, n) the nodes of the virtual
+    rows from its ``starts`` and ``disturbance`` the disturbance (a
+    ``sim.Disturbance``) they carried; each is None when the run had none.
+
+    ``stage_outputs`` (2m - 1, p) holds the output y at the distinct RK4
+    stage times of the run, in the rows of ``ode.stage_table(times)``. A run
+    on measured data reads one y per stage time. A run on a truth start
+    reads y at each stage from the truth's own stage state: a node row holds
+    y at the truth node, but stages 2 and 3 of a step read two different
+    truth states at the same midpoint time, and a midpoint row keeps the
+    stage 3 value. ``integrate_virtual`` and ``variational_validator``, which
+    read this table with the gains interpolated onto the stage times, are
+    therefore O(h^2) approximations of such a run's own stages.
+
+    ``p_lo`` and ``p_hi`` are the smallest and largest eigenvalues of P over
+    the nodes, first reached at ``t_at_p_lo`` and ``t_at_p_hi``. The
+    configuration is kept so downstream consumers (virtual system,
+    certifier) can re-derive gains and innovations without re-integrating.
     """
 
     times: np.ndarray
@@ -216,20 +237,75 @@ class FilterTrajectory:
     p_hi: float
     t_at_p_lo: float
     t_at_p_hi: float
+    truth: np.ndarray | None = None
+    virtual: np.ndarray | None = None
+    disturbance: object | None = None
+
+
+def _starts(starts, n: int) -> np.ndarray:
+    """The B >= 1 virtual starts as a (B, n) array, each read as the state "starts[b]"."""
+    Z0 = np.array([_state(z, n, f"starts[{b}]")
+                   for b, z in enumerate(starts if np.iterable(starts) else [])])
+    if not len(Z0):
+        raise ConfigurationError(f"starts must hold at least one state, got {starts!r}")
+    return Z0
+
+
+def _virtual_flow(model: SystemModel, disturbance, dot: Callable) -> tuple[Callable, Callable]:
+    """``rows(t, Z, K, y, out, finite)``, which writes the stage derivative of the virtual
+    rows Z (known finite if ``finite``) under the gain K and output y, plus b(z, t) of a
+    given disturbance, into ``out``, and ``check()``, which raises PreconditionError if
+    an ||b|| exceeded ``b_max``."""
+    b_worst = 0.0
+
+    def rows(t: float, Z: np.ndarray, K: np.ndarray, y: np.ndarray, out: np.ndarray,
+             finite: bool = False) -> np.ndarray:
+        nonlocal b_worst
+        if not (finite or _finite(Z)):   # no callback sees a non-finite state
+            out[:] = np.nan
+            return out
+        # each row runs the operations of a single copy
+        for b, z in enumerate(Z):
+            out[b] = model.f(z, t) - dot(K, model.h(z, t) - y)
+        if disturbance is not None:
+            for b, z in enumerate(Z):
+                bv = _call(disturbance.b, z, t, z.shape, "disturbance")
+                b_worst = max(b_worst, float(np.linalg.norm(bv)))
+                out[b] = out[b] + bv
+        return out
+
+    def check() -> None:
+        if disturbance is not None and b_worst > disturbance.b_max * (1.0 + 1e-9) + 1e-300:
+            raise PreconditionError(f"disturbance bound violated: observed {b_worst:.6g} "
+                                    f"> b_max {disturbance.b_max:.6g}")
+
+    return rows, check
 
 
 def integrate_ekf(config: FilterConfig,
-                  measurements: TimeSeries | Callable[[float], np.ndarray]) -> FilterTrajectory:
-    """Run the filter over [0, horizon] against the given measurement signal.
+                  measurements: TimeSeries | Callable[[float], np.ndarray] | None = None, *,
+                  x0: np.ndarray | None = None, starts=None,
+                  disturbance=None) -> FilterTrajectory:
+    """Run the filter over [0, horizon] on measured data or on a simulated truth.
 
     Parameters
     ----------
     config : FilterConfig
-    measurements : TimeSeries or callable t -> (p,) array
+    measurements : TimeSeries or callable t -> (p,) array, optional
         Measured output (a scalar is accepted when p = 1), evaluated exactly
         at the integrator stages, once per distinct stage time, so it must
         depend on t only. A TimeSeries is read as ``series.at``, linearly
-        interpolated between its nodes.
+        interpolated between its nodes. Give it or ``x0``, not both.
+    x0 : (n,) array, optional
+        True initial state. The truth dx/dt = f(x, t) is then a row of the
+        run's one RK4 state, and each stage reads y = h(x, t) at the truth's
+        own stage state (``FilterTrajectory.truth`` holds its nodes).
+    starts : sequence of (n,) arrays, optional
+        Starts of B >= 1 virtual copies, integrated as further rows under
+        each stage's own gain and output (``FilterTrajectory.virtual``).
+    disturbance : Disturbance, optional
+        Additive b(z, t) on every virtual row, none on the truth or the
+        estimate; its bound ``b_max`` must hold at every stage.
 
     Returns
     -------
@@ -238,77 +314,119 @@ def integrate_ekf(config: FilterConfig,
     Raises
     ------
     ConfigurationError
-        If a measurement does not have p entries.
+        If a measurement does not have p entries, or a start is not a state.
     DivergenceError
-        If the estimate leaves the ball of radius 1e12 or becomes
-        non-finite; the exception carries the first offending time.
+        If the truth, the estimate or a virtual row leaves the ball of radius
+        1e12 or becomes non-finite, checked in that order at each node; the
+        exception carries the first offending time.
     CovarianceBoundViolation
         If the integrated covariance loses positive definiteness; the
         exception carries the first offending time.
+    PreconditionError
+        If the disturbance exceeded its declared bound.
     """
     model = config.model
     n, p = model.state_dim, model.output_dim
+    if (measurements is None) == (x0 is None):
+        raise ConfigurationError("integrate_ekf takes either measurements or a truth start x0")
     grid = time_grid(config.horizon, config.step)
     stage_times, read_stage = stage_table(grid)
-    if isinstance(measurements, TimeSeries):
+    if x0 is not None:
+        x0 = _state(x0, n, "x0")
+    elif isinstance(measurements, TimeSeries):
         measurements = measurements.at
-    if not callable(measurements):
+    if x0 is None and not callable(measurements):
         raise ConfigurationError(
             f"expected a TimeSeries or a callable signal, got {type(measurements).__name__}")
+    # the rows [xhat; P; x; z_1 ... z_B] of one state, without the absent ones
+    rows = [config.x0[None], config.P0] + ([] if x0 is None else [x0[None]])
+    Z = n + 1 + (x0 is not None)   # the first virtual row
+    if starts is not None:
+        rows.append(_starts(starts, n))
     outputs = np.empty((len(stage_times), p))
     filled = -1   # the last stage-table row whose output has been read
     gains = np.empty((len(grid), n, p))
     Q, Rinv, N2, beta2 = config.Q, np.linalg.inv(config.R), 2.0 * config.N, 2.0 * config.beta
     dot = _product(n)
+    virtual_rows, check_disturbance = _virtual_flow(model, disturbance, dot)
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         nonlocal filled
         stage, row = read_stage(t)
-        if row > filled:
+        finite = _finite(state)   # one check for every row of a finite stage
+        if x0 is not None:   # y from the truth row's own stage state
+            x = state[n + 1]
+            if not (finite or _finite(x)):   # no callback sees it; the guard names the truth
+                outputs[row] = np.nan
+                return np.full_like(state, np.nan)
+            dx = model.f(x, t)
+            outputs[row] = model.h(x, t)
+        elif row > filled:
             y_t = np.asarray(measurements(t), dtype=float)
             if y_t.size != p:
                 raise ConfigurationError(f"measurement at t={t:.6g} has shape "
                                          f"{y_t.shape}, expected ({p},)")
             outputs[row] = y_t.reshape(p)
             filled = row
-        P = state[1:]
+        y, P, K = outputs[row], state[1:n + 1], None
 
         def derivative(A, C, f, h):
+            nonlocal K
             K = _gain(P, C, Rinv, dot)
             if stage == 0:   # a step's first stage runs at its node's state
                 gains[row >> 1] = K
-            dx = f - dot(K, h - outputs[row])
-            return np.concatenate((dx[None], _riccati(P, A, C, Q, Rinv, N2, beta2, dot)))
+            dxhat = f - dot(K, h - y)
+            return np.concatenate((dxhat[None], _riccati(P, A, C, Q, Rinv, N2, beta2, dot)))
 
-        return _jacobian_stage(model, state[0], t, state, derivative)
+        d = _jacobian_stage(model, state[0], t, finite, derivative)
+        if len(state) == n + 1:
+            return d
+        out = np.empty_like(state)
+        out[:n + 1] = d
+        if x0 is not None:
+            out[n + 1] = dx
+        if len(state) > Z:   # under the gain of this stage
+            virtual_rows(t, state[Z:], K, y, out[Z:], finite)
+        return out
 
-    estimate_guard = divergence_guard("estimate")
+    truth_guard, estimate_guard, virtual_guard = map(
+        divergence_guard, ("truth", "estimate", "virtual state"))
 
     def guard(t: float, state: np.ndarray) -> np.ndarray:
+        if x0 is not None:
+            truth_guard(t, state[n + 1])
         estimate_guard(t, state[0])
         # the full check only for a P whose squares overflow or are not finite
-        if not (_finite(state[1:]) or np.isfinite(state[1:]).all()):
+        P = state[1:n + 1]
+        if not (_finite(P) or np.isfinite(P).all()):
             raise DivergenceError(f"covariance diverged at t={t:.6g}", time=float(t))
         try:
-            np.linalg.cholesky(state[1:])
+            np.linalg.cholesky(P)
         except np.linalg.LinAlgError:
             raise CovarianceBoundViolation(
                 f"covariance lost positive definiteness at t={t:.6g}",
                 time=float(t)) from None
+        if len(state) > Z:
+            virtual_guard(t, state[Z:])
         return state
 
-    # the state is the rows [xhat; P] of one (n + 1, n) array
-    nodes = integrate(rhs, np.vstack((config.x0, config.P0)), grid, guard)
-    states, covs = nodes[:, 0], nodes[:, 1:]
+    nodes = integrate(rhs, np.vstack(rows), grid, guard)
+    check_disturbance()
+    states, covs = nodes[:, 0], nodes[:, 1:n + 1]
 
     _, C = eval_jacobians(model, states[-1], grid[-1])
     gains[-1] = _gain(covs[-1], C, Rinv, dot)
+    if x0 is not None:   # a node row holds y at the truth node, as stage 1 leaves the others
+        outputs[-1] = model.h(nodes[-1, n + 1], grid[-1])
     eigs = np.linalg.eigvalsh(covs)
     lo, hi = int(np.argmin(eigs[:, 0])), int(np.argmax(eigs[:, -1]))
     return FilterTrajectory(times=grid, states=states, covariances=covs,
                             gains=gains, config=config, stage_outputs=outputs,
                             p_lo=float(eigs[lo, 0]), p_hi=float(eigs[hi, -1]),
-                            t_at_p_lo=float(grid[lo]), t_at_p_hi=float(grid[hi]))
+                            t_at_p_lo=float(grid[lo]), t_at_p_hi=float(grid[hi]),
+                            truth=None if x0 is None else nodes[:, n + 1],
+                            virtual=None if starts is None else nodes[:, Z:],
+                            disturbance=disturbance)
 
 
 def covariance_bounds_report(traj: FilterTrajectory) -> dict:

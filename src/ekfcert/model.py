@@ -254,15 +254,17 @@ def _finite(a: np.ndarray) -> bool:
     return math.isfinite(np.vdot(a, a))
 
 
-def _jacobian_stage(model: SystemModel, x: np.ndarray, t: float, state: np.ndarray,
+def _jacobian_stage(model: SystemModel, x: np.ndarray, t: float, finite: bool,
                     derivative: Callable) -> np.ndarray:
-    """``derivative(A, C, f, h)`` at (x, t) for an RK4 stage whose state is
-    ``state``, calling each callback once. The stage returns or raises what
-    eval_jacobians, SystemModel.f and .h called in that order would give. With
-    analytic Jacobians and a finite state, A and C are checked only when the
-    stage raises or its derivative is not finite, which a non-finite entry of
-    A or C makes it: then eval_jacobians runs at (x, t) to name the failure."""
-    if model.jacobian_A is None or model.jacobian_C is None or not _finite(state):
+    """``derivative(A, C, f, h)`` at (x, t) for an RK4 stage whose state is known
+    ``finite`` (by _finite), calling each callback once. The stage returns or
+    raises what eval_jacobians, SystemModel.f and .h called in that order would
+    give. With analytic Jacobians and a finite state, A and C are checked only
+    when the stage raises or its derivative is not finite, which a non-finite
+    entry of A or C makes it: then eval_jacobians runs at (x, t) to name the
+    failure. A state not known finite takes the checked path, which gives the
+    same values and raises when x is not finite."""
+    if model.jacobian_A is None or model.jacobian_C is None or not finite:
         A, C = eval_jacobians(model, x, t)
         return derivative(A, C, model.f(x, t), model.h(x, t))
     n, p = model.state_dim, model.output_dim

@@ -3,10 +3,14 @@
 The virtual system dz/dt = f(z,t) - K(t)(h(z,t) - y(t)) has both the true
 state and the filter estimate as particular solutions, so every statement
 about the filter's convergence is a statement about pairs of its
-trajectories. This module integrates the truth, integrates virtual copies
-as rows of one RK4 run on the filter's grid under its gain schedule,
-measures weighted and Euclidean inter-trajectory distances, fits decay
-rates, and checks the certified error envelope and disturbance ball.
+trajectories. A filter run on a truth start (``integrate_ekf(config,
+x0=..., starts=...)``) integrates the truth and the virtual copies as rows
+of its own state, under each stage's own gain and output; the experiments
+here read those rows. On a finished run without them, ``integrate_virtual``
+integrates copies as rows of one RK4 run on the filter's grid under its
+gains interpolated onto the stage times, an O(h^2) approximation. The
+module measures weighted and Euclidean inter-trajectory distances, fits
+decay rates, and checks the certified error envelope and disturbance ball.
 
 The validator's RK4 stage checks Jacobians as the filter's does
 (model._jacobian_stage). A truth or virtual stage whose state fails
@@ -23,9 +27,10 @@ from typing import Callable
 import numpy as np
 
 from .contraction import ContractionCertificate, _contraction_matrices, _rate
-from .ekf import FilterTrajectory, _product, divergence_guard, integrate
-from .errors import ConfigurationError, PreconditionError
-from .model import (SystemModel, _call, _finite, _jacobian_stage, _scalar, _stacked_jacobians,
+from .ekf import (FilterTrajectory, _product, _starts, _virtual_flow, divergence_guard,
+                  integrate)
+from .errors import ConfigurationError
+from .model import (SystemModel, _finite, _jacobian_stage, _scalar, _stacked_jacobians,
                     _state)
 from .ode import TimeSeries, interp, stage_table, time_grid
 
@@ -107,36 +112,15 @@ def fit_exponential_rate(times: np.ndarray, values: np.ndarray) -> float:
 
 
 def integrate_truth(model: SystemModel, x0: np.ndarray, horizon: float,
-                    step: float) -> tuple[TimeSeries, Callable[[float], np.ndarray]]:
-    """Integrate dx/dt = f(x, t) and expose the measured output as a signal.
-
-    Returns the state trajectory and a callable y(t) = h(x(t), t) where
-    x(t) interpolates the trajectory linearly; for linear output maps the
-    signal is exactly the interpolated output. The interpolated states at the
-    RK4 stage times of the grid are tabled once and y reads the row after the
-    last one read when t is its time, as a filter run reads them; other times
-    interpolate, with the same bits (``interp`` stacks those of its scalar form).
-    """
+                    step: float) -> TimeSeries:
+    """Integrate dx/dt = f(x, t) alone; the nodes equal the truth row of a filter
+    run from the same start on the same grid bit for bit (``integrate_ekf(config,
+    x0=x0)``, which also reads the measured output from it)."""
     x0 = _state(x0, model.state_dim, "x0")
     grid = time_grid(horizon, step)
     states = integrate(lambda t, s: model.f(s, t) if _finite(s) else np.full_like(s, np.nan),
                        x0, grid, divergence_guard("truth"))
-    traj = TimeSeries(grid, states)
-    times = stage_table(grid)[0]
-    table = np.empty((len(times), model.state_dim))
-    for a in range(0, len(times), 256):   # in blocks: no temporary as large as the table
-        table[a:a + 256] = interp(grid, states, times[a:a + 256])
-
-    after = 0   # the table row after the last one read
-
-    def y(t: float) -> np.ndarray:
-        nonlocal after
-        if after < len(times) and times[after] == t:
-            after += 1
-            return model.h(table[after - 1], t)
-        return model.h(traj.at(t), t)
-
-    return traj, y
+    return TimeSeries(grid, states)
 
 
 def _stage_inputs(filter_run: FilterTrajectory) -> Callable[[float], tuple]:
@@ -156,44 +140,34 @@ def _stage_inputs(filter_run: FilterTrajectory) -> Callable[[float], tuple]:
 
 def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
                       disturbance: Disturbance | None = None) -> np.ndarray:
-    """Integrate virtual copies of the filter, one per state of the B >= 1 ``starts``.
+    """Integrate virtual copies of a finished filter run, one per state of the B >= 1
+    ``starts``.
 
-    dz/dt = f(z,t) - K(t)(h(z,t) - y(t)) [+ b(z,t)], with the gains and
-    measured outputs of the completed filter run at its RK4 stage times
+    dz/dt = f(z,t) - K(t)(h(z,t) - y(t)) [+ b(z,t)], with the run's gains
+    interpolated onto its RK4 stage times and the outputs it read there
     (the measurement is not evaluated again), as one RK4 run on its grid;
-    returns the (m, B, n) nodes. Each row is checked by the divergence
-    guard on its own, so a run stops where its first row would fail alone.
-    The truth and the filter estimate are particular solutions of the
-    undisturbed flow.
+    returns the (m, B, n) nodes. The interpolated gains make this an O(h^2)
+    approximation of the rows a filter run integrates itself (its
+    ``starts``). Each row is checked by the divergence guard on its own, so
+    a run stops where its first row would fail alone.
     """
-    n = model.state_dim
-    Z0 = np.array([_state(z, n, f"starts[{b}]")
-                   for b, z in enumerate(starts if np.iterable(starts) else [])])
-    if not len(Z0):
-        raise ConfigurationError(f"starts must hold at least one state, got {starts!r}")
-    b_worst = 0.0
+    Z0 = _starts(starts, model.state_dim)
     stage_inputs = _stage_inputs(filter_run)
-    dot = _product(n)
-
-    def rhs(t: float, Z: np.ndarray) -> np.ndarray:
-        K, y = stage_inputs(t)
-        if not _finite(Z):
-            return np.full_like(Z, np.nan)
-        # each row runs the operations of a single copy
-        dZ = [model.f(z, t) - dot(K, model.h(z, t) - y) for z in Z]
-        if disturbance is not None:
-            nonlocal b_worst
-            for b, z in enumerate(Z):
-                bv = _call(disturbance.b, z, t, z.shape, "disturbance")
-                b_worst = max(b_worst, float(np.linalg.norm(bv)))
-                dZ[b] = dZ[b] + bv
-        return np.array(dZ)
-
-    nodes = integrate(rhs, Z0, filter_run.times, divergence_guard("virtual state"))
-    if disturbance is not None and b_worst > disturbance.b_max * (1.0 + 1e-9) + 1e-300:
-        raise PreconditionError(
-            f"disturbance bound violated: observed {b_worst:.6g} > b_max {disturbance.b_max:.6g}")
+    rows, check = _virtual_flow(model, disturbance, _product(model.state_dim))
+    nodes = integrate(lambda t, Z: rows(t, Z, *stage_inputs(t), np.empty_like(Z)), Z0,
+                      filter_run.times, divergence_guard("virtual state"))
+    check()
     return nodes
+
+
+def _virtual_rows(model: SystemModel, filter_run: FilterTrajectory, starts: list,
+                  disturbance: Disturbance | None = None) -> np.ndarray:
+    """The (m, B, n) virtual rows from ``starts``: the run's own rows when it integrated
+    exactly these starts under this disturbance, else ``integrate_virtual`` on it."""
+    if (filter_run.virtual is not None and filter_run.disturbance is disturbance
+            and filter_run.virtual[0].tobytes() == np.asarray(starts).tobytes()):
+        return filter_run.virtual
+    return integrate_virtual(model, filter_run, starts, disturbance)
 
 
 def _weighted_sq(covs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,8 +181,9 @@ def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
                certificate: ContractionCertificate | None = None) -> ExperimentRun:
     """Two virtual trajectories under the filter's gain; distance decay.
 
-    The twins are the two rows of one virtual run on the filter's grid. The
-    weighted squared distance (z1-z2)^T P(t)^{-1} (z1-z2) should decay at
+    The twins are two virtual rows: the run's own when it integrated exactly
+    these two starts (``integrate_ekf(..., starts=[z1_0, z2_0])``), else the
+    rows of ``integrate_virtual`` on it. The weighted squared distance (z1-z2)^T P(t)^{-1} (z1-z2) should decay at
     rate 2 gamma inside the certified region; its fitted rate is returned
     in the run. When a certificate is supplied, membership of both initial
     points in the weighted basin (d^T P(0)^{-1} d <= rho^2/p_hi) is
@@ -217,7 +192,7 @@ def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
     """
     z1_0, z2_0 = _state(z1_0, model.state_dim, "z1_0"), _state(z2_0, model.state_dim, "z2_0")
     times = filter_run.times
-    Z = integrate_virtual(model, filter_run, [z1_0, z2_0])
+    Z = _virtual_rows(model, filter_run, [z1_0, z2_0])
     delta = Z[:, 0] - Z[:, 1]
     weighted, _ = _weighted_sq(filter_run.covariances, delta)
     euclid = np.linalg.norm(delta, axis=1)
@@ -237,19 +212,20 @@ def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
                          fitted_rate=rate, info=info)
 
 
-def envelope_check(filter_run: FilterTrajectory, truth: TimeSeries,
+def envelope_check(filter_run: FilterTrajectory,
                    certificate: ContractionCertificate) -> EnvelopeReport:
     """Compare ||xhat(t) - x(t)|| against its certified exponential envelope.
 
-    The envelope is envelope_factor * ||e(0)|| * exp(-gamma t). The
-    initial error must lie inside basin_euclid for the certificate to
-    apply; membership is reported, and the check proceeds either way. The
-    truth must be sampled on the filter run's grid.
+    The truth x is the run's own truth row, so the run must have been made
+    on a truth start (``integrate_ekf(config, x0=...)``). The envelope is
+    envelope_factor * ||e(0)|| * exp(-gamma t). The initial error must lie
+    inside basin_euclid for the certificate to apply; membership is
+    reported, and the check proceeds either way.
     """
+    if filter_run.truth is None:
+        raise ConfigurationError("envelope_check needs a filter run on a truth start x0")
     times = filter_run.times
-    if not np.array_equal(truth.times, times):
-        raise ConfigurationError("the truth series must lie on the filter run's grid")
-    err = np.linalg.norm(filter_run.states - truth.values, axis=1)
+    err = np.linalg.norm(filter_run.states - filter_run.truth, axis=1)
     e0 = float(err[0])
     env = certificate.envelope_factor * e0 * np.exp(-certificate.gamma * times)
     margins = env - err
@@ -274,12 +250,14 @@ def perturbed_run(model: SystemModel, filter_run: FilterTrajectory,
     sqrt(p_hi/p_lo) * b_max / gamma. Only the second (the standard
     gain/rate form) drives the pass flag; both are reported. ``gamma``
     defaults to q_lo / (4 p_hi); the ball divides by it, so it must lie in
-    (0, q_lo / (2 p_hi)]. The run is one virtual row on the filter's grid.
+    (0, q_lo / (2 p_hi)]. The disturbed copy is one virtual row: the run's
+    own when it integrated exactly [z0] under this disturbance, else the row
+    of ``integrate_virtual`` on it.
     """
     gamma = _rate(gamma, filter_run.config.q_lo, filter_run.p_hi, BALL_RATE_RULE)
     z0 = _state(z0, model.state_dim, "z0")
     times = filter_run.times
-    z = integrate_virtual(model, filter_run, [z0], disturbance)[:, 0]
+    z = _virtual_rows(model, filter_run, [z0], disturbance)[:, 0]
     delta = z - filter_run.states
     euclid = np.linalg.norm(delta, axis=1)
     weighted, _ = _weighted_sq(filter_run.covariances, delta)
@@ -316,6 +294,8 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     the maximum absolute deviation relative to the largest magnitude of
     the quadratic form (the two sides agree up to O(step^2)).
     One stacked solve S = P^{-1} dz serves both dz^T S and the form S^T M S.
+    The virtual row reads the run's gains interpolated onto the stage times
+    and its ``stage_outputs``, as ``integrate_virtual`` does.
     """
     n = model.state_dim
     z0 = _state(z0, n, "z0")
@@ -326,7 +306,7 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
         z, dz = s[:n], s[n:]
         K, y = stage_inputs(t)
-        return _jacobian_stage(model, z, t, s, lambda A, C, f, h: np.concatenate(
+        return _jacobian_stage(model, z, t, _finite(s), lambda A, C, f, h: np.concatenate(
             [f - dot(K, h - y), dot(A - dot(K, C), dz)]))
 
     grid = filter_run.times

@@ -28,10 +28,8 @@ def scalar_rig():
                          P0=np.array([[2.0]]), x0=np.array([0.5]),
                          horizon=horizon)
     x0 = np.array([0.4])
-    truth, y = ek.integrate_truth(entry.model, x0, horizon, fc.step)
-    traj = ek.integrate_ekf(fc, y)
-    return {"entry": entry, "model": entry.model, "fc": fc, "x0": x0,
-            "truth": truth, "y": y, "traj": traj}
+    traj = ek.integrate_ekf(fc, x0=x0)
+    return {"entry": entry, "model": entry.model, "fc": fc, "x0": x0, "traj": traj}
 
 
 @pytest.fixture(scope="session")

@@ -20,8 +20,8 @@ from ekfcert.contraction import (compare_analyses, empirical_radius,
                                  make_certificate, zeta_plus)
 from ekfcert.model import HessianBounds, estimate_hessian_bounds
 from ekfcert.ode import interp
-from ekfcert.sim import (Disturbance, envelope_check, integrate_truth,
-                         perturbed_run, twin_decay, variational_validator)
+from ekfcert.sim import (Disturbance, envelope_check, perturbed_run, twin_decay,
+                         variational_validator)
 
 
 def _report(num, desc, ok, detail=""):
@@ -164,7 +164,7 @@ def test_05_scalar_pipeline_end_to_end(scalar_rig):
     bounds = ek.covariance_bounds_report(traj)
     cert = make_certificate(bounds, HessianBounds(alpha=10.0, kappa_A=0.0,
                                                   kappa_C=0.0))
-    env = envelope_check(traj, scalar_rig["truth"], cert)
+    env = envelope_check(traj, cert)
     ok_env = env.passed and env.worst_margin >= 0.0
 
     dist = Disturbance(b=lambda z, t: np.array([0.01]), b_max=0.01)
@@ -197,8 +197,7 @@ def test_06_linear_output_region_check_governs_twin_convergence():
     for q in (0.5, 1.0, 2.0, 4.0, 8.0):
         fc = ek.FilterConfig(model=model, Q=q * np.eye(2), R=np.eye(1),
                              P0=np.eye(2), x0=x0.copy(), horizon=horizon)
-        _, y = integrate_truth(model, x0, horizon, fc.step)
-        cand = ek.integrate_ekf(fc, y)
+        cand = ek.integrate_ekf(fc, x0=x0)
         rep = ek.covariance_bounds_report(cand)
         g = rep["q_lo"] / (4.0 * rep["p_hi"])
         res = linear_output_check(model, cand, box, g)

@@ -89,7 +89,7 @@ def test_cubic_without_nonlinearity_has_flat_curvature():
 def test_ltv_closed_form_state_matches_integration():
     entry = ek.make("ltv-linear", omega0=1.0, omega_mod=0.5, freq=1.0)
     x0 = np.array([0.8, -0.6])
-    traj, _ = ek.integrate_truth(entry.model, x0, 6.0, 0.002)
+    traj = ek.integrate_truth(entry.model, x0, 6.0, 0.002)
     exact = np.stack([entry.analytic["state"](float(t), x0) for t in traj.times])
     assert float(np.abs(traj.values - exact).max()) <= 1e-6
     # rotations preserve the norm, a cheap independent sanity check
@@ -99,7 +99,7 @@ def test_ltv_closed_form_state_matches_integration():
 def test_cubic_closed_form_state_matches_integration():
     entry = ek.make("cubic-scalar", eps=0.2)
     x0 = np.array([0.5])
-    traj, _ = ek.integrate_truth(entry.model, x0, 6.0, 0.002)
+    traj = ek.integrate_truth(entry.model, x0, 6.0, 0.002)
     exact = np.stack([entry.analytic["state"](float(t), x0) for t in traj.times])
     assert float(np.abs(traj.values - exact).max()) <= 1e-9
 

@@ -458,9 +458,9 @@ _SCALAR_TWINS = {"z1_0": [0.3], "z2_0": [0.1]}
 def test_every_config_value_is_read_before_the_first_integration(tmp_path, capsys, monkeypatch,
                                                                 command, cfg, message):
     def no_run(*args, **kwargs):
-        raise AssertionError("the truth run started before the config was read")
+        raise AssertionError("the run started before the config was read")
 
-    monkeypatch.setattr(cli, "integrate_truth", no_run)
+    monkeypatch.setattr(cli, "integrate_ekf", no_run)
     out = tmp_path / "out"
     assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
@@ -625,6 +625,18 @@ def test_compare_unit_parameters(tmp_path, capsys):
     assert table["lyapunov"]["rate"] == pytest.approx(0.25)
     text = capsys.readouterr().out
     assert "lyapunov" in text and "contraction" in text and "ratio" in text
+
+
+def test_compare_prints_an_underflowed_rate_as_unavailable(tmp_path, capsys):
+    cfg = {"compare": {"p_lo": 1e-200, "p_hi": 1e-200, "q_lo": 1e-200, "r_lo": 1.0,
+                       "kappa_A": 1.0, "kappa_C": 1.0, "c_hi": 1.0}}
+    out = tmp_path / "out"
+    assert main(["compare", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    table = read_summary(out)["table"]
+    assert table["lyapunov"]["rate"] is None and table["ratio"]["rate"] is None
+    rate_line = next(line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("rate "))
+    assert rate_line.split()[1:] == ["unavailable", "0.25", "unavailable"]
 
 
 def test_compare_without_output_bound(tmp_path, capsys):
@@ -797,7 +809,8 @@ def test_non_finite_model_output_writes_the_failure_summary(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"{cmd}: failed at t=0.05: ")
 
 
-# the ekfcert.cli globals the benchmark's tracing wraps in spans
+# the ekfcert.cli globals the benchmark's tracing wraps in spans; every one stays
+# bound, and every one but integrate_truth, whose run is a row of integrate_ekf's, is called
 TRACED_CLI_NAMES = ["integrate_truth", "integrate_ekf", "estimate_hessian_bounds",
                     "empirical_radius", "twin_decay", "perturbed_run", "envelope_check"]
 
@@ -822,6 +835,7 @@ def test_commands_call_the_traced_module_globals(tmp_path, monkeypatch):
     for cmd, path in [("simulate", declared), ("certify", sampled), ("twin", declared),
                       ("perturb", declared), ("envelope", declared)]:
         assert main([cmd, "--config", path, "--out", str(tmp_path / cmd)]) == 0, cmd
+    assert calls.pop("integrate_truth") == 0
     assert all(calls.values()), calls
 
 

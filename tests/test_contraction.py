@@ -242,6 +242,18 @@ def test_zeta_plus_is_infinite_when_its_denominator_underflows(kappa_A, kappa_C)
     assert ek.zeta_plus(kappa_A, kappa_C, 1e-5, 1.0, 1.0, 0.0) == math.inf
 
 
+def test_zeta_plus_is_zero_at_the_rate_cap_for_an_infinite_output_curvature():
+    """At gamma = q_lo / (2 p_hi) the equation's right-hand side is 0, so is its root,
+    whatever the kappas: inf * 0 in the discriminant must not read as +inf."""
+    assert ek.zeta_plus(1.0, math.inf, 1.0, 1.0, 1.0, 0.5) == 0.0
+    assert ek.zeta_plus(math.inf, math.inf, 1.0, 1.0, 1.0, 0.5) == 0.0
+    assert ek.zeta_plus(1.0, math.inf, 1.0, 1.0, 1.0, 0.25) == 0.0   # an infinite a
+    bounds = {"p_lo": 1.0, "p_hi": 1.0, "q_lo": 1.0, "r_lo": 1.0}
+    cert = ek.make_certificate(bounds, ek.HessianBounds(alpha=1.0, kappa_A=1.0,
+                                                        kappa_C=math.inf), gamma=0.5)
+    assert cert.zeta_plus == cert.rho == cert.basin_euclid == 0.0
+
+
 def _spd(seed: int, n: int) -> np.ndarray:
     return random_spd(np.random.default_rng(seed), n, lo=0.1, hi=5.0)
 
@@ -353,8 +365,7 @@ def ltv_traj():
     entry = ek.make("ltv-linear")
     fc = ek.FilterConfig(model=entry.model, Q=np.eye(2), R=np.eye(1),
                          P0=np.eye(2), x0=np.array([1.0, 0.0]), horizon=4.0)
-    truth, y = ek.integrate_truth(entry.model, np.array([0.8, -0.2]), 4.0, fc.step)
-    return ek.integrate_ekf(fc, y)
+    return ek.integrate_ekf(fc, x0=np.array([0.8, -0.2]))
 
 
 def test_linear_output_check_passes_for_linear_dynamics(ltv_traj):
@@ -426,8 +437,7 @@ def test_linear_output_check_matches_per_state_loop(name):
     model = ek.make(name).model
     fc = ek.FilterConfig(model=model, Q=spec["Q"], R=np.array([[0.7]]), P0=spec["P0"],
                          x0=np.array(spec["xhat0"]), horizon=3.0, step=0.01)
-    _, y = ek.integrate_truth(model, np.array(spec["x0"]), fc.horizon, fc.step)
-    traj = ek.integrate_ekf(fc, y)
+    traj = ek.integrate_ekf(fc, x0=np.array(spec["x0"]))
     gamma = fc.q_lo / (4.0 * traj.p_hi)
     rng = np.random.default_rng(11)
     states = list(traj.states[0] + rng.uniform(-0.8, 0.8, size=(7, model.state_dim)))
@@ -466,6 +476,16 @@ def test_compare_analyses_degenerate_cells():
     assert out["ratio"]["basin_kappa_A0"] is None
     with pytest.raises(ek.ConfigurationError):
         ek.compare_analyses(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+def test_compare_analyses_reads_an_underflowed_lyapunov_rate_as_unavailable():
+    """q_lo p_lo and 4 p_hi^2 underflow to 0 at these bounds: no ZeroDivisionError."""
+    out = ek.compare_analyses(1e-200, 1e-200, 1e-200, 1.0, 1.0, 1.0)
+    assert out["lyapunov"]["rate"] is None and out["ratio"]["rate"] is None
+    assert out["contraction"]["rate"] == 0.25
+    assert out["ratio"]["basin_kappa_C0"] == 1.0
+    out = ek.compare_analyses(1e-170, 1e-170, 1e300, 1.0, 1.0, 1.0)   # 4 p_hi^2 alone
+    assert out["lyapunov"]["rate"] is None and out["ratio"]["rate"] is None
 
 
 def test_compare_analyses_rejects_p_hi_below_p_lo_as_make_certificate_does():
@@ -577,8 +597,7 @@ def vdp_run():
     entry = ek.make("vanderpol-pos", mu=0.15)
     fc = ek.FilterConfig(model=entry.model, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
                          x0=np.array([0.3, 0.2]), horizon=4.0, step=0.01)
-    _, y = ek.integrate_truth(entry.model, np.array([0.34, 0.2]), fc.horizon, fc.step)
-    traj = ek.integrate_ekf(fc, y)
+    traj = ek.integrate_ekf(fc, x0=np.array([0.34, 0.2]))
     rep = ek.covariance_bounds_report(traj)
     return traj, rep["q_lo"] / (4.0 * rep["p_hi"])
 

@@ -214,8 +214,7 @@ def test_the_bounds_report_is_read_from_the_run_without_an_eigen_solve(entry, li
     fc = ek.FilterConfig(model=entry.model, Q=random_spd(rng, n), R=random_spd(rng, p),
                          P0=random_spd(rng, n, 1.0, 3.0), x0=np.full(n, 0.3),
                          horizon=3.0, step=0.01)
-    _, y = ek.integrate_truth(entry.model, np.full(n, 0.34), 3.0, fc.step)
-    traj = ek.integrate_ekf(fc, y)
+    traj = ek.integrate_ekf(fc, x0=np.full(n, 0.34))
     linalg_calls.clear()
     report = ek.covariance_bounds_report(traj)
     assert linalg_calls["eigvalsh"] == 0
@@ -260,8 +259,7 @@ def test_covariance_stays_exactly_symmetric_without_resymmetrizing():
         output=lambda x, t: np.array([x[0] + 0.1 * x[2] ** 2, np.sin(x[1])]))
     fc = ek.FilterConfig(model=model, Q=Q, R=R, P0=P0, x0=np.array([0.3, 0.2, -0.1]),
                          horizon=2.0, step=0.01, beta=0.01, N=N)
-    truth, y = ek.integrate_truth(model, np.array([0.4, 0.1, 0.0]), 2.0, fc.step)
-    covs = ek.integrate_ekf(fc, y).covariances
+    covs = ek.integrate_ekf(fc, x0=np.array([0.4, 0.1, 0.0])).covariances
     assert np.array_equal(covs, covs.transpose(0, 2, 1))
 
 

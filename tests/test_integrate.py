@@ -231,7 +231,8 @@ def rig(request):
     model = spec["plant"]()
     n = model.state_dim
     x0 = np.array(spec["x0"])
-    truth, y = ek.integrate_truth(model, x0, spec["horizon"], spec["step"])
+    truth = ek.integrate_truth(model, x0, spec["horizon"], spec["step"])
+    y = lambda t: model.h(truth.at(t), t)   # a measured signal: the interpolated output
     fc = ek.FilterConfig(model=model, Q=np.eye(n), R=np.eye(model.output_dim),
                          P0=np.array(spec.get("P0", np.eye(n))), x0=np.array(spec["xhat0"]),
                          horizon=spec["horizon"], step=spec["step"])
@@ -248,13 +249,12 @@ def _ref_gain(run):
 # ------------------------------------------------------------ bit for bit
 
 def test_truth_matches_reference_loop(rig):
+    """On its own and as the truth row of a filter run."""
     grid, states = _ref_truth(rig["model"], rig["x0"], rig["spec"]["horizon"],
                               rig["spec"]["step"])
     assert np.array_equal(rig["truth"].times, grid)
     assert np.array_equal(rig["truth"].values, states)
-    for t in np.linspace(-0.1, rig["spec"]["horizon"] + 0.1, 57):
-        ref = rig["model"].h(_ref_series_at(grid, states, t), t)
-        assert np.array_equal(rig["y"](t), ref)
+    assert np.array_equal(ek.integrate_ekf(rig["fc"], x0=rig["x0"]).truth, states)
 
 
 def _assert_filter_matches_reference_loop(rig, fc, run):
@@ -498,7 +498,7 @@ def test_a_stage_time_off_its_row_raises(monkeypatch, scalar_rig):
 
     monkeypatch.setattr(ekfcert.ekf, "rk4_step", heun_step)
     with pytest.raises(RuntimeError, match="RK4 stage 2"):
-        ek.integrate_ekf(scalar_rig["fc"], scalar_rig["y"])
+        ek.integrate_ekf(scalar_rig["fc"], x0=scalar_rig["x0"])
     with pytest.raises(RuntimeError, match="RK4 stage 2"):
         ek.integrate_virtual(scalar_rig["model"], scalar_rig["traj"], [[0.1]])
 
@@ -669,12 +669,14 @@ def test_every_integrator_steps_through_the_ekf_module_global(monkeypatch, scala
         raise _FirstStep
 
     monkeypatch.setattr(ekfcert.ekf, "rk4_step", stop)
-    model, run = scalar_rig["model"], scalar_rig["traj"]
+    model, run, fc = scalar_rig["model"], scalar_rig["traj"], scalar_rig["fc"]
     starts = {
         "integrate_truth": (lambda: ek.integrate_truth(model, np.array([0.4]), 1.0, 0.01),
                             [0.4]),
-        "integrate_ekf": (lambda: ek.integrate_ekf(scalar_rig["fc"], scalar_rig["y"]),
+        "integrate_ekf": (lambda: ek.integrate_ekf(fc, lambda t: np.array([0.4])),
                           [[0.5], [2.0]]),
+        "joint run": (lambda: ek.integrate_ekf(fc, x0=[0.4], starts=[[0.1], [0.2]]),
+                      [[0.5], [2.0], [0.4], [0.1], [0.2]]),
         "integrate_virtual": (lambda: ek.integrate_virtual(model, run, [[0.1], [0.2]]),
                               [[0.1], [0.2]]),
         "variational_validator": (lambda: ek.variational_validator(
@@ -717,17 +719,18 @@ def _counted(model, counts):
 
 
 def _every_flow(model, x0, xhat0, z0, horizon=3.0, step=0.01):
-    """Truth, filter, twin rows, perturbed row and validator deviation on ``model``."""
+    """The run of truth, filter and twin rows, that of the perturbed row and the
+    validator deviation on ``model``."""
     n = model.state_dim
-    truth, y = ek.integrate_truth(model, x0, horizon, step)
     fc = ek.FilterConfig(model=model, Q=np.eye(n), R=np.eye(model.output_dim),
                          P0=np.eye(n), x0=xhat0, horizon=horizon, step=step)
-    run = ek.integrate_ekf(fc, y)
+    run = ek.integrate_ekf(fc, x0=x0, starts=[z0, x0])
     dist = ek.Disturbance(b=lambda z, t: np.full(n, 0.01 * math.sin(2.0 * t)),
                           b_max=0.01 * math.sqrt(n))
-    return {"truth": truth.values, "states": run.states, "covariances": run.covariances,
-            "gains": run.gains, "twins": ek.integrate_virtual(model, run, [z0, x0]),
-            "perturbed": ek.integrate_virtual(model, run, [z0], dist),
+    perturbed = ek.integrate_ekf(fc, x0=x0, starts=[z0], disturbance=dist)
+    return {"truth": run.truth, "states": run.states, "covariances": run.covariances,
+            "gains": run.gains, "outputs": run.stage_outputs, "twins": run.virtual,
+            "perturbed": perturbed.virtual,
             "deviation": np.array(ek.variational_validator(model, run, z0))}
 
 
@@ -735,11 +738,11 @@ def _every_flow(model, x0, xhat0, z0, horizon=3.0, step=0.01):
 def test_array_and_list_callbacks_give_the_same_flows_with_one_call_per_stage(entry):
     """Each registry plant and its checked twin give bit-equal outputs on
     every flow, and every callback runs once per RK4 stage and row on both:
-    stages = 4 m on the m steps of each of the truth, the filter, the two
-    twin rows, the perturbed row and the validator; h also once per distinct
-    stage time (2 m + 1) for the measurement; the Jacobians also at the
-    filter's last node and, for the validator's deviation, at its m + 1
-    nodes and the filter's."""
+    stages = 4 m on the m steps of the two runs, whose rows are the truth,
+    the estimate and two or one virtual rows, and of the validator; h also
+    once at each run's last truth node; the Jacobians also at each run's
+    last node and, for the validator's deviation, at its m + 1 nodes and
+    the filter's."""
     n = entry.model.state_dim
     x0, xhat0, z0 = np.full(n, 0.34), np.full(n, 0.3), np.full(n, 0.28)
     fast_counts, slow_counts = dict.fromkeys(CALLBACKS, 0), dict.fromkeys(CALLBACKS, 0)
@@ -748,22 +751,30 @@ def test_array_and_list_callbacks_give_the_same_flows_with_one_call_per_stage(en
     for name, value in fast.items():
         assert value.tobytes() == slow[name].tobytes(), name
     stages = 4 * 300
-    expected = {"dynamics": 6 * stages, "output": 5 * stages + 2 * 300 + 1,
-                "jacobian_A": 2 * stages + 1 + 2 * 301, "jacobian_C": 2 * stages + 1 + 2 * 301}
+    expected = {"dynamics": 8 * stages, "output": 8 * stages + 2,
+                "jacobian_A": 3 * stages + 2 + 2 * 301, "jacobian_C": 3 * stages + 2 + 2 * 301}
     assert fast_counts == slow_counts == expected
 
 
 @pytest.mark.parametrize("entry", ek.registry(), ids=lambda e: e.name)
-def test_the_truth_measurement_equals_the_interpolated_output(entry):
-    """y(t) = h(x(t), t) bit for bit at every RK4 stage time, where it reads
-    the tabled states, and off them, where it interpolates."""
+def test_the_joint_run_reads_y_from_the_truth_rows_own_stage(entry):
+    """Bit for bit: y = h(x, t) at the truth node at every node row of the
+    stage table and, at a midpoint row, at the truth's third RK4 stage state
+    x_k + (h/2) f(x_k + (h/2) f(x_k, t_k), t_k + h/2)."""
     model = entry.model
-    truth, y = ek.integrate_truth(model, np.full(model.state_dim, 0.34), 3.0, 0.01)
-    times, _ = stage_table(truth.times)
-    off = np.concatenate([times[:-1] + 0.3 * np.diff(times), [-0.1, 3.1]])
-    for t in np.concatenate([times, off]):
-        t = float(t)
-        assert y(t).tobytes() == model.h(truth.at(t), t).tobytes()
+    n = model.state_dim
+    fc = ek.FilterConfig(model=model, Q=np.eye(n), R=np.eye(model.output_dim), P0=np.eye(n),
+                         x0=np.full(n, 0.3), horizon=3.0, step=0.01)
+    run = ek.integrate_ekf(fc, x0=np.full(n, 0.34))
+    times, _ = stage_table(run.times)
+    expected = np.empty_like(run.stage_outputs)
+    for k, (t, x) in enumerate(zip(run.times, run.truth)):
+        expected[2 * k] = model.h(x, t)
+        if k + 1 < len(run.times):
+            h = run.times[k + 1] - t
+            mid = x + 0.5 * h * model.f(x + 0.5 * h * model.f(x, t), t + 0.5 * h)
+            expected[2 * k + 1] = model.h(mid, times[2 * k + 1])
+    assert run.stage_outputs.tobytes() == expected.tobytes()
 
 
 FAULT_T = 0.25   # the faults start at the midpoint stage of the third step
@@ -845,7 +856,7 @@ def test_a_faulty_callback_fails_as_on_the_checked_path(callback, what, fault):
     e0 = np.array([1.0, 0.0])   # dz keeps a zero entry along the diagonal flow
     flows = {
         "filter": (lambda: _filter_arrays(fc, y), lambda: _ref_ekf(fc, y)[:3]),
-        "truth": (lambda: (ek.integrate_truth(model, zero, 1.0, 0.1)[0].values,),
+        "truth": (lambda: (ek.integrate_truth(model, zero, 1.0, 0.1).values,),
                   lambda: _ref_truth(model, zero, 1.0, 0.1)[1:]),
         "virtual": (lambda: (ek.integrate_virtual(model, run, [zero])[:, 0],),
                     lambda: _ref_virtual(model, _ref_gain(run), y, zero, 1.0, 0.1)[:1]),
@@ -863,9 +874,10 @@ def test_a_faulty_callback_fails_as_on_the_checked_path(callback, what, fault):
 
 def test_truth_and_virtual_runs_stop_at_the_guard_without_a_non_finite_callback():
     """A dynamics that returns NaN from FAULT_T on, with callbacks and a
-    disturbance that raise on a non-finite state: the truth and the virtual
-    runs stop with the node guard's error at the end of the faulty step,
-    calling none of them on the non-finite stage states within it."""
+    disturbance that raise on a non-finite state: the truth, the virtual
+    and the joint runs stop with the node guard's error at the end of the
+    faulty step, calling none of them on the non-finite stage states within
+    it; the joint run names its truth row, which it checks first."""
     def strict(fn):
         def call(x, t):
             if not np.isfinite(x).all():
@@ -884,7 +896,10 @@ def test_truth_and_virtual_runs_stop_at_the_guard_without_a_non_finite_callback(
     for what, flow in [
             ("truth", lambda: ek.integrate_truth(model, np.zeros(2), 1.0, 0.1)),
             ("virtual state", lambda: ek.integrate_virtual(model, run, [np.zeros(2)])),
-            ("virtual state", lambda: ek.integrate_virtual(model, run, [np.zeros(2)] * 2, dist))]:
+            ("virtual state", lambda: ek.integrate_virtual(model, run, [np.zeros(2)] * 2, dist)),
+            ("truth", lambda: ek.integrate_ekf(dataclasses.replace(fc, model=model),
+                                               x0=np.zeros(2), starts=[np.zeros(2)],
+                                               disturbance=dist))]:
         assert _outcome(flow) == (ek.DivergenceError, f"{what} diverged at t=0.3", t)
 
 

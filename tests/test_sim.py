@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ekfcert as ek
-from ekfcert.ode import stage_table
+from ekfcert import sim
 
 
 @pytest.fixture(scope="module")
@@ -17,9 +17,8 @@ def equilibrium_rig():
     horizon = 12.0
     fc = ek.FilterConfig(model=entry.model, Q=np.eye(1), R=np.eye(1),
                          P0=np.eye(1), x0=np.array([0.4]), horizon=horizon)
-    truth, y = ek.integrate_truth(entry.model, np.array([0.4]), horizon, fc.step)
-    traj = ek.integrate_ekf(fc, y)
-    return {"model": entry.model, "fc": fc, "truth": truth, "y": y, "traj": traj}
+    traj = ek.integrate_ekf(fc, x0=np.array([0.4]))
+    return {"model": entry.model, "fc": fc, "traj": traj}
 
 
 def _flat_cert(traj, alpha=10.0):
@@ -30,29 +29,34 @@ def _flat_cert(traj, alpha=10.0):
 
 def test_truth_constant_field():
     model = ek.make("scalar-riccati").model
-    traj, y = ek.integrate_truth(model, np.array([0.4]), 2.0, 0.01)
+    traj = ek.integrate_truth(model, np.array([0.4]), 2.0, 0.01)
     assert np.all(traj.values == 0.4)
-    assert y(1.234)[0] == 0.4
+    fc = ek.FilterConfig(model=model, Q=np.eye(1), R=np.eye(1), P0=np.eye(1),
+                         x0=np.zeros(1), horizon=2.0, step=0.01)
+    assert np.all(ek.integrate_ekf(fc, x0=np.array([0.4])).stage_outputs == 0.4)
 
 
 def test_truth_linear_decay():
     model = ek.SystemModel(state_dim=1, output_dim=1,
                            dynamics=lambda x, t: -x,
                            output=lambda x, t: x.copy())
-    traj, _ = ek.integrate_truth(model, np.ones(1), 1.0, 1.0 / 2000)
+    traj = ek.integrate_truth(model, np.ones(1), 1.0, 1.0 / 2000)
     assert abs(traj.values[-1, 0] - math.exp(-1.0)) < 1e-6
 
 
-def test_truth_output_signal_is_measured_state():
+def test_the_run_reads_y_at_the_truth_nodes_from_the_truth_row():
     entry = ek.make("ltv-linear")
-    traj, y = ek.integrate_truth(entry.model, np.array([1.0, 0.0]), 3.0, 0.005)
-    for t in (0.0, 0.73, 3.0):
-        assert y(t)[0] == traj.at(t)[0]
+    fc = ek.FilterConfig(model=entry.model, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
+                         x0=np.zeros(2), horizon=3.0, step=0.005)
+    run = ek.integrate_ekf(fc, x0=np.array([1.0, 0.0]))
+    assert np.array_equal(run.truth, ek.integrate_truth(entry.model, [1.0, 0.0], 3.0,
+                                                        0.005).values)
+    assert np.array_equal(run.stage_outputs[0::2, 0], run.truth[:, 0])
 
 
 def test_truth_matches_closed_form_flow():
     entry = ek.make("cubic-scalar", eps=0.1)
-    traj, _ = ek.integrate_truth(entry.model, np.array([0.3]), 8.0, 0.004)
+    traj = ek.integrate_truth(entry.model, np.array([0.3]), 8.0, 0.004)
     exact = np.stack([entry.analytic["state"](float(t), [0.3]) for t in traj.times])
     scale = 1.0 + float(np.abs(exact).max())
     assert float(np.abs(traj.values - exact).max()) <= 1e-8 * scale
@@ -110,8 +114,7 @@ def test_twin_distance_sandwich():
     entry = ek.make("ltv-linear")
     fc = ek.FilterConfig(model=entry.model, Q=np.eye(2), R=np.eye(1),
                          P0=np.eye(2), x0=np.array([1.0, 0.0]), horizon=6.0)
-    truth, y = ek.integrate_truth(entry.model, np.array([0.9, 0.1]), 6.0, fc.step)
-    traj = ek.integrate_ekf(fc, y)
+    traj = ek.integrate_ekf(fc, x0=np.array([0.9, 0.1]))
     run = ek.twin_decay(entry.model, traj, np.array([1.5, 0.0]),
                         np.array([0.5, 0.5]))
     lo = run.euclid_dist ** 2 / traj.p_hi
@@ -123,7 +126,7 @@ def test_twin_distance_sandwich():
 
 def test_envelope_exact_tracking_passes(equilibrium_rig):
     traj = equilibrium_rig["traj"]
-    rep = ek.envelope_check(traj, equilibrium_rig["truth"], _flat_cert(traj))
+    rep = ek.envelope_check(traj, _flat_cert(traj))
     assert rep.initial_error == 0.0
     assert np.all(rep.error == 0.0)
     assert rep.worst_margin == 0.0
@@ -134,7 +137,7 @@ def test_envelope_exact_tracking_passes(equilibrium_rig):
 def test_envelope_margins_and_pass(scalar_rig):
     traj = scalar_rig["traj"]
     cert = _flat_cert(traj)
-    rep = ek.envelope_check(traj, scalar_rig["truth"], cert)
+    rep = ek.envelope_check(traj, cert)
     assert rep.initial_error == pytest.approx(0.1)
     assert rep.margins[0] == pytest.approx((cert.envelope_factor - 1.0) * 0.1,
                                            rel=1e-9)
@@ -148,7 +151,7 @@ def test_envelope_margins_and_pass(scalar_rig):
 def test_envelope_fails_outside_basin(scalar_rig):
     traj = scalar_rig["traj"]
     cert = _flat_cert(traj, alpha=0.05)
-    rep = ek.envelope_check(traj, scalar_rig["truth"], cert)
+    rep = ek.envelope_check(traj, cert)
     # e(0) = 0.1 sits outside basin_euclid = 0.05 sqrt(p_lo/p_hi)
     assert not rep.within_basin
     assert not rep.passed
@@ -220,7 +223,7 @@ def test_variational_validator_solve_count_is_independent_of_nodes(scalar_rig, l
     # one stacked solve for P^{-1} dz plus the two of the stacked contraction matrices
     fc = scalar_rig["fc"]
     for step in (0.024, 0.012):
-        traj = ek.integrate_ekf(dataclasses.replace(fc, step=step), scalar_rig["y"])
+        traj = ek.integrate_ekf(dataclasses.replace(fc, step=step), x0=scalar_rig["x0"])
         linalg_calls.clear()
         ek.variational_validator(scalar_rig["model"], traj, np.array([0.7]))
         assert linalg_calls["solve"] == 3, step
@@ -270,9 +273,9 @@ def test_fit_rate_window_excludes_edges():
 
 def test_node_series_on_the_filter_grid_are_read_without_interpolation(
         scalar_rig, equilibrium_rig):
-    traj, truth = scalar_rig["traj"], scalar_rig["truth"]
-    report = ek.envelope_check(traj, truth, _flat_cert(traj))
-    assert np.array_equal(report.error, np.abs(traj.states - truth.values)[:, 0])
+    traj = scalar_rig["traj"]
+    report = ek.envelope_check(traj, _flat_cert(traj))
+    assert np.array_equal(report.error, np.abs(traj.states - traj.truth)[:, 0])
     traj = equilibrium_rig["traj"]
     dist = ek.Disturbance(b=lambda x, t: np.full(1, 0.01), b_max=0.01)
     run = ek.perturbed_run(equilibrium_rig["model"], traj, dist, np.array([0.4]))
@@ -280,13 +283,10 @@ def test_node_series_on_the_filter_grid_are_read_without_interpolation(
     assert np.array_equal(run.euclid_dist, np.abs(z - traj.states)[:, 0])
 
 
-def test_envelope_rejects_truth_off_the_filter_grid(scalar_rig):
-    traj, truth = scalar_rig["traj"], scalar_rig["truth"]
-    cert = _flat_cert(traj)
-    for times in (truth.times[:-1], truth.times * (1.0 + 1e-12)):
-        other = ek.TimeSeries(times, truth.values[:len(times)])
-        with pytest.raises(ek.ConfigurationError, match="filter run's grid"):
-            ek.envelope_check(traj, other, cert)
+def test_envelope_needs_a_run_on_a_truth_start(scalar_rig):
+    measured = ek.integrate_ekf(scalar_rig["fc"], lambda t: np.array([0.4]))
+    with pytest.raises(ek.ConfigurationError, match="needs a filter run on a truth start"):
+        ek.envelope_check(measured, _flat_cert(measured))
 
 
 def test_stacked_twin_run_equals_two_single_row_runs(scalar_rig, cubic_rig):
@@ -421,8 +421,9 @@ def test_whole_runs_give_the_bits_of_matmul_stages(monkeypatch, name):
             out += [traj.states, traj.covariances, traj.gains, traj.stage_outputs,
                     ek.integrate_virtual(model, traj, starts),
                     np.array(ek.variational_validator(model, traj, x0))]
-            truth, y = ek.integrate_truth(model, x0, 0.5, 0.01)
-            out += [truth.values] + [y(t) for t in stage_table(truth.times)[0]]
+            joint = ek.integrate_ekf(fc, x0=x0[::-1], starts=starts)
+            out += [joint.states, joint.covariances, joint.gains, joint.stage_outputs,
+                    joint.truth, joint.virtual]
         return [a.tobytes() for a in out]
 
     changed = runs()
@@ -431,17 +432,30 @@ def test_whole_runs_give_the_bits_of_matmul_stages(monkeypatch, name):
     assert changed == runs()
 
 
-def test_truth_signal_reads_its_table_in_any_order(monkeypatch):
+def test_experiments_read_the_rows_of_the_run_that_integrated_them(monkeypatch):
+    """twin_decay and perturbed_run read a run's own virtual rows when it
+    integrated exactly their starts under their disturbance, and integrate
+    on the finished run otherwise."""
     model = ek.make("vanderpol-pos").model
-    truth, y = ek.integrate_truth(model, np.array([0.3, -0.1]), 0.5, 0.01)
-    times = stage_table(truth.times)[0]
-    searches = []
-    search = np.searchsorted
-    monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searches.append(a) or search(*a, **k))
-    in_order = [y(t) for t in times]   # as a filter run reads it: no search
-    assert searches == []
-    for t, value in zip(times, in_order):
-        assert value.tobytes() == model.h(truth.at(t), t).tobytes()
-    # repeated, backwards, off the table and past both ends
-    for t in list(times[:5]) + list(times[::-7]) + [0.0123, 0.25, 0.2501, -1.0, 2.0]:
-        assert y(t).tobytes() == model.h(truth.at(t), t).tobytes()
+    fc = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
+                         x0=np.array([0.3, 0.2]), horizon=1.0, step=0.01)
+    z1, z2 = np.array([0.33, 0.2]), np.array([0.28, 0.21])
+    dist = ek.Disturbance(b=lambda z, t: np.full(2, 0.01), b_max=0.02)
+    twins = ek.integrate_ekf(fc, x0=[0.34, 0.2], starts=[z1, z2])
+    disturbed = ek.integrate_ekf(fc, x0=[0.34, 0.2], starts=[z1], disturbance=dist)
+    integrated = []
+    virtual = sim.integrate_virtual
+    monkeypatch.setattr(sim, "integrate_virtual",
+                        lambda *a: integrated.append(a[2]) or virtual(*a))
+    run = ek.twin_decay(model, twins, z1, z2)
+    assert np.array_equal(run.euclid_dist, np.linalg.norm(
+        twins.virtual[:, 0] - twins.virtual[:, 1], axis=1))
+    run = ek.perturbed_run(model, disturbed, dist, z1)
+    assert np.array_equal(run.euclid_dist, np.linalg.norm(
+        disturbed.virtual[:, 0] - disturbed.states, axis=1))
+    assert integrated == []
+    ek.twin_decay(model, twins, z2, z1)                     # other order
+    ek.perturbed_run(model, twins, dist, z1)                # other rows
+    ek.perturbed_run(model, disturbed, ek.Disturbance(dist.b, 0.02), z1)   # other disturbance
+    ek.twin_decay(model, disturbed, z1, z2)
+    assert len(integrated) == 4

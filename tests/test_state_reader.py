@@ -33,7 +33,10 @@ def _distances(run):
 ENTRY_POINTS = [
     ("FilterConfig", "x0", lambda v: ek.FilterConfig(
         model=MODEL, Q=Q, R=R, P0=P, x0=v, horizon=0.2).x0),
-    ("integrate_truth", "x0", lambda v: ek.integrate_truth(MODEL, v, 0.2, 0.05)[0].values),
+    ("integrate_truth", "x0", lambda v: ek.integrate_truth(MODEL, v, 0.2, 0.05).values),
+    ("integrate_ekf", "x0", lambda v: ek.integrate_ekf(RUN.config, x0=v).truth),
+    ("integrate_ekf", "starts[1]",
+     lambda v: ek.integrate_ekf(RUN.config, x0=GOOD, starts=[GOOD, v]).virtual),
     ("integrate_virtual", "starts[1]", lambda v: ek.integrate_virtual(MODEL, RUN, [GOOD, v])),
     ("twin_decay", "z1_0", lambda v: _distances(ek.twin_decay(MODEL, RUN, v, GOOD))),
     ("twin_decay", "z2_0", lambda v: _distances(ek.twin_decay(MODEL, RUN, GOOD, v))),
