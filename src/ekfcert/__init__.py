@@ -21,8 +21,8 @@ from .model import (HessianBounds, SystemModel, estimate_hessian_bounds,
                     eval_jacobians, hessian_tensor, tensor_norm)
 from .ode import TimeSeries, rk4_step, time_grid
 from .sim import (Disturbance, EnvelopeReport, ExperimentRun, envelope_check,
-                  fit_exponential_rate, integrate_truth, integrate_virtual,
-                  perturbed_run, twin_decay, variational_validator)
+                  fit_exponential_rate, integrate_truth, perturbed_run, twin_decay,
+                  variational_validator)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "hessian_tensor", "tensor_norm",
     "TimeSeries", "rk4_step", "time_grid",
     "Disturbance", "EnvelopeReport", "ExperimentRun", "envelope_check",
-    "fit_exponential_rate", "integrate_truth", "integrate_virtual",
-    "perturbed_run", "twin_decay", "variational_validator",
+    "fit_exponential_rate", "integrate_truth", "perturbed_run", "twin_decay",
+    "variational_validator",
     "__version__",
 ]

@@ -269,7 +269,7 @@ def cmd_compare(cfg: dict) -> tuple[dict, bool, dict | None]:
 def cmd_twin(cfg: dict) -> tuple[dict, bool, dict | None]:
     starts = {name: _read(cfg, f"twin.{name}", np.ndarray) for name in ("z1_0", "z2_0")}
     traj, _, cert = _certified_run(cfg, starts)
-    run = twin_decay(traj.config.model, traj, *starts.values(), certificate=cert)
+    run = twin_decay(traj, certificate=cert)
     # the rate guarantee only binds when both starts are inside the basin; a NaN
     # rate (rate_pass None: twins that never separate) is no signal, not a pass
     passed = run.info["rate_pass"] is True or not run.info["within_basin"]
@@ -299,7 +299,7 @@ def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
                        else (lambda x, t: vec * math.sin(freq * t)),
                        b_max=float(np.linalg.norm(vec)))
     _, traj = _prepare_run(cfg, {"z0": z0}, dist)
-    run = perturbed_run(traj.config.model, traj, dist, z0, gamma=gamma)
+    run = perturbed_run(traj, gamma=gamma)
     passed = run.info["within_standard"]
     print(f"perturb: steady_radius={run.info['steady_radius']:.6g} "
           f"ball_standard={run.info['ball_standard']:.6g} "

@@ -51,8 +51,9 @@ class ContractionCertificate:
     ``rho`` the radius in which the differential inequality was
     established, and ``envelope_factor`` the overshoot constant of the
     error envelope envelope_factor * ||e(0)|| * exp(-gamma t). The p
-    bounds are grid-level observations when ``grid_verified`` is set, so
-    the certificate is conditional on them, not a proof.
+    bounds are observations at the grid nodes of the filter run, so the
+    certificate is conditional on them holding between the nodes too, not a
+    proof; ``grid_verified`` is always True.
     """
 
     gamma: float
@@ -325,8 +326,11 @@ def compare_analyses(p_lo: float, p_hi: float, q_lo: float, r_lo: float,
     second row never uses c_hi. Zero kappa entries yield +inf basins. The
     Lyapunov rate q_lo p_lo / (4 p_hi^2) of tiny bounds underflows to 0 (or
     its denominator does): that cell and its ratio are then None too. The
-    bounds are read as make_certificate reads them, and c_hi when given as
-    positive (+inf included). Ratio cells divide row two by row one.
+    kappa_A = 0 basins are formed from the ratios q_lo/p_hi, p_lo/p_hi and
+    r_lo/p_hi, so tiny or huge bounds of a similar scale neither underflow
+    nor overflow them. The bounds are read as make_certificate reads them,
+    and c_hi when given as positive (+inf included). Ratio cells divide row
+    two by row one.
     """
     p_lo, p_hi, q_lo, r_lo, kappa_A, kappa_C = _spectral_bounds(
         p_lo=p_lo, p_hi=p_hi, q_lo=q_lo, r_lo=r_lo, kappa_A=kappa_A, kappa_C=kappa_C).values()
@@ -336,14 +340,14 @@ def compare_analyses(p_lo: float, p_hi: float, q_lo: float, r_lo: float,
     lyap = {
         "rate": rate if 0.0 < rate < math.inf else None,
         "basin_kappa_C0": _over((p_lo / p_hi) * q_lo, 4.0 * kappa_A * p_hi),
-        "basin_kappa_A0": (_over(q_lo * r_lo, 4.0 * c_hi * kappa_C * p_hi ** 2)
+        "basin_kappa_A0": (_over((q_lo / p_hi) * (r_lo / p_hi), 4.0 * c_hi * kappa_C)
                            if c_hi is not None else None),
     }
     contr = {
         "rate": q_lo / (4.0 * p_hi),
         "basin_kappa_C0": _over(math.sqrt(p_lo / p_hi) * q_lo, 4.0 * kappa_A * p_hi),
-        "basin_kappa_A0": _over(math.sqrt(q_lo * p_lo * r_lo),
-                                kappa_C * p_hi ** 1.5 * math.sqrt(2.0)),
+        "basin_kappa_A0": _over(math.sqrt(q_lo / p_hi) * math.sqrt(p_lo / p_hi)
+                                * math.sqrt(r_lo / p_hi), kappa_C * math.sqrt(2.0)),
     }
     ratios = {
         "rate": contr["rate"] / lyap["rate"] if lyap["rate"] is not None else None,

@@ -210,6 +210,8 @@ class FilterTrajectory:
     a run on a truth start, ``virtual`` (m, B, n) the nodes of the virtual
     rows from its ``starts`` and ``disturbance`` the disturbance (a
     ``sim.Disturbance``) they carried; each is None when the run had none.
+    These rows are the only virtual copies there are: the experiments of
+    ``sim`` read them and refuse a run without the rows they need.
 
     ``stage_outputs`` (2m - 1, p) holds the output y at the distinct RK4
     stage times of the run, in the rows of ``ode.stage_table(times)``. A run
@@ -217,14 +219,14 @@ class FilterTrajectory:
     reads y at each stage from the truth's own stage state: a node row holds
     y at the truth node, but stages 2 and 3 of a step read two different
     truth states at the same midpoint time, and a midpoint row keeps the
-    stage 3 value. ``integrate_virtual`` and ``variational_validator``, which
-    read this table with the gains interpolated onto the stage times, are
-    therefore O(h^2) approximations of such a run's own stages.
+    stage 3 value. ``variational_validator``, which reads this table with
+    the gains interpolated onto the stage times, is therefore an O(h^2)
+    approximation of such a run's own stages.
 
     ``p_lo`` and ``p_hi`` are the smallest and largest eigenvalues of P over
     the nodes, first reached at ``t_at_p_lo`` and ``t_at_p_hi``. The
-    configuration is kept so downstream consumers (virtual system,
-    certifier) can re-derive gains and innovations without re-integrating.
+    configuration is kept for the certifier and the experiments, which read
+    the model and the noise weights from it.
     """
 
     times: np.ndarray
@@ -240,46 +242,6 @@ class FilterTrajectory:
     truth: np.ndarray | None = None
     virtual: np.ndarray | None = None
     disturbance: object | None = None
-
-
-def _starts(starts, n: int) -> np.ndarray:
-    """The B >= 1 virtual starts as a (B, n) array, each read as the state "starts[b]"."""
-    Z0 = np.array([_state(z, n, f"starts[{b}]")
-                   for b, z in enumerate(starts if np.iterable(starts) else [])])
-    if not len(Z0):
-        raise ConfigurationError(f"starts must hold at least one state, got {starts!r}")
-    return Z0
-
-
-def _virtual_flow(model: SystemModel, disturbance, dot: Callable) -> tuple[Callable, Callable]:
-    """``rows(t, Z, K, y, out, finite)``, which writes the stage derivative of the virtual
-    rows Z (known finite if ``finite``) under the gain K and output y, plus b(z, t) of a
-    given disturbance, into ``out``, and ``check()``, which raises PreconditionError if
-    an ||b|| exceeded ``b_max``."""
-    b_worst = 0.0
-
-    def rows(t: float, Z: np.ndarray, K: np.ndarray, y: np.ndarray, out: np.ndarray,
-             finite: bool = False) -> np.ndarray:
-        nonlocal b_worst
-        if not (finite or _finite(Z)):   # no callback sees a non-finite state
-            out[:] = np.nan
-            return out
-        # each row runs the operations of a single copy
-        for b, z in enumerate(Z):
-            out[b] = model.f(z, t) - dot(K, model.h(z, t) - y)
-        if disturbance is not None:
-            for b, z in enumerate(Z):
-                bv = _call(disturbance.b, z, t, z.shape, "disturbance")
-                b_worst = max(b_worst, float(np.linalg.norm(bv)))
-                out[b] = out[b] + bv
-        return out
-
-    def check() -> None:
-        if disturbance is not None and b_worst > disturbance.b_max * (1.0 + 1e-9) + 1e-300:
-            raise PreconditionError(f"disturbance bound violated: observed {b_worst:.6g} "
-                                    f"> b_max {disturbance.b_max:.6g}")
-
-    return rows, check
 
 
 def integrate_ekf(config: FilterConfig,
@@ -342,16 +304,19 @@ def integrate_ekf(config: FilterConfig,
     rows = [config.x0[None], config.P0] + ([] if x0 is None else [x0[None]])
     Z = n + 1 + (x0 is not None)   # the first virtual row
     if starts is not None:
-        rows.append(_starts(starts, n))
+        rows.append(np.array([_state(z, n, f"starts[{b}]")
+                              for b, z in enumerate(starts if np.iterable(starts) else [])]))
+        if not len(rows[-1]):
+            raise ConfigurationError(f"starts must hold at least one state, got {starts!r}")
     outputs = np.empty((len(stage_times), p))
     filled = -1   # the last stage-table row whose output has been read
     gains = np.empty((len(grid), n, p))
     Q, Rinv, N2, beta2 = config.Q, np.linalg.inv(config.R), 2.0 * config.N, 2.0 * config.beta
     dot = _product(n)
-    virtual_rows, check_disturbance = _virtual_flow(model, disturbance, dot)
+    b_worst = 0.0   # the largest ||b|| seen
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        nonlocal filled
+        nonlocal filled, b_worst
         stage, row = read_stage(t)
         finite = _finite(state)   # one check for every row of a finite stage
         if x0 is not None:   # y from the truth row's own stage state
@@ -385,8 +350,19 @@ def integrate_ekf(config: FilterConfig,
         out[:n + 1] = d
         if x0 is not None:
             out[n + 1] = dx
-        if len(state) > Z:   # under the gain of this stage
-            virtual_rows(t, state[Z:], K, y, out[Z:], finite)
+        if len(state) == Z:
+            return out
+        if not (finite or _finite(state[Z:])):   # no callback sees a non-finite state
+            out[Z:] = np.nan
+            return out
+        # each virtual row runs the operations of a single copy, under this stage's gain
+        for b, z in enumerate(state[Z:], Z):
+            out[b] = model.f(z, t) - dot(K, model.h(z, t) - y)
+        if disturbance is not None:
+            for b, z in enumerate(state[Z:], Z):
+                bv = _call(disturbance.b, z, t, z.shape, "disturbance")
+                b_worst = max(b_worst, float(np.linalg.norm(bv)))
+                out[b] = out[b] + bv
         return out
 
     truth_guard, estimate_guard, virtual_guard = map(
@@ -411,7 +387,9 @@ def integrate_ekf(config: FilterConfig,
         return state
 
     nodes = integrate(rhs, np.vstack(rows), grid, guard)
-    check_disturbance()
+    if disturbance is not None and b_worst > disturbance.b_max * (1.0 + 1e-9) + 1e-300:
+        raise PreconditionError(f"disturbance bound violated: observed {b_worst:.6g} "
+                                f"> b_max {disturbance.b_max:.6g}")
     states, covs = nodes[:, 0], nodes[:, 1:n + 1]
 
     _, C = eval_jacobians(model, states[-1], grid[-1])

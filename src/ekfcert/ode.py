@@ -3,10 +3,11 @@
 All integrations take classical RK4 steps on a uniform grid through the one
 driver ``ekf.integrate``, which sits in ``ekf.py`` because the benchmark's
 set-up probe (perfbench/probe.py) stops a run by replacing
-``ekfcert.ekf.rk4_step``. Virtual copies are rows of one run on the filter's
-grid; values they share with the filter at the RK4 stages are stored once
-per distinct stage time (``stage_table``), and ``interp`` (linear, clamped
-ends) fills such tables between nodes.
+``ekfcert.ekf.rk4_step``. Virtual copies are rows of the filter run's own
+RK4 state. A run stores the outputs it reads at its RK4 stages once per
+distinct stage time (``stage_table``); the variational validator reads that
+table next to the run's gains, which ``interp`` (linear, clamped ends)
+carries onto the stage times.
 """
 
 from __future__ import annotations

@@ -3,19 +3,19 @@
 The virtual system dz/dt = f(z,t) - K(t)(h(z,t) - y(t)) has both the true
 state and the filter estimate as particular solutions, so every statement
 about the filter's convergence is a statement about pairs of its
-trajectories. A filter run on a truth start (``integrate_ekf(config,
-x0=..., starts=...)``) integrates the truth and the virtual copies as rows
-of its own state, under each stage's own gain and output; the experiments
-here read those rows. On a finished run without them, ``integrate_virtual``
-integrates copies as rows of one RK4 run on the filter's grid under its
-gains interpolated onto the stage times, an O(h^2) approximation. The
-module measures weighted and Euclidean inter-trajectory distances, fits
-decay rates, and checks the certified error envelope and disturbance ball.
+trajectories. A filter run integrates the truth and the virtual copies as
+rows of its own state, under each stage's own gain and output
+(``integrate_ekf(config, x0=..., starts=..., disturbance=...)``); the
+experiments here read those rows and refuse a run without them. The module
+measures weighted and Euclidean inter-trajectory distances, fits decay
+rates, and checks the certified error envelope and disturbance ball.
 
-The validator's RK4 stage checks Jacobians as the filter's does
-(model._jacobian_stage). A truth or virtual stage whose state fails
-model._finite returns a NaN derivative without calling a callback, so no
-callback sees a non-finite state and the node guard names the failure.
+``variational_validator`` alone integrates on a finished run: its (z, dz)
+pair reads the run's gains interpolated onto the RK4 stage times and the
+outputs the run read there, an O(h^2) approximation. Its RK4 stage checks
+Jacobians as the filter's does (model._jacobian_stage), and a stage whose
+state fails model._finite returns a NaN derivative without calling a
+callback, so the node guard names the failure.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .contraction import ContractionCertificate, _contraction_matrices, _rate
-from .ekf import (FilterTrajectory, _product, _starts, _virtual_flow, divergence_guard,
-                  integrate)
+from .ekf import FilterTrajectory, _product, divergence_guard, integrate
 from .errors import ConfigurationError
 from .model import (SystemModel, _finite, _jacobian_stage, _scalar, _stacked_jacobians,
                     _state)
@@ -138,61 +137,36 @@ def _stage_inputs(filter_run: FilterTrajectory) -> Callable[[float], tuple]:
     return at
 
 
-def integrate_virtual(model: SystemModel, filter_run: FilterTrajectory, starts,
-                      disturbance: Disturbance | None = None) -> np.ndarray:
-    """Integrate virtual copies of a finished filter run, one per state of the B >= 1
-    ``starts``.
-
-    dz/dt = f(z,t) - K(t)(h(z,t) - y(t)) [+ b(z,t)], with the run's gains
-    interpolated onto its RK4 stage times and the outputs it read there
-    (the measurement is not evaluated again), as one RK4 run on its grid;
-    returns the (m, B, n) nodes. The interpolated gains make this an O(h^2)
-    approximation of the rows a filter run integrates itself (its
-    ``starts``). Each row is checked by the divergence guard on its own, so
-    a run stops where its first row would fail alone.
-    """
-    Z0 = _starts(starts, model.state_dim)
-    stage_inputs = _stage_inputs(filter_run)
-    rows, check = _virtual_flow(model, disturbance, _product(model.state_dim))
-    nodes = integrate(lambda t, Z: rows(t, Z, *stage_inputs(t), np.empty_like(Z)), Z0,
-                      filter_run.times, divergence_guard("virtual state"))
-    check()
-    return nodes
-
-
-def _virtual_rows(model: SystemModel, filter_run: FilterTrajectory, starts: list,
-                  disturbance: Disturbance | None = None) -> np.ndarray:
-    """The (m, B, n) virtual rows from ``starts``: the run's own rows when it integrated
-    exactly these starts under this disturbance, else ``integrate_virtual`` on it."""
-    if (filter_run.virtual is not None and filter_run.disturbance is disturbance
-            and filter_run.virtual[0].tobytes() == np.asarray(starts).tobytes()):
-        return filter_run.virtual
-    return integrate_virtual(model, filter_run, starts, disturbance)
-
-
 def _weighted_sq(covs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weighted squared lengths delta_k^T P_k^{-1} delta_k and the solves P_k^{-1} delta_k."""
     sol = np.linalg.solve(covs, delta[:, :, None])[:, :, 0]
     return np.einsum("ij,ij->i", delta, sol), sol
 
 
-def twin_decay(model: SystemModel, filter_run: FilterTrajectory,
-               z1_0: np.ndarray, z2_0: np.ndarray, *,
+def _run_rows(filter_run: FilterTrajectory, caller: str, count: int, call: str) -> np.ndarray:
+    """The run's (m, count, n) virtual rows, or a ConfigurationError naming the
+    ``caller``, the ``call`` that makes such a run and how many rows this one has."""
+    rows = 0 if filter_run.virtual is None else filter_run.virtual.shape[1]
+    if rows != count:
+        raise ConfigurationError(f"{caller} needs a filter run with {count} virtual "
+                                 f"row{'s' * (count > 1)} ({call}), got {rows}")
+    return filter_run.virtual
+
+
+def twin_decay(filter_run: FilterTrajectory, *,
                certificate: ContractionCertificate | None = None) -> ExperimentRun:
     """Two virtual trajectories under the filter's gain; distance decay.
 
-    The twins are two virtual rows: the run's own when it integrated exactly
-    these two starts (``integrate_ekf(..., starts=[z1_0, z2_0])``), else the
-    rows of ``integrate_virtual`` on it. The weighted squared distance (z1-z2)^T P(t)^{-1} (z1-z2) should decay at
-    rate 2 gamma inside the certified region; its fitted rate is returned
-    in the run. When a certificate is supplied, membership of both initial
-    points in the weighted basin (d^T P(0)^{-1} d <= rho^2/p_hi) is
-    recorded in info["within_basin"]; an outside start is flagged, not
-    fatal.
+    The twins are the run's two virtual rows (``integrate_ekf(...,
+    starts=[z1_0, z2_0])``). The weighted squared distance (z1-z2)^T
+    P(t)^{-1} (z1-z2) should decay at rate 2 gamma inside the certified
+    region; its fitted rate is returned in the run. When a certificate is
+    supplied, membership of both initial points in the weighted basin
+    (d^T P(0)^{-1} d <= rho^2/p_hi) is recorded in info["within_basin"]; an
+    outside start is flagged, not fatal.
     """
-    z1_0, z2_0 = _state(z1_0, model.state_dim, "z1_0"), _state(z2_0, model.state_dim, "z2_0")
+    Z = _run_rows(filter_run, "twin_decay", 2, "integrate_ekf(..., starts=[z1_0, z2_0])")
     times = filter_run.times
-    Z = _virtual_rows(model, filter_run, [z1_0, z2_0])
     delta = Z[:, 0] - Z[:, 1]
     weighted, _ = _weighted_sq(filter_run.covariances, delta)
     euclid = np.linalg.norm(delta, axis=1)
@@ -239,25 +213,27 @@ def envelope_check(filter_run: FilterTrajectory,
         gamma=certificate.gamma, factor=certificate.envelope_factor)
 
 
-def perturbed_run(model: SystemModel, filter_run: FilterTrajectory,
-                  disturbance: Disturbance, z0: np.ndarray, *,
+def perturbed_run(filter_run: FilterTrajectory, *,
                   gamma: float | None = None) -> ExperimentRun:
     """Virtual trajectory with additive disturbance; steady-state ball.
 
-    Integrates dz/dt = f - K(h - y) + b(z,t) and reports the supremum of
-    ||z - xhat|| over the trailing third of the horizon, compared against
-    two candidate ball radii: sqrt(p_hi/p_lo) * gamma * b_max and
-    sqrt(p_hi/p_lo) * b_max / gamma. Only the second (the standard
-    gain/rate form) drives the pass flag; both are reported. ``gamma``
-    defaults to q_lo / (4 p_hi); the ball divides by it, so it must lie in
-    (0, q_lo / (2 p_hi)]. The disturbed copy is one virtual row: the run's
-    own when it integrated exactly [z0] under this disturbance, else the row
-    of ``integrate_virtual`` on it.
+    The disturbed copy dz/dt = f - K(h - y) + b(z,t) is the run's one
+    virtual row under its disturbance (``integrate_ekf(..., starts=[z0],
+    disturbance=...)``). Reports the supremum of ||z - xhat|| over the
+    trailing third of the horizon, compared against two candidate ball
+    radii: sqrt(p_hi/p_lo) * gamma * b_max and sqrt(p_hi/p_lo) * b_max /
+    gamma. Only the second (the standard gain/rate form) drives the pass
+    flag; both are reported. ``gamma`` defaults to q_lo / (4 p_hi); the ball
+    divides by it, so it must lie in (0, q_lo / (2 p_hi)].
     """
+    call = "integrate_ekf(..., starts=[z0], disturbance=...)"
+    z = _run_rows(filter_run, "perturbed_run", 1, call)[:, 0]
+    disturbance = filter_run.disturbance
+    if disturbance is None:
+        raise ConfigurationError(
+            f"perturbed_run needs a filter run with a disturbance ({call}), got none")
     gamma = _rate(gamma, filter_run.config.q_lo, filter_run.p_hi, BALL_RATE_RULE)
-    z0 = _state(z0, model.state_dim, "z0")
     times = filter_run.times
-    z = _virtual_rows(model, filter_run, [z0], disturbance)[:, 0]
     delta = z - filter_run.states
     euclid = np.linalg.norm(delta, axis=1)
     weighted, _ = _weighted_sq(filter_run.covariances, delta)
@@ -295,7 +271,7 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     the quadratic form (the two sides agree up to O(step^2)).
     One stacked solve S = P^{-1} dz serves both dz^T S and the form S^T M S.
     The virtual row reads the run's gains interpolated onto the stage times
-    and its ``stage_outputs``, as ``integrate_virtual`` does.
+    and its ``stage_outputs``.
     """
     n = model.state_dim
     z0 = _state(z0, n, "z0")

@@ -15,6 +15,13 @@ def random_spd(rng: np.random.Generator, n: int, lo: float = 0.5,
     return Q @ np.diag(lam) @ Q.T
 
 
+def rerun(rig, starts, disturbance=None):
+    """The rig's filter run again, on its truth start or its measurements, with
+    virtual rows from ``starts`` under ``disturbance``."""
+    source = {"x0": rig["x0"]} if rig["traj"].truth is not None else {"measurements": rig["y"]}
+    return ek.integrate_ekf(rig["fc"], starts=starts, disturbance=disturbance, **source)
+
+
 @pytest.fixture(scope="session")
 def scalar_rig():
     """Scalar constant plant with direct measurement and unit weights.

@@ -11,7 +11,7 @@ import math
 import time
 
 import numpy as np
-from conftest import random_spd
+from conftest import random_spd, rerun
 
 import ekfcert as ek
 from ekfcert.cli import main as cli_main
@@ -103,13 +103,13 @@ def test_03_time_varying_linear_convergence():
     fc = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(1),
                          P0=np.eye(2), x0=x0 + np.array([1.0, 0.0]),
                          horizon=horizon, step=horizon / 8000)
-    traj = ek.integrate_ekf(fc, y)
+    traj = ek.integrate_ekf(fc, y, starts=[x0 + np.array([0.5, 0.0]),
+                                           x0 - np.array([0.5, 0.0])])
     rep = ek.covariance_bounds_report(traj)
     gamma = rep["q_lo"] / (4.0 * rep["p_hi"])
     final_err = float(np.linalg.norm(traj.states[-1] - state(horizon, x0)))
 
-    twin = twin_decay(model, traj, x0 + np.array([0.5, 0.0]),
-                      x0 - np.array([0.5, 0.0]))
+    twin = twin_decay(traj)
     rate = twin.info["fitted_rate_weighted"]
     ok = (gamma * horizon >= 15.0 and final_err <= 1e-6
           and rate >= 2.0 * gamma * 0.9)
@@ -153,11 +153,11 @@ def test_05_scalar_pipeline_end_to_end(scalar_rig):
     # Unit-weight scalar plant: P equilibrates at sqrt(qr) = 1, twins decay
     # at 2 K_inf = 2, the error stays under its envelope, and a constant
     # disturbance settles at radius b / K_inf inside the standard ball.
-    model, traj = scalar_rig["model"], scalar_rig["traj"]
+    traj = scalar_rig["traj"]
     p_final = float(traj.covariances[-1][0, 0])
     ok_p = abs(p_final - 1.0) <= 1e-6
 
-    twin = twin_decay(model, traj, np.array([0.8]), np.array([0.2]))
+    twin = twin_decay(rerun(scalar_rig, [[0.8], [0.2]]))
     rate = twin.info["fitted_rate_weighted"]
     ok_twin = abs(rate - 2.0) <= 0.05 * 2.0
 
@@ -168,7 +168,7 @@ def test_05_scalar_pipeline_end_to_end(scalar_rig):
     ok_env = env.passed and env.worst_margin >= 0.0
 
     dist = Disturbance(b=lambda z, t: np.array([0.01]), b_max=0.01)
-    pert = perturbed_run(model, traj, dist, np.array([0.4]), gamma=cert.gamma)
+    pert = perturbed_run(rerun(scalar_rig, [[0.4]], dist), gamma=cert.gamma)
     steady = pert.info["steady_radius"]
     ok_pert = (abs(steady - 0.01) <= 0.05 * 0.01
                and pert.info["within_standard"]
@@ -212,8 +212,8 @@ def test_06_linear_output_region_check_governs_twin_convergence():
                    for sx in (-1, 1) for sy in (-1, 1)]
         pairs = [(corners[0], corners[3]), (corners[1], corners[2]),
                  (corners[0], x0)]
-        rates = [twin_decay(model, traj, z1, z2).info["fitted_rate_weighted"]
-                 for z1, z2 in pairs]
+        rates = [twin_decay(ek.integrate_ekf(traj.config, x0=x0, starts=pair))
+                 .info["fitted_rate_weighted"] for pair in pairs]
         ok_twins = all(r >= gamma * 0.9 for r in rates)
 
         over_cap = linear_output_check(model, traj, box,
@@ -252,10 +252,10 @@ def test_07_covariance_inflation_raises_decay_rate():
                              P0=np.array([[p_eq]]), x0=np.zeros(1),
                              horizon=6.0, step=6.0 / 3000,
                              N=None if n_val == 0.0 else n_val * np.eye(1))
-        traj = ek.integrate_ekf(fc, y)
+        traj = ek.integrate_ekf(fc, y, starts=[[0.3], [-0.3]])
         if n_val > 0.0:
             p_hi_N = ek.covariance_bounds_report(traj)["p_hi"]
-        twin = twin_decay(entry.model, traj, np.array([0.3]), np.array([-0.3]))
+        twin = twin_decay(traj)
         rates[n_val] = twin.info["fitted_rate_weighted"]
     gain = rates[n_lo] - rates[0.0]
     need = 0.5 * n_lo / p_hi_N

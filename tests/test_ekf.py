@@ -344,15 +344,16 @@ def _small_run():
     (lambda: _scalar_config(x0=np.array([math.nan])), "x0 must be finite"),
     (lambda: ek.integrate_truth(ek.make("scalar-riccati").model, np.array([math.nan]), 0.2, 0.05),
      "x0 must be finite"),
-    (lambda: ek.integrate_virtual(ek.make("scalar-riccati").model, _small_run(),
-                                  [[0.1], [math.inf]]), re.escape("starts[1] must be finite")),
+    (lambda: ek.integrate_ekf(_scalar_config(), lambda t: np.zeros(1),
+                              starts=[[0.1], [math.inf]]), re.escape("starts[1] must be finite")),
     (lambda: ek.variational_validator(ek.make("scalar-riccati").model, _small_run(),
                                       np.array([math.nan])), "z0 must be finite"),
     (lambda: ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=math.nan), "b_max must be"),
     (lambda: ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=math.inf), "b_max must be"),
-    (lambda: ek.perturbed_run(ek.make("scalar-riccati").model, _small_run(),
-                              ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=0.0),
-                              np.zeros(1), gamma=math.nan), "gamma must be positive"),
+    (lambda: ek.perturbed_run(ek.integrate_ekf(
+        _scalar_config(), lambda t: np.zeros(1), starts=[np.zeros(1)],
+        disturbance=ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=0.0)), gamma=math.nan),
+     "gamma must be positive"),
 ])
 def test_a_nan_or_infinite_input_is_rejected_where_it_enters(make, message):
     with pytest.raises(ek.ConfigurationError, match=message):

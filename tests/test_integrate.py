@@ -2,7 +2,8 @@
 
 The ``_ref_*`` functions are the per-integrator RK4 loops, guards and
 interpolators the package used before every flow went through
-``ekf.integrate``. They are kept as references: each new integrator must
+``ekf.integrate``, and ``_ref_ekf_virtual``, the filter loop with one
+virtual row. They are kept as references: each new integrator must
 reproduce its reference bit for bit.
 """
 
@@ -59,31 +60,6 @@ def _ref_truth(model, x0, horizon, step):
                                      time=float(grid[k + 1]))
         states[k + 1] = x
     return grid, states
-
-
-def _ref_virtual(model, K, y, z0, horizon, step, disturbance=None):
-    b_worst = 0.0
-
-    def rhs(t, z):
-        dz = model.f(z, t) - K(t) @ (model.h(z, t) - y(t))
-        if disturbance is not None:
-            bv = np.asarray(disturbance.b(z, t), dtype=float).reshape(-1)
-            nonlocal b_worst
-            b_worst = max(b_worst, float(np.linalg.norm(bv)))
-            dz = dz + bv
-        return dz
-
-    grid = ek.time_grid(horizon, step)
-    states = np.empty((len(grid), model.state_dim))
-    states[0] = z0
-    z = z0
-    for k in range(len(grid) - 1):
-        z = ek.rk4_step(rhs, grid[k], z, grid[k + 1] - grid[k])
-        if not np.all(np.isfinite(z)) or np.linalg.norm(z) > LIMIT:
-            raise ek.DivergenceError(f"virtual state diverged at t={grid[k + 1]:.6g}",
-                                     time=float(grid[k + 1]))
-        states[k + 1] = z
-    return states, b_worst
 
 
 def _ref_solve_gain(P, C, R):
@@ -149,6 +125,63 @@ def _ref_ekf(config, y):
         gains[k] = _ref_solve_gain(covs[k], C, config.R)
     eigs = np.linalg.eigvalsh(covs)
     return states, covs, gains, float(eigs[:, 0].min()), float(eigs[:, -1].max())
+
+
+def _ref_ekf_virtual(config, y, z0, disturbance=None):
+    """The flat-state loop of [xhat; P; z]: one virtual row under each stage's
+    gain K = (R^{-1} (C P))^T and output, every 2-D stage product through @,
+    guarded as the filter guards its rows. Returns the nodes of xhat, P and z
+    and the largest ||b|| seen."""
+    model = config.model
+    n = model.state_dim
+    grid = ek.time_grid(config.horizon, config.step)
+    Rinv = np.linalg.inv(config.R)
+    b_worst = 0.0
+
+    def rhs(t, stacked):
+        nonlocal b_worst
+        xhat, P, z = stacked[:n], stacked[n:n + n * n].reshape(n, n), stacked[n + n * n:]
+        A, C = eval_jacobians(model, xhat, t)
+        K = (Rinv @ (C @ P)).T
+        PCt = P @ C.T
+        dP = A @ P + P @ A.T + config.Q - PCt @ (Rinv @ PCt.T) + 2.0 * config.N
+        if config.beta != 0.0:
+            dP = dP + 2.0 * config.beta * P
+        head = [model.f(xhat, t) - K @ (model.h(xhat, t) - y(t)), (0.5 * (dP + dP.T)).ravel()]
+        if not np.all(np.isfinite(z)):   # no callback sees a non-finite state
+            return np.concatenate(head + [np.full(n, np.nan)])
+        dz = model.f(z, t) - K @ (model.h(z, t) - y(t))
+        if disturbance is not None:
+            bv = np.asarray(disturbance.b(z, t), dtype=float).reshape(-1)
+            b_worst = max(b_worst, float(np.linalg.norm(bv)))
+            dz = dz + bv
+        return np.concatenate(head + [dz])
+
+    m = len(grid)
+    nodes = np.empty((m, n + n * n + n))
+    nodes[0] = stacked = np.concatenate([config.x0, config.P0.ravel(), z0])
+    for k in range(m - 1):
+        stacked = ek.rk4_step(rhs, grid[k], stacked, grid[k + 1] - grid[k])
+        t_next = grid[k + 1]
+        xhat, P, z = stacked[:n], stacked[n:n + n * n].reshape(n, n), stacked[n + n * n:]
+        if not np.all(np.isfinite(xhat)) or np.linalg.norm(xhat) > LIMIT:
+            raise ek.DivergenceError(f"estimate diverged at t={t_next:.6g}",
+                                     time=float(t_next))
+        if not np.all(np.isfinite(P)):
+            raise ek.DivergenceError(f"covariance diverged at t={t_next:.6g}",
+                                     time=float(t_next))
+        try:
+            np.linalg.cholesky(P)
+        except np.linalg.LinAlgError:
+            raise ek.CovarianceBoundViolation(
+                f"covariance lost positive definiteness at t={t_next:.6g}",
+                time=float(t_next)) from None
+        if not np.all(np.isfinite(z)) or np.linalg.norm(z) > LIMIT:
+            raise ek.DivergenceError(f"virtual state diverged at t={t_next:.6g}",
+                                     time=float(t_next))
+        nodes[k + 1] = stacked
+    return (nodes[:, :n], nodes[:, n:n + n * n].reshape(m, n, n), nodes[:, n + n * n:],
+            b_worst)
 
 
 def _ref_validator(model, run, y, z0, step, dz0=None):
@@ -340,18 +373,21 @@ def test_a_timeseries_measurement_is_read_as_series_at(rig):
 
 
 @pytest.mark.parametrize("disturbed", [False, True])
-def test_virtual_matches_reference_loop(rig, disturbed):
-    run, spec = rig["run"], rig["spec"]
+def test_virtual_row_matches_reference_loop(rig, disturbed):
+    """A virtual row on measured data, with and without a disturbance, next to
+    the estimate and P of the same run."""
     n = rig["model"].state_dim
     dist = None
     if disturbed:
         vec = np.full(n, 0.01)
         dist = ek.Disturbance(b=lambda z, t: vec * math.sin(2.0 * t),
                               b_max=float(np.linalg.norm(vec)))
-    new = ek.integrate_virtual(rig["model"], run, [rig["z0"]], dist)
-    states, b_worst = _ref_virtual(rig["model"], _ref_gain(run), rig["y"],
-                                   rig["z0"], spec["horizon"], spec["step"], dist)
-    assert np.array_equal(new[:, 0], states)
+    new = ek.integrate_ekf(rig["fc"], rig["y"], starts=[rig["z0"]], disturbance=dist)
+    states, covs, zs, b_worst = _ref_ekf_virtual(rig["fc"], rig["y"], rig["z0"], dist)
+    assert np.array_equal(new.states, states)
+    assert np.array_equal(new.covariances, covs)
+    assert np.array_equal(new.virtual[:, 0], zs)
+    assert new.states.tobytes() == rig["run"].states.tobytes()
     assert b_worst > 0.0 if disturbed else b_worst == 0.0
 
 
@@ -418,22 +454,24 @@ def _counting(fn, calls):
 
 
 def test_the_measurement_is_read_once_per_stage_time(rig):
-    """The filter reads y at the 2m - 1 distinct stage times; the virtual runs
+    """The filter reads y at the 2m - 1 distinct stage times, with or without
+    virtual rows, which read the same y; the experiments and the validator
     reuse what it read and never call the measurement."""
     model, calls = rig["model"], [0]
-    run = ek.integrate_ekf(rig["fc"], _counting(rig["y"], calls))
-    m = len(run.times)
-    assert calls[0] == 2 * m - 1
-    times, _ = stage_table(run.times)
-    for row in range(0, 2 * m - 1, 37):
-        assert np.array_equal(run.stage_outputs[row], rig["y"](times[row]))
     n = model.state_dim
+    dist = ek.Disturbance(b=lambda z, t: np.full(n, 0.01), b_max=0.01 * math.sqrt(n))
+    runs = [ek.integrate_ekf(rig["fc"], _counting(rig["y"], calls), **rows)
+            for rows in ({}, {"starts": [rig["z0"], rig["x0"]]},
+                         {"starts": [rig["z0"]], "disturbance": dist})]
+    m = len(runs[0].times)
+    assert calls[0] == 3 * (2 * m - 1)
+    times, _ = stage_table(runs[0].times)
+    for row in range(0, 2 * m - 1, 37):
+        assert np.array_equal(runs[0].stage_outputs[row], rig["y"](times[row]))
     calls[0] = 0
-    ek.integrate_virtual(model, run, [rig["z0"]])
-    ek.twin_decay(model, run, rig["z0"], rig["x0"])
-    ek.perturbed_run(model, run, ek.Disturbance(b=lambda z, t: np.full(n, 0.01),
-                                                b_max=0.01 * math.sqrt(n)), rig["z0"])
-    ek.variational_validator(model, run, rig["z0"])
+    ek.twin_decay(runs[1])
+    ek.perturbed_run(runs[2])
+    ek.variational_validator(model, runs[0], rig["z0"])
     assert calls[0] == 0
 
 
@@ -500,7 +538,7 @@ def test_a_stage_time_off_its_row_raises(monkeypatch, scalar_rig):
     with pytest.raises(RuntimeError, match="RK4 stage 2"):
         ek.integrate_ekf(scalar_rig["fc"], x0=scalar_rig["x0"])
     with pytest.raises(RuntimeError, match="RK4 stage 2"):
-        ek.integrate_virtual(scalar_rig["model"], scalar_rig["traj"], [[0.1]])
+        ek.variational_validator(scalar_rig["model"], scalar_rig["traj"], [0.1])
 
 
 # ----------------------------------------------------------------- guards
@@ -575,12 +613,16 @@ def test_truth_guard_reports_first_failing_node():
 
 
 def test_virtual_guard_reports_first_failing_node():
+    """The plant's C = 0 makes the gain exactly zero, and the estimate rests at
+    the origin, so the row fails where dz/dt = z^3 alone does."""
     model, z0 = _blowup_model(), np.array([3.0])
-    run = _zero_gain_run(0.2, 0.01)
+    fc = ek.FilterConfig(model=model, Q=np.eye(1), R=np.eye(1), P0=np.eye(1),
+                         x0=np.zeros(1), horizon=0.2, step=0.01)
     with np.errstate(over="ignore", invalid="ignore"):
-        t_fail = _first_failing_node(lambda t, s: model.f(s, t), z0, run.times)
+        t_fail = _first_failing_node(lambda t, s: model.f(s, t), z0,
+                                     ek.time_grid(0.2, 0.01))
         with pytest.raises(ek.DivergenceError) as info:
-            ek.integrate_virtual(model, run, [z0])
+            ek.integrate_ekf(fc, lambda t: np.zeros(1), starts=[z0])
     _assert_divergence(info, "virtual state", t_fail)
 
 
@@ -677,8 +719,6 @@ def test_every_integrator_steps_through_the_ekf_module_global(monkeypatch, scala
                           [[0.5], [2.0]]),
         "joint run": (lambda: ek.integrate_ekf(fc, x0=[0.4], starts=[[0.1], [0.2]]),
                       [[0.5], [2.0], [0.4], [0.1], [0.2]]),
-        "integrate_virtual": (lambda: ek.integrate_virtual(model, run, [[0.1], [0.2]]),
-                              [[0.1], [0.2]]),
         "variational_validator": (lambda: ek.variational_validator(
             model, run, np.array([0.1])), [0.1, 1.0]),
     }
@@ -831,6 +871,11 @@ def _filter_arrays(fc, y):
     return run.states, run.covariances, run.gains
 
 
+def _virtual_arrays(fc, y, z0):
+    run = ek.integrate_ekf(fc, y, starts=[z0])
+    return run.states, run.covariances, run.virtual[:, 0]
+
+
 def _outcome(fn):
     """The arrays fn() returns, or the type, message and time of what it raises."""
     try:
@@ -858,8 +903,8 @@ def test_a_faulty_callback_fails_as_on_the_checked_path(callback, what, fault):
         "filter": (lambda: _filter_arrays(fc, y), lambda: _ref_ekf(fc, y)[:3]),
         "truth": (lambda: (ek.integrate_truth(model, zero, 1.0, 0.1).values,),
                   lambda: _ref_truth(model, zero, 1.0, 0.1)[1:]),
-        "virtual": (lambda: (ek.integrate_virtual(model, run, [zero])[:, 0],),
-                    lambda: _ref_virtual(model, _ref_gain(run), y, zero, 1.0, 0.1)[:1]),
+        "virtual": (lambda: _virtual_arrays(fc, y, e0),
+                    lambda: _ref_ekf_virtual(fc, y, e0)[:3]),
         "validator": (lambda: (ek.variational_validator(model, run, zero, dz0=e0),),
                       lambda: (_ref_validator(model, run, y, zero, 0.1, e0),)),
     }
@@ -877,7 +922,9 @@ def test_truth_and_virtual_runs_stop_at_the_guard_without_a_non_finite_callback(
     disturbance that raise on a non-finite state: the truth, the virtual
     and the joint runs stop with the node guard's error at the end of the
     faulty step, calling none of them on the non-finite stage states within
-    it; the joint run names its truth row, which it checks first."""
+    it; the joint run names its truth row, which it checks first. For the
+    virtual rows alone the NaN comes only at a nonzero state, so the
+    estimate, at rest at the origin, stays finite."""
     def strict(fn):
         def call(x, t):
             if not np.isfinite(x).all():
@@ -885,18 +932,23 @@ def test_truth_and_virtual_runs_stop_at_the_guard_without_a_non_finite_callback(
             return fn(x, t)
         return call
 
-    nan = _faulty_plant("dynamics", lambda v: np.full_like(v, np.nan))
-    model = dataclasses.replace(nan, dynamics=strict(nan.dynamics), output=strict(nan.output))
-    fc = ek.FilterConfig(model=_faulty_plant("dynamics", lambda v: v), Q=np.eye(2),
-                         R=np.eye(2), P0=np.diag([1.0, 2.0]), x0=np.zeros(2),
-                         horizon=1.0, step=0.1)
-    run = ek.integrate_ekf(fc, lambda t: np.zeros(2))
+    def strict_plant(fault):
+        plant = _faulty_plant("dynamics", fault)
+        return dataclasses.replace(plant, dynamics=strict(plant.dynamics),
+                                   output=strict(plant.output))
+
+    model = strict_plant(lambda v: np.full_like(v, np.nan))
+    off_rest = strict_plant(lambda v: np.full_like(v, np.nan) if v.any() else v)
+    fc = ek.FilterConfig(model=off_rest, Q=np.eye(2), R=np.eye(2), P0=np.diag([1.0, 2.0]),
+                         x0=np.zeros(2), horizon=1.0, step=0.1)
+    y, e0 = (lambda t: np.zeros(2)), np.array([1.0, 0.0])
     dist = ek.Disturbance(b=strict(lambda z, t: np.zeros(2)), b_max=0.0)
-    t = run.times[3]
+    t = ek.time_grid(1.0, 0.1)[3]
     for what, flow in [
             ("truth", lambda: ek.integrate_truth(model, np.zeros(2), 1.0, 0.1)),
-            ("virtual state", lambda: ek.integrate_virtual(model, run, [np.zeros(2)])),
-            ("virtual state", lambda: ek.integrate_virtual(model, run, [np.zeros(2)] * 2, dist)),
+            ("virtual state", lambda: ek.integrate_ekf(fc, y, starts=[e0])),
+            ("virtual state", lambda: ek.integrate_ekf(fc, y, starts=[e0] * 2,
+                                                       disturbance=dist)),
             ("truth", lambda: ek.integrate_ekf(dataclasses.replace(fc, model=model),
                                                x0=np.zeros(2), starts=[np.zeros(2)],
                                                disturbance=dist))]:

@@ -24,6 +24,8 @@ GOOD = np.array([0.3, 0.2])
 RUN = ek.integrate_ekf(ek.FilterConfig(model=MODEL, Q=Q, R=R, P0=P, x0=GOOD,
                                        horizon=0.2, step=0.05), lambda t: np.array([0.3]))
 QUIET = ek.Disturbance(b=lambda x, t: np.zeros(N), b_max=0.0)
+DISTURBED = ek.integrate_ekf(RUN.config, lambda t: np.array([0.3]), starts=[GOOD],
+                             disturbance=QUIET)
 BOUNDS = {"p_lo": 0.5, "p_hi": 1.0, "q_lo": 1.0, "r_lo": 1.0}
 HESS = ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=1.0)
 SPECTRAL = dict(BOUNDS, kappa_A=1.0, kappa_C=1.0)
@@ -100,7 +102,7 @@ ENTRY_POINTS = [
     ("compare_analyses", "c_hi", POS, lambda v: ek.compare_analyses(**SPECTRAL, c_hi=v)),
     ("Disturbance", "b_max", NONNEG_FIN, lambda v: ek.Disturbance(b=QUIET.b, b_max=v)),
     ("perturbed_run", "gamma", POS_FIN,
-     lambda v: ek.perturbed_run(MODEL, RUN, QUIET, GOOD, gamma=v)),
+     lambda v: ek.perturbed_run(DISTURBED, gamma=v)),
 ]
 IDS = [f"{entry}-{name}" for entry, name, _, _ in ENTRY_POINTS]
 

@@ -4,9 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from conftest import rerun
 
 import ekfcert as ek
-from ekfcert import sim
 
 
 @pytest.fixture(scope="module")
@@ -17,8 +17,8 @@ def equilibrium_rig():
     horizon = 12.0
     fc = ek.FilterConfig(model=entry.model, Q=np.eye(1), R=np.eye(1),
                          P0=np.eye(1), x0=np.array([0.4]), horizon=horizon)
-    traj = ek.integrate_ekf(fc, x0=np.array([0.4]))
-    return {"model": entry.model, "fc": fc, "traj": traj}
+    x0 = np.array([0.4])
+    return {"fc": fc, "x0": x0, "traj": ek.integrate_ekf(fc, x0=x0)}
 
 
 def _flat_cert(traj, alpha=10.0):
@@ -62,38 +62,37 @@ def test_truth_matches_closed_form_flow():
     assert float(np.abs(traj.values - exact).max()) <= 1e-8 * scale
 
 
-def test_estimate_solves_virtual_flow(scalar_rig, cubic_rig):
+def test_a_row_started_at_the_estimate_follows_it(scalar_rig, cubic_rig):
     for rig in (scalar_rig, cubic_rig):
-        traj = rig["traj"]
-        z = ek.integrate_virtual(rig["model"], traj, [traj.states[0]])
+        traj = rerun(rig, [rig["fc"].x0])
+        z = traj.virtual
         assert z.shape == (len(traj.times), 1, 1)
         scale = 1.0 + float(np.abs(traj.states).max())
         assert float(np.abs(z[:, 0] - traj.states).max()) <= 1e-4 * scale
 
 
 def test_virtual_closed_form_at_equilibrium(equilibrium_rig):
-    traj = equilibrium_rig["traj"]
-    z = ek.integrate_virtual(equilibrium_rig["model"], traj, [[1.4]])
+    traj = rerun(equilibrium_rig, [[1.4]])
+    z = traj.virtual
     # constant unit gain turns the virtual flow into dz = -(z - 0.4)
     k = len(traj.times) // 3
     assert abs((z[k, 0, 0] - 0.4) - math.exp(-float(traj.times[k]))) < 1e-9
 
 
 def test_twin_identical_starts_stay_identical(scalar_rig):
-    run = ek.twin_decay(scalar_rig["model"], scalar_rig["traj"],
-                        np.array([0.7]), np.array([0.7]))
+    traj = rerun(scalar_rig, [[0.7], [0.7]])
+    run = ek.twin_decay(traj)
     assert np.all(run.weighted_dist == 0.0)
     assert np.all(run.euclid_dist == 0.0)
     assert math.isnan(run.fitted_rate)
-    assert run.times is scalar_rig["traj"].times
+    assert run.times is traj.times
 
 
 def test_twin_rate_matches_equilibrium_gain(scalar_rig):
     # twins contract at the settled gain K = 1; the weighted square at 2
-    traj = scalar_rig["traj"]
+    traj = rerun(scalar_rig, [[0.6], [0.3]])
     cert = _flat_cert(traj)
-    run = ek.twin_decay(scalar_rig["model"], traj, np.array([0.6]),
-                        np.array([0.3]), certificate=cert)
+    run = ek.twin_decay(traj, certificate=cert)
     assert run.fitted_rate == pytest.approx(2.0, rel=0.05)
     assert run.info["fitted_rate_weighted"] == run.fitted_rate
     assert run.info["fitted_rate_euclid"] == pytest.approx(1.0, rel=0.05)
@@ -103,10 +102,9 @@ def test_twin_rate_matches_equilibrium_gain(scalar_rig):
 
 
 def test_twin_outside_basin_is_flagged(scalar_rig):
-    traj = scalar_rig["traj"]
+    traj = rerun(scalar_rig, [[0.8], [0.5]])
     cert = _flat_cert(traj, alpha=0.01)
-    run = ek.twin_decay(scalar_rig["model"], traj, np.array([0.8]),
-                        np.array([0.5]), certificate=cert)
+    run = ek.twin_decay(traj, certificate=cert)
     assert not run.info["within_basin"]
 
 
@@ -114,9 +112,8 @@ def test_twin_distance_sandwich():
     entry = ek.make("ltv-linear")
     fc = ek.FilterConfig(model=entry.model, Q=np.eye(2), R=np.eye(1),
                          P0=np.eye(2), x0=np.array([1.0, 0.0]), horizon=6.0)
-    traj = ek.integrate_ekf(fc, x0=np.array([0.9, 0.1]))
-    run = ek.twin_decay(entry.model, traj, np.array([1.5, 0.0]),
-                        np.array([0.5, 0.5]))
+    traj = ek.integrate_ekf(fc, x0=np.array([0.9, 0.1]), starts=[[1.5, 0.0], [0.5, 0.5]])
+    run = ek.twin_decay(traj)
     lo = run.euclid_dist ** 2 / traj.p_hi
     hi = run.euclid_dist ** 2 / traj.p_lo
     slack = 1.0 + 1e-9
@@ -158,9 +155,8 @@ def test_envelope_fails_outside_basin(scalar_rig):
 
 
 def test_perturbed_zero_disturbance_stays_put(equilibrium_rig):
-    traj = equilibrium_rig["traj"]
     dist = ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=0.0)
-    run = ek.perturbed_run(equilibrium_rig["model"], traj, dist, np.array([0.4]))
+    run = ek.perturbed_run(rerun(equilibrium_rig, [[0.4]], dist))
     assert run.info["steady_radius"] <= 1e-12
     assert run.info["within_standard"]
     assert run.info["within_printed"]
@@ -168,10 +164,9 @@ def test_perturbed_zero_disturbance_stays_put(equilibrium_rig):
 
 
 def test_perturbed_constant_offset_ball(equilibrium_rig):
-    traj = equilibrium_rig["traj"]
     b = 0.01
     dist = ek.Disturbance(b=lambda x, t: np.array([b]), b_max=b)
-    run = ek.perturbed_run(equilibrium_rig["model"], traj, dist, np.array([0.4]))
+    run = ek.perturbed_run(rerun(equilibrium_rig, [[0.4]], dist))
     # unit gain drives z toward truth + b, so the offset settles at b
     assert run.info["steady_radius"] == pytest.approx(b, rel=0.05)
     assert run.info["gamma"] == pytest.approx(0.25)
@@ -183,27 +178,24 @@ def test_perturbed_constant_offset_ball(equilibrium_rig):
 
 
 def test_perturbed_respects_declared_bound(equilibrium_rig):
-    traj = equilibrium_rig["traj"]
     dist = ek.Disturbance(b=lambda x, t: np.array([0.1]), b_max=0.05)
     with pytest.raises(ek.PreconditionError):
-        ek.perturbed_run(equilibrium_rig["model"], traj, dist, np.array([0.4]))
+        rerun(equilibrium_rig, [[0.4]], dist)
     with pytest.raises(ek.ConfigurationError):
         ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=-1.0)
+    quiet = rerun(equilibrium_rig, [[0.4]], ek.Disturbance(b=lambda x, t: np.zeros(1),
+                                                           b_max=0.0))
     with pytest.raises(ek.ConfigurationError):
-        ek.perturbed_run(equilibrium_rig["model"], traj,
-                         ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=0.0),
-                         np.array([0.4]), gamma=0.0)
+        ek.perturbed_run(quiet, gamma=0.0)
 
 
 def test_perturbed_uses_certificate_gamma(equilibrium_rig):
-    traj = equilibrium_rig["traj"]
-    cert = _flat_cert(traj)
     dist = ek.Disturbance(b=lambda x, t: np.zeros(1), b_max=0.1)
-    run = ek.perturbed_run(equilibrium_rig["model"], traj, dist,
-                           np.array([0.4]), gamma=cert.gamma)
+    traj = rerun(equilibrium_rig, [[0.4]], dist)
+    cert = _flat_cert(traj)
+    run = ek.perturbed_run(traj, gamma=cert.gamma)
     assert run.info["gamma"] == cert.gamma
-    run = ek.perturbed_run(equilibrium_rig["model"], traj, dist,
-                           np.array([0.4]), gamma=0.125)
+    run = ek.perturbed_run(traj, gamma=0.125)
     assert run.info["gamma"] == 0.125
 
 
@@ -276,11 +268,10 @@ def test_node_series_on_the_filter_grid_are_read_without_interpolation(
     traj = scalar_rig["traj"]
     report = ek.envelope_check(traj, _flat_cert(traj))
     assert np.array_equal(report.error, np.abs(traj.states - traj.truth)[:, 0])
-    traj = equilibrium_rig["traj"]
     dist = ek.Disturbance(b=lambda x, t: np.full(1, 0.01), b_max=0.01)
-    run = ek.perturbed_run(equilibrium_rig["model"], traj, dist, np.array([0.4]))
-    z = ek.integrate_virtual(equilibrium_rig["model"], traj, [[0.4]], dist)[:, 0]
-    assert np.array_equal(run.euclid_dist, np.abs(z - traj.states)[:, 0])
+    traj = rerun(equilibrium_rig, [[0.4]], dist)
+    run = ek.perturbed_run(traj)
+    assert np.array_equal(run.euclid_dist, np.abs(traj.virtual[:, 0] - traj.states)[:, 0])
 
 
 def test_envelope_needs_a_run_on_a_truth_start(scalar_rig):
@@ -291,19 +282,19 @@ def test_envelope_needs_a_run_on_a_truth_start(scalar_rig):
 
 def test_stacked_twin_run_equals_two_single_row_runs(scalar_rig, cubic_rig):
     for rig, starts in ((scalar_rig, [[0.8], [0.2]]), (cubic_rig, [[0.5], [-0.4]])):
-        model, traj = rig["model"], rig["traj"]
-        both = ek.integrate_virtual(model, traj, starts)
+        traj = rerun(rig, starts)
+        both = traj.virtual
         for b, start in enumerate(starts):
-            assert np.array_equal(both[:, b], ek.integrate_virtual(model, traj, [start])[:, 0])
-        run = ek.twin_decay(model, traj, np.array(starts[0]), np.array(starts[1]))
+            assert np.array_equal(both[:, b], rerun(rig, [start]).virtual[:, 0])
+        run = ek.twin_decay(traj)
         assert np.array_equal(run.euclid_dist, np.abs(both[:, 0] - both[:, 1])[:, 0])
 
 
-def _vdp_run():
+def _vdp_run(**rows):
     model = ek.make("vanderpol-pos").model
     config = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
                              x0=np.array([0.3, 0.2]), horizon=0.2, step=0.05)
-    return model, ek.integrate_ekf(config, lambda t: np.array([0.3]))
+    return model, ek.integrate_ekf(config, lambda t: np.array([0.3]), **rows)
 
 
 def test_virtual_starts_must_match_the_state_dimension():
@@ -316,12 +307,10 @@ def test_virtual_starts_must_match_the_state_dimension():
                             ([], "starts must hold at least one state, got []"),
                             (0.5, "starts must hold at least one state, got 0.5")]:
         with pytest.raises(ek.ConfigurationError, match=re.escape(message)):
-            ek.integrate_virtual(model, traj, starts)
+            _vdp_run(starts=starts)
     # a (1, 2, 1) stack is one start, flattened as x0 is
-    assert np.array_equal(ek.integrate_virtual(model, traj, np.zeros((1, 2, 1))),
-                          ek.integrate_virtual(model, traj, np.zeros((1, 2))))
-    with pytest.raises(ek.ConfigurationError):
-        ek.twin_decay(model, traj, np.zeros(3), np.zeros(3))
+    assert np.array_equal(_vdp_run(starts=np.zeros((1, 2, 1)))[1].virtual,
+                          _vdp_run(starts=np.zeros((1, 2)))[1].virtual)
     # the validator's start and tangent: not numpy's matmul error
     for z0, dz0, what in ((np.zeros(3), None, "z0"), (np.zeros(2), np.ones(3), "dz0")):
         with pytest.raises(ek.ConfigurationError,
@@ -330,23 +319,23 @@ def test_virtual_starts_must_match_the_state_dimension():
 
 
 def test_perturbed_run_takes_the_rates_a_certificate_takes_but_zero():
-    model, traj = _vdp_run()
     quiet = ek.Disturbance(b=lambda x, t: np.zeros(2), b_max=0.0)
+    _, traj = _vdp_run(starts=[[0.3, 0.2]], disturbance=quiet)
     bounds = ek.covariance_bounds_report(traj)
     hess = ek.HessianBounds(alpha=1.0, kappa_A=0.0, kappa_C=0.0)
     cap = traj.config.q_lo / (2.0 * traj.p_hi)
     for gamma in (10.0, 1.5 * cap):
         with pytest.raises(ek.ConfigurationError, match=re.escape(
                 f"gamma = {gamma!r} outside [0, q_lo/(2 p_hi)] = [0, {cap!r}]")) as refused:
-            ek.perturbed_run(model, traj, quiet, traj.config.x0, gamma=gamma)
+            ek.perturbed_run(traj, gamma=gamma)
         with pytest.raises(ek.ConfigurationError) as certified:
             ek.make_certificate(bounds, hess, gamma)
         assert str(refused.value) == str(certified.value)
     for gamma in (0.0, -1.0, math.nan, math.inf):   # the ball divides by a finite gamma
         with pytest.raises(ek.ConfigurationError, match="^gamma must be positive and finite"):
-            ek.perturbed_run(model, traj, quiet, traj.config.x0, gamma=gamma)
-    assert ek.perturbed_run(model, traj, quiet, traj.config.x0, gamma=cap).info["gamma"] == cap
-    default = ek.perturbed_run(model, traj, quiet, traj.config.x0).info["gamma"]
+            ek.perturbed_run(traj, gamma=gamma)
+    assert ek.perturbed_run(traj, gamma=cap).info["gamma"] == cap
+    default = ek.perturbed_run(traj).info["gamma"]
     assert default == ek.make_certificate(bounds, hess).gamma
 
 
@@ -356,49 +345,48 @@ def test_a_disturbance_must_return_one_entry_per_state():
     model = ek.make("ltv-linear").model
     fc = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
                          x0=np.zeros(2), horizon=0.5, step=0.05)
-    traj = ek.integrate_ekf(fc, lambda t: np.zeros(1))
     for value in ([0.01], [0.01, 0.01, 0.01]):
         dist = ek.Disturbance(b=lambda z, t: np.array(value), b_max=0.1)
-        with pytest.raises(ek.ConfigurationError, match=re.escape(
-                f"disturbance returned shape ({len(value)},), expected (2,)")):
-            ek.integrate_virtual(model, traj, [[0.1, 0.2]], dist)
-        with pytest.raises(ek.ConfigurationError):
-            ek.perturbed_run(model, traj, dist, np.array([0.1, 0.2]))
+        for source in ({"measurements": lambda t: np.zeros(1)}, {"x0": [0.1, 0.0]}):
+            with pytest.raises(ek.ConfigurationError, match=re.escape(
+                    f"disturbance returned shape ({len(value)},), expected (2,)")):
+                ek.integrate_ekf(fc, starts=[[0.1, 0.2]], disturbance=dist, **source)
 
 
-def _free_rows_rig(rate):
-    """Zero-gain run of dx/dt = rate * x (two states, zero output) on [0, 1]."""
+def _free_rows(rate, starts):
+    """The virtual rows of dx/dt = rate * x (two states, zero output, C = 0, so the
+    gain is exactly zero) from ``starts`` on [0, 1]; the estimate rests at the origin."""
     model = ek.SystemModel(state_dim=2, output_dim=1,
                            dynamics=lambda x, t: rate * x,
-                           output=lambda x, t: np.zeros(1))
-    fc = ek.FilterConfig(model=ek.make("scalar-riccati").model, Q=np.eye(1), R=np.eye(1),
-                         P0=np.eye(1), x0=np.zeros(1), horizon=1.0, step=0.01)
-    run = ek.integrate_ekf(fc, lambda t: np.zeros(1))
-    run.gains = np.zeros((len(run.times), 2, 1))
-    return model, run
+                           output=lambda x, t: np.zeros(1),
+                           jacobian_A=lambda x, t: rate * np.eye(2),
+                           jacobian_C=lambda x, t: np.zeros((1, 2)))
+    fc = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
+                         x0=np.zeros(2), horizon=1.0, step=0.01)
+    run = ek.integrate_ekf(fc, lambda t: np.zeros(1), starts=starts)
+    assert not run.gains.any()
+    return run.virtual
 
 
 def test_divergence_guard_checks_each_row_on_its_own():
     # two rows of norm 0.8e12 stack to a vector of norm 1.13e12, above the limit
-    model, run = _free_rows_rig(0.0)
     row = np.full(2, 0.8e12 / math.sqrt(2.0))
     assert np.linalg.norm(np.concatenate([row, row])) > ek.ekf.DIVERGENCE_LIMIT
-    nodes = ek.integrate_virtual(model, run, [row, row])
+    nodes = _free_rows(0.0, [row, row])
     assert np.all(nodes == row)
 
 
 def test_a_diverging_row_stops_the_run_at_its_single_run_time():
     # growing as e^{40 t}, a row of norm 0.07 crosses 1e12 near t = 0.76 and
     # one of norm 1e-6 stays below it up to t = 1
-    model, run = _free_rows_rig(40.0)
     starts = [[1e-6, 0.0], [0.05, 0.05]]
     with pytest.raises(ek.DivergenceError) as single:
-        ek.integrate_virtual(model, run, [starts[1]])
+        _free_rows(40.0, [starts[1]])
     assert 0.0 < single.value.time < 1.0
-    ek.integrate_virtual(model, run, [starts[0]])
+    _free_rows(40.0, [starts[0]])
     for order in (starts, starts[::-1]):
         with pytest.raises(ek.DivergenceError) as info:
-            ek.integrate_virtual(model, run, order)
+            _free_rows(40.0, order)
         assert info.value.time == single.value.time
         assert str(info.value) == f"virtual state diverged at t={single.value.time:.6g}"
 
@@ -417,10 +405,9 @@ def test_whole_runs_give_the_bits_of_matmul_stages(monkeypatch, name):
         for x0 in starts:
             fc = ek.FilterConfig(model=model, Q=np.eye(n), R=np.eye(p), P0=np.eye(n),
                                  x0=x0, horizon=0.5, step=0.01)
-            traj = ek.integrate_ekf(fc, lambda t: np.zeros(p))
+            traj = ek.integrate_ekf(fc, lambda t: np.zeros(p), starts=starts)
             out += [traj.states, traj.covariances, traj.gains, traj.stage_outputs,
-                    ek.integrate_virtual(model, traj, starts),
-                    np.array(ek.variational_validator(model, traj, x0))]
+                    traj.virtual, np.array(ek.variational_validator(model, traj, x0))]
             joint = ek.integrate_ekf(fc, x0=x0[::-1], starts=starts)
             out += [joint.states, joint.covariances, joint.gains, joint.stage_outputs,
                     joint.truth, joint.virtual]
@@ -432,10 +419,9 @@ def test_whole_runs_give_the_bits_of_matmul_stages(monkeypatch, name):
     assert changed == runs()
 
 
-def test_experiments_read_the_rows_of_the_run_that_integrated_them(monkeypatch):
-    """twin_decay and perturbed_run read a run's own virtual rows when it
-    integrated exactly their starts under their disturbance, and integrate
-    on the finished run otherwise."""
+def test_experiments_read_the_rows_of_the_run_that_integrated_them():
+    """twin_decay reads a run's two virtual rows and perturbed_run its one
+    disturbed row, with the disturbance's b_max."""
     model = ek.make("vanderpol-pos").model
     fc = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
                          x0=np.array([0.3, 0.2]), horizon=1.0, step=0.01)
@@ -443,19 +429,34 @@ def test_experiments_read_the_rows_of_the_run_that_integrated_them(monkeypatch):
     dist = ek.Disturbance(b=lambda z, t: np.full(2, 0.01), b_max=0.02)
     twins = ek.integrate_ekf(fc, x0=[0.34, 0.2], starts=[z1, z2])
     disturbed = ek.integrate_ekf(fc, x0=[0.34, 0.2], starts=[z1], disturbance=dist)
-    integrated = []
-    virtual = sim.integrate_virtual
-    monkeypatch.setattr(sim, "integrate_virtual",
-                        lambda *a: integrated.append(a[2]) or virtual(*a))
-    run = ek.twin_decay(model, twins, z1, z2)
+    run = ek.twin_decay(twins)
     assert np.array_equal(run.euclid_dist, np.linalg.norm(
         twins.virtual[:, 0] - twins.virtual[:, 1], axis=1))
-    run = ek.perturbed_run(model, disturbed, dist, z1)
+    run = ek.perturbed_run(disturbed)
     assert np.array_equal(run.euclid_dist, np.linalg.norm(
         disturbed.virtual[:, 0] - disturbed.states, axis=1))
-    assert integrated == []
-    ek.twin_decay(model, twins, z2, z1)                     # other order
-    ek.perturbed_run(model, twins, dist, z1)                # other rows
-    ek.perturbed_run(model, disturbed, ek.Disturbance(dist.b, 0.02), z1)   # other disturbance
-    ek.twin_decay(model, disturbed, z1, z2)
-    assert len(integrated) == 4
+    assert run.info["b_max"] == 0.02
+    assert run.info["ball_standard"] == run.info["factor"] * 0.02 / run.info["gamma"]
+
+
+def test_experiments_refuse_a_run_without_their_rows():
+    """A run without exactly two virtual rows is refused by twin_decay, and one
+    without exactly one disturbed virtual row by perturbed_run, each saying
+    what is missing."""
+    dist = ek.Disturbance(b=lambda z, t: np.zeros(2), b_max=0.0)
+    runs = {0: _vdp_run()[1], 1: _vdp_run(starts=[[0.3, 0.2]], disturbance=dist)[1],
+            3: _vdp_run(starts=[[0.3, 0.2]] * 3)[1]}
+    for rows, run in runs.items():
+        with pytest.raises(ek.ConfigurationError, match=re.escape(
+                "twin_decay needs a filter run with 2 virtual rows (integrate_ekf(..., "
+                f"starts=[z1_0, z2_0])), got {rows}")):
+            ek.twin_decay(run)
+    call = "(integrate_ekf(..., starts=[z0], disturbance=...))"
+    for rows, run in [(0, runs[0]), (2, _vdp_run(starts=[[0.3, 0.2]] * 2,
+                                                 disturbance=dist)[1])]:
+        with pytest.raises(ek.ConfigurationError, match=re.escape(
+                f"perturbed_run needs a filter run with 1 virtual row {call}, got {rows}")):
+            ek.perturbed_run(run)
+    with pytest.raises(ek.ConfigurationError, match=re.escape(
+            f"perturbed_run needs a filter run with a disturbance {call}, got none")):
+        ek.perturbed_run(_vdp_run(starts=[[0.3, 0.2]])[1])

@@ -21,11 +21,6 @@ P, Q, R = np.array([[1.0, 0.2], [0.2, 0.8]]), np.eye(2), np.eye(1)
 GOOD = np.array([0.3, 0.2])
 RUN = ek.integrate_ekf(ek.FilterConfig(model=MODEL, Q=Q, R=R, P0=P, x0=GOOD,
                                        horizon=0.2, step=0.05), lambda t: np.array([0.3]))
-QUIET = ek.Disturbance(b=lambda x, t: np.zeros(N), b_max=0.0)
-
-
-def _distances(run):
-    return run.weighted_dist, run.euclid_dist
 
 
 # (entry point, argument name in the message, call with the value v at that argument);
@@ -37,10 +32,8 @@ ENTRY_POINTS = [
     ("integrate_ekf", "x0", lambda v: ek.integrate_ekf(RUN.config, x0=v).truth),
     ("integrate_ekf", "starts[1]",
      lambda v: ek.integrate_ekf(RUN.config, x0=GOOD, starts=[GOOD, v]).virtual),
-    ("integrate_virtual", "starts[1]", lambda v: ek.integrate_virtual(MODEL, RUN, [GOOD, v])),
-    ("twin_decay", "z1_0", lambda v: _distances(ek.twin_decay(MODEL, RUN, v, GOOD))),
-    ("twin_decay", "z2_0", lambda v: _distances(ek.twin_decay(MODEL, RUN, GOOD, v))),
-    ("perturbed_run", "z0", lambda v: _distances(ek.perturbed_run(MODEL, RUN, QUIET, v))),
+    ("integrate_ekf", "starts[0]",
+     lambda v: ek.integrate_ekf(RUN.config, lambda t: np.array([0.3]), starts=[v]).virtual),
     ("variational_validator", "z0", lambda v: ek.variational_validator(MODEL, RUN, v)),
     ("variational_validator", "dz0",
      lambda v: ek.variational_validator(MODEL, RUN, GOOD, dz0=v)),
@@ -109,8 +102,8 @@ def test_a_column_reads_as_the_vector_it_holds(entry, name, call, x):
      "sample_states[0] must have shape (2,), got (3,)"),
     (lambda: ek.estimate_hessian_bounds(MODEL, [([0.3, 0.2, 0.1], 0.0)], 0.1),
      "center_path[0] must have shape (2,), got (3,)"),
-    (lambda: ek.twin_decay(MODEL, RUN, [0.3, 0.2], [[0.3, 0.2], [0.1]]),
-     "z2_0 must be numeric, got [[0.3, 0.2], [0.1]]"),
+    (lambda: ek.integrate_ekf(RUN.config, x0=GOOD, starts=[[0.3, 0.2], [[0.3, 0.2], [0.1]]]),
+     "starts[1] must be numeric, got [[0.3, 0.2], [0.1]]"),
     (lambda: ek.FilterConfig(model=MODEL, Q=Q, R=R, P0=P, x0="ab", horizon=1.0),
      "x0 must be numeric, got 'ab'"),
 ])
