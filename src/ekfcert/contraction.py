@@ -324,11 +324,11 @@ def compare_analyses(p_lo: float, p_hi: float, q_lo: float, r_lo: float,
     The Lyapunov row needs an output-Jacobian bound ``c_hi`` for its
     kappa_A = 0 basin; when c_hi is omitted that cell is None. The
     second row never uses c_hi. Zero kappa entries yield +inf basins. The
-    Lyapunov rate q_lo p_lo / (4 p_hi^2) of tiny bounds underflows to 0 (or
-    its denominator does): that cell and its ratio are then None too. The
-    kappa_A = 0 basins are formed from the ratios q_lo/p_hi, p_lo/p_hi and
-    r_lo/p_hi, so tiny or huge bounds of a similar scale neither underflow
-    nor overflow them. The bounds are read as make_certificate reads them,
+    Lyapunov rate q_lo p_lo / (4 p_hi^2) and the kappa_A = 0 basins are
+    formed from the ratios q_lo/p_hi, p_lo/p_hi and r_lo/p_hi, so tiny or
+    huge bounds of a similar scale neither underflow nor overflow them. A
+    rate whose true value lies beyond the float range (it reads 0 or inf)
+    is None, and so is its ratio. The bounds are read as make_certificate reads them,
     and c_hi when given as positive (+inf included). Ratio cells divide row
     two by row one.
     """
@@ -336,7 +336,7 @@ def compare_analyses(p_lo: float, p_hi: float, q_lo: float, r_lo: float,
         p_lo=p_lo, p_hi=p_hi, q_lo=q_lo, r_lo=r_lo, kappa_A=kappa_A, kappa_C=kappa_C).values()
     c_hi = c_hi if c_hi is None else _scalar(c_hi, "c_hi")
 
-    rate = _over(q_lo * p_lo, 4.0 * p_hi ** 2)
+    rate = (q_lo / p_hi) * (p_lo / p_hi) / 4.0
     lyap = {
         "rate": rate if 0.0 < rate < math.inf else None,
         "basin_kappa_C0": _over((p_lo / p_hi) * q_lo, 4.0 * kappa_A * p_hi),

@@ -21,14 +21,18 @@ row's own stage state and applies its gain K to the estimate and to every
 virtual row dz/dt = f(z, t) - K (h(z, t) - y) [+ b(z, t)], of which the
 truth and the estimate are particular solutions.
 
-A stage calls each model callback once (model._jacobian_stage). With
-analytic Jacobians and a finite state it checks A and C for finiteness only
-when its (n + 1, n) derivative is not finite, which a non-finite entry of
-either makes it, so it fails as eval_jacobians would. Truth or virtual rows
-that are not finite get a NaN derivative without a callback; a non-finite
-truth makes the whole stage NaN, so the node guard, which checks the truth
-row first, names it. A node gets the divergence guard of each row, a
-finiteness check of P and a Cholesky factorization.
+A stage is straight-line code. After reading y it reads A and C at the
+estimate (model._stage_jacobians), forms K and calls f and h there, in the
+order eval_jacobians, f, h, then the virtual rows' f and h, and writes
+every row's derivative into one array. With analytic Jacobians and a
+finite state, A and C are the callbacks' own results once both pass a
+finiteness check; any other stage takes the checked eval_jacobians, so a
+non-finite Jacobian raises ModelEvaluationError at the stage's time before
+f or h is called. Truth or virtual rows that are not finite get a NaN
+derivative without a callback; a non-finite truth makes the whole stage
+NaN, so the node guard, which checks the truth row first, names it. A
+node gets the divergence guard of each row, a finiteness check of P and a
+Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, CovarianceBoundViolation, DivergenceError,
                      PreconditionError)
-from .model import (SystemModel, _call, _finite, _jacobian_stage, _scalar, _scalars, _state,
+from .model import (SystemModel, _call, _finite, _scalar, _scalars, _stage_jacobians, _state,
                     eval_jacobians)
 from .ode import TimeSeries, rk4_step, stage_table, time_grid
 
@@ -185,12 +189,6 @@ def _riccati(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
     return 0.5 * (dP + dP.T)
 
 
-def kalman_gain(P: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Gain K = P C^T R^{-1}, for one (P, C) pair or for stacks of them; inverts R
-    on each call (a filter run inverts it once)."""
-    return (np.linalg.inv(R) @ (C @ P)).swapaxes(-1, -2)
-
-
 def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
                 R: np.ndarray, N: np.ndarray | None = None,
                 beta: float = 0.0) -> np.ndarray:
@@ -308,6 +306,8 @@ def integrate_ekf(config: FilterConfig,
                               for b, z in enumerate(starts if np.iterable(starts) else [])]))
         if not len(rows[-1]):
             raise ConfigurationError(f"starts must hold at least one state, got {starts!r}")
+    state0 = np.vstack(rows)
+    virtual = range(Z, len(state0))   # the virtual rows' indices
     outputs = np.empty((len(stage_times), p))
     filled = -1   # the last stage-table row whose output has been read
     gains = np.empty((len(grid), n, p))
@@ -319,12 +319,13 @@ def integrate_ekf(config: FilterConfig,
         nonlocal filled, b_worst
         stage, row = read_stage(t)
         finite = _finite(state)   # one check for every row of a finite stage
+        out = np.empty_like(state)
         if x0 is not None:   # y from the truth row's own stage state
             x = state[n + 1]
             if not (finite or _finite(x)):   # no callback sees it; the guard names the truth
                 outputs[row] = np.nan
                 return np.full_like(state, np.nan)
-            dx = model.f(x, t)
+            out[n + 1] = model.f(x, t)
             outputs[row] = model.h(x, t)
         elif row > filled:
             y_t = np.asarray(measurements(t), dtype=float)
@@ -333,33 +334,23 @@ def integrate_ekf(config: FilterConfig,
                                          f"{y_t.shape}, expected ({p},)")
             outputs[row] = y_t.reshape(p)
             filled = row
-        y, P, K = outputs[row], state[1:n + 1], None
-
-        def derivative(A, C, f, h):
-            nonlocal K
-            K = _gain(P, C, Rinv, dot)
-            if stage == 0:   # a step's first stage runs at its node's state
-                gains[row >> 1] = K
-            dxhat = f - dot(K, h - y)
-            return np.concatenate((dxhat[None], _riccati(P, A, C, Q, Rinv, N2, beta2, dot)))
-
-        d = _jacobian_stage(model, state[0], t, finite, derivative)
-        if len(state) == n + 1:
-            return d
-        out = np.empty_like(state)
-        out[:n + 1] = d
-        if x0 is not None:
-            out[n + 1] = dx
-        if len(state) == Z:
-            return out
+        y, xhat, P = outputs[row], state[0], state[1:n + 1]
+        A, C = _stage_jacobians(model, xhat, t, finite)
+        K = _gain(P, C, Rinv, dot)
+        if stage == 0:   # a step's first stage runs at its node's state
+            gains[row >> 1] = K
+        out[0] = model.f(xhat, t) - dot(K, model.h(xhat, t) - y)
+        out[1:n + 1] = _riccati(P, A, C, Q, Rinv, N2, beta2, dot)
         if not (finite or _finite(state[Z:])):   # no callback sees a non-finite state
             out[Z:] = np.nan
             return out
         # each virtual row runs the operations of a single copy, under this stage's gain
-        for b, z in enumerate(state[Z:], Z):
+        for b in virtual:
+            z = state[b]
             out[b] = model.f(z, t) - dot(K, model.h(z, t) - y)
         if disturbance is not None:
-            for b, z in enumerate(state[Z:], Z):
+            for b in virtual:
+                z = state[b]
                 bv = _call(disturbance.b, z, t, z.shape, "disturbance")
                 b_worst = max(b_worst, float(np.linalg.norm(bv)))
                 out[b] = out[b] + bv
@@ -382,11 +373,11 @@ def integrate_ekf(config: FilterConfig,
             raise CovarianceBoundViolation(
                 f"covariance lost positive definiteness at t={t:.6g}",
                 time=float(t)) from None
-        if len(state) > Z:
+        if virtual:
             virtual_guard(t, state[Z:])
         return state
 
-    nodes = integrate(rhs, np.vstack(rows), grid, guard)
+    nodes = integrate(rhs, state0, grid, guard)
     if disturbance is not None and b_worst > disturbance.b_max * (1.0 + 1e-9) + 1e-300:
         raise PreconditionError(f"disturbance bound violated: observed {b_worst:.6g} "
                                 f"> b_max {disturbance.b_max:.6g}")

@@ -254,30 +254,19 @@ def _finite(a: np.ndarray) -> bool:
     return math.isfinite(np.vdot(a, a))
 
 
-def _jacobian_stage(model: SystemModel, x: np.ndarray, t: float, finite: bool,
-                    derivative: Callable) -> np.ndarray:
-    """``derivative(A, C, f, h)`` at (x, t) for an RK4 stage whose state is known
-    ``finite`` (by _finite), calling each callback once. The stage returns or
-    raises what eval_jacobians, SystemModel.f and .h called in that order would
-    give. With analytic Jacobians and a finite state, A and C are checked only
-    when the stage raises or its derivative is not finite, which a non-finite
-    entry of A or C makes it: then eval_jacobians runs at (x, t) to name the
-    failure. A state not known finite takes the checked path, which gives the
-    same values and raises when x is not finite."""
-    if model.jacobian_A is None or model.jacobian_C is None or not finite:
-        A, C = eval_jacobians(model, x, t)
-        return derivative(A, C, model.f(x, t), model.h(x, t))
-    n, p = model.state_dim, model.output_dim
-    A = _call(model.jacobian_A, x, t, (n, n), "jacobian_A")
-    C = _call(model.jacobian_C, x, t, (p, n), "jacobian_C")
-    try:
-        d = derivative(A, C, model.f(x, t), model.h(x, t))
-    except Exception:
-        eval_jacobians(model, x, t)   # the checked path stops there before calling f
-        raise
-    if not _finite(d):
-        eval_jacobians(model, x, t)
-    return d
+def _stage_jacobians(model: SystemModel, x: np.ndarray, t: float,
+                     finite: bool) -> tuple[np.ndarray, np.ndarray]:
+    """eval_jacobians(model, x, t) for an RK4 stage whose state is known ``finite``
+    (by _finite). With analytic Jacobians and a finite state it returns the raw
+    callback results, one call each, when both pass _finite; anything else takes
+    the checked path, which gives the same values or raises."""
+    if finite and model.jacobian_A is not None and model.jacobian_C is not None:
+        n, p = model.state_dim, model.output_dim
+        A = _call(model.jacobian_A, x, t, (n, n), "jacobian_A")
+        C = _call(model.jacobian_C, x, t, (p, n), "jacobian_C")
+        if _finite(A) and _finite(C):
+            return A, C
+    return eval_jacobians(model, x, t)
 
 
 def _stacked_jacobians(model: SystemModel, points: np.ndarray,

@@ -12,10 +12,10 @@ rates, and checks the certified error envelope and disturbance ball.
 
 ``variational_validator`` alone integrates on a finished run: its (z, dz)
 pair reads the run's gains interpolated onto the RK4 stage times and the
-outputs the run read there, an O(h^2) approximation. Its RK4 stage checks
-Jacobians as the filter's does (model._jacobian_stage), and a stage whose
-state fails model._finite returns a NaN derivative without calling a
-callback, so the node guard names the failure.
+outputs the run read there, an O(h^2) approximation. Its RK4 stage reads A
+and C as the filter's does (model._stage_jacobians), then calls f and h, so
+a non-finite Jacobian or stage state raises ModelEvaluationError at the
+stage's time before f or h is called.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .contraction import ContractionCertificate, _contraction_matrices, _rate
 from .ekf import FilterTrajectory, _product, divergence_guard, integrate
 from .errors import ConfigurationError
-from .model import (SystemModel, _finite, _jacobian_stage, _scalar, _stacked_jacobians,
+from .model import (SystemModel, _finite, _scalar, _stacked_jacobians, _stage_jacobians,
                     _state)
 from .ode import TimeSeries, interp, stage_table, time_grid
 
@@ -282,8 +282,8 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
         z, dz = s[:n], s[n:]
         K, y = stage_inputs(t)
-        return _jacobian_stage(model, z, t, _finite(s), lambda A, C, f, h: np.concatenate(
-            [f - dot(K, h - y), dot(A - dot(K, C), dz)]))
+        A, C = _stage_jacobians(model, z, t, _finite(s))
+        return np.concatenate([model.f(z, t) - dot(K, model.h(z, t) - y), dot(A - dot(K, C), dz)])
 
     grid = filter_run.times
     nodes = integrate(rhs, np.concatenate([z0, dz0]), grid,

@@ -628,7 +628,7 @@ def test_compare_unit_parameters(tmp_path, capsys):
 
 
 def test_compare_prints_an_underflowed_rate_as_unavailable(tmp_path, capsys):
-    cfg = {"compare": {"p_lo": 1e-200, "p_hi": 1e-200, "q_lo": 1e-200, "r_lo": 1.0,
+    cfg = {"compare": {"p_lo": 1e-100, "p_hi": 1e100, "q_lo": 1e-100, "r_lo": 1.0,
                        "kappa_A": 1.0, "kappa_C": 1.0, "c_hi": 1.0}}
     out = tmp_path / "out"
     assert main(["compare", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
@@ -636,7 +636,7 @@ def test_compare_prints_an_underflowed_rate_as_unavailable(tmp_path, capsys):
     assert table["lyapunov"]["rate"] is None and table["ratio"]["rate"] is None
     rate_line = next(line for line in capsys.readouterr().out.splitlines()
                      if line.startswith("rate "))
-    assert rate_line.split()[1:] == ["unavailable", "0.25", "unavailable"]
+    assert rate_line.split()[1:] == ["unavailable", "2.5e-201", "unavailable"]
 
 
 def test_compare_without_output_bound(tmp_path, capsys):

@@ -480,12 +480,12 @@ def test_compare_analyses_degenerate_cells():
 
 
 def test_compare_analyses_reads_an_underflowed_lyapunov_rate_as_unavailable():
-    """q_lo p_lo and 4 p_hi^2 underflow to 0 at these bounds: no ZeroDivisionError."""
-    out = ek.compare_analyses(1e-200, 1e-200, 1e-200, 1.0, 1.0, 1.0)
+    """A Lyapunov rate whose true value leaves the float range reads as
+    unavailable: no ZeroDivisionError and no OverflowError."""
+    out = ek.compare_analyses(1e-100, 1e100, 1e-100, 1.0, 1.0, 1.0)   # 2.5e-401
     assert out["lyapunov"]["rate"] is None and out["ratio"]["rate"] is None
-    assert out["contraction"]["rate"] == 0.25
-    assert out["ratio"]["basin_kappa_C0"] == 1.0
-    out = ek.compare_analyses(1e-170, 1e-170, 1e300, 1.0, 1.0, 1.0)   # 4 p_hi^2 alone
+    assert out["contraction"]["rate"] == pytest.approx(2.5e-201, rel=1e-15)
+    out = ek.compare_analyses(1e-170, 1e-170, 1e300, 1.0, 1.0, 1.0)   # 2.5e469
     assert out["lyapunov"]["rate"] is None and out["ratio"]["rate"] is None
 
 
@@ -495,18 +495,23 @@ def test_compare_analyses_reads_an_underflowed_lyapunov_rate_as_unavailable():
     (1.0, 1.0, 1.0, 1.0),
     (0.5, 2.0, 1e200, 1e200),         # q_lo r_lo overflows
     (1e100, 1e100, 1e100, 1.0),
+    (1e200, 1e200, 1e200, 1.0),       # p_hi^2 overflows
 ])
 def test_compare_analyses_kappa_a0_basins_follow_their_closed_forms(p_lo, p_hi, q_lo, r_lo):
     """Against exact arithmetic at kappa_C = 1.5 and c_hi = 0.5: the contraction
     basin sqrt(q_lo p_lo r_lo) / (kappa_C p_hi^1.5 sqrt 2) and the Lyapunov one
     q_lo r_lo / (4 c_hi kappa_C p_hi^2), also where their products would
-    underflow or overflow (a true value beyond the float range reads inf)."""
+    underflow or overflow (a true value beyond the float range reads inf); and
+    the Lyapunov rate q_lo p_lo / (4 p_hi^2), whose ratio cell is p_hi / p_lo."""
     out = ek.compare_analyses(p_lo, p_hi, q_lo, r_lo, 1.0, 1.5, c_hi=0.5)
     with decimal.localcontext(decimal.Context(prec=40)):
         p, P, q, r, two = (decimal.Decimal(v) for v in (p_lo, p_hi, q_lo, r_lo, 2))
         contraction = float((q * p * r).sqrt() / (decimal.Decimal(1.5) * P * P.sqrt()
                                                   * two.sqrt()))
         lyapunov = float(q * r / (4 * decimal.Decimal(0.5) * decimal.Decimal(1.5) * P * P))
+        rate, rate_ratio = float(q * p / (4 * P * P)), float(P / p)
+    assert out["lyapunov"]["rate"] == pytest.approx(rate, rel=1e-15)
+    assert out["ratio"]["rate"] == pytest.approx(rate_ratio, rel=1e-15)
     assert out["contraction"]["basin_kappa_A0"] == pytest.approx(contraction, rel=1e-12)
     assert out["lyapunov"]["basin_kappa_A0"] == pytest.approx(lyapunov, rel=1e-12)
     assert out["ratio"]["basin_kappa_A0"] == pytest.approx(contraction / lyapunov, rel=1e-12)

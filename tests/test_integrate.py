@@ -971,3 +971,47 @@ def test_a_callback_raising_after_a_bad_jacobian_fails_as_on_the_checked_path():
     expected = _outcome(lambda: _ref_ekf(fc, y)[:3])
     assert expected[0] is ek.ModelEvaluationError
     assert _outcome(lambda: _filter_arrays(fc, y)) == expected
+
+
+def _logged(model, log):
+    """``model`` with each callback appending (name, t) to ``log`` before it runs."""
+    def wrap(name, fn):
+        def call(x, t):
+            log.append((name, t))
+            return fn(x, t)
+        return call
+    return dataclasses.replace(model, **{name: wrap(name, getattr(model, name)) for name in
+                                         ("dynamics", "output", "jacobian_A", "jacobian_C")})
+
+
+STAGE_FLOWS = {
+    "measured": lambda fc, run: ek.integrate_ekf(fc, lambda t: np.zeros(2)),
+    "truth": lambda fc, run: ek.integrate_ekf(fc, x0=np.zeros(2)),
+    "virtual": lambda fc, run: ek.integrate_ekf(fc, lambda t: np.zeros(2),
+                                                starts=[np.ones(2)]),
+    "validator": lambda fc, run: ek.variational_validator(fc.model, run, np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("jacobian", ["jacobian_A", "jacobian_C"])
+@pytest.mark.parametrize("flow", STAGE_FLOWS)
+def test_a_stage_reads_its_jacobians_before_it_calls_f_and_h(flow, jacobian, value):
+    """A stage runs eval_jacobians, then f, then h. With a Jacobian that has a
+    non-finite entry from FAULT_T on, the filter's estimate stage and the
+    validator's stage raise ModelEvaluationError at the first stage time at
+    or after FAULT_T, and call neither dynamics nor output after the faulty
+    Jacobian call."""
+    log = []
+    model = _logged(_faulty_plant(jacobian, _set_entry((0, 1), value)), log)
+    fc = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(2), P0=np.diag([1.0, 2.0]),
+                         x0=np.zeros(2), horizon=1.0, step=0.1)
+    run = ek.integrate_ekf(dataclasses.replace(fc, model=_faulty_plant(jacobian, lambda v: v)),
+                           lambda t: np.zeros(2))
+    t_fault = run.times[2] + 0.5 * (run.times[3] - run.times[2])   # stage 2 of step 3
+    with pytest.raises(ek.ModelEvaluationError) as info:
+        STAGE_FLOWS[flow](fc, run)
+    assert info.value.time == t_fault
+    first = log.index((jacobian, t_fault))
+    assert max(t for name, t in log[:first] if name == jacobian) < FAULT_T
+    assert [name for name, _ in log[first:] if name in ("dynamics", "output")] == []
