@@ -487,6 +487,11 @@ def test_compare_analyses_reads_an_underflowed_lyapunov_rate_as_unavailable():
     assert out["contraction"]["rate"] == pytest.approx(2.5e-201, rel=1e-15)
     out = ek.compare_analyses(1e-170, 1e-170, 1e300, 1.0, 1.0, 1.0)   # 2.5e469
     assert out["lyapunov"]["rate"] is None and out["ratio"]["rate"] is None
+    # q_lo p_lo and 4 p_hi^2 underflow to 0 here, but the rate 0.25 is in range
+    out = ek.compare_analyses(1e-200, 1e-200, 1e-200, 1.0, 1.0, 1.0)
+    assert out["lyapunov"]["rate"] == 0.25 and out["ratio"]["rate"] == 1.0
+    assert out["contraction"]["rate"] == 0.25
+    assert out["ratio"]["basin_kappa_C0"] == 1.0
 
 
 @pytest.mark.parametrize("p_lo, p_hi, q_lo, r_lo", [

@@ -21,12 +21,19 @@ def _reference_gain(P, C, R):
 
 
 def test_kalman_gain_examples():
-    assert np.allclose(_reference_gain(np.eye(2), np.eye(2), np.eye(2)), np.eye(2))
+    """The filter's gain ekf._gain, which takes R^{-1} and the run's product."""
+    from ekfcert.ekf import _gain, _product
+
+    def gain(P, C, R):
+        return _gain(P, C, np.linalg.inv(R), _product(len(P)))
+
+    assert np.allclose(gain(np.eye(2), np.eye(2), np.eye(2)), np.eye(2))
     P = 2.0 * np.eye(2)
     C = np.array([[1.0, 0.0]])
     R = np.array([[0.5]])
-    assert np.allclose(_reference_gain(P, C, R), np.array([[4.0], [0.0]]))
-    assert np.all(_reference_gain(P, np.zeros((1, 2)), R) == 0.0)
+    assert np.allclose(gain(P, C, R), np.array([[4.0], [0.0]]))
+    assert np.all(gain(P, np.zeros((1, 2)), R) == 0.0)
+    assert np.allclose(gain(np.array([[2.0]]), np.array([[3.0]]), np.array([[0.5]])), 12.0)
 
 
 def test_riccati_rhs_examples():
