@@ -23,20 +23,25 @@ truth and the estimate are particular solutions.
 
 A stage is straight-line code. After reading y it reads A and C at the
 estimate (model._stage_jacobians), forms K and calls f and h there, in the
-order eval_jacobians, f, h, then the virtual rows' f and h, and writes
-every row's derivative into one array. With analytic Jacobians and a
-finite state, A and C are the callbacks' own results once both pass a
-finiteness check; any other stage takes the checked eval_jacobians, so a
-non-finite Jacobian raises ModelEvaluationError at the stage's time before
-f or h is called. Truth or virtual rows that are not finite get a NaN
-derivative without a callback; a non-finite truth makes the whole stage
-NaN, so the node guard, which checks the truth row first, names it. A
-node gets the divergence guard of each row, a finiteness check of P and a
-Cholesky factorization.
+order eval_jacobians, f, h, then the virtual rows' f and h, each result read
+by model._call directly, and writes every row's derivative into one array.
+With analytic Jacobians and a finite state, A and C are the callbacks' own
+results once both pass a finiteness check; any other stage takes the checked
+eval_jacobians, so a non-finite Jacobian raises ModelEvaluationError at the
+stage's time before f or h is called. The Riccati term adds A P to its
+transpose for P A^T, the same bits since P is exactly symmetric. Truth or
+virtual rows that are not finite get a NaN derivative without a callback; a
+non-finite truth makes the whole stage NaN, so the node guard names it. A
+node of sum of squares at most DIVERGENCE_LIMIT^2 / 4 has every row finite
+and inside the limit and gets P's Cholesky factorization alone; any other
+gets the guard of the truth, then of the estimate, a finiteness check of P,
+the factorization and the guard of each virtual row. The disturbance bound
+is checked after the run, on the root of the largest b.b of any stage.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -180,8 +185,8 @@ def _riccati(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
              Rinv: np.ndarray, N2: np.ndarray | None, beta2: float, dot: Callable) -> np.ndarray:
     """A P + P A^T + Q - (P C^T) R^{-1} (P C^T)^T [+ 2N] [+ 2 beta P], symmetrized;
     takes R^{-1}, 2N (or None), 2 beta and the 2-D product ``dot``."""
-    PCt = dot(P, C.T)
-    dP = dot(A, P) + dot(P, A.T) + Q - dot(PCt, dot(Rinv, PCt.T))
+    PCt, AP = dot(P, C.T), dot(A, P)   # P is exactly symmetric, so P A^T = (A P)^T bit for bit
+    dP = AP + AP.T + Q - dot(PCt, dot(Rinv, PCt.T))
     if N2 is not None:
         dP = dP + N2
     if beta2 != 0.0:
@@ -192,10 +197,10 @@ def _riccati(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
 def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
                 R: np.ndarray, N: np.ndarray | None = None,
                 beta: float = 0.0) -> np.ndarray:
-    """Right-hand side of the (optionally inflated) Riccati flow, symmetrized;
-    inverts R on each call (a filter run inverts it once)."""
-    return _riccati(P, A, C, Q, np.linalg.inv(R), None if N is None else 2.0 * N,
-                    2.0 * beta, np.matmul)
+    """Right-hand side of the (optionally inflated) Riccati flow at the symmetric part
+    of P, symmetrized; inverts R on each call (a filter run inverts it once)."""
+    return _riccati(0.5 * (P + np.transpose(P)), A, C, Q, np.linalg.inv(R),
+                    None if N is None else 2.0 * N, 2.0 * beta, np.matmul)
 
 
 @dataclass
@@ -313,10 +318,10 @@ def integrate_ekf(config: FilterConfig,
     gains = np.empty((len(grid), n, p))
     Q, Rinv, N2, beta2 = config.Q, np.linalg.inv(config.R), 2.0 * config.N, 2.0 * config.beta
     dot = _product(n)
-    b_worst = 0.0   # the largest ||b|| seen
+    b_sq = 0.0   # the largest ||b||^2 seen
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        nonlocal filled, b_worst
+        nonlocal filled, b_sq
         stage, row = read_stage(t)
         finite = _finite(state)   # one check for every row of a finite stage
         out = np.empty_like(state)
@@ -325,8 +330,8 @@ def integrate_ekf(config: FilterConfig,
             if not (finite or _finite(x)):   # no callback sees it; the guard names the truth
                 outputs[row] = np.nan
                 return np.full_like(state, np.nan)
-            out[n + 1] = model.f(x, t)
-            outputs[row] = model.h(x, t)
+            out[n + 1] = _call(model.dynamics, x, t, (n,), "dynamics")
+            outputs[row] = _call(model.output, x, t, (p,), "output")
         elif row > filled:
             y_t = np.asarray(measurements(t), dtype=float)
             if y_t.size != p:
@@ -339,7 +344,8 @@ def integrate_ekf(config: FilterConfig,
         K = _gain(P, C, Rinv, dot)
         if stage == 0:   # a step's first stage runs at its node's state
             gains[row >> 1] = K
-        out[0] = model.f(xhat, t) - dot(K, model.h(xhat, t) - y)
+        out[0] = (_call(model.dynamics, xhat, t, (n,), "dynamics")
+                  - dot(K, _call(model.output, xhat, t, (p,), "output") - y))
         out[1:n + 1] = _riccati(P, A, C, Q, Rinv, N2, beta2, dot)
         if not (finite or _finite(state[Z:])):   # no callback sees a non-finite state
             out[Z:] = np.nan
@@ -347,12 +353,11 @@ def integrate_ekf(config: FilterConfig,
         # each virtual row runs the operations of a single copy, under this stage's gain
         for b in virtual:
             z = state[b]
-            out[b] = model.f(z, t) - dot(K, model.h(z, t) - y)
-        if disturbance is not None:
-            for b in virtual:
-                z = state[b]
-                bv = _call(disturbance.b, z, t, z.shape, "disturbance")
-                b_worst = max(b_worst, float(np.linalg.norm(bv)))
+            out[b] = (_call(model.dynamics, z, t, (n,), "dynamics")
+                      - dot(K, _call(model.output, z, t, (p,), "output") - y))
+            if disturbance is not None:   # ||b|| = sqrt(b.b), taken once after the run
+                bv = _call(disturbance.b, z, t, (n,), "disturbance")
+                b_sq = max(b_sq, float(np.vdot(bv, bv)))
                 out[b] = out[b] + bv
         return out
 
@@ -360,24 +365,27 @@ def integrate_ekf(config: FilterConfig,
         divergence_guard, ("truth", "estimate", "virtual state"))
 
     def guard(t: float, state: np.ndarray) -> np.ndarray:
-        if x0 is not None:
-            truth_guard(t, state[n + 1])
-        estimate_guard(t, state[0])
-        # the full check only for a P whose squares overflow or are not finite
+        # a node of norm <= DIVERGENCE_LIMIT / 2 has every row finite and inside the limit
+        checked = not np.vdot(state, state) <= 0.25 * DIVERGENCE_LIMIT ** 2
         P = state[1:n + 1]
-        if not (_finite(P) or np.isfinite(P).all()):
-            raise DivergenceError(f"covariance diverged at t={t:.6g}", time=float(t))
+        if checked:
+            if x0 is not None:
+                truth_guard(t, state[n + 1])
+            estimate_guard(t, state[0])
+            if not np.isfinite(P).all():
+                raise DivergenceError(f"covariance diverged at t={t:.6g}", time=float(t))
         try:
             np.linalg.cholesky(P)
         except np.linalg.LinAlgError:
             raise CovarianceBoundViolation(
                 f"covariance lost positive definiteness at t={t:.6g}",
                 time=float(t)) from None
-        if virtual:
+        if checked and virtual:
             virtual_guard(t, state[Z:])
         return state
 
     nodes = integrate(rhs, state0, grid, guard)
+    b_worst = math.sqrt(b_sq)
     if disturbance is not None and b_worst > disturbance.b_max * (1.0 + 1e-9) + 1e-300:
         raise PreconditionError(f"disturbance bound violated: observed {b_worst:.6g} "
                                 f"> b_max {disturbance.b_max:.6g}")

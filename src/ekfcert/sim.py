@@ -29,7 +29,7 @@ import numpy as np
 from .contraction import ContractionCertificate, _contraction_matrices, _rate
 from .ekf import FilterTrajectory, _product, divergence_guard, integrate
 from .errors import ConfigurationError
-from .model import (SystemModel, _finite, _scalar, _stacked_jacobians, _stage_jacobians,
+from .model import (SystemModel, _call, _finite, _scalar, _stacked_jacobians, _stage_jacobians,
                     _state)
 from .ode import TimeSeries, interp, stage_table, time_grid
 
@@ -273,7 +273,7 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     The virtual row reads the run's gains interpolated onto the stage times
     and its ``stage_outputs``.
     """
-    n = model.state_dim
+    n, p = model.state_dim, model.output_dim
     z0 = _state(z0, n, "z0")
     dz0 = np.ones(n) / math.sqrt(n) if dz0 is None else _state(dz0, n, "dz0")
     stage_inputs = _stage_inputs(filter_run)
@@ -283,7 +283,9 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
         z, dz = s[:n], s[n:]
         K, y = stage_inputs(t)
         A, C = _stage_jacobians(model, z, t, _finite(s))
-        return np.concatenate([model.f(z, t) - dot(K, model.h(z, t) - y), dot(A - dot(K, C), dz)])
+        return np.concatenate([_call(model.dynamics, z, t, (n,), "dynamics")
+                               - dot(K, _call(model.output, z, t, (p,), "output") - y),
+                               dot(A - dot(K, C), dz)])
 
     grid = filter_run.times
     nodes = integrate(rhs, np.concatenate([z0, dz0]), grid,

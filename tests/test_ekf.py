@@ -386,17 +386,20 @@ def _signed(rng, shape):
     return x
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_stage_products_give_the_bits_of_matmul(n, p):
-    # operands laid out as the stages hold them: P a view of the [x; P] state
-    # rows, dz of the [z; dz] validator state, K and y rows of the run's tables
+    # operands laid out as the stages hold them: P an exactly symmetric view of the
+    # [x; P] state rows (P0 and every dP are symmetrized, so every RK4 stage's P is),
+    # dz of the [z; dz] validator state, K and y rows of the run's tables
     from ekfcert.ekf import _gain, _product, _riccati
     rng = np.random.default_rng(1000 * n + p)
     dot = _product(n)
     for _ in range(200):
         state, s = _signed(rng, (n + 1, n)), _signed(rng, 2 * n)
+        state[1:] = 0.5 * (state[1:] + state[1:].T)
         P, dz = state[1:], s[n:]
+        assert (P == P.T).all()
         A, C, Q, N2 = (_signed(rng, shape) for shape in [(n, n), (p, n), (n, n), (n, n)])
         Rinv = _signed(rng, (p, p))
         K, y = _signed(rng, (3, n, p))[1], _signed(rng, (3, p))[1]
@@ -411,3 +414,18 @@ def test_stage_products_give_the_bits_of_matmul(n, p):
         assert _gain(P, C, Rinv, dot).tobytes() == (Rinv @ (C @ P)).T.tobytes()
         assert (f - dot(K, h - y)).tobytes() == (f - K @ (h - y)).tobytes()
         assert dot(A - dot(K, C), dz).tobytes() == ((A - K @ C) @ dz).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_riccati_rhs_reads_the_symmetric_part_of_p(n):
+    from ekfcert.ekf import _riccati
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        P, A, Q, N = (_signed(rng, (n, n)) for _ in range(4))
+        C, R = _signed(rng, (2, n)), np.eye(2) + 0.1 * _signed(rng, (2, 2))
+        S = 0.5 * (P + P.T)
+        assert (ek.riccati_rhs(P, A, C, Q, R, N, 0.3).tobytes()
+                == ek.riccati_rhs(S, A, C, Q, R, N, 0.3).tobytes())
+        # an exactly symmetric P enters unchanged: the stages' own formula, bit for bit
+        assert (ek.riccati_rhs(S, A, C, Q, R, N, 0.3).tobytes()
+                == _riccati(S, A, C, Q, np.linalg.inv(R), 2.0 * N, 0.6, np.matmul).tobytes())

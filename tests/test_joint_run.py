@@ -128,3 +128,40 @@ def test_a_run_takes_measurements_or_a_truth_start_and_checks_its_rows():
     run = ek.integrate_ekf(fc, lambda t: np.zeros(1), starts=[[0.3, 0.2]])
     assert run.truth is None and run.virtual.shape == (5, 1, 2)
     assert math.isfinite(run.p_lo)
+
+
+def test_a_node_past_the_one_check_bound_runs_on_when_no_row_diverges():
+    """P = 1e13 puts every node's sum of squares above DIVERGENCE_LIMIT^2 / 4, so
+    each node takes the per-row checks; P is checked for finiteness, not size,
+    and the truth, estimate and virtual rows stay small, so the run ends."""
+    model = ek.make("scalar-riccati").model
+    fc = ek.FilterConfig(model=model, Q=np.eye(1), R=1e26 * np.eye(1), P0=1e13 * np.eye(1),
+                         x0=[0.1], horizon=1.0, step=0.01)
+    run = ek.integrate_ekf(fc, x0=[0.3], starts=[[0.2]])
+    nodes = np.hstack([run.states, run.covariances[:, 0], run.truth, run.virtual[:, 0]])
+    assert (np.einsum("ij,ij->i", nodes, nodes) > 0.25 * ek.ekf.DIVERGENCE_LIMIT ** 2).all()
+    assert run.times[-1] == 1.0 and np.isfinite(nodes).all()
+    assert run.p_lo > 0.99e13
+    assert run.truth.tobytes() == np.full((101, 1), 0.3).tobytes()
+
+
+@pytest.mark.parametrize("outside", [False, True])
+def test_the_disturbance_bound_holds_up_to_b_max_times_one_plus_1e_9(outside):
+    """The largest ||b|| over the stages, reached at one stage time only, is the
+    threshold b_max (1 + 1e-9) itself, which passes, or the next float up, which
+    does not."""
+    model, b_max = ek.make("vanderpol-pos").model, 0.01
+    fc = _config(model, [0.3, 0.2], 0.2, 4)
+    peak = ek.time_grid(0.2, 0.05)[2]
+    v = b_max * (1.0 + 1e-9) + 1e-300
+    if outside:
+        v = np.nextafter(v, math.inf)
+    dist = ek.Disturbance(b=lambda z, t: np.array([0.0, v if t == peak else 0.5 * v]),
+                          b_max=b_max)
+    run = lambda: ek.integrate_ekf(fc, x0=[0.3, 0.2], starts=[[0.3, 0.2], [0.1, 0.0]],
+                                   disturbance=dist)
+    if outside:
+        with pytest.raises(ek.PreconditionError, match="disturbance bound violated"):
+            run()
+    else:
+        assert run().virtual.shape == (5, 2, 2)
