@@ -12,8 +12,7 @@ from .contraction import (ContractionCertificate, check_contraction_inequality,
                           compare_analyses, contraction_matrix, empirical_radius,
                           inflation_rate_gain, linear_output_check, make_certificate,
                           zeta_plus)
-from .ekf import (FilterConfig, FilterTrajectory, covariance_bounds_report,
-                  integrate_ekf, riccati_rhs)
+from .ekf import FilterConfig, FilterTrajectory, integrate_ekf, riccati_rhs
 from .errors import (ConfigurationError, CovarianceBoundViolation,
                      DivergenceError, EkfCertError, ModelEvaluationError,
                      PreconditionError, RunFailure)
@@ -31,8 +30,7 @@ __all__ = [
     "ContractionCertificate", "check_contraction_inequality", "compare_analyses",
     "contraction_matrix", "empirical_radius", "inflation_rate_gain",
     "linear_output_check", "make_certificate", "zeta_plus",
-    "FilterConfig", "FilterTrajectory", "covariance_bounds_report",
-    "integrate_ekf", "riccati_rhs",
+    "FilterConfig", "FilterTrajectory", "integrate_ekf", "riccati_rhs",
     "ConfigurationError", "CovarianceBoundViolation", "DivergenceError",
     "EkfCertError", "ModelEvaluationError", "PreconditionError", "RunFailure",
     "HessianBounds", "SystemModel", "estimate_hessian_bounds", "eval_jacobians",

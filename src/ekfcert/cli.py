@@ -16,12 +16,13 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import bench
 from .contraction import compare_analyses, empirical_radius, make_certificate
-from .ekf import FilterConfig, FilterTrajectory, covariance_bounds_report, integrate_ekf
+from .ekf import FilterConfig, FilterTrajectory, integrate_ekf
 from .errors import ConfigurationError, PreconditionError, RunFailure
 from .model import HessianBounds, _scalar, _scalars, _state, estimate_hessian_bounds
 # integrate_truth is not called here, but stays bound: perfbench/tracing.py wraps it by name
@@ -157,10 +158,11 @@ def _read(cfg: dict, path: str, kind: type = float, default=_REQUIRED, minimum=N
     return number
 
 
-def _prepare_run(cfg: dict, starts: dict | None = None, disturbance: Disturbance | None = None):
+def _prepare_run(cfg: dict, starts: dict | None = None,
+                 disturbance: Callable[[int], Disturbance] | None = None):
     """The registry name of the configured system and its one filter run on the truth
     start, with virtual rows from ``starts`` (name -> start, each read as a state of that
-    name) under ``disturbance``."""
+    name) under the disturbance ``disturbance(n)`` makes for the n states."""
     name = _read(cfg, "system.name", str)
     params = _read(cfg, "system.params", dict, {})
     entry = bench.make(name, **{key: _read(cfg, f"system.params.{key}") for key in params})
@@ -175,9 +177,10 @@ def _prepare_run(cfg: dict, starts: dict | None = None, disturbance: Disturbance
         beta=_read(cfg, "filter.beta", default=0.0),
         N=_read(cfg, "filter.N", np.ndarray, None))
     x0 = _read(cfg, "truth.x0", np.ndarray, fconfig.x0)
-    rows = None if starts is None else [_state(z, entry.model.state_dim, name)
-                                        for name, z in starts.items()]
-    return entry.name, integrate_ekf(fconfig, x0=x0, starts=rows, disturbance=disturbance)
+    n = entry.model.state_dim
+    rows = None if starts is None else [_state(z, n, name) for name, z in starts.items()]
+    return entry.name, integrate_ekf(fconfig, x0=x0, starts=rows,
+                                     disturbance=None if disturbance is None else disturbance(n))
 
 
 def _gamma(cfg: dict, rule: str | None = None) -> float | None:
@@ -187,12 +190,13 @@ def _gamma(cfg: dict, rule: str | None = None) -> float | None:
 
 
 def _certified_run(cfg: dict, starts: dict | None = None) -> tuple:
-    """_prepare_run's filter run, its bounds report and certificate (declared or sampled
-    curvature bounds); hessian.*, gamma and seed are read and checked first."""
-    kappa_A = _read(cfg, "hessian.kappa_A", default=None)
-    kappa_C = _read(cfg, "hessian.kappa_C", default=None)
-    hess = None if kappa_A is None or kappa_C is None else HessianBounds(
-        alpha=_read(cfg, "hessian.alpha", default=math.inf), kappa_A=kappa_A, kappa_C=kappa_C)
+    """_prepare_run's filter run and its certificate, from declared curvature bounds (both
+    kappas) or sampled ones; hessian.*, gamma and seed are read and checked first."""
+    declared = any(_read(cfg, f"hessian.{key}", default=None) is not None
+                   for key in ("kappa_A", "kappa_C"))
+    hess = HessianBounds(kappa_A=_read(cfg, "hessian.kappa_A"),
+                         kappa_C=_read(cfg, "hessian.kappa_C"),
+                         alpha=_read(cfg, "hessian.alpha", default=math.inf)) if declared else None
     if hess is None:
         radius = _read(cfg, "hessian.radius", default=None)
         if radius is None:
@@ -203,11 +207,21 @@ def _certified_run(cfg: dict, starts: dict | None = None) -> tuple:
             max_centers=_read(cfg, "hessian.centers", int, 25, maximum=MAX_COUNT),
             seed=_read(cfg, "seed", int, 0, minimum=0))
     gamma = _gamma(cfg)
-    _, traj = _prepare_run(cfg, starts)
-    report = covariance_bounds_report(traj)
+    _, run = _prepare_run(cfg, starts)
     hess = hess or estimate_hessian_bounds(
-        traj.config.model, list(zip(traj.states, traj.times)), **options)
-    return traj, report, make_certificate(report, hess, gamma)
+        run.config.model, list(zip(run.states, run.times)), **options)
+    return run, make_certificate(run, hess, gamma)
+
+
+def _bounds_report(run: FilterTrajectory) -> dict:
+    """The covariance bounds of ``run`` that simulate and certify write: p_lo and p_hi over
+    its nodes (observations at the nodes, not a proof between them), their ratio and node
+    times, and the q_lo and r_lo of its config."""
+    return {"p_lo": run.p_lo, "p_hi": run.p_hi,
+            "ratio": run.p_hi / run.p_lo if run.p_lo > 0.0 else math.inf,
+            "positive_definite": run.p_lo > 0.0,
+            "t_at_p_lo": run.t_at_p_lo, "t_at_p_hi": run.t_at_p_hi,
+            "q_lo": run.config.q_lo, "r_lo": run.config.r_lo}
 
 
 def _trajectory_columns(traj: FilterTrajectory) -> dict:
@@ -220,19 +234,17 @@ def _trajectory_columns(traj: FilterTrajectory) -> dict:
 
 
 def cmd_simulate(cfg: dict) -> tuple[dict, bool, dict | None]:
-    system, traj = _prepare_run(cfg)
-    report = covariance_bounds_report(traj)
-    print(f"simulate: p_lo={report['p_lo']:.6g} p_hi={report['p_hi']:.6g} "
-          f"q_lo={report['q_lo']:.6g}")
-    return ({"report": report, "system": system}, report["positive_definite"],
-            _trajectory_columns(traj))
+    system, run = _prepare_run(cfg)
+    print(f"simulate: p_lo={run.p_lo:.6g} p_hi={run.p_hi:.6g} q_lo={run.config.q_lo:.6g}")
+    return ({"report": _bounds_report(run), "system": system}, run.p_lo > 0.0,
+            _trajectory_columns(run))
 
 
 def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
     samples = _read(cfg, "radius_times", int, 9, minimum=0, maximum=MAX_COUNT)
     seed = _read(cfg, "seed", int, 0, minimum=0)   # numpy's generators reject negative seeds
     directions = _read(cfg, "direction_samples", int, 64, minimum=0, maximum=MAX_COUNT)
-    traj, report, cert = _certified_run(cfg)
+    traj, cert = _certified_run(cfg)
     idx = np.unique(np.linspace(0, len(traj.times) - 1, samples).astype(int))
     radii = [empirical_radius(traj.config.model, traj.states[k], traj.covariances[k],
                               traj.config.Q, traj.config.R, cert.gamma, float(traj.times[k]),
@@ -242,7 +254,7 @@ def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
           f"rho={cert.rho:.6g} basin_euclid={cert.basin_euclid:.6g}")
     fields = {
         "certificate": dataclasses.asdict(cert),
-        "report": report,
+        "report": _bounds_report(traj),
         "radius_series": [{"t": float(traj.times[k]), "r_empirical": float(r)}
                           for k, r in zip(idx, radii)]}
     return fields, True, {"t": traj.times[idx], "r_empirical": radii,
@@ -268,7 +280,7 @@ def cmd_compare(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 def cmd_twin(cfg: dict) -> tuple[dict, bool, dict | None]:
     starts = {name: _read(cfg, f"twin.{name}", np.ndarray) for name in ("z1_0", "z2_0")}
-    traj, _, cert = _certified_run(cfg, starts)
+    traj, cert = _certified_run(cfg, starts)
     run = twin_decay(traj, certificate=cert)
     # the rate guarantee only binds when both starts are inside the basin; a NaN
     # rate (rate_pass None: twins that never separate) is no signal, not a pass
@@ -293,12 +305,15 @@ def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
     # the disturbed copy starts at the estimate's start unless perturb.z0 is given
     z0 = _read(cfg, "perturb.z0", np.ndarray, None)
     z0 = _read(cfg, "filter.xhat0", np.ndarray) if z0 is None else z0
-    vec = np.zeros(z0.size) if vec is None else vec.reshape(-1)
     gamma = _gamma(cfg, BALL_RATE_RULE)
-    dist = Disturbance(b=(lambda x, t: vec) if kind == "const"
-                       else (lambda x, t: vec * math.sin(freq * t)),
-                       b_max=float(np.linalg.norm(vec)))
-    _, traj = _prepare_run(cfg, {"z0": z0}, dist)
+
+    def disturbance(n: int) -> Disturbance:
+        b = np.zeros(n) if vec is None else _state(vec, n, "perturb.vector")
+        return Disturbance(b=(lambda x, t: b) if kind == "const"
+                           else (lambda x, t: b * math.sin(freq * t)),
+                           b_max=float(np.linalg.norm(b)))
+
+    _, traj = _prepare_run(cfg, {"z0": z0}, disturbance)
     run = perturbed_run(traj, gamma=gamma)
     passed = run.info["within_standard"]
     print(f"perturb: steady_radius={run.info['steady_radius']:.6g} "
@@ -309,7 +324,7 @@ def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_envelope(cfg: dict) -> tuple[dict, bool, dict | None]:
-    traj, _, cert = _certified_run(cfg)
+    traj, cert = _certified_run(cfg)
     report = envelope_check(traj, cert)
     print(f"envelope: worst_margin={report.worst_margin:.6g} at "
           f"t={report.worst_time:.6g} within_basin={report.within_basin} "

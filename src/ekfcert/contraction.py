@@ -16,11 +16,11 @@ the results into a certificate.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .ekf import FilterTrajectory
 from .errors import ConfigurationError, PreconditionError
 from .model import (HessianBounds, SystemModel, _scalar, _scalars, _stacked_jacobians, _state,
                     _unit_directions, eval_jacobians)
@@ -225,14 +225,15 @@ def _rate(gamma: float | None, q_lo: float, p_hi: float, rule: str | None = None
     return gamma
 
 
-def make_certificate(bounds: dict, hess: HessianBounds,
+def make_certificate(run: FilterTrajectory, hess: HessianBounds,
                      gamma: float | None = None) -> ContractionCertificate:
-    """Assemble a certificate from covariance bounds and curvature bounds.
+    """Assemble a certificate from a filter run and curvature bounds.
 
     Parameters
     ----------
-    bounds : dict
-        Covariance bounds report with keys p_lo, p_hi, q_lo and r_lo.
+    run : FilterTrajectory
+        The filter run, whose covariance bounds p_lo, p_hi over its nodes and
+        whose config's q_lo, r_lo enter the certificate.
     hess : HessianBounds
         Curvature bounds kappa_A, kappa_C valid on the radius-alpha ball.
     gamma : float, optional
@@ -242,18 +243,14 @@ def make_certificate(bounds: dict, hess: HessianBounds,
     Raises
     ------
     ConfigurationError
-        If a bound is missing or not finite, if p_lo <= 0 (no certificate
-        without a positive covariance floor), p_hi < p_lo or gamma out of range.
+        If a bound is not finite, if p_lo <= 0 (no certificate without a
+        positive covariance floor), p_hi < p_lo or gamma out of range.
     """
-    try:
-        p_lo, p_hi, q_lo, r_lo = (bounds[k] for k in ("p_lo", "p_hi", "q_lo", "r_lo"))
-    except KeyError as exc:
-        raise ConfigurationError(f"{exc.args[0]} missing from bounds report") from None
-    if isinstance(p_lo, numbers.Real) and p_lo <= 0.0:
+    if run.p_lo <= 0.0:
         raise ConfigurationError(
-            f"certification refused: covariance floor p_lo = {p_lo:.3e} is not positive")
-    p_lo, p_hi, q_lo, r_lo = _spectral_bounds(p_lo=p_lo, p_hi=p_hi, q_lo=q_lo,
-                                              r_lo=r_lo).values()
+            f"certification refused: covariance floor p_lo = {run.p_lo:.3e} is not positive")
+    p_lo, p_hi, q_lo, r_lo = _spectral_bounds(p_lo=run.p_lo, p_hi=run.p_hi,
+                                              q_lo=run.config.q_lo, r_lo=run.config.r_lo).values()
     gamma = _rate(gamma, q_lo, p_hi)
     zeta = zeta_plus(hess.kappa_A, hess.kappa_C, p_hi, q_lo, r_lo, gamma)
     rho = min(hess.alpha, zeta)
@@ -264,14 +261,13 @@ def make_certificate(bounds: dict, hess: HessianBounds,
         kappa_sampled=hess.sampled)
 
 
-def linear_output_check(model: SystemModel, traj, sample_states,
-                        gamma: float) -> dict:
+def linear_output_check(run: FilterTrajectory, sample_states, gamma: float) -> dict:
     """Linear-output contraction test over sampled states and times.
 
     For a linear output map the inequality reduces to
     lambda_max(Atil P + P Atil^T) <= q_lo - 2 gamma p_hi. The check
-    runs over every state in ``sample_states`` against up to
-    OUTPUT_CHECK_TIMES nodes of the filter run and reports the worst margin
+    runs the run's own model over every state in ``sample_states`` against
+    up to OUTPUT_CHECK_TIMES nodes of the run and reports the worst margin
     (threshold minus left side; negative means failure).
 
     Raises
@@ -281,18 +277,19 @@ def linear_output_check(model: SystemModel, traj, sample_states,
         output map is not linear.
     """
     gamma = _scalar(gamma, "gamma")
-    threshold = traj.config.q_lo - 2.0 * gamma * traj.p_hi
-    idx = np.unique(np.linspace(0, len(traj.times) - 1,
-                                min(OUTPUT_CHECK_TIMES, len(traj.times))).astype(int))
+    model = run.config.model
+    threshold = run.config.q_lo - 2.0 * gamma * run.p_hi
+    idx = np.unique(np.linspace(0, len(run.times) - 1,
+                                min(OUTPUT_CHECK_TIMES, len(run.times))).astype(int))
     states = np.array([_state(x, model.state_dim, f"sample_states[{i}]")
                        for i, x in enumerate(sample_states)]).reshape(-1, model.state_dim)
 
     worst = float("inf")
     worst_time = None
     for k in idx:
-        t = float(traj.times[k])
-        P = traj.covariances[k]
-        Ah, Ch = eval_jacobians(model, traj.states[k], t)
+        t = float(run.times[k])
+        P = run.covariances[k]
+        Ah, Ch = eval_jacobians(model, run.states[k], t)
         Az, Cz = _stacked_jacobians(model, states, t)
         Ctil_norms = np.linalg.norm(Cz - Ch, axis=(1, 2))
         if np.any(Ctil_norms > PSD_TOL_SCALE * (1.0 + np.linalg.norm(Ch))):

@@ -404,24 +404,3 @@ def integrate_ekf(config: FilterConfig,
                             truth=None if x0 is None else nodes[:, n + 1],
                             virtual=None if starts is None else nodes[:, Z:],
                             disturbance=disturbance)
-
-
-def covariance_bounds_report(traj: FilterTrajectory) -> dict:
-    """Empirical covariance bounds over the run's grid nodes, read from the run.
-
-    Returns a dict with the observed eigenvalue range of P(t), the
-    conditioning ratio p_hi / p_lo, and where the extremes occurred. These
-    are grid-level observations, not a proof that the bounds hold between
-    nodes.
-    """
-    p_lo, p_hi = traj.p_lo, traj.p_hi
-    return {
-        "p_lo": p_lo,
-        "p_hi": p_hi,
-        "ratio": p_hi / p_lo if p_lo > 0.0 else float("inf"),
-        "positive_definite": bool(p_lo > 0.0),
-        "t_at_p_lo": traj.t_at_p_lo,
-        "t_at_p_hi": traj.t_at_p_hi,
-        "q_lo": traj.config.q_lo,
-        "r_lo": traj.config.r_lo,
-    }

@@ -96,8 +96,8 @@ def test_03_time_varying_linear_convergence():
     pilot = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(1),
                             P0=np.eye(2), x0=x0 + np.array([1.0, 0.0]),
                             horizon=40.0)
-    rep = ek.covariance_bounds_report(ek.integrate_ekf(pilot, y))
-    gamma_pilot = rep["q_lo"] / (4.0 * rep["p_hi"])
+    pilot_run = ek.integrate_ekf(pilot, y)
+    gamma_pilot = pilot_run.config.q_lo / (4.0 * pilot_run.p_hi)
     horizon = 16.5 / gamma_pilot
 
     fc = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(1),
@@ -105,8 +105,7 @@ def test_03_time_varying_linear_convergence():
                          horizon=horizon, step=horizon / 8000)
     traj = ek.integrate_ekf(fc, y, starts=[x0 + np.array([0.5, 0.0]),
                                            x0 - np.array([0.5, 0.0])])
-    rep = ek.covariance_bounds_report(traj)
-    gamma = rep["q_lo"] / (4.0 * rep["p_hi"])
+    gamma = traj.config.q_lo / (4.0 * traj.p_hi)
     final_err = float(np.linalg.norm(traj.states[-1] - state(horizon, x0)))
 
     twin = twin_decay(traj)
@@ -161,9 +160,7 @@ def test_05_scalar_pipeline_end_to_end(scalar_rig):
     rate = twin.info["fitted_rate_weighted"]
     ok_twin = abs(rate - 2.0) <= 0.05 * 2.0
 
-    bounds = ek.covariance_bounds_report(traj)
-    cert = make_certificate(bounds, HessianBounds(alpha=10.0, kappa_A=0.0,
-                                                  kappa_C=0.0))
+    cert = make_certificate(traj, HessianBounds(alpha=10.0, kappa_A=0.0, kappa_C=0.0))
     env = envelope_check(traj, cert)
     ok_env = env.passed and env.worst_margin >= 0.0
 
@@ -198,11 +195,10 @@ def test_06_linear_output_region_check_governs_twin_convergence():
         fc = ek.FilterConfig(model=model, Q=q * np.eye(2), R=np.eye(1),
                              P0=np.eye(2), x0=x0.copy(), horizon=horizon)
         cand = ek.integrate_ekf(fc, x0=x0)
-        rep = ek.covariance_bounds_report(cand)
-        g = rep["q_lo"] / (4.0 * rep["p_hi"])
-        res = linear_output_check(model, cand, box, g)
+        g = cand.config.q_lo / (4.0 * cand.p_hi)
+        res = linear_output_check(cand, box, g)
         if res["passed"]:
-            traj, gamma, p_hi = cand, g, rep["p_hi"]
+            traj, gamma, p_hi = cand, g, cand.p_hi
             break
     ok_scaled = traj is not None
 
@@ -216,8 +212,7 @@ def test_06_linear_output_region_check_governs_twin_convergence():
                  .info["fitted_rate_weighted"] for pair in pairs]
         ok_twins = all(r >= gamma * 0.9 for r in rates)
 
-        over_cap = linear_output_check(model, traj, box,
-                                       1.05 * traj.config.q_lo / (2.0 * p_hi))
+        over_cap = linear_output_check(traj, box, 1.05 * traj.config.q_lo / (2.0 * p_hi))
         ok_cap = not over_cap["passed"]
     ok = ok_scaled and ok_twins and ok_cap
     _report(6, "linear-output region check governs oscillator twin convergence",
@@ -254,7 +249,7 @@ def test_07_covariance_inflation_raises_decay_rate():
                              N=None if n_val == 0.0 else n_val * np.eye(1))
         traj = ek.integrate_ekf(fc, y, starts=[[0.3], [-0.3]])
         if n_val > 0.0:
-            p_hi_N = ek.covariance_bounds_report(traj)["p_hi"]
+            p_hi_N = traj.p_hi
         twin = twin_decay(traj)
         rates[n_val] = twin.info["fitted_rate_weighted"]
     gain = rates[n_lo] - rates[0.0]
@@ -290,12 +285,10 @@ def test_09_sampled_radius_dominates_analytic_radius(cubic_rig):
     # radius must dominate it at every probed time.
     traj = cubic_rig["traj"]
     fc = cubic_rig["fc"]
-    bounds = ek.covariance_bounds_report(traj)
     # |f''| <= 6 eps (alpha + max |xhat|) over the probed tube
     alpha = 1.0
     kA = 6.0 * 0.1 * (alpha + float(np.max(np.abs(traj.states))))
-    cert = make_certificate(bounds, HessianBounds(alpha=alpha, kappa_A=kA,
-                                                  kappa_C=0.0))
+    cert = make_certificate(traj, HessianBounds(alpha=alpha, kappa_A=kA, kappa_C=0.0))
     margins = []
     for t in np.linspace(0.0, float(traj.times[-1]), 9):
         xhat, P = (interp(traj.times, v, float(t)) for v in (traj.states, traj.covariances))

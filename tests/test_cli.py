@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -158,7 +159,7 @@ def test_perturb_vector_must_have_one_entry_per_state(tmp_path, capsys, vector):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == (
-        f"configuration error: disturbance returned shape ({len(vector)},), expected (2,)\n")
+        f"configuration error: perturb.vector must have shape (2,), got ({len(vector)},)\n")
 
 
 def test_a_registered_plant_with_a_wrong_sized_jacobian_is_a_configuration_error(
@@ -257,7 +258,7 @@ def _scalar_filter(**extra):
     ("perturb", scalar_cfg(horizon=1.0, gamma=math.inf),
      "gamma must be positive and finite, got inf"),
     ("perturb", scalar_cfg(horizon=1.0, perturb={"vector": [math.nan]}),
-     "b_max must be nonnegative and finite, got nan"),
+     "perturb.vector must be finite, got [nan]"),
     ("simulate", scalar_cfg(horizon=1.0, system={"name": "scalar-riccati", "params": [1, 2]}),
      "config field system.params must be an object"),
     ("simulate", scalar_cfg(horizon=1.0, system={"name": ["vanderpol-pos"]}),
@@ -432,6 +433,11 @@ _SCALAR_TWINS = {"z1_0": [0.3], "z2_0": [0.1]}
      "hessian.centers must be <= 1000000, got 10000000"),
     *[(command, _kappa_free(), "config needs hessian.radius (or explicit hessian.kappa_A/kappa_C)")
       for command in ("certify", "twin", "envelope")],
+    # one declared kappa needs the other, even beside a sampling radius
+    *[(command, _with(scalar_cfg, "hessian", {given: 100, "radius": 0.5}, twin=_SCALAR_TWINS),
+       f"config needs hessian.{missing}")
+      for command in ("certify", "twin", "envelope")
+      for given, missing in (("kappa_A", "kappa_C"), ("kappa_C", "kappa_A"))],
     ("certify", _with(_sampled_cfg, "hessian.safety", "x"),
      "config field hessian.safety is not a number: 'x'"),
     *[(command, _with(scalar_cfg, "gamma", "x", twin=_SCALAR_TWINS),
@@ -585,6 +591,24 @@ def test_certify_sampled_curvature(tmp_path):
     # estimate path stays in |x| <= 0.3, so sup of 6 eps |x| over the
     # unit tube lies between 0.6 and 0.78
     assert 0.6 <= cert["kappa_A"] <= 0.79
+
+
+@pytest.mark.parametrize("hessian", [{"kappa_A": 0.78, "kappa_C": 0.0, "alpha": 1.0},
+                                     {"radius": 1.0, "safety": 1.0, "centers": 10}],
+                         ids=["declared", "sampled"])
+def test_the_certificate_of_certify_is_make_certificate_of_the_run(tmp_path, hessian):
+    """summary.json's certificate is make_certificate of the run integrate_ekf makes from
+    the same config, under its declared or sampled curvature bounds."""
+    cfg = cubic_cfg(hessian=hessian, horizon=2.0, radius_times=2)
+    out = tmp_path / "out"
+    assert main(["certify", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    fc = ek.FilterConfig(model=ek.make("cubic-scalar", eps=0.1).model, Q=[[1.0]], R=[[1.0]],
+                         P0=[[0.5]], x0=[0.0], horizon=2.0)
+    run = ek.integrate_ekf(fc, x0=[0.3])
+    hess = ek.HessianBounds(**hessian) if "alpha" in hessian else ek.estimate_hessian_bounds(
+        fc.model, list(zip(run.states, run.times)), 1.0, safety=1.0, max_centers=10)
+    cert = dataclasses.asdict(ek.make_certificate(run, hess))
+    assert read_summary(out)["certificate"] == cli._jsonable(cert)
 
 
 def test_certify_sampled_curvature_uses_requested_centers(tmp_path, monkeypatch):

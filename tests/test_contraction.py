@@ -201,6 +201,20 @@ def test_zeta_plus_rejects_out_of_range_gamma():
         ek.zeta_plus(1.0, 1.0, -1.0, 1.0, 1.0, 0.1)
 
 
+@pytest.fixture(scope="module")
+def small_run():
+    """A short run on the scalar plant, whose bounds the certificate tests set."""
+    fc = ek.FilterConfig(model=ek.make("scalar-riccati").model, Q=np.eye(1), R=np.eye(1),
+                         P0=np.eye(1), x0=np.zeros(1), horizon=0.1, step=0.05)
+    return ek.integrate_ekf(fc, lambda t: np.zeros(1))
+
+
+def _bounds(run, p_lo, p_hi, q_lo=1.0, r_lo=1.0):
+    """``run`` with covariance bounds p_lo, p_hi and a config with Q = q_lo I, R = r_lo I."""
+    config = dataclasses.replace(run.config, Q=q_lo * np.eye(1), R=r_lo * np.eye(1))
+    return dataclasses.replace(run, p_lo=p_lo, p_hi=p_hi, config=config)
+
+
 _KAPPA = st.one_of(st.just(0.0), st.floats(1e-12, 1e3))
 _WEIGHT = st.floats(1e-3, 1e3)
 
@@ -243,15 +257,15 @@ def test_zeta_plus_is_infinite_when_its_denominator_underflows(kappa_A, kappa_C)
     assert ek.zeta_plus(kappa_A, kappa_C, 1e-5, 1.0, 1.0, 0.0) == math.inf
 
 
-def test_zeta_plus_is_zero_at_the_rate_cap_for_an_infinite_output_curvature():
+def test_zeta_plus_is_zero_at_the_rate_cap_for_an_infinite_output_curvature(small_run):
     """At gamma = q_lo / (2 p_hi) the equation's right-hand side is 0, so is its root,
     whatever the kappas: inf * 0 in the discriminant must not read as +inf."""
     assert ek.zeta_plus(1.0, math.inf, 1.0, 1.0, 1.0, 0.5) == 0.0
     assert ek.zeta_plus(math.inf, math.inf, 1.0, 1.0, 1.0, 0.5) == 0.0
     assert ek.zeta_plus(1.0, math.inf, 1.0, 1.0, 1.0, 0.25) == 0.0   # an infinite a
-    bounds = {"p_lo": 1.0, "p_hi": 1.0, "q_lo": 1.0, "r_lo": 1.0}
-    cert = ek.make_certificate(bounds, ek.HessianBounds(alpha=1.0, kappa_A=1.0,
-                                                        kappa_C=math.inf), gamma=0.5)
+    cert = ek.make_certificate(_bounds(small_run, 1.0, 1.0),
+                               ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=math.inf),
+                               gamma=0.5)
     assert cert.zeta_plus == cert.rho == cert.basin_euclid == 0.0
 
 
@@ -291,20 +305,20 @@ def test_contraction_matrix_offsets_vanish_on_linear_plants(name, seed, t):
 @settings(max_examples=300, deadline=None)
 @given(p_lo=_WEIGHT, spread=st.floats(1.0, 1e3), q_lo=_WEIGHT, r_lo=_WEIGHT,
        over=st.floats(1.0 + 1e-9, 1e3), under=st.floats(0.0, 1.0))
-def test_make_certificate_rejects_gamma_above_its_cap(p_lo, spread, q_lo, r_lo,
+def test_make_certificate_rejects_gamma_above_its_cap(small_run, p_lo, spread, q_lo, r_lo,
                                                        over, under):
-    bounds = _bounds(p_lo, p_lo * spread, q_lo, r_lo)
+    run = _bounds(small_run, p_lo, p_lo * spread, q_lo, r_lo)
     hess = ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=1.0)
-    cap = q_lo / (2.0 * bounds["p_hi"])
+    cap = q_lo / (2.0 * run.p_hi)
     with pytest.raises(ek.ConfigurationError, match="outside"):
-        ek.make_certificate(bounds, hess, gamma=over * cap)
-    assert ek.make_certificate(bounds, hess, gamma=under * cap).gamma == under * cap
+        ek.make_certificate(run, hess, gamma=over * cap)
+    assert ek.make_certificate(run, hess, gamma=under * cap).gamma == under * cap
 
 
-def test_the_gamma_cap_message_tells_a_refused_gamma_from_its_cap():
-    bounds, cap = _bounds(1.0, 1.0), 0.5
+def test_the_gamma_cap_message_tells_a_refused_gamma_from_its_cap(small_run):
+    run, cap = _bounds(small_run, 1.0, 1.0), 0.5
     hess = ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=1.0)
-    for refuse in (lambda g: ek.make_certificate(bounds, hess, g),
+    for refuse in (lambda g: ek.make_certificate(run, hess, g),
                    lambda g: ek.zeta_plus(1.0, 1.0, 1.0, 1.0, 1.0, g)):
         with pytest.raises(ek.ConfigurationError) as refused:
             refuse(cap * (1.0 + 1e-11))
@@ -315,12 +329,8 @@ def test_the_gamma_cap_message_tells_a_refused_gamma_from_its_cap():
     assert ek.zeta_plus(1.0, 1.0, 1.0, 1.0, 1.0, cap * (1.0 + 1e-13)) == 0.0
 
 
-def _bounds(p_lo, p_hi, q_lo=1.0, r_lo=1.0):
-    return {"p_lo": p_lo, "p_hi": p_hi, "q_lo": q_lo, "r_lo": r_lo}
-
-
-def test_make_certificate_unit_example():
-    cert = ek.make_certificate(_bounds(1.0, 1.0),
+def test_make_certificate_unit_example(small_run):
+    cert = ek.make_certificate(_bounds(small_run, 1.0, 1.0),
                                ek.HessianBounds(alpha=10.0, kappa_A=1.0, kappa_C=0.0))
     assert cert.gamma == pytest.approx(0.25)
     assert cert.zeta_plus == pytest.approx(0.25)
@@ -332,33 +342,28 @@ def test_make_certificate_unit_example():
     assert d["rho"] == cert.rho and d["gamma"] == cert.gamma
 
 
-def test_make_certificate_conditioning_factor():
-    cert = ek.make_certificate(_bounds(1.0, 4.0),
+def test_make_certificate_conditioning_factor(small_run):
+    cert = ek.make_certificate(_bounds(small_run, 1.0, 4.0),
                                ek.HessianBounds(alpha=10.0, kappa_A=1.0, kappa_C=0.0))
     assert cert.gamma == pytest.approx(1.0 / 16.0)
     assert cert.envelope_factor == pytest.approx(2.0)
     assert cert.basin_euclid == pytest.approx(cert.rho * 0.5)
 
 
-def test_make_certificate_alpha_clamps_rho():
-    cert = ek.make_certificate(_bounds(1.0, 1.0),
+def test_make_certificate_alpha_clamps_rho(small_run):
+    cert = ek.make_certificate(_bounds(small_run, 1.0, 1.0),
                                ek.HessianBounds(alpha=0.1, kappa_A=1.0, kappa_C=0.0))
     assert cert.zeta_plus == pytest.approx(0.25)
     assert cert.rho == pytest.approx(0.1)
 
 
-def test_make_certificate_rejects_bad_inputs():
+def test_make_certificate_rejects_bad_inputs(small_run):
     hess = ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=0.0)
     with pytest.raises(ek.ConfigurationError, match="certification refused"):
-        ek.make_certificate(_bounds(0.0, 1.0), hess)
+        ek.make_certificate(_bounds(small_run, 0.0, 1.0), hess)
     with pytest.raises(ek.ConfigurationError):
-        ek.make_certificate(_bounds(1.0, 1.0), hess, gamma=0.6)
-    for key in ("p_lo", "p_hi", "q_lo", "r_lo"):
-        bounds = _bounds(1.0, 1.0)
-        del bounds[key]
-        with pytest.raises(ek.ConfigurationError, match=f"^{key} missing from bounds report$"):
-            ek.make_certificate(bounds, hess)
-    assert ek.make_certificate(_bounds(1.0, 1.0, r_lo=2.0), hess).r_lo == 2.0
+        ek.make_certificate(_bounds(small_run, 1.0, 1.0), hess, gamma=0.6)
+    assert ek.make_certificate(_bounds(small_run, 1.0, 1.0, r_lo=2.0), hess).r_lo == 2.0
 
 
 @pytest.fixture(scope="module")
@@ -370,10 +375,9 @@ def ltv_traj():
 
 
 def test_linear_output_check_passes_for_linear_dynamics(ltv_traj):
-    model = ltv_traj.config.model
     gamma = ltv_traj.config.q_lo / (4.0 * ltv_traj.p_hi)
     states = [np.array([3.0, -1.0]), np.array([-2.0, 5.0])]
-    rep = ek.linear_output_check(model, ltv_traj, states, gamma)
+    rep = ek.linear_output_check(ltv_traj, states, gamma)
     assert rep["passed"]
     # Atil vanishes identically, so the worst margin is the threshold itself
     assert rep["worst_margin"] == rep["threshold"]
@@ -382,9 +386,8 @@ def test_linear_output_check_passes_for_linear_dynamics(ltv_traj):
 
 
 def test_linear_output_check_fails_above_cap(ltv_traj):
-    model = ltv_traj.config.model
     gamma = 1.05 * ltv_traj.config.q_lo / (2.0 * ltv_traj.p_hi)
-    rep = ek.linear_output_check(model, ltv_traj, [np.array([1.0, 1.0])], gamma)
+    rep = ek.linear_output_check(ltv_traj, [np.array([1.0, 1.0])], gamma)
     assert not rep["passed"]
     assert rep["worst_margin"] < 0.0
 
@@ -400,7 +403,7 @@ def test_linear_output_check_rejects_nonlinear_output():
                          x0=np.array([0.5]), horizon=1.0, step=0.01)
     traj = ek.integrate_ekf(fc, lambda t: np.zeros(1))
     with pytest.raises(ek.PreconditionError):
-        ek.linear_output_check(model, traj, [np.array([1.5])], 0.1)
+        ek.linear_output_check(traj, [np.array([1.5])], 0.1)
 
 
 def _ref_linear_output_check(model, traj, sample_states, gamma):
@@ -442,7 +445,7 @@ def test_linear_output_check_matches_per_state_loop(name):
     gamma = fc.q_lo / (4.0 * traj.p_hi)
     rng = np.random.default_rng(11)
     states = list(traj.states[0] + rng.uniform(-0.8, 0.8, size=(7, model.state_dim)))
-    rep = ek.linear_output_check(model, traj, states, gamma)
+    rep = ek.linear_output_check(traj, states, gamma)
     assert (rep["worst_margin"], rep["worst_time"]) == _ref_linear_output_check(
         model, traj, states, gamma)
     assert rep["states_sampled"] == 7
@@ -522,12 +525,12 @@ def test_compare_analyses_kappa_a0_basins_follow_their_closed_forms(p_lo, p_hi, 
     assert out["ratio"]["basin_kappa_A0"] == pytest.approx(contraction / lyapunov, rel=1e-12)
 
 
-def test_compare_analyses_rejects_p_hi_below_p_lo_as_make_certificate_does():
+def test_compare_analyses_rejects_p_hi_below_p_lo_as_make_certificate_does(small_run):
     message = r"^p_hi must be >= p_lo, got p_lo=3\.0 and p_hi=1\.0$"
     with pytest.raises(ek.ConfigurationError, match=message):
         ek.compare_analyses(3.0, 1.0, 1.0, 1.0, 1.0, 1.0, c_hi=1.0)
     with pytest.raises(ek.ConfigurationError, match=message):
-        ek.make_certificate({"p_lo": 3.0, "p_hi": 1.0, "q_lo": 1.0, "r_lo": 1.0},
+        ek.make_certificate(_bounds(small_run, 3.0, 1.0),
                             ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=1.0))
     assert ek.compare_analyses(2.0, 2.0, 1.0, 1.0, 1.0, 1.0)["ratio"]["rate"] == 1.0
 
@@ -584,11 +587,9 @@ def test_certified_radius_implies_inequality(cubic_rig):
     # inside |x| <= 0.3: sup |f''| there is 6 eps (1 + 0.3)
     traj = cubic_rig["traj"]
     model = cubic_rig["model"]
-    rep = ek.covariance_bounds_report(traj)
     reach = float(np.max(np.abs(traj.states)))
     kappa = 6.0 * 0.1 * (1.0 + reach)
-    cert = ek.make_certificate(rep, ek.HessianBounds(alpha=1.0, kappa_A=kappa,
-                                                     kappa_C=0.0))
+    cert = ek.make_certificate(traj, ek.HessianBounds(alpha=1.0, kappa_A=kappa, kappa_C=0.0))
     assert 0.0 < cert.rho <= 1.0
     rng = np.random.default_rng(41)
     cfg = traj.config
@@ -632,8 +633,7 @@ def vdp_run():
     fc = ek.FilterConfig(model=entry.model, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
                          x0=np.array([0.3, 0.2]), horizon=4.0, step=0.01)
     traj = ek.integrate_ekf(fc, x0=np.array([0.34, 0.2]))
-    rep = ek.covariance_bounds_report(traj)
-    return traj, rep["q_lo"] / (4.0 * rep["p_hi"])
+    return traj, traj.config.q_lo / (4.0 * traj.p_hi)
 
 
 @pytest.mark.parametrize("k", [0, 200, 400])

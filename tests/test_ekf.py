@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import ekfcert as ek
+from ekfcert import cli
 from ekfcert.ode import interp
 
 from conftest import random_spd
@@ -219,8 +221,8 @@ def test_timeseries_measurements_match_callable():
 @pytest.mark.parametrize("entry", ek.registry(), ids=lambda e: e.name)
 def test_the_bounds_report_is_read_from_the_run_without_an_eigen_solve(entry, linalg_calls):
     """The run's one eigvalsh over its covariances gives p_lo, p_hi and their
-    node times; the report equals, float for float, one recomputed from that
-    stack and from Q and R."""
+    node times; the report summary.json carries equals, float for float, one
+    recomputed from that stack and from Q and R."""
     n, p = entry.model.state_dim, entry.model.output_dim
     rng = np.random.default_rng(3)
     fc = ek.FilterConfig(model=entry.model, Q=random_spd(rng, n), R=random_spd(rng, p),
@@ -228,7 +230,7 @@ def test_the_bounds_report_is_read_from_the_run_without_an_eigen_solve(entry, li
                          horizon=3.0, step=0.01)
     traj = ek.integrate_ekf(fc, x0=np.full(n, 0.34))
     linalg_calls.clear()
-    report = ek.covariance_bounds_report(traj)
+    report = cli._bounds_report(traj)
     assert linalg_calls["eigvalsh"] == 0
     eigs = np.linalg.eigvalsh(traj.covariances)
     lo, hi = int(np.argmin(eigs[:, 0])), int(np.argmax(eigs[:, -1]))
@@ -243,7 +245,7 @@ def test_the_bounds_report_is_read_from_the_run_without_an_eigen_solve(entry, li
 
 def test_bounds_report_on_decaying_covariance(scalar_rig):
     traj = scalar_rig["traj"]
-    rep = ek.covariance_bounds_report(traj)
+    rep = cli._bounds_report(traj)
     assert rep["positive_definite"]
     assert rep["t_at_p_hi"] == 0.0
     assert rep["t_at_p_lo"] == traj.times[-1]
@@ -373,8 +375,9 @@ def test_a_nan_or_infinite_input_is_rejected_where_it_enters(make, message):
 
 
 def test_an_infinite_radius_or_curvature_bound_stays_valid():
+    run = _small_run()
     hess = ek.HessianBounds(alpha=math.inf, kappa_A=math.inf, kappa_C=math.inf)
-    cert = ek.make_certificate({"p_lo": 1.0, "p_hi": 1.0, "q_lo": 1.0, "r_lo": 1.0}, hess)
+    cert = ek.make_certificate(dataclasses.replace(run, p_lo=1.0, p_hi=1.0), hess)
     assert (cert.alpha, cert.zeta_plus, cert.rho) == (math.inf, 0.0, 0.0)
 
 

@@ -18,8 +18,7 @@ def _block(heading: str, lang: str) -> str:
 def test_the_library_example_runs():
     scope = {}
     exec(compile(_block("Library", "python"), "README.md", "exec"), scope)
-    assert scope["bounds"] == ek.covariance_bounds_report(scope["traj"])
-    assert isinstance(scope["cert"], ek.ContractionCertificate)
+    assert scope["cert"] == ek.make_certificate(scope["traj"], scope["hess"])
     assert scope["report"].passed
 
 

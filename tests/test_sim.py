@@ -22,9 +22,8 @@ def equilibrium_rig():
 
 
 def _flat_cert(traj, alpha=10.0):
-    rep = ek.covariance_bounds_report(traj)
-    return ek.make_certificate(rep, ek.HessianBounds(alpha=alpha, kappa_A=0.0,
-                                                     kappa_C=0.0))
+    return ek.make_certificate(traj, ek.HessianBounds(alpha=alpha, kappa_A=0.0,
+                                                      kappa_C=0.0))
 
 
 def test_truth_constant_field():
@@ -321,7 +320,6 @@ def test_virtual_starts_must_match_the_state_dimension():
 def test_perturbed_run_takes_the_rates_a_certificate_takes_but_zero():
     quiet = ek.Disturbance(b=lambda x, t: np.zeros(2), b_max=0.0)
     _, traj = _vdp_run(starts=[[0.3, 0.2]], disturbance=quiet)
-    bounds = ek.covariance_bounds_report(traj)
     hess = ek.HessianBounds(alpha=1.0, kappa_A=0.0, kappa_C=0.0)
     cap = traj.config.q_lo / (2.0 * traj.p_hi)
     for gamma in (10.0, 1.5 * cap):
@@ -329,14 +327,14 @@ def test_perturbed_run_takes_the_rates_a_certificate_takes_but_zero():
                 f"gamma = {gamma!r} outside [0, q_lo/(2 p_hi)] = [0, {cap!r}]")) as refused:
             ek.perturbed_run(traj, gamma=gamma)
         with pytest.raises(ek.ConfigurationError) as certified:
-            ek.make_certificate(bounds, hess, gamma)
+            ek.make_certificate(traj, hess, gamma)
         assert str(refused.value) == str(certified.value)
     for gamma in (0.0, -1.0, math.nan, math.inf):   # the ball divides by a finite gamma
         with pytest.raises(ek.ConfigurationError, match="^gamma must be positive and finite"):
             ek.perturbed_run(traj, gamma=gamma)
     assert ek.perturbed_run(traj, gamma=cap).info["gamma"] == cap
     default = ek.perturbed_run(traj).info["gamma"]
-    assert default == ek.make_certificate(bounds, hess).gamma
+    assert default == ek.make_certificate(traj, hess).gamma
 
 
 def test_a_disturbance_must_return_one_entry_per_state():

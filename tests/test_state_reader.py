@@ -47,7 +47,7 @@ ENTRY_POINTS = [
     ("check_contraction_inequality", "xhat",
      lambda v: ek.check_contraction_inequality(MODEL, GOOD, v, P, Q, R, 0.1, 0.0)),
     ("linear_output_check", "sample_states[1]",
-     lambda v: ek.linear_output_check(MODEL, RUN, [GOOD, v], 0.1)["worst_margin"]),
+     lambda v: ek.linear_output_check(RUN, [GOOD, v], 0.1)["worst_margin"]),
     ("estimate_hessian_bounds", "center_path[1]", lambda v: ek.estimate_hessian_bounds(
         MODEL, [(GOOD, 0.0), (v, 0.1)], 0.1, direction_samples=2,
         output_direction_samples=2).kappa_A),
@@ -98,7 +98,7 @@ def test_a_column_reads_as_the_vector_it_holds(entry, name, call, x):
     (lambda: ek.contraction_matrix(MODEL, [0.3, 0.2, 0.1], GOOD, P, Q, R, 0.0),
      "z must have shape (2,), got (3,)"),
     # a (2, 3) array is two 3-entry states, not three 2-entry ones
-    (lambda: ek.linear_output_check(MODEL, RUN, np.zeros((2, 3)), 0.1),
+    (lambda: ek.linear_output_check(RUN, np.zeros((2, 3)), 0.1),
      "sample_states[0] must have shape (2,), got (3,)"),
     (lambda: ek.estimate_hessian_bounds(MODEL, [([0.3, 0.2, 0.1], 0.0)], 0.1),
      "center_path[0] must have shape (2,), got (3,)"),
