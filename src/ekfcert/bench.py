@@ -63,7 +63,7 @@ def _ltv_linear(omega0: float = 1.0, omega_mod: float = 0.5,
     model = SystemModel(
         state_dim=2, output_dim=1,
         dynamics=dyn,
-        output=lambda x, t: C @ x,
+        output=lambda x, t: C.dot(x),
         jacobian_A=jac_a,
         jacobian_C=lambda x, t: C.copy())
 
@@ -100,7 +100,7 @@ def _vanderpol_pos(mu: float = 0.15) -> BenchmarkEntry:
     model = SystemModel(
         state_dim=2, output_dim=1,
         dynamics=dyn,
-        output=lambda x, t: C @ x,
+        output=lambda x, t: C.dot(x),
         jacobian_A=jac_a,
         jacobian_C=lambda x, t: C.copy())
     analytic = {

@@ -202,6 +202,9 @@ def _certified_run(cfg: dict, starts: dict | None = None) -> tuple:
         if radius is None:
             raise ConfigurationError(
                 "config needs hessian.radius (or explicit hessian.kappa_A/kappa_C)")
+        if _read(cfg, "hessian.alpha", default=None) is not None:
+            raise ConfigurationError("hessian.alpha needs explicit hessian.kappa_A/kappa_C; "
+                                     "a sampled radius is its own alpha")
         options = _scalars(
             radius=radius, safety=_read(cfg, "hessian.safety", default=1.1),
             max_centers=_read(cfg, "hessian.centers", int, 25, maximum=MAX_COUNT),

@@ -9,9 +9,10 @@ fixed-step fourth-order Runge-Kutta scheme:
 with A, C the Jacobians of f and h along the estimate. The 2N and 2 beta P
 terms are optional inflation of the covariance flow; both default to off.
 R is constant, so a run forms R^{-1} once, with 2N and 2 beta, and every
-RK4 stage applies it as a matrix product in the gain and the Riccati term.
-P stays exactly symmetric (its start and the Riccati right-hand side are
-symmetrized) and is checked for positive definiteness after every step,
+RK4 stage applies it as a matrix product in the gain and the Riccati term;
+a zero 2N is added to Q once instead, which gives the stage's bits. P stays
+exactly symmetric (its start and the Riccati right-hand side are
+symmetrized) and every node's P is checked for positive definiteness,
 since every guarantee downstream is conditioned on uniform bounds
 p_lo I <= P(t) <= p_hi I holding along the run.
 
@@ -32,11 +33,18 @@ stage's time before f or h is called. The Riccati term adds A P to its
 transpose for P A^T, the same bits since P is exactly symmetric. Truth or
 virtual rows that are not finite get a NaN derivative without a callback; a
 non-finite truth makes the whole stage NaN, so the node guard names it. A
-node of sum of squares at most DIVERGENCE_LIMIT^2 / 4 has every row finite
-and inside the limit and gets P's Cholesky factorization alone; any other
-gets the guard of the truth, then of the estimate, a finiteness check of P,
-the factorization and the guard of each virtual row. The disturbance bound
-is checked after the run, on the root of the largest b.b of any stage.
+step's first stage runs at a node the guard has passed and reads the
+guard's finiteness verdict instead of checking again.
+
+A node of sum of squares at most DIVERGENCE_LIMIT^2 / 4 has every row
+finite and inside the limit and passes on that one check; any other gets
+the guard of the truth, then of the estimate, a finiteness check of P, P's
+Cholesky factorization and the guard of each virtual row. After the run,
+and before any exception raised within it propagates, one batched Cholesky
+factors the stored covariances; if it fails, the first node whose own
+factorization fails raises, as a per-node check would have. The
+disturbance bound is checked last, on the root of the largest b.b of any
+stage.
 """
 
 from __future__ import annotations
@@ -59,15 +67,18 @@ DIVERGENCE_LIMIT = 1e12
 Flow = Callable[[float, np.ndarray], np.ndarray]
 
 
-def integrate(rhs: Flow, y0: np.ndarray, grid: np.ndarray, guard: Flow) -> np.ndarray:
+def integrate(rhs: Flow, y0: np.ndarray, grid: np.ndarray, guard: Flow,
+              nodes: np.ndarray | None = None) -> np.ndarray:
     """The package's one RK4 driver; returns the (len(grid), *y0.shape) nodes.
 
     ``guard(t, y)`` checks each new node, raises on failure and returns the
-    node to store and continue from. ``rk4_step`` must stay a global of this
-    module: perfbench/probe.py replaces it to stop a run at its first step.
-    Overflow warnings are off: the guards report non-finite values as failures.
+    node to store and continue from. The nodes are stored in ``nodes`` when
+    it is given, so a caller can read those stored before a failure.
+    ``rk4_step`` must stay a global of this module: perfbench/probe.py
+    replaces it to stop a run at its first step. Overflow warnings are off:
+    the guards report non-finite values as failures.
     """
-    nodes = np.empty((len(grid), *y0.shape))
+    nodes = np.empty((len(grid), *y0.shape)) if nodes is None else nodes
     nodes[0] = y = y0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(grid) - 1):
@@ -285,10 +296,15 @@ def integrate_ekf(config: FilterConfig,
         1e12 or becomes non-finite, checked in that order at each node; the
         exception carries the first offending time.
     CovarianceBoundViolation
-        If the integrated covariance loses positive definiteness; the
-        exception carries the first offending time.
+        If the integrated covariance loses positive definiteness (its
+        Cholesky factorization fails) at a node; the exception carries the
+        first such time. It takes precedence over any later failure: the
+        nodes are factored as one stack after the run and before any other
+        exception raised within it propagates, so a run that fails here may
+        have called its callbacks past that node.
     PreconditionError
-        If the disturbance exceeded its declared bound.
+        If the disturbance exceeded its declared bound, checked after the
+        covariance.
     """
     model = config.model
     n, p = model.state_dim, model.output_dim
@@ -317,13 +333,18 @@ def integrate_ekf(config: FilterConfig,
     filled = -1   # the last stage-table row whose output has been read
     gains = np.empty((len(grid), n, p))
     Q, Rinv, N2, beta2 = config.Q, np.linalg.inv(config.R), 2.0 * config.N, 2.0 * config.beta
+    if not N2.any():   # a zero 2N added to Q once gives a stage's bits (dP is -0.0 only where Q is)
+        Q, N2 = Q + N2, None
     dot = _product(n)
     b_sq = 0.0   # the largest ||b||^2 seen
+    nodes = np.empty((len(grid), *state0.shape))
+    stored = 1   # the nodes stored so far, the start included
+    node_finite = _finite(state0)   # _finite of the last stored node, which stage 0 reads
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         nonlocal filled, b_sq
         stage, row = read_stage(t)
-        finite = _finite(state)   # one check for every row of a finite stage
+        finite = node_finite if stage == 0 else _finite(state)   # one check for every row
         out = np.empty_like(state)
         if x0 is not None:   # y from the truth row's own stage state
             x = state[n + 1]
@@ -364,27 +385,48 @@ def integrate_ekf(config: FilterConfig,
     truth_guard, estimate_guard, virtual_guard = map(
         divergence_guard, ("truth", "estimate", "virtual state"))
 
-    def guard(t: float, state: np.ndarray) -> np.ndarray:
-        # a node of norm <= DIVERGENCE_LIMIT / 2 has every row finite and inside the limit
-        checked = not np.vdot(state, state) <= 0.25 * DIVERGENCE_LIMIT ** 2
-        P = state[1:n + 1]
-        if checked:
-            if x0 is not None:
-                truth_guard(t, state[n + 1])
-            estimate_guard(t, state[0])
-            if not np.isfinite(P).all():
-                raise DivergenceError(f"covariance diverged at t={t:.6g}", time=float(t))
+    def positive_definite(t: float, P: np.ndarray) -> None:
         try:
             np.linalg.cholesky(P)
         except np.linalg.LinAlgError:
             raise CovarianceBoundViolation(
                 f"covariance lost positive definiteness at t={t:.6g}",
                 time=float(t)) from None
-        if checked and virtual:
-            virtual_guard(t, state[Z:])
+
+    def guard(t: float, state: np.ndarray) -> np.ndarray:
+        nonlocal stored, node_finite
+        # a node of norm <= DIVERGENCE_LIMIT / 2 has every row finite and inside the limit;
+        # its P is factored with the others after the run
+        sq = np.vdot(state, state)
+        if not sq <= 0.25 * DIVERGENCE_LIMIT ** 2:
+            if x0 is not None:
+                truth_guard(t, state[n + 1])
+            estimate_guard(t, state[0])
+            P = state[1:n + 1]
+            if not np.isfinite(P).all():
+                raise DivergenceError(f"covariance diverged at t={t:.6g}", time=float(t))
+            positive_definite(t, P)
+            if virtual:
+                virtual_guard(t, state[Z:])
+        stored += 1
+        node_finite = math.isfinite(sq)
         return state
 
-    nodes = integrate(rhs, state0, grid, guard)
+    def stored_positive_definite() -> None:
+        """Raise at the first stored node whose P fails its factorization; the start's P0
+        passed FilterConfig's eigenvalue check and is not factored, as before."""
+        try:
+            np.linalg.cholesky(nodes[1:stored, 1:n + 1])
+        except np.linalg.LinAlgError:
+            for k in range(1, stored):
+                positive_definite(grid[k], nodes[k, 1:n + 1])
+
+    try:
+        integrate(rhs, state0, grid, guard, nodes)
+    except Exception:
+        stored_positive_definite()   # an earlier non-PD node is the run's first failure
+        raise
+    stored_positive_definite()
     b_worst = math.sqrt(b_sq)
     if disturbance is not None and b_worst > disturbance.b_max * (1.0 + 1e-9) + 1e-300:
         raise PreconditionError(f"disturbance bound violated: observed {b_worst:.6g} "

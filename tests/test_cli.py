@@ -438,6 +438,11 @@ _SCALAR_TWINS = {"z1_0": [0.3], "z2_0": [0.1]}
        f"config needs hessian.{missing}")
       for command in ("certify", "twin", "envelope")
       for given, missing in (("kappa_A", "kappa_C"), ("kappa_C", "kappa_A"))],
+    # a declared alpha belongs to declared kappas; beside a sampling radius it would be ignored
+    *[(command, _with(scalar_cfg, "hessian", {"radius": 0.5, "alpha": alpha},
+                      twin=_SCALAR_TWINS),
+       "hessian.alpha needs explicit hessian.kappa_A/kappa_C; a sampled radius is its own alpha")
+      for command in ("certify", "twin", "envelope") for alpha in (100, 0.5, math.inf)],
     ("certify", _with(_sampled_cfg, "hessian.safety", "x"),
      "config field hessian.safety is not a number: 'x'"),
     *[(command, _with(scalar_cfg, "gamma", "x", twin=_SCALAR_TWINS),

@@ -432,3 +432,69 @@ def test_riccati_rhs_reads_the_symmetric_part_of_p(n):
         # an exactly symmetric P enters unchanged: the stages' own formula, bit for bit
         assert (ek.riccati_rhs(S, A, C, Q, R, N, 0.3).tobytes()
                 == _riccati(S, A, C, Q, np.linalg.inv(R), 2.0 * N, 0.6, np.matmul).tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_zero_inflation_folds_into_q_bit_for_bit(n, p):
+    """A run whose 2N is zero (either sign) passes Q + 2N and no 2N to every
+    stage: the same bits as adding the zero 2N to each stage's dP. Operands are
+    mostly signed zeros, with non-finite entries of P in some draws."""
+    from ekfcert.ekf import _product, _riccati
+    rng = np.random.default_rng(10 * n + p)
+    dot = _product(n)
+
+    def sparse(shape):
+        return rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.5, 0.5], size=shape)
+
+    for draw in range(400):
+        S, Qs = sparse((n, n)), _signed(rng, (n, n))
+        P, Q = 0.5 * (S + S.T), 0.5 * (Qs + Qs.T)
+        if draw % 4 == 0:
+            P.flat[rng.integers(n * n)] = rng.choice([math.inf, -math.inf, math.nan])
+        A, C, Rinv = sparse((n, n)), sparse((p, n)), sparse((p, p))
+        N2 = rng.choice([0.0, -0.0], size=(n, n))
+        N2 = 0.5 * (N2 + N2.T)
+        beta2 = float(rng.choice([0.0, 0.3]))
+        with np.errstate(invalid="ignore"):
+            assert (_riccati(P, A, C, Q + N2, Rinv, None, beta2, dot).tobytes()
+                    == _riccati(P, A, C, Q, Rinv, N2, beta2, dot).tobytes())
+
+
+def _near_singular(rng, n, m):
+    """m symmetric (n, n) matrices with n - 1 eigenvalues in [0.5, 2] and one
+    within 4 eps of zero, of either sign: Cholesky's verdict turns on rounding."""
+    V = np.linalg.qr(rng.standard_normal((m, n, n)))[0]
+    lam = rng.uniform(0.5, 2.0, (m, n))
+    lam[:, 0] = rng.uniform(-4.0, 4.0, m) * np.finfo(float).eps
+    M = (V * lam[:, None, :]) @ V.swapaxes(1, 2)
+    return 0.5 * (M + M.swapaxes(1, 2))
+
+
+def _cholesky_fails(M):
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_batched_cholesky_gives_each_matrix_its_own_verdict(n):
+    """integrate_ekf factors its stored covariances as one strided stack of a
+    node array and trusts the stack's verdict: a stack of matrices that each
+    pass passes, and adding one matrix anywhere fails it exactly when that
+    matrix fails alone."""
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        M = _near_singular(rng, n, 48)
+        alone = np.array([_cholesky_fails(P) for P in M])
+        assert 8 <= alone.sum() <= 40
+        good = M[~alone]
+        for i in range(len(M)):
+            at = int(rng.integers(len(good) + 1))
+            stack = np.insert(good, at, M[i], axis=0)
+            nodes = np.zeros((len(stack), n + 2, n))   # [xhat; P; z] rows, as a run holds them
+            nodes[:, 1:n + 1] = stack
+            assert _cholesky_fails(nodes[:, 1:n + 1]) == alone[i]
+        assert not _cholesky_fails(good)

@@ -7,6 +7,7 @@ virtual row. They are kept as references: each new integrator must
 reproduce its reference bit for bit.
 """
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -21,6 +22,8 @@ import ekfcert.ekf
 from ekfcert import sim
 from ekfcert.model import eval_jacobians
 from ekfcert.ode import interp, stage_table
+
+from conftest import random_spd
 
 LIMIT = 1e12
 
@@ -1015,3 +1018,150 @@ def test_a_stage_reads_its_jacobians_before_it_calls_f_and_h(flow, jacobian, val
     first = log.index((jacobian, t_fault))
     assert max(t for name, t in log[:first] if name == jacobian) < FAULT_T
     assert [name for name, _ in log[first:] if name in ("dynamics", "output")] == []
+
+
+# ------------------------------------------- positive definiteness, batched
+
+def _overshooting_plant(dynamics=lambda x, t: np.zeros(1), jacobian=lambda x, t: np.zeros((1, 1)),
+                        seen=None):
+    """y = x with C = 1 and, by default, dx/dt = 0: from P0 = 2 with Q = R = 1
+    and a step of 1, dP/dt = 1 - P^2 overshoots to P = -0.79 at t = 1 and -0.095
+    at t = 2, then recovers towards 1, every node finite and small. ``seen``
+    records the time of every jacobian_A call."""
+    def jacobian_A(x, t):
+        if seen is not None:
+            seen.append(t)
+        return jacobian(x, t)
+
+    return ek.SystemModel(state_dim=1, output_dim=1, dynamics=dynamics,
+                          output=lambda x, t: x.copy(), jacobian_A=jacobian_A,
+                          jacobian_C=lambda x, t: np.ones((1, 1)))
+
+
+def _overshooting_config(model, P0=2.0):
+    return ek.FilterConfig(model=model, Q=np.eye(1), R=np.eye(1), P0=np.array([[P0]]),
+                           x0=np.zeros(1), horizon=8.0, step=1.0)
+
+
+LOST_AT_ONE = (ek.CovarianceBoundViolation, "covariance lost positive definiteness at t=1", 1.0)
+
+
+def test_a_run_factors_its_covariances_once_when_every_node_passes_on_one_check(monkeypatch):
+    """One np.linalg.cholesky per run on the one-check path, whatever the node
+    count; a node past the one-check bound keeps its own factorization; a run
+    that loses definiteness factors each node up to the first failing one."""
+    calls = [0]
+    monkeypatch.setattr(np.linalg, "cholesky", _counting(np.linalg.cholesky, calls))
+    vdp = ek.make("vanderpol-pos").model
+    fc = ek.FilterConfig(model=vdp, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
+                         x0=[0.3, 0.2], horizon=10.0, step=0.005)
+    run = ek.integrate_ekf(fc, x0=[0.34, 0.2], starts=[[0.1, 0.0], [0.3, 0.2]])
+    assert len(run.times) == 2001 and calls[0] == 1
+    calls[0] = 0
+    huge = ek.FilterConfig(model=ek.make("scalar-riccati").model, Q=np.eye(1),
+                           R=1e26 * np.eye(1), P0=1e13 * np.eye(1), x0=[0.1], horizon=1.0,
+                           step=0.01)
+    assert len(ek.integrate_ekf(huge, x0=[0.3]).times) == 101 and calls[0] == 100 + 1
+    calls[0] = 0
+    assert _outcome(lambda: _filter_arrays(_overshooting_config(_overshooting_plant()),
+                                           lambda t: np.zeros(1))) == LOST_AT_ONE
+    assert calls[0] == 1 + 1
+
+
+def test_definiteness_lost_before_a_callback_raises_is_the_first_failure():
+    """P is not positive definite at t = 1; jacobian_A turns NaN at t = 4, where
+    the run, which now factors its nodes after the steps, raises
+    ModelEvaluationError. The covariance failure at t = 1 propagates, as in the
+    reference loop, which stops at t = 1."""
+    seen = []
+    model = _overshooting_plant(
+        jacobian=lambda x, t: np.full((1, 1), np.nan if t >= 4.0 else 0.0), seen=seen)
+    fc, y = _overshooting_config(model), lambda t: np.zeros(1)
+    expected = _outcome(lambda: _ref_ekf(fc, y)[:3])
+    assert expected == LOST_AT_ONE
+    seen.clear()
+    assert _outcome(lambda: _filter_arrays(fc, y)) == expected
+    assert max(seen) == 4.0   # the run went on to the callback's failure
+
+
+@pytest.mark.parametrize("z0, z_fails_at", [(1e4, 1.0), (0.5, None)])
+def test_definiteness_lost_at_a_node_comes_before_its_virtual_rows(z0, z_fails_at):
+    """dx/dt = x^2 with the estimate at rest at 0: P is lost at t = 1. From
+    1e4 the virtual row leaves the limit at the same node, which the checked
+    path meets after P's factorization; from 0.5 it diverges later. Both runs
+    fail as the reference loop does, at t = 1."""
+    model = _overshooting_plant(dynamics=lambda x, t: x ** 2,
+                                jacobian=lambda x, t: np.array([[2.0 * x[0]]]))
+    fc, y = _overshooting_config(model), lambda t: np.zeros(1)
+    z0 = np.array([z0])
+    if z_fails_at is not None:   # the row alone, under the gain of a definite P, fails there
+        fine = _outcome(lambda: _virtual_arrays(_overshooting_config(model, P0=1.0), y, z0))
+        assert fine == (ek.DivergenceError, "virtual state diverged at t=1", z_fails_at)
+    expected = _outcome(lambda: _ref_ekf_virtual(fc, y, z0)[:3])
+    assert expected == LOST_AT_ONE
+    assert _outcome(lambda: _virtual_arrays(fc, y, z0)) == expected
+
+
+def test_definiteness_lost_comes_before_a_violated_disturbance_bound():
+    """A disturbed run loses P at t = 1, recovers and runs to its end, where
+    its disturbance, 1 from t = 6 on, breaks b_max = 0.5: the covariance
+    failure at t = 1 is raised, not the PreconditionError of the same run
+    from a definite P0."""
+    seen = []
+
+    def b(z, t):
+        seen.append(t)
+        return np.ones(1) if t >= 6.0 else np.zeros(1)
+
+    dist, y, z0 = ek.Disturbance(b=b, b_max=0.5), lambda t: np.zeros(1), np.array([0.1])
+    model = _overshooting_plant()
+    with pytest.raises(ek.PreconditionError, match="disturbance bound violated"):
+        ek.integrate_ekf(_overshooting_config(model, P0=1.0), y, starts=[z0], disturbance=dist)
+    fc = _overshooting_config(model)
+    expected = _outcome(lambda: _ref_ekf_virtual(fc, y, z0, dist)[:3])
+    assert expected == LOST_AT_ONE
+    seen.clear()
+    assert _outcome(lambda: ek.integrate_ekf(fc, y, starts=[z0], disturbance=dist).states) == (
+        expected)
+    assert max(seen) == 8.0   # every step ran before the failure was named
+
+
+@pytest.mark.parametrize("name", ["scalar-riccati", "cubic-scalar"])
+def test_large_steps_fail_or_finish_as_the_per_node_reference(name):
+    """Seeded draws of Q, P0 and the step (up to 2, where RK4 overshoots the
+    Riccati flow): each run, with a virtual row, ends with the arrays or the
+    failure type, message and time of the reference loop, which factors every
+    node as it is made."""
+    model = ek.make(name).model
+    rng = np.random.default_rng(24)
+    outcomes = collections.Counter()
+    for _ in range(80):
+        fc = ek.FilterConfig(model=model, Q=10.0 ** rng.uniform(-2, 1, (1, 1)), R=np.eye(1),
+                             P0=10.0 ** rng.uniform(-1, 1.5, (1, 1)), x0=[0.2],
+                             horizon=8.0, step=float(rng.uniform(0.2, 2.0)))
+        y, z0 = (lambda t: np.array([0.3 * math.sin(t)])), rng.uniform(-0.5, 0.5, 1)
+        expected = _outcome(lambda: _ref_ekf_virtual(fc, y, z0)[:3])
+        assert _outcome(lambda: _virtual_arrays(fc, y, z0)) == expected
+        outcomes[expected[0] if isinstance(expected, tuple) else "finished"] += 1
+    assert outcomes["finished"] >= 10 and outcomes[ek.CovarianceBoundViolation] >= 10, outcomes
+
+
+@pytest.mark.parametrize("entry", ek.registry(), ids=lambda e: e.name)
+def test_an_omitted_or_zero_inflation_gives_the_arrays_of_the_loop_that_adds_it(entry):
+    """The run adds a zero 2N to Q once; the reference loop adds 2N at every
+    stage. N omitted, N = 0 and N = -0 give its arrays bit for bit, also with
+    -0.0 entries in Q."""
+    model = entry.model
+    n, p = model.state_dim, model.output_dim
+    rng = np.random.default_rng(7)
+    Q = np.where(np.eye(n) == 1.0, 1.0, -0.0)
+    y = lambda t: np.full(p, 0.2 * math.cos(t))
+    z0 = rng.uniform(-0.5, 0.5, n)
+    for N in (None, np.zeros((n, n)), -np.zeros((n, n))):
+        fc = ek.FilterConfig(model=model, Q=Q, R=np.eye(p), P0=random_spd(rng, n),
+                             x0=rng.uniform(-0.5, 0.5, n), horizon=3.0, step=0.01, N=N)
+        run = ek.integrate_ekf(fc, y, starts=[z0])
+        states, covs, zs, _ = _ref_ekf_virtual(fc, y, z0)
+        assert run.states.tobytes() == states.tobytes()
+        assert run.covariances.tobytes() == covs.tobytes()
+        assert run.virtual[:, 0].tobytes() == zs.tobytes()
