@@ -29,12 +29,13 @@ class BenchmarkEntry:
 def _scalar_riccati() -> BenchmarkEntry:
     """Constant scalar plant with direct measurement; every filter quantity
     has a closed form."""
+    zero, zero_jac, one = np.zeros(1), np.zeros((1, 1)), np.ones((1, 1))
     model = SystemModel(
         state_dim=1, output_dim=1,
-        dynamics=lambda x, t: np.zeros(1),
+        dynamics=lambda x, t: zero.copy(),
         output=lambda x, t: x.copy(),
-        jacobian_A=lambda x, t: np.zeros((1, 1)),
-        jacobian_C=lambda x, t: np.ones((1, 1)))
+        jacobian_A=lambda x, t: zero_jac.copy(),
+        jacobian_C=lambda x, t: one.copy())
     analytic = {
         # for dx/dt = 0, y = x: dP/dt = q - P^2/r has equilibrium sqrt(qr)
         "equilibrium_p": lambda q, r: math.sqrt(q * r),
@@ -119,12 +120,13 @@ def _cubic_scalar(eps: float = 0.1) -> BenchmarkEntry:
     def dyn(x, t):
         return -x + eps * x ** 3
 
+    one = np.ones((1, 1))
     model = SystemModel(
         state_dim=1, output_dim=1,
         dynamics=dyn,
         output=lambda x, t: x.copy(),
         jacobian_A=lambda x, t: np.array([[-1.0 + 3.0 * eps * x[0] ** 2]]),
-        jacobian_C=lambda x, t: np.ones((1, 1)))
+        jacobian_C=lambda x, t: one.copy())
     def state(t: float, x0) -> np.ndarray:
         # Bernoulli substitution u = x^-2 turns the flow into u' = 2u - 2 eps
         x0 = float(np.asarray(x0, dtype=float).reshape(-1)[0])

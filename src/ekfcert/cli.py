@@ -197,6 +197,10 @@ def _certified_run(cfg: dict, starts: dict | None = None) -> tuple:
     hess = HessianBounds(kappa_A=_read(cfg, "hessian.kappa_A"),
                          kappa_C=_read(cfg, "hessian.kappa_C"),
                          alpha=_read(cfg, "hessian.alpha", default=math.inf)) if declared else None
+    for key in ("radius", "safety", "centers") if declared else ():
+        if _read(cfg, f"hessian.{key}", default=None) is not None:
+            raise ConfigurationError(f"hessian.{key} belongs to sampled bounds; "
+                                     "explicit hessian.kappa_A/kappa_C are not sampled")
     if hess is None:
         radius = _read(cfg, "hessian.radius", default=None)
         if radius is None:

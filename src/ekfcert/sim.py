@@ -15,7 +15,9 @@ pair reads the run's gains interpolated onto the RK4 stage times and the
 outputs the run read there, an O(h^2) approximation. Its RK4 stage reads A
 and C as the filter's does (model._stage_jacobians), then calls f and h, so
 a non-finite Jacobian or stage state raises ModelEvaluationError at the
-stage's time before f or h is called.
+stage's time before f or h is called. A step's first stage runs at its node,
+so its A and C serve the contraction matrix there; after the run A and C
+are evaluated only at the last node and, as one stack, at the filter's.
 """
 
 from __future__ import annotations
@@ -120,21 +122,6 @@ def integrate_truth(model: SystemModel, x0: np.ndarray, horizon: float,
     states = integrate(lambda t, s: model.f(s, t) if _finite(s) else np.full_like(s, np.nan),
                        x0, grid, divergence_guard("truth"))
     return TimeSeries(grid, states)
-
-
-def _stage_inputs(filter_run: FilterTrajectory) -> Callable[[float], tuple]:
-    """Reader of (K, y) at successive RK4 stages on the filter run's grid: the
-    gains interpolated onto the stage times in one call (per run, since
-    ``filter_run.gains`` may have changed) and the outputs the filter read there."""
-    times, read_stage = stage_table(filter_run.times)
-    gains = interp(filter_run.times, filter_run.gains, times)
-    outputs = filter_run.stage_outputs
-
-    def at(t: float) -> tuple[np.ndarray, np.ndarray]:
-        row = read_stage(t)[1]
-        return gains[row], outputs[row]
-
-    return at
 
 
 def _weighted_sq(covs: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,30 +258,37 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     the quadratic form (the two sides agree up to O(step^2)).
     One stacked solve S = P^{-1} dz serves both dz^T S and the form S^T M S.
     The virtual row reads the run's gains interpolated onto the stage times
-    and its ``stage_outputs``.
+    and its ``stage_outputs``. M reads A and C at (z_k, t_k) from step k's
+    first stage, at the last node and the filter's nodes from evaluations
+    after the run.
     """
     n, p = model.state_dim, model.output_dim
     z0 = _state(z0, n, "z0")
     dz0 = np.ones(n) / math.sqrt(n) if dz0 is None else _state(dz0, n, "dz0")
-    stage_inputs = _stage_inputs(filter_run)
+    grid = filter_run.times
+    times, read_stage = stage_table(grid)   # the gains per call, since the run's may change
+    gains, outputs = interp(grid, filter_run.gains, times), filter_run.stage_outputs
+    Az, Cz = np.empty((len(grid), n, n)), np.empty((len(grid), p, n))
     dot = _product(n)
 
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
         z, dz = s[:n], s[n:]
-        K, y = stage_inputs(t)
+        stage, row = read_stage(t)
+        K, y = gains[row], outputs[row]
         A, C = _stage_jacobians(model, z, t, _finite(s))
+        if stage == 0:   # a step's first stage runs at its node
+            Az[row >> 1], Cz[row >> 1] = A, C
         return np.concatenate([_call(model.dynamics, z, t, (n,), "dynamics")
                                - dot(K, _call(model.output, z, t, (p,), "output") - y),
                                dot(A - dot(K, C), dz)])
 
-    grid = filter_run.times
     nodes = integrate(rhs, np.concatenate([z0, dz0]), grid,
                       divergence_guard("variational state"))
     zs, dzs = nodes[:, :n], nodes[:, n:]
+    Az[-1:], Cz[-1:] = _stacked_jacobians(model, zs[-1:], grid[-1])
 
     covs = filter_run.covariances
     w, S = _weighted_sq(covs, dzs)
-    Az, Cz = _stacked_jacobians(model, zs, grid)
     Ah, Ch = _stacked_jacobians(model, filter_run.states, grid)
     M = _contraction_matrices(Ah, Ch, Az, Cz, covs, filter_run.config.Q, filter_run.config.R)
     # a stacked matmul, not einsum, keeps each node's rounding that of S_k @ (M_k @ S_k)

@@ -114,3 +114,46 @@ def test_scalar_error_rate_is_equilibrium_gain():
     assert entry.analytic["error_rate"](4.0, 1.0) == pytest.approx(2.0)
     assert np.all(entry.analytic["state"](7.0, [1.5, -2.0])
                   == np.array([1.5, -2.0]))
+
+
+# every state-independent callback of the registry plants and the value it returned
+# when it built a new array per call
+CONSTANT_CALLBACKS = {
+    ("scalar-riccati", "dynamics"): np.zeros(1),
+    ("scalar-riccati", "jacobian_A"): np.zeros((1, 1)),
+    ("scalar-riccati", "jacobian_C"): np.ones((1, 1)),
+    ("ltv-linear", "jacobian_C"): np.array([[1.0, 0.0]]),
+    ("vanderpol-pos", "jacobian_C"): np.array([[1.0, 0.0]]),
+    ("cubic-scalar", "jacobian_C"): np.ones((1, 1)),
+}
+
+
+@pytest.mark.parametrize("name, callback", sorted(CONSTANT_CALLBACKS))
+def test_a_constant_callback_returns_a_fresh_writable_copy(name, callback):
+    """A copy of a constant built once per plant: a float64 array with the
+    bits of the old per-call value, and one a caller may overwrite without
+    changing what the next call returns."""
+    model = ek.make(name).model
+    fn, n = getattr(model, callback), model.state_dim
+    first = fn(np.full(n, 0.3), 0.0)
+    for x, t in ((np.full(n, -2.0), 1.5), (np.zeros(n), 0.0)):
+        result = fn(x, t)
+        assert type(result) is np.ndarray and result.dtype == np.float64
+        assert result.flags.writeable and result.flags.owndata
+        assert result.tobytes() == CONSTANT_CALLBACKS[name, callback].tobytes()
+        assert result.shape == CONSTANT_CALLBACKS[name, callback].shape
+        assert not np.shares_memory(result, first)
+        result[...] = np.nan
+    first[...] = 7.0
+    assert fn(np.full(n, 0.3), 0.0).tobytes() == CONSTANT_CALLBACKS[name, callback].tobytes()
+
+
+@pytest.mark.parametrize("entry", ek.registry(), ids=lambda e: e.name)
+def test_every_other_registry_callback_depends_on_its_point(entry):
+    """The table above lists every constant callback: each other one moves
+    between two points."""
+    n = entry.model.state_dim
+    for callback in ("dynamics", "output", "jacobian_A", "jacobian_C"):
+        if (entry.name, callback) not in CONSTANT_CALLBACKS:
+            fn = getattr(entry.model, callback)
+            assert not np.array_equal(fn(np.full(n, 0.3), 0.0), fn(np.full(n, -2.0), 1.5))

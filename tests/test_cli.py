@@ -443,6 +443,14 @@ _SCALAR_TWINS = {"z1_0": [0.3], "z2_0": [0.1]}
                       twin=_SCALAR_TWINS),
        "hessian.alpha needs explicit hessian.kappa_A/kappa_C; a sampled radius is its own alpha")
       for command in ("certify", "twin", "envelope") for alpha in (100, 0.5, math.inf)],
+    # the sampling keys belong to sampled bounds; beside declared kappas they would be ignored
+    *[(command, _with(scalar_cfg, "hessian", {"kappa_A": 0, "kappa_C": 0, **sampling},
+                      twin=_SCALAR_TWINS),
+       f"hessian.{next(iter(sampling))} belongs to sampled bounds; "
+       "explicit hessian.kappa_A/kappa_C are not sampled")
+      for command in ("certify", "twin", "envelope")
+      for sampling in ({"radius": -1, "safety": -5, "centers": 0}, {"radius": 0.5},
+                       {"safety": 1.1}, {"centers": 25})],
     ("certify", _with(_sampled_cfg, "hessian.safety", "x"),
      "config field hessian.safety is not a number: 'x'"),
     *[(command, _with(scalar_cfg, "gamma", "x", twin=_SCALAR_TWINS),

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import ekfcert as ek
 import ekfcert.ekf
 from ekfcert import sim
-from ekfcert.model import eval_jacobians
+from ekfcert.contraction import _contraction_matrices
+from ekfcert.model import _call, _finite, _stacked_jacobians, _stage_jacobians, eval_jacobians
 from ekfcert.ode import interp, stage_table
 
 from conftest import random_spd
@@ -229,6 +230,44 @@ def _ref_validator(model, run, y, z0, step, dz0=None):
                                   run.config.R, float(grid[k]))
         sk = np.linalg.solve(covs[k], dzs[k])
         quad[k] = sk @ (M @ sk)
+    h = grid[1] - grid[0]
+    dw = (w[2:] - w[:-2]) / (2.0 * h)
+    scale = max(float(np.abs(quad[1:-1]).max()), 1e-30)
+    return float(np.abs(dw - quad[1:-1]).max() / scale)
+
+
+def _ref_variational_validator(model, run, z0, dz0=None):
+    """The validator with its node Jacobians evaluated after the run, as one
+    stack at all of its nodes, and its stage inputs read through a closure
+    over the stage table, as it stood before its steps' first stages
+    supplied them."""
+    n, p = model.state_dim, model.output_dim
+    dz0 = np.ones(n) / math.sqrt(n) if dz0 is None else dz0
+    times, read_stage = stage_table(run.times)
+    gains = interp(run.times, run.gains, times)
+    dot = ek.ekf._product(n)
+
+    def stage_inputs(t):
+        row = read_stage(t)[1]
+        return gains[row], run.stage_outputs[row]
+
+    def rhs(t, s):
+        z, dz = s[:n], s[n:]
+        K, y = stage_inputs(t)
+        A, C = _stage_jacobians(model, z, t, _finite(s))
+        return np.concatenate([_call(model.dynamics, z, t, (n,), "dynamics")
+                               - dot(K, _call(model.output, z, t, (p,), "output") - y),
+                               dot(A - dot(K, C), dz)])
+
+    grid = run.times
+    nodes = ek.ekf.integrate(rhs, np.concatenate([z0, dz0]), grid,
+                             ek.ekf.divergence_guard("variational state"))
+    zs, dzs = nodes[:, :n], nodes[:, n:]
+    w, S = sim._weighted_sq(run.covariances, dzs)
+    Az, Cz = _stacked_jacobians(model, zs, grid)
+    Ah, Ch = _stacked_jacobians(model, run.states, grid)
+    M = _contraction_matrices(Ah, Ch, Az, Cz, run.covariances, run.config.Q, run.config.R)
+    quad = (S[:, None, :] @ (M @ S[:, :, None]))[:, 0, 0]
     h = grid[1] - grid[0]
     dw = (w[2:] - w[:-2]) / (2.0 * h)
     scale = max(float(np.abs(quad[1:-1]).max()), 1e-30)
@@ -447,6 +486,56 @@ def test_variational_validator_matches_reference_loop(rig, refine):
     assert new == _ref_validator(rig["model"], run, rig["y"], rig["z0"], step)
 
 
+def _registry_run(model, horizon=3.0, step=0.01):
+    """A joint run of ``model`` on the truth start 0.34 from the estimate 0.3
+    in every entry, with unit weights, and that truth start."""
+    n = model.state_dim
+    fc = ek.FilterConfig(model=model, Q=np.eye(n), R=np.eye(model.output_dim), P0=np.eye(n),
+                         x0=np.full(n, 0.3), horizon=horizon, step=step)
+    x0 = np.full(n, 0.34)
+    return ek.integrate_ekf(fc, x0=x0), x0
+
+
+@pytest.mark.parametrize("start", ["truth", "seeded"])
+@pytest.mark.parametrize("jacobians", ["analytic", "differences"])
+@pytest.mark.parametrize("entry", ek.registry(), ids=lambda e: e.name)
+def test_the_validator_reads_its_node_jacobians_from_its_first_stages(entry, jacobians, start):
+    """Bit for bit against the stacked evaluation at every node, with analytic
+    Jacobians and as a finite-difference twin, from the truth start and
+    from a seeded one."""
+    model = entry.model if jacobians == "analytic" else dataclasses.replace(
+        entry.model, jacobian_A=None, jacobian_C=None)
+    run, x0 = _registry_run(model)
+    z0 = x0 if start == "truth" else x0 + 0.1 * np.random.default_rng(0).standard_normal(len(x0))
+    new = ek.variational_validator(model, run, z0)
+    assert new.hex() == _ref_variational_validator(model, run, z0).hex()
+
+
+def test_a_non_finite_jacobian_at_the_last_node_alone_raises_at_the_horizon():
+    """The last node is no step's first stage, so it is evaluated after the
+    run: a jacobian_A that is NaN there, and only there, still raises
+    ModelEvaluationError at t = T, as the stacked evaluation did."""
+    model = ek.make("cubic-scalar").model
+    run, z0 = _registry_run(model, horizon=0.5)
+    T = run.times[-1]
+
+    def faulty():
+        """``model`` with jacobian_A NaN at its second call at T off the
+        filter's last state: the first is the last step's fourth stage, at a
+        stage state, and the second the validator's last node."""
+        calls = [0]
+
+        def jac_a(x, t):
+            A = model.jacobian_A(x, t)
+            calls[0] += t == T and not np.array_equal(x, run.states[-1])
+            return np.full_like(A, np.nan) if calls[0] == 2 else A
+        return dataclasses.replace(model, jacobian_A=jac_a)
+
+    expected = _outcome(lambda: (_ref_variational_validator(faulty(), run, z0),))
+    assert expected[0] is ek.ModelEvaluationError and expected[2] == T
+    assert _outcome(lambda: (ek.variational_validator(faulty(), run, z0),)) == expected
+
+
 # ------------------------------------------------------------ stage table
 
 def _counting(fn, calls):
@@ -493,9 +582,9 @@ def test_the_filter_evaluates_jacobians_at_its_stages_and_last_node_only(rig, li
 
 
 def test_stage_table_gains_equal_scalar_interpolation(rig):
-    """Bit for bit, signed zeros included: the table the virtual runs read
-    holds at each stage time what the scalar reference ``_ref_series_at``
-    gives there."""
+    """Bit for bit, signed zeros included: the table the validator reads
+    holds at each stage time, and at the row of each RK4 stage call, what
+    the scalar reference ``_ref_series_at`` gives there."""
     run = rig["run"]
     gains = run.gains.copy()
     gains[::3, 0] = -0.0
@@ -506,14 +595,12 @@ def test_stage_table_gains_equal_scalar_interpolation(rig):
     assert table.shape == (len(times), *gains.shape[1:])
     for row, t in enumerate(times):
         assert table[row].tobytes() == _ref_series_at(run.times, gains, float(t)).tobytes()
-    read = sim._stage_inputs(dataclasses.replace(run, gains=gains))
+    _, read = stage_table(run.times)
     for k in range(len(run.times) - 1):
         t, h = run.times[k], run.times[k + 1] - run.times[k]
-        for row, ts in zip((2 * k, 2 * k + 1, 2 * k + 1, 2 * k + 2),
-                           (t, t + 0.5 * h, t + 0.5 * h, t + h)):
-            K, y = read(ts)
-            assert K.tobytes() == _ref_series_at(run.times, gains, ts).tobytes()
-            assert np.array_equal(y, run.stage_outputs[row])
+        for ts in (t, t + 0.5 * h, t + 0.5 * h, t + h):
+            row = read(ts)[1]
+            assert table[row].tobytes() == _ref_series_at(run.times, gains, ts).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -784,8 +871,9 @@ def test_array_and_list_callbacks_give_the_same_flows_with_one_call_per_stage(en
     stages = 4 m on the m steps of the two runs, whose rows are the truth,
     the estimate and two or one virtual rows, and of the validator; h also
     once at each run's last truth node; the Jacobians also at each run's
-    last node and, for the validator's deviation, at its m + 1 nodes and
-    the filter's."""
+    last node and, for the validator's deviation, at the filter's m + 1
+    nodes and its own last node: its other nodes are the points of its
+    steps' first stages, which already read A and C there."""
     n = entry.model.state_dim
     x0, xhat0, z0 = np.full(n, 0.34), np.full(n, 0.3), np.full(n, 0.28)
     fast_counts, slow_counts = dict.fromkeys(CALLBACKS, 0), dict.fromkeys(CALLBACKS, 0)
@@ -795,7 +883,7 @@ def test_array_and_list_callbacks_give_the_same_flows_with_one_call_per_stage(en
         assert value.tobytes() == slow[name].tobytes(), name
     stages = 4 * 300
     expected = {"dynamics": 8 * stages, "output": 8 * stages + 2,
-                "jacobian_A": 3 * stages + 2 + 2 * 301, "jacobian_C": 3 * stages + 2 + 2 * 301}
+                "jacobian_A": 3 * stages + 2 + 301 + 1, "jacobian_C": 3 * stages + 2 + 301 + 1}
     assert fast_counts == slow_counts == expected
 
 
