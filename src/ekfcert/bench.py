@@ -23,7 +23,6 @@ class BenchmarkEntry:
     name: str
     model: SystemModel
     analytic: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
 
 
 def _scalar_riccati() -> BenchmarkEntry:
@@ -83,9 +82,7 @@ def _ltv_linear(omega0: float = 1.0, omega_mod: float = 0.5,
         "kappa_A": lambda alpha: 0.0,
         "kappa_C": lambda alpha: 0.0,
     }
-    return BenchmarkEntry(name="ltv-linear", model=model, analytic=analytic,
-                          params={"omega0": omega0, "omega_mod": omega_mod,
-                                  "freq": freq})
+    return BenchmarkEntry(name="ltv-linear", model=model, analytic=analytic)
 
 
 def _vanderpol_pos(mu: float = 0.15) -> BenchmarkEntry:
@@ -110,8 +107,7 @@ def _vanderpol_pos(mu: float = 0.15) -> BenchmarkEntry:
         "kappa_A": lambda alpha: 4.0 * mu * alpha / math.sqrt(3.0),
         "kappa_C": lambda alpha: 0.0,
     }
-    return BenchmarkEntry(name="vanderpol-pos", model=model, analytic=analytic,
-                          params={"mu": mu})
+    return BenchmarkEntry(name="vanderpol-pos", model=model, analytic=analytic)
 
 
 def _cubic_scalar(eps: float = 0.1) -> BenchmarkEntry:
@@ -143,8 +139,7 @@ def _cubic_scalar(eps: float = 0.1) -> BenchmarkEntry:
         "equilibrium_p": lambda q, r: -r + math.sqrt(r * r + q * r),
         "state": state,
     }
-    return BenchmarkEntry(name="cubic-scalar", model=model, analytic=analytic,
-                          params={"eps": eps})
+    return BenchmarkEntry(name="cubic-scalar", model=model, analytic=analytic)
 
 
 _FACTORIES = {

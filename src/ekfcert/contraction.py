@@ -53,7 +53,7 @@ class ContractionCertificate:
     error envelope envelope_factor * ||e(0)|| * exp(-gamma t). The p
     bounds are observations at the grid nodes of the filter run, so the
     certificate is conditional on them holding between the nodes too, not a
-    proof; ``grid_verified`` is always True.
+    proof.
     """
 
     gamma: float
@@ -68,7 +68,6 @@ class ContractionCertificate:
     kappa_C: float
     basin_euclid: float
     envelope_factor: float
-    grid_verified: bool = True
     kappa_sampled: bool = False
 
 
@@ -92,10 +91,11 @@ def contraction_matrix(model: SystemModel, z: np.ndarray, xhat: np.ndarray,
                        t: float) -> np.ndarray:
     """The matrix M governing d/dt of the weighted squared distance.
 
-    Along the linearized virtual flow, d/dt (dz^T P^{-1} dz) equals
-    dz^T P^{-1} M P^{-1} dz with this M. Negative semidefiniteness of
-    M + 2 gamma P on a region therefore certifies contraction at rate
-    gamma there. The result is exactly symmetrized.
+    Along the linearized virtual flow of an uninflated filter, d/dt
+    (dz^T P^{-1} dz) equals dz^T P^{-1} M P^{-1} dz with this M; inflation
+    (beta, N) would subtract 2N + 2 beta P, which M leaves out. Negative
+    semidefiniteness of M + 2 gamma P on a region therefore certifies
+    contraction at rate gamma there. The result is exactly symmetrized.
     """
     Az, Cz = eval_jacobians(model, _state(z, model.state_dim, "z"), t)
     Ah, Ch = eval_jacobians(model, _state(xhat, model.state_dim, "xhat"), t)
@@ -107,8 +107,8 @@ def check_contraction_inequality(model: SystemModel, z: np.ndarray, xhat: np.nda
                                  gamma: float, t: float) -> bool:
     """True iff M + 2 gamma P is negative semidefinite at the probe point.
 
-    This is the pointwise contraction inequality; gamma must be
-    nonnegative and finite.
+    This is the pointwise contraction inequality of the uninflated flow
+    (see contraction_matrix); gamma must be nonnegative and finite.
     """
     gamma = _scalar(gamma, "gamma")
     M = contraction_matrix(model, z, xhat, P, Q, R, t)
@@ -129,14 +129,15 @@ def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
     interval. Returns RADIUS_MAX when even that radius passes
     (linear systems) and 0.0 when the center itself fails.
 
-    The Jacobians at xhat are evaluated once. Each bisection step first
-    retests the direction that failed at the previous failing step and
-    stops there if it fails again; otherwise it evaluates the probe
-    Jacobians of every direction, in order, and decides all of them with
-    one batched ``solve`` against R and one batched ``eigvalsh``. A probe
-    whose Jacobian evaluation raises :class:`ModelEvaluationError` may
-    therefore surface at a step where a per-probe loop would already have
-    stopped at an earlier failing direction.
+    The Jacobians at xhat are evaluated once; they also decide the center.
+    Each bisection step first retests the direction that failed at the
+    previous failing step and stops there if it fails again; otherwise it
+    evaluates the probe Jacobians of every direction, in order, and decides
+    all of them with one batched ``solve`` against R and one batched
+    ``eigvalsh``. A probe whose Jacobian evaluation raises
+    :class:`ModelEvaluationError` may therefore surface at a step where a
+    per-probe loop would already have stopped at an earlier failing
+    direction.
     """
     gamma, direction_samples, seed = _scalars(gamma=gamma, direction_samples=direction_samples,
                                               seed=seed).values()
@@ -145,10 +146,12 @@ def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
     dirs = _unit_directions(len(xhat), direction_samples, rng)
     Ah, Ch = eval_jacobians(model, xhat, t)
 
-    def passes(points: np.ndarray) -> np.ndarray:
-        Az, Cz = _stacked_jacobians(model, points, t)
+    def verdicts(Az: np.ndarray, Cz: np.ndarray) -> np.ndarray:
         M = _contraction_matrices(Ah, Ch, Az, Cz, P, Q, R)
         return _negative_semidefinite(M + 2.0 * gamma * P)
+
+    def passes(points: np.ndarray) -> np.ndarray:
+        return verdicts(*_stacked_jacobians(model, points, t))
 
     last_failed = None
 
@@ -162,7 +165,7 @@ def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
         last_failed = int(np.argmin(ok))
         return False
 
-    if not passes(xhat[None])[0]:
+    if not verdicts(Ah[None], Ch[None])[0]:   # the center, from the Jacobians already read
         return 0.0
     if holds(RADIUS_MAX):
         return RADIUS_MAX

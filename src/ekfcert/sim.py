@@ -90,8 +90,6 @@ class EnvelopeReport:
     initial_error: float
     within_basin: bool
     passed: bool
-    gamma: float
-    factor: float
 
 
 def fit_exponential_rate(times: np.ndarray, values: np.ndarray) -> float:
@@ -158,15 +156,11 @@ def twin_decay(filter_run: FilterTrajectory, *,
     weighted, _ = _weighted_sq(filter_run.covariances, delta)
     euclid = np.linalg.norm(delta, axis=1)
     rate = fit_exponential_rate(times, weighted)
-    info: dict = {
-        "fitted_rate_weighted": rate,
-        "fitted_rate_euclid": fit_exponential_rate(times, euclid),
-    }
+    info: dict = {"fitted_rate_euclid": fit_exponential_rate(times, euclid)}
     if certificate is not None:
         w = _weighted_sq(filter_run.covariances[[0, 0]], Z[0] - filter_run.states[0])[0]
         info["within_basin"] = not math.isfinite(certificate.rho) or bool(
             (w <= certificate.rho ** 2 / certificate.p_hi * (1.0 + 1e-12)).all())
-        info["gamma"] = certificate.gamma
         info["rate_pass"] = (None if math.isnan(rate)   # no signal
                              else bool(rate >= 2.0 * certificate.gamma * RATE_SLACK))
     return ExperimentRun(times=times, weighted_dist=weighted, euclid_dist=euclid,
@@ -196,8 +190,7 @@ def envelope_check(filter_run: FilterTrajectory,
         times=times, error=err, envelope=env, margins=margins,
         worst_margin=float(margins[worst]), worst_time=float(times[worst]),
         initial_error=e0, within_basin=bool(within),
-        passed=bool(within and margins[worst] >= 0.0),
-        gamma=certificate.gamma, factor=certificate.envelope_factor)
+        passed=bool(within and margins[worst] >= 0.0))
 
 
 def perturbed_run(filter_run: FilterTrajectory, *,
@@ -247,15 +240,17 @@ def perturbed_run(filter_run: FilterTrajectory, *,
 
 def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
                           z0: np.ndarray, *, dz0: np.ndarray | None = None) -> float:
-    """Consistency of d/dt(dz^T P^{-1} dz) with dz^T P^{-1} M P^{-1} dz.
+    """Consistency of d/dt(dz^T P^{-1} dz) with dz^T P^{-1} (M - 2N - 2 beta P) P^{-1} dz.
 
     Propagates a variational state along the linearized virtual flow
     dz' = (A(z,t) - K(t) C(z,t)) dz next to its virtual row z on the
     filter's grid, differentiates the weighted squared length numerically
     in time, and compares it at every interior grid node against the
-    quadratic form of the contraction matrix. Returns
-    the maximum absolute deviation relative to the largest magnitude of
-    the quadratic form (the two sides agree up to O(step^2)).
+    quadratic form of the contraction matrix less the run's own
+    inflation 2N + 2 beta P, which the flow of P carries (zero on an
+    uninflated run). Returns the maximum absolute deviation relative to
+    the largest magnitude of the quadratic form (the two sides agree up
+    to O(step^2)).
     One stacked solve S = P^{-1} dz serves both dz^T S and the form S^T M S.
     The virtual row reads the run's gains interpolated onto the stage times
     and its ``stage_outputs``. M reads A and C at (z_k, t_k) from step k's
@@ -290,7 +285,9 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     covs = filter_run.covariances
     w, S = _weighted_sq(covs, dzs)
     Ah, Ch = _stacked_jacobians(model, filter_run.states, grid)
-    M = _contraction_matrices(Ah, Ch, Az, Cz, covs, filter_run.config.Q, filter_run.config.R)
+    config = filter_run.config
+    M = (_contraction_matrices(Ah, Ch, Az, Cz, covs, config.Q, config.R)
+         - 2.0 * config.N - 2.0 * config.beta * covs)
     # a stacked matmul, not einsum, keeps each node's rounding that of S_k @ (M_k @ S_k)
     quad = (S[:, None, :] @ (M @ S[:, :, None]))[:, 0, 0]
 

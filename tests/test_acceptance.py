@@ -109,7 +109,7 @@ def test_03_time_varying_linear_convergence():
     final_err = float(np.linalg.norm(traj.states[-1] - state(horizon, x0)))
 
     twin = twin_decay(traj)
-    rate = twin.info["fitted_rate_weighted"]
+    rate = twin.fitted_rate
     ok = (gamma * horizon >= 15.0 and final_err <= 1e-6
           and rate >= 2.0 * gamma * 0.9)
     _report(3, "time-varying linear plant converges at the certified rate", ok,
@@ -157,7 +157,7 @@ def test_05_scalar_pipeline_end_to_end(scalar_rig):
     ok_p = abs(p_final - 1.0) <= 1e-6
 
     twin = twin_decay(rerun(scalar_rig, [[0.8], [0.2]]))
-    rate = twin.info["fitted_rate_weighted"]
+    rate = twin.fitted_rate
     ok_twin = abs(rate - 2.0) <= 0.05 * 2.0
 
     cert = make_certificate(traj, HessianBounds(alpha=10.0, kappa_A=0.0, kappa_C=0.0))
@@ -209,7 +209,7 @@ def test_06_linear_output_region_check_governs_twin_convergence():
         pairs = [(corners[0], corners[3]), (corners[1], corners[2]),
                  (corners[0], x0)]
         rates = [twin_decay(ek.integrate_ekf(traj.config, x0=x0, starts=pair))
-                 .info["fitted_rate_weighted"] for pair in pairs]
+                 .fitted_rate for pair in pairs]
         ok_twins = all(r >= gamma * 0.9 for r in rates)
 
         over_cap = linear_output_check(traj, box, 1.05 * traj.config.q_lo / (2.0 * p_hi))
@@ -251,7 +251,7 @@ def test_07_covariance_inflation_raises_decay_rate():
         if n_val > 0.0:
             p_hi_N = traj.p_hi
         twin = twin_decay(traj)
-        rates[n_val] = twin.info["fitted_rate_weighted"]
+        rates[n_val] = twin.fitted_rate
     gain = rates[n_lo] - rates[0.0]
     need = 0.5 * n_lo / p_hi_N
     ok = all_hold and gain >= need

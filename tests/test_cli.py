@@ -4,9 +4,13 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,7 +534,6 @@ def test_twin_with_identical_starts_writes_nan_rates_as_strings(tmp_path, capsys
     assert "within_basin=True pass=False (no signal)\n" in capsys.readouterr().out
     summary = _strict_json(out / "summary.json")
     assert summary["fitted_rate"] == "nan"
-    assert summary["info"]["fitted_rate_weighted"] == "nan"
     assert summary["info"]["fitted_rate_euclid"] == "nan"
     assert summary["info"]["rate_pass"] is None and summary["passed"] is False
     _, data = read_csv(out / "twin.csv")
@@ -785,6 +788,14 @@ def test_a_filter_section_that_is_not_an_object_is_a_configuration_error(
      "config field filter.P0 is not numeric: [[True]]"),
     ("simulate", scalar_cfg, "filter.Q", [["2"]], "config field filter.Q is not numeric: [['2']]"),
     ("simulate", scalar_cfg, "truth.x0", ["0.4"], "config field truth.x0 is not numeric: ['0.4']"),
+    ("simulate", scalar_cfg, "filter.Q", [[1.0], [1.0, 2.0]],
+     "config field filter.Q is not numeric: [[1.0], [1.0, 2.0]]"),
+    ("simulate", scalar_cfg, "filter.Q", [[10 ** 400]],
+     f"config field filter.Q is not numeric: [[{10 ** 400}]]"),
+    ("certify", scalar_cfg, "radius_times", math.inf,
+     "config field radius_times is not a number: inf"),
+    ("simulate", scalar_cfg, "horizon", 10 ** 400,
+     f"config field horizon is not a number: {10 ** 400}"),
     ("simulate", cubic_cfg, "system.params.eps", True,
      "config field system.params.eps is not a number: True"),
     ("simulate", cubic_cfg, "system.params.eps", "0.1",
@@ -934,3 +945,31 @@ def test_any_bad_config_leaf_ends_in_an_exit_code_and_one_configuration_line(com
     if rc == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("configuration error: "), lines
+
+
+# the small sampled certify config that CI also runs on an install without extras
+SMALL_CERTIFY = Path(__file__).resolve().parent / "data" / "certify_cubic.json"
+# numpy's compiled extensions register these two beside the numpy package
+NUMPY_HELPERS = ("_cython_", "cython_runtime")
+
+
+def test_the_runtime_loads_only_the_standard_library_numpy_and_ekfcert(tmp_path):
+    """Importing ekfcert and its CLI and running certify in a fresh interpreter adds
+    no module to sys.modules from outside the standard library, numpy and ekfcert."""
+    script = ("import json, sys\n"
+              "before = set(sys.modules)\n"
+              "import ekfcert, ekfcert.cli\n"
+              "argv = ['certify', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+              "code = ekfcert.cli.main(argv)\n"
+              "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n")
+    src = str(Path(ek.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, str(SMALL_CERTIFY), str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=True)
+    code, added = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    allowed = sys.stdlib_module_names | {"numpy", "ekfcert"}
+    assert [name for name in added if name.split(".")[0] not in allowed
+            and not name.startswith(NUMPY_HELPERS)] == []
+    assert {"numpy", "ekfcert.cli"} <= set(added)

@@ -561,6 +561,37 @@ def test_inflation_rate_gain_random_instances():
         assert ek.inflation_rate_gain(M, P, N, gamma)
 
 
+def test_single_stage_identity_of_the_riccati_flow_and_the_contraction_matrix():
+    """The paper's identity at one stage: with K = P C(xhat)^T R^{-1}, dP/dt the
+    (inflated) Riccati right-hand side, dz' = (A(z) - K C(z)) dz and s = P^{-1} dz,
+    2 s^T dz' - s^T dP/dt s = s^T (M - 2N - 2 beta P) s. ekf._riccati and
+    contraction._contraction_matrices code the two sides independently."""
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for _ in range(500):
+        n, p = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        P, Q, R = (random_spd(rng, k) for k in (n, n, p))
+        P = 0.5 * (P + P.T)
+        B = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+        N = 0.5 * (B @ B.T)
+        beta = float(rng.uniform(0.0, 1.0))
+        Ah, Az = rng.standard_normal((2, n, n))
+        Ch, Cz = rng.standard_normal((2, p, n))
+        dz = rng.standard_normal(n)
+        dot = ek.ekf._product(n)
+        Rinv = np.linalg.inv(R)
+        K = ek.ekf._gain(P, Ch, Rinv, dot)
+        dP = ek.ekf._riccati(P, Ah, Ch, Q, Rinv, 2.0 * N if N.any() else None, 2.0 * beta,
+                             dot)
+        M = ek.contraction._contraction_matrices(Ah, Ch, Az, Cz, P, Q, R)
+        s = np.linalg.solve(P, dz)
+        terms = (2.0 * s @ ((Az - K @ Cz) @ dz), s @ dP @ s, s @ M @ s, 2.0 * s @ N @ s,
+                 2.0 * beta * s @ P @ s)
+        gap = abs(terms[0] - terms[1] - (terms[2] - terms[3] - terms[4]))
+        worst = max(worst, gap / max(map(abs, terms)))
+    assert worst <= 1e-9
+
+
 def test_offset_term_bounds():
     # the two spectral bounds that turn curvature into the radius polynomial
     rng = np.random.default_rng(37)

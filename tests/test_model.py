@@ -84,9 +84,9 @@ def test_tilde_matrices_cubic_hand_value():
 
 
 def test_hessian_tensor_vanderpol_entries():
-    entry = ek.make("vanderpol-pos", mu=0.15)
+    mu = 0.15
+    entry = ek.make("vanderpol-pos", mu=mu)
     H = ek.hessian_tensor(entry.model, np.array([1.0, 2.0]), 0.0, "dynamics")
-    mu = entry.params["mu"]
     expected = np.array([[-2 * mu * 2.0, -2 * mu * 1.0], [-2 * mu * 1.0, 0.0]])
     assert np.allclose(H[0], 0.0, atol=1e-9)
     assert np.allclose(H[1], expected, atol=1e-7)

@@ -27,7 +27,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # predate the one-state run.
 PINNED_FILES = {
     "certify-vdp-sampled": {
-        "certify/summary.json": "92e39f5d19eea8bba6440214fad9b2bd83bfb2db9917d6f24b2656f5f4d34e79",
+        "certify/summary.json": "49fe0920ebd5612ee950fcb917153eab3dadabb4594f65fba003758ebb1ca7ea",
         "certify/radius.csv": "5cccd26ee82dfb12c579f1a497107bed022bd5d775cef6b092bfccd118ca39da",
     },
     "trajectories-vdp-declared": {
@@ -35,13 +35,13 @@ PINNED_FILES = {
             "75ea6089f04a26af33e0977860eca85c200a007ea66c48e7fa2bf909ba4756b0",
         "simulate/trajectory.csv":
             "696411d3da053b8d2027051f93de1cb5bfbb9135a008cd299d5ac6ef0e48b8b0",
-        "twin/summary.json": "9070f564aa3187843e820f1b492796d6adbf140d0b289aa2658bd59d26c5c886",
+        "twin/summary.json": "4d481e88eae3d560c40498878831c3577f0ae411b0c692993c5040aaa4c64d4b",
         "twin/twin.csv": "2a1e203bfdefd67191195bf406abd72fb84cd82287b158b679f877908cb89af9",
         "perturb/summary.json":
             "660514efe447069c95bc35bb788106654bcd9f07a356ab0d438fe0f528a745e2",
         "perturb/perturb.csv": "a21b2de106bd56f7e8fb2c845baed36a71b37688946fd2c5cbef16eb4e3d814f",
         "envelope/summary.json":
-            "c1e24e9c712a5a008ea639e44101cc6f9b6918d6d9d90c676320d3cf4fd59850",
+            "92bd3d9d43b783d3f9442601ff1e64129a46a5f15aed4b0cc057eb5a09925c80",
         "envelope/envelope.csv":
             "013f5d3e32feaaf0aa4b9c0c2c892d4ddea8be1284ce0049c065317be3c51c80",
     },

@@ -187,6 +187,9 @@ def test_the_boundary_of_each_rule_is_accepted(entry, name, call, value):
     (lambda: ek.inflation_rate_gain(-np.eye(2), P, np.eye(2), -1.0),
      "gamma must be nonnegative and finite, got -1.0"),
     (lambda: ek.time_grid(1.0, math.inf), "step must be positive and finite, got inf"),
+    (lambda: ek.time_grid(10 ** 400, 0.1),
+     f"horizon must be positive and finite, got {10 ** 400}"),
+    (lambda: ek.hessian_tensor(MODEL, GOOD, 0.0, "bad"), "unknown map selector 'bad'"),
     (lambda: ek.zeta_plus(0.0, 0.0, 1.0, 1.0, 1.0, 0.5 + 1e-11),
      "gamma = 0.50000000001 outside [0, q_lo/(2 p_hi)] = [0, 0.5]"),
 ])
