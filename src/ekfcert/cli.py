@@ -72,8 +72,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
@@ -215,8 +213,7 @@ def _certified_run(cfg: dict, starts: dict | None = None) -> tuple:
             seed=_read(cfg, "seed", int, 0, minimum=0))
     gamma = _gamma(cfg)
     _, run = _prepare_run(cfg, starts)
-    hess = hess or estimate_hessian_bounds(
-        run.config.model, list(zip(run.states, run.times)), **options)
+    hess = hess or estimate_hessian_bounds(run.config.model, run.states, run.times, **options)
     return run, make_certificate(run, hess, gamma)
 
 
@@ -253,10 +250,9 @@ def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
     directions = _read(cfg, "direction_samples", int, 64, minimum=0, maximum=MAX_COUNT)
     traj, cert = _certified_run(cfg)
     idx = np.unique(np.linspace(0, len(traj.times) - 1, samples).astype(int))
-    radii = [empirical_radius(traj.config.model, traj.states[k], traj.covariances[k],
-                              traj.config.Q, traj.config.R, cert.gamma, float(traj.times[k]),
-                              direction_samples=directions, seed=seed)
-             for k in idx]
+    radii = empirical_radius(traj.config.model, traj.states[idx], traj.covariances[idx],
+                             traj.config.Q, traj.config.R, cert.gamma, traj.times[idx],
+                             direction_samples=directions, seed=seed)
     print(f"certify: gamma={cert.gamma:.6g} zeta_plus={cert.zeta_plus:.6g} "
           f"rho={cert.rho:.6g} basin_euclid={cert.basin_euclid:.6g}")
     fields = {

@@ -28,7 +28,8 @@ from .model import (HessianBounds, SystemModel, _scalar, _scalars, _stacked_jaco
 # slack allowed when deciding lambda_max(S) <= 0 in floating point
 PSD_TOL_SCALE = 1e-9
 RADIUS_MAX = 1e6          # empirical_radius bisects over [0, RADIUS_MAX] ...
-RADIUS_REL_TOL = 1e-6     # ... down to a bracket width of RADIUS_REL_TOL * r
+RADIUS_REL_TOL = 1e-6     # ... down to a bracket width of RADIUS_REL_TOL * r ...
+RADIUS_BLOCK_ROWS = 1024  # ... in lock step over nodes of at most this many probes together
 OUTPUT_CHECK_TIMES = 50   # filter nodes linear_output_check visits at most
 
 
@@ -116,68 +117,97 @@ def check_contraction_inequality(model: SystemModel, z: np.ndarray, xhat: np.nda
 
 
 def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
-                     Q: np.ndarray, R: np.ndarray, gamma: float, t: float,
-                     direction_samples: int = 64, *, seed: int = 0) -> float:
-    """Largest sampled radius around xhat on which the inequality holds.
+                     Q: np.ndarray, R: np.ndarray, gamma: float, t,
+                     direction_samples: int = 64, *, seed: int = 0):
+    """Largest sampled radius around each estimate on which the inequality holds.
 
-    Bisects over the radius, testing the contraction inequality at
-    xhat + r u for the signed coordinate axes plus ``direction_samples``
-    seeded random unit directions (the axes alone in one dimension, where
-    they are the only unit vectors). The value is a sampled
-    over-approximation of the true radius: the inequality is only verified
-    on the probed directions, and the search assumes the pass set is an
-    interval. Returns RADIUS_MAX when even that radius passes
-    (linear systems) and 0.0 when the center itself fails.
+    ``xhat`` (k, n), ``P`` (k, n, n) and times ``t`` (k,) are k nodes, and the
+    result is an array of their k radii; a state ``xhat`` with one time ``t``
+    is one node, whose radius is returned as a float.
 
-    The Jacobians at xhat are evaluated once; they also decide the center.
-    Each bisection step first retests the direction that failed at the
-    previous failing step and stops there if it fails again; otherwise it
-    evaluates the probe Jacobians of every direction, in order, and decides
-    all of them with one batched ``solve`` against R and one batched
-    ``eigvalsh``. A probe whose Jacobian evaluation raises
-    :class:`ModelEvaluationError` may therefore surface at a step where a
-    per-probe loop would already have stopped at an earlier failing
-    direction.
+    For each node, bisects over the radius, testing the contraction
+    inequality at xhat + r u for the signed coordinate axes plus
+    ``direction_samples`` seeded random unit directions (the axes alone in
+    one dimension, where they are the only unit vectors). The value is a
+    sampled over-approximation of the true radius: the inequality is only
+    verified on the probed directions, and the search assumes the pass set
+    is an interval. Returns RADIUS_MAX when even that radius passes (linear
+    systems) and 0.0 when the center itself fails.
+
+    The nodes are searched in lock step, in blocks of at most
+    RADIUS_BLOCK_ROWS probes per radius (one node at least). The Jacobians
+    at the centres are evaluated once, in one stack; they also decide the
+    centres. Each bisection step makes at most two stacked evaluations: one
+    retest of each node's direction that failed at its previous failing
+    step, then one evaluation of every direction, in order, for the nodes
+    whose retest passed or that have none. Each decides its probes with one
+    batched ``solve`` against R and one batched ``eigvalsh``. Every node
+    tests the radii, and gets the verdicts, of a search of its own.
+
+    A probe whose Jacobians or M + 2 gamma P are not finite fails, since the
+    inequality cannot be verified there; non-finite Jacobians at a centre
+    raise :class:`ModelEvaluationError`.
     """
     gamma, direction_samples, seed = _scalars(gamma=gamma, direction_samples=direction_samples,
                                               seed=seed).values()
-    xhat = _state(xhat, model.state_dim, "xhat")
-    rng = np.random.default_rng(seed)
-    dirs = _unit_directions(len(xhat), direction_samples, rng)
-    Ah, Ch = eval_jacobians(model, xhat, t)
+    n = model.state_dim
+    T = np.reshape(t, -1)
+    X = _state(xhat, n, "xhat", None if np.ndim(t) == 0 else len(T)).reshape(len(T), n)
+    P = np.asarray(P, dtype=float).reshape(len(T), n, n)
+    dirs = _unit_directions(n, direction_samples, np.random.default_rng(seed))
+    block = max(1, RADIUS_BLOCK_ROWS // len(dirs))
+    radii = np.empty(len(T))
+    for i in range(0, len(T), block):
+        radii[i:i + block] = _lock_step_radii(model, X[i:i + block], P[i:i + block], Q, R,
+                                              gamma, T[i:i + block], dirs)
+    return radii if np.ndim(t) else float(radii[0])
 
-    def verdicts(Az: np.ndarray, Cz: np.ndarray) -> np.ndarray:
-        M = _contraction_matrices(Ah, Ch, Az, Cz, P, Q, R)
-        return _negative_semidefinite(M + 2.0 * gamma * P)
 
-    def passes(points: np.ndarray) -> np.ndarray:
-        return verdicts(*_stacked_jacobians(model, points, t))
+def _lock_step_radii(model: SystemModel, X: np.ndarray, P: np.ndarray, Q: np.ndarray,
+                     R: np.ndarray, gamma: float, T: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """empirical_radius of the nodes (X, P, T), one bisection for all of them."""
+    n, k = X.shape[1], len(X)
+    Ah, Ch = _stacked_jacobians(model, X, T)
 
-    last_failed = None
+    def verdicts(nodes, Az, Cz):
+        """Whether M + 2 gamma P is finite and negative semidefinite at each probe of the
+        ``nodes`` (a mask), from its Jacobians (g, m, ., n); shape (g, m)."""
+        Pk = P[nodes][:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = (_contraction_matrices(Ah[nodes][:, None], Ch[nodes][:, None], Az, Cz, Pk, Q, R)
+                 + 2.0 * gamma * Pk)
+        finite = np.isfinite(S).all(axis=(2, 3))
+        if not finite.all():
+            S[~finite] = 0.0   # eigvalsh may read a NaN matrix as semidefinite
+        return _negative_semidefinite(S) & finite
 
-    def holds(r: float) -> bool:
-        nonlocal last_failed
-        if last_failed is not None and not passes(xhat + r * dirs[[last_failed]])[0]:
-            return False
-        ok = passes(xhat + r * dirs)
-        if ok.all():
-            return True
-        last_failed = int(np.argmin(ok))
-        return False
+    def passes(nodes, Z):
+        """verdicts at the probe points Z (g, m, n) of the ``nodes``."""
+        g, m, _ = Z.shape
+        times = np.broadcast_to(T[nodes][:, None], (g, m)).reshape(-1)
+        Az, Cz = _stacked_jacobians(model, Z.reshape(-1, n), times, checked=False)
+        return verdicts(nodes, Az.reshape(g, m, n, n), Cz.reshape(g, m, -1, n))
 
-    if not verdicts(Ah[None], Ch[None])[0]:   # the center, from the Jacobians already read
-        return 0.0
-    if holds(RADIUS_MAX):
-        return RADIUS_MAX
-    lo, hi = 0.0, RADIUS_MAX
-    for _ in range(200):
-        if hi - lo <= RADIUS_REL_TOL * max(lo, 1e-12):
+    lo, hi = np.zeros(k), np.full(k, RADIUS_MAX)
+    hi[~verdicts(np.ones(k, dtype=bool), Ah[:, None], Ch[:, None])[:, 0]] = 0.0
+    failed = np.full(k, -1)   # each node's last failed direction, -1 for none
+    for step in range(201):   # RADIUS_MAX, then at most 200 midpoints
+        live = hi - lo > RADIUS_REL_TOL * np.maximum(lo, 1e-12)
+        if not live.any():
             break
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
+        r = 0.5 * (lo + hi) if step else np.full(k, RADIUS_MAX)
+        full = live.copy()
+        again = live & (failed >= 0)
+        if again.any():
+            full[again] = passes(again, (X[again] + r[again][:, None]
+                                         * dirs[failed[again]])[:, None])[:, 0]
+        held = np.zeros(k, dtype=bool)
+        if full.any():
+            ok = passes(full, X[full][:, None] + r[full][:, None, None] * dirs)
+            held[full] = ok.all(axis=1)
+            failed[full & ~held] = ok.argmin(axis=1)[~held[full]]
+        lo[held] = r[held]
+        hi[live & ~held] = r[live & ~held]
     return lo
 
 
@@ -275,6 +305,8 @@ def linear_output_check(run: FilterTrajectory, sample_states, gamma: float) -> d
 
     Raises
     ------
+    ConfigurationError
+        If ``sample_states`` holds no state: nothing would be checked.
     PreconditionError
         If the output Jacobian varies across the sampled states, i.e. the
         output map is not linear.
@@ -286,6 +318,9 @@ def linear_output_check(run: FilterTrajectory, sample_states, gamma: float) -> d
                                 min(OUTPUT_CHECK_TIMES, len(run.times))).astype(int))
     states = np.array([_state(x, model.state_dim, f"sample_states[{i}]")
                        for i, x in enumerate(sample_states)]).reshape(-1, model.state_dim)
+    if len(states) == 0:
+        raise ConfigurationError(
+            f"sample_states must hold at least one state, got {sample_states!r}")
 
     worst = float("inf")
     worst_time = None

@@ -159,19 +159,20 @@ def _second_differences(func, X: np.ndarray, times: np.ndarray, steps: np.ndarra
     return H
 
 
-def _stacked(points, times, evaluate, message: str, state_message: str) -> tuple:
+def _stacked(points, times, evaluate, message: str | None, state_message: str) -> tuple:
     """``evaluate(X, T)`` on the leading finite rows X of ``points`` and their
     times (one time or one per row), without overflow warnings. The first row
-    whose state or values are non-finite raises ModelEvaluationError."""
+    whose state is non-finite, or whose values are when a ``message`` is given,
+    raises ModelEvaluationError."""
     X = np.asarray(points, dtype=float)
     T = np.broadcast_to(times, len(X))   # a view: no per-row objects for long stacks
     good = len(X) if np.isfinite(X).all() else int(np.isfinite(X).all(axis=1).argmin())
     Xg = X[:good]
     with np.errstate(over="ignore", invalid="ignore"):
         stacks = evaluate(Xg, T[:good])
-    if good < len(X) or not all(np.isfinite(S).all() for S in stacks):
-        k = next((k for k in range(good) if not all(np.isfinite(S[k]).all() for S in stacks)),
-                 good)
+    if good < len(X) or message and not all(np.isfinite(S).all() for S in stacks):
+        k = next((k for k in range(good if message else 0)
+                  if not all(np.isfinite(S[k]).all() for S in stacks)), good)
         text = message if k < good else state_message
         raise ModelEvaluationError(text.format(x=X[k], t=T[k]), time=float(T[k]))
     return stacks
@@ -230,19 +231,21 @@ def _scalars(**values) -> dict:
     return {what: _scalar(value, what) for what, value in values.items()}
 
 
-def _state(value, n: int, what: str) -> np.ndarray:
-    """The state vector ``what`` as a float (n,) array, flattened, read at every entry
-    point; a value that is not an array of real numbers (a string, ragged rows),
-    another number of entries or a non-finite entry is a ConfigurationError."""
+def _state(value, n: int, what: str, rows: int | None = None) -> np.ndarray:
+    """The state vector ``what`` as a float (n,) array, flattened, or with ``rows`` the
+    stack of states ``what`` as a (rows, n) array, read at every entry point; a value
+    that is not an array of real numbers (a string, ragged rows), another shape or a
+    non-finite entry is a ConfigurationError."""
     try:
         x = np.asarray(value)
     except (TypeError, ValueError):   # ragged rows
         x = None
     if x is None or x.dtype.kind not in "iuf":
         raise ConfigurationError(f"{what} must be numeric, got {value!r}")
-    x = x.astype(float, copy=False).reshape(-1)
-    if x.shape != (n,):
-        raise ConfigurationError(f"{what} must have shape ({n},), got {x.shape}")
+    x = x.astype(float, copy=False)
+    x, shape = (x.reshape(-1), (n,)) if rows is None else (x, (rows, n))
+    if x.shape != shape:
+        raise ConfigurationError(f"{what} must have shape {shape}, got {x.shape}")
     if not np.isfinite(x).all():
         raise ConfigurationError(f"{what} must be finite, got {x.tolist()}")
     return x
@@ -269,12 +272,14 @@ def _stage_jacobians(model: SystemModel, x: np.ndarray, t: float,
     return eval_jacobians(model, x, t)
 
 
-def _stacked_jacobians(model: SystemModel, points: np.ndarray,
-                       times) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_jacobians(model: SystemModel, points: np.ndarray, times,
+                       checked: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """eval_jacobians at each row of the (N, n) ``points`` and its time (one
     time or N), as (N, n, n) and (N, p, n) stacks: one pass over the
     callbacks, then steps, differences and checks once per stack. Analytic
-    Jacobians see the rows themselves; only finite differences take steps."""
+    Jacobians see the rows themselves; only finite differences take steps.
+    Unless ``checked``, non-finite Jacobians are returned as they are; a
+    non-finite state raises either way."""
     n, p = model.state_dim, model.output_dim
 
     def evaluate(X, T):
@@ -286,7 +291,7 @@ def _stacked_jacobians(model: SystemModel, points: np.ndarray,
                      for jac, func, m in [("jacobian_A", "dynamics", n),
                                           ("jacobian_C", "output", p)])
     return _stacked(points, times, evaluate,
-                    "Jacobian evaluation produced non-finite entries at t={t}",
+                    "Jacobian evaluation produced non-finite entries at t={t}" if checked else None,
                     "state contains non-finite entries: {x}")
 
 
@@ -338,8 +343,11 @@ def _tensor_norms(H: np.ndarray, output_directions: np.ndarray) -> np.ndarray:
     S = (W @ H.reshape(N, 1, m, n * n)).reshape(N, len(W), n, n)
     if S.size == 0:
         return np.zeros(N)
-    S = 0.5 * (S + S.swapaxes(-1, -2))
-    return np.abs(np.linalg.eigvalsh(S)).max(axis=(1, 2))
+    S += S.swapaxes(-1, -2)
+    S *= 0.5
+    lam = np.linalg.eigvalsh(S)
+    # a sorted spectrum's largest |lambda| is -lam[0] or lam[-1]; abs only turns -0.0 into 0.0
+    return np.abs(np.maximum(-lam[..., 0], lam[..., -1])).max(axis=1)
 
 
 def tensor_norm(H: np.ndarray, output_directions: np.ndarray) -> float:
@@ -367,7 +375,8 @@ def _unit_directions(dim: int, samples: int, rng: np.random.Generator) -> np.nda
 
 
 def estimate_hessian_bounds(model: SystemModel,
-                            center_path: Sequence[tuple[np.ndarray, float]],
+                            states: Sequence[np.ndarray],
+                            times: Sequence[float] | float,
                             radius: float,
                             *,
                             safety: float = 1.1,
@@ -378,7 +387,7 @@ def estimate_hessian_bounds(model: SystemModel,
     """Sampled suprema of the second-derivative tensor norms over a tube.
 
     Evaluates the Hessians of f and h on a grid of points within ``radius``
-    of the given (state, time) path (each centre plus RADIAL_SAMPLES - 1
+    of the path ``states`` at ``times`` (each centre plus RADIAL_SAMPLES - 1
     evenly spaced shells of sampled directions), takes the largest sampled
     tensor norm and inflates it by ``safety``. The result is an empirical bound, not a
     certified supremum; callers with analytic bounds should construct
@@ -386,10 +395,13 @@ def estimate_hessian_bounds(model: SystemModel,
 
     Parameters
     ----------
-    center_path : sequence of (x, t)
-        Points the ball is centered on; long paths are subsampled at the
-        stride len(center_path) // max_centers. The tensor norms of all
-        sample points around one center are taken in one batched call.
+    states : sequence of (n,) states, such as an (m, n) array
+        The path the balls are centred on; a long path is subsampled at the
+        stride len(states) // max_centers, and only the kept states are read,
+        as states[k]. The tensor norms of all sample points around one centre
+        are taken in one batched call.
+    times : sequence of m times, or one time for every state
+        The time of each state.
     radius : float
         Ball radius alpha. Must be positive and finite.
     safety : float
@@ -399,23 +411,24 @@ def estimate_hessian_bounds(model: SystemModel,
         _scalars(radius=radius, safety=safety, direction_samples=direction_samples,
                  output_direction_samples=output_direction_samples, max_centers=max_centers,
                  seed=seed).values())
-    if len(center_path) == 0:
-        raise ConfigurationError("center_path must contain at least one point")
+    if len(states) == 0:
+        raise ConfigurationError("states must hold at least one state")
+    one_time = np.ndim(times) == 0
+    if not one_time and len(times) != len(states):
+        raise ConfigurationError(
+            f"times must hold one time per state, got {len(times)} for {len(states)} states")
     rng = np.random.default_rng(seed)
 
     n, p = model.state_dim, model.output_dim
     state_dirs = _unit_directions(n, direction_samples, rng)
     out_dirs_f = _unit_directions(n, output_direction_samples, rng)
     out_dirs_h = _unit_directions(p, output_direction_samples, rng)
-
-    stride = max(1, len(center_path) // max_centers)
-    centers = [(_state(x, n, f"center_path[{k}]"), t)
-               for k, (x, t) in enumerate(center_path) if k % stride == 0]
     radii = np.linspace(0.0, radius, RADIAL_SAMPLES)
 
     kappa_a = 0.0
     kappa_c = 0.0
-    for xc, t in centers:
+    for k in range(0, len(states), max(1, len(states) // max_centers)):
+        xc, t = _state(states[k], n, f"states[{k}]"), times if one_time else times[k]
         points = np.vstack([xc] + [xc + r * state_dirs for r in radii[1:]])
         # one stacked evaluation per centre and map, so memory stays flat in the path length
         Hf, Hh = (_stacked_hessians(model, points, t, which) for which in ("dynamics", "output"))

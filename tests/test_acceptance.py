@@ -263,8 +263,7 @@ def test_08_curvature_bound_estimator_matches_analytic_values():
     # Sampled curvature bounds: within 10% of 6 eps alpha on the cubic
     # plant, exactly zero on every linear one.
     entry = ek.make("cubic-scalar", eps=0.1)
-    path = [(np.zeros(1), 0.0)]
-    est = estimate_hessian_bounds(entry.model, path, 2.0, safety=1.0)
+    est = estimate_hessian_bounds(entry.model, [np.zeros(1)], 0.0, 2.0, safety=1.0)
     exact = entry.analytic["kappa_A"](2.0)
     ok_cubic = abs(est.kappa_A - exact) <= 0.1 * exact and est.kappa_C <= 1e-10
 
@@ -273,7 +272,7 @@ def test_08_curvature_bound_estimator_matches_analytic_values():
                                  ("ltv-linear", {}, np.array([1.0, -0.5])),
                                  ("cubic-scalar", {"eps": 0.0}, np.zeros(1))):
         lin = estimate_hessian_bounds(ek.make(name, **params).model,
-                                      [(center, 0.0)], 3.0, safety=1.0)
+                                      [center], 0.0, 3.0, safety=1.0)
         ok_linear = ok_linear and lin.kappa_A <= 1e-10 and lin.kappa_C <= 1e-10
     ok = ok_cubic and ok_linear
     _report(8, "curvature bound estimator matches analytic values", ok,

@@ -60,7 +60,7 @@ def test_vanderpol_curvature_bound_matches_sampling():
     alpha = 1.5
     exact = entry.analytic["kappa_A"](alpha)
     assert exact == pytest.approx(4.0 * 0.15 * alpha / math.sqrt(3.0))
-    hb = ek.estimate_hessian_bounds(entry.model, [(np.zeros(2), 0.0)], alpha,
+    hb = ek.estimate_hessian_bounds(entry.model, [np.zeros(2)], 0.0, alpha,
                                     safety=1.0, direction_samples=256)
     assert hb.kappa_A <= exact * (1.0 + 1e-9)
     assert hb.kappa_A >= 0.9 * exact
@@ -73,7 +73,7 @@ def test_cubic_curvature_bound_matches_sampling():
     alpha = 2.0
     exact = entry.analytic["kappa_A"](alpha)
     assert exact == pytest.approx(1.2)
-    hb = ek.estimate_hessian_bounds(entry.model, [(np.zeros(1), 0.0)], alpha,
+    hb = ek.estimate_hessian_bounds(entry.model, [np.zeros(1)], 0.0, alpha,
                                     safety=1.0)
     assert abs(hb.kappa_A - exact) <= 0.1 * exact
 
@@ -81,7 +81,7 @@ def test_cubic_curvature_bound_matches_sampling():
 def test_cubic_without_nonlinearity_has_flat_curvature():
     entry = ek.make("cubic-scalar", eps=0.0)
     assert entry.analytic["kappa_A"](5.0) == 0.0
-    hb = ek.estimate_hessian_bounds(entry.model, [(np.zeros(1), 0.0)], 5.0,
+    hb = ek.estimate_hessian_bounds(entry.model, [np.zeros(1)], 0.0, 5.0,
                                     safety=1.0)
     assert hb.kappa_A <= 1e-10
 

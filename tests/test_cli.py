@@ -596,6 +596,24 @@ def test_certify_cubic_with_declared_curvature(tmp_path):
     assert np.all(data[:, 2] == pytest.approx(cert["zeta_plus"]))
 
 
+@pytest.mark.parametrize("samples", [0, 1])
+def test_certify_with_no_radius_node_or_one(tmp_path, samples):
+    """radius_times 0 and 1 are the empty and the one-node stack of the radius search: a
+    header-only radius.csv, or the radius at t = 0 of a one-node empirical_radius call."""
+    cfg = cubic_cfg(horizon=1.0, radius_times=samples)
+    out = tmp_path / "out"
+    assert main(["certify", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    series = read_summary(out)["radius_series"]
+    rows = (out / "radius.csv").read_text().splitlines()
+    assert rows[0] == "t,r_empirical,zeta_plus"
+    assert len(rows) - 1 == len(series) == samples
+    if samples:
+        gamma = read_summary(out)["certificate"]["gamma"]
+        r = ek.empirical_radius(ek.make("cubic-scalar", eps=0.1).model, [0.0], [[0.5]],
+                                [[1.0]], [[1.0]], gamma, 0.0, 16)
+        assert series == [{"t": 0.0, "r_empirical": r}]
+
+
 def test_certify_sampled_curvature(tmp_path):
     cfg = cubic_cfg()
     cfg["hessian"] = {"radius": 1.0, "safety": 1.0, "centers": 10}
@@ -622,7 +640,7 @@ def test_the_certificate_of_certify_is_make_certificate_of_the_run(tmp_path, hes
                          P0=[[0.5]], x0=[0.0], horizon=2.0)
     run = ek.integrate_ekf(fc, x0=[0.3])
     hess = ek.HessianBounds(**hessian) if "alpha" in hessian else ek.estimate_hessian_bounds(
-        fc.model, list(zip(run.states, run.times)), 1.0, safety=1.0, max_centers=10)
+        fc.model, run.states, run.times, 1.0, safety=1.0, max_centers=10)
     cert = dataclasses.asdict(ek.make_certificate(run, hess))
     assert read_summary(out)["certificate"] == cli._jsonable(cert)
 

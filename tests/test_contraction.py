@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ekfcert as ek
+from ekfcert import contraction
 
 
 def _cubic_model(eps=0.1):
@@ -643,9 +644,14 @@ def _radius_loop(model, xhat, P, Q, R, gamma, t, direction_samples=64, seed=0):
         raw = np.random.default_rng(seed).standard_normal((direction_samples, dim))
         dirs = np.vstack([dirs, raw / np.linalg.norm(raw, axis=1, keepdims=True)])
 
+    def verified(z):
+        try:
+            return ek.check_contraction_inequality(model, z, xhat, P, Q, R, gamma, t)
+        except ek.ModelEvaluationError:   # non-finite Jacobians: not verified there
+            return False
+
     def holds(r):
-        return all(ek.check_contraction_inequality(model, xhat + r * u, xhat,
-                                                   P, Q, R, gamma, t) for u in dirs)
+        return all(verified(xhat + r * u) for u in dirs)
 
     if not ek.check_contraction_inequality(model, xhat, xhat, P, Q, R, gamma, t):
         return 0.0
@@ -691,11 +697,73 @@ def test_empirical_radius_matches_per_probe_loop_scalar(samples):
 def test_empirical_radius_eigvalsh_calls_independent_of_directions(vdp_run, linalg_calls):
     traj, gamma = vdp_run
     cfg = traj.config
+    nine = np.linspace(0, len(traj.times) - 1, 9).astype(int)
     for samples in (8, 64):
-        linalg_calls.clear()
-        r = ek.empirical_radius(cfg.model, traj.states[100], traj.covariances[100],
-                                cfg.Q, cfg.R, gamma, 1.0, direction_samples=samples)
-        # the centre, then at most two batched calls per radius tested: r_max
-        # and each bisection step down to width rel_tol * r
-        steps = math.ceil(math.log2(1e6 / (1e-6 * r))) + 1
-        assert linalg_calls["eigvalsh"] <= 1 + 2 * (1 + steps)
+        for k in (100, nine):
+            linalg_calls.clear()
+            r = ek.empirical_radius(cfg.model, traj.states[k], traj.covariances[k],
+                                    cfg.Q, cfg.R, gamma, traj.times[k], direction_samples=samples)
+            # the centres, then at most two batched calls per radius tested, for all
+            # nodes together: r_max and each bisection step down to width rel_tol * r
+            steps = math.ceil(math.log2(1e6 / (1e-6 * np.min(r)))) + 1
+            assert linalg_calls["eigvalsh"] <= 1 + 2 * (1 + steps)
+
+
+@pytest.mark.parametrize("samples", [0, 8, 64])
+def test_empirical_radius_of_a_stack_equals_its_one_node_calls(vdp_run, samples):
+    """Nodes searched in lock step test the radii, and get the verdicts, of their own
+    searches: every radius keeps its bits, whether its centre fails (a tenfold P) or not."""
+    traj, gamma = vdp_run
+    cfg = traj.config
+    calls = []
+    model = dataclasses.replace(
+        cfg.model, jacobian_A=lambda x, t: calls.append(t) or cfg.model.jacobian_A(x, t))
+    idx = np.linspace(0, len(traj.times) - 1, 9).astype(int)
+    P = traj.covariances[idx] * np.where(np.arange(9) % 3 == 1, 10.0, 1.0)[:, None, None]
+    radii = ek.empirical_radius(model, traj.states[idx], P, cfg.Q, cfg.R, gamma,
+                                traj.times[idx], direction_samples=samples, seed=2)
+    stacked_calls, calls[:] = sorted(calls), []
+    one = [ek.empirical_radius(model, traj.states[k], P[i], cfg.Q, cfg.R, gamma,
+                               float(traj.times[k]), direction_samples=samples, seed=2)
+           for i, k in enumerate(idx)]
+    assert all(type(r) is float for r in one)
+    assert radii.tolist() == one
+    # the same probes at the same node times: the retests follow each node's own failures
+    assert stacked_calls == sorted(calls)
+    assert 0.0 in one and all(0.0 < r < 1e6 for r in one[::3])
+
+
+def test_empirical_radius_stacks_at_most_a_block_of_probes(vdp_run, monkeypatch):
+    """200 nodes of 12 probes each go through in blocks, so memory stays flat in the
+    number of nodes."""
+    traj, gamma = vdp_run
+    cfg = traj.config
+    rows = []
+    stacked = contraction._stacked_jacobians
+
+    def recording(model, points, times, **checked):
+        rows.append(len(points))
+        return stacked(model, points, times, **checked)
+
+    monkeypatch.setattr(contraction, "_stacked_jacobians", recording)
+    idx = np.arange(200)
+    radii = ek.empirical_radius(cfg.model, traj.states[idx], traj.covariances[idx], cfg.Q,
+                                cfg.R, gamma, traj.times[idx], direction_samples=8)
+    assert radii.shape == (200,) and np.all(radii > 0.0)
+    assert max(rows) <= contraction.RADIUS_BLOCK_ROWS < 200 * 12
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "finite-differences"])
+def test_empirical_radius_fails_probes_whose_jacobians_overflow(analytic):
+    """f = -x + 0.01 e^x: the Jacobians overflow at the first probe, r = RADIUS_MAX, which
+    fails there instead of aborting the search; a centre's own overflow still raises."""
+    model = ek.SystemModel(state_dim=1, output_dim=1,
+                           dynamics=lambda x, t: -x + 0.01 * np.exp(x),
+                           output=lambda x, t: x.copy(),
+                           jacobian_A=(lambda x, t: -1.0 + 0.01 * np.exp(x)) if analytic else None)
+    args = (model, np.zeros(1), np.eye(1), np.eye(1), np.eye(1), 0.1, 0.0)
+    r = ek.empirical_radius(*args)
+    assert 0.0 < r < 1e6
+    assert r == _radius_loop(*args)
+    with pytest.raises(ek.ModelEvaluationError, match="non-finite"):
+        ek.empirical_radius(model, np.array([800.0]), *args[2:])

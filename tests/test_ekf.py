@@ -339,7 +339,7 @@ def _small_run():
      "kappa_A must be nonnegative, got nan"),
     (lambda: ek.HessianBounds(alpha=1.0, kappa_A=0.0, kappa_C=math.nan),
      "kappa_C must be nonnegative, got nan"),
-    (lambda: ek.estimate_hessian_bounds(ek.make("cubic-scalar").model, [(np.zeros(1), 0.0)],
+    (lambda: ek.estimate_hessian_bounds(ek.make("cubic-scalar").model, [np.zeros(1)], 0.0,
                                         1.0, safety=math.nan), "safety must be nonnegative"),
     (lambda: ek.zeta_plus(math.nan, 0.0, 1.0, 1.0, 1.0, 0.1), "kappa_A must be nonnegative"),
     (lambda: ek.zeta_plus(0.0, 0.0, math.nan, 1.0, 1.0, 0.1), "must be positive"),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ekfcert as ek
 from ekfcert.model import (CBRT_EPS, QUARTIC_EPS, _stacked_hessians, _stacked_jacobians,
-                           _unit_directions)
+                           _tensor_norms, _unit_directions)
 
 
 def _scalar_model(f, h=None, jac_a=None, jac_c=None):
@@ -96,7 +96,7 @@ def test_hessian_bounds_zero_for_linear_systems():
     for name in ("scalar-riccati", "ltv-linear"):
         model = ek.make(name).model
         hb = ek.estimate_hessian_bounds(
-            model, [(np.zeros(model.state_dim), 0.0)], 1.0)
+            model, [np.zeros(model.state_dim)], 0.0, 1.0)
         assert hb.kappa_A == 0.0
         assert hb.kappa_C == 0.0
         assert hb.sampled
@@ -105,7 +105,7 @@ def test_hessian_bounds_zero_for_linear_systems():
 def test_hessian_bounds_sine_ball():
     # sup of |sin| over [-pi/2, pi/2] is 1, attained at the edges
     m = _scalar_model(np.sin)
-    hb = ek.estimate_hessian_bounds(m, [(np.zeros(1), 0.0)], np.pi / 2,
+    hb = ek.estimate_hessian_bounds(m, [np.zeros(1)], 0.0, np.pi / 2,
                                     safety=1.0)
     assert abs(hb.kappa_A - 1.0) < 0.03
     assert hb.kappa_C < 1e-6
@@ -113,7 +113,7 @@ def test_hessian_bounds_sine_ball():
 
 def test_hessian_bounds_cubic_matches_closed_form():
     entry = ek.make("cubic-scalar", eps=0.1)
-    hb = ek.estimate_hessian_bounds(entry.model, [(np.zeros(1), 0.0)], 2.0,
+    hb = ek.estimate_hessian_bounds(entry.model, [np.zeros(1)], 0.0, 2.0,
                                     safety=1.0)
     exact = entry.analytic["kappa_A"](2.0)
     assert abs(hb.kappa_A - exact) <= 0.1 * exact
@@ -122,8 +122,8 @@ def test_hessian_bounds_cubic_matches_closed_form():
 
 def test_hessian_bounds_monotone_in_radius():
     model = ek.make("cubic-scalar", eps=0.1).model
-    small = ek.estimate_hessian_bounds(model, [(np.zeros(1), 0.0)], 0.5)
-    large = ek.estimate_hessian_bounds(model, [(np.zeros(1), 0.0)], 1.0)
+    small = ek.estimate_hessian_bounds(model, [np.zeros(1)], 0.0, 0.5)
+    large = ek.estimate_hessian_bounds(model, [np.zeros(1)], 0.0, 1.0)
     assert small.kappa_A <= large.kappa_A
 
 
@@ -148,9 +148,12 @@ def test_model_validation_errors():
 def test_hessian_bounds_rejects_bad_radius():
     model = ek.make("cubic-scalar").model
     with pytest.raises(ek.ConfigurationError):
-        ek.estimate_hessian_bounds(model, [(np.zeros(1), 0.0)], 0.0)
-    with pytest.raises(ek.ConfigurationError):
-        ek.estimate_hessian_bounds(model, [], 1.0)
+        ek.estimate_hessian_bounds(model, [np.zeros(1)], 0.0, 0.0)
+    with pytest.raises(ek.ConfigurationError, match="^states must hold at least one state$"):
+        ek.estimate_hessian_bounds(model, [], [], 1.0)
+    with pytest.raises(ek.ConfigurationError,
+                       match="^times must hold one time per state, got 1 for 2 states$"):
+        ek.estimate_hessian_bounds(model, np.zeros((2, 1)), [0.0], 1.0)
 
 
 def _tensor_norm_loop(H, dirs):
@@ -173,10 +176,30 @@ def test_tensor_norm_matches_per_direction_loop(m, n, d, scale, seed):
     assert ek.tensor_norm(H, dirs) == _tensor_norm_loop(H, dirs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 3), n=st.integers(1, 4), d=st.integers(1, 20),
+       spectrum=st.sampled_from(["mixed", "positive", "negative", "zero"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tensor_norms_read_the_ends_of_each_spectrum(m, n, d, spectrum, seed):
+    """max(-lambda_min, lambda_max) of a sorted spectrum is abs(lambda).max() bit for bit,
+    zero spectra included: a negative weight on a zero tensor gives lambda = -0.0."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((4, m, n, n))
+    H = {"mixed": B[0], "positive": B[0] @ B[0].swapaxes(1, 2) + np.eye(n),
+         "negative": -(B[0] @ B[0].swapaxes(1, 2)), "zero": np.zeros((m, n, n))}[spectrum]
+    H = np.stack([H, B[1]])
+    dirs = rng.standard_normal((d, m))
+    if spectrum in ("positive", "negative"):   # nonnegative weights keep the sign of a spectrum
+        dirs = np.abs(dirs)
+    S = (dirs.reshape(-1, 1, m) @ H.reshape(2, 1, m, n * n)).reshape(2, d, n, n)
+    reference = np.abs(np.linalg.eigvalsh(0.5 * (S + S.swapaxes(-1, -2)))).max(axis=(1, 2))
+    assert _tensor_norms(H, dirs).tobytes() == reference.tobytes()
+
+
 def test_hessian_bounds_match_per_point_loop():
     model = ek.make("vanderpol-pos", mu=0.15).model
     path = [(np.array([0.3, 0.2]), 0.0), (np.array([-0.5, 1.0]), 1.0)]
-    hb = ek.estimate_hessian_bounds(model, path, 0.5, seed=4)
+    hb = ek.estimate_hessian_bounds(model, *zip(*path), 0.5, seed=4)
     rng = np.random.default_rng(4)
     state_dirs = _unit_directions(2, 32, rng)
     out_f = _unit_directions(2, 32, rng)
@@ -196,7 +219,7 @@ def test_hessian_bounds_eigvalsh_calls_independent_of_directions(linalg_calls):
     counts = []
     for samples in (8, 64):
         linalg_calls.clear()
-        ek.estimate_hessian_bounds(model, path, 0.5, output_direction_samples=samples)
+        ek.estimate_hessian_bounds(model, *zip(*path), 0.5, output_direction_samples=samples)
         counts.append(linalg_calls["eigvalsh"])
     # one stacked call per centre for f and one for h
     assert counts == [2 * len(path), 2 * len(path)]
@@ -398,7 +421,7 @@ def test_stacked_hessians_match_the_per_point_path():
 def test_hessian_bounds_of_finite_difference_plant_match_per_point_loop():
     model = _ad_hoc_plant(analytic=False)
     path = [(np.array([0.3, -0.2, 0.5]), 0.0), (np.array([1.5, 0.4, -2.0]), 0.7)]
-    hb = ek.estimate_hessian_bounds(model, path, 0.5, direction_samples=8,
+    hb = ek.estimate_hessian_bounds(model, *zip(*path), 0.5, direction_samples=8,
                                     output_direction_samples=8, seed=3)
     rng = np.random.default_rng(3)
     state_dirs = _unit_directions(3, 8, rng)

@@ -45,7 +45,7 @@ def _config(**override):
 
 
 def _hessian_bounds(**override):
-    return ek.estimate_hessian_bounds(MODEL, [(GOOD, 0.0)], **{
+    return ek.estimate_hessian_bounds(MODEL, [GOOD], 0.0, **{
         **dict(radius=0.1, direction_samples=2, output_direction_samples=2), **override})
 
 

@@ -48,8 +48,8 @@ ENTRY_POINTS = [
      lambda v: ek.check_contraction_inequality(MODEL, GOOD, v, P, Q, R, 0.1, 0.0)),
     ("linear_output_check", "sample_states[1]",
      lambda v: ek.linear_output_check(RUN, [GOOD, v], 0.1)["worst_margin"]),
-    ("estimate_hessian_bounds", "center_path[1]", lambda v: ek.estimate_hessian_bounds(
-        MODEL, [(GOOD, 0.0), (v, 0.1)], 0.1, direction_samples=2,
+    ("estimate_hessian_bounds", "states[1]", lambda v: ek.estimate_hessian_bounds(
+        MODEL, [GOOD, v], [0.0, 0.1], 0.1, direction_samples=2,
         output_direction_samples=2).kappa_A),
 ]
 IDS = [f"{entry}-{name}" for entry, name, _ in ENTRY_POINTS]
@@ -95,13 +95,19 @@ def test_a_column_reads_as_the_vector_it_holds(entry, name, call, x):
     # the plant ignores a third entry: no radius is computed for it
     (lambda: ek.empirical_radius(MODEL, [0.3, 0.2, 0.1], P, Q, R, 0.1, 0.0),
      "xhat must have shape (2,), got (3,)"),
+    # k times make xhat a stack of k states, read as (k, n) without flattening
+    (lambda: ek.empirical_radius(MODEL, np.zeros((2, 3)), [P, P], Q, R, 0.1, [0.0, 0.1]),
+     "xhat must have shape (2, 2), got (2, 3)"),
     (lambda: ek.contraction_matrix(MODEL, [0.3, 0.2, 0.1], GOOD, P, Q, R, 0.0),
      "z must have shape (2,), got (3,)"),
     # a (2, 3) array is two 3-entry states, not three 2-entry ones
     (lambda: ek.linear_output_check(RUN, np.zeros((2, 3)), 0.1),
      "sample_states[0] must have shape (2,), got (3,)"),
-    (lambda: ek.estimate_hessian_bounds(MODEL, [([0.3, 0.2, 0.1], 0.0)], 0.1),
-     "center_path[0] must have shape (2,), got (3,)"),
+    # no state to check is no pass
+    (lambda: ek.linear_output_check(RUN, [], 0.1),
+     "sample_states must hold at least one state, got []"),
+    (lambda: ek.estimate_hessian_bounds(MODEL, [[0.3, 0.2, 0.1]], 0.0, 0.1),
+     "states[0] must have shape (2,), got (3,)"),
     (lambda: ek.integrate_ekf(RUN.config, x0=GOOD, starts=[[0.3, 0.2], [[0.3, 0.2], [0.1]]]),
      "starts[1] must be numeric, got [[0.3, 0.2], [0.1]]"),
     (lambda: ek.FilterConfig(model=MODEL, Q=Q, R=R, P0=P, x0="ab", horizon=1.0),
