@@ -23,6 +23,7 @@ EPS = np.finfo(float).eps
 CBRT_EPS = EPS ** (1.0 / 3.0)     # near-optimal step for first-order central differences
 QUARTIC_EPS = EPS ** 0.25         # near-optimal step for direct second differences
 RADIAL_SAMPLES = 5                # radii from 0 to the tube radius in estimate_hessian_bounds
+HESSIAN_NON_FINITE = "Hessian sample non-finite at t={t}"
 
 
 _FLOAT64 = np.dtype(float)
@@ -231,11 +232,11 @@ def _scalars(**values) -> dict:
     return {what: _scalar(value, what) for what, value in values.items()}
 
 
-def _state(value, n: int, what: str, rows: int | None = None) -> np.ndarray:
+def _state(value, n: int, what: str, rows: int | str | None = None) -> np.ndarray:
     """The state vector ``what`` as a float (n,) array, flattened, or with ``rows`` the
-    stack of states ``what`` as a (rows, n) array, read at every entry point; a value
-    that is not an array of real numbers (a string, ragged rows), another shape or a
-    non-finite entry is a ConfigurationError."""
+    stack of states ``what`` as a (rows, n) array, where a string ``rows`` names a free
+    row count, read at every entry point; a value that is not an array of real numbers
+    (a string, ragged rows), another shape or a non-finite entry is a ConfigurationError."""
     try:
         x = np.asarray(value)
     except (TypeError, ValueError):   # ragged rows
@@ -243,9 +244,13 @@ def _state(value, n: int, what: str, rows: int | None = None) -> np.ndarray:
     if x is None or x.dtype.kind not in "iuf":
         raise ConfigurationError(f"{what} must be numeric, got {value!r}")
     x = x.astype(float, copy=False)
-    x, shape = (x.reshape(-1), (n,)) if rows is None else (x, (rows, n))
+    if rows is None:
+        x, shape, text = x.reshape(-1), (n,), f"({n},)"
+    else:
+        shape = (len(x) if isinstance(rows, str) and x.ndim == 2 else rows, n)
+        text = f"({rows}, {n})"
     if x.shape != shape:
-        raise ConfigurationError(f"{what} must have shape {shape}, got {x.shape}")
+        raise ConfigurationError(f"{what} must have shape {text}, got {x.shape}")
     if not np.isfinite(x).all():
         raise ConfigurationError(f"{what} must be finite, got {x.tolist()}")
     return x
@@ -315,8 +320,7 @@ def _stacked_hessians(model: SystemModel, points: np.ndarray, t: float,
         H = _central_differences(jac, X, T, CBRT_EPS * scale, (out_dim, model.state_dim),
                                  jac_name)
         return (0.5 * (H + H.swapaxes(-1, -2)),)
-    message = "Hessian sample non-finite at t={t}"
-    return _stacked(points, t, evaluate, message, message)[0]
+    return _stacked(points, t, evaluate, HESSIAN_NON_FINITE, HESSIAN_NON_FINITE)[0]
 
 
 def hessian_tensor(model: SystemModel, x: np.ndarray, t: float,
@@ -330,24 +334,97 @@ def hessian_tensor(model: SystemModel, x: np.ndarray, t: float,
     return _stacked_hessians(model, np.asarray(x, dtype=float).reshape(1, -1), t, which)[0]
 
 
-def _tensor_norms(H: np.ndarray, output_directions: np.ndarray) -> np.ndarray:
-    """Sampled tensor norms of a stack of (m, n, n) tensors, shape (N,).
+def _contraction_norms(H: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Spectral norms of the symmetrized contractions sum_k W[j, k] H[i, k] of a
+    stack of (m, n, n) tensors H by the (d, m) rows W, shape (N, d).
 
-    All N x d contractions sum_k w_k H[k] are formed by one stacked matrix
-    product, whose per-direction rounding matches ``np.tensordot(w, H[i],
-    axes=1)`` bit for bit, and their spectra come from one stacked
-    ``eigvalsh``.
+    All N x d contractions are formed by one stacked matrix product, whose
+    per-direction rounding matches ``np.tensordot(w, H[i], axes=1)`` bit for
+    bit, and their spectra come from one stacked ``eigvalsh``; an empty stack
+    makes no call. A contraction that overflows reads NaN, without a warning.
     """
     N, m, n, _ = H.shape
-    W = np.asarray(output_directions, dtype=float).reshape(-1, 1, m)
-    S = (W @ H.reshape(N, 1, m, n * n)).reshape(N, len(W), n, n)
-    if S.size == 0:
-        return np.zeros(N)
-    S += S.swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = (W.reshape(-1, 1, m) @ H.reshape(N, 1, m, n * n)).reshape(N, len(W), n, n)
+        if S.size == 0:
+            return np.zeros((N, len(W)))
+        S += S.swapaxes(-1, -2)
     S *= 0.5
     lam = np.linalg.eigvalsh(S)
     # a sorted spectrum's largest |lambda| is -lam[0] or lam[-1]; abs only turns -0.0 into 0.0
-    return np.abs(np.maximum(-lam[..., 0], lam[..., -1])).max(axis=1)
+    return np.abs(np.maximum(-lam[..., 0], lam[..., -1]))
+
+
+def _tensor_norms(H: np.ndarray, output_directions: np.ndarray) -> np.ndarray:
+    """Sampled tensor norms of a stack of (m, n, n) tensors, shape (N,): the
+    largest _contraction_norms of each, 0.0 without directions."""
+    return _contraction_norms(H, output_directions).max(axis=1, initial=0.0)
+
+
+# The screen of _screened_max, derived in its docstring: the relative slack of
+# an upper value, the absolute slack for products and halvings that underflow,
+# and the largest bound under which a contraction cannot overflow.
+SCREEN_SLACK = 2.0 ** -30
+SCREEN_FLOOR = 2.0 ** -1000
+SCREEN_CEILING = 2.0 ** 1020
+
+
+def _screened_max(H: np.ndarray, W: np.ndarray, best: float) -> float:
+    """``max(best, _tensor_norms(H, W).max())`` bit for bit (NaN if any norm is
+    NaN), solving only the directions that can raise it.
+
+    H is an (N, m, n, n) stack symmetric in its last two axes, as every
+    Hessian stack is, and the rows of W start with the 2m signed axes
+    (``_unit_directions``). The axis rows are solved first; ``best`` takes
+    their maximum. A point's other rows are solved only when
+    ``not (U * (1 + SCREEN_SLACK) * |w|max + SCREEN_FLOOR <= min(best,
+    SCREEN_CEILING))``, where U = hypot over k of the point's computed
+    ``a_k = ||H_k||_2`` (the rows +e_k) and |w|max is the largest computed
+    norm of the other rows. The floor is dropped for a point whose tensor is
+    all zeros. A NaN or infinite U keeps its point.
+
+    Why a pruned row w cannot raise ``best`` (u = eps / 2, A_k = H_k exact,
+    R = sqrt(sum_k ||A_k||_2^2)):
+
+    - Cauchy-Schwarz: ||sum_k w_k A_k||_2 <= sum_k |w_k| ||A_k||_2 <= ||w|| R.
+    - Forming the contraction T and symmetrizing it rounds each entry by at
+      most gamma_{m+1} sum_k |w_k| |A_k[i, j]| (a dot product of length m in
+      any order, with or without fused multiply-adds, then one add) plus
+      (m + 1) 2^-1075 for products and halvings that underflow. With
+      ||A||_F <= sqrt(n) ||A||_2 and Cauchy-Schwarz again, the computed T^
+      has ||T^ - T||_2 <= sqrt(n) gamma_{m+1} ||w|| R + n (m + 1) 2^-1074.
+    - ``eigvalsh`` is backward stable: its eigenvalues are exact for T^ + F
+      with ||F||_2 <= c_n u ||T^||_2 (LAPACK scales a matrix of tiny or huge
+      norm first, so this holds for subnormal entries too). By Weyl the
+      value read is at most (1 + c_n u) ||T^||_2.
+    - For w = e_k the product and the symmetrization are exact (0 * a is
+      +-0, a + a and its half are exact while 2a is finite), so a_k >=
+      (1 - c_n u) ||A_k||_2; hypot, the norms of W and the products of the
+      bound round by a few u each.
+
+    Together the value of w is at most U (1 + s) |w|max + f with s of order
+    (2 c_n + sqrt(n) (m + 1) + 2m + 6) u and f of order n (m + 1) 2^-1074.
+    SCREEN_SLACK = 2^-30 covers c_n up to 2^20 for m, n up to 2^10, far above
+    LAPACK's modest growth in n, and SCREEN_FLOOR = 2^-1000 covers f, and the
+    bound's own rounding below the normal range, for n (m + 1) up to 2^70.
+    A pruned row is therefore at most ``best``, a value actually sampled,
+    so the maximum keeps every bit. An all-zero tensor contracts to +-0 in
+    every direction, whose spectrum reads 0 <= best, so it needs no floor.
+    Below SCREEN_CEILING no entry of a pruned contraction nor its
+    symmetrization overflows, so a pruned row would not have read NaN either.
+    """
+    m = H.shape[1]
+    axes = _contraction_norms(H, W[:2 * m])
+    best = float(np.max(axes, initial=best))
+    rest = W[2 * m:]
+    if len(rest) and not math.isnan(best):
+        bound = (np.hypot.reduce(axes[:, :m], axis=1) * (1.0 + SCREEN_SLACK)
+                 * np.linalg.norm(rest, axis=1).max()
+                 + SCREEN_FLOOR * H.any(axis=(1, 2, 3)))
+        keep = ~(bound <= min(best, SCREEN_CEILING))
+        if keep.any():
+            best = float(np.max(_contraction_norms(H[keep], rest), initial=best))
+    return best
 
 
 def tensor_norm(H: np.ndarray, output_directions: np.ndarray) -> float:
@@ -358,9 +435,13 @@ def tensor_norm(H: np.ndarray, output_directions: np.ndarray) -> float:
     of directions only, so the value is a lower approximation. For m = 1
     the coordinate directions make it exact. All directions are evaluated
     at once: one stacked product forms the symmetrized matrices and one
-    batched ``eigvalsh`` takes their spectra.
+    batched ``eigvalsh`` takes their spectra. ``output_directions`` is a
+    (d, m) stack of finite numbers, else a ConfigurationError; d = 0 gives
+    0.0. A contraction that overflows gives NaN.
     """
-    return float(_tensor_norms(np.asarray(H, dtype=float)[None], output_directions)[0])
+    H = np.asarray(H, dtype=float)
+    W = _state(output_directions, H.shape[0], "output_directions", rows="d")
+    return float(_tensor_norms(H[None], W)[0])
 
 
 def _unit_directions(dim: int, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -393,19 +474,32 @@ def estimate_hessian_bounds(model: SystemModel,
     certified supremum; callers with analytic bounds should construct
     :class:`HessianBounds` directly.
 
+    Per centre and map, the signed output axes are solved at every point in one
+    batched ``eigvalsh``; their norms give each point an upper value U over all
+    its contractions (Cauchy-Schwarz), and a second batched call solves the other
+    sampled directions only at the points whose U can exceed the running maximum
+    (``_screened_max``). So a centre takes at most two calls per map, and the
+    maximum, hence the result, is that of solving every direction.
+
     Parameters
     ----------
     states : sequence of (n,) states, such as an (m, n) array
         The path the balls are centred on; a long path is subsampled at the
         stride len(states) // max_centers, and only the kept states are read,
-        as states[k]. The tensor norms of all sample points around one centre
-        are taken in one batched call.
+        as states[k]. The Hessians of all sample points around one centre are
+        evaluated as one stack per map.
     times : sequence of m times, or one time for every state
         The time of each state.
     radius : float
         Ball radius alpha. Must be positive and finite.
     safety : float
         Multiplicative inflation applied to the sampled maxima, nonnegative and finite.
+
+    Raises
+    ------
+    ModelEvaluationError
+        "Hessian sample non-finite at t=..." when a sampled Hessian, or a norm
+        taken from it (its contraction overflows), is not finite.
     """
     radius, safety, direction_samples, output_direction_samples, max_centers, seed = (
         _scalars(radius=radius, safety=safety, direction_samples=direction_samples,
@@ -432,7 +526,9 @@ def estimate_hessian_bounds(model: SystemModel,
         points = np.vstack([xc] + [xc + r * state_dirs for r in radii[1:]])
         # one stacked evaluation per centre and map, so memory stays flat in the path length
         Hf, Hh = (_stacked_hessians(model, points, t, which) for which in ("dynamics", "output"))
-        kappa_a = max(kappa_a, float(_tensor_norms(Hf, out_dirs_f).max()))
-        kappa_c = max(kappa_c, float(_tensor_norms(Hh, out_dirs_h).max()))
+        kappa_a = _screened_max(Hf, out_dirs_f, kappa_a)
+        kappa_c = _screened_max(Hh, out_dirs_h, kappa_c)
+        if not (math.isfinite(kappa_a) and math.isfinite(kappa_c)):
+            raise ModelEvaluationError(HESSIAN_NON_FINITE.format(t=t), time=float(t))
     return HessianBounds(alpha=radius, kappa_A=safety * kappa_a,
                          kappa_C=safety * kappa_c, sampled=True)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -991,3 +992,87 @@ def test_the_runtime_loads_only_the_standard_library_numpy_and_ekfcert(tmp_path)
     assert [name for name in added if name.split(".")[0] not in allowed
             and not name.startswith(NUMPY_HELPERS)] == []
     assert {"numpy", "ekfcert.cli"} <= set(added)
+
+
+# a small sampled certify config on a two-state plant, whose curvature screen prunes
+SMALL_CERTIFY_VDP = Path(__file__).resolve().parent / "data" / "certify_vdp.json"
+
+
+def _count_solved_matrices(monkeypatch):
+    """Counters, by output width m, of the matrices eigvalsh solves inside _screened_max,
+    of the matrices its axis rows take, and of those that every direction would take."""
+    solved, axes, full, width = Counter(), Counter(), Counter(), [None]
+    eigvalsh, screened = np.linalg.eigvalsh, model._screened_max
+
+    def counting(a, *args, **kwargs):
+        solved[width[0]] += math.prod(np.shape(a)[:-2])
+        return eigvalsh(a, *args, **kwargs)
+
+    def labelled(H, W, best):
+        N, m = H.shape[:2]
+        width[0] = m
+        axes[m] += N * 2 * m
+        full[m] += N * len(W)
+        try:
+            return screened(H, W, best)
+        finally:
+            width[0] = None
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(model, "_screened_max", labelled)
+    return solved, axes, full
+
+
+def test_the_curvature_screen_solves_under_an_eighth_of_the_matrices_on_the_certify_config(
+        tmp_path, monkeypatch):
+    """The benchmark's certify config (26 centres of 145 points, 36 directions for f):
+    f's axis rows take 15 080 of the 135 720 matrices, and of the other directions only
+    those of a few points are solved; h (p = 1) has axis rows only."""
+    cfg = vdp_cfg(system={"name": "vanderpol-pos", "params": {"mu": 0.15}}, horizon=10.0,
+                  hessian={"radius": 0.5})
+    solved, axes, full = _count_solved_matrices(monkeypatch)
+    assert main(["certify", "--config", write_cfg(tmp_path, cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    assert (full[2], axes[2]) == (135_720, 15_080)
+    assert axes[2] <= solved[2] < 16_000
+    assert solved[1] == axes[1] == full[1] == 7_540
+
+
+def test_the_small_vanderpol_certify_config_certifies_and_prunes(tmp_path, monkeypatch):
+    """The two-state config that CI also certifies on an install without extras exits 0,
+    and its screen solves fewer matrices than every direction would take."""
+    solved, axes, full = _count_solved_matrices(monkeypatch)
+    assert main(["certify", "--config", str(SMALL_CERTIFY_VDP), "--out",
+                 str(tmp_path / "out")]) == 0
+    assert read_summary(tmp_path / "out")["status"] == "ok"
+    assert axes[2] <= solved[2] < full[2]
+
+
+def test_certify_with_an_overflowing_curvature_sample_fails_at_its_time(tmp_path, capsys):
+    """f = 6e307 (x0^2, x1^2) by finite differences, run from the origin, where it stays:
+    the Hessians are finite, their sampled norm is not, so certify fails at the first
+    centre instead of certifying with kappa_A = 0."""
+    def factory():
+        return bench.BenchmarkEntry(
+            name="overflow-curvature",
+            model=ek.SystemModel(state_dim=2, output_dim=1,
+                                 dynamics=lambda x, t: 6e307 * x * x,
+                                 output=lambda x, t: x[:1].copy()))
+
+    ek.register("overflow-curvature", factory)
+    try:
+        cfg = vdp_cfg(system={"name": "overflow-curvature"}, hessian={"radius": 0.5},
+                      filter={"Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]],
+                              "P0": [[1.0, 0.0], [0.0, 1.0]], "xhat0": [0.0, 0.0]},
+                      truth={"x0": [0.0, 0.0]})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["certify", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    finally:
+        bench._FACTORIES.pop("overflow-curvature", None)
+    assert rc == 1
+    summary = read_summary(out)
+    assert (summary["status"], summary["failure"], summary["failure_time"]) == (
+        "failed", "Hessian sample non-finite at t=0.0", 0.0)
+    assert "certify: failed at t=0: Hessian sample non-finite at t=0.0" in capsys.readouterr().err

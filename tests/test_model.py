@@ -1,4 +1,7 @@
 import dataclasses
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ekfcert as ek
-from ekfcert.model import (CBRT_EPS, QUARTIC_EPS, _stacked_hessians, _stacked_jacobians,
-                           _tensor_norms, _unit_directions)
+from ekfcert.model import (CBRT_EPS, QUARTIC_EPS, _contraction_norms, _screened_max,
+                           _stacked_hessians, _stacked_jacobians, _tensor_norms,
+                           _unit_directions)
 
 
 def _scalar_model(f, h=None, jac_a=None, jac_c=None):
@@ -196,14 +200,24 @@ def test_tensor_norms_read_the_ends_of_each_spectrum(m, n, d, spectrum, seed):
     assert _tensor_norms(H, dirs).tobytes() == reference.tobytes()
 
 
-def test_hessian_bounds_match_per_point_loop():
-    model = ek.make("vanderpol-pos", mu=0.15).model
-    path = [(np.array([0.3, 0.2]), 0.0), (np.array([-0.5, 1.0]), 1.0)]
+def _bare(model):
+    """``model`` without its Jacobian callbacks: finite differences throughout."""
+    return ek.SystemModel(state_dim=model.state_dim, output_dim=model.output_dim,
+                          dynamics=model.dynamics, output=model.output)
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "finite-differences"])
+@pytest.mark.parametrize("name", [entry.name for entry in ek.registry()])
+def test_hessian_bounds_match_per_point_loop(name, analytic):
+    model = ek.make(name).model if analytic else _bare(ek.make(name).model)
+    n, p = model.state_dim, model.output_dim
+    path = [(np.linspace(0.3, -0.2, n), 0.0), (np.linspace(-0.5, 1.0, n), 1.0),
+            (np.linspace(1.2, 0.4, n), 2.5)]
     hb = ek.estimate_hessian_bounds(model, *zip(*path), 0.5, seed=4)
     rng = np.random.default_rng(4)
-    state_dirs = _unit_directions(2, 32, rng)
-    out_f = _unit_directions(2, 32, rng)
-    out_h = _unit_directions(1, 32, rng)
+    state_dirs = _unit_directions(n, 32, rng)
+    out_f = _unit_directions(n, 32, rng)
+    out_h = _unit_directions(p, 32, rng)
     ka = kc = 0.0
     for xc, t in path:
         for r in np.linspace(0.0, 0.5, 5):
@@ -214,15 +228,133 @@ def test_hessian_bounds_match_per_point_loop():
 
 
 def test_hessian_bounds_eigvalsh_calls_independent_of_directions(linalg_calls):
+    """At most two calls per centre and map for any number of directions: the axis rows
+    of every point, then the other directions of the points whose upper value can raise
+    the maximum; without random directions there is no second call."""
     model = ek.make("vanderpol-pos", mu=0.15).model
     path = [(np.array([0.3, 0.2]), 0.1 * k) for k in range(3)]
-    counts = []
-    for samples in (8, 64):
+    for samples in (0, 8, 64):
         linalg_calls.clear()
         ek.estimate_hessian_bounds(model, *zip(*path), 0.5, output_direction_samples=samples)
-        counts.append(linalg_calls["eigvalsh"])
-    # one stacked call per centre for f and one for h
-    assert counts == [2 * len(path), 2 * len(path)]
+        assert linalg_calls["eigvalsh"] <= 2 * 2 * len(path)
+        if samples == 0:
+            assert linalg_calls["eigvalsh"] == 2 * len(path)
+
+
+def test_an_all_zero_hessian_solves_its_axis_rows_only(linalg_calls):
+    """ltv-linear has f linear, so every Hessian is all zeros: its points are pruned
+    whatever the running maximum, 0.0 included, and each centre makes one call per map."""
+    model = ek.make("ltv-linear").model
+    hb = ek.estimate_hessian_bounds(model, np.zeros((3, 2)), [0.0, 1.0, 2.0], 0.5)
+    assert (hb.kappa_A, hb.kappa_C) == (0.0, 0.0)
+    assert linalg_calls["eigvalsh"] == 2 * 3
+
+
+def _symmetric_stack(rng, N, m, n, scale, zero, dominant):
+    """An (N, m, n, n) stack symmetric in its last two axes, scaled by ``scale``, with
+    slice ``zero`` of every tensor all zeros and slice ``dominant`` 1e3 times larger."""
+    B = rng.standard_normal((N, m, n, n))
+    H = (B + B.swapaxes(-1, -2)) * scale
+    if zero is not None:
+        H[:, zero % m] = 0.0
+    if dominant is not None:
+        H[:, dominant % m] *= 1e3
+    return H
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=st.integers(1, 4), n=st.integers(1, 4), N=st.integers(0, 12),
+       samples=st.integers(0, 40), log_scale=st.floats(-323.0, 300.0),
+       zero=st.none() | st.integers(0, 3), dominant=st.none() | st.integers(0, 3),
+       zero_points=st.integers(0, 12), carried=st.sampled_from([None, 0.0, 0.5, 0.999, 1.0, 2.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_screened_maximum_equals_the_maximum_over_every_direction(
+        m, n, N, samples, log_scale, zero, dominant, zero_points, carried, seed):
+    """_screened_max(H, W, best) is max(best, _tensor_norms(H, W).max()) bit for bit: scales
+    from subnormal to 1e300, zero and dominant slices, all-zero points, and a carried-in
+    running maximum below, at or above the stack's own (a fraction of it)."""
+    rng = np.random.default_rng(seed)
+    H = _symmetric_stack(rng, N, m, n, 10.0 ** log_scale, zero, dominant)
+    H[:zero_points] = 0.0
+    W = _unit_directions(m, samples, rng)
+    full = float(_tensor_norms(H, W).max(initial=0.0))
+    best = 0.0 if carried is None else carried * full
+    screened = _screened_max(H, W, best)
+    assert (screened, np.signbit(screened)) == (max(best, full), np.signbit(max(best, full)))
+
+
+def test_the_screen_slack_covers_a_contraction_rounded_above_its_upper_value():
+    """n = 1 and w = c / ||c||: the computed contraction c . w reads one ulp above
+    hypot(c) ||w||, so a running maximum equal to that product must not prune w."""
+    c = np.array([-0.1321048632913019, 0.6404226504432821, 0.10490011715303971,
+                  -0.535669373161111])
+    w = c / np.linalg.norm(c)
+    H, W = c.reshape(1, 4, 1, 1), np.vstack([np.eye(4), -np.eye(4), w])
+    best = float(np.hypot.reduce(np.abs(c)) * np.linalg.norm(w))
+    full = float(_tensor_norms(H, W).max())
+    assert best < full
+    assert _screened_max(H, W, best) == full
+
+
+def test_the_screen_floor_covers_products_that_underflow():
+    """Both slices hold the smallest subnormal: hypot rounds the upper value down to it,
+    while the diagonal contraction rounds each product up and reads twice as much."""
+    H = np.full((1, 2, 1, 1), 5e-324)
+    W = np.vstack([np.eye(2), -np.eye(2), [[np.sqrt(0.5), np.sqrt(0.5)]]])
+    assert _tensor_norms(H, W).max() == 1e-323
+    assert _screened_max(H, W, 0.0) == 1e-323
+
+
+def test_the_screen_keeps_a_point_whose_contractions_would_overflow():
+    """A point is pruned only below SCREEN_CEILING. Here the first tensor's norm, 1.6e308,
+    is above the second's upper value 9.05e307, but the second's diagonal contraction
+    overflows as it is symmetrized, so the full maximum reads NaN, and so does the screen."""
+    W = np.vstack([np.eye(2), -np.eye(2), [[np.sqrt(0.5), np.sqrt(0.5)]]])
+    high = np.zeros((2, 2, 2))
+    high[0] = 8e307
+    low = np.zeros((2, 2, 2))
+    low[:, 0, 0] = 6.4e307
+    H = np.stack([high, low])
+    assert _contraction_norms(H, W[:4]).max() > 1.5e308
+    assert math.isnan(_tensor_norms(H, W).max())
+    assert math.isnan(_screened_max(H, W, 0.0))
+
+
+def test_hessian_bounds_of_an_overflowing_contraction_raise():
+    """f = 6e307 (x0^2, x1^2) by finite differences: every Hessian entry is finite, but
+    symmetrizing its contraction overflows, so the sampled norm is not finite."""
+    model = _overflow_plant()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message, time = _failure(lambda: ek.estimate_hessian_bounds(
+            model, np.zeros((3, 2)), [0.25, 0.5, 1.0], 0.5))
+        assert (message, time) == ("Hessian sample non-finite at t=0.25", 0.25)
+        H = ek.hessian_tensor(model, np.zeros(2), 0.0, "dynamics")
+        assert np.isfinite(H).all()
+        assert math.isnan(ek.tensor_norm(H, np.vstack([np.eye(2), -np.eye(2)])))
+
+
+@pytest.mark.parametrize("directions, shape", [
+    (np.ones((4, 2)), "(4, 2)"), (np.ones(3), "(3,)"), (np.ones((2, 4, 1)), "(2, 4, 1)"),
+    (np.ones(4), "(4,)")])
+def test_tensor_norm_reads_its_directions_as_a_stack_of_output_width(directions, shape):
+    H = np.ones((4, 2, 2))
+    with pytest.raises(ek.ConfigurationError,
+                       match=re.escape(f"output_directions must have shape (d, 4), got {shape}")):
+        ek.tensor_norm(H, directions)
+
+
+@pytest.mark.parametrize("directions, message", [
+    ([[1.0, np.nan]], "output_directions must be finite, got [[1.0, nan]]"),
+    ([["a", "b"]], "output_directions must be numeric"),
+    ([[1.0, 0.0], [1.0]], "output_directions must be numeric")])
+def test_tensor_norm_rejects_directions_that_are_not_finite_numbers(directions, message):
+    with pytest.raises(ek.ConfigurationError, match=re.escape(message)):
+        ek.tensor_norm(np.ones((2, 2, 2)), directions)
+
+
+def test_tensor_norm_of_no_directions_is_zero():
+    assert ek.tensor_norm(np.ones((3, 2, 2)), np.empty((0, 3))) == 0.0
 
 
 def _old_fd_jacobian(func, x, t, out_dim, step):
@@ -434,6 +566,13 @@ def test_hessian_bounds_of_finite_difference_plant_match_per_point_loop():
                 ka = max(ka, _tensor_norm_loop(_ref_hessian_tensor(model, x, t, "dynamics"), out_f))
                 kc = max(kc, _tensor_norm_loop(_ref_hessian_tensor(model, x, t, "output"), out_h))
     assert (hb.kappa_A, hb.kappa_C) == (1.1 * ka, 1.1 * kc)
+
+
+def _overflow_plant():
+    """f = 6e307 (x0^2, x1^2), h = x0, by finite differences: at the origin the state
+    stays put, and every Hessian entry is 1.2e308."""
+    return ek.SystemModel(state_dim=2, output_dim=1, dynamics=lambda x, t: 6e307 * x * x,
+                          output=lambda x, t: x[:1].copy())
 
 
 def _recording_plant(seen, analytic=True):
