@@ -10,9 +10,13 @@ with A, C the Jacobians of f and h along the estimate. The 2N and 2 beta P
 terms are optional inflation of the covariance flow; both default to off.
 R is constant, so a run forms R^{-1} once, with 2N and 2 beta, and every
 RK4 stage applies it as a matrix product in the gain and the Riccati term;
-a zero 2N is added to Q once instead, which gives the stage's bits. P stays
-exactly symmetric (its start and the Riccati right-hand side are
-symmetrized) and every node's P is checked for positive definiteness,
+a zero 2N is added to Q once instead, which gives the stage's bits. Every
+2-D stage product is ndarray.dot at every n: half the cost of @ with its
+bits, but a product of two single entries (n = 1) keeps an exact zero's
+sign, which @ makes +0.0, and where a NaN or an inf meets an exact zero in
+a (1, 1)(1, k), (k, 1)(1, 1) or (k, 1)(1,) product, k >= 2, it gives 0 and @
+NaN. P stays exactly symmetric (its start and the Riccati right-hand side
+are symmetrized) and every node's P is checked for positive definiteness,
 since every guarantee downstream is conditioned on uniform bounds
 p_lo I <= P(t) <= p_hi I holding along the run.
 
@@ -181,23 +185,17 @@ class FilterConfig:
                   else _check_spd(self.N, "N", n, allow_zero=True)[0])
 
 
-def _product(n: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """An n-state run's 2-D stage product: ``ndarray.dot``, half the cost of ``@`` here with
-    its bits, but ``@`` at n = 1, where .dot keeps the sign of an exact-zero (1, 1) product."""
-    return np.matmul if n == 1 else np.ndarray.dot
-
-
-def _gain(P: np.ndarray, C: np.ndarray, Rinv: np.ndarray, dot: Callable) -> np.ndarray:
-    """K = P C^T R^{-1} = (R^{-1} (C P))^T for one (P, C) pair, through the 2-D product ``dot``."""
-    return dot(Rinv, dot(C, P)).T
+def _gain(P: np.ndarray, C: np.ndarray, Rinv: np.ndarray) -> np.ndarray:
+    """K = P C^T R^{-1} = (R^{-1} (C P))^T for one (P, C) pair, through ndarray.dot."""
+    return Rinv.dot(C.dot(P)).T
 
 
 def _riccati(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
-             Rinv: np.ndarray, N2: np.ndarray | None, beta2: float, dot: Callable) -> np.ndarray:
-    """A P + P A^T + Q - (P C^T) R^{-1} (P C^T)^T [+ 2N] [+ 2 beta P], symmetrized;
-    takes R^{-1}, 2N (or None), 2 beta and the 2-D product ``dot``."""
-    PCt, AP = dot(P, C.T), dot(A, P)   # P is exactly symmetric, so P A^T = (A P)^T bit for bit
-    dP = AP + AP.T + Q - dot(PCt, dot(Rinv, PCt.T))
+             Rinv: np.ndarray, N2: np.ndarray | None, beta2: float) -> np.ndarray:
+    """A P + P A^T + Q - (P C^T) R^{-1} (P C^T)^T [+ 2N] [+ 2 beta P], symmetrized,
+    through ndarray.dot; takes R^{-1}, 2N (or None) and 2 beta."""
+    PCt, AP = P.dot(C.T), A.dot(P)   # P is exactly symmetric, so P A^T = (A P)^T bit for bit
+    dP = AP + AP.T + Q - PCt.dot(Rinv.dot(PCt.T))
     if N2 is not None:
         dP = dP + N2
     if beta2 != 0.0:
@@ -209,9 +207,11 @@ def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
                 R: np.ndarray, N: np.ndarray | None = None,
                 beta: float = 0.0) -> np.ndarray:
     """Right-hand side of the (optionally inflated) Riccati flow at the symmetric part
-    of P, symmetrized; inverts R on each call (a filter run inverts it once)."""
+    of P, symmetrized; inverts R on each call (a filter run inverts it once). Through
+    ndarray.dot, a NaN or inf that meets an exact zero in P C^T (n = 1, p >= 2) or in
+    R^{-1} (P C^T)^T (p = 1, n >= 2) gives 0, not NaN."""
     return _riccati(0.5 * (P + np.transpose(P)), A, C, Q, np.linalg.inv(R),
-                    None if N is None else 2.0 * N, 2.0 * beta, np.matmul)
+                    None if N is None else 2.0 * N, 2.0 * beta)
 
 
 @dataclass
@@ -335,7 +335,6 @@ def integrate_ekf(config: FilterConfig,
     Q, Rinv, N2, beta2 = config.Q, np.linalg.inv(config.R), 2.0 * config.N, 2.0 * config.beta
     if not N2.any():   # a zero 2N added to Q once gives a stage's bits (dP is -0.0 only where Q is)
         Q, N2 = Q + N2, None
-    dot = _product(n)
     b_sq = 0.0   # the largest ||b||^2 seen
     nodes = np.empty((len(grid), *state0.shape))
     stored = 1   # the nodes stored so far, the start included
@@ -362,12 +361,12 @@ def integrate_ekf(config: FilterConfig,
             filled = row
         y, xhat, P = outputs[row], state[0], state[1:n + 1]
         A, C = _stage_jacobians(model, xhat, t, finite)
-        K = _gain(P, C, Rinv, dot)
+        K = _gain(P, C, Rinv)
         if stage == 0:   # a step's first stage runs at its node's state
             gains[row >> 1] = K
         out[0] = (_call(model.dynamics, xhat, t, (n,), "dynamics")
-                  - dot(K, _call(model.output, xhat, t, (p,), "output") - y))
-        out[1:n + 1] = _riccati(P, A, C, Q, Rinv, N2, beta2, dot)
+                  - K.dot(_call(model.output, xhat, t, (p,), "output") - y))
+        out[1:n + 1] = _riccati(P, A, C, Q, Rinv, N2, beta2)
         if not (finite or _finite(state[Z:])):   # no callback sees a non-finite state
             out[Z:] = np.nan
             return out
@@ -375,7 +374,7 @@ def integrate_ekf(config: FilterConfig,
         for b in virtual:
             z = state[b]
             out[b] = (_call(model.dynamics, z, t, (n,), "dynamics")
-                      - dot(K, _call(model.output, z, t, (p,), "output") - y))
+                      - K.dot(_call(model.output, z, t, (p,), "output") - y))
             if disturbance is not None:   # ||b|| = sqrt(b.b), taken once after the run
                 bv = _call(disturbance.b, z, t, (n,), "disturbance")
                 b_sq = max(b_sq, float(np.vdot(bv, bv)))
@@ -434,7 +433,7 @@ def integrate_ekf(config: FilterConfig,
     states, covs = nodes[:, 0], nodes[:, 1:n + 1]
 
     _, C = eval_jacobians(model, states[-1], grid[-1])
-    gains[-1] = _gain(covs[-1], C, Rinv, dot)
+    gains[-1] = _gain(covs[-1], C, Rinv)
     if x0 is not None:   # a node row holds y at the truth node, as stage 1 leaves the others
         outputs[-1] = model.h(nodes[-1, n + 1], grid[-1])
     eigs = np.linalg.eigvalsh(covs)

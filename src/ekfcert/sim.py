@@ -16,8 +16,9 @@ outputs the run read there, an O(h^2) approximation. Its RK4 stage reads A
 and C as the filter's does (model._stage_jacobians), then calls f and h, so
 a non-finite Jacobian or stage state raises ModelEvaluationError at the
 stage's time before f or h is called. A step's first stage runs at its node,
-so its A and C serve the contraction matrix there; after the run A and C
-are evaluated only at the last node and, as one stack, at the filter's.
+which the guard has passed, so it reads its state as finite, and its A and C
+serve the contraction matrix there; after the run A and C are evaluated only
+at the last node and, as one stack, at the filter's.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .contraction import ContractionCertificate, _contraction_matrices, _rate
-from .ekf import FilterTrajectory, _product, divergence_guard, integrate
+from .ekf import FilterTrajectory, divergence_guard, integrate
 from .errors import ConfigurationError
 from .model import (SystemModel, _call, _finite, _scalar, _stacked_jacobians, _stage_jacobians,
                     _state)
@@ -264,18 +265,17 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     times, read_stage = stage_table(grid)   # the gains per call, since the run's may change
     gains, outputs = interp(grid, filter_run.gains, times), filter_run.stage_outputs
     Az, Cz = np.empty((len(grid), n, n)), np.empty((len(grid), p, n))
-    dot = _product(n)
 
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
         z, dz = s[:n], s[n:]
         stage, row = read_stage(t)
         K, y = gains[row], outputs[row]
-        A, C = _stage_jacobians(model, z, t, _finite(s))
-        if stage == 0:   # a step's first stage runs at its node
+        A, C = _stage_jacobians(model, z, t, stage == 0 or _finite(s))   # a node is finite
+        if stage == 0:
             Az[row >> 1], Cz[row >> 1] = A, C
         return np.concatenate([_call(model.dynamics, z, t, (n,), "dynamics")
-                               - dot(K, _call(model.output, z, t, (p,), "output") - y),
-                               dot(A - dot(K, C), dz)])
+                               - K.dot(_call(model.output, z, t, (p,), "output") - y),
+                               (A - K.dot(C)).dot(dz)])
 
     nodes = integrate(rhs, np.concatenate([z0, dz0]), grid,
                       divergence_guard("variational state"))

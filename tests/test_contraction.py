@@ -579,11 +579,9 @@ def test_single_stage_identity_of_the_riccati_flow_and_the_contraction_matrix():
         Ah, Az = rng.standard_normal((2, n, n))
         Ch, Cz = rng.standard_normal((2, p, n))
         dz = rng.standard_normal(n)
-        dot = ek.ekf._product(n)
         Rinv = np.linalg.inv(R)
-        K = ek.ekf._gain(P, Ch, Rinv, dot)
-        dP = ek.ekf._riccati(P, Ah, Ch, Q, Rinv, 2.0 * N if N.any() else None, 2.0 * beta,
-                             dot)
+        K = ek.ekf._gain(P, Ch, Rinv)
+        dP = ek.ekf._riccati(P, Ah, Ch, Q, Rinv, 2.0 * N if N.any() else None, 2.0 * beta)
         M = ek.contraction._contraction_matrices(Ah, Ch, Az, Cz, P, Q, R)
         s = np.linalg.solve(P, dz)
         terms = (2.0 * s @ ((Az - K @ Cz) @ dz), s @ dP @ s, s @ M @ s, 2.0 * s @ N @ s,

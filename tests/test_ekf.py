@@ -23,11 +23,11 @@ def _reference_gain(P, C, R):
 
 
 def test_kalman_gain_examples():
-    """The filter's gain ekf._gain, which takes R^{-1} and the run's product."""
-    from ekfcert.ekf import _gain, _product
+    """The filter's gain ekf._gain, which takes R^{-1}."""
+    from ekfcert.ekf import _gain
 
     def gain(P, C, R):
-        return _gain(P, C, np.linalg.inv(R), _product(len(P)))
+        return _gain(P, C, np.linalg.inv(R))
 
     assert np.allclose(gain(np.eye(2), np.eye(2), np.eye(2)), np.eye(2))
     P = 2.0 * np.eye(2)
@@ -389,15 +389,24 @@ def _signed(rng, shape):
     return x
 
 
+def _sign_keeping_matmul(a, b):
+    """a @ b, except that a product of one entry each is their IEEE product, whose
+    exact zero keeps its sign; @ adds it to +0.0."""
+    if a.size == 1 and b.size == 1:
+        return (a * b).reshape(a.shape[:-1] + b.shape[1:])
+    return a @ b
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_stage_products_give_the_bits_of_matmul(n, p):
     # operands laid out as the stages hold them: P an exactly symmetric view of the
     # [x; P] state rows (P0 and every dP are symmetrized, so every RK4 stage's P is),
-    # dz of the [z; dz] validator state, K and y rows of the run's tables
-    from ekfcert.ekf import _gain, _product, _riccati
+    # dz of the [z; dz] validator state, K and y rows of the run's tables; at n = 1 the
+    # (1, 1) products A P, K (h - y) at p = 1 and (A - K C) dz keep an exact zero's sign
+    from ekfcert.ekf import _gain, _riccati
     rng = np.random.default_rng(1000 * n + p)
-    dot = _product(n)
+    ref = _sign_keeping_matmul if n == 1 else np.matmul
     for _ in range(200):
         state, s = _signed(rng, (n + 1, n)), _signed(rng, 2 * n)
         state[1:] = 0.5 * (state[1:] + state[1:].T)
@@ -408,15 +417,52 @@ def test_stage_products_give_the_bits_of_matmul(n, p):
         K, y = _signed(rng, (3, n, p))[1], _signed(rng, (3, p))[1]
         f, h = _signed(rng, n), _signed(rng, p)
         beta2 = float(rng.choice([0.0, 0.3]))
-        PCt = P @ C.T
-        dP = A @ P + P @ A.T + Q - PCt @ (Rinv @ PCt.T) + N2
+        PCt = ref(P, C.T)
+        dP = ref(A, P) + ref(P, A.T) + Q - ref(PCt, ref(Rinv, PCt.T)) + N2
         if beta2:
             dP = dP + beta2 * P
-        assert _riccati(P, A, C, Q, Rinv, N2, beta2, dot).tobytes() == (
+        assert _riccati(P, A, C, Q, Rinv, N2, beta2).tobytes() == (
             0.5 * (dP + dP.T)).tobytes()
-        assert _gain(P, C, Rinv, dot).tobytes() == (Rinv @ (C @ P)).T.tobytes()
-        assert (f - dot(K, h - y)).tobytes() == (f - K @ (h - y)).tobytes()
-        assert dot(A - dot(K, C), dz).tobytes() == ((A - K @ C) @ dz).tobytes()
+        assert _gain(P, C, Rinv).tobytes() == ref(Rinv, ref(C, P)).T.tobytes()
+        assert (f - K.dot(h - y)).tobytes() == (f - ref(K, h - y)).tobytes()
+        assert (A - K.dot(C)).dot(dz).tobytes() == ref(A - ref(K, C), dz).tobytes()
+
+
+def _non_finite(rng, shape):
+    """_signed draws with NaN, inf and -inf entries mixed in."""
+    x = _signed(rng, shape)
+    x[rng.random(shape) < 0.15] = math.nan
+    x[rng.random(shape) < 0.1] = math.inf
+    x[rng.random(shape) < 0.3] *= -1.0
+    return x
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dot_and_matmul_carry_non_finite_entries_alike_except_in_three_shapes(k):
+    """.dot and @ give the same values, NaN and infinities included, on the
+    one-state stage shapes of A P, (A - K C) dz, K (h - y), K C,
+    (P C^T)(R^{-1} C P) and R^{-1} C P with p = k, and on (k, 1)(1, k). At
+    k >= 2 they differ on (1, 1)(1, k), (k, 1)(1, 1) and (k, 1)(1,): a NaN or
+    an infinity that meets an exact zero gives 0 from .dot and NaN from @.
+    These are P C^T and C P at n = 1, p = k, and R^{-1} C P, R^{-1} (P C^T)^T
+    and K (h - y) at n = k, p = 1."""
+    rng = np.random.default_rng(70 + k)
+    agree = [((1, 1), (1, 1)), ((1, 1), (1,)), ((1, k), (k,)), ((1, k), (k, 1)),
+             ((k, k), (k, 1)), ((k, 1), (1, k))]
+    differ = [((1, 1), (1, k)), ((k, 1), (1, 1)), ((k, 1), (1,))] if k > 1 else []
+    mismatched = dict.fromkeys(differ, 0)
+    with np.errstate(invalid="ignore"):
+        for _ in range(1000):
+            for a, b in agree + differ:
+                x, y = _non_finite(rng, a), _non_finite(rng, b)
+                dot, mat = x.dot(y), x @ y
+                same = (dot == mat) | (np.isnan(dot) & np.isnan(mat))
+                if (a, b) in mismatched:
+                    assert (dot[~same] == 0.0).all() and np.isnan(mat[~same]).all()
+                    mismatched[a, b] += not same.all()
+                else:
+                    assert same.all(), (a, b)
+    assert all(count > 0 for count in mismatched.values()), mismatched
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -431,7 +477,7 @@ def test_riccati_rhs_reads_the_symmetric_part_of_p(n):
                 == ek.riccati_rhs(S, A, C, Q, R, N, 0.3).tobytes())
         # an exactly symmetric P enters unchanged: the stages' own formula, bit for bit
         assert (ek.riccati_rhs(S, A, C, Q, R, N, 0.3).tobytes()
-                == _riccati(S, A, C, Q, np.linalg.inv(R), 2.0 * N, 0.6, np.matmul).tobytes())
+                == _riccati(S, A, C, Q, np.linalg.inv(R), 2.0 * N, 0.6).tobytes())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -440,9 +486,8 @@ def test_a_zero_inflation_folds_into_q_bit_for_bit(n, p):
     """A run whose 2N is zero (either sign) passes Q + 2N and no 2N to every
     stage: the same bits as adding the zero 2N to each stage's dP. Operands are
     mostly signed zeros, with non-finite entries of P in some draws."""
-    from ekfcert.ekf import _product, _riccati
+    from ekfcert.ekf import _riccati
     rng = np.random.default_rng(10 * n + p)
-    dot = _product(n)
 
     def sparse(shape):
         return rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.5, 0.5], size=shape)
@@ -457,8 +502,8 @@ def test_a_zero_inflation_folds_into_q_bit_for_bit(n, p):
         N2 = 0.5 * (N2 + N2.T)
         beta2 = float(rng.choice([0.0, 0.3]))
         with np.errstate(invalid="ignore"):
-            assert (_riccati(P, A, C, Q + N2, Rinv, None, beta2, dot).tobytes()
-                    == _riccati(P, A, C, Q, Rinv, N2, beta2, dot).tobytes())
+            assert (_riccati(P, A, C, Q + N2, Rinv, None, beta2).tobytes()
+                    == _riccati(P, A, C, Q, Rinv, N2, beta2).tobytes())
 
 
 def _near_singular(rng, n, m):

@@ -245,7 +245,6 @@ def _ref_variational_validator(model, run, z0, dz0=None):
     dz0 = np.ones(n) / math.sqrt(n) if dz0 is None else dz0
     times, read_stage = stage_table(run.times)
     gains = interp(run.times, run.gains, times)
-    dot = ek.ekf._product(n)
 
     def stage_inputs(t):
         row = read_stage(t)[1]
@@ -256,8 +255,8 @@ def _ref_variational_validator(model, run, z0, dz0=None):
         K, y = stage_inputs(t)
         A, C = _stage_jacobians(model, z, t, _finite(s))
         return np.concatenate([_call(model.dynamics, z, t, (n,), "dynamics")
-                               - dot(K, _call(model.output, z, t, (p,), "output") - y),
-                               dot(A - dot(K, C), dz)])
+                               - K.dot(_call(model.output, z, t, (p,), "output") - y),
+                               (A - K.dot(C)).dot(dz)])
 
     grid = run.times
     nodes = ek.ekf.integrate(rhs, np.concatenate([z0, dz0]), grid,
@@ -1075,12 +1074,13 @@ def _logged(model, log):
                                          ("dynamics", "output", "jacobian_A", "jacobian_C")})
 
 
+# the flows of a two-output plant at rest from the origin, of any state dimension
 STAGE_FLOWS = {
     "measured": lambda fc, run: ek.integrate_ekf(fc, lambda t: np.zeros(2)),
-    "truth": lambda fc, run: ek.integrate_ekf(fc, x0=np.zeros(2)),
+    "truth": lambda fc, run: ek.integrate_ekf(fc, x0=np.zeros_like(fc.x0)),
     "virtual": lambda fc, run: ek.integrate_ekf(fc, lambda t: np.zeros(2),
-                                                starts=[np.ones(2)]),
-    "validator": lambda fc, run: ek.variational_validator(fc.model, run, np.zeros(2)),
+                                                starts=[np.ones_like(fc.x0)]),
+    "validator": lambda fc, run: ek.variational_validator(fc.model, run, np.zeros_like(fc.x0)),
 }
 
 
@@ -1106,6 +1106,45 @@ def test_a_stage_reads_its_jacobians_before_it_calls_f_and_h(flow, jacobian, val
     first = log.index((jacobian, t_fault))
     assert max(t for name, t in log[:first] if name == jacobian) < FAULT_T
     assert [name for name, _ in log[first:] if name in ("dynamics", "output")] == []
+
+
+def _faulty_scalar_plant(callback, fault):
+    """The one-state, two-output twin of _faulty_plant: dx/dt = -x with y = (x, 0)
+    and C = (1, 0)^T, at rest from the origin; from t = FAULT_T on, ``callback``
+    returns ``fault`` of its result. C's zero row meets P in C P and P C^T, the
+    stage products where .dot and @ carry a non-finite entry differently."""
+    good = {"dynamics": lambda x, t: -x,
+            "output": lambda x, t: np.array([x[0], 0.0]),
+            "jacobian_A": lambda x, t: -np.ones((1, 1)),
+            "jacobian_C": lambda x, t: np.array([[1.0], [0.0]])}
+    fn = good[callback]
+    good[callback] = lambda x, t: fault(fn(x, t)) if t >= FAULT_T else fn(x, t)
+    return ek.SystemModel(state_dim=1, output_dim=2, **good)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("callback, index", [("jacobian_C", (0, 0)), ("jacobian_C", (1, 0)),
+                                             ("output", 0), ("output", 1)])
+@pytest.mark.parametrize("flow", STAGE_FLOWS)
+def test_a_one_state_two_output_fault_fails_as_with_matmul_stages(flow, callback, index, value):
+    """Every flow stops at the first faulty stage, t = FAULT_T, with the error the
+    stages gave when their one-state products went through @: a bad C is named
+    before any product, and a bad output makes the next stage's estimate
+    non-finite. With K = (P, 0), an inf in the observed entry reaches it as -inf,
+    unless the truth's own output subtracts it (inf - inf); anything else as NaN."""
+    fc = ek.FilterConfig(model=_faulty_scalar_plant(callback, _set_entry(index, value)),
+                         Q=np.eye(1), R=np.eye(2), P0=np.eye(1), x0=np.zeros(1),
+                         horizon=1.0, step=0.1)
+    run = ek.integrate_ekf(dataclasses.replace(fc, model=_faulty_scalar_plant(
+        callback, lambda v: v)), lambda t: np.zeros(2))
+    if callback == "jacobian_C":
+        message = "Jacobian evaluation produced non-finite entries at t=0.25"
+    else:
+        entry = "-inf" if index == 0 and value == np.inf and flow != "truth" else "nan"
+        message = f"state contains non-finite entries: [{entry}]"
+    with np.errstate(invalid="ignore"), pytest.raises(ek.ModelEvaluationError) as info:
+        STAGE_FLOWS[flow](fc, run)
+    assert (str(info.value), info.value.time) == (message, FAULT_T)
 
 
 # ------------------------------------------- positive definiteness, batched

@@ -7,6 +7,10 @@ import pytest
 from conftest import rerun
 
 import ekfcert as ek
+from ekfcert import sim
+from ekfcert.contraction import _contraction_matrices
+from ekfcert.model import _stacked_jacobians
+from ekfcert.ode import interp, stage_table
 
 
 @pytest.fixture(scope="module")
@@ -410,32 +414,95 @@ def test_a_diverging_row_stops_the_run_at_its_single_run_time():
         assert str(info.value) == f"virtual state diverged at t={single.value.time:.6g}"
 
 
+def _matmul_run(fc, starts, y=None, x0=None):
+    """integrate_ekf's arrays from an RK4 run of the rows [xhat; P; x; z_1 ...] with
+    every 2-D stage product through @: the gain (R^{-1} (C P))^T, the Riccati term and
+    each row's innovation. y is read at the truth row's own stage state when x0 is
+    given, and a step's first stage keeps its gain."""
+    model = fc.model
+    n, p = model.state_dim, model.output_dim
+    grid = ek.time_grid(fc.horizon, fc.step)
+    times, read_stage = stage_table(grid)
+    Rinv = np.linalg.inv(fc.R)
+    outputs, gains = np.empty((len(times), p)), np.empty((len(grid), n, p))
+    rows = [fc.x0[None], fc.P0] + ([] if x0 is None else [x0[None]])
+    Z = n + len(rows) - 1   # the first virtual row
+
+    def rhs(t, s):
+        stage, row = read_stage(t)
+        out = np.empty_like(s)
+        if x0 is not None:
+            out[n + 1] = model.f(s[n + 1], t)
+        outputs[row] = y(t) if x0 is None else model.h(s[n + 1], t)
+        P = s[1:n + 1]
+        A, C = ek.eval_jacobians(model, s[0], t)
+        K = (Rinv @ (C @ P)).T
+        if stage == 0:
+            gains[row >> 1] = K
+        PCt = P @ C.T
+        dP = A @ P + P @ A.T + fc.Q - PCt @ (Rinv @ PCt.T) + 2.0 * fc.N
+        out[1:n + 1] = 0.5 * (dP + dP.T)
+        for b in [0, *range(Z, len(s))]:
+            out[b] = model.f(s[b], t) - K @ (model.h(s[b], t) - outputs[row])
+        return out
+
+    nodes = ek.ekf.integrate(rhs, np.vstack(rows + [np.array(starts)]), grid, lambda t, s: s)
+    C = ek.eval_jacobians(model, nodes[-1, 0], grid[-1])[1]
+    gains[-1] = (Rinv @ (C @ nodes[-1, 1:n + 1])).T
+    if x0 is not None:
+        outputs[-1] = model.h(nodes[-1, n + 1], grid[-1])
+    return nodes[:, 0], nodes[:, 1:n + 1], gains, outputs, nodes[:, n + 1], nodes[:, Z:]
+
+
+def _matmul_validator(model, run, z0):
+    """variational_validator's deviation from a tangent integrated with its stage
+    products through @."""
+    n = model.state_dim
+    times, read_stage = stage_table(run.times)
+    gains = interp(run.times, run.gains, times)
+
+    def rhs(t, s):
+        row = read_stage(t)[1]
+        z, dz, K = s[:n], s[n:], gains[row]
+        A, C = ek.eval_jacobians(model, z, t)
+        return np.concatenate([model.f(z, t) - K @ (model.h(z, t) - run.stage_outputs[row]),
+                               (A - K @ C) @ dz])
+
+    nodes = ek.ekf.integrate(rhs, np.concatenate([z0, np.ones(n) / math.sqrt(n)]), run.times,
+                             lambda t, s: s)
+    w, S = sim._weighted_sq(run.covariances, nodes[:, n:])
+    M = _contraction_matrices(*_stacked_jacobians(model, run.states, run.times),
+                              *_stacked_jacobians(model, nodes[:, :n], run.times),
+                              run.covariances, run.config.Q, run.config.R)
+    M = M - 2.0 * run.config.N - 2.0 * run.config.beta * run.covariances
+    quad = (S[:, None, :] @ (M @ S[:, :, None]))[:, 0, 0]
+    dw = (w[2:] - w[:-2]) / (2.0 * (run.times[1] - run.times[0]))
+    return np.abs(dw - quad[1:-1]).max() / max(float(np.abs(quad[1:-1]).max()), 1e-30)
+
+
 @pytest.mark.parametrize("name", ["cubic-scalar", "ltv-linear", "scalar-riccati", "vanderpol-pos"])
-def test_whole_runs_give_the_bits_of_matmul_stages(monkeypatch, name):
-    # zero, -0.0 and nonzero starts under a zero measurement; the references
-    # run every 2-D stage product through @
-    from ekfcert import ekf, sim
+def test_whole_runs_give_the_bits_of_matmul_stages(name):
+    # zero, -0.0 and nonzero starts under a zero measurement, against references that
+    # run every 2-D stage product through @; at n = 1 the sign an exact-zero (1, 1)
+    # product keeps reaches no stored bit on these runs
     model = ek.make(name).model
     n, p = model.state_dim, model.output_dim
     starts = [np.zeros(n), np.full(n, -0.0), np.linspace(0.3, -0.2, n)]
-
-    def runs():
-        out = []
-        for x0 in starts:
-            fc = ek.FilterConfig(model=model, Q=np.eye(n), R=np.eye(p), P0=np.eye(n),
-                                 x0=x0, horizon=0.5, step=0.01)
-            traj = ek.integrate_ekf(fc, lambda t: np.zeros(p), starts=starts)
-            out += [traj.states, traj.covariances, traj.gains, traj.stage_outputs,
-                    traj.virtual, np.array(ek.variational_validator(model, traj, x0))]
-            joint = ek.integrate_ekf(fc, x0=x0[::-1], starts=starts)
-            out += [joint.states, joint.covariances, joint.gains, joint.stage_outputs,
-                    joint.truth, joint.virtual]
-        return [a.tobytes() for a in out]
-
-    changed = runs()
-    for module in (ekf, sim):
-        monkeypatch.setattr(module, "_product", lambda n: np.matmul)
-    assert changed == runs()
+    zero = lambda t: np.zeros(p)
+    for x0 in starts:
+        fc = ek.FilterConfig(model=model, Q=np.eye(n), R=np.eye(p), P0=np.eye(n),
+                             x0=x0, horizon=0.5, step=0.01)
+        traj = ek.integrate_ekf(fc, zero, starts=starts)
+        ref = _matmul_run(fc, starts, y=zero)
+        got = (traj.states, traj.covariances, traj.gains, traj.stage_outputs, traj.virtual)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref[:4] + ref[5:]]
+        assert (np.float64(ek.variational_validator(model, traj, x0)).tobytes()
+                == np.float64(_matmul_validator(model, traj, x0)).tobytes())
+        joint = ek.integrate_ekf(fc, x0=x0[::-1], starts=starts)
+        got = (joint.states, joint.covariances, joint.gains, joint.stage_outputs, joint.truth,
+               joint.virtual)
+        assert [a.tobytes() for a in got] == [
+            a.tobytes() for a in _matmul_run(fc, starts, x0=x0[::-1])]
 
 
 def test_experiments_read_the_rows_of_the_run_that_integrated_them():
