@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ekf import FilterTrajectory
+from .ekf import FilterTrajectory, _check_spd
 from .errors import ConfigurationError, PreconditionError
 from .model import (HessianBounds, SystemModel, _scalar, _scalars, _stacked_jacobians, _state,
                     _unit_directions, eval_jacobians)
@@ -96,10 +96,14 @@ def contraction_matrix(model: SystemModel, z: np.ndarray, xhat: np.ndarray,
     (dz^T P^{-1} dz) equals dz^T P^{-1} M P^{-1} dz with this M; inflation
     (beta, N) would subtract 2N + 2 beta P, which M leaves out. Negative
     semidefiniteness of M + 2 gamma P on a region therefore certifies
-    contraction at rate gamma there. The result is exactly symmetrized.
+    contraction at rate gamma there. The result is exactly symmetrized. P, Q
+    and R are read as FilterConfig reads its weights.
     """
-    Az, Cz = eval_jacobians(model, _state(z, model.state_dim, "z"), t)
-    Ah, Ch = eval_jacobians(model, _state(xhat, model.state_dim, "xhat"), t)
+    n, p = model.state_dim, model.output_dim
+    z, xhat = _state(z, n, "z"), _state(xhat, n, "xhat")
+    P, Q, R = _check_spd(P, "P", n)[0], _check_spd(Q, "Q", n)[0], _check_spd(R, "R", p)[0]
+    Az, Cz = eval_jacobians(model, z, t)
+    Ah, Ch = eval_jacobians(model, xhat, t)
     return _contraction_matrices(Ah, Ch, Az, Cz, P, Q, R)
 
 
@@ -112,6 +116,7 @@ def check_contraction_inequality(model: SystemModel, z: np.ndarray, xhat: np.nda
     (see contraction_matrix); gamma must be nonnegative and finite.
     """
     gamma = _scalar(gamma, "gamma")
+    P = _check_spd(P, "P", model.state_dim)[0]   # M + 2 gamma P takes the checked P
     M = contraction_matrix(model, z, xhat, P, Q, R, t)
     return bool(_negative_semidefinite(M + 2.0 * gamma * P))
 
@@ -146,14 +151,17 @@ def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
 
     A probe whose Jacobians or M + 2 gamma P are not finite fails, since the
     inequality cannot be verified there; non-finite Jacobians at a centre
-    raise :class:`ModelEvaluationError`.
+    raise :class:`ModelEvaluationError`. P, Q and R are read as FilterConfig
+    reads its weights, the k covariances P as one stack with one eigvalsh.
     """
     gamma, direction_samples, seed = _scalars(gamma=gamma, direction_samples=direction_samples,
                                               seed=seed).values()
     n = model.state_dim
     T = np.reshape(t, -1)
-    X = _state(xhat, n, "xhat", None if np.ndim(t) == 0 else len(T)).reshape(len(T), n)
-    P = np.asarray(P, dtype=float).reshape(len(T), n, n)
+    rows = None if np.ndim(t) == 0 else len(T)
+    X = _state(xhat, n, "xhat", rows).reshape(len(T), n)
+    P = _check_spd(P, "P", n, rows=rows)[0].reshape(len(T), n, n)
+    Q, R = _check_spd(Q, "Q", n)[0], _check_spd(R, "R", model.output_dim)[0]
     dirs = _unit_directions(n, direction_samples, np.random.default_rng(seed))
     block = max(1, RADIUS_BLOCK_ROWS // len(dirs))
     radii = np.empty(len(T))
@@ -276,12 +284,9 @@ def make_certificate(run: FilterTrajectory, hess: HessianBounds,
     Raises
     ------
     ConfigurationError
-        If a bound is not finite, if p_lo <= 0 (no certificate without a
-        positive covariance floor), p_hi < p_lo or gamma out of range.
+        If a bound is not positive and finite (a run from integrate_ekf has
+        p_lo > 0; a hand-built one may not), p_hi < p_lo or gamma out of range.
     """
-    if run.p_lo <= 0.0:
-        raise ConfigurationError(
-            f"certification refused: covariance floor p_lo = {run.p_lo:.3e} is not positive")
     p_lo, p_hi, q_lo, r_lo = _spectral_bounds(p_lo=run.p_lo, p_hi=run.p_hi,
                                               q_lo=run.config.q_lo, r_lo=run.config.r_lo).values()
     gamma = _rate(gamma, q_lo, p_hi)

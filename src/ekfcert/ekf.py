@@ -43,12 +43,12 @@ guard's finiteness verdict instead of checking again.
 A node of sum of squares at most DIVERGENCE_LIMIT^2 / 4 has every row
 finite and inside the limit and passes on that one check; any other gets
 the guard of the truth, then of the estimate, a finiteness check of P, P's
-Cholesky factorization and the guard of each virtual row. After the run,
-and before any exception raised within it propagates, one batched Cholesky
-factors the stored covariances; if it fails, the first node whose own
-factorization fails raises, as a per-node check would have. The
-disturbance bound is checked last, on the root of the largest b.b of any
-stage.
+definiteness (its smallest eigenvalue is positive, FilterConfig's rule for
+P0) and the guard of each virtual row. After the run, one batched eigvalsh
+applies that rule to every node and gives p_lo and p_hi; the stored nodes
+get the same check before any exception raised within the run propagates.
+The disturbance bound is checked last, on the root of the largest b.b of
+any stage.
 """
 
 from __future__ import annotations
@@ -106,27 +106,41 @@ def divergence_guard(what: str) -> Flow:
     return guard
 
 
-def _check_spd(M: np.ndarray, name: str, dim: int,
-               allow_zero: bool = False) -> tuple[np.ndarray, float]:
+def _check_spd(M: np.ndarray, name: str, dim: int, allow_zero: bool = False,
+               rows: int | None = None) -> tuple[np.ndarray, float]:
     """``M`` symmetrized and its smallest eigenvalue, after the shape, finiteness,
-    symmetry and definiteness checks."""
+    symmetry and definiteness checks; with ``rows``, M is a stack of that many, read at once."""
     M = np.asarray(M, dtype=float)
-    if M.shape != (dim, dim):
-        raise ConfigurationError(f"{name} must have shape ({dim}, {dim}), got {M.shape}")
+    shape = (dim, dim) if rows is None else (rows, dim, dim)
+    if M.shape != shape:
+        raise ConfigurationError(f"{name} must have shape {shape}, got {M.shape}")
     if not np.isfinite(M).all():
-        raise ConfigurationError(f"{name} must be finite, got {M.tolist()}")
-    if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):
+        k = np.argmin(np.isfinite(M).reshape(-1, dim * dim).all(axis=1))   # the first bad one
+        raise ConfigurationError(f"{name}{'' if rows is None else f'[{k}]'} must be finite, "
+                                 f"got {M.reshape(-1, dim, dim)[k].tolist()}")
+    Mt = M.swapaxes(-1, -2)
+    if not (abs(M - Mt) <= 1e-12 + 1e-10 * abs(Mt)).all():   # np.allclose on finite M
         raise ConfigurationError(f"{name} must be symmetric")
-    M = 0.5 * (M + M.T)
-    lam = np.linalg.eigvalsh(M)
-    if allow_zero:
-        if lam[0] < -1e-12 * max(1.0, lam[-1]):
-            raise ConfigurationError(f"{name} must be positive semidefinite, "
-                                     f"min eigenvalue {lam[0]:.3e}")
-    elif lam[0] <= 0.0:
-        raise ConfigurationError(f"{name} must be positive definite, "
-                                 f"min eigenvalue {lam[0]:.3e}")
-    return M, float(lam[0])
+    M = 0.5 * (M + Mt)
+    lam = np.linalg.eigvalsh(M).reshape(-1, dim)
+    lo = lam[:, 0].min(initial=math.inf)   # inf for an empty stack
+    if (lo < -1e-12 * max(1.0, lam[:, -1].max())) if allow_zero else lo <= 0.0:
+        raise ConfigurationError(f"{name} must be positive {'semi' if allow_zero else ''}"
+                                 f"definite, min eigenvalue {lo:.3e}")
+    return M, float(lo)
+
+
+def _definite(times, P: np.ndarray) -> np.ndarray:
+    """The eigenvalues, ascending, of the covariance stack P (k, n, n) at the nodes ``times``,
+    from one eigvalsh; a CovarianceBoundViolation at the first node whose smallest is not
+    positive."""
+    eigs = np.linalg.eigvalsh(P)
+    lost = np.flatnonzero(eigs[:, 0] <= 0.0)
+    if len(lost):
+        t = times[lost[0]]
+        raise CovarianceBoundViolation(f"covariance lost positive definiteness at t={t:.6g}",
+                                       time=float(t))
+    return eigs
 
 
 @dataclass
@@ -238,7 +252,8 @@ class FilterTrajectory:
     approximation of such a run's own stages.
 
     ``p_lo`` and ``p_hi`` are the smallest and largest eigenvalues of P over
-    the nodes, first reached at ``t_at_p_lo`` and ``t_at_p_hi``. The
+    the nodes, first reached at ``t_at_p_lo`` and ``t_at_p_hi``; a run that
+    returns has p_lo > 0, since a node whose P is not definite raises. The
     configuration is kept for the certifier and the experiments, which read
     the model and the noise weights from it.
     """
@@ -297,11 +312,11 @@ def integrate_ekf(config: FilterConfig,
         exception carries the first offending time.
     CovarianceBoundViolation
         If the integrated covariance loses positive definiteness (its
-        Cholesky factorization fails) at a node; the exception carries the
-        first such time. It takes precedence over any later failure: the
-        nodes are factored as one stack after the run and before any other
-        exception raised within it propagates, so a run that fails here may
-        have called its callbacks past that node.
+        smallest eigenvalue is not positive) at a node; the exception carries
+        the first such time. It takes precedence over any later failure: the
+        stored nodes are checked as one stack after the run and before any
+        other exception raised within it propagates, so a run that fails here
+        may have called its callbacks past that node.
     PreconditionError
         If the disturbance exceeded its declared bound, checked after the
         covariance.
@@ -384,18 +399,10 @@ def integrate_ekf(config: FilterConfig,
     truth_guard, estimate_guard, virtual_guard = map(
         divergence_guard, ("truth", "estimate", "virtual state"))
 
-    def positive_definite(t: float, P: np.ndarray) -> None:
-        try:
-            np.linalg.cholesky(P)
-        except np.linalg.LinAlgError:
-            raise CovarianceBoundViolation(
-                f"covariance lost positive definiteness at t={t:.6g}",
-                time=float(t)) from None
-
     def guard(t: float, state: np.ndarray) -> np.ndarray:
         nonlocal stored, node_finite
         # a node of norm <= DIVERGENCE_LIMIT / 2 has every row finite and inside the limit;
-        # its P is factored with the others after the run
+        # its P is checked with the others after the run
         sq = np.vdot(state, state)
         if not sq <= 0.25 * DIVERGENCE_LIMIT ** 2:
             if x0 is not None:
@@ -404,39 +411,28 @@ def integrate_ekf(config: FilterConfig,
             P = state[1:n + 1]
             if not np.isfinite(P).all():
                 raise DivergenceError(f"covariance diverged at t={t:.6g}", time=float(t))
-            positive_definite(t, P)
+            _definite((t,), P[None])
             if virtual:
                 virtual_guard(t, state[Z:])
         stored += 1
         node_finite = math.isfinite(sq)
         return state
 
-    def stored_positive_definite() -> None:
-        """Raise at the first stored node whose P fails its factorization; the start's P0
-        passed FilterConfig's eigenvalue check and is not factored, as before."""
-        try:
-            np.linalg.cholesky(nodes[1:stored, 1:n + 1])
-        except np.linalg.LinAlgError:
-            for k in range(1, stored):
-                positive_definite(grid[k], nodes[k, 1:n + 1])
-
     try:
         integrate(rhs, state0, grid, guard, nodes)
     except Exception:
-        stored_positive_definite()   # an earlier non-PD node is the run's first failure
+        _definite(grid, nodes[:stored, 1:n + 1])   # an earlier lost P is the run's first failure
         raise
-    stored_positive_definite()
+    states, covs = nodes[:, 0], nodes[:, 1:n + 1]
+    eigs = _definite(grid, covs)
     b_worst = math.sqrt(b_sq)
     if disturbance is not None and b_worst > disturbance.b_max * (1.0 + 1e-9) + 1e-300:
         raise PreconditionError(f"disturbance bound violated: observed {b_worst:.6g} "
                                 f"> b_max {disturbance.b_max:.6g}")
-    states, covs = nodes[:, 0], nodes[:, 1:n + 1]
-
     _, C = eval_jacobians(model, states[-1], grid[-1])
     gains[-1] = _gain(covs[-1], C, Rinv)
     if x0 is not None:   # a node row holds y at the truth node, as stage 1 leaves the others
         outputs[-1] = model.h(nodes[-1, n + 1], grid[-1])
-    eigs = np.linalg.eigvalsh(covs)
     lo, hi = int(np.argmin(eigs[:, 0])), int(np.argmax(eigs[:, -1]))
     return FilterTrajectory(times=grid, states=states, covariances=covs,
                             gains=gains, config=config, stage_outputs=outputs,

@@ -35,10 +35,11 @@ def test_contraction_matrix_at_center():
 
 
 def test_contraction_matrix_has_no_offset_terms_at_the_estimate():
-    """z = xhat: Atil = Ctil = 0 bit for bit, so M = -P C^T R^-1 C P - Q."""
+    """z = xhat: Atil = Ctil = 0 bit for bit, so M = -P C^T R^-1 C P - Q, for
+    exactly symmetric P and Q (the entry point reads each as its symmetric part)."""
     model = ek.make("vanderpol-pos").model
     rng = np.random.default_rng(7)
-    P, Q = random_spd(rng, 2), random_spd(rng, 2)
+    P, Q = (0.5 * (M + M.T) for M in (random_spd(rng, 2), random_spd(rng, 2)))
     R = np.array([[0.7]])
     x = np.array([0.7, -0.2])
     _, C = ek.eval_jacobians(model, x, 0.0)
@@ -46,6 +47,57 @@ def test_contraction_matrix_has_no_offset_terms_at_the_estimate():
     expected = -(CP.T @ np.linalg.solve(R, CP)) - Q
     assert np.array_equal(ek.contraction_matrix(model, x, x, P, Q, R, 0.0),
                           0.5 * (expected + expected.T))
+
+
+VDP_XHAT = np.array([0.3, 0.2])
+# entry point -> its call on vanderpol-pos at VDP_XHAT with the weights P, Q, R
+WEIGHT_READERS = {
+    "empirical_radius": lambda m, P, Q, R: ek.empirical_radius(
+        m, VDP_XHAT, P, Q, R, 0.1, 0.0, direction_samples=2),
+    "empirical_radius-nodes": lambda m, P, Q, R: ek.empirical_radius(
+        m, np.tile(VDP_XHAT, (3, 1)), P, Q, R, 0.1, [0.0, 0.5, 1.0], direction_samples=2),
+    "contraction_matrix": lambda m, P, Q, R: ek.contraction_matrix(
+        m, VDP_XHAT + 0.1, VDP_XHAT, P, Q, R, 0.0),
+    "check_contraction_inequality": lambda m, P, Q, R: ek.check_contraction_inequality(
+        m, VDP_XHAT + 0.1, VDP_XHAT, P, Q, R, 0.1, 0.0),
+}
+ONE_LOST = np.stack([np.eye(2), np.diag([1.0, -1e-3]), np.eye(2)])   # node 1 indefinite
+# (entry point, argument, value, message); every other weight is an identity
+BAD_WEIGHTS = [
+    ("empirical_radius", "P", np.eye(3), "P must have shape (2, 2), got (3, 3)"),
+    ("empirical_radius", "P", np.full((2, 2), np.nan), "P must be finite"),
+    ("empirical_radius", "P", np.array([[1.0, 2.0], [0.0, 1.0]]), "P must be symmetric"),
+    ("empirical_radius", "Q", -np.eye(2), "Q must be positive definite"),
+    ("empirical_radius", "R", np.eye(2), "R must have shape (1, 1), got (2, 2)"),
+    ("empirical_radius-nodes", "P", np.eye(2), "P must have shape (3, 2, 2), got (2, 2)"),
+    ("empirical_radius-nodes", "P", np.stack([np.eye(2), np.eye(2), np.full((2, 2), np.inf)]),
+     "P[2] must be finite, got [[inf, inf], [inf, inf]]"),
+    ("empirical_radius-nodes", "P", ONE_LOST,
+     "P must be positive definite, min eigenvalue -1.000e-03"),
+    ("empirical_radius-nodes", "P", np.stack([np.eye(2), np.eye(2), [[1.0, 2.0], [0.0, 1.0]]]),
+     "P must be symmetric"),
+    ("contraction_matrix", "Q", np.eye(3), "Q must have shape (2, 2), got (3, 3)"),
+    ("contraction_matrix", "Q", np.array([[1.0, np.nan], [np.nan, 1.0]]), "Q must be finite"),
+    ("contraction_matrix", "P", np.array([[1.0, 0.5], [0.4, 1.0]]), "P must be symmetric"),
+    ("check_contraction_inequality", "R", np.zeros((1, 1)),
+     "R must be positive definite, min eigenvalue 0.000e+00"),
+    ("check_contraction_inequality", "P", np.diag([1.0, 0.0]), "P must be positive definite"),
+]
+
+
+@pytest.mark.parametrize("entry, name, value, message", BAD_WEIGHTS,
+                         ids=[f"{e}-{n}-{i}" for i, (e, n, _, _) in enumerate(BAD_WEIGHTS)])
+def test_a_bad_weight_is_a_configuration_error_naming_it(entry, name, value, message,
+                                                         linalg_calls):
+    """The certifier reads P, Q and R as FilterConfig reads its weights, before any
+    model call; empirical_radius reads the covariances of its nodes as one stack,
+    with one eigen-solve at most, not one per node."""
+    weights = {"P": np.eye(2), "Q": np.eye(2), "R": np.eye(1), name: value}
+    linalg_calls.clear()
+    with pytest.raises(ek.ConfigurationError, match=re.escape(message)):
+        WEIGHT_READERS[entry](ek.make("vanderpol-pos").model, **weights)
+    if entry.endswith("-nodes"):   # P, the first weight read, is refused
+        assert linalg_calls["eigvalsh"] <= 1
 
 
 def test_contraction_matrix_linear_system_any_probe():
@@ -360,7 +412,7 @@ def test_make_certificate_alpha_clamps_rho(small_run):
 
 def test_make_certificate_rejects_bad_inputs(small_run):
     hess = ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=0.0)
-    with pytest.raises(ek.ConfigurationError, match="certification refused"):
+    with pytest.raises(ek.ConfigurationError, match="p_lo must be positive and finite, got 0.0"):
         ek.make_certificate(_bounds(small_run, 0.0, 1.0), hess)
     with pytest.raises(ek.ConfigurationError):
         ek.make_certificate(_bounds(small_run, 1.0, 1.0), hess, gamma=0.6)

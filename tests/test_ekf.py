@@ -7,6 +7,7 @@ import pytest
 
 import ekfcert as ek
 from ekfcert import cli
+from ekfcert.ekf import _definite
 from ekfcert.ode import interp
 
 from conftest import random_spd
@@ -235,7 +236,7 @@ def test_the_bounds_report_is_read_from_the_run_without_an_eigen_solve(entry, li
     eigs = np.linalg.eigvalsh(traj.covariances)
     lo, hi = int(np.argmin(eigs[:, 0])), int(np.argmax(eigs[:, -1]))
     p_lo, p_hi = float(eigs[lo, 0]), float(eigs[hi, -1])
-    expected = {"p_lo": p_lo, "p_hi": p_hi, "ratio": p_hi / p_lo, "positive_definite": True,
+    expected = {"p_lo": p_lo, "p_hi": p_hi, "ratio": p_hi / p_lo,
                 "t_at_p_lo": float(traj.times[lo]), "t_at_p_hi": float(traj.times[hi]),
                 "q_lo": float(np.linalg.eigvalsh(fc.Q)[0]),
                 "r_lo": float(np.linalg.eigvalsh(fc.R)[0])}
@@ -246,7 +247,6 @@ def test_the_bounds_report_is_read_from_the_run_without_an_eigen_solve(entry, li
 def test_bounds_report_on_decaying_covariance(scalar_rig):
     traj = scalar_rig["traj"]
     rep = cli._bounds_report(traj)
-    assert rep["positive_definite"]
     assert rep["t_at_p_hi"] == 0.0
     assert rep["t_at_p_lo"] == traj.times[-1]
     assert rep["p_hi"] == pytest.approx(2.0)
@@ -508,7 +508,7 @@ def test_a_zero_inflation_folds_into_q_bit_for_bit(n, p):
 
 def _near_singular(rng, n, m):
     """m symmetric (n, n) matrices with n - 1 eigenvalues in [0.5, 2] and one
-    within 4 eps of zero, of either sign: Cholesky's verdict turns on rounding."""
+    within 4 eps of zero, of either sign: the verdict turns on rounding."""
     V = np.linalg.qr(rng.standard_normal((m, n, n)))[0]
     lam = rng.uniform(0.5, 2.0, (m, n))
     lam[:, 0] = rng.uniform(-4.0, 4.0, m) * np.finfo(float).eps
@@ -516,30 +516,30 @@ def _near_singular(rng, n, m):
     return 0.5 * (M + M.swapaxes(1, 2))
 
 
-def _cholesky_fails(M):
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return True
-    return False
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_a_batched_cholesky_gives_each_matrix_its_own_verdict(n):
-    """integrate_ekf factors its stored covariances as one strided stack of a
-    node array and trusts the stack's verdict: a stack of matrices that each
-    pass passes, and adding one matrix anywhere fails it exactly when that
-    matrix fails alone."""
+def test_a_stacked_eigen_solve_gives_each_matrix_the_bits_of_its_own(n):
+    """integrate_ekf decides definiteness from one eigvalsh over a strided stack
+    of a node array: a matrix inserted anywhere among definite ones gets from
+    the stack the eigenvalues of its own solve, bit for bit, so the stack is
+    refused, at that node, exactly when its own smallest eigenvalue is not
+    positive."""
     rng = np.random.default_rng(n)
     for _ in range(4):
         M = _near_singular(rng, n, 48)
-        alone = np.array([_cholesky_fails(P) for P in M])
-        assert 8 <= alone.sum() <= 40
-        good = M[~alone]
+        alone = np.array([np.linalg.eigvalsh(P) for P in M])
+        lost = alone[:, 0] <= 0.0
+        assert 8 <= lost.sum() <= 40
+        good = M[~lost]
         for i in range(len(M)):
             at = int(rng.integers(len(good) + 1))
-            stack = np.insert(good, at, M[i], axis=0)
-            nodes = np.zeros((len(stack), n + 2, n))   # [xhat; P; z] rows, as a run holds them
-            nodes[:, 1:n + 1] = stack
-            assert _cholesky_fails(nodes[:, 1:n + 1]) == alone[i]
-        assert not _cholesky_fails(good)
+            nodes = np.zeros((len(good) + 1, n + 2, n))   # [xhat; P; z] rows, as a run holds them
+            nodes[:, 1:n + 1] = np.insert(good, at, M[i], axis=0)
+            stack, times = nodes[:, 1:n + 1], np.arange(len(nodes), dtype=float)
+            expected = np.insert(alone[~lost], at, alone[i], axis=0)
+            assert np.linalg.eigvalsh(stack).tobytes() == expected.tobytes()
+            if lost[i]:
+                with pytest.raises(ek.CovarianceBoundViolation) as info:
+                    _definite(times, stack)
+                assert info.value.time == at
+            else:
+                assert _definite(times, stack).tobytes() == expected.tobytes()

@@ -131,11 +131,23 @@ def _ref_ekf(config, y):
     return states, covs, gains, float(eigs[:, 0].min()), float(eigs[:, -1].max())
 
 
-def _ref_ekf_virtual(config, y, z0, disturbance=None):
+def _cholesky_fails(P):
+    try:
+        np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _eigen_lost(P):
+    return np.linalg.eigvalsh(P)[0] <= 0.0
+
+
+def _ref_ekf_virtual(config, y, z0, disturbance=None, lost=_cholesky_fails):
     """The flat-state loop of [xhat; P; z]: one virtual row under each stage's
     gain K = (R^{-1} (C P))^T and output, every 2-D stage product through @,
-    guarded as the filter guards its rows. Returns the nodes of xhat, P and z
-    and the largest ||b|| seen."""
+    guarded as the filter guards its rows, P lost where ``lost(P)``. Returns the
+    nodes of xhat, P and z and the largest ||b|| seen."""
     model = config.model
     n = model.state_dim
     grid = ek.time_grid(config.horizon, config.step)
@@ -174,12 +186,10 @@ def _ref_ekf_virtual(config, y, z0, disturbance=None):
         if not np.all(np.isfinite(P)):
             raise ek.DivergenceError(f"covariance diverged at t={t_next:.6g}",
                                      time=float(t_next))
-        try:
-            np.linalg.cholesky(P)
-        except np.linalg.LinAlgError:
+        if lost(P):
             raise ek.CovarianceBoundViolation(
                 f"covariance lost positive definiteness at t={t_next:.6g}",
-                time=float(t_next)) from None
+                time=float(t_next))
         if not np.all(np.isfinite(z)) or np.linalg.norm(z) > LIMIT:
             raise ek.DivergenceError(f"virtual state diverged at t={t_next:.6g}",
                                      time=float(t_next))
@@ -1147,7 +1157,7 @@ def test_a_one_state_two_output_fault_fails_as_with_matmul_stages(flow, callback
     assert (str(info.value), info.value.time) == (message, FAULT_T)
 
 
-# ------------------------------------------- positive definiteness, batched
+# ------------------------------------------------ positive definiteness
 
 def _overshooting_plant(dynamics=lambda x, t: np.zeros(1), jacobian=lambda x, t: np.zeros((1, 1)),
                         seen=None):
@@ -1173,26 +1183,33 @@ def _overshooting_config(model, P0=2.0):
 LOST_AT_ONE = (ek.CovarianceBoundViolation, "covariance lost positive definiteness at t=1", 1.0)
 
 
-def test_a_run_factors_its_covariances_once_when_every_node_passes_on_one_check(monkeypatch):
-    """One np.linalg.cholesky per run on the one-check path, whatever the node
-    count; a node past the one-check bound keeps its own factorization; a run
-    that loses definiteness factors each node up to the first failing one."""
-    calls = [0]
-    monkeypatch.setattr(np.linalg, "cholesky", _counting(np.linalg.cholesky, calls))
+def test_a_run_makes_one_eigen_solve_when_every_node_passes_on_one_check(monkeypatch):
+    """One np.linalg.eigvalsh per run on the one-check path, whatever the node
+    count, and no Cholesky factorization; a node past the one-check bound gets
+    a solve of its own; a run that loses definiteness is named by its one
+    solve over the nodes."""
     vdp = ek.make("vanderpol-pos").model
     fc = ek.FilterConfig(model=vdp, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
                          x0=[0.3, 0.2], horizon=10.0, step=0.005)
-    run = ek.integrate_ekf(fc, x0=[0.34, 0.2], starts=[[0.1, 0.0], [0.3, 0.2]])
-    assert len(run.times) == 2001 and calls[0] == 1
-    calls[0] = 0
     huge = ek.FilterConfig(model=ek.make("scalar-riccati").model, Q=np.eye(1),
                            R=1e26 * np.eye(1), P0=1e13 * np.eye(1), x0=[0.1], horizon=1.0,
                            step=0.01)
-    assert len(ek.integrate_ekf(huge, x0=[0.3]).times) == 101 and calls[0] == 100 + 1
-    calls[0] = 0
-    assert _outcome(lambda: _filter_arrays(_overshooting_config(_overshooting_plant()),
-                                           lambda t: np.zeros(1))) == LOST_AT_ONE
-    assert calls[0] == 1 + 1
+    lost = _overshooting_config(_overshooting_plant())
+    solves, factors = [0], [0]   # counted from here: the configs above make their own solves
+    monkeypatch.setattr(np.linalg, "eigvalsh", _counting(np.linalg.eigvalsh, solves))
+    monkeypatch.setattr(np.linalg, "cholesky", _counting(np.linalg.cholesky, factors))
+
+    def counted(fn):
+        solves[0] = factors[0] = 0
+        return fn(), solves[0], factors[0]
+
+    run, *made = counted(lambda: ek.integrate_ekf(fc, x0=[0.34, 0.2],
+                                                  starts=[[0.1, 0.0], [0.3, 0.2]]))
+    assert len(run.times) == 2001 and made == [1, 0]
+    run, *made = counted(lambda: ek.integrate_ekf(huge, x0=[0.3]))
+    assert len(run.times) == 101 and made == [100 + 1, 0]
+    assert counted(lambda: _outcome(lambda: _filter_arrays(lost, lambda t: np.zeros(1)))) == (
+        LOST_AT_ONE, 1, 0)
 
 
 def test_definiteness_lost_before_a_callback_raises_is_the_first_failure():
@@ -1270,6 +1287,32 @@ def test_large_steps_fail_or_finish_as_the_per_node_reference(name):
         expected = _outcome(lambda: _ref_ekf_virtual(fc, y, z0)[:3])
         assert _outcome(lambda: _virtual_arrays(fc, y, z0)) == expected
         outcomes[expected[0] if isinstance(expected, tuple) else "finished"] += 1
+    assert outcomes["finished"] >= 10 and outcomes[ek.CovarianceBoundViolation] >= 10, outcomes
+
+
+@pytest.mark.parametrize("entry", ek.registry(), ids=lambda e: e.name)
+def test_a_large_step_run_raises_or_returns_a_positive_floor(entry):
+    """Seeded draws of the step (up to 2), an SPD Q and P0 on each plant, each
+    run with a virtual row: it raises or returns p_lo > 0, and it ends as the
+    per-node reference loop that refuses a node whose smallest eigenvalue is
+    not positive, so a lost covariance names that loop's first such node."""
+    model = entry.model
+    n, p = model.state_dim, model.output_dim
+    rng = np.random.default_rng(30)
+    y = lambda t: np.full(p, 0.3 * math.sin(t))
+    outcomes = collections.Counter()
+    for _ in range(80):
+        fc = ek.FilterConfig(model=model, Q=10.0 ** rng.uniform(-2, 1) * random_spd(rng, n),
+                             R=np.eye(p), P0=10.0 ** rng.uniform(-1, 1.5) * random_spd(rng, n),
+                             x0=rng.uniform(-0.5, 0.5, n), horizon=8.0,
+                             step=float(rng.uniform(0.2, 2.0)))
+        z0 = rng.uniform(-0.5, 0.5, n)
+        expected = _outcome(lambda: _ref_ekf_virtual(fc, y, z0, lost=_eigen_lost)[:3])
+        outcome = _outcome(lambda: _virtual_arrays(fc, y, z0))
+        assert outcome == expected
+        if isinstance(outcome, list):
+            assert ek.integrate_ekf(fc, y, starts=[z0]).p_lo > 0.0
+        outcomes[outcome[0] if isinstance(outcome, tuple) else "finished"] += 1
     assert outcomes["finished"] >= 10 and outcomes[ek.CovarianceBoundViolation] >= 10, outcomes
 
 

@@ -80,10 +80,10 @@ def test_tilde_matrices_cubic_hand_value():
     m = _scalar_model(lambda x: x ** 3,
                       jac_a=lambda x, t: np.array([[3.0 * x[0] ** 2]]),
                       jac_c=lambda x, t: np.ones((1, 1)))
-    # P = R = 1, Q = 0, Ctil = 0: M = 2 Atil - 1, with Atil = 3 z^2 - 0 = 3
+    # P = Q = R = 1, Ctil = 0: M = 2 Atil - 2, with Atil = 3 z^2 - 0 = 3
     M = ek.contraction_matrix(m, np.array([1.0]), np.array([0.0]),
-                              np.eye(1), np.zeros((1, 1)), np.eye(1), 0.0)
-    At = 0.5 * (M[0, 0] + 1.0)
+                              np.eye(1), np.eye(1), np.eye(1), 0.0)
+    At = 0.5 * (M[0, 0] + 2.0)
     assert abs(At - 3.0) < 1e-12
 
 

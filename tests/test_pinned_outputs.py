@@ -27,12 +27,12 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # predate the one-state run.
 PINNED_FILES = {
     "certify-vdp-sampled": {
-        "certify/summary.json": "49fe0920ebd5612ee950fcb917153eab3dadabb4594f65fba003758ebb1ca7ea",
+        "certify/summary.json": "31dda709915fe5d4598a4a4e73c0d333b54628d87fcdf9a76b43daee1ac3661a",
         "certify/radius.csv": "5cccd26ee82dfb12c579f1a497107bed022bd5d775cef6b092bfccd118ca39da",
     },
     "trajectories-vdp-declared": {
         "simulate/summary.json":
-            "75ea6089f04a26af33e0977860eca85c200a007ea66c48e7fa2bf909ba4756b0",
+            "e50098a12a5d4d41eac861ac7f393fd69672584a856919ace5846adffdd9f10a",
         "simulate/trajectory.csv":
             "696411d3da053b8d2027051f93de1cb5bfbb9135a008cd299d5ac6ef0e48b8b0",
         "twin/summary.json": "4d481e88eae3d560c40498878831c3577f0ae411b0c692993c5040aaa4c64d4b",
