@@ -30,7 +30,8 @@ from .sim import (BALL_RATE_RULE, RATE_SLACK, Disturbance, envelope_check,
                   integrate_truth, perturbed_run, twin_decay)
 
 FLOAT_FMT = "%.17g"
-MAX_COUNT = 10 ** 6   # largest radius_times, direction_samples and hessian.centers
+# largest radius_times, direction_samples, hessian.centers and step count horizon / step
+MAX_COUNT = 10 ** 6
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -174,6 +175,9 @@ def _prepare_run(cfg: dict, starts: dict | None = None,
         step=_read(cfg, "step", default=None),
         beta=_read(cfg, "filter.beta", default=0.0),
         N=_read(cfg, "filter.N", np.ndarray, None))
+    if fconfig.horizon / fconfig.step > MAX_COUNT + 0.5:   # time_grid's step count, rounded
+        raise ConfigurationError(f"horizon / step must be at most {MAX_COUNT} steps, got horizon "
+                                 f"{fconfig.horizon!r} and step {fconfig.step!r}")
     x0 = _read(cfg, "truth.x0", np.ndarray, fconfig.x0)
     n = entry.model.state_dim
     rows = None if starts is None else [_state(z, n, name) for name, z in starts.items()]

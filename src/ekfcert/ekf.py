@@ -11,14 +11,19 @@ terms are optional inflation of the covariance flow; both default to off.
 R is constant, so a run forms R^{-1} once, with 2N and 2 beta, and every
 RK4 stage applies it as a matrix product in the gain and the Riccati term;
 a zero 2N is added to Q once instead, which gives the stage's bits. Every
-2-D stage product is ndarray.dot at every n: half the cost of @ with its
-bits, but a product of two single entries (n = 1) keeps an exact zero's
-sign, which @ makes +0.0, and where a NaN or an inf meets an exact zero in
-a (1, 1)(1, k), (k, 1)(1, 1) or (k, 1)(1,) product, k >= 2, it gives 0 and @
-NaN. P stays exactly symmetric (its start and the Riccati right-hand side
-are symmetrized) and every node's P is checked for positive definiteness,
-since every guarantee downstream is conditioned on uniform bounds
-p_lo I <= P(t) <= p_hi I holding along the run.
+2-D stage product is ndarray.dot: half the cost of @ with its bits, but a
+product of two single entries keeps an exact zero's sign, which @ makes
++0.0, and where a NaN or an inf meets an exact zero in a (1, 1)(1, k),
+(k, 1)(1, 1) or (k, 1)(1,) product, k >= 2, it gives 0 and @ NaN. At
+n = p = 1 every stage product is of two single entries, which .dot returns
+as their IEEE product, so that stage reads A, C, P, y and each callback
+result once with .item() and runs the same operations, in the same operand
+order, on Python floats (_scalar_stage, _scalar_flow): the bits of .dot
+without a numpy call per operation. P stays exactly symmetric (its start
+and the Riccati right-hand side are symmetrized) and every node's P is
+checked for positive definiteness, since every guarantee downstream is
+conditioned on uniform bounds p_lo I <= P(t) <= p_hi I holding along the
+run.
 
 A run on a simulated truth integrates one state, the rows
 [xhat; P; x; z_1 ... z_B]: each RK4 stage reads y = h(x, t) at the truth
@@ -217,6 +222,31 @@ def _riccati(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
     return 0.5 * (dP + dP.T)
 
 
+def _scalar_stage(p: float, a: float, c: float, q: float, rinv: float, n2: float | None,
+                  beta2: float) -> tuple[float, float]:
+    """_gain and _riccati at n = p = 1 on Python floats, with their bits: each .dot there
+    multiplies two single entries, and the operand order is theirs."""
+    pc = p * c
+    d = ((a * p + a * p) + q) - pc * (rinv * pc)
+    if n2 is not None:
+        d = d + n2
+    if beta2 != 0.0:
+        d = d + beta2 * p
+    return rinv * (c * p), 0.5 * (d + d)
+
+
+def _scalar_flow(model: SystemModel, z: np.ndarray, t: float, k: float, y: float) -> float:
+    """f(z, t) - K (h(z, t) - y) at n = p = 1 on Python floats, with the bits of
+    f - K.dot(h - y): the derivative of the estimate and of every virtual row."""
+    return (_call(model.dynamics, z, t, (1,), "dynamics").item()
+            - k * (_call(model.output, z, t, (1,), "output").item() - y))
+
+
+def _scalar_tangent(a: float, k: float, c: float, dz: float) -> float:
+    """(A - K C) dz at n = p = 1 on Python floats, with the bits of (A - K.dot(C)).dot(dz)."""
+    return (a - k * c) * dz
+
+
 def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
                 R: np.ndarray, N: np.ndarray | None = None,
                 beta: float = 0.0) -> np.ndarray:
@@ -350,6 +380,8 @@ def integrate_ekf(config: FilterConfig,
     Q, Rinv, N2, beta2 = config.Q, np.linalg.inv(config.R), 2.0 * config.N, 2.0 * config.beta
     if not N2.any():   # a zero 2N added to Q once gives a stage's bits (dP is -0.0 only where Q is)
         Q, N2 = Q + N2, None
+    scalar = n == p == 1   # a one-state, one-output stage runs on Python floats
+    weights = (Q.item(), Rinv.item(), None if N2 is None else N2.item(), beta2) if scalar else ()
     b_sq = 0.0   # the largest ||b||^2 seen
     nodes = np.empty((len(grid), *state0.shape))
     stored = 1   # the nodes stored so far, the start included
@@ -376,19 +408,25 @@ def integrate_ekf(config: FilterConfig,
             filled = row
         y, xhat, P = outputs[row], state[0], state[1:n + 1]
         A, C = _stage_jacobians(model, xhat, t, finite)
-        K = _gain(P, C, Rinv)
+        if scalar:
+            y = y.item()
+            K, out[1] = _scalar_stage(P.item(), A.item(), C.item(), *weights)
+        else:
+            K = _gain(P, C, Rinv)
+            out[1:n + 1] = _riccati(P, A, C, Q, Rinv, N2, beta2)
         if stage == 0:   # a step's first stage runs at its node's state
             gains[row >> 1] = K
-        out[0] = (_call(model.dynamics, xhat, t, (n,), "dynamics")
+        out[0] = (_scalar_flow(model, xhat, t, K, y) if scalar
+                  else _call(model.dynamics, xhat, t, (n,), "dynamics")
                   - K.dot(_call(model.output, xhat, t, (p,), "output") - y))
-        out[1:n + 1] = _riccati(P, A, C, Q, Rinv, N2, beta2)
         if not (finite or _finite(state[Z:])):   # no callback sees a non-finite state
             out[Z:] = np.nan
             return out
         # each virtual row runs the operations of a single copy, under this stage's gain
         for b in virtual:
             z = state[b]
-            out[b] = (_call(model.dynamics, z, t, (n,), "dynamics")
+            out[b] = (_scalar_flow(model, z, t, K, y) if scalar
+                      else _call(model.dynamics, z, t, (n,), "dynamics")
                       - K.dot(_call(model.output, z, t, (p,), "output") - y))
             if disturbance is not None:   # ||b|| = sqrt(b.b), taken once after the run
                 bv = _call(disturbance.b, z, t, (n,), "disturbance")

@@ -18,7 +18,9 @@ a non-finite Jacobian or stage state raises ModelEvaluationError at the
 stage's time before f or h is called. A step's first stage runs at its node,
 which the guard has passed, so it reads its state as finite, and its A and C
 serve the contraction matrix there; after the run A and C are evaluated only
-at the last node and, as one stack, at the filter's.
+at the last node and, as one stack, at the filter's. At n = p = 1 the stage
+forms f - K (h - y) and (A - K C) dz on Python floats, as the filter's stage
+does (ekf._scalar_flow, ekf._scalar_tangent), with the bits of ndarray.dot.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .contraction import ContractionCertificate, _contraction_matrices, _rate
-from .ekf import FilterTrajectory, divergence_guard, integrate
+from .ekf import FilterTrajectory, _scalar_flow, _scalar_tangent, divergence_guard, integrate
 from .errors import ConfigurationError
 from .model import (SystemModel, _call, _finite, _scalar, _stacked_jacobians, _stage_jacobians,
                     _state)
@@ -254,9 +256,10 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     to O(step^2)).
     One stacked solve S = P^{-1} dz serves both dz^T S and the form S^T M S.
     The virtual row reads the run's gains interpolated onto the stage times
-    and its ``stage_outputs``. M reads A and C at (z_k, t_k) from step k's
-    first stage, at the last node and the filter's nodes from evaluations
-    after the run.
+    and its ``stage_outputs``; at n = p = 1 the stage reads each as a
+    Python float and runs on floats with the bits of ndarray.dot. M
+    reads A and C at (z_k, t_k) from step k's first stage, at the last node
+    and the filter's nodes from evaluations after the run.
     """
     n, p = model.state_dim, model.output_dim
     z0 = _state(z0, n, "z0")
@@ -264,15 +267,20 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     grid = filter_run.times
     times, read_stage = stage_table(grid)   # the gains per call, since the run's may change
     gains, outputs = interp(grid, filter_run.gains, times), filter_run.stage_outputs
+    scalar = n == p == 1   # a one-state, one-output stage runs on Python floats
     Az, Cz = np.empty((len(grid), n, n)), np.empty((len(grid), p, n))
 
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
         z, dz = s[:n], s[n:]
         stage, row = read_stage(t)
-        K, y = gains[row], outputs[row]
         A, C = _stage_jacobians(model, z, t, stage == 0 or _finite(s))   # a node is finite
         if stage == 0:
             Az[row >> 1], Cz[row >> 1] = A, C
+        if scalar:
+            k = gains.item(row)
+            return np.array([_scalar_flow(model, z, t, k, outputs.item(row)),
+                             _scalar_tangent(A.item(), k, C.item(), dz.item())])
+        K, y = gains[row], outputs[row]
         return np.concatenate([_call(model.dynamics, z, t, (n,), "dynamics")
                                - K.dot(_call(model.output, z, t, (p,), "output") - y),
                                (A - K.dot(C)).dot(dz)])

@@ -392,6 +392,32 @@ def test_too_many_hessian_centers_is_a_configuration_error(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("command, cfg, horizon, step", [
+    ("simulate", "certify_cubic", 2.0, 1e-15),   # a 14.2 PiB grid without the check
+    *[(command, "readme", 0.1, 0.1 / (cli.MAX_COUNT + 1))
+      for command in ("simulate", "certify", "twin", "perturb", "envelope")],
+    ("simulate", "readme", 1e10, 5e-324),   # horizon / step overflows to inf
+])
+def test_a_grid_of_more_than_max_count_steps_is_a_configuration_error_before_the_run(
+        tmp_path, capsys, monkeypatch, command, cfg, horizon, step):
+    monkeypatch.setattr(cli, "integrate_ekf", _unreachable)
+    cfg = dict(json.loads(SMALL_CERTIFY.read_text()) if cfg == "certify_cubic" else README_CFG,
+               horizon=horizon, step=step)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: horizon / step must be at most 1000000 steps, "
+        f"got horizon {horizon!r} and step {step!r}\n")
+    assert not (out / "summary.json").exists()
+
+
+def test_a_grid_of_max_count_steps_reaches_the_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "integrate_ekf", _unreachable)
+    cfg = dict(README_CFG, horizon=0.1, step=0.1 / cli.MAX_COUNT)
+    with pytest.raises(AssertionError, match="the run was reached"):
+        main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+
+
 def test_an_output_directory_that_cannot_be_created_is_a_configuration_error(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("")
@@ -1046,6 +1072,18 @@ def test_the_small_vanderpol_certify_config_certifies_and_prunes(tmp_path, monke
                  str(tmp_path / "out")]) == 0
     assert read_summary(tmp_path / "out")["status"] == "ok"
     assert axes[2] <= solved[2] < full[2]
+
+
+# a one-state config with twin and perturb sections, whose virtual rows and disturbance CI
+# also runs on an install without extras
+TRAJECTORIES_CUBIC = Path(__file__).resolve().parent / "data" / "trajectories_cubic.json"
+
+
+@pytest.mark.parametrize("command", ["twin", "perturb"])
+def test_the_one_state_trajectories_config_passes_twin_and_perturb(tmp_path, command):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(TRAJECTORIES_CUBIC), "--out", str(out)]) == 0
+    assert read_summary(out)["status"] == "ok"
 
 
 def test_certify_with_an_overflowing_curvature_sample_fails_at_its_time(tmp_path, capsys):

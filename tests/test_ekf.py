@@ -428,6 +428,55 @@ def test_stage_products_give_the_bits_of_matmul(n, p):
         assert (A - K.dot(C)).dot(dz).tobytes() == ref(A - ref(K, C), dz).tobytes()
 
 
+def _one_entry(rng, shape):
+    """Draws for one-entry operands: normals, half of them scaled by 10^-160 ... 10^160
+    so that products overflow or underflow, with exact zeros and subnormals mixed in,
+    each of either sign."""
+    x = rng.standard_normal(shape) * 10.0 ** np.where(rng.random(shape) < 0.5, 0,
+                                                      rng.integers(-160, 161, shape))
+    kind = rng.random(shape)
+    x = np.where(kind < 0.15, 0.0, x)
+    x = np.where((kind >= 0.15) & (kind < 0.25), rng.integers(1, 2 ** 40, shape) * 5e-324, x)
+    return np.where(rng.random(shape) < 0.5, -x, x)
+
+
+def test_one_state_float_stages_give_the_bits_of_the_dot_stages():
+    """At n = p = 1 a stage runs on Python floats: _scalar_stage for _gain and _riccati
+    (with and without 2N and 2 beta), _scalar_flow for f - K.dot(h - y) and
+    _scalar_tangent for the validator's (A - K.dot(C)).dot(dz). Each gives the .dot kernel's bits, a zero's sign
+    included, on seeded draws with subnormals, products that overflow, and an infinite or
+    NaN P. Any reassociated product in a float kernel changes some of these bits."""
+    from types import SimpleNamespace
+
+    from ekfcert.ekf import _gain, _riccati, _scalar_flow, _scalar_stage, _scalar_tangent
+    rng = np.random.default_rng(31)
+    draws = 2000
+    p, a, c, q, rinv, n2, beta2, k, y, f, h, z, dz = _one_entry(rng, (13, draws))
+    bad = rng.random(draws) < 0.1
+    p[bad] = rng.choice([math.inf, -math.inf, math.nan], bad.sum())
+    p[:50], a[:50] = 1.0, rng.uniform(0.3, 0.9, 50) * 1e308   # A P + P A^T overflows alone
+
+    def bits(x):
+        return np.asarray(x, dtype=float).reshape(-1).view(np.int64).tolist()
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for i in range(draws):
+            v = [x[i].item() for x in (p, a, c, q, rinv, n2, beta2, k, y, f, h, z, dz)]
+            P, A, C, Q, Rinv, N2, K = (np.array([[x]]) for x in v[:6] + v[7:8])
+            for n2_i, beta2_i in [(None, 0.0), (v[5], 0.0), (None, v[6]), (v[5], v[6])]:
+                gain, dP = _scalar_stage(v[0], v[1], v[2], v[3], v[4], n2_i, beta2_i)
+                assert bits(gain) == bits(_gain(P, C, Rinv)), v
+                assert bits(dP) == bits(_riccati(P, A, C, Q, Rinv, None if n2_i is None else N2,
+                                                 beta2_i)), (v, n2_i, beta2_i)
+            model = SimpleNamespace(dynamics=lambda x, t: np.array([v[9]]),
+                                    output=lambda x, t: np.array([v[10]]))
+            Z = np.array([v[11]])
+            assert (bits(_scalar_flow(model, Z, 0.0, v[7], v[8]))
+                    == bits(np.array([v[9]]) - K.dot(np.array([v[10]]) - np.array([v[8]])))), v
+            assert (bits(_scalar_tangent(v[1], v[7], v[2], v[12]))
+                    == bits((A - K.dot(C)).dot(np.array([v[12]])))), v
+
+
 def _non_finite(rng, shape):
     """_signed draws with NaN, inf and -inf entries mixed in."""
     x = _signed(rng, shape)
