@@ -23,7 +23,7 @@ import numpy as np
 from .ekf import FilterTrajectory, _check_spd
 from .errors import ConfigurationError, PreconditionError
 from .model import (HessianBounds, SystemModel, _scalar, _scalars, _stacked_jacobians, _state,
-                    _unit_directions, eval_jacobians)
+                    _unit_directions)
 
 # slack allowed when deciding lambda_max(S) <= 0 in floating point
 PSD_TOL_SCALE = 1e-9
@@ -33,15 +33,20 @@ RADIUS_BLOCK_ROWS = 1024  # ... in lock step over nodes of at most this many pro
 OUTPUT_CHECK_TIMES = 50   # filter nodes linear_output_check visits at most
 
 
-def _negative_semidefinite(S: np.ndarray) -> np.ndarray:
-    """Verdict lambda_max(S) <= tol for one (n, n) matrix or a stack of them.
-
-    The slack is PSD_TOL_SCALE * (1 + ||S||_2); for the symmetrized S the
-    spectral norm is max |lambda|, read off the same ``eigvalsh`` call.
-    """
+def _symmetric_spectra(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the symmetric part of one (n, n) matrix or of each of a stack, from
+    one ``eigvalsh``, and whether that part is finite; eigvalsh may read a NaN matrix as
+    semidefinite ([[nan, 0], [0, -1]] as [0, -0]), so a part that is not is solved as zeros."""
     S = 0.5 * (S + S.swapaxes(-1, -2))
-    lam = np.linalg.eigvalsh(S)
-    return lam[..., -1] <= PSD_TOL_SCALE * (1.0 + np.abs(lam).max(axis=-1))
+    finite = np.isfinite(S).all(axis=(-2, -1))
+    return np.linalg.eigvalsh(np.where(finite[..., None, None], S, 0.0)), finite
+
+
+def _negative_semidefinite(S: np.ndarray) -> np.ndarray:
+    """Verdict lambda_max(S) <= PSD_TOL_SCALE * (1 + ||S||_2), False where S is not finite,
+    for one (n, n) matrix or a stack; ||S||_2 of the symmetrized S is max |lambda|."""
+    lam, finite = _symmetric_spectra(S)
+    return (lam[..., -1] <= PSD_TOL_SCALE * (1.0 + np.abs(lam).max(axis=-1))) & finite
 
 
 @dataclass
@@ -102,8 +107,7 @@ def contraction_matrix(model: SystemModel, z: np.ndarray, xhat: np.ndarray,
     n, p = model.state_dim, model.output_dim
     z, xhat = _state(z, n, "z"), _state(xhat, n, "xhat")
     P, Q, R = _check_spd(P, "P", n)[0], _check_spd(Q, "Q", n)[0], _check_spd(R, "R", p)[0]
-    Az, Cz = eval_jacobians(model, z, t)
-    Ah, Ch = eval_jacobians(model, xhat, t)
+    (Az, Ah), (Cz, Ch) = _stacked_jacobians(model, np.vstack([z, xhat]), t)
     return _contraction_matrices(Ah, Ch, Az, Cz, P, Q, R)
 
 
@@ -112,8 +116,8 @@ def check_contraction_inequality(model: SystemModel, z: np.ndarray, xhat: np.nda
                                  gamma: float, t: float) -> bool:
     """True iff M + 2 gamma P is negative semidefinite at the probe point.
 
-    This is the pointwise contraction inequality of the uninflated flow
-    (see contraction_matrix); gamma must be nonnegative and finite.
+    This is the pointwise contraction inequality of the uninflated flow (see
+    contraction_matrix); gamma is nonnegative and finite; a non-finite M + 2 gamma P fails.
     """
     gamma = _scalar(gamma, "gamma")
     P = _check_spd(P, "P", model.state_dim)[0]   # M + 2 gamma P takes the checked P
@@ -182,12 +186,8 @@ def _lock_step_radii(model: SystemModel, X: np.ndarray, P: np.ndarray, Q: np.nda
         ``nodes`` (a mask), from its Jacobians (g, m, ., n); shape (g, m)."""
         Pk = P[nodes][:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            S = (_contraction_matrices(Ah[nodes][:, None], Ch[nodes][:, None], Az, Cz, Pk, Q, R)
-                 + 2.0 * gamma * Pk)
-        finite = np.isfinite(S).all(axis=(2, 3))
-        if not finite.all():
-            S[~finite] = 0.0   # eigvalsh may read a NaN matrix as semidefinite
-        return _negative_semidefinite(S) & finite
+            return _negative_semidefinite(_contraction_matrices(
+                Ah[nodes][:, None], Ch[nodes][:, None], Az, Cz, Pk, Q, R) + 2.0 * gamma * Pk)
 
     def passes(nodes, Z):
         """verdicts at the probe points Z (g, m, n) of the ``nodes``."""
@@ -306,15 +306,18 @@ def linear_output_check(run: FilterTrajectory, sample_states, gamma: float) -> d
     lambda_max(Atil P + P Atil^T) <= q_lo - 2 gamma p_hi. The check
     runs the run's own model over every state in ``sample_states`` against
     up to OUTPUT_CHECK_TIMES nodes of the run and reports the worst margin
-    (threshold minus left side; negative means failure).
+    (threshold minus left side; negative means failure) and its first node;
+    a left side that is not finite fails with margin NaN.
 
     Raises
     ------
     ConfigurationError
-        If ``sample_states`` holds no state: nothing would be checked.
+        If ``sample_states`` holds no state or the run no node: nothing would be checked.
     PreconditionError
         If the output Jacobian varies across the sampled states, i.e. the
         output map is not linear.
+    ModelEvaluationError
+        If an estimate (checked first) or, at the first failing node, a Jacobian is not finite.
     """
     gamma = _scalar(gamma, "gamma")
     model = run.config.model
@@ -326,24 +329,28 @@ def linear_output_check(run: FilterTrajectory, sample_states, gamma: float) -> d
     if len(states) == 0:
         raise ConfigurationError(
             f"sample_states must hold at least one state, got {sample_states!r}")
+    if len(idx) == 0:
+        raise ConfigurationError("run must hold at least one node: nothing would be checked")
 
-    worst = float("inf")
-    worst_time = None
-    for k in idx:
-        t = float(run.times[k])
-        P = run.covariances[k]
-        Ah, Ch = eval_jacobians(model, run.states[k], t)
-        Az, Cz = _stacked_jacobians(model, states, t)
-        Ctil_norms = np.linalg.norm(Cz - Ch, axis=(1, 2))
-        if np.any(Ctil_norms > PSD_TOL_SCALE * (1.0 + np.linalg.norm(Ch))):
-            raise PreconditionError(
-                "output map is not linear: output Jacobian varies across states")
-        Atil = Az - Ah
-        S = Atil @ P + P @ Atil.swapaxes(-1, -2)
-        lam_max = np.linalg.eigvalsh(0.5 * (S + S.swapaxes(-1, -2)))[:, -1]
-        margin = float((threshold - lam_max).min(initial=np.inf))
-        if margin < worst:
-            worst, worst_time = margin, t
+    # the estimates, whose first non-finite one raises here, then the (node, state) pairs
+    X, T, m = run.states[idx], run.times[idx], len(states)
+    Ah, Ch = _stacked_jacobians(model, X, T, checked=False)
+    Az, Cz = (J.reshape(len(X), m, *J.shape[1:]) for J in _stacked_jacobians(
+        model, np.tile(states, (len(X), 1)), np.repeat(T, m), checked=False))
+    bad = ~np.isfinite(np.hstack([J.reshape(len(X), -1) for J in (Ah, Ch, Az, Cz)])).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        varies = (np.linalg.norm(Cz - Ch[:, None], axis=(2, 3))
+                  > PSD_TOL_SCALE * (1.0 + np.linalg.norm(Ch, axis=(1, 2)))[:, None]).any(axis=1)
+        Atil, P = Az - Ah[:, None], run.covariances[idx][:, None]
+        lam, finite = _symmetric_spectra(Atil @ P + P @ Atil.swapaxes(-1, -2))
+    failed = np.flatnonzero(bad | varies)
+    if len(failed):   # that node evaluated alone and checked raises as a node loop did
+        k = failed[0]
+        _stacked_jacobians(model, np.vstack([X[k], states]), T[k])
+        raise PreconditionError("output map is not linear: output Jacobian varies across states")
+    margins = np.where(finite, threshold - lam[..., -1], np.nan).min(axis=1)
+    k = int(np.argmin(margins))   # the first NaN margin, if any
+    worst, worst_time = float(margins[k]), float(T[k])
     tol = PSD_TOL_SCALE * (1.0 + abs(threshold))
     return {
         "passed": bool(worst >= -tol),
@@ -413,9 +420,9 @@ def inflation_rate_gain(M: np.ndarray, P: np.ndarray, N: np.ndarray,
                         gamma: float) -> bool:
     """Check that additive covariance inflation raises the rate by n_lo/p_hi.
 
-    Given M + 2 gamma P <= 0 (enforced as a precondition), verifies
-    (M - 2N) + 2 (gamma + n_lo/p_hi) P <= 0 with n_lo = lambda_min(N) and
-    p_hi = lambda_max(P).
+    Given M + 2 gamma P <= 0 (enforced as a precondition, which a matrix
+    that is not finite fails), verifies (M - 2N) + 2 (gamma + n_lo/p_hi) P
+    <= 0 with n_lo = lambda_min(N) and p_hi = lambda_max(P).
     """
     M, P, N = (np.asarray(a, dtype=float) for a in (M, P, N))
     gamma = _scalar(gamma, "gamma")

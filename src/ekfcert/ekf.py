@@ -68,7 +68,7 @@ from .errors import (ConfigurationError, CovarianceBoundViolation, DivergenceErr
                      PreconditionError)
 from .model import (SystemModel, _call, _finite, _scalar, _scalars, _stage_jacobians, _state,
                     eval_jacobians)
-from .ode import TimeSeries, rk4_step, stage_table, time_grid
+from .ode import TimeSeries, _step_count, rk4_step, stage_table, time_grid
 
 # states beyond this magnitude are treated as numerical blow-up
 DIVERGENCE_LIMIT = 1e12
@@ -168,7 +168,7 @@ class FilterConfig:
     horizon : float
         Integration horizon T, positive and finite; the run covers [0, T].
     step : float, optional
-        Fixed integrator step in (0, T]. Defaults to horizon / 2000.
+        Fixed integrator step in (0, T], at most 10**6 steps to T. Defaults to horizon / 2000.
     beta : float
         Rate of the exponential covariance inflation term 2 beta P,
         nonnegative and finite.
@@ -200,6 +200,7 @@ class FilterConfig:
         if self.step > self.horizon:
             raise ConfigurationError(
                 f"step must be at most horizon = {self.horizon!r}, got {self.step!r}")
+        _step_count(self.horizon, self.step)   # the grid's rule, before any run allocates it
         self.N = (np.zeros((n, n)) if self.N is None
                   else _check_spd(self.N, "N", n, allow_zero=True)[0])
 

@@ -24,6 +24,7 @@ CBRT_EPS = EPS ** (1.0 / 3.0)     # near-optimal step for first-order central di
 QUARTIC_EPS = EPS ** 0.25         # near-optimal step for direct second differences
 RADIAL_SAMPLES = 5                # radii from 0 to the tube radius in estimate_hessian_bounds
 HESSIAN_NON_FINITE = "Hessian sample non-finite at t={t}"
+MAX_COUNT = 10 ** 6               # the cap of a capped count rule, and of a grid's step count
 
 
 _FLOAT64 = np.dtype(float)
@@ -202,27 +203,31 @@ _RULES = {
     **dict.fromkeys(["beta", "b_max", "gamma", "safety"], "nonnegative and finite"),
     **dict.fromkeys(["alpha", "c_hi"], "positive"),
     **dict.fromkeys(["kappa_A", "kappa_C"], "nonnegative"),
-    **dict.fromkeys(["state_dim", "output_dim", "max_centers"], "a positive integer"),
-    **dict.fromkeys(["direction_samples", "output_direction_samples", "seed"],
-                    "a nonnegative integer"),
+    **dict.fromkeys(["state_dim", "output_dim"], "a positive integer"),
+    "seed": "a nonnegative integer",
+    "max_centers": f"a positive integer at most {MAX_COUNT}",
+    **dict.fromkeys(["direction_samples", "output_direction_samples", "radius_times"],
+                    f"a nonnegative integer at most {MAX_COUNT}"),
 }
 
 
 def _scalar(value, what: str, rule: str | None = None):
     """The scalar argument ``what`` under ``rule`` (default ``_RULES[what]``), read at every
     entry point: a real number, not a boolean or a string, that is positive or nonnegative,
-    finite unless the rule allows +inf, and whole for an integer rule, returned as a float
-    (an int for an integer rule); else a ConfigurationError "<what> must be <rule>, got <value>"."""
+    finite unless the rule allows +inf, whole for an integer rule and at most MAX_COUNT for
+    a capped one, returned as a float (an int for an integer rule); else a
+    ConfigurationError "<what> must be <rule>, got <value>"."""
     rule = rule or _RULES[what]
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
         x = float(value) if real else math.nan
     except OverflowError:   # an int beyond the float range
         x = math.inf if value > 0 else -math.inf
-    integer = rule.endswith("integer")
+    integer = "integer" in rule
     if not ((x >= 0.0 if "nonnegative" in rule else x > 0.0)
             and ((isinstance(value, numbers.Integral) or x.is_integer()) if integer
-                 else math.isfinite(x) or not rule.endswith("finite"))):
+                 else math.isfinite(x) or not rule.endswith("finite"))
+            and (x <= MAX_COUNT or not rule.endswith(f"at most {MAX_COUNT}"))):
         raise ConfigurationError(f"{what} must be {rule}, got {value if real else repr(value)}")
     return int(value) if integer else x
 

@@ -19,18 +19,24 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import _scalars
+from .model import MAX_COUNT, _scalars
+
+
+def _step_count(horizon: float, step: float) -> int:
+    """n = round(horizon/step), at least 1, of every grid: at most MAX_COUNT (a ratio that
+    overflows included), else a ConfigurationError naming both values read by _scalar."""
+    horizon, step = _scalars(horizon=horizon, step=step).values()
+    if horizon / step > MAX_COUNT + 0.5:   # round() to even keeps 1000000.5 at 10**6
+        raise ConfigurationError(f"horizon / step must be at most {MAX_COUNT} steps, got "
+                                 f"horizon {horizon!r} and step {step!r}")
+    return max(1, int(round(horizon / step)))
 
 
 def time_grid(horizon: float, step: float) -> np.ndarray:
-    """Uniform grid [0, horizon] with the step count rounded to an integer.
-
-    The realized step is horizon/n with n = round(horizon/step), so the grid
-    always lands exactly on the horizon.
-    """
-    horizon, step = _scalars(horizon=horizon, step=step).values()
-    n = max(1, int(round(horizon / step)))
-    return np.linspace(0.0, horizon, n + 1)
+    """Uniform grid [0, horizon] of n = round(horizon/step) <= MAX_COUNT steps (``_step_count``):
+    the realized step is horizon/n, so the grid always lands exactly on the horizon."""
+    n = _step_count(horizon, step)
+    return np.linspace(0.0, float(horizon), n + 1)
 
 
 def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray],

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import ekfcert as ek
 from ekfcert import bench, cli, model
 from ekfcert.cli import main
+from ekfcert.model import MAX_COUNT
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -326,8 +327,8 @@ def _certify_with(tmp_path, make_cfg, key, value, out):
 def test_a_fractional_count_is_a_configuration_error(tmp_path, capsys, make_cfg, key):
     out = tmp_path / "out"
     assert _certify_with(tmp_path, make_cfg, key, 2.7, out) == 2
-    assert capsys.readouterr().err == (
-        f"configuration error: config field {key} is not an integer: 2.7\n")
+    rule = model._RULES["max_centers" if key == "hessian.centers" else key]
+    assert capsys.readouterr().err == f"configuration error: {key} must be {rule}, got 2.7\n"
     assert not (out / "summary.json").exists()
 
 
@@ -348,7 +349,8 @@ def test_a_negative_seed_is_a_configuration_error(tmp_path, capsys, command, fro
     out = tmp_path / "out"
     argv = [command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
     assert main(argv + (["--seed", "-1"] if from_flag else [])) == 2
-    assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -1\n"
+    assert capsys.readouterr().err == (
+        "configuration error: seed must be a nonnegative integer, got -1\n")
     assert not (out / "summary.json").exists()
 
 
@@ -356,18 +358,23 @@ def test_negative_radius_times_is_a_configuration_error(tmp_path, capsys):
     rc = main(["certify", "--config", write_cfg(tmp_path, scalar_cfg(radius_times=-1)),
                "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert capsys.readouterr().err == "configuration error: radius_times must be >= 0, got -1\n"
+    assert capsys.readouterr().err == (
+        "configuration error: radius_times must be a nonnegative integer at most 1000000, "
+        "got -1\n")
 
 
 def _unreachable(*args, **kwargs):
     raise AssertionError("the run was reached")
 
 
+COUNT_RULE = f"a nonnegative integer at most {MAX_COUNT}"
+
+
 @pytest.mark.parametrize("key, value, message", [
-    ("radius_times", 1e300, "radius_times must be <= 1000000, got 1e+300"),
-    ("radius_times", cli.MAX_COUNT + 1, "radius_times must be <= 1000000, got 1000001"),
-    ("direction_samples", 10 ** 9, "direction_samples must be <= 1000000, got 1000000000"),
-    ("direction_samples", -1, "direction_samples must be >= 0, got -1"),
+    ("radius_times", 1e300, f"radius_times must be {COUNT_RULE}, got 1e+300"),
+    ("radius_times", MAX_COUNT + 1, f"radius_times must be {COUNT_RULE}, got 1000001"),
+    ("direction_samples", 10 ** 9, f"direction_samples must be {COUNT_RULE}, got 1000000000"),
+    ("direction_samples", -1, f"direction_samples must be {COUNT_RULE}, got -1"),
 ])
 def test_a_count_out_of_its_bounds_is_a_configuration_error_before_the_run(
         tmp_path, capsys, monkeypatch, key, value, message):
@@ -384,17 +391,17 @@ def test_a_count_out_of_its_bounds_is_a_configuration_error_before_the_run(
 
 def test_too_many_hessian_centers_is_a_configuration_error(tmp_path, capsys):
     cfg = _sampled_cfg(horizon=1.0)
-    cfg["hessian"]["centers"] = cli.MAX_COUNT + 1
+    cfg["hessian"]["centers"] = MAX_COUNT + 1
     out = tmp_path / "out"
     assert main(["certify", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "configuration error: hessian.centers must be <= 1000000, got 1000001\n")
+    assert capsys.readouterr().err == ("configuration error: hessian.centers must be "
+                                       "a positive integer at most 1000000, got 1000001\n")
     assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("command, cfg, horizon, step", [
     ("simulate", "certify_cubic", 2.0, 1e-15),   # a 14.2 PiB grid without the check
-    *[(command, "readme", 0.1, 0.1 / (cli.MAX_COUNT + 1))
+    *[(command, "readme", 0.1, 0.1 / (MAX_COUNT + 1))
       for command in ("simulate", "certify", "twin", "perturb", "envelope")],
     ("simulate", "readme", 1e10, 5e-324),   # horizon / step overflows to inf
 ])
@@ -413,7 +420,7 @@ def test_a_grid_of_more_than_max_count_steps_is_a_configuration_error_before_the
 
 def test_a_grid_of_max_count_steps_reaches_the_run(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "integrate_ekf", _unreachable)
-    cfg = dict(README_CFG, horizon=0.1, step=0.1 / cli.MAX_COUNT)
+    cfg = dict(README_CFG, horizon=0.1, step=0.1 / MAX_COUNT)
     with pytest.raises(AssertionError, match="the run was reached"):
         main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
 
@@ -461,7 +468,7 @@ _SCALAR_TWINS = {"z1_0": [0.3], "z2_0": [0.1]}
 
 @pytest.mark.parametrize("command, cfg, message", [
     ("certify", _with(_sampled_cfg, "hessian.centers", 10 ** 7),
-     "hessian.centers must be <= 1000000, got 10000000"),
+     "hessian.centers must be a positive integer at most 1000000, got 10000000"),
     *[(command, _kappa_free(), "config needs hessian.radius (or explicit hessian.kappa_A/kappa_C)")
       for command in ("certify", "twin", "envelope")],
     # one declared kappa needs the other, even beside a sampling radius
@@ -496,7 +503,7 @@ _SCALAR_TWINS = {"z1_0": [0.3], "z2_0": [0.1]}
        f"radius must be positive and finite, got {float(radius)}")
       for radius in (-1, 0, math.inf)],
     ("certify", _with(_sampled_cfg, "hessian.centers", 0),
-     "max_centers must be a positive integer, got 0"),
+     "hessian.centers must be a positive integer at most 1000000, got 0"),
     *[("certify", _with(_sampled_cfg, "hessian.safety", safety),
        f"safety must be nonnegative and finite, got {float(safety)}")
       for safety in (-1, math.inf)],
@@ -838,7 +845,7 @@ def test_a_filter_section_that_is_not_an_object_is_a_configuration_error(
     ("simulate", scalar_cfg, "filter.Q", [[10 ** 400]],
      f"config field filter.Q is not numeric: [[{10 ** 400}]]"),
     ("certify", scalar_cfg, "radius_times", math.inf,
-     "config field radius_times is not a number: inf"),
+     f"radius_times must be {COUNT_RULE}, got inf"),
     ("simulate", scalar_cfg, "horizon", 10 ** 400,
      f"config field horizon is not a number: {10 ** 400}"),
     ("simulate", cubic_cfg, "system.params.eps", True,

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import decimal
 import math
@@ -459,6 +460,71 @@ def test_linear_output_check_rejects_nonlinear_output():
         ek.linear_output_check(traj, [np.array([1.5])], 0.1)
 
 
+@pytest.mark.parametrize("nodes", [[7], [3, 7], list(range(41))])
+def test_linear_output_check_fails_a_node_whose_product_is_not_finite(ltv_traj, nodes):
+    """A hand-built run with non-finite covariances: A is linear, so Atil = 0 and
+    S = 0 P + P 0 is NaN there. The first such node is the worst, with margin NaN."""
+    covariances = ltv_traj.covariances.copy()
+    covariances[nodes, 0, 0] = math.inf
+    run = dataclasses.replace(ltv_traj, times=ltv_traj.times[:41], states=ltv_traj.states[:41],
+                              covariances=covariances[:41])
+    rep = ek.linear_output_check(run, [np.array([3.0, -1.0])], 0.01)
+    assert rep["passed"] is False
+    assert math.isnan(rep["worst_margin"])
+    assert rep["worst_time"] == run.times[nodes[0]]
+    assert rep["times_sampled"] == 41
+
+
+def test_linear_output_check_refuses_a_run_without_nodes(ltv_traj):
+    empty = dataclasses.replace(ltv_traj, times=ltv_traj.times[:0], states=ltv_traj.states[:0],
+                                covariances=ltv_traj.covariances[:0])
+    with pytest.raises(ek.ConfigurationError, match="^run must hold at least one node"):
+        ek.linear_output_check(empty, [np.array([3.0, -1.0])], 0.01)
+
+
+def _failing_output_model(nonlinear_at, non_finite_at):
+    """h = x on a one-state plant, but its Jacobian callback varies with the state at the
+    node index ``nonlinear_at`` (t = 0.1 k) and is NaN at ``non_finite_at``."""
+    def jacobian_C(x, t):
+        k = round(10 * t)
+        return np.array([[x[0] if k == nonlinear_at else math.nan if k == non_finite_at
+                          else 1.0]])
+    return ek.SystemModel(state_dim=1, output_dim=1, dynamics=lambda x, t: -x,
+                          output=lambda x, t: x, jacobian_A=lambda x, t: -np.eye(1),
+                          jacobian_C=jacobian_C)
+
+
+@pytest.mark.parametrize("nonlinear_at, non_finite_at, estimate_at, error, message", [
+    (3, 6, None, ek.PreconditionError, "output map is not linear"),
+    (6, 3, None, ek.ModelEvaluationError,
+     "Jacobian evaluation produced non-finite entries at t=0.3"),
+    # a non-finite estimate is found before any node is checked
+    (3, None, 6, ek.ModelEvaluationError, "state contains non-finite entries"),
+    (6, None, 3, ek.ModelEvaluationError, "state contains non-finite entries"),
+    (None, 6, 3, ek.ModelEvaluationError, "state contains non-finite entries"),
+    (None, None, 0, ek.ModelEvaluationError, "state contains non-finite entries"),
+])
+def test_linear_output_check_raises_the_failure_of_its_first_failing_node(
+        nonlinear_at, non_finite_at, estimate_at, error, message):
+    """The first non-finite estimate raises first; else the nodes are checked node by
+    node, and the first with a non-finite Jacobian or a varying output Jacobian raises."""
+    model = _failing_output_model(-1, -1)
+    fc = ek.FilterConfig(model=model, Q=np.eye(1), R=np.eye(1), P0=np.eye(1),
+                         x0=np.array([0.5]), horizon=1.0, step=0.1)
+    run = ek.integrate_ekf(fc, lambda t: np.zeros(1))
+    config = copy.copy(run.config)
+    config.model = _failing_output_model(nonlinear_at, non_finite_at)
+    states = run.states.copy()
+    if estimate_at is not None:
+        states[estimate_at] = math.nan
+    run = dataclasses.replace(run, config=config, states=states)
+    with pytest.raises(error, match=message) as raised:
+        ek.linear_output_check(run, [np.array([1.5]), np.array([-0.5])], 0.1)
+    if error is ek.ModelEvaluationError:
+        assert raised.value.time == run.times[min(k for k in (non_finite_at, estimate_at)
+                                                  if k is not None)]
+
+
 def _ref_linear_output_check(model, traj, sample_states, gamma):
     """The per-node, per-state loop linear_output_check ran before it stacked
     the sample states: (worst margin, its time)."""
@@ -612,6 +678,37 @@ def test_inflation_rate_gain_random_instances():
         M = -2.0 * gamma * P - W @ W.T
         N = random_spd(rng, n, lo=0.0, hi=1.5)
         assert ek.inflation_rate_gain(M, P, N, gamma)
+
+
+def _overflowing_plant():
+    """n = 2, p = 1: f = (0.5e300 x0^2, 0) and h = 1e160 x0, whose contraction matrix at
+    z = (1, 0) against xhat = 0 with P = diag(1e10, 1) overflows to [[nan, 0], [0, -1]]."""
+    return ek.SystemModel(
+        state_dim=2, output_dim=1,
+        dynamics=lambda x, t: np.array([0.5e300 * x[0] ** 2, 0.0]),
+        output=lambda x, t: np.array([1e160 * x[0]]),
+        jacobian_A=lambda x, t: np.array([[1e300 * x[0], 0.0], [0.0, 0.0]]),
+        jacobian_C=lambda x, t: np.array([[1e160, 0.0]]))
+
+
+def test_an_overflowed_contraction_matrix_certifies_nothing():
+    model, z, xhat = _overflowing_plant(), np.array([1.0, 0.0]), np.zeros(2)
+    P = np.diag([1e10, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = ek.contraction_matrix(model, z, xhat, P, np.eye(2), np.eye(1), 0.0)
+        holds = ek.check_contraction_inequality(model, z, xhat, P, np.eye(2), np.eye(1), 0.1, 0.0)
+    assert np.isnan(M[0, 0]) and M[1, 1] == -1.0
+    assert np.linalg.eigvalsh(M)[-1] <= 0.0   # what eigvalsh alone would certify
+    assert holds is False
+    with pytest.raises(ek.PreconditionError, match="not negative semidefinite"):
+        ek.inflation_rate_gain(np.array([[math.nan, 0.0], [0.0, -1.0]]), np.eye(2),
+                               0.1 * np.eye(2), 0.1)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_a_matrix_that_is_not_finite_fails_the_semidefinite_verdict(entry):
+    S = np.array([[-1.0, 0.0], [0.0, entry]])
+    assert list(contraction._negative_semidefinite(np.stack([S, -np.eye(2)]))) == [False, True]
 
 
 def test_single_stage_identity_of_the_riccati_flow_and_the_contraction_matrix():

@@ -33,7 +33,7 @@ def test_the_cli_usage_names_exactly_the_parser_options():
 
 
 def test_the_scalar_rules_table_is_the_readers_table():
-    rows = re.findall(r"^\| ([a-z ,+]+) \| (`.+`) \|$", README, re.M)
+    rows = re.findall(r"^\| ([a-z0-9 ,+]+) \| (`.+`) \|$", README, re.M)
     table = {name: rule.removesuffix(", +inf allowed")
              for rule, names in rows for name in re.findall(r"`(\w+)`", names)}
     assert table == model._RULES

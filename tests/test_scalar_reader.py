@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ekfcert as ek
+from ekfcert.model import MAX_COUNT, _scalar
 
 MODEL = ek.make("vanderpol-pos").model   # n = 2, linear output
 N = MODEL.state_dim
@@ -36,7 +37,9 @@ BOUNDED = dataclasses.replace(RUN, p_lo=0.5, p_hi=1.0)   # q_lo = r_lo = 1 from 
 POS_FIN, NONNEG_FIN = "positive and finite", "nonnegative and finite"
 POS, NONNEG = "positive", "nonnegative"   # +inf included
 POS_INT, NONNEG_INT = "a positive integer", "a nonnegative integer"
-RULES = {POS_FIN, NONNEG_FIN, POS, NONNEG, POS_INT, NONNEG_INT}
+POS_COUNT, NONNEG_COUNT = (f"{rule} at most {MAX_COUNT}" for rule in (POS_INT, NONNEG_INT))
+INTS = {POS_INT, NONNEG_INT, POS_COUNT, NONNEG_COUNT}
+RULES = {POS_FIN, NONNEG_FIN, POS, NONNEG} | INTS
 
 
 def _config(**override):
@@ -85,14 +88,16 @@ ENTRY_POINTS = [
      lambda v: ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=v)),
     ("estimate_hessian_bounds", "radius", POS_FIN, lambda v: _hessian_bounds(radius=v)),
     ("estimate_hessian_bounds", "safety", NONNEG_FIN, lambda v: _hessian_bounds(safety=v)),
-    ("estimate_hessian_bounds", "direction_samples", NONNEG_INT,
+    ("estimate_hessian_bounds", "direction_samples", NONNEG_COUNT,
      lambda v: _hessian_bounds(direction_samples=v)),
-    ("estimate_hessian_bounds", "output_direction_samples", NONNEG_INT,
+    ("estimate_hessian_bounds", "output_direction_samples", NONNEG_COUNT,
      lambda v: _hessian_bounds(output_direction_samples=v)),
-    ("estimate_hessian_bounds", "max_centers", POS_INT, lambda v: _hessian_bounds(max_centers=v)),
+    ("estimate_hessian_bounds", "max_centers", POS_COUNT,
+     lambda v: _hessian_bounds(max_centers=v)),
     ("estimate_hessian_bounds", "seed", NONNEG_INT, lambda v: _hessian_bounds(seed=v)),
     ("empirical_radius", "gamma", NONNEG_FIN, lambda v: _radius(gamma=v)),
-    ("empirical_radius", "direction_samples", NONNEG_INT, lambda v: _radius(direction_samples=v)),
+    ("empirical_radius", "direction_samples", NONNEG_COUNT,
+     lambda v: _radius(direction_samples=v)),
     ("empirical_radius", "seed", NONNEG_INT, lambda v: _radius(seed=v)),
     ("check_contraction_inequality", "gamma", NONNEG_FIN,
      lambda v: ek.check_contraction_inequality(MODEL, GOOD, GOOD, P, Q, R, v, 0.0)),
@@ -123,10 +128,10 @@ IDS = [f"{entry}-{name}" for entry, name, _, _ in ENTRY_POINTS]
 BAD = [
     (st.just(math.nan), RULES),
     (st.just(-math.inf), RULES),
-    (st.just(math.inf), {POS_FIN, NONNEG_FIN, POS_INT, NONNEG_INT}),
+    (st.just(math.inf), {POS_FIN, NONNEG_FIN} | INTS),
     (st.floats(-1e6, -1e-6) | st.integers(-10 ** 6, -1), RULES),
-    (st.sampled_from([0, 0.0]), {POS_FIN, POS, POS_INT}),
-    (st.floats(0.01, 100.0).filter(lambda x: not x.is_integer()), {POS_INT, NONNEG_INT}),
+    (st.sampled_from([0, 0.0]), {POS_FIN, POS, POS_INT, POS_COUNT}),
+    (st.floats(0.01, 100.0).filter(lambda x: not x.is_integer()), INTS),
     (st.just(True), RULES),
     (st.just("1"), RULES),
 ]
@@ -165,11 +170,12 @@ def test_the_boundary_of_each_rule_is_accepted(entry, name, call, value):
     (lambda: _certificate("p_hi", math.inf), "p_hi must be positive and finite, got inf"),
     (lambda: _radius(seed=-1), "seed must be a nonnegative integer, got -1"),
     (lambda: _hessian_bounds(seed=-1), "seed must be a nonnegative integer, got -1"),
-    (lambda: _hessian_bounds(max_centers=2.5), "max_centers must be a positive integer, got 2.5"),
+    (lambda: _hessian_bounds(max_centers=2.5),
+     "max_centers must be a positive integer at most 1000000, got 2.5"),
     (lambda: _hessian_bounds(max_centers=math.nan),
-     "max_centers must be a positive integer, got nan"),
+     "max_centers must be a positive integer at most 1000000, got nan"),
     (lambda: _hessian_bounds(direction_samples=-3),
-     "direction_samples must be a nonnegative integer, got -3"),
+     "direction_samples must be a nonnegative integer at most 1000000, got -3"),
     (lambda: _radius(gamma=math.inf), "gamma must be nonnegative and finite, got inf"),
     (lambda: ek.check_contraction_inequality(MODEL, GOOD, GOOD, P, Q, R, math.inf, 0.0),
      "gamma must be nonnegative and finite, got inf"),
@@ -192,3 +198,55 @@ def test_an_integral_count_reads_as_the_integer():
     assert (_hessian_bounds(max_centers=2.0, seed=3.0).kappa_A
             == _hessian_bounds(max_centers=2, seed=3).kappa_A)
     assert _radius(direction_samples=4.0, seed=np.int64(2)) == _radius(direction_samples=4, seed=2)
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the allocation was reached")
+
+
+@pytest.mark.parametrize("name, call", [
+    ("direction_samples", lambda v: _hessian_bounds(direction_samples=v)),
+    ("output_direction_samples", lambda v: _hessian_bounds(output_direction_samples=v)),
+    ("max_centers", lambda v: _hessian_bounds(max_centers=v)),
+    ("direction_samples", lambda v: _radius(direction_samples=v)),
+])
+@pytest.mark.parametrize("value", [MAX_COUNT + 1, 1e300, 10 ** 400])
+def test_a_count_above_its_cap_is_refused_before_the_directions_are_drawn(monkeypatch, name,
+                                                                          call, value):
+    monkeypatch.setattr(np.random, "default_rng", _unreachable)
+    with pytest.raises(ek.ConfigurationError) as refused:
+        call(value)
+    assert str(refused.value) == f"{name} must be {_RULES_OF[name]}, got {value}"
+
+
+_RULES_OF = {"direction_samples": NONNEG_COUNT, "output_direction_samples": NONNEG_COUNT,
+             "max_centers": POS_COUNT}
+
+
+@pytest.mark.parametrize("name", ["direction_samples", "output_direction_samples",
+                                  "max_centers", "radius_times"])
+def test_a_count_at_its_cap_is_accepted(name):
+    assert _scalar(MAX_COUNT, name) == _scalar(float(MAX_COUNT), name) == MAX_COUNT
+
+
+@pytest.mark.parametrize("call", [
+    lambda horizon, step: ek.time_grid(horizon, step),
+    lambda horizon, step: _config(horizon=horizon, step=step),
+    lambda horizon, step: ek.integrate_truth(MODEL, GOOD, horizon, step),
+], ids=["time_grid", "FilterConfig", "integrate_truth"])
+@pytest.mark.parametrize("horizon, step", [
+    (1e10, 5e-324),   # horizon / step overflows to inf
+    (0.1, 0.1 / (MAX_COUNT + 1)),
+])
+def test_a_grid_of_more_than_max_count_steps_is_refused_before_it_is_allocated(
+        monkeypatch, call, horizon, step):
+    monkeypatch.setattr(np, "linspace", _unreachable)
+    with pytest.raises(ek.ConfigurationError) as refused:
+        call(horizon, step)
+    assert str(refused.value) == (f"horizon / step must be at most {MAX_COUNT} steps, "
+                                  f"got horizon {horizon!r} and step {step!r}")
+
+
+def test_a_grid_of_max_count_steps_is_accepted():
+    assert _config(horizon=0.1, step=0.1 / MAX_COUNT).step == 0.1 / MAX_COUNT
+    assert len(ek.time_grid(0.1, 0.1 / MAX_COUNT)) == MAX_COUNT + 1
