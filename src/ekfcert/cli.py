@@ -24,7 +24,8 @@ from . import bench
 from .contraction import compare_analyses, empirical_radius, make_certificate
 from .ekf import FilterConfig, FilterTrajectory, integrate_ekf
 from .errors import ConfigurationError, PreconditionError, RunFailure
-from .model import _RULES, HessianBounds, _scalar, _scalars, _state, estimate_hessian_bounds
+from .model import (_RULES, SIGN_FREE_RULE, HessianBounds, _scalar, _scalars, _state,
+                    estimate_hessian_bounds)
 # integrate_truth is not called here, but stays bound: perfbench/tracing.py wraps it by name
 from .sim import (BALL_RATE_RULE, RATE_SLACK, Disturbance, envelope_check,
                   integrate_truth, perturbed_run, twin_decay)
@@ -99,17 +100,11 @@ def _write_csv(path: Path, columns: dict) -> None:
 _REQUIRED = object()
 
 
-def _numeric(value) -> bool:
-    """Whether ``value`` is a number or nested lists of numbers (not true, false or a string)."""
-    return all(map(_numeric, value)) if isinstance(value, list) else type(value) in (int, float)
-
-
-def _read(cfg: dict, path: str, kind: type = float, default=_REQUIRED):
-    """The config value at the dotted ``path`` as ``kind``, the one reader of config values.
-    An absent key or a JSON null reads as ``default``, else "config needs <path>"; a section
-    so read is {}. A float is a number (not a string or a boolean) in the float range, not
-    NaN; an int is one returned as given, for _scalar's integer rule; an np.ndarray has such
-    numbers as entries; a str or dict must be one."""
+def _read(cfg: dict, path: str, kind: type | None = None, default=_REQUIRED):
+    """The config value at the dotted ``path``, the one navigator of the config. An absent
+    key or a JSON null reads as ``default``, else "config needs <path>"; a section so read
+    is {}. A ``kind`` of str or dict must be one. Numbers and arrays are returned as given:
+    the library reader of their argument (_scalar, _state or ekf._check_spd) judges them."""
     *sections, key = path.split(".")
     node = cfg
     for name in sections:
@@ -121,47 +116,28 @@ def _read(cfg: dict, path: str, kind: type = float, default=_REQUIRED):
         if default is _REQUIRED:
             raise ConfigurationError(f"config needs {path}")
         return default
-    if kind is np.ndarray:
-        try:
-            if _numeric(value):
-                return np.asarray(value, dtype=float)
-        except (ValueError, OverflowError):   # ragged lists, huge integers
-            pass
-        raise ConfigurationError(f"config field {path} is not numeric: {value!r}")
-    if kind in (str, dict):
-        if not isinstance(value, kind):
-            raise ConfigurationError(
-                f"config field {path} must be {'a string' if kind is str else 'an object'}")
-        return value
-    try:
-        number = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:   # huge integers
-        number = math.nan
-    if math.isnan(number):
-        raise ConfigurationError(f"config field {path} is not a number: {value!r}")
-    return value if kind is int else number
+    if kind is not None and not isinstance(value, kind):
+        raise ConfigurationError(
+            f"config field {path} must be {'a string' if kind is str else 'an object'}")
+    return value
 
 
 def _prepare_run(cfg: dict, starts: dict | None = None,
                  disturbance: Callable[[int], Disturbance] | None = None):
-    """The registry name of the configured system and its one filter run on the truth
-    start, with virtual rows from ``starts`` (name -> start, each read as a state of that
-    name) under the disturbance ``disturbance(n)`` makes for the n states."""
+    """The registry name of the configured system and its one filter run on the truth start
+    (named by its config key, as ``filter.xhat0`` is), with virtual rows from ``starts`` (name
+    -> start, each read as a state of that name) under the disturbance ``disturbance(n)``."""
     name = _read(cfg, "system.name", str)
-    params = _read(cfg, "system.params", dict, {})
-    entry = bench.make(name, **{key: _read(cfg, f"system.params.{key}") for key in params})
-    fconfig = FilterConfig(
-        model=entry.model,
-        Q=_read(cfg, "filter.Q", np.ndarray),
-        R=_read(cfg, "filter.R", np.ndarray),
-        P0=_read(cfg, "filter.P0", np.ndarray),
-        x0=_read(cfg, "filter.xhat0", np.ndarray),
-        horizon=_read(cfg, "horizon"),
-        step=_read(cfg, "step", default=None),
-        beta=_read(cfg, "filter.beta", default=0.0),
-        N=_read(cfg, "filter.N", np.ndarray, None))
-    x0 = _read(cfg, "truth.x0", np.ndarray, fconfig.x0)
+    params = {key: _scalar(_read(cfg, f"system.params.{key}"), f"system.params.{key}",
+                           SIGN_FREE_RULE) for key in _read(cfg, "system.params", dict, {})}
+    entry = bench.make(name, **params)
     n = entry.model.state_dim
+    fconfig = FilterConfig(
+        model=entry.model, Q=_read(cfg, "filter.Q"), R=_read(cfg, "filter.R"),
+        P0=_read(cfg, "filter.P0"), x0=_state(_read(cfg, "filter.xhat0"), n, "filter.xhat0"),
+        horizon=_read(cfg, "horizon"), step=_read(cfg, "step", default=None),
+        beta=_read(cfg, "filter.beta", default=0.0), N=_read(cfg, "filter.N", default=None))
+    x0 = _state(_read(cfg, "truth.x0", default=fconfig.x0), n, "truth.x0")
     rows = None if starts is None else [_state(z, n, name) for name, z in starts.items()]
     return entry.name, integrate_ekf(fconfig, x0=x0, starts=rows,
                                      disturbance=None if disturbance is None else disturbance(n))
@@ -195,8 +171,8 @@ def _certified_run(cfg: dict, starts: dict | None = None) -> tuple:
                                      "a sampled radius is its own alpha")
         options = _scalars(
             radius=radius, safety=_read(cfg, "hessian.safety", default=1.1),
-            max_centers=_scalar(_read(cfg, "hessian.centers", int, 25), "hessian.centers",
-                                _RULES["max_centers"]), seed=_read(cfg, "seed", int, 0))
+            max_centers=_scalar(_read(cfg, "hessian.centers", default=25), "hessian.centers",
+                                _RULES["max_centers"]), seed=_read(cfg, "seed", default=0))
     gamma = _gamma(cfg)
     _, run = _prepare_run(cfg, starts)
     hess = hess or estimate_hessian_bounds(run.config.model, run.states, run.times, **options)
@@ -228,7 +204,7 @@ def cmd_simulate(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_certify(cfg: dict) -> tuple[dict, bool, dict | None]:
-    samples, seed, directions = (_scalar(_read(cfg, key, int, default), key) for key, default
+    samples, seed, directions = (_scalar(_read(cfg, key, default=default), key) for key, default
                                  in (("radius_times", 9), ("seed", 0), ("direction_samples", 64)))
     traj, cert = _certified_run(cfg)
     idx = np.unique(np.linspace(0, len(traj.times) - 1, samples).astype(int))
@@ -264,7 +240,7 @@ def cmd_compare(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_twin(cfg: dict) -> tuple[dict, bool, dict | None]:
-    starts = {name: _read(cfg, f"twin.{name}", np.ndarray) for name in ("z1_0", "z2_0")}
+    starts = {name: _read(cfg, f"twin.{name}") for name in ("z1_0", "z2_0")}
     traj, cert = _certified_run(cfg, starts)
     run = twin_decay(traj, certificate=cert)
     # the rate guarantee only binds when both starts are inside the basin; a NaN
@@ -280,16 +256,14 @@ def cmd_twin(cfg: dict) -> tuple[dict, bool, dict | None]:
 
 
 def cmd_perturb(cfg: dict) -> tuple[dict, bool, dict | None]:
-    vec = _read(cfg, "perturb.vector", np.ndarray, None)
+    vec = _read(cfg, "perturb.vector", default=None)
     kind = _read(cfg, "perturb.type", str, "const")
     if kind not in ("const", "sin"):
         raise ConfigurationError(f"unknown perturb.type {kind!r}")
-    freq = _read(cfg, "perturb.freq", default=1.0) if kind == "sin" else 0.0
-    if not math.isfinite(freq):
-        raise ConfigurationError(f"perturb.freq must be finite, got {freq}")
+    freq = (_scalar(_read(cfg, "perturb.freq", default=1.0), "perturb.freq", SIGN_FREE_RULE)
+            if kind == "sin" else 0.0)
     # the disturbed copy starts at the estimate's start unless perturb.z0 is given
-    z0 = _read(cfg, "perturb.z0", np.ndarray, None)
-    z0 = _read(cfg, "filter.xhat0", np.ndarray) if z0 is None else z0
+    z0 = _read(cfg, "perturb.z0", default=_read(cfg, "filter.xhat0"))
     gamma = _gamma(cfg, BALL_RATE_RULE)
 
     def disturbance(n: int) -> Disturbance:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .ekf import FilterTrajectory, _check_spd
 from .errors import ConfigurationError, PreconditionError
-from .model import (HessianBounds, SystemModel, _scalar, _scalars, _stacked_jacobians, _state,
-                    _unit_directions)
+from .model import (HessianBounds, SystemModel, _array, _scalar, _scalars, _stacked_jacobians,
+                    _state, _unit_directions)
 
 # slack allowed when deciding lambda_max(S) <= 0 in floating point
 PSD_TOL_SCALE = 1e-9
@@ -42,10 +42,12 @@ def _symmetric_spectra(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigvalsh(np.where(finite[..., None, None], S, 0.0)), finite
 
 
-def _negative_semidefinite(S: np.ndarray) -> np.ndarray:
-    """Verdict lambda_max(S) <= PSD_TOL_SCALE * (1 + ||S||_2), False where S is not finite,
-    for one (n, n) matrix or a stack; ||S||_2 of the symmetrized S is max |lambda|."""
-    lam, finite = _symmetric_spectra(S)
+def _contracting(M: np.ndarray, P: np.ndarray, gamma: float) -> np.ndarray:
+    """Verdict lambda_max(S) <= PSD_TOL_SCALE * (1 + ||S||_2) for S = M + 2 gamma P (one
+    (n, n) matrix or a stack; ||S||_2 of the symmetrized S is max |lambda|), False where S
+    is not finite, as it is where a sum overflows, which warns nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam, finite = _symmetric_spectra(M + 2.0 * gamma * P)
     return (lam[..., -1] <= PSD_TOL_SCALE * (1.0 + np.abs(lam).max(axis=-1))) & finite
 
 
@@ -80,16 +82,17 @@ class ContractionCertificate:
 def _contraction_matrices(Ah: np.ndarray, Ch: np.ndarray, Az: np.ndarray,
                           Cz: np.ndarray, P: np.ndarray, Q: np.ndarray,
                           R: np.ndarray) -> np.ndarray:
-    """M for probe Jacobians (Az, Cz), single or stacked, against (Ah, Ch)."""
-    Atil = Az - Ah
-    Ctil = Cz - Ch
-    CtP = Ctil @ P
-    CzP = Cz @ P
-    M = (P @ Atil.swapaxes(-1, -2) + Atil @ P
-         + CtP.swapaxes(-1, -2) @ np.linalg.solve(R, CtP)
-         - CzP.swapaxes(-1, -2) @ np.linalg.solve(R, CzP)
-         - Q)
-    return 0.5 * (M + M.swapaxes(-1, -2))
+    """M for probe Jacobians (Az, Cz), single or stacked, against (Ah, Ch); overflow unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        Atil = Az - Ah
+        Ctil = Cz - Ch
+        CtP = Ctil @ P
+        CzP = Cz @ P
+        M = (P @ Atil.swapaxes(-1, -2) + Atil @ P
+             + CtP.swapaxes(-1, -2) @ np.linalg.solve(R, CtP)
+             - CzP.swapaxes(-1, -2) @ np.linalg.solve(R, CzP)
+             - Q)
+        return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def contraction_matrix(model: SystemModel, z: np.ndarray, xhat: np.ndarray,
@@ -121,8 +124,7 @@ def check_contraction_inequality(model: SystemModel, z: np.ndarray, xhat: np.nda
     """
     gamma = _scalar(gamma, "gamma")
     P = _check_spd(P, "P", model.state_dim)[0]   # M + 2 gamma P takes the checked P
-    M = contraction_matrix(model, z, xhat, P, Q, R, t)
-    return bool(_negative_semidefinite(M + 2.0 * gamma * P))
+    return bool(_contracting(contraction_matrix(model, z, xhat, P, Q, R, t), P, gamma))
 
 
 def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
@@ -185,9 +187,8 @@ def _lock_step_radii(model: SystemModel, X: np.ndarray, P: np.ndarray, Q: np.nda
         """Whether M + 2 gamma P is finite and negative semidefinite at each probe of the
         ``nodes`` (a mask), from its Jacobians (g, m, ., n); shape (g, m)."""
         Pk = P[nodes][:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _negative_semidefinite(_contraction_matrices(
-                Ah[nodes][:, None], Ch[nodes][:, None], Az, Cz, Pk, Q, R) + 2.0 * gamma * Pk)
+        return _contracting(_contraction_matrices(Ah[nodes][:, None], Ch[nodes][:, None],
+                                                  Az, Cz, Pk, Q, R), Pk, gamma)
 
     def passes(nodes, Z):
         """verdicts at the probe points Z (g, m, n) of the ``nodes``."""
@@ -422,13 +423,12 @@ def inflation_rate_gain(M: np.ndarray, P: np.ndarray, N: np.ndarray,
 
     Given M + 2 gamma P <= 0 (enforced as a precondition, which a matrix
     that is not finite fails), verifies (M - 2N) + 2 (gamma + n_lo/p_hi) P
-    <= 0 with n_lo = lambda_min(N) and p_hi = lambda_max(P).
+    <= 0 with n_lo = lambda_min(N) and p_hi = lambda_max(P), of numeric M, P, N.
     """
-    M, P, N = (np.asarray(a, dtype=float) for a in (M, P, N))
+    M, P, N = (_array(a, name) for a, name in ((M, "M"), (P, "P"), (N, "N")))
     gamma = _scalar(gamma, "gamma")
-    if not _negative_semidefinite(M + 2.0 * gamma * P):
+    if not _contracting(M, P, gamma):
         raise PreconditionError("M + 2 gamma P is not negative semidefinite")
     n_lo = float(np.linalg.eigvalsh(0.5 * (N + N.T))[0])
     p_hi = float(np.linalg.eigvalsh(0.5 * (P + P.T))[-1])
-    S = (M - 2.0 * N) + 2.0 * (gamma + n_lo / p_hi) * P
-    return bool(_negative_semidefinite(S))
+    return bool(_contracting(M - 2.0 * N, P, gamma + n_lo / p_hi))

@@ -66,8 +66,8 @@ import numpy as np
 
 from .errors import (ConfigurationError, CovarianceBoundViolation, DivergenceError,
                      PreconditionError)
-from .model import (SystemModel, _call, _finite, _scalar, _scalars, _stage_jacobians, _state,
-                    eval_jacobians)
+from .model import (SystemModel, _array, _call, _finite, _scalar, _scalars, _stage_jacobians,
+                    _state, eval_jacobians)
 from .ode import TimeSeries, _step_count, rk4_step, stage_table, time_grid
 
 # states beyond this magnitude are treated as numerical blow-up
@@ -113,9 +113,9 @@ def divergence_guard(what: str) -> Flow:
 
 def _check_spd(M: np.ndarray, name: str, dim: int, allow_zero: bool = False,
                rows: int | None = None) -> tuple[np.ndarray, float]:
-    """``M`` symmetrized and its smallest eigenvalue, after the shape, finiteness,
-    symmetry and definiteness checks; with ``rows``, M is a stack of that many, read at once."""
-    M = np.asarray(M, dtype=float)
+    """The weight ``M`` symmetrized and its smallest eigenvalue, after model._array and the
+    shape, finiteness, symmetry and definiteness checks; ``rows`` of them read at once."""
+    M = _array(M, name)
     shape = (dim, dim) if rows is None else (rows, dim, dim)
     if M.shape != shape:
         raise ConfigurationError(f"{name} must have shape {shape}, got {M.shape}")
@@ -251,12 +251,13 @@ def _scalar_tangent(a: float, k: float, c: float, dz: float) -> float:
 def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
                 R: np.ndarray, N: np.ndarray | None = None,
                 beta: float = 0.0) -> np.ndarray:
-    """Right-hand side of the (optionally inflated) Riccati flow at the symmetric part
-    of P, symmetrized; inverts R on each call (a filter run inverts it once). Through
-    ndarray.dot, a NaN or inf that meets an exact zero in P C^T (n = 1, p >= 2) or in
-    R^{-1} (P C^T)^T (p = 1, n >= 2) gives 0, not NaN."""
-    return _riccati(0.5 * (P + np.transpose(P)), A, C, Q, np.linalg.inv(R),
-                    None if N is None else 2.0 * N, 2.0 * beta)
+    """Right-hand side of the (optionally inflated) Riccati flow at the symmetric part of P,
+    symmetrized, with ``beta`` and ``N`` read as FilterConfig reads them; inverts R on each
+    call (a run inverts it once). Through ndarray.dot, a NaN or inf that meets an exact zero
+    in P C^T (n = 1, p >= 2) or in R^{-1} (P C^T)^T (p = 1, n >= 2) gives 0, not NaN."""
+    N2 = None if N is None else 2.0 * _check_spd(N, "N", len(P), allow_zero=True)[0]
+    return _riccati(0.5 * (P + np.transpose(P)), A, C, Q, np.linalg.inv(R), N2,
+                    2.0 * _scalar(beta, "beta"))
 
 
 @dataclass
@@ -336,7 +337,8 @@ def integrate_ekf(config: FilterConfig,
     Raises
     ------
     ConfigurationError
-        If a measurement does not have p entries, or a start is not a state.
+        If a measurement does not have p entries, or a start is not a state; at the
+        first measurement read that is not finite, checked as the covariance is below.
     DivergenceError
         If the truth, the estimate or a virtual row leaves the ball of radius
         1e12 or becomes non-finite, checked in that order at each node; the
@@ -457,13 +459,21 @@ def integrate_ekf(config: FilterConfig,
         node_finite = math.isfinite(sq)
         return state
 
+    def measured() -> None:   # the first measurement read that is not finite, if any
+        bad = np.flatnonzero(~np.isfinite(outputs[:filled + 1]).all(axis=1))
+        if len(bad):
+            raise ConfigurationError(f"measurement at t={stage_times[bad[0]]:.6g} must be "
+                                     f"finite, got {outputs[bad[0]].tolist()}")
+
     try:
         integrate(rhs, state0, grid, guard, nodes)
     except Exception:
         _definite(grid, nodes[:stored, 1:n + 1])   # an earlier lost P is the run's first failure
+        measured()
         raise
     states, covs = nodes[:, 0], nodes[:, 1:n + 1]
     eigs = _definite(grid, covs)
+    measured()
     b_worst = math.sqrt(b_sq)
     if disturbance is not None and b_worst > disturbance.b_max * (1.0 + 1e-9) + 1e-300:
         raise PreconditionError(f"disturbance bound violated: observed {b_worst:.6g} "

@@ -209,14 +209,15 @@ _RULES = {
     **dict.fromkeys(["direction_samples", "output_direction_samples", "radius_times"],
                     f"a nonnegative integer at most {MAX_COUNT}"),
 }
+SIGN_FREE_RULE = "finite"   # of the CLI's numbers that no library argument reads
 
 
 def _scalar(value, what: str, rule: str | None = None):
     """The scalar argument ``what`` under ``rule`` (default ``_RULES[what]``), read at every
-    entry point: a real number, not a boolean or a string, that is positive or nonnegative,
-    finite unless the rule allows +inf, whole for an integer rule and at most MAX_COUNT for
-    a capped one, returned as a float (an int for an integer rule); else a
-    ConfigurationError "<what> must be <rule>, got <value>"."""
+    entry point: a real number, not a boolean or a string, that is positive or nonnegative
+    (of either sign under SIGN_FREE_RULE), finite unless the rule allows +inf, whole for an
+    integer rule and at most MAX_COUNT for a capped one, returned as a float (an int for an
+    integer rule); else a ConfigurationError "<what> must be <rule>, got <value>"."""
     rule = rule or _RULES[what]
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
@@ -224,7 +225,7 @@ def _scalar(value, what: str, rule: str | None = None):
     except OverflowError:   # an int beyond the float range
         x = math.inf if value > 0 else -math.inf
     integer = "integer" in rule
-    if not ((x >= 0.0 if "nonnegative" in rule else x > 0.0)
+    if not ((x >= 0.0 if "nonnegative" in rule else x > 0.0 if "positive" in rule else True)
             and ((isinstance(value, numbers.Integral) or x.is_integer()) if integer
                  else math.isfinite(x) or not rule.endswith("finite"))
             and (x <= MAX_COUNT or not rule.endswith(f"at most {MAX_COUNT}"))):
@@ -237,18 +238,32 @@ def _scalars(**values) -> dict:
     return {what: _scalar(value, what) for what, value in values.items()}
 
 
+def _real(value) -> bool:
+    """Whether each entry of ``value``, at any depth, is a real number and not a boolean."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_real, value))
+    return (not isinstance(value, bool) if isinstance(value, numbers.Real)
+            else np.asarray(value).dtype.kind in "iuf")
+
+
+def _array(value, what: str) -> np.ndarray:
+    """The array argument ``what`` as a float ndarray, by the package's one numeric rule:
+    every entry _real, rows of equal length, no int beyond the float range; else a
+    ConfigurationError "<what> must be numeric, got <value>". The caller checks the rest."""
+    try:
+        if _real(value):
+            return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):   # ragged rows, huge ints
+        pass
+    raise ConfigurationError(f"{what} must be numeric, got {value!r}")
+
+
 def _state(value, n: int, what: str, rows: int | str | None = None) -> np.ndarray:
     """The state vector ``what`` as a float (n,) array, flattened, or with ``rows`` the
     stack of states ``what`` as a (rows, n) array, where a string ``rows`` names a free
-    row count, read at every entry point; a value that is not an array of real numbers
-    (a string, ragged rows), another shape or a non-finite entry is a ConfigurationError."""
-    try:
-        x = np.asarray(value)
-    except (TypeError, ValueError):   # ragged rows
-        x = None
-    if x is None or x.dtype.kind not in "iuf":
-        raise ConfigurationError(f"{what} must be numeric, got {value!r}")
-    x = x.astype(float, copy=False)
+    row count, read at every entry point; a value that _array refuses, another shape or a
+    non-finite entry is a ConfigurationError."""
+    x = _array(value, what)
     if rows is None:
         x, shape, text = x.reshape(-1), (n,), f"({n},)"
     else:
@@ -440,11 +455,11 @@ def tensor_norm(H: np.ndarray, output_directions: np.ndarray) -> float:
     of directions only, so the value is a lower approximation. For m = 1
     the coordinate directions make it exact. All directions are evaluated
     at once: one stacked product forms the symmetrized matrices and one
-    batched ``eigvalsh`` takes their spectra. ``output_directions`` is a
-    (d, m) stack of finite numbers, else a ConfigurationError; d = 0 gives
-    0.0. A contraction that overflows gives NaN.
+    batched ``eigvalsh`` takes their spectra. ``H`` is numeric (_array) and
+    ``output_directions`` a (d, m) stack of finite numbers, else a
+    ConfigurationError; d = 0 gives 0.0. A contraction that overflows gives NaN.
     """
-    H = np.asarray(H, dtype=float)
+    H = _array(H, "H")
     W = _state(output_directions, H.shape[0], "output_directions", rows="d")
     return float(_tensor_norms(H[None], W)[0])
 

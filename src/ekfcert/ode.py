@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import MAX_COUNT, _scalars
+from .model import MAX_COUNT, _array, _scalars
 
 
 def _step_count(horizon: float, step: float) -> int:
@@ -87,21 +87,22 @@ class TimeSeries:
 
     ``values`` has shape (len(times), ...); any trailing shape is allowed,
     so the same container holds state vectors, output vectors, covariance
-    matrices and gain matrices.
+    matrices and gain matrices. Both are numeric (model._array) and finite.
     """
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+        self.times, self.values = _array(self.times, "times"), _array(self.values, "values")
         if self.times.ndim != 1 or len(self.times) < 1:
             raise ConfigurationError("times must be a nonempty 1-d array")
         if not np.isfinite(self.times).all():
             raise ConfigurationError("times must be finite")
         if self.values.ndim < 1 or len(self.values) != len(self.times):
             raise ConfigurationError("values must have one entry per time")
+        if not np.isfinite(self.values).all():
+            raise ConfigurationError("values must be finite")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ConfigurationError("times must be strictly increasing")
 

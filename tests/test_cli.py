@@ -22,6 +22,7 @@ import ekfcert as ek
 from ekfcert import bench, cli, model
 from ekfcert.cli import main
 from ekfcert.model import MAX_COUNT
+from ekfcert.sim import BALL_RATE_RULE
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -155,7 +156,7 @@ def test_wrong_length_truth_start_is_a_configuration_error(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == (
-        "configuration error: x0 must have shape (2,), got (3,)\n")
+        "configuration error: truth.x0 must have shape (2,), got (3,)\n")
 
 
 @pytest.mark.parametrize("vector", [[0.01], [0.01, 0.01, 0.01]])
@@ -212,37 +213,42 @@ def _compare_cfg(**extra):
     return cfg
 
 
-@pytest.mark.parametrize("command, make_cfg, key", [
-    ("simulate", scalar_cfg, "horizon"),
-    ("simulate", scalar_cfg, "step"),
-    ("simulate", scalar_cfg, "filter.beta"),
-    ("certify", scalar_cfg, "gamma"),
-    ("perturb", scalar_cfg, "gamma"),
-    ("certify", scalar_cfg, "seed"),
-    ("certify", _sampled_cfg, "seed"),
-    ("certify", scalar_cfg, "radius_times"),
-    ("certify", scalar_cfg, "direction_samples"),
-    ("certify", scalar_cfg, "hessian.kappa_A"),
-    ("certify", scalar_cfg, "hessian.kappa_C"),
-    ("certify", scalar_cfg, "hessian.alpha"),
-    ("certify", _sampled_cfg, "hessian.radius"),
-    ("certify", _sampled_cfg, "hessian.safety"),
-    ("certify", _sampled_cfg, "hessian.centers"),
-    ("perturb", _sin_perturb_cfg, "perturb.freq"),
-] + [("compare", _compare_cfg, f"compare.{key}")
+# (command, config, key, the name its library reader gives it, that reader's rule or None for
+# the name's rule in model._RULES)
+@pytest.mark.parametrize("command, make_cfg, key, name, rule", [
+    ("simulate", scalar_cfg, "horizon", "horizon", None),
+    ("simulate", scalar_cfg, "step", "step", None),
+    ("simulate", scalar_cfg, "filter.beta", "beta", None),
+    ("certify", scalar_cfg, "gamma", "gamma", None),
+    ("perturb", scalar_cfg, "gamma", "gamma", BALL_RATE_RULE),
+    ("certify", scalar_cfg, "seed", "seed", None),
+    ("certify", _sampled_cfg, "seed", "seed", None),
+    ("certify", scalar_cfg, "radius_times", "radius_times", None),
+    ("certify", scalar_cfg, "direction_samples", "direction_samples", None),
+    ("certify", scalar_cfg, "hessian.kappa_A", "kappa_A", None),
+    ("certify", scalar_cfg, "hessian.kappa_C", "kappa_C", None),
+    ("certify", scalar_cfg, "hessian.alpha", "alpha", None),
+    ("certify", _sampled_cfg, "hessian.radius", "radius", None),
+    ("certify", _sampled_cfg, "hessian.safety", "safety", None),
+    ("certify", _sampled_cfg, "hessian.centers", "hessian.centers",
+     model._RULES["max_centers"]),
+    ("perturb", _sin_perturb_cfg, "perturb.freq", "perturb.freq", model.SIGN_FREE_RULE),
+    ("simulate", cubic_cfg, "system.params.eps", "system.params.eps", model.SIGN_FREE_RULE),
+] + [("compare", _compare_cfg, f"compare.{key}", key, None)
      for key in ("p_lo", "p_hi", "q_lo", "r_lo", "kappa_A", "kappa_C", "c_hi")])
 def test_a_non_numeric_config_value_is_a_configuration_error(tmp_path, capsys,
-                                                              command, make_cfg, key):
+                                                              command, make_cfg, key, name, rule):
+    """The library reader of the value's argument refuses it, in its own words."""
     cfg = make_cfg(horizon=1.0)
     *sections, field = key.split(".")
     node = cfg
-    for name in sections:
-        node = node[name]
+    for section in sections:
+        node = node[section]
     node[field] = "abc"
     out = tmp_path / "out"
     assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"configuration error: config field {key} is not a number: 'abc'\n")
+        f"configuration error: {name} must be {rule or model._RULES[name]}, got 'abc'\n")
     assert not (out / "summary.json").exists()
 
 
@@ -252,15 +258,16 @@ def _scalar_filter(**extra):
 
 @pytest.mark.parametrize("command, cfg, message", [
     ("envelope", scalar_cfg(horizon=1.0, hessian={"kappa_A": math.nan, "kappa_C": 0.0}),
-     "config field hessian.kappa_A is not a number: nan"),
+     "kappa_A must be nonnegative, got nan"),
     ("certify", cubic_cfg(horizon=1.0, hessian={"radius": 0.5, "safety": math.nan}),
-     "config field hessian.safety is not a number: nan"),
+     "safety must be nonnegative and finite, got nan"),
     ("simulate", scalar_cfg(horizon=math.inf), "horizon must be positive and finite, got inf"),
     ("simulate", scalar_cfg(horizon=1.0, filter=_scalar_filter(beta=math.nan)),
-     "config field filter.beta is not a number: nan"),
+     "beta must be nonnegative and finite, got nan"),
     ("simulate", scalar_cfg(horizon=1.0, filter=_scalar_filter(beta=math.inf)),
      "beta must be nonnegative and finite, got inf"),
-    ("perturb", scalar_cfg(horizon=1.0, gamma=math.nan), "config field gamma is not a number: nan"),
+    ("perturb", scalar_cfg(horizon=1.0, gamma=math.nan),
+     "gamma must be positive and finite, got nan"),
     ("perturb", scalar_cfg(horizon=1.0, gamma=math.inf),
      "gamma must be positive and finite, got inf"),
     ("perturb", scalar_cfg(horizon=1.0, perturb={"vector": [math.nan]}),
@@ -270,15 +277,18 @@ def _scalar_filter(**extra):
     ("simulate", scalar_cfg(horizon=1.0, system={"name": ["vanderpol-pos"]}),
      "config field system.name must be a string"),
     ("simulate", scalar_cfg(horizon=1.0, system={"name": "cubic-scalar", "params": {"eps": "x"}}),
-     "config field system.params.eps is not a number: 'x'"),
+     "system.params.eps must be finite, got 'x'"),
+    ("simulate", scalar_cfg(horizon=1.0, system={"name": "cubic-scalar",
+                                                 "params": {"eps": -math.inf}}),
+     "system.params.eps must be finite, got -inf"),
     ("simulate", scalar_cfg(horizon=1.0, filter=_scalar_filter(xhat0=[math.nan])),
-     "x0 must be finite, got [nan]"),
+     "filter.xhat0 must be finite, got [nan]"),
     ("simulate", scalar_cfg(horizon=1.0, filter=_scalar_filter(Q=[[math.inf]])),
      "Q must be finite, got [[inf]]"),
     ("simulate", scalar_cfg(horizon=1.0, filter=_scalar_filter(Q=None)),
      "config needs filter.Q"),
     ("simulate", scalar_cfg(horizon=1.0, truth={"x0": [math.nan]}),
-     "x0 must be finite, got [nan]"),
+     "truth.x0 must be finite, got [nan]"),
     ("twin", scalar_cfg(horizon=1.0, twin={"z1_0": [math.nan], "z2_0": [0.1]}),
      "z1_0 must be finite, got [nan]"),
     ("perturb", scalar_cfg(horizon=1.0, perturb={"type": "sin", "vector": [0.01],
@@ -490,26 +500,30 @@ _SCALAR_TWINS = {"z1_0": [0.3], "z2_0": [0.1]}
       for sampling in ({"radius": -1, "safety": -5, "centers": 0}, {"radius": 0.5},
                        {"safety": 1.1}, {"centers": 25})],
     ("certify", _with(_sampled_cfg, "hessian.safety", "x"),
-     "config field hessian.safety is not a number: 'x'"),
+     "safety must be nonnegative and finite, got 'x'"),
     *[(command, _with(scalar_cfg, "gamma", "x", twin=_SCALAR_TWINS),
-       "config field gamma is not a number: 'x'")
+       f"gamma must be {'positive' if command == 'perturb' else 'nonnegative'} and finite, "
+       "got 'x'")
       for command in ("certify", "twin", "perturb", "envelope")],
-    ("twin", _with(scalar_cfg, "twin.z1_0", "x"), "config field twin.z1_0 is not numeric: 'x'"),
+    ("twin", _with(scalar_cfg, "twin.z1_0", "x", twin={"z2_0": [0.1]}),
+     "z1_0 must be numeric, got 'x'"),
     ("perturb", _with(scalar_cfg, "perturb.type", "ramp"), "unknown perturb.type 'ramp'"),
     ("perturb", _with(_sin_perturb_cfg, "perturb.freq", math.inf),
      "perturb.freq must be finite, got inf"),
-    ("perturb", _with(scalar_cfg, "perturb.z0", "x"), "config field perturb.z0 is not numeric: 'x'"),
+    ("perturb", _with(scalar_cfg, "perturb.z0", "x"), "z0 must be numeric, got 'x'"),
+    ("perturb", _with(scalar_cfg, "perturb.vector", [True]),
+     "perturb.vector must be numeric, got [True]"),
     *[("certify", _with(_sampled_cfg, "hessian.radius", radius),
-       f"radius must be positive and finite, got {float(radius)}")
+       f"radius must be positive and finite, got {radius}")
       for radius in (-1, 0, math.inf)],
     ("certify", _with(_sampled_cfg, "hessian.centers", 0),
      "hessian.centers must be a positive integer at most 1000000, got 0"),
     *[("certify", _with(_sampled_cfg, "hessian.safety", safety),
-       f"safety must be nonnegative and finite, got {float(safety)}")
+       f"safety must be nonnegative and finite, got {safety}")
       for safety in (-1, math.inf)],
     *[(command, _with(scalar_cfg, "gamma", gamma, twin=_SCALAR_TWINS),
        f"gamma must be {'positive' if command == 'perturb' else 'nonnegative'} and finite, "
-       f"got {float(gamma)}")
+       f"got {gamma}")
       for command in ("certify", "twin", "perturb", "envelope") for gamma in (-1, math.inf)],
 ])
 def test_every_config_value_is_read_before_the_first_integration(tmp_path, capsys, monkeypatch,
@@ -828,33 +842,39 @@ def test_a_filter_section_that_is_not_an_object_is_a_configuration_error(
 
 
 @pytest.mark.parametrize("command, make_cfg, key, value, message", [
-    ("simulate", scalar_cfg, "horizon", "1e0", "config field horizon is not a number: '1e0'"),
-    ("simulate", scalar_cfg, "step", True, "config field step is not a number: True"),
+    ("simulate", scalar_cfg, "horizon", "1e0", "horizon must be positive and finite, got '1e0'"),
+    ("simulate", scalar_cfg, "step", True, "step must be positive and finite, got True"),
     ("simulate", scalar_cfg, "filter.beta", False,
-     "config field filter.beta is not a number: False"),
-    ("certify", scalar_cfg, "seed", True, "config field seed is not a number: True"),
-    ("certify", scalar_cfg, "radius_times", "3", "config field radius_times is not a number: '3'"),
+     "beta must be nonnegative and finite, got False"),
+    ("certify", scalar_cfg, "seed", True, "seed must be a nonnegative integer, got True"),
+    ("certify", scalar_cfg, "radius_times", "3", f"radius_times must be {COUNT_RULE}, got '3'"),
     ("certify", _sampled_cfg, "hessian.centers", True,
-     "config field hessian.centers is not a number: True"),
-    ("simulate", scalar_cfg, "filter.P0", [[True]],
-     "config field filter.P0 is not numeric: [[True]]"),
-    ("simulate", scalar_cfg, "filter.Q", [["2"]], "config field filter.Q is not numeric: [['2']]"),
-    ("simulate", scalar_cfg, "truth.x0", ["0.4"], "config field truth.x0 is not numeric: ['0.4']"),
+     "hessian.centers must be a positive integer at most 1000000, got True"),
+    ("simulate", scalar_cfg, "filter.P0", [[True]], "P0 must be numeric, got [[True]]"),
+    ("simulate", scalar_cfg, "filter.Q", [["2"]], "Q must be numeric, got [['2']]"),
+    ("simulate", scalar_cfg, "filter.R", "1.0", "R must be numeric, got '1.0'"),
+    ("simulate", scalar_cfg, "filter.R", [[1.0], [1.0, 2.0]],
+     "R must be numeric, got [[1.0], [1.0, 2.0]]"),
+    ("simulate", scalar_cfg, "filter.xhat0", [True], "filter.xhat0 must be numeric, got [True]"),
+    ("simulate", vdp_cfg, "filter.xhat0", [True, 0.2],
+     "filter.xhat0 must be numeric, got [True, 0.2]"),
+    ("simulate", scalar_cfg, "truth.x0", ["0.4"], "truth.x0 must be numeric, got ['0.4']"),
     ("simulate", scalar_cfg, "filter.Q", [[1.0], [1.0, 2.0]],
-     "config field filter.Q is not numeric: [[1.0], [1.0, 2.0]]"),
-    ("simulate", scalar_cfg, "filter.Q", [[10 ** 400]],
-     f"config field filter.Q is not numeric: [[{10 ** 400}]]"),
+     "Q must be numeric, got [[1.0], [1.0, 2.0]]"),
+    ("simulate", scalar_cfg, "filter.Q", [[10 ** 400]], f"Q must be numeric, got [[{10 ** 400}]]"),
     ("certify", scalar_cfg, "radius_times", math.inf,
      f"radius_times must be {COUNT_RULE}, got inf"),
     ("simulate", scalar_cfg, "horizon", 10 ** 400,
-     f"config field horizon is not a number: {10 ** 400}"),
+     f"horizon must be positive and finite, got {10 ** 400}"),
     ("simulate", cubic_cfg, "system.params.eps", True,
-     "config field system.params.eps is not a number: True"),
+     "system.params.eps must be finite, got True"),
     ("simulate", cubic_cfg, "system.params.eps", "0.1",
-     "config field system.params.eps is not a number: '0.1'"),
+     "system.params.eps must be finite, got '0.1'"),
 ])
-def test_a_string_or_boolean_number_is_a_configuration_error(tmp_path, capsys, command,
-                                                             make_cfg, key, value, message):
+def test_a_string_or_boolean_number_is_a_configuration_error(tmp_path, capsys, monkeypatch,
+                                                             command, make_cfg, key, value,
+                                                             message):
+    monkeypatch.setattr(cli, "integrate_ekf", _unreachable)
     cfg = make_cfg(horizon=1.0)
     *sections, field = key.split(".")
     node = cfg
@@ -865,6 +885,37 @@ def test_a_string_or_boolean_number_is_a_configuration_error(tmp_path, capsys, c
     assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1e400", "perturb.freq must be finite, got inf"),   # JSON reads the literal as inf
+    ('"2"', "perturb.freq must be finite, got '2'"),
+])
+def test_a_perturb_frequency_that_is_not_a_finite_number_is_refused_before_the_run(
+        tmp_path, capsys, monkeypatch, text, message):
+    monkeypatch.setattr(cli, "integrate_ekf", _unreachable)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_sin_perturb_cfg(horizon=1.0)).replace(
+        '"type": "sin"', f'"type": "sin", "freq": {text}'))
+    out = tmp_path / "out"
+    assert main(["perturb", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (out / "summary.json").exists()
+
+
+def test_a_plant_parameter_of_either_sign_reaches_the_plant(tmp_path, monkeypatch):
+    """The plant parameters have no sign rule: the registry's factory gets the float."""
+    made, make = [], bench.make
+
+    def recording(name, **params):
+        made.append(params)
+        return make(name, **params)
+
+    monkeypatch.setattr(bench, "make", recording)
+    cfg = cubic_cfg(horizon=0.1, step=0.01, system={"name": "cubic-scalar", "params": {"eps": -1}})
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert made == [{"eps": -1.0}] and type(made[0]["eps"]) is float
 
 
 TRAJECTORY_COMMANDS = ["simulate", "certify", "twin", "perturb", "envelope"]

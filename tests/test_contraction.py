@@ -3,6 +3,7 @@ import dataclasses
 import decimal
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -705,10 +706,27 @@ def test_an_overflowed_contraction_matrix_certifies_nothing():
                                0.1 * np.eye(2), 0.1)
 
 
+def test_the_contraction_kernels_let_no_overflow_warning_escape():
+    """The kernels scope their own overflow warnings, as the bisection does, so under
+    warnings as errors the inequality fails where it overflows instead of raising."""
+    model, z, xhat = _overflowing_plant(), np.array([1.0, 0.0]), np.zeros(2)
+    P = np.diag([1e10, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        M = ek.contraction_matrix(model, z, xhat, P, np.eye(2), np.eye(1), 0.0)
+        assert ek.check_contraction_inequality(model, z, xhat, P, np.eye(2), np.eye(1), 0.0,
+                                               0.0) is False
+        # a finite M whose symmetrization overflows is not finite either
+        with pytest.raises(ek.PreconditionError, match="not negative semidefinite"):
+            ek.inflation_rate_gain(np.diag([-1e308, -1.0]), np.eye(2), np.eye(2), 0.0)
+    assert np.isnan(M[0, 0]) and M[1, 1] == -1.0
+
+
 @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
 def test_a_matrix_that_is_not_finite_fails_the_semidefinite_verdict(entry):
     S = np.array([[-1.0, 0.0], [0.0, entry]])
-    assert list(contraction._negative_semidefinite(np.stack([S, -np.eye(2)]))) == [False, True]
+    assert list(contraction._contracting(np.stack([S, -np.eye(2)]), np.eye(2), 0.0)) == [False,
+                                                                                        True]
 
 
 def test_single_stage_identity_of_the_riccati_flow_and_the_contraction_matrix():

@@ -297,6 +297,49 @@ def test_a_measurement_must_have_one_entry_per_output():
         ek.integrate_ekf(fc, [0.4])
 
 
+@pytest.mark.parametrize("name, bad", [("cubic-scalar", math.nan), ("vanderpol-pos", math.inf),
+                                       ("vanderpol-pos", -math.inf)])
+def test_a_non_finite_measurement_is_a_configuration_error_at_its_time(name, bad):
+    """The measured signal is input, not model output: its first non-finite value is named
+    with its stage time, where the run itself fails one stage later on a non-finite state."""
+    model = ek.make(name).model
+    n = model.state_dim
+    fc = ek.FilterConfig(model=model, Q=np.eye(n), R=np.eye(1), P0=np.eye(n), x0=np.zeros(n),
+                         horizon=1.0, step=0.1)
+    with pytest.raises(ek.ConfigurationError) as refused:
+        ek.integrate_ekf(fc, lambda t: np.array([bad if t > 0.5 else 0.1]))
+    assert str(refused.value) == f"measurement at t=0.55 must be finite, got [{bad}]"
+
+
+def test_a_covariance_lost_before_a_non_finite_measurement_keeps_its_precedence():
+    # Q ~ 0 with a large P0 drives P through zero at the first step, t = 0.2
+    fc = ek.FilterConfig(model=ek.make("scalar-riccati").model, Q=[[1e-12]], R=np.eye(1),
+                         P0=[[10.0]], x0=np.zeros(1), horizon=1.0, step=0.2)
+    with pytest.raises(ek.CovarianceBoundViolation, match="at t=0.2$"):
+        ek.integrate_ekf(fc, lambda t: np.array([math.nan if t > 0.5 else 0.1]))
+    with pytest.raises(ek.ConfigurationError, match=re.escape("at t=0 must be finite, got [nan]")):
+        ek.integrate_ekf(fc, lambda t: np.array([math.nan]))
+
+
+@pytest.mark.parametrize("beta, shown", [(-1.0, "-1.0"), (math.nan, "nan"), ("x", "'x'")])
+def test_riccati_rhs_reads_beta_as_filter_config_does(beta, shown):
+    with pytest.raises(ek.ConfigurationError) as refused:
+        ek.riccati_rhs(np.eye(1), np.zeros((1, 1)), np.ones((1, 1)), np.eye(1), np.eye(1),
+                       beta=beta)
+    assert str(refused.value) == f"beta must be nonnegative and finite, got {shown}"
+
+
+@pytest.mark.parametrize("N, message", [
+    (-np.eye(2), "N must be positive semidefinite, min eigenvalue -1.000e+00"),
+    ([[0.0, 1.0], [0.0, 0.0]], "N must be symmetric"),
+    (np.zeros((3, 3)), "N must have shape (2, 2), got (3, 3)"),
+])
+def test_riccati_rhs_reads_n_as_filter_config_does(N, message):
+    with pytest.raises(ek.ConfigurationError) as refused:
+        ek.riccati_rhs(np.eye(2), np.zeros((2, 2)), np.ones((1, 2)), np.eye(2), np.eye(1), N)
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("horizon, step, message", [
     (0.0, 0.1, "horizon must be positive"), (-1.0, 0.1, "horizon must be positive"),
     (float("nan"), 0.1, "horizon must be positive"), (1.0, 0.0, "step must be positive"),
@@ -519,7 +562,8 @@ def test_riccati_rhs_reads_the_symmetric_part_of_p(n):
     from ekfcert.ekf import _riccati
     rng = np.random.default_rng(n)
     for _ in range(50):
-        P, A, Q, N = (_signed(rng, (n, n)) for _ in range(4))
+        P, A, Q, G = (_signed(rng, (n, n)) for _ in range(4))
+        N = 0.5 * (G.dot(G.T) + G.dot(G.T).T)   # symmetric and semidefinite, as riccati_rhs reads N
         C, R = _signed(rng, (2, n)), np.eye(2) + 0.1 * _signed(rng, (2, 2))
         S = 0.5 * (P + P.T)
         assert (ek.riccati_rhs(P, A, C, Q, R, N, 0.3).tobytes()

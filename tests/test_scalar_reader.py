@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ekfcert as ek
-from ekfcert.model import MAX_COUNT, _scalar
+from ekfcert.model import MAX_COUNT, SIGN_FREE_RULE, _scalar
 
 MODEL = ek.make("vanderpol-pos").model   # n = 2, linear output
 N = MODEL.state_dim
@@ -75,6 +75,8 @@ ENTRY_POINTS = [
     ("FilterConfig", "horizon", POS_FIN, lambda v: _config(horizon=v, step=None)),
     ("FilterConfig", "step", POS_FIN, lambda v: _config(step=v)),
     ("FilterConfig", "beta", NONNEG_FIN, lambda v: _config(beta=v)),
+    ("riccati_rhs", "beta", NONNEG_FIN, lambda v: ek.riccati_rhs(P, -np.eye(2), np.ones((1, 2)),
+                                                                 Q, R, beta=v)),
     ("integrate_truth", "horizon", POS_FIN, lambda v: ek.integrate_truth(MODEL, GOOD, v, 0.05)),
     ("integrate_truth", "step", POS_FIN, lambda v: ek.integrate_truth(MODEL, GOOD, 0.2, v)),
     ("SystemModel", "state_dim", POS_INT,
@@ -250,3 +252,18 @@ def test_a_grid_of_more_than_max_count_steps_is_refused_before_it_is_allocated(
 def test_a_grid_of_max_count_steps_is_accepted():
     assert _config(horizon=0.1, step=0.1 / MAX_COUNT).step == 0.1 / MAX_COUNT
     assert len(ek.time_grid(0.1, 0.1 / MAX_COUNT)) == MAX_COUNT + 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(value=st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10 ** 300, 10 ** 300))
+def test_the_sign_free_rule_takes_any_finite_number(value):
+    assert _scalar(value, "system.params.eps", SIGN_FREE_RULE) == float(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400, True,
+                                   "0.1", [0.1], None, 1 + 0j])
+def test_the_sign_free_rule_refuses_what_is_not_a_finite_real_number(value):
+    with pytest.raises(ek.ConfigurationError) as refused:
+        _scalar(value, "perturb.freq", SIGN_FREE_RULE)
+    shown = str(value) if isinstance(value, (int, float)) else repr(value)
+    assert str(refused.value) == f"perturb.freq must be finite, got {shown}"

@@ -1,8 +1,10 @@
-"""Every public entry point reads its state vectors through one reader.
+"""Every public entry point reads its state vectors and arrays through one reader.
 
-A wrong length, a NaN or infinite entry, a string or ragged rows is a
-ConfigurationError that names the argument, and an (n, 1) column reads as
-the (n,) vector it holds, with bit-equal results.
+A wrong length, a NaN or infinite entry, a string, a boolean at any depth or
+ragged rows is a ConfigurationError that names the argument, and an (n, 1)
+column reads as the (n,) vector it holds, with bit-equal results. Every other
+array argument (weights, time series, inflation matrices, tensors) takes the
+same numeric rule.
 """
 
 import math
@@ -63,6 +65,11 @@ non_finite = st.tuples(st.lists(finite, min_size=N, max_size=N),
                        st.integers(0, N - 1)).map(
     lambda a: (a[0][:a[2]] + [a[1]] + a[0][a[2] + 1:], "must be finite"))
 text = st.tuples(st.text(max_size=4), st.just("must be numeric"))
+# a real number in every place but one, at any depth: booleans hide in a float array
+not_real = st.tuples(st.lists(finite, min_size=N, max_size=N),
+                     st.sampled_from([True, False, "1", 1 + 0j, None, 10 ** 400]),
+                     st.integers(0, N - 1), st.booleans()).map(
+    lambda a: (a[0][:a[2]] + [[a[1]] if a[3] else a[1]] + a[0][a[2] + 1:], "must be numeric"))
 ragged = st.tuples(st.lists(st.lists(finite, min_size=1, max_size=3), min_size=2, max_size=3)
                    .filter(lambda rows: len({len(r) for r in rows}) > 1),
                    st.just("must be numeric"))
@@ -70,7 +77,7 @@ ragged = st.tuples(st.lists(st.lists(finite, min_size=1, max_size=3), min_size=2
 
 @pytest.mark.parametrize("entry, name, call", ENTRY_POINTS, ids=IDS)
 @settings(max_examples=25, deadline=None)
-@given(bad=st.one_of(wrong_length, non_finite, text, ragged))
+@given(bad=st.one_of(wrong_length, non_finite, text, not_real, ragged))
 def test_a_bad_state_is_a_configuration_error_naming_its_argument(entry, name, call, bad):
     value, message = bad
     with pytest.raises(ek.ConfigurationError, match=rf"^{re.escape(name)} {message}"):
@@ -112,7 +119,91 @@ def test_a_column_reads_as_the_vector_it_holds(entry, name, call, x):
      "starts[1] must be numeric, got [[0.3, 0.2], [0.1]]"),
     (lambda: ek.FilterConfig(model=MODEL, Q=Q, R=R, P0=P, x0="ab", horizon=1.0),
      "x0 must be numeric, got 'ab'"),
+    (lambda: ek.FilterConfig(model=MODEL, Q=Q, R=R, P0=P, x0=[True, 1.0], horizon=1.0),
+     "x0 must be numeric, got [True, 1.0]"),
 ])
 def test_each_entry_point_refuses_a_state_of_another_shape(call, message):
     with pytest.raises(ek.ConfigurationError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _config(**override):
+    return ek.FilterConfig(**{**dict(model=MODEL, Q=Q, R=R, P0=P, x0=GOOD, horizon=0.2),
+                              **override})
+
+
+def _swap(args, i, v):
+    """``args`` with v at position i."""
+    return [v if j == i else a for j, a in enumerate(args)]
+
+
+I2 = [[1, 0], [0, 1]]
+# (entry point, argument name in the message, call with the array v at that argument, an
+# integer value that the call accepts)
+ARRAYS = [
+    *[("FilterConfig", name, lambda v, name=name: _config(**{name: v}), good)
+      for name, good in [("Q", I2), ("R", [[1]]), ("P0", [[2, 0], [0, 1]]),
+                         ("N", [[1, 0], [0, 0]])]],
+    *[(entry, name, lambda v, call=call, i=i: call(*_swap((P, Q, R), i, v)), good)
+      for entry, call in [
+          ("contraction_matrix",
+           lambda p, q, r: ek.contraction_matrix(MODEL, GOOD, GOOD, p, q, r, 0.0)),
+          ("check_contraction_inequality",
+           lambda p, q, r: ek.check_contraction_inequality(MODEL, GOOD, GOOD, p, q, r, 0.1, 0.0)),
+          ("empirical_radius",
+           lambda p, q, r: ek.empirical_radius(MODEL, GOOD, p, q, r, 0.1, 0.0,
+                                               direction_samples=2))]
+      for i, (name, good) in enumerate([("P", [[2, 0], [0, 1]]), ("Q", I2), ("R", [[3]])])],
+    ("TimeSeries", "times", lambda v: _series(ek.TimeSeries(v, [[1.0], [2.0]])), [0, 1]),
+    ("TimeSeries", "values", lambda v: _series(ek.TimeSeries([0.0, 1.0], v)), [[1], [2]]),
+    *[("inflation_rate_gain", name,
+       lambda v, i=i: ek.inflation_rate_gain(*_swap((-np.eye(2), P, 0.1 * np.eye(2)), i, v), 0.1),
+       good)
+      for i, (name, good) in enumerate([("M", [[-1, 0], [0, -1]]), ("P", I2), ("N", I2)])],
+    ("tensor_norm", "H", lambda v: ek.tensor_norm(v, np.eye(1)), [[[0, 1], [1, 0]]]),
+    ("riccati_rhs", "N", lambda v: ek.riccati_rhs(P, -np.eye(2), np.ones((1, 2)), Q, R, v), I2),
+]
+ARRAY_IDS = [f"{entry}-{name}" for entry, name, _, _ in ARRAYS]
+# values that are not arrays of real numbers, whatever their shape
+NOT_NUMERIC = [[True, 1.0], [[1.0, 0.0], [0.0, True]], [[True]], [["1"]], "1", [[1 + 0j]],
+               [[None]], None, [[1.0], [1.0, 2.0]], [[10 ** 400]], {"a": 1.0}]
+
+
+def _series(series):
+    return series.times, series.values
+
+
+def _fields(config):
+    return tuple(getattr(config, key) for key in ("Q", "R", "P0", "N", "q_lo", "r_lo"))
+
+
+# an N of None is an omitted N, no inflation, except in inflation_rate_gain
+REFUSED = [pytest.param(entry, name, call, value, id=f"{entry}-{name}-{k}")
+           for entry, name, call, _ in ARRAYS for k, value in enumerate(NOT_NUMERIC)
+           if not (value is None and name == "N" and entry != "inflation_rate_gain")]
+
+
+@pytest.mark.parametrize("entry, name, call, value", REFUSED)
+def test_an_array_that_is_not_numeric_is_a_configuration_error_naming_its_argument(
+        entry, name, call, value):
+    with pytest.raises(ek.ConfigurationError) as refused:
+        call(value)
+    assert str(refused.value) == f"{name} must be numeric, got {value!r}"
+
+
+@pytest.mark.parametrize("entry, name, call, good", ARRAYS, ids=ARRAY_IDS)
+def test_every_array_argument_reads_integers_as_their_floats(entry, name, call, good):
+    def bits(result):
+        return _bits(_fields(result) if isinstance(result, ek.FilterConfig) else result)
+    assert bits(call(good)) == bits(call(np.array(good, dtype=float)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ek.TimeSeries([0.0, 1.0], [[1.0], [math.nan]]), "values must be finite"),
+    (lambda: ek.TimeSeries([0.0, 1.0], [[1.0], [-math.inf]]), "values must be finite"),
+    (lambda: ek.TimeSeries(["0", "1"], ["1", "2"]), "times must be numeric, got ['0', '1']"),
+])
+def test_a_time_series_is_numeric_and_finite(call, message):
+    with pytest.raises(ek.ConfigurationError) as refused:
+        call()
+    assert str(refused.value) == message
