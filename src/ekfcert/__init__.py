@@ -12,13 +12,13 @@ from .contraction import (ContractionCertificate, check_contraction_inequality,
                           compare_analyses, contraction_matrix, empirical_radius,
                           inflation_rate_gain, linear_output_check, make_certificate,
                           zeta_plus)
-from .ekf import FilterConfig, FilterTrajectory, integrate_ekf, riccati_rhs
+from .ekf import (FilterConfig, FilterTrajectory, TimeSeries, integrate_ekf, riccati_rhs,
+                  rk4_step, time_grid)
 from .errors import (ConfigurationError, CovarianceBoundViolation,
                      DivergenceError, EkfCertError, ModelEvaluationError,
                      PreconditionError, RunFailure)
 from .model import (HessianBounds, SystemModel, estimate_hessian_bounds,
                     eval_jacobians, hessian_tensor, tensor_norm)
-from .ode import TimeSeries, rk4_step, time_grid
 from .sim import (Disturbance, EnvelopeReport, ExperimentRun, envelope_check,
                   fit_exponential_rate, integrate_truth, perturbed_run, twin_decay,
                   variational_validator)

@@ -39,13 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Extended Kalman filter runs with contraction-based "
                     "convergence certificates")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-            ("simulate", "run truth + filter, report covariance bounds"),
-            ("certify", "emit a contraction certificate and radius series"),
-            ("compare", "tabulate rate/basin formulas of the two analyses"),
-            ("twin", "decay of two virtual trajectories under the filter gain"),
-            ("perturb", "disturbed virtual trajectory vs the certified ball"),
-            ("envelope", "estimation error vs its certified envelope")]:
+    for name, (_, _, help_text) in _HANDLERS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default="ekfcert_out", help="output directory")
@@ -297,21 +291,22 @@ def cmd_envelope(cfg: dict) -> tuple[dict, bool, dict | None]:
                                    "margin": report.margins}
 
 
-# command -> (handler, CSV file name). A handler runs its computation, prints its
-# one result line and returns (summary fields, passed, CSV columns or None).
+# command -> (handler, CSV file name, help text), in the order --help lists them. A handler
+# runs its computation, prints its one result line and returns (summary fields, passed, CSV
+# columns or None).
 _HANDLERS = {
-    "simulate": (cmd_simulate, "trajectory.csv"),
-    "certify": (cmd_certify, "radius.csv"),
-    "compare": (cmd_compare, None),
-    "twin": (cmd_twin, "twin.csv"),
-    "perturb": (cmd_perturb, "perturb.csv"),
-    "envelope": (cmd_envelope, "envelope.csv"),
+    "simulate": (cmd_simulate, "trajectory.csv", "run truth + filter, report covariance bounds"),
+    "certify": (cmd_certify, "radius.csv", "emit a contraction certificate and radius series"),
+    "compare": (cmd_compare, None, "tabulate rate/basin formulas of the two analyses"),
+    "twin": (cmd_twin, "twin.csv", "decay of two virtual trajectories under the filter gain"),
+    "perturb": (cmd_perturb, "perturb.csv", "disturbed virtual trajectory vs the certified ball"),
+    "envelope": (cmd_envelope, "envelope.csv", "estimation error vs its certified envelope"),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler, csv_name = _HANDLERS[args.command]
+    handler, csv_name, _ = _HANDLERS[args.command]
     try:
         cfg = _load_config(args.config)
         if args.seed is not None:

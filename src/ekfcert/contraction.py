@@ -423,9 +423,14 @@ def inflation_rate_gain(M: np.ndarray, P: np.ndarray, N: np.ndarray,
 
     Given M + 2 gamma P <= 0 (enforced as a precondition, which a matrix
     that is not finite fails), verifies (M - 2N) + 2 (gamma + n_lo/p_hi) P
-    <= 0 with n_lo = lambda_min(N) and p_hi = lambda_max(P), of numeric M, P, N.
+    <= 0 with n_lo = lambda_min(N) and p_hi = lambda_max(P), of numeric M, P, N of one
+    (n, n) shape, n from M, else a ConfigurationError naming the argument.
     """
     M, P, N = (_array(a, name) for a, name in ((M, "M"), (P, "P"), (N, "N")))
+    n = len(M) if M.ndim else 1
+    for a, name in ((M, "M"), (P, "P"), (N, "N")):
+        if a.shape != (n, n):
+            raise ConfigurationError(f"{name} must have shape {(n, n)}, got {a.shape}")
     gamma = _scalar(gamma, "gamma")
     if not _contracting(M, P, gamma):
         raise PreconditionError("M + 2 gamma P is not negative semidefinite")

@@ -31,6 +31,15 @@ row's own stage state and applies its gain K to the estimate and to every
 virtual row dz/dt = f(z, t) - K (h(z, t) - y) [+ b(z, t)], of which the
 truth and the estimate are particular solutions.
 
+Every integration of the package takes classical RK4 steps (``rk4_step``)
+on a uniform grid (``time_grid``) through the one driver ``integrate``; the
+virtual copies are rows of the filter run's own RK4 state. A run stores the
+outputs it reads at its RK4 stages once per distinct stage time
+(``stage_table``); the variational validator reads that table next to the
+run's gains, which ``interp`` (linear, clamped ends) carries onto the stage
+times. A measured signal is a callable of t or a ``TimeSeries``, values on
+a time grid that ``interp`` reads the same way.
+
 A stage is straight-line code. After reading y it reads A and C at the
 estimate (model._stage_jacobians), forms K and calls f and h there, in the
 order eval_jacobians, f, h, then the virtual rows' f and h, each result read
@@ -49,15 +58,17 @@ A node of sum of squares at most DIVERGENCE_LIMIT^2 / 4 has every row
 finite and inside the limit and passes on that one check; any other gets
 the guard of the truth, then of the estimate, a finiteness check of P, P's
 definiteness (its smallest eigenvalue is positive, FilterConfig's rule for
-P0) and the guard of each virtual row. After the run, one batched eigvalsh
-applies that rule to every node and gives p_lo and p_hi; the stored nodes
-get the same check before any exception raised within the run propagates.
-The disturbance bound is checked last, on the root of the largest b.b of
-any stage.
+P0) and the guard of each virtual row. One closing block, after a finished
+run or before an Exception raised within it propagates, checks the stored
+nodes with one batched eigvalsh, which also gives p_lo and p_hi, and then
+the measurements read; a BaseException that is not an Exception propagates
+without it. The disturbance bound is checked last, on the root of the
+largest b.b of any stage.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -66,14 +77,116 @@ import numpy as np
 
 from .errors import (ConfigurationError, CovarianceBoundViolation, DivergenceError,
                      PreconditionError)
-from .model import (SystemModel, _array, _call, _finite, _scalar, _scalars, _stage_jacobians,
-                    _state, eval_jacobians)
-from .ode import TimeSeries, _step_count, rk4_step, stage_table, time_grid
+from .model import (MAX_COUNT, SystemModel, _array, _call, _finite, _scalar, _scalars,
+                    _stage_jacobians, _state, eval_jacobians)
 
 # states beyond this magnitude are treated as numerical blow-up
 DIVERGENCE_LIMIT = 1e12
 
 Flow = Callable[[float, np.ndarray], np.ndarray]
+
+
+def _step_count(horizon: float, step: float) -> int:
+    """n = round(horizon/step), at least 1, of every grid: at most MAX_COUNT (a ratio that
+    overflows included), else a ConfigurationError naming both values read by _scalar."""
+    horizon, step = _scalars(horizon=horizon, step=step).values()
+    if horizon / step > MAX_COUNT + 0.5:   # round() to even keeps 1000000.5 at 10**6
+        raise ConfigurationError(f"horizon / step must be at most {MAX_COUNT} steps, got "
+                                 f"horizon {horizon!r} and step {step!r}")
+    return max(1, int(round(horizon / step)))
+
+
+def time_grid(horizon: float, step: float) -> np.ndarray:
+    """Uniform grid [0, horizon] of n = round(horizon/step) <= MAX_COUNT steps (``_step_count``):
+    the realized step is horizon/n, so the grid always lands exactly on the horizon."""
+    n = _step_count(horizon, step)
+    return np.linspace(0.0, float(horizon), n + 1)
+
+
+def rk4_step(rhs: Flow, t: float, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical Runge-Kutta step of size h for y' = rhs(t, y)."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# stage-table row of each rk4_step stage, counted from row 2k of step k
+_STAGE_ROWS = (0, 1, 1, 2)
+
+
+def stage_table(grid: np.ndarray) -> tuple[np.ndarray, Callable[[float], tuple[int, int]]]:
+    """The 2m - 1 distinct RK4 stage times on ``grid`` and a reader of stage calls.
+
+    Row 2k is the node t_k and row 2k+1 the midpoint t_k + h_k/2, with
+    h_k = t_{k+1} - t_k as ``integrate`` forms it, so stages 1 to 4 of step k
+    read rows 2k, 2k+1, 2k+1 and 2k+2 (t_k + h_k equals t_{k+1} exactly on
+    ``time_grid`` grids). The reader maps the successive right-hand-side
+    calls of one RK4 run on ``grid`` to (stage, row), stage 0 to 3. It
+    checks each call's time against its row's, so a stepping scheme that
+    does not match raises instead of reading a wrong row.
+    """
+    times = np.empty(2 * len(grid) - 1)
+    times[0::2] = grid
+    times[1::2] = grid[:-1] + 0.5 * (grid[1:] - grid[:-1])
+    calls = itertools.count()
+
+    def read(t: float) -> tuple[int, int]:
+        j = next(calls)
+        stage = j & 3
+        row = 2 * (j >> 2) + _STAGE_ROWS[stage]
+        if t != times[row]:
+            raise RuntimeError(f"RK4 stage {stage + 1} at t={float(t)!r} does not match "
+                               f"stage-table row {row} at t={float(times[row])!r}")
+        return stage, row
+
+    return times, read
+
+
+@dataclass
+class TimeSeries:
+    """Values sampled on an increasing time grid, linearly interpolated.
+
+    ``values`` has shape (len(times), ...); any trailing shape is allowed,
+    so the same container holds state vectors, output vectors, covariance
+    matrices and gain matrices. Both are numeric (model._array) and finite.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.times, self.values = _array(self.times, "times"), _array(self.values, "values")
+        if self.times.ndim != 1 or len(self.times) < 1:
+            raise ConfigurationError("times must be a nonempty 1-d array")
+        if not np.isfinite(self.times).all():
+            raise ConfigurationError("times must be finite")
+        if self.values.ndim < 1 or len(self.values) != len(self.times):
+            raise ConfigurationError("values must have one entry per time")
+        if not np.isfinite(self.values).all():
+            raise ConfigurationError("values must be finite")
+        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
+            raise ConfigurationError("times must be strictly increasing")
+
+    def at(self, t: float) -> np.ndarray:
+        """Linear interpolation at t, clamped to the grid range."""
+        return interp(self.times, self.values, t)
+
+
+def interp(times: np.ndarray, values: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """Linear interpolation at t, a time or a 1-d array of times, clamped to
+    the grid range; inputs are not checked. An array of times stacks the
+    values at each, bit for bit."""
+    ts = np.reshape(t, -1)
+    if len(times) == 1:   # a constant
+        v = values[np.zeros(len(ts), dtype=int)]
+    else:
+        i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(times) - 2)
+        w = np.clip((ts - times[i]) / (times[i + 1] - times[i]), 0.0, 1.0)
+        w = w.reshape(-1, *(1,) * (values.ndim - 1))
+        v = (1.0 - w) * values[i] + w * values[i + 1]
+    return v if np.ndim(t) else v[0]
 
 
 def integrate(rhs: Flow, y0: np.ndarray, grid: np.ndarray, guard: Flow,
@@ -253,11 +366,20 @@ def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
                 beta: float = 0.0) -> np.ndarray:
     """Right-hand side of the (optionally inflated) Riccati flow at the symmetric part of P,
     symmetrized, with ``beta`` and ``N`` read as FilterConfig reads them; inverts R on each
-    call (a run inverts it once). Through ndarray.dot, a NaN or inf that meets an exact zero
-    in P C^T (n = 1, p >= 2) or in R^{-1} (P C^T)^T (p = 1, n >= 2) gives 0, not NaN."""
-    N2 = None if N is None else 2.0 * _check_spd(N, "N", len(P), allow_zero=True)[0]
-    return _riccati(0.5 * (P + np.transpose(P)), A, C, Q, np.linalg.inv(R), N2,
-                    2.0 * _scalar(beta, "beta"))
+    call (a run inverts it once). P, A, C, Q and R are numeric (model._array) of shapes
+    (n, n), (n, n), (p, n), (n, n) and (p, p), with n from P and p from C, and R is finite,
+    else a ConfigurationError naming the argument; Q and R are used as given, not
+    symmetrized. Through ndarray.dot, a NaN or inf that meets an exact zero in P C^T
+    (n = 1, p >= 2) or in R^{-1} (P C^T)^T (p = 1, n >= 2) gives 0, not NaN."""
+    P, A, C, Q, R = (_array(a, name) for a, name in zip((P, A, C, Q, R), "PACQR"))
+    n, p = (len(a) if a.ndim else 1 for a in (P, C))
+    for a, name, shape in zip((P, A, C, Q, R), "PACQR", ((n, n), (n, n), (p, n), (n, n), (p, p))):
+        if a.shape != shape:
+            raise ConfigurationError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(R).all():
+        raise ConfigurationError(f"R must be finite, got {R.tolist()}")
+    N2 = None if N is None else 2.0 * _check_spd(N, "N", n, allow_zero=True)[0]
+    return _riccati(0.5 * (P + P.T), A, C, Q, np.linalg.inv(R), N2, 2.0 * _scalar(beta, "beta"))
 
 
 @dataclass
@@ -274,7 +396,7 @@ class FilterTrajectory:
     ``sim`` read them and refuse a run without the rows they need.
 
     ``stage_outputs`` (2m - 1, p) holds the output y at the distinct RK4
-    stage times of the run, in the rows of ``ode.stage_table(times)``. A run
+    stage times of the run, in the rows of ``stage_table(times)``. A run
     on measured data reads one y per stage time. A run on a truth start
     reads y at each stage from the truth's own stage state: a node row holds
     y at the truth node, but stages 2 and 3 of a step read two different
@@ -348,7 +470,7 @@ def integrate_ekf(config: FilterConfig,
         smallest eigenvalue is not positive) at a node; the exception carries
         the first such time. It takes precedence over any later failure: the
         stored nodes are checked as one stack after the run and before any
-        other exception raised within it propagates, so a run that fails here
+        other Exception raised within it propagates, so a run that fails here
         may have called its callbacks past that node.
     PreconditionError
         If the disturbance exceeded its declared bound, checked after the
@@ -459,21 +581,20 @@ def integrate_ekf(config: FilterConfig,
         node_finite = math.isfinite(sq)
         return state
 
-    def measured() -> None:   # the first measurement read that is not finite, if any
-        bad = np.flatnonzero(~np.isfinite(outputs[:filled + 1]).all(axis=1))
-        if len(bad):
-            raise ConfigurationError(f"measurement at t={stage_times[bad[0]]:.6g} must be "
-                                     f"finite, got {outputs[bad[0]].tolist()}")
-
     try:
         integrate(rhs, state0, grid, guard, nodes)
-    except Exception:
-        _definite(grid, nodes[:stored, 1:n + 1])   # an earlier lost P is the run's first failure
-        measured()
-        raise
+        failure = None
+    except Exception as exc:   # a BaseException (KeyboardInterrupt) skips the closing checks
+        failure = exc
+    # the stored nodes' P, then the measurements read, come before any failure within the run
+    eigs = _definite(grid, nodes[:stored, 1:n + 1])
+    bad = np.flatnonzero(~np.isfinite(outputs[:filled + 1]).all(axis=1))
+    if len(bad):
+        raise ConfigurationError(f"measurement at t={stage_times[bad[0]]:.6g} must be "
+                                 f"finite, got {outputs[bad[0]].tolist()}")
+    if failure is not None:
+        raise failure
     states, covs = nodes[:, 0], nodes[:, 1:n + 1]
-    eigs = _definite(grid, covs)
-    measured()
     b_worst = math.sqrt(b_sq)
     if disturbance is not None and b_worst > disturbance.b_max * (1.0 + 1e-9) + 1e-300:
         raise PreconditionError(f"disturbance bound violated: observed {b_worst:.6g} "

@@ -455,11 +455,14 @@ def tensor_norm(H: np.ndarray, output_directions: np.ndarray) -> float:
     of directions only, so the value is a lower approximation. For m = 1
     the coordinate directions make it exact. All directions are evaluated
     at once: one stacked product forms the symmetrized matrices and one
-    batched ``eigvalsh`` takes their spectra. ``H`` is numeric (_array) and
-    ``output_directions`` a (d, m) stack of finite numbers, else a
-    ConfigurationError; d = 0 gives 0.0. A contraction that overflows gives NaN.
+    batched ``eigvalsh`` takes their spectra. ``H`` is a numeric (_array)
+    (m, n, n) stack and ``output_directions`` a (d, m) stack of finite
+    numbers, else a ConfigurationError; d = 0 gives 0.0. A contraction that
+    overflows gives NaN.
     """
     H = _array(H, "H")
+    if H.ndim != 3 or H.shape[1] != H.shape[2]:
+        raise ConfigurationError(f"H must have shape (m, n, n), got {H.shape}")
     W = _state(output_directions, H.shape[0], "output_directions", rows="d")
     return float(_tensor_norms(H[None], W)[0])
 

@@ -32,11 +32,11 @@ from typing import Callable
 import numpy as np
 
 from .contraction import ContractionCertificate, _contraction_matrices, _rate
-from .ekf import FilterTrajectory, _scalar_flow, _scalar_tangent, divergence_guard, integrate
+from .ekf import (FilterTrajectory, TimeSeries, _scalar_flow, _scalar_tangent, divergence_guard,
+                  integrate, interp, stage_table, time_grid)
 from .errors import ConfigurationError
 from .model import (SystemModel, _call, _finite, _scalar, _stacked_jacobians, _stage_jacobians,
                     _state)
-from .ode import TimeSeries, interp, stage_table, time_grid
 
 # absolute slack when comparing a near-zero steady radius against a zero ball
 BALL_TOL = 1e-8
@@ -141,6 +141,15 @@ def _run_rows(filter_run: FilterTrajectory, caller: str, count: int, call: str) 
     return filter_run.virtual
 
 
+def _distance_run(filter_run: FilterTrajectory, delta: np.ndarray) -> ExperimentRun:
+    """The ExperimentRun of the differences ``delta`` (m, n) on the run's grid: their weighted
+    squared and Euclidean lengths and the weighted series' fitted rate, with an empty info."""
+    weighted, _ = _weighted_sq(filter_run.covariances, delta)
+    return ExperimentRun(times=filter_run.times, weighted_dist=weighted,
+                         euclid_dist=np.linalg.norm(delta, axis=1),
+                         fitted_rate=fit_exponential_rate(filter_run.times, weighted))
+
+
 def twin_decay(filter_run: FilterTrajectory, *,
                certificate: ContractionCertificate | None = None) -> ExperimentRun:
     """Two virtual trajectories under the filter's gain; distance decay.
@@ -154,20 +163,16 @@ def twin_decay(filter_run: FilterTrajectory, *,
     outside start is flagged, not fatal.
     """
     Z = _run_rows(filter_run, "twin_decay", 2, "integrate_ekf(..., starts=[z1_0, z2_0])")
-    times = filter_run.times
-    delta = Z[:, 0] - Z[:, 1]
-    weighted, _ = _weighted_sq(filter_run.covariances, delta)
-    euclid = np.linalg.norm(delta, axis=1)
-    rate = fit_exponential_rate(times, weighted)
-    info: dict = {"fitted_rate_euclid": fit_exponential_rate(times, euclid)}
+    run = _distance_run(filter_run, Z[:, 0] - Z[:, 1])
+    rate, info = run.fitted_rate, run.info
+    info["fitted_rate_euclid"] = fit_exponential_rate(run.times, run.euclid_dist)
     if certificate is not None:
         w = _weighted_sq(filter_run.covariances[[0, 0]], Z[0] - filter_run.states[0])[0]
         info["within_basin"] = not math.isfinite(certificate.rho) or bool(
             (w <= certificate.rho ** 2 / certificate.p_hi * (1.0 + 1e-12)).all())
         info["rate_pass"] = (None if math.isnan(rate)   # no signal
                              else bool(rate >= 2.0 * certificate.gamma * RATE_SLACK))
-    return ExperimentRun(times=times, weighted_dist=weighted, euclid_dist=euclid,
-                         fitted_rate=rate, info=info)
+    return run
 
 
 def envelope_check(filter_run: FilterTrajectory,
@@ -216,29 +221,17 @@ def perturbed_run(filter_run: FilterTrajectory, *,
         raise ConfigurationError(
             f"perturbed_run needs a filter run with a disturbance ({call}), got none")
     gamma = _rate(gamma, filter_run.config.q_lo, filter_run.p_hi, BALL_RATE_RULE)
-    times = filter_run.times
-    delta = z - filter_run.states
-    euclid = np.linalg.norm(delta, axis=1)
-    weighted, _ = _weighted_sq(filter_run.covariances, delta)
-
-    tail = times >= (2.0 / 3.0) * times[-1]
-    steady = float(euclid[tail].max())
+    run = _distance_run(filter_run, z - filter_run.states)
+    steady = float(run.euclid_dist[run.times >= (2.0 / 3.0) * run.times[-1]].max())
     factor = math.sqrt(filter_run.p_hi / filter_run.p_lo)
     ball_standard = factor * disturbance.b_max / gamma
     ball_printed = factor * disturbance.b_max * gamma
-    info = {
-        "steady_radius": steady,
-        "ball_standard": ball_standard,
-        "ball_printed": ball_printed,
-        "within_standard": bool(steady <= ball_standard + BALL_TOL),
-        "within_printed": bool(steady <= ball_printed + BALL_TOL),
-        "b_max": disturbance.b_max,
-        "gamma": gamma,
-        "factor": factor,
-    }
-    return ExperimentRun(times=times, weighted_dist=weighted, euclid_dist=euclid,
-                         fitted_rate=fit_exponential_rate(times, weighted),
-                         info=info)
+    run.info.update(
+        steady_radius=steady, ball_standard=ball_standard, ball_printed=ball_printed,
+        within_standard=bool(steady <= ball_standard + BALL_TOL),
+        within_printed=bool(steady <= ball_printed + BALL_TOL),
+        b_max=disturbance.b_max, gamma=gamma, factor=factor)
+    return run
 
 
 def variational_validator(model: SystemModel, filter_run: FilterTrajectory,

@@ -18,8 +18,8 @@ from ekfcert.cli import main as cli_main
 from ekfcert.contraction import (compare_analyses, empirical_radius,
                                  inflation_rate_gain, linear_output_check,
                                  make_certificate, zeta_plus)
+from ekfcert.ekf import interp
 from ekfcert.model import HessianBounds, estimate_hessian_bounds
-from ekfcert.ode import interp
 from ekfcert.sim import (Disturbance, envelope_check, perturbed_run, twin_decay,
                          variational_validator)
 

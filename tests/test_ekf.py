@@ -7,8 +7,7 @@ import pytest
 
 import ekfcert as ek
 from ekfcert import cli
-from ekfcert.ekf import _definite
-from ekfcert.ode import interp
+from ekfcert.ekf import _definite, interp
 
 from conftest import random_spd
 
@@ -22,6 +21,31 @@ def _reference_gain(P, C, R):
     """K = P C^T R^{-1}, inverting R on each call."""
     return (np.linalg.inv(R) @ (C @ P)).swapaxes(-1, -2)
 
+
+
+class _FirstStep(Exception):
+    pass
+
+
+def test_every_run_takes_its_steps_through_the_exported_rk4_step(monkeypatch):
+    """ekfcert.rk4_step is the global of ekf that integrate looks up at each step, so
+    replacing ekf.rk4_step, as the benchmark's set-up probe does, stops every run at its
+    first step: the filter's, the truth's alone and the validator's."""
+    assert ek.rk4_step is ek.ekf.rk4_step
+    model = ek.make("vanderpol-pos").model
+    fc = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
+                         x0=[0.3, 0.2], horizon=1.0, step=0.1)
+    run = ek.integrate_ekf(fc, x0=[0.34, 0.2])
+
+    def stop(*args):
+        raise _FirstStep
+
+    monkeypatch.setattr(ek.ekf, "rk4_step", stop)
+    for call in (lambda: ek.integrate_ekf(fc, x0=[0.34, 0.2]),
+                 lambda: ek.integrate_truth(model, [0.34, 0.2], 1.0, 0.1),
+                 lambda: ek.variational_validator(model, run, [0.3, 0.2])):
+        with pytest.raises(_FirstStep):
+            call()
 
 def test_kalman_gain_examples():
     """The filter's gain ekf._gain, which takes R^{-1}."""

@@ -21,8 +21,8 @@ import ekfcert as ek
 import ekfcert.ekf
 from ekfcert import sim
 from ekfcert.contraction import _contraction_matrices
+from ekfcert.ekf import interp, stage_table
 from ekfcert.model import _call, _finite, _stacked_jacobians, _stage_jacobians, eval_jacobians
-from ekfcert.ode import interp, stage_table
 
 from conftest import random_spd
 
@@ -1226,6 +1226,28 @@ def test_definiteness_lost_before_a_callback_raises_is_the_first_failure():
     seen.clear()
     assert _outcome(lambda: _filter_arrays(fc, y)) == expected
     assert max(seen) == 4.0   # the run went on to the callback's failure
+
+
+class _Interrupt(BaseException):
+    """Not an Exception, as KeyboardInterrupt and SystemExit are not."""
+
+
+@pytest.mark.parametrize("at", [0.5, 4.0])
+def test_a_base_exception_from_a_callback_propagates_as_itself(at):
+    """The closing checks run after a finished run or an Exception only: a BaseException
+    that jacobian_A raises mid-run propagates unchanged, also at t = 4, after the node at
+    t = 1 whose P is not definite was stored, which would otherwise be the run's failure."""
+    def jacobian(x, t):
+        if t >= at:
+            raise _Interrupt(t)
+        return np.zeros((1, 1))
+
+    seen = []
+    fc = _overshooting_config(_overshooting_plant(jacobian=jacobian, seen=seen))
+    with pytest.raises(_Interrupt) as raised:
+        _filter_arrays(fc, lambda t: np.zeros(1))
+    assert raised.value.args == (at,) and max(seen) == at
+    assert raised.value.__context__ is None
 
 
 @pytest.mark.parametrize("z0, z_fails_at", [(1e4, 1.0), (0.5, None)])

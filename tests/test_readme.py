@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 import ekfcert as ek
 from ekfcert import cli, model
 
@@ -22,7 +24,43 @@ def test_the_library_example_runs():
     assert scope["report"].passed
 
 
-def test_the_cli_usage_names_exactly_the_parser_options():
+# ekfcert --help at 80 columns; argparse before Python 3.10 headed the options otherwise
+TOP_HELP = """usage: ekfcert [-h] {simulate,certify,compare,twin,perturb,envelope} ...
+
+Extended Kalman filter runs with contraction-based convergence certificates
+
+positional arguments:
+  {simulate,certify,compare,twin,perturb,envelope}
+    simulate            run truth + filter, report covariance bounds
+    certify             emit a contraction certificate and radius series
+    compare             tabulate rate/basin formulas of the two analyses
+    twin                decay of two virtual trajectories under the filter
+                        gain
+    perturb             disturbed virtual trajectory vs the certified ball
+    envelope            estimation error vs its certified envelope
+
+options:
+  -h, --help            show this help message and exit
+"""
+# ekfcert <command> --help at 80 columns
+COMMAND_HELP = """usage: ekfcert {command} [-h] --config CONFIG [--out OUT] [--seed SEED]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  JSON config file
+  --out OUT        output directory
+  --seed SEED      override the sampling seed
+"""
+
+
+def _help(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_the_cli_usage_names_exactly_the_parser_options(capsys, monkeypatch):
     usage = _block("CLI", "sh")
     sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
     for command, parser in sub.choices.items():
@@ -30,6 +68,11 @@ def test_the_cli_usage_names_exactly_the_parser_options():
         assert set(re.findall(r"--[a-z][a-z-]*", usage)) == options, command
     listed = re.findall(r"^- `(\w+)`:", README.split("\n## CLI\n", 1)[1], re.M)
     assert listed == list(cli._HANDLERS)
+    # the command table is the parser's one list of commands and their help
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _help(["--help"], capsys) == TOP_HELP
+    for command in cli._HANDLERS:
+        assert _help([command, "--help"], capsys) == COMMAND_HELP.format(command=command)
 
 
 def test_the_scalar_rules_table_is_the_readers_table():

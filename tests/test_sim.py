@@ -9,8 +9,8 @@ from conftest import rerun
 import ekfcert as ek
 from ekfcert import sim
 from ekfcert.contraction import _contraction_matrices
+from ekfcert.ekf import interp, stage_table
 from ekfcert.model import _stacked_jacobians
-from ekfcert.ode import interp, stage_table
 
 
 @pytest.fixture(scope="module")

@@ -161,6 +161,10 @@ ARRAYS = [
        good)
       for i, (name, good) in enumerate([("M", [[-1, 0], [0, -1]]), ("P", I2), ("N", I2)])],
     ("tensor_norm", "H", lambda v: ek.tensor_norm(v, np.eye(1)), [[[0, 1], [1, 0]]]),
+    *[("riccati_rhs", name,
+       lambda v, i=i: ek.riccati_rhs(*_swap((P, -np.eye(2), np.ones((1, 2)), Q, R), i, v)), good)
+      for i, (name, good) in enumerate([("P", [[2, 0], [0, 1]]), ("A", [[-1, 0], [0, -1]]),
+                                        ("C", [[1, 1]]), ("Q", I2), ("R", [[3]])])],
     ("riccati_rhs", "N", lambda v: ek.riccati_rhs(P, -np.eye(2), np.ones((1, 2)), Q, R, v), I2),
 ]
 ARRAY_IDS = [f"{entry}-{name}" for entry, name, _, _ in ARRAYS]
@@ -196,6 +200,45 @@ def test_every_array_argument_reads_integers_as_their_floats(entry, name, call, 
     def bits(result):
         return _bits(_fields(result) if isinstance(result, ek.FilterConfig) else result)
     assert bits(call(good)) == bits(call(np.array(good, dtype=float)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ek.tensor_norm(np.eye(2), np.eye(2)), "H must have shape (m, n, n), got (2, 2)"),
+    (lambda: ek.tensor_norm(np.zeros((1, 2, 3)), np.eye(1)),
+     "H must have shape (m, n, n), got (1, 2, 3)"),
+    # n is M's: M, P and N share one (n, n) shape
+    (lambda: ek.inflation_rate_gain(-np.eye(2), np.eye(3), np.eye(2), 0.1),
+     "P must have shape (2, 2), got (3, 3)"),
+    (lambda: ek.inflation_rate_gain(-np.eye(2), P, np.eye(3), 0.1),
+     "N must have shape (2, 2), got (3, 3)"),
+    (lambda: ek.inflation_rate_gain(-np.ones((2, 3)), P, np.eye(2), 0.1),
+     "M must have shape (2, 2), got (2, 3)"),
+    (lambda: ek.inflation_rate_gain(-1.0, 1.0, 1.0, 0.1), "M must have shape (1, 1), got ()"),
+    # n is P's and p is C's
+    (lambda: ek.riccati_rhs(np.ones((2, 3)), -np.eye(2), np.ones((1, 2)), Q, R),
+     "P must have shape (2, 2), got (2, 3)"),
+    (lambda: ek.riccati_rhs(P, -np.eye(3), np.ones((1, 2)), Q, R),
+     "A must have shape (2, 2), got (3, 3)"),
+    (lambda: ek.riccati_rhs(P, -np.eye(2), np.ones((2, 3)), Q, R),
+     "C must have shape (2, 2), got (2, 3)"),
+    (lambda: ek.riccati_rhs(P, -np.eye(2), np.ones((1, 2)), np.eye(1), R),
+     "Q must have shape (2, 2), got (1, 1)"),
+    (lambda: ek.riccati_rhs(P, -np.eye(2), np.ones((1, 2)), Q, np.eye(2)),
+     "R must have shape (1, 1), got (2, 2)"),
+    (lambda: ek.riccati_rhs(1.0, -1.0, 1.0, 1.0, 1.0), "P must have shape (1, 1), got ()"),
+])
+def test_each_array_argument_refuses_another_shape(call, message):
+    with pytest.raises(ek.ConfigurationError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_riccati_rhs_refuses_a_non_finite_r(r):
+    """R is inverted, so a non-finite entry would give a NaN dP without a word."""
+    with pytest.raises(ek.ConfigurationError) as refused:
+        ek.riccati_rhs(P, -np.eye(2), np.ones((1, 2)), Q, [[r]])
+    assert str(refused.value) == f"R must be finite, got [[{r}]]"
 
 
 @pytest.mark.parametrize("call, message", [
