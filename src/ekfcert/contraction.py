@@ -23,7 +23,7 @@ import numpy as np
 from .ekf import FilterTrajectory, _check_spd
 from .errors import ConfigurationError, PreconditionError
 from .model import (HessianBounds, SystemModel, _array, _scalar, _scalars, _stacked_jacobians,
-                    _state, _unit_directions)
+                    _state, _times, _unit_directions)
 
 # slack allowed when deciding lambda_max(S) <= 0 in floating point
 PSD_TOL_SCALE = 1e-9
@@ -105,10 +105,10 @@ def contraction_matrix(model: SystemModel, z: np.ndarray, xhat: np.ndarray,
     (beta, N) would subtract 2N + 2 beta P, which M leaves out. Negative
     semidefiniteness of M + 2 gamma P on a region therefore certifies
     contraction at rate gamma there. The result is exactly symmetrized. P, Q
-    and R are read as FilterConfig reads its weights.
+    and R are read as FilterConfig reads its weights, and t as a finite time.
     """
     n, p = model.state_dim, model.output_dim
-    z, xhat = _state(z, n, "z"), _state(xhat, n, "xhat")
+    z, xhat, t = _state(z, n, "z"), _state(xhat, n, "xhat"), _scalar(t, "t")
     P, Q, R = _check_spd(P, "P", n)[0], _check_spd(Q, "Q", n)[0], _check_spd(R, "R", p)[0]
     (Az, Ah), (Cz, Ch) = _stacked_jacobians(model, np.vstack([z, xhat]), t)
     return _contraction_matrices(Ah, Ch, Az, Cz, P, Q, R)
@@ -158,11 +158,12 @@ def empirical_radius(model: SystemModel, xhat: np.ndarray, P: np.ndarray,
     A probe whose Jacobians or M + 2 gamma P are not finite fails, since the
     inequality cannot be verified there; non-finite Jacobians at a centre
     raise :class:`ModelEvaluationError`. P, Q and R are read as FilterConfig
-    reads its weights, the k covariances P as one stack with one eigvalsh.
+    reads its weights, the k covariances P as one stack with one eigvalsh, and
+    every time of ``t`` as finite before any is used.
     """
     gamma, direction_samples, seed = _scalars(gamma=gamma, direction_samples=direction_samples,
                                               seed=seed).values()
-    n = model.state_dim
+    n, t = model.state_dim, _times(t, "t")
     T = np.reshape(t, -1)
     rows = None if np.ndim(t) == 0 else len(T)
     X = _state(xhat, n, "xhat", rows).reshape(len(T), n)
@@ -397,12 +398,8 @@ def compare_analyses(p_lo: float, p_hi: float, q_lo: float, r_lo: float,
         "basin_kappa_A0": _over(math.sqrt(q_lo / p_hi) * math.sqrt(p_lo / p_hi)
                                 * math.sqrt(r_lo / p_hi), kappa_C * math.sqrt(2.0)),
     }
-    ratios = {
-        "rate": contr["rate"] / lyap["rate"] if lyap["rate"] is not None else None,
-        "basin_kappa_C0": _safe_ratio(contr["basin_kappa_C0"], lyap["basin_kappa_C0"]),
-        "basin_kappa_A0": (_safe_ratio(contr["basin_kappa_A0"], lyap["basin_kappa_A0"])
-                           if lyap["basin_kappa_A0"] is not None else None),
-    }
+    ratios = {key: None if lyap[key] is None else _safe_ratio(contr[key], lyap[key])
+              for key in lyap}
     return {"lyapunov": lyap, "contraction": contr, "ratio": ratios}
 
 
@@ -423,17 +420,18 @@ def inflation_rate_gain(M: np.ndarray, P: np.ndarray, N: np.ndarray,
 
     Given M + 2 gamma P <= 0 (enforced as a precondition, which a matrix
     that is not finite fails), verifies (M - 2N) + 2 (gamma + n_lo/p_hi) P
-    <= 0 with n_lo = lambda_min(N) and p_hi = lambda_max(P), of numeric M, P, N of one
-    (n, n) shape, n from M, else a ConfigurationError naming the argument.
+    <= 0 with n_lo = lambda_min(N) and p_hi = lambda_max(P). M is numeric of an
+    (n, n) shape, n >= 1, and P and N are read as FilterConfig reads P0 and N, positive
+    definite and semidefinite; else a ConfigurationError naming the argument.
     """
-    M, P, N = (_array(a, name) for a, name in ((M, "M"), (P, "P"), (N, "N")))
+    M = _array(M, "M")
     n = len(M) if M.ndim else 1
-    for a, name in ((M, "M"), (P, "P"), (N, "N")):
-        if a.shape != (n, n):
-            raise ConfigurationError(f"{name} must have shape {(n, n)}, got {a.shape}")
+    if M.shape != (n, n) or not n:
+        raise ConfigurationError(f"M must have shape {(n, n) if n else '(n, n), n >= 1'}, "
+                                 f"got {M.shape}")
+    P, (N, n_lo) = _check_spd(P, "P", n)[0], _check_spd(N, "N", n, allow_zero=True)
     gamma = _scalar(gamma, "gamma")
     if not _contracting(M, P, gamma):
         raise PreconditionError("M + 2 gamma P is not negative semidefinite")
-    n_lo = float(np.linalg.eigvalsh(0.5 * (N + N.T))[0])
-    p_hi = float(np.linalg.eigvalsh(0.5 * (P + P.T))[-1])
+    p_hi = float(np.linalg.eigvalsh(P)[-1])
     return bool(_contracting(M - 2.0 * N, P, gamma + n_lo / p_hi))

@@ -18,18 +18,19 @@ product of two single entries keeps an exact zero's sign, which @ makes
 n = p = 1 every stage product is of two single entries, which .dot returns
 as their IEEE product, so that stage reads A, C, P, y and each callback
 result once with .item() and runs the same operations, in the same operand
-order, on Python floats (_scalar_stage, _scalar_flow): the bits of .dot
-without a numpy call per operation. P stays exactly symmetric (its start
-and the Riccati right-hand side are symmetrized) and every node's P is
-checked for positive definiteness, since every guarantee downstream is
-conditioned on uniform bounds p_lo I <= P(t) <= p_hi I holding along the
-run.
+order, on Python floats (_scalar_stage and the float forms of the flows
+below): the bits of .dot without a numpy call per operation. P stays
+exactly symmetric (its start and the Riccati right-hand side are
+symmetrized) and every node's P is checked for positive definiteness, since
+every guarantee downstream is conditioned on uniform bounds
+p_lo I <= P(t) <= p_hi I holding along the run.
 
 A run on a simulated truth integrates one state, the rows
 [xhat; P; x; z_1 ... z_B]: each RK4 stage reads y = h(x, t) at the truth
 row's own stage state and applies its gain K to the estimate and to every
 virtual row dz/dt = f(z, t) - K (h(z, t) - y) [+ b(z, t)], of which the
-truth and the estimate are particular solutions.
+truth and the estimate are particular solutions. _virtual_flow codes that
+system once, for them and the validator, and _tangent_flow its (A - K C) dz.
 
 Every integration of the package takes classical RK4 steps (``rk4_step``)
 on a uniform grid (``time_grid``) through the one driver ``integrate``; the
@@ -41,18 +42,17 @@ times. A measured signal is a callable of t or a ``TimeSeries``, values on
 a time grid that ``interp`` reads the same way.
 
 A stage is straight-line code. After reading y it reads A and C at the
-estimate (model._stage_jacobians), forms K and calls f and h there, in the
-order eval_jacobians, f, h, then the virtual rows' f and h, each result read
-by model._call directly, and writes every row's derivative into one array.
-With analytic Jacobians and a finite state, A and C are the callbacks' own
-results once both pass a finiteness check; any other stage takes the checked
-eval_jacobians, so a non-finite Jacobian raises ModelEvaluationError at the
-stage's time before f or h is called. The Riccati term adds A P to its
-transpose for P A^T, the same bits since P is exactly symmetric. Truth or
-virtual rows that are not finite get a NaN derivative without a callback; a
-non-finite truth makes the whole stage NaN, so the node guard names it. A
-step's first stage runs at a node the guard has passed and reads the
-guard's finiteness verdict instead of checking again.
+estimate (model._stage_jacobians), forms K, calls f and h there, then the
+virtual rows' f and h, each result read by model._call, and writes every
+row's derivative into one array. With analytic Jacobians and a finite
+state, A and C are the callbacks' own results once both pass a finiteness
+check; any other stage takes the checked one-row stack, so a non-finite
+Jacobian raises ModelEvaluationError at the stage's time before f or h is
+called. The Riccati term adds A P to its transpose for P A^T, the same bits
+since P is exactly symmetric. Truth or virtual rows that are not finite get
+a NaN derivative without a callback; a non-finite truth makes the whole
+stage NaN, so the node guard names it. A step's first stage runs at a node
+the guard has passed and reads its finiteness verdict.
 
 A node of sum of squares at most DIVERGENCE_LIMIT^2 / 4 has every row
 finite and inside the limit and passes on that one check; any other gets
@@ -78,7 +78,7 @@ import numpy as np
 from .errors import (ConfigurationError, CovarianceBoundViolation, DivergenceError,
                      PreconditionError)
 from .model import (MAX_COUNT, SystemModel, _array, _call, _finite, _scalar, _scalars,
-                    _stage_jacobians, _state, eval_jacobians)
+                    _stacked_jacobians, _stage_jacobians, _state)
 
 # states beyond this magnitude are treated as numerical blow-up
 DIVERGENCE_LIMIT = 1e12
@@ -225,9 +225,9 @@ def divergence_guard(what: str) -> Flow:
 
 
 def _check_spd(M: np.ndarray, name: str, dim: int, allow_zero: bool = False,
-               rows: int | None = None) -> tuple[np.ndarray, float]:
+               rows: int | None = None, symmetric: bool = True) -> tuple[np.ndarray, float]:
     """The weight ``M`` symmetrized and its smallest eigenvalue, after model._array and the
-    shape, finiteness, symmetry and definiteness checks; ``rows`` of them read at once."""
+    shape, finiteness, symmetry (if ``symmetric``) and definiteness checks; ``rows`` at once."""
     M = _array(M, name)
     shape = (dim, dim) if rows is None else (rows, dim, dim)
     if M.shape != shape:
@@ -237,9 +237,9 @@ def _check_spd(M: np.ndarray, name: str, dim: int, allow_zero: bool = False,
         raise ConfigurationError(f"{name}{'' if rows is None else f'[{k}]'} must be finite, "
                                  f"got {M.reshape(-1, dim, dim)[k].tolist()}")
     Mt = M.swapaxes(-1, -2)
-    if not (abs(M - Mt) <= 1e-12 + 1e-10 * abs(Mt)).all():   # np.allclose on finite M
+    if symmetric and not (abs(M - Mt) <= 1e-12 + 1e-10 * abs(Mt)).all():   # np.allclose
         raise ConfigurationError(f"{name} must be symmetric")
-    M = 0.5 * (M + Mt)
+    M = 0.5 * (M + Mt) if symmetric else 0.5 * M + 0.5 * Mt   # halves of a finite M: no overflow
     lam = np.linalg.eigvalsh(M).reshape(-1, dim)
     lo = lam[:, 0].min(initial=math.inf)   # inf for an empty stack
     if (lo < -1e-12 * max(1.0, lam[:, -1].max())) if allow_zero else lo <= 0.0:
@@ -349,16 +349,18 @@ def _scalar_stage(p: float, a: float, c: float, q: float, rinv: float, n2: float
     return rinv * (c * p), 0.5 * (d + d)
 
 
-def _scalar_flow(model: SystemModel, z: np.ndarray, t: float, k: float, y: float) -> float:
-    """f(z, t) - K (h(z, t) - y) at n = p = 1 on Python floats, with the bits of
-    f - K.dot(h - y): the derivative of the estimate and of every virtual row."""
-    return (_call(model.dynamics, z, t, (1,), "dynamics").item()
-            - k * (_call(model.output, z, t, (1,), "output").item() - y))
+def _virtual_flow(model: SystemModel, z: np.ndarray, t: float, K, y, scalar: bool):
+    """The virtual system f(z, t) - K (h(z, t) - y), f called first: the derivative of the
+    estimate, of every virtual row and of the validator's z. With ``scalar`` (n = p = 1) K
+    and y are Python floats and so is the result, with the bits of the .dot form."""
+    f = _call(model.dynamics, z, t, (model.state_dim,), "dynamics")
+    h = _call(model.output, z, t, (model.output_dim,), "output")
+    return f.item() - K * (h.item() - y) if scalar else f - K.dot(h - y)
 
 
-def _scalar_tangent(a: float, k: float, c: float, dz: float) -> float:
-    """(A - K C) dz at n = p = 1 on Python floats, with the bits of (A - K.dot(C)).dot(dz)."""
-    return (a - k * c) * dz
+def _tangent_flow(A, K, C, dz, scalar: bool):
+    """Its linearization (A - K C) dz, on Python floats with ``scalar``, with .dot's bits."""
+    return (A - K * C) * dz if scalar else (A - K.dot(C)).dot(dz)
 
 
 def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
@@ -367,17 +369,19 @@ def riccati_rhs(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
     """Right-hand side of the (optionally inflated) Riccati flow at the symmetric part of P,
     symmetrized, with ``beta`` and ``N`` read as FilterConfig reads them; inverts R on each
     call (a run inverts it once). P, A, C, Q and R are numeric (model._array) of shapes
-    (n, n), (n, n), (p, n), (n, n) and (p, p), with n from P and p from C, and R is finite,
-    else a ConfigurationError naming the argument; Q and R are used as given, not
-    symmetrized. Through ndarray.dot, a NaN or inf that meets an exact zero in P C^T
-    (n = 1, p >= 2) or in R^{-1} (P C^T)^T (p = 1, n >= 2) gives 0, not NaN."""
+    (n, n), (n, n), (p, n), (n, n) and (p, p), n >= 1 from P and p >= 1 from C, and R is
+    finite with a positive definite symmetric part, else a ConfigurationError naming the
+    argument; Q and R are used as given. Through ndarray.dot, a NaN or inf that meets an
+    exact zero in P C^T (n = 1, p >= 2) or in R^{-1} (P C^T)^T (p = 1, n >= 2) gives 0."""
     P, A, C, Q, R = (_array(a, name) for a, name in zip((P, A, C, Q, R), "PACQR"))
     n, p = (len(a) if a.ndim else 1 for a in (P, C))
-    for a, name, shape in zip((P, A, C, Q, R), "PACQR", ((n, n), (n, n), (p, n), (n, n), (p, p))):
+    for a, name, text in ((P, "P", "(n, n), n"), (C, "C", "(p, n), p")):
+        if a.ndim and not len(a):
+            raise ConfigurationError(f"{name} must have shape {text} >= 1, got {a.shape}")
+    for a, name, shape in zip((P, A, C, Q), "PACQ", ((n, n), (n, n), (p, n), (n, n))):
         if a.shape != shape:
             raise ConfigurationError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.isfinite(R).all():
-        raise ConfigurationError(f"R must be finite, got {R.tolist()}")
+    _check_spd(R, "R", p, symmetric=False)   # R itself is used as given
     N2 = None if N is None else 2.0 * _check_spd(N, "N", n, allow_zero=True)[0]
     return _riccati(0.5 * (P + P.T), A, C, Q, np.linalg.inv(R), N2, 2.0 * _scalar(beta, "beta"))
 
@@ -486,7 +490,7 @@ def integrate_ekf(config: FilterConfig,
         x0 = _state(x0, n, "x0")
     elif isinstance(measurements, TimeSeries):
         measurements = measurements.at
-    if x0 is None and not callable(measurements):
+    elif not callable(measurements):
         raise ConfigurationError(
             f"expected a TimeSeries or a callable signal, got {type(measurements).__name__}")
     # the rows [xhat; P; x; z_1 ... z_B] of one state, without the absent ones
@@ -541,18 +545,14 @@ def integrate_ekf(config: FilterConfig,
             out[1:n + 1] = _riccati(P, A, C, Q, Rinv, N2, beta2)
         if stage == 0:   # a step's first stage runs at its node's state
             gains[row >> 1] = K
-        out[0] = (_scalar_flow(model, xhat, t, K, y) if scalar
-                  else _call(model.dynamics, xhat, t, (n,), "dynamics")
-                  - K.dot(_call(model.output, xhat, t, (p,), "output") - y))
+        out[0] = _virtual_flow(model, xhat, t, K, y, scalar)
         if not (finite or _finite(state[Z:])):   # no callback sees a non-finite state
             out[Z:] = np.nan
             return out
         # each virtual row runs the operations of a single copy, under this stage's gain
         for b in virtual:
             z = state[b]
-            out[b] = (_scalar_flow(model, z, t, K, y) if scalar
-                      else _call(model.dynamics, z, t, (n,), "dynamics")
-                      - K.dot(_call(model.output, z, t, (p,), "output") - y))
+            out[b] = _virtual_flow(model, z, t, K, y, scalar)
             if disturbance is not None:   # ||b|| = sqrt(b.b), taken once after the run
                 bv = _call(disturbance.b, z, t, (n,), "disturbance")
                 b_sq = max(b_sq, float(np.vdot(bv, bv)))
@@ -599,7 +599,7 @@ def integrate_ekf(config: FilterConfig,
     if disturbance is not None and b_worst > disturbance.b_max * (1.0 + 1e-9) + 1e-300:
         raise PreconditionError(f"disturbance bound violated: observed {b_worst:.6g} "
                                 f"> b_max {disturbance.b_max:.6g}")
-    _, C = eval_jacobians(model, states[-1], grid[-1])
+    C = _stacked_jacobians(model, states[-1:], grid[-1])[1][0]
     gains[-1] = _gain(covs[-1], C, Rinv)
     if x0 is not None:   # a node row holds y at the truth node, as stage 1 leaves the others
         outputs[-1] = model.h(nodes[-1, n + 1], grid[-1])

@@ -188,11 +188,14 @@ def eval_jacobians(model: SystemModel, x: np.ndarray,
 
     Raises
     ------
+    ConfigurationError
+        If x is not a numeric state of the model's (n,) shape (_state) or t not a
+        finite real number (_scalar), read before anything is evaluated.
     ModelEvaluationError
         If x or either Jacobian contains a non-finite entry.
     """
-    A, C = _stacked_jacobians(model, np.asarray(x, dtype=float).reshape(1, -1), t)
-    return A[0], C[0]
+    x = _state(x, model.state_dim, "x", finite=False)
+    return tuple(J[0] for J in _stacked_jacobians(model, x[None], _scalar(t, "t")))
 
 
 # the rule of every scalar argument of the package, by name, which _scalar applies;
@@ -204,6 +207,7 @@ _RULES = {
     **dict.fromkeys(["alpha", "c_hi"], "positive"),
     **dict.fromkeys(["kappa_A", "kappa_C"], "nonnegative"),
     **dict.fromkeys(["state_dim", "output_dim"], "a positive integer"),
+    **dict.fromkeys(["t", "times"], "finite"),
     "seed": "a nonnegative integer",
     "max_centers": f"a positive integer at most {MAX_COUNT}",
     **dict.fromkeys(["direction_samples", "output_direction_samples", "radius_times"],
@@ -258,22 +262,32 @@ def _array(value, what: str) -> np.ndarray:
     raise ConfigurationError(f"{what} must be numeric, got {value!r}")
 
 
-def _state(value, n: int, what: str, rows: int | str | None = None) -> np.ndarray:
-    """The state vector ``what`` as a float (n,) array, flattened, or with ``rows`` the
-    stack of states ``what`` as a (rows, n) array, where a string ``rows`` names a free
-    row count, read at every entry point; a value that _array refuses, another shape or a
-    non-finite entry is a ConfigurationError."""
+def _state(value, n: int | None, what: str, rows: int | str | None = None,
+           finite: bool = True) -> np.ndarray:
+    """The state vector ``what`` as a float (n,) array, flattened (of any length for an n
+    of None), or with ``rows`` the stack of states ``what`` as a (rows, n) array, where a
+    string ``rows`` names a free row count, read at every entry point; a value that _array
+    refuses, another shape or, unless ``finite`` is False, a non-finite entry is a
+    ConfigurationError."""
     x = _array(value, what)
     if rows is None:
-        x, shape, text = x.reshape(-1), (n,), f"({n},)"
+        x, shape, text = x.reshape(-1), (n or x.size,), f"({n},)"
     else:
         shape = (len(x) if isinstance(rows, str) and x.ndim == 2 else rows, n)
         text = f"({rows}, {n})"
     if x.shape != shape:
         raise ConfigurationError(f"{what} must have shape {text}, got {x.shape}")
-    if not np.isfinite(x).all():
+    if finite and not np.isfinite(x).all():
         raise ConfigurationError(f"{what} must be finite, got {x.tolist()}")
     return x
+
+
+def _times(value, what: str):
+    """The time argument ``what`` of an entry point that takes one time or many: one time
+    read by _scalar, or a sequence or array of times read as a state of any length, so
+    every entry is checked before any is used."""
+    return (_state(value, None, what) if isinstance(value, (list, tuple)) or np.ndim(value)
+            else _scalar(value, what))
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -287,14 +301,14 @@ def _stage_jacobians(model: SystemModel, x: np.ndarray, t: float,
     """eval_jacobians(model, x, t) for an RK4 stage whose state is known ``finite``
     (by _finite). With analytic Jacobians and a finite state it returns the raw
     callback results, one call each, when both pass _finite; anything else takes
-    the checked path, which gives the same values or raises."""
+    the checked one-row stack, which gives the same values or raises."""
     if finite and model.jacobian_A is not None and model.jacobian_C is not None:
         n, p = model.state_dim, model.output_dim
         A = _call(model.jacobian_A, x, t, (n, n), "jacobian_A")
         C = _call(model.jacobian_C, x, t, (p, n), "jacobian_C")
         if _finite(A) and _finite(C):
             return A, C
-    return eval_jacobians(model, x, t)
+    return tuple(J[0] for J in _stacked_jacobians(model, x[None], t))
 
 
 def _stacked_jacobians(model: SystemModel, points: np.ndarray, times,
@@ -349,9 +363,11 @@ def hessian_tensor(model: SystemModel, x: np.ndarray, t: float,
 
     Shape (m, n, n) where m is the dimension of the differentiated map.
     Differentiates the analytic Jacobian when the model carries one,
-    otherwise takes second differences of the map itself; a one-row stack.
+    otherwise takes second differences of the map itself; a one-row stack. x and t are
+    read as eval_jacobians reads them.
     """
-    return _stacked_hessians(model, np.asarray(x, dtype=float).reshape(1, -1), t, which)[0]
+    return _stacked_hessians(model, _state(x, model.state_dim, "x", finite=False)[None],
+                             _scalar(t, "t"), which)[0]
 
 
 def _contraction_norms(H: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -456,13 +472,13 @@ def tensor_norm(H: np.ndarray, output_directions: np.ndarray) -> float:
     the coordinate directions make it exact. All directions are evaluated
     at once: one stacked product forms the symmetrized matrices and one
     batched ``eigvalsh`` takes their spectra. ``H`` is a numeric (_array)
-    (m, n, n) stack and ``output_directions`` a (d, m) stack of finite
-    numbers, else a ConfigurationError; d = 0 gives 0.0. A contraction that
-    overflows gives NaN.
+    (m, n, n) stack, m, n >= 1, and ``output_directions`` a (d, m) stack of
+    finite numbers, else a ConfigurationError; d = 0 gives 0.0. A contraction
+    that overflows gives NaN.
     """
     H = _array(H, "H")
-    if H.ndim != 3 or H.shape[1] != H.shape[2]:
-        raise ConfigurationError(f"H must have shape (m, n, n), got {H.shape}")
+    if H.ndim != 3 or H.shape[1] != H.shape[2] or not H.size:
+        raise ConfigurationError(f"H must have shape (m, n, n), m, n >= 1, got {H.shape}")
     W = _state(output_directions, H.shape[0], "output_directions", rows="d")
     return float(_tensor_norms(H[None], W)[0])
 
@@ -512,7 +528,7 @@ def estimate_hessian_bounds(model: SystemModel,
         as states[k]. The Hessians of all sample points around one centre are
         evaluated as one stack per map.
     times : sequence of m times, or one time for every state
-        The time of each state.
+        The time of each state, finite; every entry is read before any is used.
     radius : float
         Ball radius alpha. Must be positive and finite.
     safety : float
@@ -530,8 +546,8 @@ def estimate_hessian_bounds(model: SystemModel,
                  seed=seed).values())
     if len(states) == 0:
         raise ConfigurationError("states must hold at least one state")
-    one_time = np.ndim(times) == 0
-    if not one_time and len(times) != len(states):
+    times = _times(times, "times")
+    if np.ndim(times) and len(times) != len(states):
         raise ConfigurationError(
             f"times must hold one time per state, got {len(times)} for {len(states)} states")
     rng = np.random.default_rng(seed)
@@ -545,7 +561,7 @@ def estimate_hessian_bounds(model: SystemModel,
     kappa_a = 0.0
     kappa_c = 0.0
     for k in range(0, len(states), max(1, len(states) // max_centers)):
-        xc, t = _state(states[k], n, f"states[{k}]"), times if one_time else times[k]
+        xc, t = _state(states[k], n, f"states[{k}]"), times[k] if np.ndim(times) else times
         points = np.vstack([xc] + [xc + r * state_dirs for r in radii[1:]])
         # one stacked evaluation per centre and map, so memory stays flat in the path length
         Hf, Hh = (_stacked_hessians(model, points, t, which) for which in ("dynamics", "output"))

@@ -18,9 +18,9 @@ a non-finite Jacobian or stage state raises ModelEvaluationError at the
 stage's time before f or h is called. A step's first stage runs at its node,
 which the guard has passed, so it reads its state as finite, and its A and C
 serve the contraction matrix there; after the run A and C are evaluated only
-at the last node and, as one stack, at the filter's. At n = p = 1 the stage
-forms f - K (h - y) and (A - K C) dz on Python floats, as the filter's stage
-does (ekf._scalar_flow, ekf._scalar_tangent), with the bits of ndarray.dot.
+at the last node and, as one stack, at the filter's. The stage forms
+f - K (h - y) and (A - K C) dz through ekf._virtual_flow and ekf._tangent_flow,
+the filter's own copy of the virtual system, on Python floats at n = p = 1.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from typing import Callable
 import numpy as np
 
 from .contraction import ContractionCertificate, _contraction_matrices, _rate
-from .ekf import (FilterTrajectory, TimeSeries, _scalar_flow, _scalar_tangent, divergence_guard,
+from .ekf import (FilterTrajectory, TimeSeries, _tangent_flow, _virtual_flow, divergence_guard,
                   integrate, interp, stage_table, time_grid)
 from .errors import ConfigurationError
-from .model import (SystemModel, _call, _finite, _scalar, _stacked_jacobians, _stage_jacobians,
-                    _state)
+from .model import SystemModel, _finite, _scalar, _stacked_jacobians, _stage_jacobians, _state
 
 # absolute slack when comparing a near-zero steady radius against a zero ball
 BALL_TOL = 1e-8
@@ -270,13 +269,11 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
         if stage == 0:
             Az[row >> 1], Cz[row >> 1] = A, C
         if scalar:
-            k = gains.item(row)
-            return np.array([_scalar_flow(model, z, t, k, outputs.item(row)),
-                             _scalar_tangent(A.item(), k, C.item(), dz.item())])
-        K, y = gains[row], outputs[row]
-        return np.concatenate([_call(model.dynamics, z, t, (n,), "dynamics")
-                               - K.dot(_call(model.output, z, t, (p,), "output") - y),
-                               (A - K.dot(C)).dot(dz)])
+            K, y, A, C, dz = gains.item(row), outputs.item(row), A.item(), C.item(), dz.item()
+        else:
+            K, y = gains[row], outputs[row]
+        flows = _virtual_flow(model, z, t, K, y, scalar), _tangent_flow(A, K, C, dz, scalar)
+        return np.array(flows) if scalar else np.concatenate(flows)
 
     nodes = integrate(rhs, np.concatenate([z0, dz0]), grid,
                       divergence_guard("variational state"))

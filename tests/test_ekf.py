@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -470,8 +471,9 @@ def test_stage_products_give_the_bits_of_matmul(n, p):
     # operands laid out as the stages hold them: P an exactly symmetric view of the
     # [x; P] state rows (P0 and every dP are symmetrized, so every RK4 stage's P is),
     # dz of the [z; dz] validator state, K and y rows of the run's tables; at n = 1 the
-    # (1, 1) products A P, K (h - y) at p = 1 and (A - K C) dz keep an exact zero's sign
-    from ekfcert.ekf import _gain, _riccati
+    # (1, 1) products A P, K (h - y) at p = 1 and (A - K C) dz keep an exact zero's sign;
+    # the flows are the 2-D forms of _virtual_flow and _tangent_flow
+    from ekfcert.ekf import _gain, _riccati, _tangent_flow, _virtual_flow
     rng = np.random.default_rng(1000 * n + p)
     ref = _sign_keeping_matmul if n == 1 else np.matmul
     for _ in range(200):
@@ -491,8 +493,11 @@ def test_stage_products_give_the_bits_of_matmul(n, p):
         assert _riccati(P, A, C, Q, Rinv, N2, beta2).tobytes() == (
             0.5 * (dP + dP.T)).tobytes()
         assert _gain(P, C, Rinv).tobytes() == ref(Rinv, ref(C, P)).T.tobytes()
-        assert (f - K.dot(h - y)).tobytes() == (f - ref(K, h - y)).tobytes()
-        assert (A - K.dot(C)).dot(dz).tobytes() == ref(A - ref(K, C), dz).tobytes()
+        model = SimpleNamespace(state_dim=n, output_dim=p, dynamics=lambda x, t: f,
+                                output=lambda x, t: h)
+        assert (_virtual_flow(model, state[0], 0.0, K, y, False).tobytes()
+                == (f - ref(K, h - y)).tobytes())
+        assert _tangent_flow(A, K, C, dz, False).tobytes() == ref(A - ref(K, C), dz).tobytes()
 
 
 def _one_entry(rng, shape):
@@ -509,13 +514,12 @@ def _one_entry(rng, shape):
 
 def test_one_state_float_stages_give_the_bits_of_the_dot_stages():
     """At n = p = 1 a stage runs on Python floats: _scalar_stage for _gain and _riccati
-    (with and without 2N and 2 beta), _scalar_flow for f - K.dot(h - y) and
-    _scalar_tangent for the validator's (A - K.dot(C)).dot(dz). Each gives the .dot kernel's bits, a zero's sign
-    included, on seeded draws with subnormals, products that overflow, and an infinite or
-    NaN P. Any reassociated product in a float kernel changes some of these bits."""
-    from types import SimpleNamespace
-
-    from ekfcert.ekf import _gain, _riccati, _scalar_flow, _scalar_stage, _scalar_tangent
+    (with and without 2N and 2 beta), the float forms of _virtual_flow for f - K.dot(h - y)
+    and of _tangent_flow for the validator's (A - K.dot(C)).dot(dz). Each gives the .dot
+    kernel's bits, a zero's sign included, on seeded draws with subnormals, products that
+    overflow, and an infinite or NaN P. Any reassociated product in a float kernel changes
+    some of these bits."""
+    from ekfcert.ekf import _gain, _riccati, _scalar_stage, _tangent_flow, _virtual_flow
     rng = np.random.default_rng(31)
     draws = 2000
     p, a, c, q, rinv, n2, beta2, k, y, f, h, z, dz = _one_entry(rng, (13, draws))
@@ -535,12 +539,13 @@ def test_one_state_float_stages_give_the_bits_of_the_dot_stages():
                 assert bits(gain) == bits(_gain(P, C, Rinv)), v
                 assert bits(dP) == bits(_riccati(P, A, C, Q, Rinv, None if n2_i is None else N2,
                                                  beta2_i)), (v, n2_i, beta2_i)
-            model = SimpleNamespace(dynamics=lambda x, t: np.array([v[9]]),
+            model = SimpleNamespace(state_dim=1, output_dim=1,
+                                    dynamics=lambda x, t: np.array([v[9]]),
                                     output=lambda x, t: np.array([v[10]]))
             Z = np.array([v[11]])
-            assert (bits(_scalar_flow(model, Z, 0.0, v[7], v[8]))
+            assert (bits(_virtual_flow(model, Z, 0.0, v[7], v[8], True))
                     == bits(np.array([v[9]]) - K.dot(np.array([v[10]]) - np.array([v[8]])))), v
-            assert (bits(_scalar_tangent(v[1], v[7], v[2], v[12]))
+            assert (bits(_tangent_flow(v[1], v[7], v[2], v[12], True))
                     == bits((A - K.dot(C)).dot(np.array([v[12]])))), v
 
 

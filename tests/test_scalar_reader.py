@@ -21,6 +21,7 @@ import ekfcert as ek
 from ekfcert.model import MAX_COUNT, SIGN_FREE_RULE, _scalar
 
 MODEL = ek.make("vanderpol-pos").model   # n = 2, linear output
+LTV = ek.make("ltv-linear").model        # n = 2, its plant reads the time
 N = MODEL.state_dim
 P, Q, R = np.array([[1.0, 0.2], [0.2, 0.8]]), np.eye(2), np.eye(1)
 GOOD = np.array([0.3, 0.2])
@@ -36,10 +37,11 @@ BOUNDED = dataclasses.replace(RUN, p_lo=0.5, p_hi=1.0)   # q_lo = r_lo = 1 from 
 
 POS_FIN, NONNEG_FIN = "positive and finite", "nonnegative and finite"
 POS, NONNEG = "positive", "nonnegative"   # +inf included
+FIN = "finite"   # of either sign: every time
 POS_INT, NONNEG_INT = "a positive integer", "a nonnegative integer"
 POS_COUNT, NONNEG_COUNT = (f"{rule} at most {MAX_COUNT}" for rule in (POS_INT, NONNEG_INT))
 INTS = {POS_INT, NONNEG_INT, POS_COUNT, NONNEG_COUNT}
-RULES = {POS_FIN, NONNEG_FIN, POS, NONNEG} | INTS
+RULES = {POS_FIN, NONNEG_FIN, POS, NONNEG, FIN} | INTS
 
 
 def _config(**override):
@@ -123,6 +125,15 @@ ENTRY_POINTS = [
     ("Disturbance", "b_max", NONNEG_FIN, lambda v: ek.Disturbance(b=QUIET.b, b_max=v)),
     ("perturbed_run", "gamma", POS_FIN,
      lambda v: ek.perturbed_run(DISTURBED, gamma=v)),
+    ("eval_jacobians", "t", FIN, lambda v: ek.eval_jacobians(LTV, GOOD, v)),
+    ("hessian_tensor", "t", FIN, lambda v: ek.hessian_tensor(LTV, GOOD, v, "dynamics")),
+    ("contraction_matrix", "t", FIN,
+     lambda v: ek.contraction_matrix(LTV, GOOD, GOOD, P, Q, R, v)),
+    ("check_contraction_inequality", "t", FIN,
+     lambda v: ek.check_contraction_inequality(LTV, GOOD, GOOD, P, Q, R, 0.1, v)),
+    ("empirical_radius", "t", FIN, lambda v: _radius(t=v)),
+    ("estimate_hessian_bounds", "times", FIN, lambda v: ek.estimate_hessian_bounds(
+        LTV, [GOOD], v, 0.1, direction_samples=2, output_direction_samples=2)),
 ]
 IDS = [f"{entry}-{name}" for entry, name, _, _ in ENTRY_POINTS]
 
@@ -130,8 +141,8 @@ IDS = [f"{entry}-{name}" for entry, name, _, _ in ENTRY_POINTS]
 BAD = [
     (st.just(math.nan), RULES),
     (st.just(-math.inf), RULES),
-    (st.just(math.inf), {POS_FIN, NONNEG_FIN} | INTS),
-    (st.floats(-1e6, -1e-6) | st.integers(-10 ** 6, -1), RULES),
+    (st.just(math.inf), {POS_FIN, NONNEG_FIN, FIN} | INTS),
+    (st.floats(-1e6, -1e-6) | st.integers(-10 ** 6, -1), RULES - {FIN}),
     (st.sampled_from([0, 0.0]), {POS_FIN, POS, POS_INT, POS_COUNT}),
     (st.floats(0.01, 100.0).filter(lambda x: not x.is_integer()), INTS),
     (st.just(True), RULES),
@@ -157,7 +168,8 @@ def test_a_scalar_that_breaks_its_rule_is_a_configuration_error_naming_it(entry,
 
 BOUNDARY = [(entry, name, call, value) for entry, name, rule, call in ENTRY_POINTS
             for value in ([0, 0.0] if rule.startswith(("nonnegative", "a nonnegative")) else [])
-            + ([math.inf] if rule in (POS, NONNEG) else [])]
+            + ([math.inf] if rule in (POS, NONNEG) else [])
+            + ([-2.5, 0, 1e300] if rule == FIN else [])]
 
 
 @pytest.mark.parametrize("entry, name, call, value", BOUNDARY,
@@ -189,6 +201,21 @@ def test_the_boundary_of_each_rule_is_accepted(entry, name, call, value):
     (lambda: ek.hessian_tensor(MODEL, GOOD, 0.0, "bad"), "unknown map selector 'bad'"),
     (lambda: ek.zeta_plus(0.0, 0.0, 1.0, 1.0, 1.0, 0.5 + 1e-11),
      "gamma = 0.50000000001 outside [0, q_lo/(2 p_hi)] = [0, 0.5]"),
+    # a time the plant reads: a string or None ended in the plant, True ran as 1 and NaN
+    # blamed the Jacobian
+    *[(lambda t=t: ek.eval_jacobians(LTV, GOOD, t), f"t must be finite, got {shown}")
+      for t, shown in [("x", "'x'"), (None, "None"), (True, "True"), (math.nan, "nan")]],
+    (lambda: ek.hessian_tensor(LTV, GOOD, None, "output"), "t must be finite, got None"),
+    (lambda: ek.contraction_matrix(LTV, GOOD, GOOD, P, Q, R, "x"), "t must be finite, got 'x'"),
+    # many times: every entry is read, and a bad one names the argument with its values
+    (lambda: ek.estimate_hessian_bounds(LTV, [GOOD] * 3, [0.0, 0.1, math.nan], 0.1),
+     "times must be finite, got [0.0, 0.1, nan]"),
+    (lambda: ek.estimate_hessian_bounds(LTV, [GOOD] * 2, [0.0, True], 0.1),
+     "times must be numeric, got [0.0, True]"),
+    (lambda: ek.empirical_radius(LTV, [GOOD] * 2, [P] * 2, Q, R, 0.1, [0.0, -math.inf]),
+     "t must be finite, got [0.0, -inf]"),
+    (lambda: ek.empirical_radius(LTV, [GOOD] * 2, [P] * 2, Q, R, 0.1, ["0", "1"]),
+     "t must be numeric, got ['0', '1']"),
 ])
 def test_each_reproduced_gap_is_refused_naming_its_argument(call, message):
     with pytest.raises(ek.ConfigurationError) as refused:
@@ -267,3 +294,15 @@ def test_the_sign_free_rule_refuses_what_is_not_a_finite_real_number(value):
         _scalar(value, "perturb.freq", SIGN_FREE_RULE)
     shown = str(value) if isinstance(value, (int, float)) else repr(value)
     assert str(refused.value) == f"perturb.freq must be finite, got {shown}"
+
+
+def test_every_time_is_read_before_any_is_used():
+    """A bad last time is refused before the plant sees the first."""
+    def unreachable(x, t):
+        raise AssertionError("a callback was reached")
+    model = ek.SystemModel(2, 1, unreachable, unreachable, unreachable, unreachable)
+    with pytest.raises(ek.ConfigurationError,
+                       match=r"^times must be finite, got \[0\.0, 0\.1, nan\]$"):
+        ek.estimate_hessian_bounds(model, [GOOD] * 3, [0.0, 0.1, math.nan], 0.1)
+    with pytest.raises(ek.ConfigurationError, match=r"^t must be finite, got \[0\.0, nan\]$"):
+        ek.empirical_radius(model, [GOOD] * 2, [P] * 2, Q, R, 0.1, [0.0, math.nan])

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import ekfcert as ek
 
 MODEL = ek.make("vanderpol-pos").model   # n = 2, linear output
+FD_MODEL = ek.SystemModel(2, 1, MODEL.dynamics, MODEL.output)   # without analytic Jacobians
 N = MODEL.state_dim
 P, Q, R = np.array([[1.0, 0.2], [0.2, 0.8]]), np.eye(2), np.eye(1)
 GOOD = np.array([0.3, 0.2])
@@ -121,6 +122,16 @@ def test_a_column_reads_as_the_vector_it_holds(entry, name, call, x):
      "x0 must be numeric, got 'ab'"),
     (lambda: ek.FilterConfig(model=MODEL, Q=Q, R=R, P0=P, x0=[True, 1.0], horizon=1.0),
      "x0 must be numeric, got [True, 1.0]"),
+    # the one-point helpers read their point too, with and without analytic Jacobians
+    *[(lambda model=model, x=x: ek.eval_jacobians(model, x, 0.0), message)
+      for model in (MODEL, FD_MODEL)
+      for x, message in [([0.3, 0.2, 0.1], "x must have shape (2,), got (3,)"),
+                         ("ab", "x must be numeric, got 'ab'"),
+                         ([True, False], "x must be numeric, got [True, False]")]],
+    *[(lambda model=model: ek.hessian_tensor(model, [0.3, 0.2, 0.1], 0.0, "dynamics"),
+       "x must have shape (2,), got (3,)") for model in (MODEL, FD_MODEL)],
+    (lambda: ek.hessian_tensor(MODEL, [True, False], 0.0, "output"),
+     "x must be numeric, got [True, False]"),
 ])
 def test_each_entry_point_refuses_a_state_of_another_shape(call, message):
     with pytest.raises(ek.ConfigurationError, match=f"^{re.escape(message)}$"):
@@ -203,9 +214,10 @@ def test_every_array_argument_reads_integers_as_their_floats(entry, name, call, 
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: ek.tensor_norm(np.eye(2), np.eye(2)), "H must have shape (m, n, n), got (2, 2)"),
+    (lambda: ek.tensor_norm(np.eye(2), np.eye(2)),
+     "H must have shape (m, n, n), m, n >= 1, got (2, 2)"),
     (lambda: ek.tensor_norm(np.zeros((1, 2, 3)), np.eye(1)),
-     "H must have shape (m, n, n), got (1, 2, 3)"),
+     "H must have shape (m, n, n), m, n >= 1, got (1, 2, 3)"),
     # n is M's: M, P and N share one (n, n) shape
     (lambda: ek.inflation_rate_gain(-np.eye(2), np.eye(3), np.eye(2), 0.1),
      "P must have shape (2, 2), got (3, 3)"),
@@ -226,6 +238,17 @@ def test_every_array_argument_reads_integers_as_their_floats(entry, name, call, 
     (lambda: ek.riccati_rhs(P, -np.eye(2), np.ones((1, 2)), Q, np.eye(2)),
      "R must have shape (1, 1), got (2, 2)"),
     (lambda: ek.riccati_rhs(1.0, -1.0, 1.0, 1.0, 1.0), "P must have shape (1, 1), got ()"),
+    # nothing to compute is no result: n, p and m are at least 1
+    (lambda: ek.tensor_norm(np.zeros((1, 0, 0)), np.ones((1, 1))),
+     "H must have shape (m, n, n), m, n >= 1, got (1, 0, 0)"),
+    (lambda: ek.tensor_norm(np.zeros((0, 2, 2)), np.ones((1, 0))),
+     "H must have shape (m, n, n), m, n >= 1, got (0, 2, 2)"),
+    (lambda: ek.inflation_rate_gain(*[np.zeros((0, 0))] * 3, 0.1),
+     "M must have shape (n, n), n >= 1, got (0, 0)"),
+    (lambda: ek.riccati_rhs(*[np.zeros((0, 0))] * 2, np.zeros((1, 0)), np.zeros((0, 0)), R),
+     "P must have shape (n, n), n >= 1, got (0, 0)"),
+    (lambda: ek.riccati_rhs(P, -np.eye(2), np.zeros((0, 2)), Q, np.zeros((0, 0))),
+     "C must have shape (p, n), p >= 1, got (0, 2)"),
 ])
 def test_each_array_argument_refuses_another_shape(call, message):
     with pytest.raises(ek.ConfigurationError) as refused:
@@ -250,3 +273,37 @@ def test_a_time_series_is_numeric_and_finite(call, message):
     with pytest.raises(ek.ConfigurationError) as refused:
         call()
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    # P and N as FilterConfig reads P0 and N
+    (lambda: ek.inflation_rate_gain(-np.eye(2), -np.eye(2), np.eye(2), 0.1),
+     "P must be positive definite, min eigenvalue -1.000e+00"),
+    (lambda: ek.inflation_rate_gain(-3.0 * np.eye(2), np.eye(2), -np.eye(2), 0.1),
+     "N must be positive semidefinite, min eigenvalue -1.000e+00"),
+    (lambda: ek.inflation_rate_gain(-np.eye(2), [[1.0, 0.5], [0.0, 1.0]], np.eye(2), 0.1),
+     "P must be symmetric"),
+    # R is inverted: its symmetric part must be positive definite
+    (lambda: ek.riccati_rhs(np.eye(2), np.eye(2), np.ones((1, 2)), np.eye(2), [[0.0]]),
+     "R must be positive definite, min eigenvalue 0.000e+00"),
+    (lambda: ek.riccati_rhs(np.eye(2), np.eye(2), np.ones((2, 2)), np.eye(2),
+                            [[1.0, 2.0], [2.0, 1.0]]),
+     "R must be positive definite, min eigenvalue -1.000e+00"),
+    (lambda: ek.riccati_rhs(np.eye(2), np.eye(2), np.ones((2, 2)), np.eye(2),
+                            [[1.0, 4.0], [0.0, 1.0]]),
+     "R must be positive definite, min eigenvalue -1.000e+00"),
+])
+def test_each_weight_refuses_a_matrix_that_is_not_definite(call, message):
+    with pytest.raises(ek.ConfigurationError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("R2", [[[1.0, 3.0], [-3.0, 1.0]], [[1e308, 0.0], [0.0, 1e308]]])
+def test_riccati_rhs_uses_an_r_with_a_definite_symmetric_part_as_given(R2):
+    """[[1, 3], [-3, 1]] has the symmetric part I; its inverse, not I's, enters dP. An R near
+    the float range is read without an overflow: its symmetric part is formed by halves."""
+    from ekfcert.ekf import _riccati
+    C = np.array([[1.0, 0.5], [0.2, 1.0]])
+    assert (ek.riccati_rhs(P, -np.eye(2), C, Q, R2).tobytes()
+            == _riccati(P, -np.eye(2), C, Q, np.linalg.inv(R2), None, 0.0).tobytes())
