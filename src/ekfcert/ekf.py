@@ -34,11 +34,10 @@ system once, for them and the validator, and _tangent_flow its (A - K C) dz.
 
 Every integration of the package takes classical RK4 steps (``rk4_step``)
 on a uniform grid (``time_grid``) through the one driver ``integrate``; the
-virtual copies are rows of the filter run's own RK4 state. A run stores the
-outputs it reads at its RK4 stages once per distinct stage time
-(``stage_table``); the variational validator reads that table next to the
-run's gains, which ``interp`` (linear, clamped ends) carries onto the stage
-times. A measured signal is a callable of t or a ``TimeSeries``, values on
+run stores the outputs it reads at its RK4 stages once per distinct stage
+time (``stage_table``), which the variational validator reads next to the
+run's gains, carried onto the stage times by ``interp`` (linear, clamped
+ends). A measured signal is a callable of t or a ``TimeSeries``, values on
 a time grid that ``interp`` reads the same way.
 
 A stage is straight-line code. After reading y it reads A and C at the
@@ -48,11 +47,10 @@ row's derivative into one array. With analytic Jacobians and a finite
 state, A and C are the callbacks' own results once both pass a finiteness
 check; any other stage takes the checked one-row stack, so a non-finite
 Jacobian raises ModelEvaluationError at the stage's time before f or h is
-called. The Riccati term adds A P to its transpose for P A^T, the same bits
-since P is exactly symmetric. Truth or virtual rows that are not finite get
-a NaN derivative without a callback; a non-finite truth makes the whole
-stage NaN, so the node guard names it. A step's first stage runs at a node
-the guard has passed and reads its finiteness verdict.
+called. Truth or virtual rows that are not finite get a NaN derivative
+without a callback; a non-finite truth makes the whole stage NaN, so the
+node guard names it. A step's first stage runs at a node the guard has
+passed and reads its finiteness verdict.
 
 A node of sum of squares at most DIVERGENCE_LIMIT^2 / 4 has every row
 finite and inside the limit and passes on that one check; any other gets
@@ -68,6 +66,7 @@ largest b.b of any stage.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -78,7 +77,7 @@ import numpy as np
 from .errors import (ConfigurationError, CovarianceBoundViolation, DivergenceError,
                      PreconditionError)
 from .model import (MAX_COUNT, SystemModel, _array, _call, _finite, _scalar, _scalars,
-                    _stacked_jacobians, _stage_jacobians, _state)
+                    _stacked_jacobians, _stage_jacobians, _state, _times)
 
 # states beyond this magnitude are treated as numerical blow-up
 DIVERGENCE_LIMIT = 1e12
@@ -169,9 +168,9 @@ class TimeSeries:
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ConfigurationError("times must be strictly increasing")
 
-    def at(self, t: float) -> np.ndarray:
-        """Linear interpolation at t, clamped to the grid range."""
-        return interp(self.times, self.values, t)
+    def at(self, t: float | np.ndarray) -> np.ndarray:
+        """Linear interpolation at t, read by model._times, clamped to the grid range."""
+        return interp(self.times, self.values, _times(t, "t"))
 
 
 def interp(times: np.ndarray, values: np.ndarray, t: float | np.ndarray) -> np.ndarray:
@@ -237,9 +236,11 @@ def _check_spd(M: np.ndarray, name: str, dim: int, allow_zero: bool = False,
         raise ConfigurationError(f"{name}{'' if rows is None else f'[{k}]'} must be finite, "
                                  f"got {M.reshape(-1, dim, dim)[k].tolist()}")
     Mt = M.swapaxes(-1, -2)
-    if symmetric and not (abs(M - Mt) <= 1e-12 + 1e-10 * abs(Mt)).all():   # np.allclose
-        raise ConfigurationError(f"{name} must be symmetric")
-    M = 0.5 * (M + Mt) if symmetric else 0.5 * M + 0.5 * Mt   # halves of a finite M: no overflow
+    with np.errstate(over="ignore"):   # finite entries may sum or differ past the float range
+        if symmetric and not (abs(M - Mt) <= 1e-12 + 1e-10 * abs(Mt)).all():   # np.allclose
+            raise ConfigurationError(f"{name} must be symmetric")
+        S = 0.5 * (M + Mt) if symmetric else 0.5 * M + 0.5 * Mt
+    M = S if np.isfinite(S).all() else np.where(np.isfinite(S), S, 0.5 * M + 0.5 * Mt)
     lam = np.linalg.eigvalsh(M).reshape(-1, dim)
     lo = lam[:, 0].min(initial=math.inf)   # inf for an empty stack
     if (lo < -1e-12 * max(1.0, lam[:, -1].max())) if allow_zero else lo <= 0.0:
@@ -443,8 +444,8 @@ def integrate_ekf(config: FilterConfig,
     measurements : TimeSeries or callable t -> (p,) array, optional
         Measured output (a scalar is accepted when p = 1), evaluated exactly
         at the integrator stages, once per distinct stage time, so it must
-        depend on t only. A TimeSeries is read as ``series.at``, linearly
-        interpolated between its nodes. Give it or ``x0``, not both.
+        depend on t only. A TimeSeries gives the values of ``series.at``,
+        linearly interpolated between its nodes. Give it or ``x0``, not both.
     x0 : (n,) array, optional
         True initial state. The truth dx/dt = f(x, t) is then a row of the
         run's one RK4 state, and each stage reads y = h(x, t) at the truth's
@@ -488,8 +489,8 @@ def integrate_ekf(config: FilterConfig,
     stage_times, read_stage = stage_table(grid)
     if x0 is not None:
         x0 = _state(x0, n, "x0")
-    elif isinstance(measurements, TimeSeries):
-        measurements = measurements.at
+    elif isinstance(measurements, TimeSeries):   # stage times are grid values, already read
+        measurements = functools.partial(interp, measurements.times, measurements.values)
     elif not callable(measurements):
         raise ConfigurationError(
             f"expected a TimeSeries or a callable signal, got {type(measurements).__name__}")
@@ -564,8 +565,7 @@ def integrate_ekf(config: FilterConfig,
 
     def guard(t: float, state: np.ndarray) -> np.ndarray:
         nonlocal stored, node_finite
-        # a node of norm <= DIVERGENCE_LIMIT / 2 has every row finite and inside the limit;
-        # its P is checked with the others after the run
+        # norm <= DIVERGENCE_LIMIT / 2: every row finite and inside it; P is checked after the run
         sq = np.vdot(state, state)
         if not sq <= 0.25 * DIVERGENCE_LIMIT ** 2:
             if x0 is not None:

@@ -292,21 +292,24 @@ def _times(value, what: str):
 
 def _finite(a: np.ndarray) -> bool:
     """Whether every entry of ``a`` is finite, from its sum of squares: squares
-    that overflow read as non-finite too, which only costs the full check."""
+    that overflow read as non-finite too, which only costs the full check. A
+    one-state, one-output stage decides its A and C on floats instead."""
     return math.isfinite(np.vdot(a, a))
 
 
 def _stage_jacobians(model: SystemModel, x: np.ndarray, t: float,
                      finite: bool) -> tuple[np.ndarray, np.ndarray]:
-    """eval_jacobians(model, x, t) for an RK4 stage whose state is known ``finite``
-    (by _finite). With analytic Jacobians and a finite state it returns the raw
-    callback results, one call each, when both pass _finite; anything else takes
-    the checked one-row stack, which gives the same values or raises."""
+    """eval_jacobians(model, x, t) for an RK4 stage whose state is known ``finite``.
+    With analytic Jacobians and a finite state it returns the raw callback results,
+    one call each, when both are finite: by math.isfinite on their one entry each at
+    n = p = 1, else by _finite. Anything else takes the checked one-row stack, which
+    gives the same values or raises."""
     if finite and model.jacobian_A is not None and model.jacobian_C is not None:
         n, p = model.state_dim, model.output_dim
         A = _call(model.jacobian_A, x, t, (n, n), "jacobian_A")
         C = _call(model.jacobian_C, x, t, (p, n), "jacobian_C")
-        if _finite(A) and _finite(C):
+        if (math.isfinite(A.item()) and math.isfinite(C.item()) if n == p == 1
+                else _finite(A) and _finite(C)):
             return A, C
     return tuple(J[0] for J in _stacked_jacobians(model, x[None], t))
 

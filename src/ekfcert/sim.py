@@ -15,7 +15,8 @@ pair reads the run's gains interpolated onto the RK4 stage times and the
 outputs the run read there, an O(h^2) approximation. Its RK4 stage reads A
 and C as the filter's does (model._stage_jacobians), then calls f and h, so
 a non-finite Jacobian or stage state raises ModelEvaluationError at the
-stage's time before f or h is called. A step's first stage runs at its node,
+stage's time before f or h is called; at n = p = 1 it decides the finiteness
+of z, A and C each on its one float. A step's first stage runs at its node,
 which the guard has passed, so it reads its state as finite, and its A and C
 serve the contraction matrix there; after the run A and C are evaluated only
 at the last node and, as one stack, at the filter's. The stage forms
@@ -265,7 +266,10 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     def rhs(t: float, s: np.ndarray) -> np.ndarray:
         z, dz = s[:n], s[n:]
         stage, row = read_stage(t)
-        A, C = _stage_jacobians(model, z, t, stage == 0 or _finite(s))   # a node is finite
+        # a node is finite; at n = p = 1 z alone decides, on a float: a finite z with a
+        # non-finite dz gets the same A and C from the checked stack as from the callbacks
+        finite = stage == 0 or (math.isfinite(s.item(0)) if scalar else _finite(s))
+        A, C = _stage_jacobians(model, z, t, finite)
         if stage == 0:
             Az[row >> 1], Cz[row >> 1] = A, C
         if scalar:

@@ -397,6 +397,15 @@ def test_interp_at_one_time_equals_the_scalar_reference(shape):
                 np.where(np.isnan(ref), np.nan, ref).tobytes(), t
 
 
+def test_series_at_reads_its_time_and_gives_the_bits_of_interp():
+    """TimeSeries.at reads t by the time rule, one time or many, and interpolates at the
+    times read with interp's bits: an int as its float, a list as its array."""
+    series = ek.TimeSeries([0.0, 0.5, 2.0], [[1.0, -0.0], [2.0, 0.5], [-3.0, 0.0]])
+    for t in (0.25, np.float64(0.7), 1, -1.0, 5, [0.1, 2.5], np.array([0.0, 0.5, 1.5])):
+        expected = interp(series.times, series.values, np.asarray(t, dtype=float))
+        assert series.at(t).tobytes() == expected.tobytes(), t
+
+
 def test_interp_of_one_node_stacks_its_value_at_an_array_of_times():
     values = np.array([[0.5, -0.0]])
     got = interp(np.array([0.0]), values, np.array([-1.0, 0.0, 2.0]))
@@ -920,6 +929,15 @@ def test_the_joint_run_reads_y_from_the_truth_rows_own_stage(entry):
 FAULT_T = 0.25   # the faults start at the midpoint stage of the third step
 
 
+def _recorded(fn, seen):
+    """``fn`` appending every state it receives to ``seen``, unless that is None."""
+    def call(x, t):
+        if seen is not None:
+            seen.append(x.copy())
+        return fn(x, t)
+    return call
+
+
 def _faulty_plant(callback, fault, seen=None):
     """dx/dt = -diag(1, 0.5) x with y = x, at rest from the origin; from t =
     FAULT_T on, ``callback`` returns ``fault`` of its result. P stays diagonal
@@ -931,16 +949,8 @@ def _faulty_plant(callback, fault, seen=None):
             "jacobian_C": lambda x, t: np.eye(2)}
     fn = good[callback]
     good[callback] = lambda x, t: fault(fn(x, t)) if t >= FAULT_T else fn(x, t)
-
-    def recorded(fn):
-        def call(x, t):
-            if seen is not None:
-                seen.append(x.copy())
-            return fn(x, t)
-        return call
-
     return ek.SystemModel(state_dim=2, output_dim=2,
-                          **{name: recorded(fn) for name, fn in good.items()})
+                          **{name: _recorded(fn, seen) for name, fn in good.items()})
 
 
 def _set_entry(index, value):
@@ -1118,18 +1128,20 @@ def test_a_stage_reads_its_jacobians_before_it_calls_f_and_h(flow, jacobian, val
     assert [name for name, _ in log[first:] if name in ("dynamics", "output")] == []
 
 
-def _faulty_scalar_plant(callback, fault):
-    """The one-state, two-output twin of _faulty_plant: dx/dt = -x with y = (x, 0)
-    and C = (1, 0)^T, at rest from the origin; from t = FAULT_T on, ``callback``
-    returns ``fault`` of its result. C's zero row meets P in C P and P C^T, the
-    stage products where .dot and @ carry a non-finite entry differently."""
+def _faulty_scalar_plant(callback, fault, outputs=2, seen=None):
+    """The one-state twin of _faulty_plant: dx/dt = -x with y = (x, 0) and C = (1, 0)^T,
+    or with one of ``outputs`` y = x and C = 1, at rest from the origin; from t = FAULT_T
+    on, ``callback`` returns ``fault`` of its result. C's zero row meets P in C P and
+    P C^T, the stage products where .dot and @ carry a non-finite entry differently.
+    Every state a callback receives is appended to ``seen``."""
     good = {"dynamics": lambda x, t: -x,
-            "output": lambda x, t: np.array([x[0], 0.0]),
+            "output": lambda x, t: np.array([x[0], 0.0][:outputs]),
             "jacobian_A": lambda x, t: -np.ones((1, 1)),
-            "jacobian_C": lambda x, t: np.array([[1.0], [0.0]])}
+            "jacobian_C": lambda x, t: np.array([[1.0], [0.0]][:outputs])}
     fn = good[callback]
     good[callback] = lambda x, t: fault(fn(x, t)) if t >= FAULT_T else fn(x, t)
-    return ek.SystemModel(state_dim=1, output_dim=2, **good)
+    return ek.SystemModel(state_dim=1, output_dim=outputs,
+                          **{name: _recorded(fn, seen) for name, fn in good.items()})
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -1155,6 +1167,96 @@ def test_a_one_state_two_output_fault_fails_as_with_matmul_stages(flow, callback
     with np.errstate(invalid="ignore"), pytest.raises(ek.ModelEvaluationError) as info:
         STAGE_FLOWS[flow](fc, run)
     assert (str(info.value), info.value.time) == (message, FAULT_T)
+
+
+def _truth_arrays(fc):
+    run = ek.integrate_ekf(fc, x0=np.zeros_like(fc.x0))
+    return run.states, run.covariances, run.gains
+
+
+# a Jacobian's one entry from FAULT_T on: not finite, or finite with a square that overflows
+SCALAR_FAULTS = [(jac, value) for jac in ("jacobian_A", "jacobian_C")
+                 for value in (np.nan, np.inf, -np.inf, 1e200)]
+
+
+@pytest.mark.parametrize("callback, value", SCALAR_FAULTS,
+                         ids=[f"{c}-{v}" for c, v in SCALAR_FAULTS])
+def test_a_one_state_one_output_jacobian_fault_fails_as_on_the_checked_path(callback, value):
+    """The one-state, one-output stage decides A's and C's finiteness on their floats:
+    every flow stops with the type, message and time of the reference loops, which
+    evaluate every stage on the checked path, also for 1e200, a finite entry whose
+    square overflows a sum of squares, which the stage uses as returned. The truth
+    rests at the origin, so its run reads the measured run's y = 0. No callback sees
+    a non-finite state."""
+    seen = []
+    model = _faulty_scalar_plant(callback, _set_entry((0, 0), value), outputs=1, seen=seen)
+    zero, e0, y = np.zeros(1), np.ones(1), (lambda t: np.zeros(1))
+    fc = ek.FilterConfig(model=model, Q=np.eye(1), R=np.eye(1), P0=np.eye(1), x0=zero,
+                         horizon=1.0, step=0.1)
+    run = ek.integrate_ekf(dataclasses.replace(
+        fc, model=_faulty_scalar_plant(callback, lambda v: v, outputs=1)), y)
+    flows = {
+        "measured": (lambda: _filter_arrays(fc, y), lambda: _ref_ekf(fc, y)[:3]),
+        "truth": (lambda: _truth_arrays(fc), lambda: _ref_ekf(fc, y)[:3]),
+        "virtual": (lambda: _virtual_arrays(fc, y, e0),
+                    lambda: _ref_ekf_virtual(fc, y, e0)[:3]),
+        "validator": (lambda: (ek.variational_validator(model, run, zero, dz0=e0),),
+                      lambda: (_ref_validator(model, run, y, zero, 0.1, e0),)),
+    }
+    for name, (new, ref) in flows.items():
+        expected = _outcome(ref)
+        seen.clear()
+        assert _outcome(new) == expected, name
+        assert np.isfinite(seen).all(), name
+        if isinstance(expected, tuple):
+            assert expected[2] >= FAULT_T, name
+
+
+def test_a_one_state_validator_stage_with_only_dz_non_finite_calls_as_the_checked_path():
+    """With A = 1e200 from FAULT_T on, dz overflows within the third step while z rests
+    at the origin, so the step's last stage reads a finite z and an infinite dz. It
+    calls A, C, f and h as the reference loop's checked stages do, at the same times
+    and states, and the node guard names the variational state."""
+    seen, log = [], []
+    model = _logged(_faulty_scalar_plant("jacobian_A", _set_entry((0, 0), 1e200), outputs=1,
+                                         seen=seen), log)
+    zero, y = np.zeros(1), (lambda t: np.zeros(1))
+    fc = ek.FilterConfig(model=_faulty_scalar_plant("jacobian_A", lambda v: v, outputs=1),
+                         Q=np.eye(1), R=np.eye(1), P0=np.eye(1), x0=zero, horizon=1.0,
+                         step=0.1)
+    run = ek.integrate_ekf(fc, y)
+    calls = []
+    for flow in (lambda: (ek.variational_validator(model, run, zero),),
+                 lambda: (_ref_validator(model, run, y, zero, 0.1),)):
+        seen.clear()
+        log.clear()
+        calls.append((_outcome(flow), list(log), np.array(seen).tobytes()))
+    t = run.times[3]
+    assert calls[0] == calls[1]
+    assert calls[0][0] == (ek.DivergenceError, "variational state diverged at t=0.3", t)
+    assert log[-4:] == [(name, t) for name in ("jacobian_A", "jacobian_C", "dynamics",
+                                               "output")]
+    assert not np.array(seen).any()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_one_state_validator_stage_with_a_non_finite_z_fails_as_on_the_checked_path(value):
+    """f returns ``value`` from FAULT_T on, so the third step's third stage reads a
+    non-finite z: the validator raises with the reference loop's type, message and time
+    before any callback sees that z."""
+    seen = []
+    model = _faulty_scalar_plant("dynamics", _set_entry(0, value), outputs=1, seen=seen)
+    zero, y = np.zeros(1), (lambda t: np.zeros(1))
+    fc = ek.FilterConfig(model=_faulty_scalar_plant("dynamics", lambda v: v, outputs=1),
+                         Q=np.eye(1), R=np.eye(1), P0=np.eye(1), x0=zero, horizon=1.0,
+                         step=0.1)
+    run = ek.integrate_ekf(fc, y)
+    expected = _outcome(lambda: (_ref_validator(model, run, y, zero, 0.1),))
+    assert expected == (ek.ModelEvaluationError,
+                        f"state contains non-finite entries: [{value}]", FAULT_T)
+    seen.clear()
+    assert _outcome(lambda: (ek.variational_validator(model, run, zero),)) == expected
+    assert np.isfinite(seen).all()
 
 
 # ------------------------------------------------ positive definiteness

@@ -34,6 +34,7 @@ BOUNDS = {"p_lo": 0.5, "p_hi": 1.0, "q_lo": 1.0, "r_lo": 1.0}
 HESS = ek.HessianBounds(alpha=1.0, kappa_A=1.0, kappa_C=1.0)
 SPECTRAL = dict(BOUNDS, kappa_A=1.0, kappa_C=1.0)
 BOUNDED = dataclasses.replace(RUN, p_lo=0.5, p_hi=1.0)   # q_lo = r_lo = 1 from Q and R
+SERIES = ek.TimeSeries([0.0, 1.0], [[1.0], [2.0]])
 
 POS_FIN, NONNEG_FIN = "positive and finite", "nonnegative and finite"
 POS, NONNEG = "positive", "nonnegative"   # +inf included
@@ -126,6 +127,7 @@ ENTRY_POINTS = [
     ("perturbed_run", "gamma", POS_FIN,
      lambda v: ek.perturbed_run(DISTURBED, gamma=v)),
     ("eval_jacobians", "t", FIN, lambda v: ek.eval_jacobians(LTV, GOOD, v)),
+    ("TimeSeries.at", "t", FIN, lambda v: SERIES.at(v)),
     ("hessian_tensor", "t", FIN, lambda v: ek.hessian_tensor(LTV, GOOD, v, "dynamics")),
     ("contraction_matrix", "t", FIN,
      lambda v: ek.contraction_matrix(LTV, GOOD, GOOD, P, Q, R, v)),
@@ -207,6 +209,11 @@ def test_the_boundary_of_each_rule_is_accepted(entry, name, call, value):
       for t, shown in [("x", "'x'"), (None, "None"), (True, "True"), (math.nan, "nan")]],
     (lambda: ek.hessian_tensor(LTV, GOOD, None, "output"), "t must be finite, got None"),
     (lambda: ek.contraction_matrix(LTV, GOOD, GOOD, P, Q, R, "x"), "t must be finite, got 'x'"),
+    # a time series read at a time: a string or None ended in numpy, NaN gave [nan], and
+    # inf and True read as times
+    *[(lambda t=t: SERIES.at(t), f"t must be finite, got {shown}")
+      for t, shown in [("x", "'x'"), (None, "None"), (math.nan, "nan"), (math.inf, "inf"),
+                       (True, "True")]],
     # many times: every entry is read, and a bad one names the argument with its values
     (lambda: ek.estimate_hessian_bounds(LTV, [GOOD] * 3, [0.0, 0.1, math.nan], 0.1),
      "times must be finite, got [0.0, 0.1, nan]"),
@@ -216,6 +223,8 @@ def test_the_boundary_of_each_rule_is_accepted(entry, name, call, value):
      "t must be finite, got [0.0, -inf]"),
     (lambda: ek.empirical_radius(LTV, [GOOD] * 2, [P] * 2, Q, R, 0.1, ["0", "1"]),
      "t must be numeric, got ['0', '1']"),
+    (lambda: SERIES.at([0.5, math.nan]), "t must be finite, got [0.5, nan]"),
+    (lambda: SERIES.at([0.5, True]), "t must be numeric, got [0.5, True]"),
 ])
 def test_each_reproduced_gap_is_refused_naming_its_argument(call, message):
     with pytest.raises(ek.ConfigurationError) as refused:

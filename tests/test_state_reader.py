@@ -307,3 +307,28 @@ def test_riccati_rhs_uses_an_r_with_a_definite_symmetric_part_as_given(R2):
     C = np.array([[1.0, 0.5], [0.2, 1.0]])
     assert (ek.riccati_rhs(P, -np.eye(2), C, Q, R2).tobytes()
             == _riccati(P, -np.eye(2), C, Q, np.linalg.inv(R2), None, 0.0).tobytes())
+
+
+BIG = [[1e308, 0.0], [0.0, 1.0]]   # its sum with its transpose overflows
+
+
+def test_a_weight_near_the_float_range_is_read_exactly_without_a_warning():
+    """Symmetrizing halves an entry before the sum only where the sum overflows: Q, P0 and N
+    of 1e308 and an R of 1.5e308 read as given, with their smallest eigenvalues, and no
+    overflow warning is raised (any warning is an error here)."""
+    from ekfcert.ekf import _check_spd
+    with np.errstate(all="raise"):
+        config = ek.FilterConfig(model=MODEL, Q=BIG, R=[[1.5e308]], P0=BIG, x0=GOOD,
+                                 horizon=0.2, N=BIG)
+        stack, lo = _check_spd([BIG, np.eye(2)], "P", 2, rows=2)
+    for got, given_ in [(config.Q, BIG), (config.R, [[1.5e308]]), (config.P0, BIG),
+                        (config.N, BIG), (stack, [BIG, np.eye(2)])]:
+        assert got.tobytes() == np.array(given_).tobytes()
+    assert (config.q_lo, config.r_lo, lo) == (1.0, 1.5e308, 1.0)
+
+
+def test_a_weight_whose_asymmetry_overflows_is_refused_as_not_symmetric():
+    with np.errstate(all="raise"), pytest.raises(ek.ConfigurationError) as refused:
+        ek.FilterConfig(model=MODEL, Q=[[1.0, 1e308], [-1e308, 1.0]], R=R, P0=P, x0=GOOD,
+                        horizon=0.2)
+    assert str(refused.value) == "Q must be symmetric"
