@@ -23,7 +23,7 @@ import numpy as np
 from .ekf import FilterTrajectory, _check_spd
 from .errors import ConfigurationError, PreconditionError
 from .model import (HessianBounds, SystemModel, _array, _scalar, _scalars, _stacked_jacobians,
-                    _state, _times, _unit_directions)
+                    _state, _states, _times, _unit_directions)
 
 # slack allowed when deciding lambda_max(S) <= 0 in floating point
 PSD_TOL_SCALE = 1e-9
@@ -326,11 +326,7 @@ def linear_output_check(run: FilterTrajectory, sample_states, gamma: float) -> d
     threshold = run.config.q_lo - 2.0 * gamma * run.p_hi
     idx = np.unique(np.linspace(0, len(run.times) - 1,
                                 min(OUTPUT_CHECK_TIMES, len(run.times))).astype(int))
-    states = np.array([_state(x, model.state_dim, f"sample_states[{i}]")
-                       for i, x in enumerate(sample_states)]).reshape(-1, model.state_dim)
-    if len(states) == 0:
-        raise ConfigurationError(
-            f"sample_states must hold at least one state, got {sample_states!r}")
+    states = _states(sample_states, model.state_dim, "sample_states")
     if len(idx) == 0:
         raise ConfigurationError("run must hold at least one node: nothing would be checked")
 

@@ -16,14 +16,14 @@ product of two single entries keeps an exact zero's sign, which @ makes
 +0.0, and where a NaN or an inf meets an exact zero in a (1, 1)(1, k),
 (k, 1)(1, 1) or (k, 1)(1,) product, k >= 2, it gives 0 and @ NaN. At
 n = p = 1 every stage product is of two single entries, which .dot returns
-as their IEEE product, so that stage reads A, C, P, y and each callback
-result once with .item() and runs the same operations, in the same operand
-order, on Python floats (_scalar_stage and the float forms of the flows
-below): the bits of .dot without a numpy call per operation. P stays
-exactly symmetric (its start and the Riccati right-hand side are
-symmetrized) and every node's P is checked for positive definiteness, since
-every guarantee downstream is conditioned on uniform bounds
-p_lo I <= P(t) <= p_hi I holding along the run.
+as their IEEE product, so that run reads Q, R^{-1} and 2N, and each stage
+A, C, P, y and each callback result, once with .item() and runs the same
+operations, in the same operand order, on Python floats (the float forms of
+_gain, _riccati and the flows below): the bits of .dot without a numpy call
+per operation. P stays exactly symmetric (its start and the Riccati
+right-hand side are symmetrized) and every node's P is checked for positive
+definiteness, since every guarantee downstream is conditioned on uniform
+bounds p_lo I <= P(t) <= p_hi I holding along the run.
 
 A run on a simulated truth integrates one state, the rows
 [xhat; P; x; z_1 ... z_B]: each RK4 stage reads y = h(x, t) at the truth
@@ -49,8 +49,8 @@ check; any other stage takes the checked one-row stack, so a non-finite
 Jacobian raises ModelEvaluationError at the stage's time before f or h is
 called. Truth or virtual rows that are not finite get a NaN derivative
 without a callback; a non-finite truth makes the whole stage NaN, so the
-node guard names it. A step's first stage runs at a node the guard has
-passed and reads its finiteness verdict.
+node guard names it. A step's first stage runs at the start, whose rows are
+read finite, or at a node the guard has passed, so it skips the check.
 
 A node of sum of squares at most DIVERGENCE_LIMIT^2 / 4 has every row
 finite and inside the limit and passes on that one check; any other gets
@@ -77,7 +77,7 @@ import numpy as np
 from .errors import (ConfigurationError, CovarianceBoundViolation, DivergenceError,
                      PreconditionError)
 from .model import (MAX_COUNT, SystemModel, _array, _call, _finite, _scalar, _scalars,
-                    _stacked_jacobians, _stage_jacobians, _state, _times)
+                    _stacked_jacobians, _stage_jacobians, _state, _states, _times)
 
 # states beyond this magnitude are treated as numerical blow-up
 DIVERGENCE_LIMIT = 1e12
@@ -319,35 +319,27 @@ class FilterConfig:
                   else _check_spd(self.N, "N", n, allow_zero=True)[0])
 
 
-def _gain(P: np.ndarray, C: np.ndarray, Rinv: np.ndarray) -> np.ndarray:
-    """K = P C^T R^{-1} = (R^{-1} (C P))^T for one (P, C) pair, through ndarray.dot."""
-    return Rinv.dot(C.dot(P)).T
+def _gain(P, C, Rinv, scalar: bool = False):
+    """K = P C^T R^{-1} = (R^{-1} (C P))^T for one (P, C) pair, through ndarray.dot; on
+    Python floats with ``scalar`` (n = p = 1), with the bits of the .dot form."""
+    return Rinv * (C * P) if scalar else Rinv.dot(C.dot(P)).T
 
 
-def _riccati(P: np.ndarray, A: np.ndarray, C: np.ndarray, Q: np.ndarray,
-             Rinv: np.ndarray, N2: np.ndarray | None, beta2: float) -> np.ndarray:
-    """A P + P A^T + Q - (P C^T) R^{-1} (P C^T)^T [+ 2N] [+ 2 beta P], symmetrized,
-    through ndarray.dot; takes R^{-1}, 2N (or None) and 2 beta."""
-    PCt, AP = P.dot(C.T), A.dot(P)   # P is exactly symmetric, so P A^T = (A P)^T bit for bit
-    dP = AP + AP.T + Q - PCt.dot(Rinv.dot(PCt.T))
+def _riccati(P, A, C, Q, Rinv, N2, beta2: float, scalar: bool = False):
+    """A P + P A^T + Q - (P C^T) R^{-1} (P C^T)^T [+ 2N] [+ 2 beta P], symmetrized, through
+    ndarray.dot, or on Python floats with ``scalar`` in the same operand order, with the
+    bits of the .dot form; takes R^{-1}, 2N (or None) and 2 beta."""
+    if scalar:
+        PCt, AP = P * C, A * P
+        dP = AP + AP + Q - PCt * (Rinv * PCt)
+    else:   # P is exactly symmetric, so P A^T = (A P)^T bit for bit
+        PCt, AP = P.dot(C.T), A.dot(P)
+        dP = AP + AP.T + Q - PCt.dot(Rinv.dot(PCt.T))
     if N2 is not None:
         dP = dP + N2
     if beta2 != 0.0:
         dP = dP + beta2 * P
-    return 0.5 * (dP + dP.T)
-
-
-def _scalar_stage(p: float, a: float, c: float, q: float, rinv: float, n2: float | None,
-                  beta2: float) -> tuple[float, float]:
-    """_gain and _riccati at n = p = 1 on Python floats, with their bits: each .dot there
-    multiplies two single entries, and the operand order is theirs."""
-    pc = p * c
-    d = ((a * p + a * p) + q) - pc * (rinv * pc)
-    if n2 is not None:
-        d = d + n2
-    if beta2 != 0.0:
-        d = d + beta2 * p
-    return rinv * (c * p), 0.5 * (d + d)
+    return 0.5 * (dP + dP) if scalar else 0.5 * (dP + dP.T)
 
 
 def _virtual_flow(model: SystemModel, z: np.ndarray, t: float, K, y, scalar: bool):
@@ -498,10 +490,7 @@ def integrate_ekf(config: FilterConfig,
     rows = [config.x0[None], config.P0] + ([] if x0 is None else [x0[None]])
     Z = n + 1 + (x0 is not None)   # the first virtual row
     if starts is not None:
-        rows.append(np.array([_state(z, n, f"starts[{b}]")
-                              for b, z in enumerate(starts if np.iterable(starts) else [])]))
-        if not len(rows[-1]):
-            raise ConfigurationError(f"starts must hold at least one state, got {starts!r}")
+        rows.append(_states(starts, n, "starts"))
     state0 = np.vstack(rows)
     virtual = range(Z, len(state0))   # the virtual rows' indices
     outputs = np.empty((len(stage_times), p))
@@ -511,16 +500,16 @@ def integrate_ekf(config: FilterConfig,
     if not N2.any():   # a zero 2N added to Q once gives a stage's bits (dP is -0.0 only where Q is)
         Q, N2 = Q + N2, None
     scalar = n == p == 1   # a one-state, one-output stage runs on Python floats
-    weights = (Q.item(), Rinv.item(), None if N2 is None else N2.item(), beta2) if scalar else ()
+    if scalar:
+        Q, Rinv, N2 = Q.item(), Rinv.item(), N2 if N2 is None else N2.item()
     b_sq = 0.0   # the largest ||b||^2 seen
     nodes = np.empty((len(grid), *state0.shape))
     stored = 1   # the nodes stored so far, the start included
-    node_finite = _finite(state0)   # _finite of the last stored node, which stage 0 reads
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
         nonlocal filled, b_sq
         stage, row = read_stage(t)
-        finite = node_finite if stage == 0 else _finite(state)   # one check for every row
+        finite = stage == 0 or _finite(state)   # a node is finite; one check for every row
         out = np.empty_like(state)
         if x0 is not None:   # y from the truth row's own stage state
             x = state[n + 1]
@@ -539,11 +528,9 @@ def integrate_ekf(config: FilterConfig,
         y, xhat, P = outputs[row], state[0], state[1:n + 1]
         A, C = _stage_jacobians(model, xhat, t, finite)
         if scalar:
-            y = y.item()
-            K, out[1] = _scalar_stage(P.item(), A.item(), C.item(), *weights)
-        else:
-            K = _gain(P, C, Rinv)
-            out[1:n + 1] = _riccati(P, A, C, Q, Rinv, N2, beta2)
+            y, P, A, C = y.item(), P.item(), A.item(), C.item()
+        K = _gain(P, C, Rinv, scalar)
+        out[1:n + 1] = _riccati(P, A, C, Q, Rinv, N2, beta2, scalar)
         if stage == 0:   # a step's first stage runs at its node's state
             gains[row >> 1] = K
         out[0] = _virtual_flow(model, xhat, t, K, y, scalar)
@@ -564,10 +551,9 @@ def integrate_ekf(config: FilterConfig,
         divergence_guard, ("truth", "estimate", "virtual state"))
 
     def guard(t: float, state: np.ndarray) -> np.ndarray:
-        nonlocal stored, node_finite
+        nonlocal stored
         # norm <= DIVERGENCE_LIMIT / 2: every row finite and inside it; P is checked after the run
-        sq = np.vdot(state, state)
-        if not sq <= 0.25 * DIVERGENCE_LIMIT ** 2:
+        if not np.vdot(state, state) <= 0.25 * DIVERGENCE_LIMIT ** 2:
             if x0 is not None:
                 truth_guard(t, state[n + 1])
             estimate_guard(t, state[0])
@@ -578,7 +564,6 @@ def integrate_ekf(config: FilterConfig,
             if virtual:
                 virtual_guard(t, state[Z:])
         stored += 1
-        node_finite = math.isfinite(sq)
         return state
 
     try:
@@ -600,7 +585,7 @@ def integrate_ekf(config: FilterConfig,
         raise PreconditionError(f"disturbance bound violated: observed {b_worst:.6g} "
                                 f"> b_max {disturbance.b_max:.6g}")
     C = _stacked_jacobians(model, states[-1:], grid[-1])[1][0]
-    gains[-1] = _gain(covs[-1], C, Rinv)
+    gains[-1] = _gain(covs[-1], C, Rinv, scalar)
     if x0 is not None:   # a node row holds y at the truth node, as stage 1 leaves the others
         outputs[-1] = model.h(nodes[-1, n + 1], grid[-1])
     lo, hi = int(np.argmin(eigs[:, 0])), int(np.argmax(eigs[:, -1]))

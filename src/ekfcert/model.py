@@ -221,9 +221,11 @@ def _scalar(value, what: str, rule: str | None = None):
     entry point: a real number, not a boolean or a string, that is positive or nonnegative
     (of either sign under SIGN_FREE_RULE), finite unless the rule allows +inf, whole for an
     integer rule and at most MAX_COUNT for a capped one, returned as a float (an int for an
-    integer rule); else a ConfigurationError "<what> must be <rule>, got <value>"."""
+    integer rule); else a ConfigurationError "<what> must be <rule>, got <value>". A real
+    number is what _real accepts with no dimension, so a 0-d array of a real, non-boolean
+    dtype reads as its one entry."""
     rule = rule or _RULES[what]
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    real = not isinstance(value, (list, tuple)) and _real(value) and not np.ndim(value)
     try:
         x = float(value) if real else math.nan
     except OverflowError:   # an int beyond the float range
@@ -280,6 +282,16 @@ def _state(value, n: int | None, what: str, rows: int | str | None = None,
     if finite and not np.isfinite(x).all():
         raise ConfigurationError(f"{what} must be finite, got {x.tolist()}")
     return x
+
+
+def _states(values, n: int, what: str) -> np.ndarray:
+    """The states in ``values``, each read by _state as ``what[i]``, as a (B, n) array; a
+    ``values`` that is not np.iterable or holds no state is a ConfigurationError."""
+    states = [_state(x, n, f"{what}[{i}]")
+              for i, x in enumerate(values if np.iterable(values) else [])]
+    if not states:
+        raise ConfigurationError(f"{what} must hold at least one state, got {values!r}")
+    return np.array(states)
 
 
 def _times(value, what: str):
@@ -547,7 +559,7 @@ def estimate_hessian_bounds(model: SystemModel,
         _scalars(radius=radius, safety=safety, direction_samples=direction_samples,
                  output_direction_samples=output_direction_samples, max_centers=max_centers,
                  seed=seed).values())
-    if len(states) == 0:
+    if not (np.iterable(states) and len(states)):   # the rule of _states, read lazily
         raise ConfigurationError("states must hold at least one state")
     times = _times(times, "times")
     if np.ndim(times) and len(times) != len(states):

@@ -513,13 +513,13 @@ def _one_entry(rng, shape):
 
 
 def test_one_state_float_stages_give_the_bits_of_the_dot_stages():
-    """At n = p = 1 a stage runs on Python floats: _scalar_stage for _gain and _riccati
-    (with and without 2N and 2 beta), the float forms of _virtual_flow for f - K.dot(h - y)
-    and of _tangent_flow for the validator's (A - K.dot(C)).dot(dz). Each gives the .dot
-    kernel's bits, a zero's sign included, on seeded draws with subnormals, products that
-    overflow, and an infinite or NaN P. Any reassociated product in a float kernel changes
-    some of these bits."""
-    from ekfcert.ekf import _gain, _riccati, _scalar_stage, _tangent_flow, _virtual_flow
+    """At n = p = 1 a stage runs on Python floats: the float forms of _gain and _riccati
+    (with and without 2N and 2 beta), of _virtual_flow for f - K.dot(h - y) and of
+    _tangent_flow for the validator's (A - K.dot(C)).dot(dz). Each gives the .dot kernel's
+    bits, a zero's sign included, on seeded draws with subnormals, products that overflow,
+    and an infinite or NaN P. Any reassociated product in a float kernel changes some of
+    these bits."""
+    from ekfcert.ekf import _gain, _riccati, _tangent_flow, _virtual_flow
     rng = np.random.default_rng(31)
     draws = 2000
     p, a, c, q, rinv, n2, beta2, k, y, f, h, z, dz = _one_entry(rng, (13, draws))
@@ -535,7 +535,8 @@ def test_one_state_float_stages_give_the_bits_of_the_dot_stages():
             v = [x[i].item() for x in (p, a, c, q, rinv, n2, beta2, k, y, f, h, z, dz)]
             P, A, C, Q, Rinv, N2, K = (np.array([[x]]) for x in v[:6] + v[7:8])
             for n2_i, beta2_i in [(None, 0.0), (v[5], 0.0), (None, v[6]), (v[5], v[6])]:
-                gain, dP = _scalar_stage(v[0], v[1], v[2], v[3], v[4], n2_i, beta2_i)
+                gain = _gain(v[0], v[2], v[4], scalar=True)
+                dP = _riccati(v[0], v[1], v[2], v[3], v[4], n2_i, beta2_i, scalar=True)
                 assert bits(gain) == bits(_gain(P, C, Rinv)), v
                 assert bits(dP) == bits(_riccati(P, A, C, Q, Rinv, None if n2_i is None else N2,
                                                  beta2_i)), (v, n2_i, beta2_i)

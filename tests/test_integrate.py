@@ -361,6 +361,15 @@ def test_filter_with_r_twice_the_identity_matches_reference_loop(rig):
     _assert_filter_matches_reference_loop(rig, fc, ek.integrate_ekf(fc, rig["y"]))
 
 
+@pytest.mark.parametrize("beta, N", [(0.25, 0.0), (0.0, 0.5), (0.25, 0.5)],
+                         ids=["beta", "N", "beta-and-N"])
+def test_an_inflated_filter_matches_reference_loop(rig, beta, N):
+    """2N and 2 beta P in every stage: on Python floats at n = p = 1 (cubic-scalar), through
+    ndarray.dot on the two-state rigs."""
+    fc = dataclasses.replace(rig["fc"], beta=beta, N=N * np.eye(rig["model"].state_dim))
+    _assert_filter_matches_reference_loop(rig, fc, ek.integrate_ekf(fc, rig["y"]))
+
+
 def test_accessors_match_reference_interpolation(rig):
     run = rig["run"]
     m = len(run.times)
@@ -927,6 +936,24 @@ def test_the_joint_run_reads_y_from_the_truth_rows_own_stage(entry):
 
 
 FAULT_T = 0.25   # the faults start at the midpoint stage of the third step
+
+
+@pytest.mark.parametrize("name", ["cubic-scalar", "vanderpol-pos"])
+@pytest.mark.parametrize("row", ["truth", "virtual state"])
+def test_a_start_whose_squares_overflow_is_read_finite_and_fails_at_the_first_node(name, row):
+    """A truth or virtual start with a finite entry of 1e200: its sum of squares overflows,
+    but every entry is finite, so the first stage calls the plant there, and the guard
+    names the row at the first node, as when that stage gave the row NaN without a call."""
+    seen, plant = [], ek.make(name).model
+    n, p = plant.state_dim, plant.output_dim
+    model = dataclasses.replace(plant, dynamics=_recorded(plant.dynamics, seen))
+    fc = ek.FilterConfig(model=model, Q=np.eye(n), R=np.eye(p), P0=np.eye(n),
+                         x0=np.full(n, 0.2), horizon=0.1, step=0.01)
+    big = np.r_[1e200, np.full(n - 1, 0.2)]
+    source = dict(x0=big) if row == "truth" else dict(x0=np.full(n, 0.3), starts=[big])
+    assert _outcome(lambda: ek.integrate_ekf(fc, **source)) == (
+        ek.DivergenceError, f"{row} diverged at t=0.01", 0.01)
+    assert any(np.array_equal(x, big) for x in seen)
 
 
 def _recorded(fn, seen):

@@ -232,6 +232,37 @@ def test_each_reproduced_gap_is_refused_naming_its_argument(call, message):
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("entry, name, rule, call", ENTRY_POINTS, ids=IDS)
+def test_a_zero_dimensional_array_is_read_as_its_one_entry(entry, name, rule, call):
+    """A 0-d array of a real, non-boolean dtype is its entry, so NaN is refused as NaN is;
+    a 0-d boolean or string array is refused."""
+    for value in (math.nan, True, "1"):
+        with pytest.raises(ek.ConfigurationError) as refused:
+            call(np.array(value))
+        shown = value if isinstance(value, float) else repr(np.array(value))
+        assert str(refused.value) == f"{name} must be {rule}, got {shown}"
+
+
+@pytest.mark.parametrize("entry, name, call, value", BOUNDARY,
+                         ids=[f"{e}-{n}-{v}" for e, n, _, v in BOUNDARY])
+def test_the_boundary_of_each_rule_is_accepted_as_a_zero_dimensional_array(entry, name, call,
+                                                                           value):
+    call(np.array(value))
+
+
+def test_a_zero_dimensional_array_gives_the_results_of_its_entry():
+    """They raised "t must be finite, got array(0.5)" and "horizon must be positive and
+    finite, got array(0.2)", though their one entry meets the rule."""
+    assert SERIES.at(np.array(0.5)).tolist() == SERIES.at(0.5).tolist() == [1.5]
+    assert all(np.array_equal(a, b) for a, b in zip(ek.eval_jacobians(LTV, GOOD, np.array(0.5)),
+                                                    ek.eval_jacobians(LTV, GOOD, 0.5)))
+    config = _config(horizon=np.array(0.2, dtype=np.float32), step=np.array(0.05))
+    assert (config.horizon, config.step) == (float(np.float32(0.2)), 0.05)
+    assert type(config.horizon) is float
+    assert _scalar(np.array(3, dtype=np.uint8), "seed") == 3
+    assert type(_scalar(np.array(3, dtype=np.uint8), "seed")) is int
+
+
 def test_an_integral_count_reads_as_the_integer():
     assert (_hessian_bounds(max_centers=2.0, seed=3.0).kappa_A
             == _hessian_bounds(max_centers=2, seed=3).kappa_A)

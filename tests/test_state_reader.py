@@ -111,9 +111,15 @@ def test_a_column_reads_as_the_vector_it_holds(entry, name, call, x):
     # a (2, 3) array is two 3-entry states, not three 2-entry ones
     (lambda: ek.linear_output_check(RUN, np.zeros((2, 3)), 0.1),
      "sample_states[0] must have shape (2,), got (3,)"),
-    # no state to check is no pass
+    # no state to check is no pass; a value that is not a sequence holds none
     (lambda: ek.linear_output_check(RUN, [], 0.1),
      "sample_states must hold at least one state, got []"),
+    *[(lambda v=v: ek.linear_output_check(RUN, v, 0.1),
+       f"sample_states must hold at least one state, got {v!r}") for v in (None, 5)],
+    *[(lambda v=v: ek.estimate_hessian_bounds(MODEL, v, 0.0, 0.1),
+       "states must hold at least one state") for v in (None, 5, [])],
+    *[(lambda v=v: ek.integrate_ekf(RUN.config, x0=GOOD, starts=v),
+       f"starts must hold at least one state, got {v!r}") for v in (5, [])],
     (lambda: ek.estimate_hessian_bounds(MODEL, [[0.3, 0.2, 0.1]], 0.0, 0.1),
      "states[0] must have shape (2,), got (3,)"),
     (lambda: ek.integrate_ekf(RUN.config, x0=GOOD, starts=[[0.3, 0.2], [[0.3, 0.2], [0.1]]]),
