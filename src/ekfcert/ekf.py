@@ -38,19 +38,24 @@ run stores the outputs it reads at its RK4 stages once per distinct stage
 time (``stage_table``), which the variational validator reads next to the
 run's gains, carried onto the stage times by ``interp`` (linear, clamped
 ends). A measured signal is a callable of t or a ``TimeSeries``, values on
-a time grid that ``interp`` reads the same way.
+a time grid that ``interp`` reads the same way, read at every stage time
+before the first step: its first value that is not numeric (model._array),
+of p entries and finite is refused before any model callback.
 
-A stage is straight-line code. After reading y it reads A and C at the
-estimate (model._stage_jacobians), forms K, calls f and h there, then the
-virtual rows' f and h, each result read by model._call, and writes every
-row's derivative into one array. With analytic Jacobians and a finite
-state, A and C are the callbacks' own results once both pass a finiteness
-check; any other stage takes the checked one-row stack, so a non-finite
-Jacobian raises ModelEvaluationError at the stage's time before f or h is
-called. Truth or virtual rows that are not finite get a NaN derivative
-without a callback; a non-finite truth makes the whole stage NaN, so the
-node guard names it. A step's first stage runs at the start, whose rows are
-read finite, or at a node the guard has passed, so it skips the check.
+A stage is straight-line code, a function of its time and state that only
+writes its outputs. After reading y it reads A and C at the estimate
+(model._stage_jacobians), forms K, calls f and h there, then the virtual
+rows' f and h, each result read by model._call, and writes every row's
+derivative into one array. With analytic Jacobians and a finite state, A
+and C are the callbacks' own results once both pass a finiteness check;
+any other stage takes the checked one-row stack, so a non-finite Jacobian
+raises ModelEvaluationError at the stage's time before f or h is called.
+Truth or virtual rows that are not finite get a NaN derivative without a
+callback; a non-finite truth makes the whole stage NaN, so the node guard
+names it. A step's first stage runs at the start, whose rows are read
+finite, or at a node the guard has passed, so it skips the check. A
+virtual row's disturbance b is checked where it is evaluated: a stage whose
+||b|| exceeds b_max (1 + 1e-9) + 1e-300 raises PreconditionError.
 
 A node of sum of squares at most DIVERGENCE_LIMIT^2 / 4 has every row
 finite and inside the limit and passes on that one check; any other gets
@@ -58,15 +63,13 @@ the guard of the truth, then of the estimate, a finiteness check of P, P's
 definiteness (its smallest eigenvalue is positive, FilterConfig's rule for
 P0) and the guard of each virtual row. One closing block, after a finished
 run or before an Exception raised within it propagates, checks the stored
-nodes with one batched eigvalsh, which also gives p_lo and p_hi, and then
-the measurements read; a BaseException that is not an Exception propagates
-without it. The disturbance bound is checked last, on the root of the
-largest b.b of any stage.
+nodes with one batched eigvalsh, which also gives p_lo and p_hi, so a run
+raises its earliest fault; a BaseException that is not an Exception
+propagates without it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -76,8 +79,8 @@ import numpy as np
 
 from .errors import (ConfigurationError, CovarianceBoundViolation, DivergenceError,
                      PreconditionError)
-from .model import (MAX_COUNT, SystemModel, _array, _call, _finite, _scalar, _scalars,
-                    _stacked_jacobians, _stage_jacobians, _state, _states, _times)
+from .model import (_FLOAT64, MAX_COUNT, SystemModel, _array, _call, _finite, _scalar,
+                    _scalars, _stacked_jacobians, _stage_jacobians, _state, _states, _times)
 
 # states beyond this magnitude are treated as numerical blow-up
 DIVERGENCE_LIMIT = 1e12
@@ -394,13 +397,13 @@ class FilterTrajectory:
 
     ``stage_outputs`` (2m - 1, p) holds the output y at the distinct RK4
     stage times of the run, in the rows of ``stage_table(times)``. A run
-    on measured data reads one y per stage time. A run on a truth start
-    reads y at each stage from the truth's own stage state: a node row holds
-    y at the truth node, but stages 2 and 3 of a step read two different
-    truth states at the same midpoint time, and a midpoint row keeps the
-    stage 3 value. ``variational_validator``, which reads this table with
-    the gains interpolated onto the stage times, is therefore an O(h^2)
-    approximation of such a run's own stages.
+    on measured data reads them all before its first step. A run on a
+    truth start reads y at each stage from the truth's own stage state: a
+    node row holds y at the truth node, but stages 2 and 3 of a step read
+    two different truth states at the same midpoint time, and a midpoint
+    row keeps the stage 3 value. ``variational_validator``, which reads
+    this table with the gains interpolated onto the stage times, is
+    therefore an O(h^2) approximation of such a run's own stages.
 
     ``p_lo`` and ``p_hi`` are the smallest and largest eigenvalues of P over
     the nodes, first reached at ``t_at_p_lo`` and ``t_at_p_hi``; a run that
@@ -434,10 +437,10 @@ def integrate_ekf(config: FilterConfig,
     ----------
     config : FilterConfig
     measurements : TimeSeries or callable t -> (p,) array, optional
-        Measured output (a scalar is accepted when p = 1), evaluated exactly
-        at the integrator stages, once per distinct stage time, so it must
-        depend on t only. A TimeSeries gives the values of ``series.at``,
-        linearly interpolated between its nodes. Give it or ``x0``, not both.
+        Measured output (a scalar is accepted when p = 1), evaluated at every
+        distinct integrator stage time before the first step, so it must
+        depend on t only. A TimeSeries gives the values of ``series.at``, from
+        one ``interp`` call. Give it or ``x0``, not both.
     x0 : (n,) array, optional
         True initial state. The truth dx/dt = f(x, t) is then a row of the
         run's one RK4 state, and each stage reads y = h(x, t) at the truth's
@@ -447,7 +450,7 @@ def integrate_ekf(config: FilterConfig,
         each stage's own gain and output (``FilterTrajectory.virtual``).
     disturbance : Disturbance, optional
         Additive b(z, t) on every virtual row, none on the truth or the
-        estimate; its bound ``b_max`` must hold at every stage.
+        estimate; its bound ``b_max`` must hold at every stage, checked there.
 
     Returns
     -------
@@ -456,8 +459,8 @@ def integrate_ekf(config: FilterConfig,
     Raises
     ------
     ConfigurationError
-        If a measurement does not have p entries, or a start is not a state; at the
-        first measurement read that is not finite, checked as the covariance is below.
+        If a start is not a state; before the first step, at the first stage time
+        whose measurement is not numeric, has not p entries or is not finite.
     DivergenceError
         If the truth, the estimate or a virtual row leaves the ball of radius
         1e12 or becomes non-finite, checked in that order at each node; the
@@ -470,8 +473,8 @@ def integrate_ekf(config: FilterConfig,
         other Exception raised within it propagates, so a run that fails here
         may have called its callbacks past that node.
     PreconditionError
-        If the disturbance exceeded its declared bound, checked after the
-        covariance.
+        At the first stage where the disturbance exceeds its declared bound,
+        with that stage's norm.
     """
     model = config.model
     n, p = model.state_dim, model.output_dim
@@ -479,11 +482,13 @@ def integrate_ekf(config: FilterConfig,
         raise ConfigurationError("integrate_ekf takes either measurements or a truth start x0")
     grid = time_grid(config.horizon, config.step)
     stage_times, read_stage = stage_table(grid)
-    if x0 is not None:
-        x0 = _state(x0, n, "x0")
+    if x0 is not None:   # a truth run reads no signal: its stages read y from the truth
+        x0, signal = _state(x0, n, "x0"), ()
     elif isinstance(measurements, TimeSeries):   # stage times are grid values, already read
-        measurements = functools.partial(interp, measurements.times, measurements.values)
-    elif not callable(measurements):
+        signal = interp(measurements.times, measurements.values, stage_times)
+    elif callable(measurements):
+        signal = map(measurements, stage_times)   # called as the rows are read, after the starts
+    else:
         raise ConfigurationError(
             f"expected a TimeSeries or a callable signal, got {type(measurements).__name__}")
     # the rows [xhat; P; x; z_1 ... z_B] of one state, without the absent ones
@@ -494,7 +499,16 @@ def integrate_ekf(config: FilterConfig,
     state0 = np.vstack(rows)
     virtual = range(Z, len(state0))   # the virtual rows' indices
     outputs = np.empty((len(stage_times), p))
-    filled = -1   # the last stage-table row whose output has been read
+    for row, (t, y_t) in enumerate(zip(stage_times, signal)):   # in order, before the run
+        if not (type(y_t) is np.ndarray and y_t.dtype is _FLOAT64):   # else numeric already
+            y_t = _array(y_t, f"measurement at t={t:.6g}")
+        if y_t.size != p:
+            raise ConfigurationError(f"measurement at t={t:.6g} has shape "
+                                     f"{y_t.shape}, expected ({p},)")
+        outputs[row] = y_t.reshape(p)
+        if not (_finite(y_t) or np.isfinite(y_t).all()):   # squares may overflow
+            raise ConfigurationError(f"measurement at t={t:.6g} must be "
+                                     f"finite, got {outputs[row].tolist()}")
     gains = np.empty((len(grid), n, p))
     Q, Rinv, N2, beta2 = config.Q, np.linalg.inv(config.R), 2.0 * config.N, 2.0 * config.beta
     if not N2.any():   # a zero 2N added to Q once gives a stage's bits (dP is -0.0 only where Q is)
@@ -502,12 +516,11 @@ def integrate_ekf(config: FilterConfig,
     scalar = n == p == 1   # a one-state, one-output stage runs on Python floats
     if scalar:
         Q, Rinv, N2 = Q.item(), Rinv.item(), N2 if N2 is None else N2.item()
-    b_sq = 0.0   # the largest ||b||^2 seen
+    b_bound = None if disturbance is None else disturbance.b_max * (1.0 + 1e-9) + 1e-300
     nodes = np.empty((len(grid), *state0.shape))
     stored = 1   # the nodes stored so far, the start included
 
     def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        nonlocal filled, b_sq
         stage, row = read_stage(t)
         finite = stage == 0 or _finite(state)   # a node is finite; one check for every row
         out = np.empty_like(state)
@@ -518,13 +531,6 @@ def integrate_ekf(config: FilterConfig,
                 return np.full_like(state, np.nan)
             out[n + 1] = _call(model.dynamics, x, t, (n,), "dynamics")
             outputs[row] = _call(model.output, x, t, (p,), "output")
-        elif row > filled:
-            y_t = np.asarray(measurements(t), dtype=float)
-            if y_t.size != p:
-                raise ConfigurationError(f"measurement at t={t:.6g} has shape "
-                                         f"{y_t.shape}, expected ({p},)")
-            outputs[row] = y_t.reshape(p)
-            filled = row
         y, xhat, P = outputs[row], state[0], state[1:n + 1]
         A, C = _stage_jacobians(model, xhat, t, finite)
         if scalar:
@@ -541,9 +547,12 @@ def integrate_ekf(config: FilterConfig,
         for b in virtual:
             z = state[b]
             out[b] = _virtual_flow(model, z, t, K, y, scalar)
-            if disturbance is not None:   # ||b|| = sqrt(b.b), taken once after the run
+            if disturbance is not None:
                 bv = _call(disturbance.b, z, t, (n,), "disturbance")
-                b_sq = max(b_sq, float(np.vdot(bv, bv)))
+                b_norm = math.sqrt(float(np.vdot(bv, bv)))
+                if b_norm > b_bound:
+                    raise PreconditionError(f"disturbance bound violated: observed "
+                                            f"{b_norm:.6g} > b_max {disturbance.b_max:.6g}")
                 out[b] = out[b] + bv
         return out
 
@@ -571,19 +580,10 @@ def integrate_ekf(config: FilterConfig,
         failure = None
     except Exception as exc:   # a BaseException (KeyboardInterrupt) skips the closing checks
         failure = exc
-    # the stored nodes' P, then the measurements read, come before any failure within the run
-    eigs = _definite(grid, nodes[:stored, 1:n + 1])
-    bad = np.flatnonzero(~np.isfinite(outputs[:filled + 1]).all(axis=1))
-    if len(bad):
-        raise ConfigurationError(f"measurement at t={stage_times[bad[0]]:.6g} must be "
-                                 f"finite, got {outputs[bad[0]].tolist()}")
+    eigs = _definite(grid, nodes[:stored, 1:n + 1])   # the stored nodes' P come first
     if failure is not None:
         raise failure
     states, covs = nodes[:, 0], nodes[:, 1:n + 1]
-    b_worst = math.sqrt(b_sq)
-    if disturbance is not None and b_worst > disturbance.b_max * (1.0 + 1e-9) + 1e-300:
-        raise PreconditionError(f"disturbance bound violated: observed {b_worst:.6g} "
-                                f"> b_max {disturbance.b_max:.6g}")
     C = _stacked_jacobians(model, states[-1:], grid[-1])[1][0]
     gains[-1] = _gain(covs[-1], C, Rinv, scalar)
     if x0 is not None:   # a node row holds y at the truth node, as stage 1 leaves the others

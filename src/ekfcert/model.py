@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -510,7 +510,7 @@ def _unit_directions(dim: int, samples: int, rng: np.random.Generator) -> np.nda
 
 
 def estimate_hessian_bounds(model: SystemModel,
-                            states: Sequence[np.ndarray],
+                            states: Iterable[np.ndarray],
                             times: Sequence[float] | float,
                             radius: float,
                             *,
@@ -537,11 +537,12 @@ def estimate_hessian_bounds(model: SystemModel,
 
     Parameters
     ----------
-    states : sequence of (n,) states, such as an (m, n) array
+    states : iterable of (n,) states, such as an (m, n) array
         The path the balls are centred on; a long path is subsampled at the
         stride len(states) // max_centers, and only the kept states are read,
-        as states[k]. The Hessians of all sample points around one centre are
-        evaluated as one stack per map.
+        as states[k]; any other iterable (a generator, dict values) is read
+        into a list first. The Hessians of all sample points around one centre
+        are evaluated as one stack per map.
     times : sequence of m times, or one time for every state
         The time of each state, finite; every entry is read before any is used.
     radius : float
@@ -559,8 +560,10 @@ def estimate_hessian_bounds(model: SystemModel,
         _scalars(radius=radius, safety=safety, direction_samples=direction_samples,
                  output_direction_samples=output_direction_samples, max_centers=max_centers,
                  seed=seed).values())
-    if not (np.iterable(states) and len(states)):   # the rule of _states, read lazily
-        raise ConfigurationError("states must hold at least one state")
+    if np.iterable(states) and not isinstance(states, (Sequence, np.ndarray)):
+        states = list(states)   # a generator or dict values; a sequence is read lazily
+    if not (np.iterable(states) and len(states)):   # the rule of _states
+        raise ConfigurationError(f"states must hold at least one state, got {states!r}")
     times = _times(times, "times")
     if np.ndim(times) and len(times) != len(states):
         raise ConfigurationError(

@@ -50,8 +50,8 @@ BALL_RATE_RULE = "positive and finite"   # perturbed_run's gamma: its ball divid
 class Disturbance:
     """Additive state disturbance b(x, t), an (n,) array, with a declared uniform bound.
 
-    ``b_max`` must dominate ||b(x,t)|| at every point a run evaluates;
-    violations observed during integration raise PreconditionError.
+    ``b_max`` must dominate ||b(x,t)|| at every point a run evaluates; a
+    run raises PreconditionError at the first stage where it does not.
     """
 
     b: Callable[[np.ndarray, float], np.ndarray]

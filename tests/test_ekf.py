@@ -8,7 +8,7 @@ import pytest
 
 import ekfcert as ek
 from ekfcert import cli
-from ekfcert.ekf import _definite, interp
+from ekfcert.ekf import _definite, interp, stage_table
 
 from conftest import random_spd
 
@@ -336,14 +336,62 @@ def test_a_non_finite_measurement_is_a_configuration_error_at_its_time(name, bad
     assert str(refused.value) == f"measurement at t=0.55 must be finite, got [{bad}]"
 
 
-def test_a_covariance_lost_before_a_non_finite_measurement_keeps_its_precedence():
+def test_a_non_finite_measurement_comes_before_an_earlier_covariance_loss():
+    """The signal is input, read before the first step: its first non-finite value, at
+    t = 0.6, is refused ahead of the P this run would lose at t = 0.2."""
     # Q ~ 0 with a large P0 drives P through zero at the first step, t = 0.2
     fc = ek.FilterConfig(model=ek.make("scalar-riccati").model, Q=[[1e-12]], R=np.eye(1),
                          P0=[[10.0]], x0=np.zeros(1), horizon=1.0, step=0.2)
     with pytest.raises(ek.CovarianceBoundViolation, match="at t=0.2$"):
+        ek.integrate_ekf(fc, lambda t: np.array([0.1]))
+    with pytest.raises(ek.ConfigurationError,
+                       match=re.escape("at t=0.6 must be finite, got [nan]")):
         ek.integrate_ekf(fc, lambda t: np.array([math.nan if t > 0.5 else 0.1]))
     with pytest.raises(ek.ConfigurationError, match=re.escape("at t=0 must be finite, got [nan]")):
         ek.integrate_ekf(fc, lambda t: np.array([math.nan]))
+
+
+def _recording_vdp(calls):
+    """vanderpol-pos with every callback recording its name and time in ``calls``."""
+    vdp = ek.make("vanderpol-pos").model
+
+    def recorded(name, func):
+        def call(x, t):
+            calls.append((name, t))
+            return func(x, t)
+        return call
+
+    return dataclasses.replace(vdp, **{name: recorded(name, getattr(vdp, name)) for name in
+                                       ("dynamics", "output", "jacobian_A", "jacobian_C")})
+
+
+def test_a_measured_run_reads_its_signal_at_every_stage_time_before_the_first_step():
+    calls = []
+    model = _recording_vdp(calls)
+    fc = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(1), P0=np.eye(2),
+                         x0=[0.3, 0.2], horizon=1.0, step=0.1)
+
+    def signal(t):
+        calls.append(("signal", t))
+        return np.array([0.3 * math.cos(t)])
+
+    run = ek.integrate_ekf(fc, signal)
+    times = stage_table(run.times)[0]
+    assert len(times) == 2 * len(run.times) - 1 == 21
+    assert calls[:len(times)] == [("signal", t) for t in times]
+    assert calls[len(times)][0] == "jacobian_A"
+    assert all(name != "signal" for name, _ in calls[len(times):])
+    assert np.array_equal(run.stage_outputs[:, 0], 0.3 * np.cos(times))
+
+
+def test_a_signal_non_finite_past_half_is_refused_before_any_model_callback():
+    calls = []
+    fc = ek.FilterConfig(model=_recording_vdp(calls), Q=np.eye(2), R=np.eye(1),
+                         P0=np.eye(2), x0=[0.3, 0.2], horizon=1.0, step=0.1)
+    with pytest.raises(ek.ConfigurationError) as refused:
+        ek.integrate_ekf(fc, lambda t: np.array([math.nan if t > 0.5 else 0.1]))
+    assert str(refused.value) == "measurement at t=0.55 must be finite, got [nan]"
+    assert calls == []
 
 
 @pytest.mark.parametrize("beta, shown", [(-1.0, "-1.0"), (math.nan, "nan"), ("x", "'x'")])

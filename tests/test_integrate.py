@@ -1398,10 +1398,10 @@ def test_definiteness_lost_at_a_node_comes_before_its_virtual_rows(z0, z_fails_a
 
 
 def test_definiteness_lost_comes_before_a_violated_disturbance_bound():
-    """A disturbed run loses P at t = 1, recovers and runs to its end, where
-    its disturbance, 1 from t = 6 on, breaks b_max = 0.5: the covariance
-    failure at t = 1 is raised, not the PreconditionError of the same run
-    from a definite P0."""
+    """A disturbed run loses P at t = 1, recovers and runs on until its
+    disturbance, 1 from t = 6 on, breaks b_max = 0.5 at its first stage
+    there: the covariance failure at t = 1 is raised, not the
+    PreconditionError of the same run from a definite P0."""
     seen = []
 
     def b(z, t):
@@ -1418,7 +1418,24 @@ def test_definiteness_lost_comes_before_a_violated_disturbance_bound():
     seen.clear()
     assert _outcome(lambda: ek.integrate_ekf(fc, y, starts=[z0], disturbance=dist).states) == (
         expected)
-    assert max(seen) == 8.0   # every step ran before the failure was named
+    assert max(seen) == 6.0   # the run stopped at the stage that broke the bound
+
+
+def test_a_violated_disturbance_bound_stops_the_run_at_its_first_stage():
+    """||b|| = t - 2.3 from t = 2.3 on first breaks b_max = 0.5 at the stage at
+    t = 3 and grows to 5.7 by the end: the run stops there, with that norm."""
+    seen = []
+
+    def b(z, t):
+        seen.append(t)
+        return np.array([max(0.0, t - 2.3)])
+
+    fc = _overshooting_config(_overshooting_plant(), P0=1.0)
+    with pytest.raises(ek.PreconditionError) as refused:
+        ek.integrate_ekf(fc, lambda t: np.zeros(1), starts=[[0.1]],
+                         disturbance=ek.Disturbance(b=b, b_max=0.5))
+    assert str(refused.value) == "disturbance bound violated: observed 0.7 > b_max 0.5"
+    assert max(seen) == seen[-1] == 3.0
 
 
 @pytest.mark.parametrize("name", ["scalar-riccati", "cubic-scalar"])

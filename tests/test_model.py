@@ -153,11 +153,25 @@ def test_hessian_bounds_rejects_bad_radius():
     model = ek.make("cubic-scalar").model
     with pytest.raises(ek.ConfigurationError):
         ek.estimate_hessian_bounds(model, [np.zeros(1)], 0.0, 0.0)
-    with pytest.raises(ek.ConfigurationError, match="^states must hold at least one state$"):
+    with pytest.raises(ek.ConfigurationError,
+                       match=r"^states must hold at least one state, got \[\]$"):
         ek.estimate_hessian_bounds(model, [], [], 1.0)
     with pytest.raises(ek.ConfigurationError,
                        match="^times must hold one time per state, got 1 for 2 states$"):
         ek.estimate_hessian_bounds(model, np.zeros((2, 1)), [0.0], 1.0)
+
+
+def test_hessian_bounds_read_any_iterable_of_states():
+    """A generator or dict values give the bounds of the same states as an array."""
+    model = ek.make("vanderpol-pos").model
+    states = np.array([[0.3, 0.2], [0.1, -0.4], [-0.2, 0.5]])
+    times = [0.0, 0.5, 1.0]
+    expected = ek.estimate_hessian_bounds(model, states, times, 0.2)
+    for path in ((x for x in states), dict(enumerate(states)).values(), list(states)):
+        assert ek.estimate_hessian_bounds(model, path, times, 0.2) == expected
+    with pytest.raises(ek.ConfigurationError,
+                       match=r"^states must hold at least one state, got \[\]$"):
+        ek.estimate_hessian_bounds(model, (x for x in []), [], 0.2)
 
 
 def _tensor_norm_loop(H, dirs):

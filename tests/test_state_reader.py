@@ -117,7 +117,7 @@ def test_a_column_reads_as_the_vector_it_holds(entry, name, call, x):
     *[(lambda v=v: ek.linear_output_check(RUN, v, 0.1),
        f"sample_states must hold at least one state, got {v!r}") for v in (None, 5)],
     *[(lambda v=v: ek.estimate_hessian_bounds(MODEL, v, 0.0, 0.1),
-       "states must hold at least one state") for v in (None, 5, [])],
+       f"states must hold at least one state, got {v!r}") for v in (None, 5, [])],
     *[(lambda v=v: ek.integrate_ekf(RUN.config, x0=GOOD, starts=v),
        f"starts must hold at least one state, got {v!r}") for v in (5, [])],
     (lambda: ek.estimate_hessian_bounds(MODEL, [[0.3, 0.2, 0.1]], 0.0, 0.1),
@@ -183,11 +183,14 @@ ARRAYS = [
       for i, (name, good) in enumerate([("P", [[2, 0], [0, 1]]), ("A", [[-1, 0], [0, -1]]),
                                         ("C", [[1, 1]]), ("Q", I2), ("R", [[3]])])],
     ("riccati_rhs", "N", lambda v: ek.riccati_rhs(P, -np.eye(2), np.ones((1, 2)), Q, R, v), I2),
+    # a measured signal's value at each stage time, here the first
+    ("integrate_ekf", "measurement at t=0",
+     lambda v: ek.integrate_ekf(RUN.config, lambda t: v).states, [1]),
 ]
 ARRAY_IDS = [f"{entry}-{name}" for entry, name, _, _ in ARRAYS]
 # values that are not arrays of real numbers, whatever their shape
 NOT_NUMERIC = [[True, 1.0], [[1.0, 0.0], [0.0, True]], [[True]], [["1"]], "1", [[1 + 0j]],
-               [[None]], None, [[1.0], [1.0, 2.0]], [[10 ** 400]], {"a": 1.0}]
+               [[None]], None, [[1.0], [1.0, 2.0]], [[10 ** 400]], {"a": 1.0}, True]
 
 
 def _series(series):
