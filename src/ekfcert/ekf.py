@@ -39,8 +39,9 @@ time (``stage_table``), which the variational validator reads next to the
 run's gains, carried onto the stage times by ``interp`` (linear, clamped
 ends). A measured signal is a callable of t or a ``TimeSeries``, values on
 a time grid that ``interp`` reads the same way, read at every stage time
-before the first step: its first value that is not numeric (model._array),
-of p entries and finite is refused before any model callback.
+before the first step by model._call, as a callback result is: its first
+value that _call refuses or that is not finite is refused before any model
+callback.
 
 A stage is straight-line code, a function of its time and state that only
 writes its outputs. After reading y it reads A and C at the estimate
@@ -55,7 +56,8 @@ callback; a non-finite truth makes the whole stage NaN, so the node guard
 names it. A step's first stage runs at the start, whose rows are read
 finite, or at a node the guard has passed, so it skips the check. A
 virtual row's disturbance b is checked where it is evaluated: a stage whose
-||b|| exceeds b_max (1 + 1e-9) + 1e-300 raises PreconditionError.
+||b|| is not at most b_max (1 + 1e-9) + 1e-300, NaN included, raises
+PreconditionError.
 
 A node of sum of squares at most DIVERGENCE_LIMIT^2 / 4 has every row
 finite and inside the limit and passes on that one check; any other gets
@@ -79,8 +81,8 @@ import numpy as np
 
 from .errors import (ConfigurationError, CovarianceBoundViolation, DivergenceError,
                      PreconditionError)
-from .model import (_FLOAT64, MAX_COUNT, SystemModel, _array, _call, _finite, _scalar,
-                    _scalars, _stacked_jacobians, _stage_jacobians, _state, _states, _times)
+from .model import (MAX_COUNT, SystemModel, _array, _call, _finite, _scalar, _scalars,
+                    _stacked_jacobians, _stage_jacobians, _state, _states, _times)
 
 # states beyond this magnitude are treated as numerical blow-up
 DIVERGENCE_LIMIT = 1e12
@@ -459,7 +461,8 @@ def integrate_ekf(config: FilterConfig,
     Raises
     ------
     ConfigurationError
-        If a start is not a state; before the first step, at the first stage time
+        If a start is not a state, or a callback result is not numeric or has another
+        number of entries (model._call); before the first step, at the first stage time
         whose measurement is not numeric, has not p entries or is not finite.
     DivergenceError
         If the truth, the estimate or a virtual row leaves the ball of radius
@@ -473,8 +476,8 @@ def integrate_ekf(config: FilterConfig,
         other Exception raised within it propagates, so a run that fails here
         may have called its callbacks past that node.
     PreconditionError
-        At the first stage where the disturbance exceeds its declared bound,
-        with that stage's norm.
+        At the first stage where the disturbance's norm exceeds its declared bound
+        or is not finite, with that stage's norm.
     """
     model = config.model
     n, p = model.state_dim, model.output_dim
@@ -483,11 +486,12 @@ def integrate_ekf(config: FilterConfig,
     grid = time_grid(config.horizon, config.step)
     stage_times, read_stage = stage_table(grid)
     if x0 is not None:   # a truth run reads no signal: its stages read y from the truth
-        x0, signal = _state(x0, n, "x0"), ()
+        x0, signal = _state(x0, n, "x0"), None
     elif isinstance(measurements, TimeSeries):   # stage times are grid values, already read
-        signal = interp(measurements.times, measurements.values, stage_times)
-    elif callable(measurements):
-        signal = map(measurements, stage_times)   # called as the rows are read, after the starts
+        values = interp(measurements.times, measurements.values, stage_times)
+        signal = lambda row, t: values[row]
+    elif callable(measurements):   # called as the rows are read, after the starts
+        signal = lambda row, t: measurements(t)
     else:
         raise ConfigurationError(
             f"expected a TimeSeries or a callable signal, got {type(measurements).__name__}")
@@ -499,16 +503,10 @@ def integrate_ekf(config: FilterConfig,
     state0 = np.vstack(rows)
     virtual = range(Z, len(state0))   # the virtual rows' indices
     outputs = np.empty((len(stage_times), p))
-    for row, (t, y_t) in enumerate(zip(stage_times, signal)):   # in order, before the run
-        if not (type(y_t) is np.ndarray and y_t.dtype is _FLOAT64):   # else numeric already
-            y_t = _array(y_t, f"measurement at t={t:.6g}")
-        if y_t.size != p:
-            raise ConfigurationError(f"measurement at t={t:.6g} has shape "
-                                     f"{y_t.shape}, expected ({p},)")
-        outputs[row] = y_t.reshape(p)
+    for row, t in enumerate(() if signal is None else stage_times):   # in order, before the run
+        outputs[row] = y_t = _call(signal, row, t, (p,), "measurement at t={t:.6g}")
         if not (_finite(y_t) or np.isfinite(y_t).all()):   # squares may overflow
-            raise ConfigurationError(f"measurement at t={t:.6g} must be "
-                                     f"finite, got {outputs[row].tolist()}")
+            raise ConfigurationError(f"measurement at t={t:.6g} must be finite, got {y_t.tolist()}")
     gains = np.empty((len(grid), n, p))
     Q, Rinv, N2, beta2 = config.Q, np.linalg.inv(config.R), 2.0 * config.N, 2.0 * config.beta
     if not N2.any():   # a zero 2N added to Q once gives a stage's bits (dP is -0.0 only where Q is)
@@ -550,7 +548,7 @@ def integrate_ekf(config: FilterConfig,
             if disturbance is not None:
                 bv = _call(disturbance.b, z, t, (n,), "disturbance")
                 b_norm = math.sqrt(float(np.vdot(bv, bv)))
-                if b_norm > b_bound:
+                if not b_norm <= b_bound:   # a NaN norm breaks the bound too
                     raise PreconditionError(f"disturbance bound violated: observed "
                                             f"{b_norm:.6g} > b_max {disturbance.b_max:.6g}")
                 out[b] = out[b] + bv

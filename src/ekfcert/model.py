@@ -30,17 +30,17 @@ MAX_COUNT = 10 ** 6               # the cap of a capped count rule, and of a gri
 _FLOAT64 = np.dtype(float)
 
 
-def _call(func: Callable, x: np.ndarray, t: float, shape: tuple, what: str) -> np.ndarray:
-    """``func(x, t)`` as a float64 ndarray of ``shape``: the result itself when
-    it is one, else its entries converted and reshaped. A result with another
-    number of entries raises ConfigurationError naming the callback ``what``."""
+def _call(func: Callable, x, t: float, shape: tuple, what: str) -> np.ndarray:
+    """``func(x, t)``, a callback result or measured value, as a float64 ndarray of ``shape``:
+    itself when it is one, else read by _array and reshaped; another number of entries is
+    a ConfigurationError. ``what`` names it, its {t} field formatted only then."""
     v = func(x, t)
     if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.shape == shape:
         return v
-    v = np.asarray(v, dtype=float)
-    if v.size != math.prod(shape):
-        raise ConfigurationError(f"{what} returned shape {(v.size,)}, expected {shape}")
-    return v.reshape(shape)
+    v = _array(v, what, t)
+    if v.size == math.prod(shape):
+        return v.reshape(shape)
+    raise ConfigurationError(what.format(t=t) + f" returned shape {(v.size,)}, expected {shape}")
 
 
 @dataclass
@@ -48,12 +48,11 @@ class SystemModel:
     """A deterministic plant dx/dt = f(x, t) with measured output y = h(x, t).
 
     Each callback takes one state and one time and returns the shape stated
-    below. Every result, single or stacked, enters the package through one
-    reader: a float64 ndarray of that shape is used as returned, any other
-    result with as many entries is converted and reshaped, and a result with
-    another number of entries is a ConfigurationError naming the callback.
-    Stacked evaluation on many points calls a callback once per point, in
-    row order.
+    below. Every result, single or stacked, is read by _call: a float64
+    ndarray of that shape is used as returned, any other is read by the
+    numeric rule (_array) and reshaped, and another number of entries is a
+    ConfigurationError naming the callback. Stacked evaluation calls a
+    callback once per point, in row order.
 
     Parameters
     ----------
@@ -252,16 +251,17 @@ def _real(value) -> bool:
             else np.asarray(value).dtype.kind in "iuf")
 
 
-def _array(value, what: str) -> np.ndarray:
+def _array(value, what: str, t=None) -> np.ndarray:
     """The array argument ``what`` as a float ndarray, by the package's one numeric rule:
     every entry _real, rows of equal length, no int beyond the float range; else a
-    ConfigurationError "<what> must be numeric, got <value>". The caller checks the rest."""
+    ConfigurationError "<what> must be numeric, got <value>", {t} in what formatted with t.
+    The caller checks the rest."""
     try:
         if _real(value):
             return np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):   # ragged rows, huge ints
         pass
-    raise ConfigurationError(f"{what} must be numeric, got {value!r}")
+    raise ConfigurationError(what.format(t=t) + f" must be numeric, got {value!r}")
 
 
 def _state(value, n: int | None, what: str, rows: int | str | None = None,

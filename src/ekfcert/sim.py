@@ -51,7 +51,8 @@ class Disturbance:
     """Additive state disturbance b(x, t), an (n,) array, with a declared uniform bound.
 
     ``b_max`` must dominate ||b(x,t)|| at every point a run evaluates; a
-    run raises PreconditionError at the first stage where it does not.
+    run raises PreconditionError at the first stage where it does not, a
+    NaN ||b|| included.
     """
 
     b: Callable[[np.ndarray, float], np.ndarray]
@@ -246,7 +247,8 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     inflation 2N + 2 beta P, which the flow of P carries (zero on an
     uninflated run). Returns the maximum absolute deviation relative to
     the largest magnitude of the quadratic form (the two sides agree up
-    to O(step^2)).
+    to O(step^2)). A run of fewer than 3 nodes has no interior node and is a
+    ConfigurationError, raised before integrating.
     One stacked solve S = P^{-1} dz serves both dz^T S and the form S^T M S.
     The virtual row reads the run's gains interpolated onto the stage times
     and its ``stage_outputs``; at n = p = 1 the stage reads each as a
@@ -254,10 +256,12 @@ def variational_validator(model: SystemModel, filter_run: FilterTrajectory,
     reads A and C at (z_k, t_k) from step k's first stage, at the last node
     and the filter's nodes from evaluations after the run.
     """
-    n, p = model.state_dim, model.output_dim
+    n, p, grid = model.state_dim, model.output_dim, filter_run.times
+    if len(grid) < 3:   # the deviation is read at the interior nodes
+        raise ConfigurationError(
+            f"variational_validator needs a run of at least 3 nodes, got {len(grid)}")
     z0 = _state(z0, n, "z0")
     dz0 = np.ones(n) / math.sqrt(n) if dz0 is None else _state(dz0, n, "dz0")
-    grid = filter_run.times
     times, read_stage = stage_table(grid)   # the gains per call, since the run's may change
     gains, outputs = interp(grid, filter_run.gains, times), filter_run.stage_outputs
     scalar = n == p == 1   # a one-state, one-output stage runs on Python floats

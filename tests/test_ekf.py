@@ -307,9 +307,10 @@ def test_a_measurement_must_have_one_entry_per_output():
                            dynamics=lambda x, t: -x, output=lambda x, t: x.copy())
     fc = ek.FilterConfig(model=model, Q=np.eye(2), R=np.eye(2), P0=np.eye(2),
                          x0=np.zeros(2), horizon=1.0, step=0.1)
-    for value, shape in (([0.1], "(1,)"), ([0.1, 0.2, 0.3], "(3,)"), (0.1, "()")):
+    # read as a callback result is: by its number of entries, so a scalar reads as (1,)
+    for value, shape in (([0.1], "(1,)"), ([0.1, 0.2, 0.3], "(3,)"), (0.1, "(1,)")):
         with pytest.raises(ek.ConfigurationError, match=re.escape(
-                f"measurement at t=0 has shape {shape}, expected (2,)")):
+                f"measurement at t=0 returned shape {shape}, expected (2,)")):
             ek.integrate_ekf(fc, lambda t: np.asarray(value))
     scalar = ek.make("scalar-riccati").model
     fc = ek.FilterConfig(model=scalar, Q=np.eye(1), R=np.eye(1), P0=np.eye(1),

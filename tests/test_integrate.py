@@ -1421,21 +1421,28 @@ def test_definiteness_lost_comes_before_a_violated_disturbance_bound():
     assert max(seen) == 6.0   # the run stopped at the stage that broke the bound
 
 
-def test_a_violated_disturbance_bound_stops_the_run_at_its_first_stage():
+@pytest.mark.parametrize("norm, b_max, observed, last", [
+    (lambda t: max(0.0, t - 2.3), 0.5, "0.7 > b_max 0.5", 3.0),
+    (lambda t: math.nan if t > 0.5 else 0.0, 0.1, "nan > b_max 0.1", 1.0)],
+    ids=["growing", "nan"])
+def test_a_violated_disturbance_bound_stops_the_run_at_its_first_stage(norm, b_max, observed,
+                                                                        last):
     """||b|| = t - 2.3 from t = 2.3 on first breaks b_max = 0.5 at the stage at
-    t = 3 and grows to 5.7 by the end: the run stops there, with that norm."""
+    t = 3 and grows to 5.7 by the end: the run stops there, with that norm. A
+    NaN ||b||, from the first stage past t = 0.5 (t = 1 on this grid), breaks
+    the bound as well, before the virtual row turns NaN."""
     seen = []
 
     def b(z, t):
         seen.append(t)
-        return np.array([max(0.0, t - 2.3)])
+        return np.array([norm(t)])
 
     fc = _overshooting_config(_overshooting_plant(), P0=1.0)
     with pytest.raises(ek.PreconditionError) as refused:
         ek.integrate_ekf(fc, lambda t: np.zeros(1), starts=[[0.1]],
-                         disturbance=ek.Disturbance(b=b, b_max=0.5))
-    assert str(refused.value) == "disturbance bound violated: observed 0.7 > b_max 0.5"
-    assert max(seen) == seen[-1] == 3.0
+                         disturbance=ek.Disturbance(b=b, b_max=b_max))
+    assert str(refused.value) == f"disturbance bound violated: observed {observed}"
+    assert max(seen) == seen[-1] == last
 
 
 @pytest.mark.parametrize("name", ["scalar-riccati", "cubic-scalar"])

@@ -526,9 +526,9 @@ def test_experiments_read_the_rows_of_the_run_that_integrated_them():
 
 
 def test_experiments_refuse_a_run_without_their_rows():
-    """A run without exactly two virtual rows is refused by twin_decay, and one
-    without exactly one disturbed virtual row by perturbed_run, each saying
-    what is missing."""
+    """A run without exactly two virtual rows is refused by twin_decay, one
+    without exactly one disturbed virtual row by perturbed_run, and one without
+    an interior node by variational_validator, each saying what is missing."""
     dist = ek.Disturbance(b=lambda z, t: np.zeros(2), b_max=0.0)
     runs = {0: _vdp_run()[1], 1: _vdp_run(starts=[[0.3, 0.2]], disturbance=dist)[1],
             3: _vdp_run(starts=[[0.3, 0.2]] * 3)[1]}
@@ -546,3 +546,10 @@ def test_experiments_refuse_a_run_without_their_rows():
     with pytest.raises(ek.ConfigurationError, match=re.escape(
             f"perturbed_run needs a filter run with a disturbance {call}, got none")):
         ek.perturbed_run(_vdp_run(starts=[[0.3, 0.2]])[1])
+    cubic = ek.make("cubic-scalar").model
+    two_nodes = ek.integrate_ekf(ek.FilterConfig(
+        model=cubic, Q=np.eye(1), R=np.eye(1), P0=np.eye(1), x0=[0.0], horizon=0.1, step=0.1),
+        x0=[0.3])
+    with pytest.raises(ek.ConfigurationError, match=re.escape(
+            "variational_validator needs a run of at least 3 nodes, got 2")):
+        ek.variational_validator(cubic, two_nodes, [0.3])

@@ -3,8 +3,8 @@
 A wrong length, a NaN or infinite entry, a string, a boolean at any depth or
 ragged rows is a ConfigurationError that names the argument, and an (n, 1)
 column reads as the (n,) vector it holds, with bit-equal results. Every other
-array argument (weights, time series, inflation matrices, tensors) takes the
-same numeric rule.
+array argument (weights, time series, inflation matrices, tensors), every
+measured value and every callback result takes the same numeric rule.
 """
 
 import math
@@ -154,6 +154,11 @@ def _swap(args, i, v):
     return [v if j == i else a for j, a in enumerate(args)]
 
 
+def _returning(name, v):
+    """MODEL with its callback ``name`` returning v at every point."""
+    return ek.SystemModel(**{**vars(MODEL), name: lambda x, t: v})
+
+
 I2 = [[1, 0], [0, 1]]
 # (entry point, argument name in the message, call with the array v at that argument, an
 # integer value that the call accepts)
@@ -186,6 +191,18 @@ ARRAYS = [
     # a measured signal's value at each stage time, here the first
     ("integrate_ekf", "measurement at t=0",
      lambda v: ek.integrate_ekf(RUN.config, lambda t: v).states, [1]),
+    # every callback result, read by model._call as a measured value is: at one point in
+    # the filter's stages, and on a stack of points in the curvature sampler
+    *[("integrate_ekf", name, lambda v, name=name: ek.integrate_ekf(
+        _config(model=_returning(name, v), step=0.05), lambda t: np.array([0.3])).states, good)
+      for name, good in [("dynamics", [0, 0]), ("output", [0]),
+                         ("jacobian_A", [[0, 1], [-1, 0]]), ("jacobian_C", [[1, 0]])]],
+    ("integrate_ekf", "disturbance", lambda v: ek.integrate_ekf(
+        RUN.config, x0=GOOD, starts=[GOOD], disturbance=ek.Disturbance(lambda z, t: v, 1.0)
+    ).virtual, [0, 1]),
+    ("estimate_hessian_bounds", "jacobian_A", lambda v: ek.estimate_hessian_bounds(
+        _returning("jacobian_A", v), [GOOD], 0.0, 0.1, direction_samples=2,
+        output_direction_samples=2).kappa_A, [[0, 1], [-1, 0]]),
 ]
 ARRAY_IDS = [f"{entry}-{name}" for entry, name, _, _ in ARRAYS]
 # values that are not arrays of real numbers, whatever their shape
